@@ -139,11 +139,12 @@ def _check_to_json(check) -> dict:
             "checked": len(check.indices), "first_violation": check.first_violation}
 
 
-def _maybe_report(cfg: dict, p: ProblemSpec, out: Path) -> dict | None:
+def _maybe_report(cfg: dict, p: ProblemSpec, out: Path, report=None) -> dict | None:
+    """Write report.json when the config asks for estimates; reuse ``report`` if given."""
     if not (cfg.get("estimate", False) or cfg.get("audit", False)):
         return None
-    plan = _build_plan(cfg, p)
-    report = estimate_constants(p, plan)
+    if report is None:
+        report = estimate_constants(p, _build_plan(cfg, p))
     body = report.to_json()
     if cfg.get("audit", False):
         rho = p.weak_convexity
@@ -174,9 +175,9 @@ def _write_summary(out: Path, body: dict) -> None:
 
 
 def _finish_run(cfg: dict, p: ProblemSpec, trace: IterationTrace, out: Path,
-                checks: list, bounds: dict | None = None) -> int:
+                checks: list, bounds: dict | None = None, report=None) -> int:
     emit_trace_csv(trace, out / "trace.csv")
-    _maybe_report(cfg, p, out)
+    _maybe_report(cfg, p, out, report)
     summary = {
         "problem": p.name,
         "iterations": len(trace) - 1,
@@ -205,7 +206,7 @@ def cmd_run_ppm(cfg: dict, out: Path, seed: int) -> int:
                            max_inner_iterations=cfg.get("max_inner", 100_000))
     trace = run_ppm(p, x0, sched, max_iter=cfg.get("max_iter", 500), inner_tol=inner)
     checks = []
-    bounds = None
+    bounds = report = None
     if cfg.get("test_mode", False) and p.f_star is not None:
         if p.project_solution is not None:
             checks.append(check_sublinear_bound(trace))
@@ -219,7 +220,7 @@ def cmd_run_ppm(cfg: dict, out: Path, seed: int) -> int:
                                 mu_e=report.mu_e, rho=p.weak_convexity)
                 c0 = sched.at(0)
                 bounds = {"cost_factor": rb.omega(c0), "dist_factor": rb.theta(c0)}
-    return _finish_run(cfg, p, trace, out, checks, bounds=bounds)
+    return _finish_run(cfg, p, trace, out, checks, bounds=bounds, report=report)
 
 
 def cmd_run_ippm(cfg: dict, out: Path, seed: int) -> int:
@@ -230,13 +231,14 @@ def cmd_run_ippm(cfg: dict, out: Path, seed: int) -> int:
                      max_iter=cfg.get("max_iter", 500),
                      test_mode=cfg.get("test_mode", False), seed=seed)
     checks = []
+    report = None
     if cfg.get("test_mode", False) and p.f_star is not None and p.project_solution is not None:
         if any(c.absolute for c in crits):
             checks.append(check_ippm_sublinear(trace))
         if any(not c.absolute for c in crits) and cfg.get("estimate", False):
             report = estimate_constants(p, _build_plan(cfg, p))
             checks.append(check_ippm_linear(trace, report, cfg.get("nu", math.inf)))
-    return _finish_run(cfg, p, trace, out, checks)
+    return _finish_run(cfg, p, trace, out, checks, report=report)
 
 
 def cmd_run_gd(cfg: dict, out: Path, seed: int) -> int:

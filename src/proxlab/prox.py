@@ -17,8 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InnerBudgetExhausted, NotAvailable, StepTooLarge
-from .problem import ProblemSpec, as_point
-from .zoo import KINK_BAND
+from .problem import KINK_BAND, ProblemSpec, as_point
 
 # accept(candidate, residual_norm) -> bool; lets the outer loop install
 # candidate-dependent acceptance (relative inexactness rules).
@@ -72,37 +71,13 @@ def residual_certificate(p: ProblemSpec, x, z, c: float):
         element = base + p.composite.min_norm_h(base, x)
         return element, float(np.linalg.norm(element))
     if p.svm is not None:
-        element = _svm_certificate(p, x, center)
+        element = p.svm.min_norm_element(x, center)
         return element, float(np.linalg.norm(element))
     if p.min_norm_subgradient is not None:
         element = np.asarray(p.min_norm_subgradient(x), dtype=float) + center
         return element, float(np.linalg.norm(element))
     element = np.asarray(p.subgradient(x), dtype=float) + center
     return element, float(np.linalg.norm(element))
-
-
-def _svm_certificate(p: ProblemSpec, x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Greedy hinge-subgradient selection minimizing the certificate norm."""
-    parts = p.svm
-    n = parts.labels.size
-    ba = parts.labels[:, None] * parts.features
-    margins = 1.0 - ba @ x
-    base = -ba[margins > KINK_BAND].sum(axis=0) / n + parts.reg * x + center
-    kinks = np.flatnonzero(np.abs(margins) <= KINK_BAND)
-    r = base.copy()
-    if kinks.size:
-        t = np.zeros(kinks.size)
-        for _ in range(4):
-            for j, i in enumerate(kinks):
-                row = ba[i] / n
-                sq = float(np.dot(row, row))
-                if sq == 0.0:
-                    continue
-                r_wo = r + t[j] * row
-                t_new = min(max(float(np.dot(r_wo, row)) / sq, 0.0), 1.0)
-                r = r_wo - t_new * row
-                t[j] = t_new
-    return r
 
 
 def prox(p: ProblemSpec, z, c: float, tol: InnerTolerance = InnerTolerance(),
@@ -135,11 +110,7 @@ def inner_solve_composite(p: ProblemSpec, z, c: float, tol: InnerTolerance,
     """Accelerated proximal-gradient inner solver (public alias)."""
     if p.composite is None:
         raise NotAvailable("problem has no composite structure")
-    z = as_point(z)
-    _validate_step(p, c)
-    if stop_rule is None:
-        stop_rule = lambda w, rn: rn <= tol.target_residual
-    return _solve_composite(p, z, c, tol, stop_rule)
+    return prox(p, z, c, tol, stop_rule)
 
 
 def inner_solve_svm_dual(p: ProblemSpec, z, c: float, tol: InnerTolerance,
@@ -147,43 +118,59 @@ def inner_solve_svm_dual(p: ProblemSpec, z, c: float, tol: InnerTolerance,
     """Dual coordinate-ascent inner solver for hinge-loss problems (public alias)."""
     if p.svm is None:
         raise NotAvailable("problem has no SVM structure")
-    z = as_point(z)
-    _validate_step(p, c)
-    if stop_rule is None:
-        stop_rule = lambda w, rn: rn <= tol.target_residual
-    return _solve_svm_dual(p, z, c, tol, stop_rule)
+    return prox(p, z, c, tol, stop_rule)
+
+
+# With an affine smooth gradient, every GRAD_REFRESH-th iteration evaluates
+# the gradient at the extrapolated point exactly instead of combining it.
+GRAD_REFRESH = 50
 
 
 def _solve_composite(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
-    """FISTA on F(x) = g(x) + h(x) + ||x - z||^2/(2c), warm-started at z."""
+    """Accelerated proximal gradient on F(x) = g(x) + h(x) + ||x - z||^2/(2c).
+
+    The smooth part of F is L-smooth with L = lipschitz_smooth + 1/c, and F
+    is mu-strongly convex with mu = 1/c + m, m being the quadratic weight
+    declared as ``strong_convexity``.  The momentum is therefore the
+    constant (sqrt(kappa) - 1)/(sqrt(kappa) + 1), kappa = L/mu (Nesterov,
+    2004, section 2.2).  Warm-started at z.  When ``grad_smooth`` is affine,
+    the gradient at the extrapolated point y = w + q(w - x) is
+    (1 + q) grad(w) - q grad(x), both already evaluated for the
+    certificates, so an iteration costs one ``grad_smooth`` call; every
+    GRAD_REFRESH-th iteration evaluates it exactly instead.
+    """
     parts = p.composite
-    step = 1.0 / (parts.lipschitz_smooth + 1.0 / c)
+    lip = parts.lipschitz_smooth + 1.0 / c
+    step = 1.0 / lip
+    root_kappa = math.sqrt(lip / (1.0 / c + p.strong_convexity))
+    q = (root_kappa - 1.0) / (root_kappa + 1.0)
 
-    def grad_total(x):
-        return parts.grad_smooth(x) + (x - z) / c
-
-    def certified(x):
-        base = grad_total(x)
+    def certified(x, grad_x):
+        base = grad_x + (x - z) / c
         element = base + parts.min_norm_h(base, x)
         return element, float(np.linalg.norm(element))
 
     x = z.copy()
-    element, rn = certified(x)
+    grad_x = parts.grad_smooth(x)
+    element, rn = certified(x, grad_x)
     if stop_rule(x, rn):
         return ProxResult(x, element, rn, 0, False)
-    y = x.copy()
-    t_mom = 1.0
+    y, grad_y = x, grad_x
     best = (x, element, rn)
     for it in range(1, tol.max_inner_iterations + 1):
-        w = parts.prox_h(y - step * grad_total(y), step)
-        element, rn = certified(w)
+        w = parts.prox_h(y - step * (grad_y + (y - z) / c), step)
+        grad_w = parts.grad_smooth(w)
+        element, rn = certified(w, grad_w)
         if rn < best[2]:
             best = (w, element, rn)
         if stop_rule(w, rn):
             return ProxResult(w, element, rn, it, False)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
-        y = w + ((t_mom - 1.0) / t_next) * (w - x)
-        x, t_mom = w, t_next
+        y = w + q * (w - x)
+        if parts.affine_grad and it % GRAD_REFRESH:
+            grad_y = (1.0 + q) * grad_w - q * grad_x
+        else:
+            grad_y = parts.grad_smooth(y)
+        x, grad_x = w, grad_w
     raise InnerBudgetExhausted(
         f"composite inner solver: residual {best[2]:.3e} after {tol.max_inner_iterations} iterations",
         best=ProxResult(best[0], best[1], best[2], tol.max_inner_iterations, False))
@@ -195,43 +182,45 @@ def _solve_svm_dual(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
     The subproblem min (1/n) sum max(0, 1 - b_i a_i^T x) + (reg/2)||x||^2
     + ||x-z||^2/(2c) is sigma-strongly convex with sigma = reg + 1/c; each
     dual variable alpha_i lives in [0, 1/n] and the primal is recovered as
-    x = w0 + (1/sigma) sum alpha_i b_i a_i with w0 = z/(sigma c).
+    x = w0 + (1/sigma) sum alpha_i b_i a_i with w0 = z/(sigma c).  A sweep
+    visits only the coordinates that can move: it skips alpha_i = 0 with a
+    negative margin and alpha_i = 1/n with a positive one, since the
+    projected dual gradient is zero there.
     """
     parts = p.svm
     n = parts.labels.size
-    ba = parts.labels[:, None] * parts.features
+    ba = parts.signed_rows
     q = np.einsum("ij,ij->i", ba, ba)
     sigma = parts.reg + 1.0 / c
     w0 = z / (sigma * c)
+    cap = 1.0 / n
 
     # Warm start: hinge activity pattern at the prox center.
-    alpha = np.where(1.0 - ba @ z > 0.0, 1.0 / n, 0.0)
-    alpha[q == 0.0] = 1.0 / n  # zero rows contribute nothing; keep t_i valid
+    alpha = np.where(1.0 - ba @ z > 0.0, cap, 0.0)
+    alpha[q == 0.0] = cap  # zero rows contribute nothing; keep t_i valid
     x = w0 + (ba.T @ alpha) / sigma
 
-    def certified(x_cur, alpha_cur):
+    def certified(x_cur):
         margins = 1.0 - ba @ x_cur
         t = np.where(margins > KINK_BAND, 1.0,
-                     np.where(margins < -KINK_BAND, 0.0,
-                              np.clip(n * alpha_cur, 0.0, 1.0)))
-        element = -(ba * t[:, None]).sum(axis=0) / n + parts.reg * x_cur + (x_cur - z) / c
-        return element, float(np.linalg.norm(element))
+                     np.where(margins < -KINK_BAND, 0.0, np.clip(n * alpha, 0.0, 1.0)))
+        element = -(t @ ba) / n + parts.reg * x_cur + (x_cur - z) / c
+        return margins, element, float(np.linalg.norm(element))
 
-    element, rn = certified(x, alpha)
+    margins, element, rn = certified(x)
     if stop_rule(x, rn):
         return ProxResult(x, element, rn, 0, False)
     best = (x.copy(), element, rn)
     for sweep in range(1, tol.max_inner_iterations + 1):
-        for i in range(n):
-            if q[i] == 0.0:
-                continue
+        pinned = ((alpha == 0.0) & (margins < 0.0)) | ((alpha == cap) & (margins > 0.0))
+        for i in np.flatnonzero(~pinned & (q > 0.0)):
             margin = 1.0 - float(np.dot(ba[i], x))
-            new = min(max(alpha[i] + sigma * margin / q[i], 0.0), 1.0 / n)
+            new = min(max(alpha[i] + sigma * margin / q[i], 0.0), cap)
             if new != alpha[i]:
                 x = x + ((new - alpha[i]) / sigma) * ba[i]
                 alpha[i] = new
         x = w0 + (ba.T @ alpha) / sigma  # refresh against incremental drift
-        element, rn = certified(x, alpha)
+        margins, element, rn = certified(x)
         if rn < best[2]:
             best = (x.copy(), element, rn)
         if stop_rule(x, rn):

@@ -21,9 +21,6 @@ from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SvmParts,
 BENCHMARKS = ("quad1d", "quad_quartic", "sine_quad", "wc_piecewise", "aniso_quad")
 CONVEX_BENCHMARKS = ("quad1d", "quad_quartic", "aniso_quad")
 
-# Margin band inside which a hinge term counts as sitting at its kink.
-KINK_BAND = 1e-9
-
 
 def make_benchmark(name: str, aniso_l: float = 9.0) -> ProblemSpec:
     """Construct a benchmark problem by name (see BENCHMARKS)."""
@@ -260,8 +257,9 @@ def make_ml_problem(kind: str, data, params: MLProblemParams) -> ProblemSpec:
 
 
 def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
-    feats, labels, n = data.features, data.labels, data.n_samples
-    ba = labels[:, None] * feats  # row i is b_i a_i
+    n = data.n_samples
+    parts = SvmParts(features=data.features, labels=data.labels, reg=reg)
+    ba = parts.signed_rows
 
     def value(x):
         margins = 1.0 - ba @ x
@@ -274,25 +272,7 @@ def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
 
     def min_norm(x):
         # Constructed upper bound: greedy choice over hinge terms at kinks.
-        x = np.asarray(x, dtype=float)
-        margins = 1.0 - ba @ x
-        base = -ba[margins > KINK_BAND].sum(axis=0) / n + reg * x
-        kinks = np.flatnonzero(np.abs(margins) <= KINK_BAND)
-        if kinks.size == 0:
-            return base
-        t = np.zeros(kinks.size)
-        r = base.copy()  # maintains r = base - sum_j t_j * ba_j / n
-        for _ in range(4):
-            for j, i in enumerate(kinks):
-                row = ba[i] / n
-                r_wo = r + t[j] * row
-                sq = float(np.dot(row, row))
-                if sq == 0.0:
-                    continue
-                t_new = min(max(float(np.dot(r_wo, row)) / sq, 0.0), 1.0)
-                r = r_wo - t_new * row
-                t[j] = t_new
-        return r
+        return parts.min_norm_element(np.asarray(x, dtype=float), 0.0)
 
     return ProblemSpec(
         dimension=data.n_features,
@@ -301,7 +281,7 @@ def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
         min_norm_subgradient=min_norm,
         min_norm_exact=False,
         strong_convexity=reg,
-        svm=SvmParts(features=feats, labels=labels, reg=reg),
+        svm=parts,
         name=f"svm(n={n},d={data.n_features},reg={reg:g})",
         metadata={"source": data.source},
     )
@@ -337,6 +317,7 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
         value_h=lambda x: lam * float(np.abs(x).sum()),
         prox_h=lambda v, t: _soft_threshold(v, t * lam),
         min_norm_h=lambda base, x: _l1_min_norm(base, x, lam),
+        affine_grad=True,
     )
     return ProblemSpec(
         dimension=a_mat.shape[1],
