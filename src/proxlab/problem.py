@@ -46,8 +46,8 @@ class CompositeParts:
     ``argmin_x h(x) + ||x - v||^2 / (2 t)`` in closed form, and
     ``min_norm_h(base)`` returns the element of ``partial h`` at a point that
     minimizes ``||base + s||`` (coordinate-wise clip for box subdifferentials).
-    ``affine_grad`` declares ``grad_smooth`` affine (least squares), which
-    lets the inner solver extrapolate gradients instead of evaluating them.
+    ``grad_smooth`` must be affine (g is least squares plus a quadratic), which
+    lets the inner solver combine gradients instead of evaluating them.
     """
 
     value_smooth: Callable[[Vector], float]
@@ -56,7 +56,6 @@ class CompositeParts:
     value_h: Callable[[Vector], float]
     prox_h: Callable[[Vector, float], Vector]
     min_norm_h: Callable[[Vector, Vector], Vector]
-    affine_grad: bool = False
 
 
 @dataclass(frozen=True)

@@ -121,11 +121,6 @@ def inner_solve_svm_dual(p: ProblemSpec, z, c: float, tol: InnerTolerance,
     return prox(p, z, c, tol, stop_rule)
 
 
-# With an affine smooth gradient, every GRAD_REFRESH-th iteration evaluates
-# the gradient at the extrapolated point exactly instead of combining it.
-GRAD_REFRESH = 50
-
-
 def _solve_composite(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
     """Accelerated proximal gradient on F(x) = g(x) + h(x) + ||x - z||^2/(2c).
 
@@ -133,11 +128,10 @@ def _solve_composite(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
     is mu-strongly convex with mu = 1/c + m, m being the quadratic weight
     declared as ``strong_convexity``.  The momentum is therefore the
     constant (sqrt(kappa) - 1)/(sqrt(kappa) + 1), kappa = L/mu (Nesterov,
-    2004, section 2.2).  Warm-started at z.  When ``grad_smooth`` is affine,
+    2004, section 2.2).  Warm-started at z.  ``grad_smooth`` is affine, so
     the gradient at the extrapolated point y = w + q(w - x) is
     (1 + q) grad(w) - q grad(x), both already evaluated for the
-    certificates, so an iteration costs one ``grad_smooth`` call; every
-    GRAD_REFRESH-th iteration evaluates it exactly instead.
+    certificates, and an iteration costs one ``grad_smooth`` call.
     """
     parts = p.composite
     lip = parts.lipschitz_smooth + 1.0 / c
@@ -166,10 +160,7 @@ def _solve_composite(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
         if stop_rule(w, rn):
             return ProxResult(w, element, rn, it, False)
         y = w + q * (w - x)
-        if parts.affine_grad and it % GRAD_REFRESH:
-            grad_y = (1.0 + q) * grad_w - q * grad_x
-        else:
-            grad_y = parts.grad_smooth(y)
+        grad_y = (1.0 + q) * grad_w - q * grad_x
         x, grad_x = w, grad_w
     raise InnerBudgetExhausted(
         f"composite inner solver: residual {best[2]:.3e} after {tol.max_inner_iterations} iterations",

@@ -317,7 +317,6 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
         value_h=lambda x: lam * float(np.abs(x).sum()),
         prox_h=lambda v, t: _soft_threshold(v, t * lam),
         min_norm_h=lambda base, x: _l1_min_norm(base, x, lam),
-        affine_grad=True,
     )
     return ProblemSpec(
         dimension=a_mat.shape[1],
