@@ -42,6 +42,10 @@ class InnerBudgetExhausted(ProxlabError):
         super().__init__(message)
 
 
+class ResolutionFloor(InnerBudgetExhausted):
+    """Inner solver reached floating-point resolution short of its residual target."""
+
+
 class NotSmooth(ProxlabError):
     """Gradient descent requested on a problem without a smoothness constant."""
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSmooth
-from .ppm import BoundCheck, IterationTrace
-from .problem import ProblemSpec, as_point
+from .ppm import BoundCheck, IterationTrace, StepSchedule, _contraction, _iterate
+from .problem import ProblemSpec
 
 _REL = 1e-12
 
@@ -69,30 +69,11 @@ def run_gd(p: ProblemSpec, x0, params: GDParams, iters: int = 50) -> IterationTr
     """x_{k+1} = x_k - t grad f(x_k); the step column of the trace carries t."""
     if p.smoothness is None:
         raise NotSmooth(f"problem {p.name!r} has no smoothness constant")
-    t = params.step_size
-    x = as_point(x0)
-    trace = IterationTrace(problem=p)
-    trace.points.append(x)
-    trace.values.append(float(p.value(x)))
-    for _ in range(iters):
-        grad = np.asarray(p.subgradient(x), dtype=float)
-        x = x - t * grad
-        trace.steps.append(t)
-        trace.residuals.append(None)
-        trace.eps.append(None)
-        trace.deltas.append(None)
-        trace.criterion_ok.append(None)
-        trace.ref_prox_points.append(None)
-        trace.points.append(x)
-        trace.values.append(float(p.value(x)))
-    trace.steps.append(t)
-    trace.residuals.append(None)
-    trace.eps.append(None)
-    trace.deltas.append(None)
-    trace.criterion_ok.append(None)
-    trace.ref_prox_points.append(None)
-    trace.stop_reason = "iters"
-    return trace
+
+    def step(k, x, t):
+        return x - t * np.asarray(p.subgradient(x), dtype=float), None
+
+    return _iterate(p, x0, StepSchedule.constant(params.step_size), iters, step)
 
 
 @dataclass
@@ -113,22 +94,8 @@ def verify_gd_rates(trace: IterationTrace, params: GDParams,
     Steps whose denominator is below 1e-14 are skipped (converged); a step
     outside (0, 2/L) marks the result as a precondition breach.
     """
-    gaps = trace.gaps()
-    dists = trace.dists()
-    w1, w2 = params.omega_dist, params.omega_cost
-    dist = BoundCheck("gd_dist", [], [], [], [])
-    cost = BoundCheck("gd_cost", [], [], [], [])
-    for k in range(len(trace) - 1):
-        if dists[k] is not None and dists[k] > 1e-14:
-            dist.indices.append(k)
-            dist.lhs.append(dists[k + 1])
-            dist.rhs.append(w1 * dists[k] + atol)
-            dist.ok.append(dist.lhs[-1] <= dist.rhs[-1])
-        if gaps[k] is not None and gaps[k] > 1e-14:
-            cost.indices.append(k)
-            cost.lhs.append(gaps[k + 1])
-            cost.rhs.append(w2 * gaps[k] + atol)
-            cost.ok.append(cost.lhs[-1] <= cost.rhs[-1])
+    dist = _contraction("gd_dist", trace.dists(), lambda k: params.omega_dist, atol)
+    cost = _contraction("gd_cost", trace.gaps(), lambda k: params.omega_cost, atol)
     return GDRateCheck(dist=dist, cost=cost, step_rule_valid=params.step_rule_valid)
 
 
@@ -138,11 +105,9 @@ def check_gd_descent(trace: IterationTrace, params: GDParams,
     p = trace.problem
     t = params.step_size
     coef = 0.5 * (-2.0 * t + params.lipschitz * t * t)
-    out = BoundCheck("gd_descent", [], [], [], [])
+    out = BoundCheck("gd_descent")
     for k in range(len(trace) - 1):
         grad = np.asarray(p.subgradient(trace.points[k]), dtype=float)
-        out.indices.append(k)
-        out.lhs.append(trace.values[k + 1] - trace.values[k])
-        out.rhs.append(coef * float(np.dot(grad, grad)) + atol)
-        out.ok.append(out.lhs[-1] <= out.rhs[-1])
+        out.add(k, trace.values[k + 1] - trace.values[k],
+                coef * float(np.dot(grad, grad)) + atol)
     return out

@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CriterionUnverifiable
-from .ppm import BoundCheck, IterationTrace, StepSchedule, _constants
-from .problem import ProblemSpec, as_point
+from .ppm import (BoundCheck, IterationTrace, StepSchedule, _constants, _contraction,
+                  _envelope, _iterate)
+from .problem import ProblemSpec, distance_to_solution
 from .prox import InnerTolerance, prox, residual_certificate
 
 PRIMED = ("A'", "B'")
@@ -110,49 +111,21 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
     if sched.kind == "geometric" and sched.growth < 1.0:
         raise ValueError("inexact runs need steps bounded away from zero; "
                          "a decaying geometric schedule is not")
-    x = as_point(x0)
     sched.validate(p, max_iter)
     rng = np.random.default_rng(seed)
-    eps_logged = any(c.absolute for c in crits)
-    delta_logged = any(not c.absolute for c in crits)
-    trace = IterationTrace(problem=p)
-    trace.points.append(x)
-    trace.values.append(float(p.value(x)))
 
-    def log_step(c, eps_k, delta_k, resid, ok, ref_point):
-        trace.steps.append(c)
-        trace.residuals.append(resid)
-        trace.eps.append(eps_k if eps_logged else None)
-        trace.deltas.append(delta_k if delta_logged else None)
-        trace.criterion_ok.append(ok)
-        trace.ref_prox_points.append(ref_point)
-
-    for k in range(max_iter):
-        c = sched.at(k)
+    def step(k, x, c):
         eps_k = min((cr.eps(k) for cr in crits if cr.absolute), default=None)
         delta_k = min((cr.delta(k) for cr in crits if not cr.absolute), default=None)
-        if not unprimed:
-            x_next, resid, ok = _primed_step(p, x, c, eps_k, delta_k, max_inner)
-            ref_point = None
-        else:
+        if unprimed:
             x_next, resid, ref_point = _test_mode_step(
                 p, x, c, eps_k, delta_k, rng, reference_target, max_inner)
-            ok = True
-        log_step(c, eps_k, delta_k, resid, ok, ref_point)
-        trace.points.append(x_next)
-        trace.values.append(float(p.value(x_next)))
-        outer_residual = float(np.linalg.norm(x_next - x)) / c + resid
-        x = x_next
-        if p.f_star is not None and trace.values[-1] - p.f_star <= stop_gap:
-            trace.stop_reason = "gap"
-            break
-        if outer_residual <= stop_residual:
-            trace.stop_reason = "residual"
-            break
-    else:
-        trace.stop_reason = "max_iter"
-    log_step(sched.at(len(trace) - 1), None, None, None, None, None)
-    return trace
+        else:
+            x_next, resid = _primed_step(p, x, c, eps_k, delta_k, max_inner)
+            ref_point = None
+        return x_next, resid, eps_k, delta_k, True, ref_point
+
+    return _iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
 
 
 def _primed_step(p, x, c, eps_k, delta_k, max_inner):
@@ -171,7 +144,7 @@ def _primed_step(p, x, c, eps_k, delta_k, max_inner):
     tol = InnerTolerance(target_residual=max(target, 1e-300) if target < math.inf else 1e-10,
                          max_inner_iterations=max_inner)
     result = prox(p, x, c, tol, stop_rule=accept)
-    return result.point, result.residual_norm, True
+    return result.point, result.residual_norm
 
 
 def _test_mode_step(p, x, c, eps_k, delta_k, rng, reference_target, max_inner):
@@ -214,28 +187,9 @@ def check_ippm_sublinear(trace: IterationTrace, dist0: float | None = None,
     min_{j<=k} f(x_j) - f_star <= (dist^2(x_0,S) + 2 D sum eps_j) / (2 sum c_j),
     evaluated with the running diameter D_k.
     """
-    if trace.f_star is None:
-        raise ValueError("f_star required")
     if any(e is None for e in trace.eps[:-1]):
         raise ValueError("trace has no absolute (A-type) budgets logged")
-    if dist0 is None:
-        from .problem import distance_to_solution
-        dist0 = distance_to_solution(trace.problem, trace.points[0])
-    gaps = trace.gaps()
-    diam = trace.running_diameter()
-    indices, ok, lhs, rhs = [], [], [], []
-    csum = esum = 0.0
-    best = gaps[0]
-    for k in range(1, len(trace)):
-        csum += trace.steps[k - 1]
-        esum += trace.eps[k - 1]
-        best = min(best, gaps[k])
-        bound = (dist0 ** 2 + 2.0 * diam[k] * esum) / (2.0 * csum) + atol
-        indices.append(k)
-        lhs.append(best)
-        rhs.append(bound)
-        ok.append(best <= bound)
-    return BoundCheck("ippm_best_iterate", indices, ok, lhs, rhs)
+    return _envelope("ippm_best_iterate", trace, dist0, trace.eps, atol, best=True)
 
 
 def check_ippm_linear(trace: IterationTrace, report, nu: float,
@@ -253,24 +207,16 @@ def check_ippm_linear(trace: IterationTrace, report, nu: float,
     if any(d is None for d in trace.deltas[:-1]):
         raise ValueError("trace has no relative (B-type) budgets logged")
     k_entry = trace.entry_index(nu)
-    if k_entry is None:
-        return BoundCheck("ippm_linear_dist", [], [], [], [])
     k_delta = next((k for k in range(len(trace) - 1) if trace.deltas[k] < 1.0), None)
-    if k_delta is None:
-        return BoundCheck("ippm_linear_dist", [], [], [], [])
-    k_bar = max(k_entry, k_delta)
-    dists = trace.dists()
-    indices, ok, lhs, rhs = [], [], [], []
-    for k in range(k_bar, len(trace) - 1):
-        if dists[k] is None or dists[k] <= 1e-14:
-            continue
+    if k_entry is None or k_delta is None:
+        return BoundCheck("ippm_linear_dist")
+
+    def theta_hat(k):
         theta = 1.0 / math.sqrt(2.0 * trace.steps[k] * beta + 1.0)
-        hat = InexactRateBound(theta, trace.deltas[k]).theta_hat
-        indices.append(k)
-        lhs.append(dists[k + 1])
-        rhs.append(hat * dists[k] + atol)
-        ok.append(lhs[-1] <= rhs[-1])
-    return BoundCheck("ippm_linear_dist", indices, ok, lhs, rhs)
+        return InexactRateBound(theta, trace.deltas[k]).theta_hat
+
+    return _contraction("ippm_linear_dist", trace.dists(), theta_hat, atol,
+                        start=max(k_entry, k_delta))
 
 
 def check_inexact_one_step(trace: IterationTrace, atol: float = 1e-9) -> BoundCheck:
@@ -279,22 +225,18 @@ def check_inexact_one_step(trace: IterationTrace, atol: float = 1e-9) -> BoundCh
     (1 - delta_k) dist(x_{k+1},S) <= 2 delta_k dist(x_k,S) + dist(prox(x_k),S)
     for every step with delta_k < 1 and a logged reference prox.
     """
-    from .problem import distance_to_solution
     if trace.problem.project_solution is None:
         raise ValueError("need a solution oracle")
     dists = trace.dists()
-    indices, ok, lhs, rhs = [], [], [], []
+    check = BoundCheck("inexact_one_step")
     for k in range(len(trace) - 1):
         ref = trace.ref_prox_points[k]
         delta_k = trace.deltas[k]
         if ref is None or delta_k is None or delta_k >= 1.0:
             continue
-        ref_dist = distance_to_solution(trace.problem, ref)
-        indices.append(k)
-        lhs.append((1.0 - delta_k) * dists[k + 1])
-        rhs.append(2.0 * delta_k * dists[k] + ref_dist + atol)
-        ok.append(lhs[-1] <= rhs[-1])
-    return BoundCheck("inexact_one_step", indices, ok, lhs, rhs)
+        check.add(k, (1.0 - delta_k) * dists[k + 1],
+                  2.0 * delta_k * dists[k] + distance_to_solution(trace.problem, ref) + atol)
+    return check
 
 
 @dataclass(frozen=True)

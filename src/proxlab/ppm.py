@@ -14,9 +14,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import StepTooLarge
+from .errors import InnerBudgetExhausted, ResolutionFloor, StepTooLarge
 from .problem import ProblemSpec, as_point, distance_to_solution
-from .prox import InnerTolerance, ProxResult, prox
+from .prox import InnerTolerance, prox
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,22 @@ class IterationTrace:
     def __len__(self) -> int:
         return len(self.points)
 
+    def record(self, c: float, x=None, residual=None, eps=None, delta=None, ok=None,
+               ref=None) -> None:
+        """Fill the current row's move (step c and the transition fields), then open x's row.
+
+        Called with only ``c`` it writes the final row.
+        """
+        self.steps.append(c)
+        self.residuals.append(residual)
+        self.eps.append(eps)
+        self.deltas.append(delta)
+        self.criterion_ok.append(ok)
+        self.ref_prox_points.append(ref)
+        if x is not None:
+            self.points.append(x)
+            self.values.append(float(self.problem.value(x)))
+
     @property
     def f_star(self) -> float | None:
         return self.problem.f_star
@@ -133,10 +149,17 @@ class BoundCheck:
     """Outcome of replaying one inequality along a trace."""
 
     name: str
-    indices: list[int]
-    ok: list[bool]
-    lhs: list[float]
-    rhs: list[float]
+    indices: list[int] = field(default_factory=list)
+    ok: list[bool] = field(default_factory=list)
+    lhs: list[float] = field(default_factory=list)
+    rhs: list[float] = field(default_factory=list)
+
+    def add(self, k: int, lhs: float, rhs: float) -> None:
+        """Record lhs <= rhs at trace index k."""
+        self.indices.append(k)
+        self.lhs.append(lhs)
+        self.rhs.append(rhs)
+        self.ok.append(lhs <= rhs)
 
     @property
     def all_ok(self) -> bool:
@@ -148,6 +171,44 @@ class BoundCheck:
             if not good:
                 return i
         return None
+
+
+def _contraction(name: str, s: Sequence[float | None], factor, atol: float,
+                 slack=lambda k: 0.0, start: int = 0) -> BoundCheck:
+    """s[k+1] <= factor(k) s[k] + atol + slack(k) for k >= start, skipping k where
+    s[k] is missing or below 1e-14 (converged) or the factor is infinite (no bound).
+    """
+    check = BoundCheck(name)
+    for k in range(start, len(s) - 1):
+        if s[k] is not None and s[k] > 1e-14:
+            f = factor(k)
+            if f < math.inf:
+                check.add(k, s[k + 1], f * s[k] + atol + slack(k))
+    return check
+
+
+def _envelope(name: str, trace: IterationTrace, dist0: float | None,
+              errors: Sequence[float], atol: float, best: bool = False) -> BoundCheck:
+    """gap_k <= (dist^2(x_0,S) + 2 D_k sum_{j<k} errors_j) / (2 sum_{j<k} c_j) + atol.
+
+    D_k is the running diameter and errors_j the step's error term (c_j r_j or
+    eps_j).  With ``best`` the left side is the best gap so far, min_{j<=k} gap_j.
+    """
+    if trace.f_star is None:
+        raise ValueError("f_star required for the sublinear envelope")
+    if dist0 is None:
+        dist0 = distance_to_solution(trace.problem, trace.points[0])
+    gaps = trace.gaps()
+    diam = trace.running_diameter()
+    check = BoundCheck(name)
+    csum = esum = 0.0
+    lhs = gaps[0]
+    for k in range(1, len(trace)):
+        csum += trace.steps[k - 1]
+        esum += errors[k - 1]
+        lhs = min(lhs, gaps[k]) if best else gaps[k]
+        check.add(k, lhs, (dist0 ** 2 + 2.0 * diam[k] * esum) / (2.0 * csum) + atol)
+    return check
 
 
 @dataclass(frozen=True)
@@ -190,44 +251,51 @@ def _constants(report) -> tuple[float, float, float]:
     return float(report.mu_p), float(report.mu_q), float(report.mu_e)
 
 
+def _iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
+             stop_gap: float | None = None, stop_residual: float | None = None):
+    """The outer loop of PPM, iPPM and GD: ``step(k, x, c)`` gives (x_next, residual, *move).
+
+    ``move`` is the eps / delta / ok / ref fields of ``record``.  Stops with
+    ``gap`` (f - f_star <= stop_gap), ``residual`` (||x_{k+1} - x_k||/c_k +
+    residual <= stop_residual), ``max_iter``, or ``resolution`` /
+    ``inner_budget`` when a step's inner solver gives up, keeping the trace.
+    """
+    x = as_point(x0)
+    trace = IterationTrace(problem=p, points=[x], values=[float(p.value(x))],
+                           stop_reason="max_iter")
+    for k in range(max_iter):
+        c = sched.at(k)
+        try:
+            x_next, residual, *move = step(k, x, c)
+        except InnerBudgetExhausted as exc:
+            trace.stop_reason = ("resolution" if isinstance(exc, ResolutionFloor)
+                                 else "inner_budget")
+            break
+        trace.record(c, x_next, residual, *move)
+        if stop_gap is not None and p.f_star is not None \
+                and trace.values[-1] - p.f_star <= stop_gap:
+            trace.stop_reason = "gap"
+            break
+        if stop_residual is not None and \
+                float(np.linalg.norm(x_next - x)) / c + residual <= stop_residual:
+            trace.stop_reason = "residual"
+            break
+        x = x_next
+    trace.record(sched.at(len(trace) - 1))
+    return trace
+
+
 def run_ppm(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int = 500,
             inner_tol: InnerTolerance = InnerTolerance(),
             stop_gap: float = 1e-10, stop_residual: float = 1e-10) -> IterationTrace:
     """Exact proximal point method; stops on max_iter, tiny gap or tiny residual."""
-    x = as_point(x0)
     sched.validate(p, max_iter)
-    trace = IterationTrace(problem=p)
-    trace.points.append(x)
-    trace.values.append(float(p.value(x)))
-    for k in range(max_iter):
-        c = sched.at(k)
-        result: ProxResult = prox(p, x, c, inner_tol)
-        x_next = result.point
-        trace.steps.append(c)
-        trace.residuals.append(result.residual_norm)
-        trace.eps.append(None)
-        trace.deltas.append(None)
-        trace.criterion_ok.append(None)
-        trace.ref_prox_points.append(None)
-        trace.points.append(x_next)
-        trace.values.append(float(p.value(x_next)))
-        outer_residual = float(np.linalg.norm(x_next - x)) / c + result.residual_norm
-        x = x_next
-        if p.f_star is not None and trace.values[-1] - p.f_star <= stop_gap:
-            trace.stop_reason = "gap"
-            break
-        if outer_residual <= stop_residual:
-            trace.stop_reason = "residual"
-            break
-    else:
-        trace.stop_reason = "max_iter"
-    trace.steps.append(sched.at(len(trace) - 1))
-    trace.residuals.append(None)
-    trace.eps.append(None)
-    trace.deltas.append(None)
-    trace.criterion_ok.append(None)
-    trace.ref_prox_points.append(None)
-    return trace
+
+    def step(k, x, c):
+        result = prox(p, x, c, inner_tol)
+        return result.point, result.residual_norm
+
+    return _iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
 
 
 def check_sublinear_bound(trace: IterationTrace, dist0: float | None = None,
@@ -237,25 +305,8 @@ def check_sublinear_bound(trace: IterationTrace, dist0: float | None = None,
     Inexact inner solves widen the envelope by their certified residuals
     (the same diameter-weighted term as the best-iterate bound).
     """
-    if trace.f_star is None:
-        raise ValueError("f_star required for the sublinear envelope")
-    if dist0 is None:
-        dist0 = distance_to_solution(trace.problem, trace.points[0])
-    gaps = trace.gaps()
-    diam = trace.running_diameter()
-    indices, ok, lhs, rhs = [], [], [], []
-    csum, slack_sum = 0.0, 0.0
-    for k in range(1, len(trace)):
-        c_prev = trace.steps[k - 1]
-        csum += c_prev
-        r_prev = trace.residuals[k - 1] or 0.0
-        slack_sum += c_prev * r_prev
-        bound = (dist0 ** 2 + 2.0 * diam[k] * slack_sum) / (2.0 * csum) + atol
-        indices.append(k)
-        lhs.append(gaps[k])
-        rhs.append(bound)
-        ok.append(gaps[k] <= bound)
-    return BoundCheck("sublinear_envelope", indices, ok, lhs, rhs)
+    errors = [c * (r or 0.0) for c, r in zip(trace.steps, trace.residuals)]
+    return _envelope("sublinear_envelope", trace, dist0, errors, atol)
 
 
 def check_one_step(trace: IterationTrace, x_star=None, atol: float = 1e-9) -> BoundCheck:
@@ -272,20 +323,16 @@ def check_one_step(trace: IterationTrace, x_star=None, atol: float = 1e-9) -> Bo
     else:
         x_star = as_point(x_star)
     f_star_val = float(p.value(x_star))
-    indices, ok, lhs, rhs = [], [], [], []
+    check = BoundCheck("one_step_improvement")
     for k in range(len(trace) - 1):
         c = trace.steps[k]
         r = trace.residuals[k] or 0.0
         x_k, x_n = trace.points[k], trace.points[k + 1]
         d_next = float(np.linalg.norm(x_n - x_star))
-        left = 2.0 * c * (trace.values[k + 1] - f_star_val)
-        right = (float(np.linalg.norm(x_k - x_star)) ** 2 - d_next ** 2
-                 + 2.0 * c * r * d_next + atol)
-        indices.append(k)
-        lhs.append(left)
-        rhs.append(right)
-        ok.append(left <= right)
-    return BoundCheck("one_step_improvement", indices, ok, lhs, rhs)
+        check.add(k, 2.0 * c * (trace.values[k + 1] - f_star_val),
+                  float(np.linalg.norm(x_k - x_star)) ** 2 - d_next ** 2
+                  + 2.0 * c * r * d_next + atol)
+    return check
 
 
 def check_linear_rates(trace: IterationTrace, report, nu: float,
@@ -299,26 +346,14 @@ def check_linear_rates(trace: IterationTrace, report, nu: float,
     mu_p, mu_q, mu_e = _constants(report)
     bounds = RateBounds(mu_p=mu_p, mu_q=mu_q, mu_e=mu_e, rho=trace.problem.weak_convexity)
     k0 = trace.entry_index(nu)
-    gaps = trace.gaps()
-    dists = trace.dists()
-    cost = BoundCheck("linear_cost", [], [], [], [])
-    dist = BoundCheck("linear_dist", [], [], [], [])
     if k0 is None:
-        return cost, dist
-    for k in range(k0, len(trace) - 1):
-        c = trace.steps[k]
-        r = trace.residuals[k] or 0.0
-        if gaps[k] is not None and gaps[k] > 1e-14:
-            cost.indices.append(k)
-            cost.lhs.append(gaps[k + 1])
-            cost.rhs.append(bounds.omega(c) * gaps[k] + atol + c * r)
-            cost.ok.append(cost.lhs[-1] <= cost.rhs[-1])
-        th = bounds.theta(c)
-        if dists[k] is not None and dists[k] > 1e-14 and th < math.inf:
-            dist.indices.append(k)
-            dist.lhs.append(dists[k + 1])
-            dist.rhs.append(th * dists[k] + atol + c * r)
-            dist.ok.append(dist.lhs[-1] <= dist.rhs[-1])
+        return BoundCheck("linear_cost"), BoundCheck("linear_dist")
+    steps = trace.steps
+    slack = lambda k: steps[k] * (trace.residuals[k] or 0.0)
+    cost = _contraction("linear_cost", trace.gaps(), lambda k: bounds.omega(steps[k]),
+                        atol, slack, start=k0)
+    dist = _contraction("linear_dist", trace.dists(), lambda k: bounds.theta(steps[k]),
+                        atol, slack, start=k0)
     return cost, dist
 
 
@@ -329,7 +364,9 @@ def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
     Runs the exact method with a tight inner target for up to ``effort``
     iterations.  Strong convexity certifies a unique minimizer, so the
     solution oracle becomes "distance to the reference point"; otherwise only
-    f_star is installed and distances stay unavailable.
+    f_star is installed and distances stay unavailable.  Raises
+    InnerBudgetExhausted when an inner solve gives up, since f_star would then
+    be uncertified.
     """
     if p.weak_convexity > 0:
         c_ref = min(c_ref, 0.5 / p.weak_convexity)
@@ -337,6 +374,9 @@ def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
     tol = InnerTolerance(target_residual=inner_target, max_inner_iterations=200_000)
     trace = run_ppm(p, np.zeros(p.dimension), sched, max_iter=effort,
                     inner_tol=tol, stop_gap=0.0, stop_residual=inner_target * 10)
+    if trace.stop_reason in ("resolution", "inner_budget"):
+        raise InnerBudgetExhausted(
+            f"reference solve stopped with {trace.stop_reason} after {len(trace) - 1} steps")
     x_ref = trace.points[-1]
     f_ref = trace.values[-1]
     tail = float(np.linalg.norm(trace.points[-1] - trace.points[-2])) / c_ref \

@@ -50,10 +50,8 @@ class CompositeParts:
     lets the inner solver combine gradients instead of evaluating them.
     """
 
-    value_smooth: Callable[[Vector], float]
     grad_smooth: Callable[[Vector], Vector]
     lipschitz_smooth: float
-    value_h: Callable[[Vector], float]
     prox_h: Callable[[Vector, float], Vector]
     min_norm_h: Callable[[Vector, Vector], Vector]
 
@@ -125,12 +123,6 @@ class ProblemSpec:
     svm: SvmParts | None = None
     metadata: Mapping[str, Any] = field(default_factory=dict)
     name: str = ""
-
-    def value_at(self, x) -> float:
-        return float(self.value(as_point(x)))
-
-    def in_domain(self, x) -> bool:
-        return self.value_at(x) < math.inf
 
     def with_reference(self, f_star: float, project=None, **meta) -> "ProblemSpec":
         """Copy of this problem with f_star (and optionally a solution oracle) installed."""

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InnerBudgetExhausted, NotAvailable, StepTooLarge
+from .errors import (DomainError, InnerBudgetExhausted, NotAvailable, ResolutionFloor,
+                     StepTooLarge)
 from .problem import KINK_BAND, ProblemSpec, as_point
 
 # accept(candidate, residual_norm) -> bool; lets the outer loop install
@@ -227,73 +228,63 @@ def _solve_1d(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
     The subproblem derivative interval at x is [lo, hi] + (x - z)/c; the
     minimizer is the unique point whose interval contains zero (1/c > rho
     makes the subproblem strongly convex).  Breakpoints are tested directly
-    because the pointwise residual jumps across a kink minimizer.
+    because the pointwise residual jumps across a kink minimizer.  Once the
+    bracket shrinks to adjacent floats short of the stop rule, it raises
+    ResolutionFloor.
     """
     z0 = float(z[0])
 
-    def f_interval(x):
+    def element(x):
+        # The element of [lo, hi] + (x - z)/c nearest zero, signed: positive
+        # when the minimizer lies left of x, zero at the minimizer.
         lo, hi = p.interval_1d(x)
         shift = (x - z0) / c
-        return lo + shift, hi + shift
+        return min(max(0.0, lo + shift), hi + shift)
 
-    def certified(x):
-        lo, hi = p.interval_1d(x)
-        shift = (x - z0) / c
-        v = min(max(-shift, lo), hi)
-        element = np.array([v + shift])
-        return element, abs(v + shift)
+    def result(x, e, iters):
+        return ProxResult(np.array([x]), np.array([e]), abs(e), iters, False)
 
-    def result(x, iters):
-        element, rn = certified(x)
-        return ProxResult(np.array([x]), element, rn, iters, False)
-
-    element, rn = certified(z0)
-    if stop_rule(np.array([z0]), rn):
-        return ProxResult(np.array([z0]), element, rn, 0, False)
+    e_z = element(z0)
+    if stop_rule(np.array([z0]), abs(e_z)):
+        return result(z0, e_z, 0)
     for bp in p.breakpoints_1d:
-        lo, hi = f_interval(bp)
-        if lo <= 0.0 <= hi:
-            return result(bp, 0)
+        if element(bp) == 0.0:
+            return result(bp, 0.0, 0)
 
     # Bracket the minimizer: move in the descent direction from z.
-    lo_z, hi_z = f_interval(z0)
     span = max(1.0, abs(z0))
-    if lo_z > 0.0:  # minimizer to the left
+    if e_z > 0.0:  # minimizer to the left
         b, a = z0, z0 - span
         for it in range(tol.max_inner_iterations):
-            if f_interval(a)[1] < 0.0:
+            if element(a) < 0.0:
                 break
             b, a = a, a - span * 2.0 ** (it + 1)
         else:
-            raise InnerBudgetExhausted("1d bracket expansion failed", best=result(z0, 0))
-    else:  # hi_z < 0, minimizer to the right
+            raise InnerBudgetExhausted("1d bracket expansion failed", best=result(z0, e_z, 0))
+    else:  # minimizer to the right
         a, b = z0, z0 + span
         for it in range(tol.max_inner_iterations):
-            if f_interval(b)[0] > 0.0:
+            if element(b) > 0.0:
                 break
             a, b = b, b + span * 2.0 ** (it + 1)
         else:
-            raise InnerBudgetExhausted("1d bracket expansion failed", best=result(z0, 0))
+            raise InnerBudgetExhausted("1d bracket expansion failed", best=result(z0, e_z, 0))
 
-    best_x, best_rn = z0, rn
+    best = (z0, e_z)
     for it in range(1, tol.max_inner_iterations + 1):
         mid = 0.5 * (a + b)
-        lo_m, hi_m = f_interval(mid)
-        if lo_m <= 0.0 <= hi_m:
-            return result(mid, it)
-        if lo_m > 0.0:
+        if not a < mid < b:  # a and b are adjacent floats
+            raise ResolutionFloor(f"1d bisection: residual {abs(best[1]):.3e} at float "
+                                  "resolution", best=result(*best, it - 1))
+        e = element(mid)
+        if e > 0.0:
             b = mid
         else:
             a = mid
-        _, rn = certified(mid)
-        if rn < best_rn:
-            best_x, best_rn = mid, rn
-        if stop_rule(np.array([mid]), rn):
-            return result(mid, it)
-        if b - a <= 1e-17 * max(1.0, abs(mid)):
-            # Width at float resolution: the minimizer is a kink between grid
-            # neighbours; report the better endpoint.
-            return result(best_x, it)
+        if abs(e) < abs(best[1]):
+            best = (mid, e)
+        if e == 0.0 or stop_rule(np.array([mid]), abs(e)):
+            return result(mid, e, it)
     raise InnerBudgetExhausted(
-        f"1d bisection: residual {best_rn:.3e} after {tol.max_inner_iterations} iterations",
-        best=result(best_x, tol.max_inner_iterations))
+        f"1d bisection: residual {abs(best[1]):.3e} after {tol.max_inner_iterations} iterations",
+        best=result(*best, tol.max_inner_iterations))

@@ -69,6 +69,11 @@ class ConstantEstimate:
     bound_direction: str  # "exact" | "overestimate" | "underestimate" | "approximate"
 
 
+def _estimate(name: str) -> property:
+    return property(lambda self: self.estimates[name].value,
+                    doc=f"Value of the {name} estimate.")
+
+
 @dataclass
 class RegularityReport:
     estimates: dict[str, ConstantEstimate]
@@ -78,10 +83,11 @@ class RegularityReport:
     n_samples: int
     plan: EstimationPlan | None = field(default=None, repr=False)
 
-    def __getattr__(self, name):
-        if name in ("mu_s", "mu_r", "mu_e", "mu_p", "mu_q"):
-            return self.estimates[name].value
-        raise AttributeError(name)
+    mu_s = _estimate("mu_s")
+    mu_r = _estimate("mu_r")
+    mu_e = _estimate("mu_e")
+    mu_p = _estimate("mu_p")
+    mu_q = _estimate("mu_q")
 
     def to_json(self) -> dict:
         body = {}

@@ -290,16 +290,14 @@ def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
 def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
     lipschitz = largest_sq_singular_value(a_mat) + en_reg
 
-    def value_smooth(x):
-        r = a_mat @ x - y
-        return 0.5 * float(np.dot(r, r)) + 0.5 * en_reg * float(np.dot(x, x))
-
     def grad_smooth(x):
         return a_mat.T @ (a_mat @ x - y) + en_reg * np.asarray(x, dtype=float)
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return value_smooth(x) + lam * float(np.abs(x).sum())
+        r = a_mat @ x - y
+        return (0.5 * float(np.dot(r, r)) + 0.5 * en_reg * float(np.dot(x, x))
+                + lam * float(np.abs(x).sum()))
 
     def subgradient(x):
         x = np.asarray(x, dtype=float)
@@ -311,10 +309,8 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
         return base + _l1_min_norm(base, x, lam)
 
     parts = CompositeParts(
-        value_smooth=value_smooth,
         grad_smooth=grad_smooth,
         lipschitz_smooth=lipschitz,
-        value_h=lambda x: lam * float(np.abs(x).sum()),
         prox_h=lambda v, t: _soft_threshold(v, t * lam),
         min_norm_h=lambda base, x: _l1_min_norm(base, x, lam),
     )

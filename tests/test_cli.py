@@ -200,3 +200,21 @@ def test_svm_libsvm_config_path(tmp_path):
     assert main(["run-ppm", "--config", cfg, "--out", str(out)]) == 0
     rows = read_trace_csv(out / "trace.csv")
     assert rows.cost_gap[-1] <= rows.cost_gap[0]
+
+
+def test_stop_below_resolution_writes_partial_run(tmp_path):
+    # The A' budget drops below double precision at step 50.
+    cfg = write_config(tmp_path, "floor.json", {
+        "problem": {"benchmark": "sine_quad"},
+        "criterion": {"kind": "A'", "eps0": 0.1, "gamma": 0.5},
+        "schedule": {"constant": 0.05},
+        "x0": [3.0],
+        "max_iter": 60,
+    })
+    out = tmp_path / "out"
+    assert main(["run-ippm", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stop_reason"] == "resolution" and summary["iterations"] < 60
+    rows = read_trace_csv(out / "trace.csv")
+    assert len(rows) == summary["iterations"] + 1
+    assert rows.f[-1] == summary["final_value"]

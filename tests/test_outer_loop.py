@@ -1,0 +1,111 @@
+"""The outer loop shared by PPM, iPPM and GD: trace shape and stop reasons.
+
+Every run, however it stops, leaves a trace whose columns all have one entry
+per iterate and whose final row carries only the step.  An inner solver that
+gives up ends the run with a named reason and keeps the rows recorded so far.
+"""
+
+import numpy as np
+import pytest
+
+import proxlab.ippm as ippm_module
+from proxlab import (GDParams, InexactCriterion, InnerBudgetExhausted, InnerTolerance,
+                     Piecewise1D, StepSchedule, problem_from_1d, reference_solution,
+                     run_gd, run_ippm, run_ppm)
+
+COLUMNS = ("points", "values", "steps", "residuals", "eps", "deltas", "criterion_ok",
+           "ref_prox_points")
+MOVE = ("residuals", "eps", "deltas", "criterion_ok", "ref_prox_points")
+
+# An A' budget that drops below double precision at step 50 of the horizon.
+BELOW_RESOLUTION = InexactCriterion("A'", eps0=0.1, gamma=0.5)
+
+
+def _ppm(fixture):
+    return run_ppm(fixture("quad_quartic"), [1.5], StepSchedule.constant(0.5), max_iter=8)
+
+
+def _ppm_no_f_star(fixture):
+    return run_ppm(fixture("lasso_toy"), np.zeros(2), StepSchedule.constant(1.0),
+                   max_iter=50)
+
+
+def _ippm_primed(fixture):
+    crits = [InexactCriterion("A'", gamma=0.6), InexactCriterion("B'", gamma=0.6)]
+    return run_ippm(fixture("wc_piecewise"), [0.5], StepSchedule.constant(0.4), crits,
+                    max_iter=15)
+
+
+def _ippm_test_mode(fixture):
+    return run_ippm(fixture("quad1d"), [1.0], StepSchedule.constant(1.0),
+                    InexactCriterion("B", gamma=0.7), max_iter=10, test_mode=True, seed=3)
+
+
+def _gd(fixture):
+    return run_gd(fixture("aniso_quad"), [1.0, 1.0], GDParams(9.0, 1.0, 1.0), iters=12)
+
+
+def _resolution(fixture):
+    return run_ippm(fixture("sine_quad"), [3.0], StepSchedule.constant(0.05),
+                    BELOW_RESOLUTION, max_iter=60)
+
+
+def _inner_budget(fixture):
+    # Three cheap steps at c = 0.16, then c = 10 needs several hundred
+    # accelerated-gradient iterations, more than the budget of 200.
+    sched = StepSchedule.from_sequence([0.16, 0.16, 0.16, 10.0])
+    return run_ppm(fixture("lasso_f20"), np.zeros(50), sched, max_iter=60,
+                   inner_tol=InnerTolerance(1e-10, 200))
+
+
+# Each run with the stop reason it ends on; together they cover all five.
+RUNS = {"ppm": (_ppm, "max_iter"), "ppm_no_f_star": (_ppm_no_f_star, "residual"),
+        "ippm_primed": (_ippm_primed, "gap"), "ippm_test_mode": (_ippm_test_mode, "gap"),
+        "gd": (_gd, "max_iter"), "resolution": (_resolution, "resolution"),
+        "inner_budget": (_inner_budget, "inner_budget")}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_trace_shape(request, name):
+    run, reason = RUNS[name]
+    trace = run(request.getfixturevalue)
+    assert trace.stop_reason == reason
+    for column in COLUMNS:
+        assert len(getattr(trace, column)) == len(trace), column
+    assert trace.steps[-1] is not None
+    assert all(getattr(trace, column)[-1] is None for column in MOVE)
+
+
+def test_budget_below_resolution_stops_with_named_reason(sine_quad, monkeypatch):
+    prox, inner = ippm_module.prox, []
+
+    def counting_prox(*args, **kwargs):
+        try:
+            result = prox(*args, **kwargs)
+        except InnerBudgetExhausted as exc:
+            inner.append(exc.best.inner_iterations)
+            raise
+        inner.append(result.inner_iterations)
+        return result
+
+    monkeypatch.setattr(ippm_module, "prox", counting_prox)
+    trace = _resolution(lambda _: sine_quad)
+    steps = len(trace) - 1
+    assert 0 < steps < 60 and len(inner) == steps + 1
+    assert max(inner) <= 200  # bisection stops at adjacent floats, not at its budget
+    for k in range(steps):  # every recorded step met its A' budget
+        assert trace.residuals[k] <= BELOW_RESOLUTION.eps(k) / trace.steps[k]
+
+
+def test_inner_budget_keeps_partial_trace(lasso_f20):
+    trace = _inner_budget(lambda _: lasso_f20)
+    assert len(trace) == 4 and trace.steps == [0.16, 0.16, 0.16, 10.0]
+    assert all(r <= 1e-10 for r in trace.residuals[:3])
+
+
+def test_reference_solution_raises_on_exhausted_inner_solve():
+    # The prox steps of (x - 1)^4 have irrational minimizers, so no float
+    # meets a residual target of 1e-300.
+    pw = Piecewise1D([], [(lambda x: (x - 1.0) ** 4, lambda x: 4.0 * (x - 1.0) ** 3)])
+    with pytest.raises(InnerBudgetExhausted):
+        reference_solution(problem_from_1d(pw, name="quartic"), inner_target=1e-300)

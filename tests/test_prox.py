@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxlab import (InnerBudgetExhausted, InnerTolerance, Piecewise1D, StepTooLarge,
                      inner_solve_composite, inner_solve_svm_dual, make_benchmark,
@@ -125,6 +126,41 @@ def test_firmly_nonexpansive_spot(quad_quartic):
         lhs = float(np.dot(px - py, px - py))
         rhs = float(np.dot([x - y], px - py))
         assert lhs <= rhs + 1e-9
+
+
+@st.composite
+def convex_piecewise(draw):
+    """A convex Piecewise1D of quadratic pieces with kinks at random breakpoints.
+
+    Piece i is a_i x^2 / 2 + b_i x + e_i with a_i >= 0; at each breakpoint the
+    slope jumps up by a nonnegative amount and the value is continuous.
+    """
+    breaks = sorted(draw(st.lists(st.floats(-3.0, 3.0), max_size=4, unique=True)))
+    n = len(breaks)
+    curv = draw(st.lists(st.floats(0.0, 3.0), min_size=n + 1, max_size=n + 1))
+    jumps = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))
+    lin, const = [draw(st.floats(-2.0, 2.0))], [0.0]
+    for i, t in enumerate(breaks):
+        lin.append(curv[i] * t + lin[i] + jumps[i] - curv[i + 1] * t)
+        const.append(0.5 * (curv[i] - curv[i + 1]) * t * t + (lin[i] - lin[i + 1]) * t
+                     + const[i])
+    pieces = [(lambda x, a=a, b=b, e=e: 0.5 * a * x * x + b * x + e,
+               lambda x, a=a, b=b: a * x + b) for a, b, e in zip(curv, lin, const)]
+    return Piecewise1D(breaks, pieces)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pw=convex_piecewise(), x=st.floats(-4.0, 4.0), y=st.floats(-4.0, 4.0),
+       c=st.floats(0.05, 2.0))
+def test_firmly_nonexpansive_random_piecewise(pw, x, y, c):
+    # No closed form: both prox points come from the certified bisection.
+    # Each certificate e lies in partial f(p) + (p - z)/c, so monotonicity of
+    # partial f gives <p_x - p_y, x - y> >= |p_x - p_y|^2 - c (r_x + r_y) |p_x - p_y|.
+    p = problem_from_1d(pw, name="random_convex")
+    rx, ry = prox(p, [x], c, TIGHT), prox(p, [y], c, TIGHT)
+    d = float(rx.point[0] - ry.point[0])
+    slack = c * (rx.residual_norm + ry.residual_norm) * abs(d)
+    assert d * d <= d * (x - y) + slack + 1e-12
 
 
 def test_descent_and_contraction_toward_solutions():
