@@ -207,19 +207,19 @@ def cmd_run_ppm(cfg: dict, out: Path, seed: int) -> int:
     trace = run_ppm(p, x0, sched, max_iter=cfg.get("max_iter", 500), inner_tol=inner)
     checks = []
     bounds = report = None
-    if cfg.get("test_mode", False) and p.f_star is not None:
-        if p.project_solution is not None:
+    if cfg.get("test_mode", False) and p.f_star is not None and p.project_solution is not None:
+        if p.weak_convexity == 0:  # the envelope is a convex result
             checks.append(check_sublinear_bound(trace))
-            checks.append(check_one_step(trace))
-            if cfg.get("estimate", False):
-                report = estimate_constants(p, _build_plan(cfg, p))
-                nu = cfg.get("nu", math.inf)
-                cost, dist = check_linear_rates(trace, report, nu)
-                checks.extend([cost, dist])
-                rb = RateBounds(mu_p=report.mu_p, mu_q=report.mu_q,
-                                mu_e=report.mu_e, rho=p.weak_convexity)
-                c0 = sched.at(0)
-                bounds = {"cost_factor": rb.omega(c0), "dist_factor": rb.theta(c0)}
+        checks.append(check_one_step(trace))
+        if cfg.get("estimate", False):
+            report = estimate_constants(p, _build_plan(cfg, p))
+            nu = cfg.get("nu", math.inf)
+            cost, dist = check_linear_rates(trace, report, nu)
+            checks.extend([cost, dist])
+            rb = RateBounds(mu_p=report.mu_p, mu_q=report.mu_q,
+                            mu_e=report.mu_e, rho=p.weak_convexity)
+            c0 = sched.at(0)
+            bounds = {"cost_factor": rb.omega(c0), "dist_factor": rb.theta(c0)}
     return _finish_run(cfg, p, trace, out, checks, bounds=bounds, report=report)
 
 
@@ -233,7 +233,7 @@ def cmd_run_ippm(cfg: dict, out: Path, seed: int) -> int:
     checks = []
     report = None
     if cfg.get("test_mode", False) and p.f_star is not None and p.project_solution is not None:
-        if any(c.absolute for c in crits):
+        if any(c.absolute for c in crits) and p.weak_convexity == 0:  # a convex result
             checks.append(check_ippm_sublinear(trace))
         if any(not c.absolute for c in crits) and cfg.get("estimate", False):
             report = estimate_constants(p, _build_plan(cfg, p))

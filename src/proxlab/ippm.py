@@ -23,7 +23,6 @@ from .problem import ProblemSpec, distance_to_solution
 from .prox import InnerTolerance, prox, residual_certificate
 
 PRIMED = ("A'", "B'")
-UNPRIMED = ("A", "B")
 _ALIASES = {"aprime": "A'", "bprime": "B'", "a'": "A'", "b'": "B'", "a": "A", "b": "B"}
 
 
@@ -108,7 +107,7 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
             "enable test_mode")
     if unprimed and any(c.implementable for c in crits):
         raise ValueError("cannot mix primed and unprimed criteria in one run")
-    if sched.kind == "geometric" and sched.growth < 1.0:
+    if sched.growth < 1.0:
         raise ValueError("inexact runs need steps bounded away from zero; "
                          "a decaying geometric schedule is not")
     sched.validate(p, max_iter)
@@ -157,9 +156,7 @@ def _test_mode_step(p, x, c, eps_k, delta_k, rng, reference_target, max_inner):
         # Safe radius: r <= delta ||p_k + r u - x|| holds whenever
         # r <= delta ||p_k - x|| / (1 + delta).
         radius = min(radius, delta_k * float(np.linalg.norm(p_k - x)) / (1.0 + delta_k))
-    if not math.isfinite(radius):
-        radius = 0.0
-    if radius <= 0.0:
+    if not 0.0 < radius < math.inf:  # no budget to spend, or no finite one
         x_next = p_k
     else:
         direction = rng.standard_normal(p.dimension)

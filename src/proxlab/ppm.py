@@ -21,35 +21,32 @@ from .prox import InnerTolerance, prox
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Positive prox steps c_k: constant, explicit list, or geometric."""
+    """Positive prox steps c_k: an explicit list, else c0 * growth^k (constant at growth 1)."""
 
-    kind: str = "constant"
-    value: float = 1.0
-    values: tuple[float, ...] = ()
     c0: float = 1.0
     growth: float = 1.0
+    values: tuple[float, ...] = ()
 
     @staticmethod
     def constant(c: float) -> "StepSchedule":
-        return StepSchedule(kind="constant", value=float(c))
+        return StepSchedule(c0=float(c))
 
     @staticmethod
     def from_sequence(values: Sequence[float]) -> "StepSchedule":
-        return StepSchedule(kind="sequence", values=tuple(float(v) for v in values))
+        steps = tuple(float(v) for v in values)
+        if not steps:
+            raise ValueError("a step sequence needs at least one step")
+        return StepSchedule(values=steps)
 
     @staticmethod
     def geometric(c0: float, growth: float) -> "StepSchedule":
-        return StepSchedule(kind="geometric", c0=float(c0), growth=float(growth))
+        return StepSchedule(c0=float(c0), growth=float(growth))
 
     def at(self, k: int) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "sequence":
+        if self.values:
             # Runs longer than the list repeat the final step.
             return self.values[min(k, len(self.values) - 1)]
-        if self.kind == "geometric":
-            return self.c0 * self.growth ** k
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
+        return self.c0 * self.growth ** k
 
     def validate(self, p: ProblemSpec, horizon: int) -> None:
         for k in range(horizon):
@@ -310,19 +307,20 @@ def check_sublinear_bound(trace: IterationTrace, dist0: float | None = None,
 
 
 def check_one_step(trace: IterationTrace, x_star=None, atol: float = 1e-9) -> BoundCheck:
-    """Per-step improvement 2 c_k (f(x_{k+1}) - f_star) <= |x_k-x*|^2 - |x_{k+1}-x*|^2.
+    """Per-step improvement 2 c_k (f(x_{k+1}) - f_star) <= |x_k-x*|^2 - (1 - c_k rho)|x_{k+1}-x*|^2.
 
-    Holds for any minimizer x*; inexact steps contribute slack
-    2 c_k r_k ||x_{k+1} - x*|| with r_k the certificate residual.
+    Holds for any minimizer x*, since each subproblem is (1/c_k - rho)-strongly
+    convex; inexact steps contribute slack 2 c_k r_k ||x_{k+1} - x*|| with r_k
+    the certificate residual.
     """
     p = trace.problem
     if x_star is None:
         if p.project_solution is None:
             raise ValueError("need a solution oracle or explicit x_star")
-        x_star = as_point(p.project_solution(trace.points[0]))
-    else:
-        x_star = as_point(x_star)
+        x_star = p.project_solution(trace.points[0])
+    x_star = as_point(x_star)
     f_star_val = float(p.value(x_star))
+    rho = p.weak_convexity
     check = BoundCheck("one_step_improvement")
     for k in range(len(trace) - 1):
         c = trace.steps[k]
@@ -330,7 +328,7 @@ def check_one_step(trace: IterationTrace, x_star=None, atol: float = 1e-9) -> Bo
         x_k, x_n = trace.points[k], trace.points[k + 1]
         d_next = float(np.linalg.norm(x_n - x_star))
         check.add(k, 2.0 * c * (trace.values[k + 1] - f_star_val),
-                  float(np.linalg.norm(x_k - x_star)) ** 2 - d_next ** 2
+                  float(np.linalg.norm(x_k - x_star)) ** 2 - (1.0 - c * rho) * d_next ** 2
                   + 2.0 * c * r * d_next + atol)
     return check
 

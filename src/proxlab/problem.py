@@ -37,6 +37,11 @@ def as_point(x) -> Vector:
     return v
 
 
+def nearest_zero(lo: float, hi: float, shift: float) -> float:
+    """The signed element of [lo, hi] + shift nearest zero: the 1-d certificate."""
+    return min(max(0.0, lo + shift), hi + shift)
+
+
 @dataclass(frozen=True)
 class CompositeParts:
     """Smooth-plus-separable structure f = g + h used by the inner APG solver.
@@ -150,16 +155,11 @@ def min_norm_subgradient(p: ProblemSpec, x, require_exact: bool = False) -> Subg
     x = as_point(x)
     if p.value(x) == math.inf:
         raise DomainError(f"value is +inf at {x}")
-    if p.min_norm_subgradient is not None:
-        g = np.asarray(p.min_norm_subgradient(x), dtype=float)
-        exact = p.min_norm_exact
-        if require_exact and not exact:
-            raise NotAvailable("min-norm oracle is a constructed upper bound only")
-        return SubgradientInfo(g, float(np.linalg.norm(g)), exact)
-    if require_exact:
-        raise NotAvailable("no closed-form min-norm subgradient oracle")
-    g = np.asarray(p.subgradient(x), dtype=float)
-    return SubgradientInfo(g, float(np.linalg.norm(g)), False)
+    exact = p.min_norm_subgradient is not None and p.min_norm_exact
+    if require_exact and not exact:
+        raise NotAvailable("no exact min-norm subgradient oracle")
+    g = np.asarray((p.min_norm_subgradient or p.subgradient)(x), dtype=float)
+    return SubgradientInfo(g, float(np.linalg.norm(g)), exact)
 
 
 def distance_to_solution(p: ProblemSpec, x) -> float:
@@ -187,38 +187,25 @@ class Piecewise1D:
         self.breakpoints = [float(b) for b in breakpoints]
         self.pieces = pieces
 
-    def _index(self, x: float) -> int:
+    def _locate(self, x: float) -> tuple[int, bool]:
+        """(i, True) when x is breakpoint i, else (i, False) with x in piece i."""
         for i, b in enumerate(self.breakpoints):
-            if x < b:
-                return i
-        return len(self.breakpoints)
-
-    def _at_breakpoint(self, x: float) -> int | None:
-        for i, b in enumerate(self.breakpoints):
-            if x == b:
-                return i
-        return None
+            if x <= b:
+                return i, x == b
+        return len(self.breakpoints), False
 
     def value(self, x: float) -> float:
-        i = self._at_breakpoint(x)
-        if i is not None:
-            return float(self.pieces[i + 1][0](x))  # pieces agree by continuity
-        return float(self.pieces[self._index(x)][0](x))
+        i, at_break = self._locate(x)
+        # At a breakpoint the pieces agree by continuity; take the right one.
+        return float(self.pieces[i + 1 if at_break else i][0](x))
 
     def interval(self, x: float) -> tuple[float, float]:
-        i = self._at_breakpoint(x)
-        if i is None:
-            d = float(self.pieces[self._index(x)][1](x))
-            return d, d
+        i, at_break = self._locate(x)
         lo = float(self.pieces[i][1](x))
-        hi = float(self.pieces[i + 1][1](x))
+        hi = float(self.pieces[i + 1][1](x)) if at_break else lo
         if lo > hi:
             lo, hi = hi, lo
         return lo, hi
-
-    def min_norm(self, x: float) -> float:
-        lo, hi = self.interval(x)
-        return 0.0 if lo <= 0.0 <= hi else (lo if abs(lo) < abs(hi) else hi)
 
 
 def problem_from_1d(pw: Piecewise1D, **kwargs) -> ProblemSpec:
@@ -227,11 +214,11 @@ def problem_from_1d(pw: Piecewise1D, **kwargs) -> ProblemSpec:
     def value(x):
         return pw.value(float(np.asarray(x).reshape(-1)[0]))
 
-    def min_norm(x):
-        return np.array([pw.min_norm(float(np.asarray(x).reshape(-1)[0]))])
-
     def interval(x):
         return pw.interval(float(x))
+
+    def min_norm(x):
+        return np.array([nearest_zero(*interval(np.asarray(x).reshape(-1)[0]), 0.0)])
 
     return ProblemSpec(dimension=1, value=value, subgradient=min_norm,
                        min_norm_subgradient=min_norm, interval_1d=interval,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DomainError, InnerBudgetExhausted, NotAvailable, ResolutionFloor,
                      StepTooLarge)
-from .problem import KINK_BAND, ProblemSpec, as_point
+from .problem import KINK_BAND, ProblemSpec, as_point, nearest_zero
 
 # accept(candidate, residual_norm) -> bool; lets the outer loop install
 # candidate-dependent acceptance (relative inexactness rules).
@@ -63,21 +63,15 @@ def residual_certificate(p: ProblemSpec, x, z, c: float):
         raise DomainError(f"value is +inf at {x}")
     center = (x - z) / c
     if p.interval_1d is not None:
-        lo, hi = p.interval_1d(float(x[0]))
-        v = min(max(-float(center[0]), lo), hi)
-        element = np.array([v]) + center
-        return element, float(abs(element[0]))
+        e = nearest_zero(*p.interval_1d(float(x[0])), float(center[0]))
+        return np.array([e]), float(abs(e))
     if p.composite is not None:
         base = p.composite.grad_smooth(x) + center
         element = base + p.composite.min_norm_h(base, x)
-        return element, float(np.linalg.norm(element))
-    if p.svm is not None:
+    elif p.svm is not None:
         element = p.svm.min_norm_element(x, center)
-        return element, float(np.linalg.norm(element))
-    if p.min_norm_subgradient is not None:
-        element = np.asarray(p.min_norm_subgradient(x), dtype=float) + center
-        return element, float(np.linalg.norm(element))
-    element = np.asarray(p.subgradient(x), dtype=float) + center
+    else:
+        element = np.asarray((p.min_norm_subgradient or p.subgradient)(x), dtype=float) + center
     return element, float(np.linalg.norm(element))
 
 
@@ -235,11 +229,8 @@ def _solve_1d(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
     z0 = float(z[0])
 
     def element(x):
-        # The element of [lo, hi] + (x - z)/c nearest zero, signed: positive
-        # when the minimizer lies left of x, zero at the minimizer.
-        lo, hi = p.interval_1d(x)
-        shift = (x - z0) / c
-        return min(max(0.0, lo + shift), hi + shift)
+        # Positive when the minimizer lies left of x, zero at the minimizer.
+        return nearest_zero(*p.interval_1d(x), (x - z0) / c)
 
     def result(x, e, iters):
         return ProxResult(np.array([x]), np.array([e]), abs(e), iters, False)
@@ -251,24 +242,18 @@ def _solve_1d(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
         if element(bp) == 0.0:
             return result(bp, 0.0, 0)
 
-    # Bracket the minimizer: move in the descent direction from z.
+    # Bracket the minimizer: walk from z in the descent direction, doubling
+    # the stride, until the element changes sign.
     span = max(1.0, abs(z0))
-    if e_z > 0.0:  # minimizer to the left
-        b, a = z0, z0 - span
-        for it in range(tol.max_inner_iterations):
-            if element(a) < 0.0:
-                break
-            b, a = a, a - span * 2.0 ** (it + 1)
-        else:
-            raise InnerBudgetExhausted("1d bracket expansion failed", best=result(z0, e_z, 0))
-    else:  # minimizer to the right
-        a, b = z0, z0 + span
-        for it in range(tol.max_inner_iterations):
-            if element(b) > 0.0:
-                break
-            a, b = b, b + span * 2.0 ** (it + 1)
-        else:
-            raise InnerBudgetExhausted("1d bracket expansion failed", best=result(z0, e_z, 0))
+    side = -1.0 if e_z > 0.0 else 1.0
+    near, far = z0, z0 + side * span
+    for it in range(tol.max_inner_iterations):
+        if side * element(far) > 0.0:
+            break
+        near, far = far, far + side * span * 2.0 ** (it + 1)
+    else:
+        raise InnerBudgetExhausted("1d bracket expansion failed", best=result(z0, e_z, 0))
+    a, b = min(near, far), max(near, far)
 
     best = (z0, e_z)
     for it in range(1, tol.max_inner_iterations + 1):

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NeedsReference
-from .problem import ProblemSpec, as_point, distance_to_solution, min_norm_subgradient
+from .problem import ProblemSpec, as_point, min_norm_subgradient
 
 EB_CAP = 1e12
 STATIONARY_NORM = 1e-8
@@ -122,6 +123,23 @@ def _sample_points(p: ProblemSpec, plan: EstimationPlan) -> list[np.ndarray]:
             for _ in range(plan.count)]
 
 
+class _Sample(NamedTuple):
+    """A sample that enters the ratios, with the scalars they are built from."""
+
+    x: np.ndarray
+    fx: float
+    g: np.ndarray  # min-norm subgradient element
+    gnorm: float
+    gap: float
+    dist: float
+    secant: float  # <g, x - proj_S(x)>
+
+
+def _first_extremum(pick, pairs):
+    """The first (ratio, x) pair of extremal ratio (``pick`` is min or max); (0, None) if none."""
+    return pick(pairs, key=lambda pair: pair[0], default=(0.0, None))
+
+
 def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport:
     """Extremal empirical ratios over the sampled sublevel region."""
     if p.f_star is None or p.project_solution is None:
@@ -133,40 +151,30 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
         # dominance failure shows up as an exact zero ratio, not a near-zero.
         points += find_suboptimal_stationary_points(p, plan.bracket)
 
-    admitted: list[tuple[np.ndarray, float, float, np.ndarray, float]] = []
+    # Filter before the costly oracles: one projection per sample, and the
+    # subgradient oracle only for samples that enter the ratios.
+    included: list[_Sample] = []
     for x in points:
         fx = float(p.value(x))
         if fx - fs > plan.nu or fx == math.inf:
             continue
-        info = min_norm_subgradient(p, x)
-        admitted.append((x, fx, distance_to_solution(p, x), info.element, info.norm))
-    exact = p.min_norm_subgradient is not None and p.min_norm_exact
-
-    inf_init = (math.inf, None)
-    mu_r, mu_p, mu_q = inf_init, inf_init, inf_init
-    mu_e = (0.0, None)
-    pl_fail = eb_fail = False
-    included = []
-    for x, fx, dist, g, gnorm in admitted:
         gap = fx - fs
+        offset = x - as_point(p.project_solution(x))
+        dist = float(np.linalg.norm(offset))
         if gap < plan.tau_s or dist < math.sqrt(plan.tau_s):
             continue
-        included.append((x, fx, g))
-        if gnorm < STATIONARY_NORM and gap > SUBOPTIMAL_GAP:
-            pl_fail = eb_fail = True
-        ratio_q = gap / dist ** 2
-        if ratio_q < mu_q[0]:
-            mu_q = (ratio_q, x)
-        proj = as_point(p.project_solution(x))
-        ratio_r = float(np.dot(g, x - proj)) / dist ** 2
-        if ratio_r < mu_r[0]:
-            mu_r = (ratio_r, x)
-        ratio_p = gnorm ** 2 / gap
-        if ratio_p < mu_p[0]:
-            mu_p = (ratio_p, x)
-        ratio_e = dist / gnorm if gnorm > 0 else math.inf
-        if ratio_e > mu_e[0]:
-            mu_e = (ratio_e, x)
+        info = min_norm_subgradient(p, x)
+        included.append(_Sample(x, fx, info.element, info.norm, gap, dist,
+                                float(np.dot(info.element, offset))))
+    exact = p.min_norm_subgradient is not None and p.min_norm_exact
+
+    pl_fail = eb_fail = any(s.gnorm < STATIONARY_NORM and s.gap > SUBOPTIMAL_GAP
+                            for s in included)
+    mu_q = _first_extremum(min, ((s.gap / s.dist ** 2, s.x) for s in included))
+    mu_r = _first_extremum(min, ((s.secant / s.dist ** 2, s.x) for s in included))
+    mu_p = _first_extremum(min, ((s.gnorm ** 2 / s.gap, s.x) for s in included))
+    mu_e = _first_extremum(max, ((s.dist / s.gnorm if s.gnorm > 0 else math.inf, s.x)
+                                 for s in included))
     if mu_e[0] > EB_CAP:
         mu_e = (math.inf, mu_e[1])
         eb_fail = True
@@ -180,21 +188,20 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     # Secant growth over ordered pairs from a thinned subset.
     thin = max(1, len(included) // plan.pair_thin)
     subset = included[::thin][:plan.pair_thin]
-    mu_s = (math.inf, None)
-    for xi, fi, gi in subset:
-        for xj, fj, _ in subset:
-            sq = float(np.dot(xj - xi, xj - xi))
-            if sq < plan.tau_s:
-                continue
-            ratio = (fj - fi - float(np.dot(gi, xj - xi))) / sq
-            if ratio < mu_s[0]:
-                mu_s = (ratio, xi)
-    mu_s = (max(mu_s[0], 0.0) if mu_s[0] < math.inf else 0.0, mu_s[1])
+
+    def secant_ratios():
+        for si in subset:
+            for sj in subset:
+                step = sj.x - si.x
+                sq = float(np.dot(step, step))
+                if sq >= plan.tau_s:
+                    yield (sj.fx - si.fx - float(np.dot(si.g, step))) / sq, si.x
+
+    mu_s = _first_extremum(min, secant_ratios())
+    mu_s = (max(mu_s[0], 0.0), mu_s[1])
 
     def est(pair, direction_exact, direction_approx):
         value, witness = pair
-        if value == math.inf and witness is None:
-            value = 0.0
         return ConstantEstimate(
             value=value,
             witness=tuple(float(v) for v in witness) if witness is not None else None,

@@ -24,23 +24,12 @@ def _fmt(value) -> str:
 
 def emit_trace_csv(trace: IterationTrace, path) -> None:
     """Write one row per iterate k = 0..K (transition fields live on row k)."""
-    gaps = trace.gaps()
-    dists = trace.dists()
+    columns = (trace.steps, trace.values, trace.gaps(), trace.dists(), trace.residuals,
+               trace.eps, trace.deltas, trace.criterion_ok)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for k in range(len(trace)):
-            row = [
-                str(k),
-                _fmt(trace.steps[k]),
-                _fmt(trace.values[k]),
-                _fmt(gaps[k]),
-                _fmt(dists[k]),
-                _fmt(trace.residuals[k]),
-                _fmt(trace.eps[k]),
-                _fmt(trace.deltas[k]),
-                _fmt(trace.criterion_ok[k]),
-            ]
-            fh.write(",".join(row) + "\n")
+        for k, row in enumerate(zip(*columns, strict=True)):
+            fh.write(",".join([str(k), *map(_fmt, row)]) + "\n")
 
 
 @dataclass

@@ -18,23 +18,12 @@ from .errors import BadShape, ParseError
 from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SvmParts,
                       problem_from_1d)
 
-BENCHMARKS = ("quad1d", "quad_quartic", "sine_quad", "wc_piecewise", "aniso_quad")
-CONVEX_BENCHMARKS = ("quad1d", "quad_quartic", "aniso_quad")
-
 
 def make_benchmark(name: str, aniso_l: float = 9.0) -> ProblemSpec:
     """Construct a benchmark problem by name (see BENCHMARKS)."""
-    if name == "quad1d":
-        return _quad1d()
-    if name == "quad_quartic":
-        return _quad_quartic()
-    if name == "sine_quad":
-        return _sine_quad()
-    if name == "wc_piecewise":
-        return _wc_piecewise()
-    if name == "aniso_quad":
-        return _aniso_quad(aniso_l)
-    raise ValueError(f"unknown benchmark {name!r}")
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown benchmark {name!r}")
+    return _BUILDERS[name](aniso_l)
 
 
 def _quad1d() -> ProblemSpec:
@@ -116,6 +105,18 @@ def _aniso_quad(l_param: float) -> ProblemSpec:
         metadata={"gd_mu": 1.0, "gd_beta": 1.0, "mu_q": 0.5, "mu_p": 2.0, "mu_e": 1.0,
                   "mu_r": 1.0, "mu_s": 0.5, "bracket": (-1.0, 1.0), "nu": math.inf},
     )
+
+
+# Builders by benchmark name; only aniso_quad reads the anisotropy parameter.
+_BUILDERS = {
+    "quad1d": lambda aniso_l: _quad1d(),
+    "quad_quartic": lambda aniso_l: _quad_quartic(),
+    "sine_quad": lambda aniso_l: _sine_quad(),
+    "wc_piecewise": lambda aniso_l: _wc_piecewise(),
+    "aniso_quad": _aniso_quad,
+}
+BENCHMARKS = tuple(_BUILDERS)
+CONVEX_BENCHMARKS = ("quad1d", "quad_quartic", "aniso_quad")
 
 
 # ---------------------------------------------------------------------------

@@ -218,3 +218,37 @@ def test_stop_below_resolution_writes_partial_run(tmp_path):
     rows = read_trace_csv(out / "trace.csv")
     assert len(rows) == summary["iterations"] + 1
     assert rows.f[-1] == summary["final_value"]
+
+
+def _checks(out):
+    return {c["name"]: c["ok"] for c in json.loads((out / "summary.json").read_text())["checks"]}
+
+
+@pytest.mark.parametrize("cmd,extra", [
+    ("run-ppm", {}),
+    ("run-ippm", {"criterion": {"kind": "A'", "eps0": 0.1, "gamma": 0.5}}),
+])
+def test_weakly_convex_test_mode_asserts_only_theorems(tmp_path, cmd, extra):
+    # sine_quad is 10-weakly convex and this run stalls at the suboptimal
+    # stationary point near 2.613, where the convex envelopes do not hold.
+    cfg = write_config(tmp_path, "wc.json", {
+        "problem": {"benchmark": "sine_quad"}, "schedule": {"constant": 0.05},
+        "x0": [3.0], "max_iter": 60, "test_mode": True, **extra})
+    out = tmp_path / "out"
+    assert main([cmd, "--config", cfg, "--out", str(out)]) == 0
+    assert _checks(out) == ({"one_step_improvement": True} if cmd == "run-ppm" else {})
+
+
+@pytest.mark.parametrize("cmd,extra,names", [
+    ("run-ppm", {}, {"sublinear_envelope", "one_step_improvement"}),
+    ("run-ippm", {"criterion": {"kind": "A'", "eps0": 0.1, "gamma": 0.5}},
+     {"ippm_best_iterate"}),
+])
+def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
+    cfg = write_config(tmp_path, "convex.json", {
+        "problem": {"benchmark": "quad_quartic"}, "schedule": {"constant": 0.5},
+        "x0": [1.5], "max_iter": 30, "test_mode": True, **extra})
+    out = tmp_path / "out"
+    assert main([cmd, "--config", cfg, "--out", str(out)]) == 0
+    checks = _checks(out)
+    assert set(checks) == names and all(checks.values())

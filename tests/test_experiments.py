@@ -1,0 +1,42 @@
+"""Every shipped config runs through its subcommands and meets its bounds."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from proxlab.cli import main
+
+CONFIGS = sorted((Path(__file__).parent.parent / "experiments").glob("*.json"))
+
+
+def subcommands(cfg: dict) -> list[str]:
+    """The run its keys describe, then estimate / audit when those flags are set."""
+    if "gd" in cfg:
+        cmds = ["run-gd"]
+    elif "criterion" in cfg:
+        cmds = ["run-ippm"]
+    elif "schedule" in cfg:
+        cmds = ["run-ppm"]
+    else:
+        cmds = ["audit"]
+    return cmds + [flag for flag in ("estimate", "audit") if cfg.get(flag) and flag not in cmds]
+
+
+def test_configs_are_found():
+    assert len(CONFIGS) >= 10
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_shipped_config(tmp_path, path):
+    cfg = json.loads(path.read_text(encoding="utf-8"))
+    for cmd in subcommands(cfg):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(path), "--out", str(out)]) == 0, cmd
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        if cmd.startswith("run-"):
+            assert (out / "trace.csv").is_file()
+            assert summary["bounds_ok"], cmd
+            assert summary["checks"] or not cfg.get("test_mode"), cmd  # test mode checks
+        else:
+            assert (out / "report.json").is_file()

@@ -163,3 +163,27 @@ def test_reference_solution_lasso_policy(lasso_toy_ref):
     assert lasso_toy_ref.f_star == pytest.approx(2.5, abs=1e-10)
     assert lasso_toy_ref.project_solution is None
     assert lasso_toy_ref.metadata["reference_residual"] <= 1e-10
+
+
+def test_schedule_has_two_rules():
+    # A list of steps, else c0 * growth^k; a constant step is growth 1.
+    assert StepSchedule.constant(0.3) == StepSchedule(c0=0.3, growth=1.0)
+    assert [StepSchedule.constant(0.3).at(k) for k in (0, 7)] == [0.3, 0.3]
+    assert StepSchedule.geometric(0.5, 2.0).at(3) == 4.0
+    assert StepSchedule.from_sequence(np.array([0.3, 0.4])).at(9) == 0.4
+    with pytest.raises(ValueError):
+        StepSchedule.from_sequence([])
+
+
+def test_one_step_bound_on_weakly_convex_runs(sine_quad, wc_piecewise):
+    # Each subproblem is (1/c - rho)-strongly convex, so the bound keeps a
+    # (1 - c rho) share of the next distance and holds on every step, also on
+    # the sine_quad run from x0 = 3 whose gaps stall at a suboptimal
+    # stationary point.
+    for p, x0, c in ((sine_quad, 3.0, 0.05), (wc_piecewise, 0.5, 0.4)):
+        trace = run_ppm(p, [x0], StepSchedule.constant(c), max_iter=60)
+        check = check_one_step(trace)
+        assert check.all_ok, p.name
+        corrupted = copy.deepcopy(trace)
+        corrupted.values[1] += check.rhs[0] / c  # the first step now claims too much
+        assert check_one_step(corrupted).first_violation == 0, p.name

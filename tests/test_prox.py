@@ -217,3 +217,38 @@ def test_certificate_matches_min_norm_for_composite(lasso_toy):
     d0 = abs(grad[0] + 1.0)  # x_0 > 0: subdifferential of |.| is {+1}
     d1 = max(abs(grad[1]) - 1.0, 0.0)  # x_1 = 0: interval [-1, 1]
     assert norm == pytest.approx(float(np.hypot(d0, d1)), abs=1e-12)
+
+
+def assert_1d_certificate(pw, x, z, c, element, norm, h=1e-6, tol=1e-5):
+    """element - (x - z)/c is a subgradient of the convex pw at x, read off
+    pw.value alone, and norm is the distance from 0 to partial f(x) + (x - z)/c.
+
+    The one-sided difference quotients bracket the subdifferential,
+    (f(x) - f(x - h))/h <= f'_-(x) and f'_+(x) <= (f(x + h) - f(x))/h, and
+    meet its ends up to h times the curvature when no other breakpoint lies
+    within h of x; only then is the norm compared with the distance.
+    """
+    shift = (x - z) / c
+    fx = pw.value(x)
+    left, right = (fx - pw.value(x - h)) / h, (pw.value(x + h) - fx) / h
+    assert left - tol <= element - shift <= right + tol
+    assert norm == abs(element)
+    if not any(b != x and abs(b - x) <= h for b in pw.breakpoints):
+        assert abs(norm - max(0.0, left + shift, -(right + shift))) <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(pw=convex_piecewise(), z=st.floats(-4.0, 4.0), c=st.floats(0.05, 2.0),
+       x=st.floats(-4.0, 4.0), pick=st.integers(0, 7))
+def test_1d_certificate_membership(pw, z, c, x, pick):
+    # Checked apart from the solver: the residual certificate at an arbitrary
+    # x (a breakpoint in about half of the draws that have one) and the
+    # certificate prox returns at its own point.
+    p = problem_from_1d(pw, name="random_convex")
+    if pw.breakpoints and pick % 2:
+        x = pw.breakpoints[pick // 2 % len(pw.breakpoints)]
+    element, norm = residual_certificate(p, [x], [z], c)
+    assert_1d_certificate(pw, x, z, c, float(element[0]), norm)
+    res = prox(p, [z], c, TIGHT)
+    assert_1d_certificate(pw, float(res.point[0]), z, c, float(res.residual_element[0]),
+                          res.residual_norm)

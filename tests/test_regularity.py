@@ -155,3 +155,26 @@ def test_plan_validation():
         EstimationPlan(sampling="sobol")
     with pytest.raises(ValueError):
         EstimationPlan(sampling="grid", bracket=None)
+
+
+@pytest.mark.parametrize("name,count,seed", [
+    ("quad1d", 101, 0), ("quad_quartic", 150, 1), ("sine_quad", 199, 2),
+    ("wc_piecewise", 163, 3), ("aniso_quad", 196, 4)])
+def test_estimate_is_invariant_under_sample_order(monkeypatch, name, count, seed):
+    # Below pair_thin = 200 samples the secant pairs are not thinned, so
+    # every constant is an extremum over the same set in any order; only the
+    # witness (the first extremal sample) may move.
+    import numpy as np
+    from proxlab import regularity
+
+    p = make_benchmark(name)
+    plan = EstimationPlan(nu=p.metadata["nu"], bracket=p.metadata["bracket"], count=count)
+    grid = regularity._sample_points(p, plan)
+    order = np.random.default_rng(seed).permutation(len(grid))
+    forward = estimate_constants(p, plan)
+    monkeypatch.setattr(regularity, "_sample_points", lambda p, plan: [grid[i] for i in order])
+    shuffled = estimate_constants(p, plan)
+    assert ({k: e.value for k, e in forward.estimates.items()}
+            == {k: e.value for k, e in shuffled.estimates.items()})
+    assert (forward.pl_fails_globally, forward.eb_fails_globally, forward.n_samples) \
+        == (shuffled.pl_fails_globally, shuffled.eb_fails_globally, shuffled.n_samples)
