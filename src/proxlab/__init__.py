@@ -13,8 +13,7 @@ from .ppm import (BoundCheck, IterationTrace, RateBounds, StepSchedule,
 from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SubgradientInfo,
                       SvmParts, distance_to_solution, min_norm_subgradient,
                       problem_from_1d)
-from .prox import (InnerTolerance, ProxResult, inner_solve_composite,
-                   inner_solve_svm_dual, prox, residual_certificate)
+from .prox import InnerTolerance, ProxResult, prox, residual_certificate
 from .regularity import (ConstantEstimate, EstimationPlan, ImplicationCheck,
                          RegularityReport, audit_implications, estimate_constants,
                          find_suboptimal_stationary_points, plan_for,

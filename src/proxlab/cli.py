@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -159,13 +160,10 @@ def _maybe_report(cfg: dict, p: ProblemSpec, out: Path, report=None) -> dict | N
 
 def _build_plan(cfg: dict, p: ProblemSpec) -> EstimationPlan:
     est = cfg.get("estimation", {})
-    nu = est.get("nu", cfg.get("nu"))
-    plan = plan_for(p, count=est.get("count", 10_001), nu=nu)
+    plan = plan_for(p, count=est.get("count", 10_001), nu=est.get("nu", cfg.get("nu")))
     if "bracket" in est:
-        plan = EstimationPlan(nu=plan.nu, sampling="grid",
-                              bracket=tuple(est["bracket"]), count=plan.count,
-                              tau_s=est.get("tau_s", 1e-9))
-    return plan
+        plan = replace(plan, bracket=tuple(est["bracket"]))
+    return replace(plan, tau_s=est.get("tau_s", plan.tau_s))
 
 
 def _write_summary(out: Path, body: dict) -> None:
@@ -237,7 +235,8 @@ def cmd_run_ippm(cfg: dict, out: Path, seed: int) -> int:
             checks.append(check_ippm_sublinear(trace))
         if any(not c.absolute for c in crits) and cfg.get("estimate", False):
             report = estimate_constants(p, _build_plan(cfg, p))
-            checks.append(check_ippm_linear(trace, report, cfg.get("nu", math.inf)))
+            if report.mu_q > 0.5 * p.weak_convexity:  # the contraction needs beta > 0
+                checks.append(check_ippm_linear(trace, report, cfg.get("nu", math.inf)))
     return _finish_run(cfg, p, trace, out, checks, report=report)
 
 
@@ -326,8 +325,11 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, seed)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # values the library rejects
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except KeyError as exc:
+        print(f"config error: missing field {exc}", file=sys.stderr)
         return 1
     except ProxlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

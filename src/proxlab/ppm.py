@@ -254,8 +254,9 @@ def _iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
 
     ``move`` is the eps / delta / ok / ref fields of ``record``.  Stops with
     ``gap`` (f - f_star <= stop_gap), ``residual`` (||x_{k+1} - x_k||/c_k +
-    residual <= stop_residual), ``max_iter``, or ``resolution`` /
-    ``inner_budget`` when a step's inner solver gives up, keeping the trace.
+    residual <= stop_residual), ``max_iter``, ``resolution`` / ``inner_budget``
+    when a step's inner solver gives up, or ``non_finite`` when a step returns
+    a non-finite coordinate, which is not recorded; the trace is kept.
     """
     x = as_point(x0)
     trace = IterationTrace(problem=p, points=[x], values=[float(p.value(x))],
@@ -267,6 +268,9 @@ def _iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
         except InnerBudgetExhausted as exc:
             trace.stop_reason = ("resolution" if isinstance(exc, ResolutionFloor)
                                  else "inner_budget")
+            break
+        if not np.isfinite(x_next).all():
+            trace.stop_reason = "non_finite"
             break
         trace.record(c, x_next, residual, *move)
         if stop_gap is not None and p.f_star is not None \

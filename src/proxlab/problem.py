@@ -32,7 +32,7 @@ KINK_BAND = 1e-9
 def as_point(x) -> Vector:
     """Coerce scalars / lists to a float64 vector and reject non-finite entries."""
     v = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("point has non-finite coordinates")
     return v
 
@@ -74,7 +74,7 @@ class SvmParts:
         """Row i is b_i a_i, so the margins are 1 - signed_rows @ x."""
         return self.labels[:, None] * self.features
 
-    def min_norm_element(self, x: Vector, shift) -> Vector:
+    def min_norm_element(self, x: Vector, shift=0.0) -> Vector:
         """Element of the objective's subdifferential at x, plus ``shift``, of small norm.
 
         Hinge terms off their kink contribute their gradient; the weights
@@ -106,14 +106,15 @@ class ProblemSpec:
     ``weak_convexity`` is the modulus rho (0 for convex problems);
     ``strong_convexity`` is the modulus m of an explicit (m/2)||x||^2 term,
     recorded so reference solves know when the minimizer is unique.
-    ``min_norm_exact`` says whether ``min_norm_subgradient`` returns the true
-    minimum-norm element or only a constructed upper bound.
+    ``min_norm_subgradient(x, shift=0.0)`` returns the element of
+    ``partial f(x) + shift`` nearest zero; ``min_norm_exact`` says whether that
+    is the true minimum-norm element or only a constructed upper bound.
     """
 
     dimension: int
     value: Callable[[Vector], float]
     subgradient: Callable[[Vector], Vector]
-    min_norm_subgradient: Callable[[Vector], Vector] | None = None
+    min_norm_subgradient: Callable[..., Vector] | None = None
     min_norm_exact: bool = True
     weak_convexity: float = 0.0
     strong_convexity: float = 0.0
@@ -145,12 +146,14 @@ class SubgradientInfo:
     exact: bool  # True when norm equals dist(0, subdifferential at x)
 
 
-def min_norm_subgradient(p: ProblemSpec, x, require_exact: bool = False) -> SubgradientInfo:
-    """Minimum-norm subdifferential element at x, or the best constructed one.
+def min_norm_subgradient(p: ProblemSpec, x, require_exact: bool = False,
+                         shift=0.0) -> SubgradientInfo:
+    """Element of partial f(x) + shift nearest zero, or the best constructed one.
 
-    The norm of the exact element equals the slope dist(0, subdifferential).
-    Raises DomainError outside the domain and NotAvailable when exactness is
-    demanded but only a generic element exists.
+    The norm of the exact element equals dist(-shift, partial f(x)): the slope
+    at shift 0, the prox certificate at shift (x - z)/c.  Raises DomainError
+    outside the domain and NotAvailable when exactness is demanded but only a
+    generic element exists.
     """
     x = as_point(x)
     if p.value(x) == math.inf:
@@ -158,8 +161,13 @@ def min_norm_subgradient(p: ProblemSpec, x, require_exact: bool = False) -> Subg
     exact = p.min_norm_subgradient is not None and p.min_norm_exact
     if require_exact and not exact:
         raise NotAvailable("no exact min-norm subgradient oracle")
-    g = np.asarray((p.min_norm_subgradient or p.subgradient)(x), dtype=float)
-    return SubgradientInfo(g, float(np.linalg.norm(g)), exact)
+    if p.min_norm_subgradient is None:
+        g = np.asarray(p.subgradient(x), dtype=float) + shift
+    else:
+        g = np.asarray(p.min_norm_subgradient(x, shift=shift), dtype=float)
+    # In one dimension |g| is exact where sqrt(g^2) would underflow to 0.
+    norm = abs(float(g[0])) if g.size == 1 else float(np.linalg.norm(g))
+    return SubgradientInfo(g, norm, exact)
 
 
 def distance_to_solution(p: ProblemSpec, x) -> float:
@@ -211,14 +219,17 @@ class Piecewise1D:
 def problem_from_1d(pw: Piecewise1D, **kwargs) -> ProblemSpec:
     """Wrap a Piecewise1D into a ProblemSpec with interval-aware oracles."""
 
+    def scalar(v) -> float:
+        return float(np.asarray(v).reshape(-1)[0])
+
     def value(x):
-        return pw.value(float(np.asarray(x).reshape(-1)[0]))
+        return pw.value(scalar(x))
 
     def interval(x):
         return pw.interval(float(x))
 
-    def min_norm(x):
-        return np.array([nearest_zero(*interval(np.asarray(x).reshape(-1)[0]), 0.0)])
+    def min_norm(x, shift=0.0):
+        return np.array([nearest_zero(*interval(scalar(x)), scalar(shift))])
 
     return ProblemSpec(dimension=1, value=value, subgradient=min_norm,
                        min_norm_subgradient=min_norm, interval_1d=interval,

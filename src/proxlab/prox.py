@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DomainError, InnerBudgetExhausted, NotAvailable, ResolutionFloor,
-                     StepTooLarge)
-from .problem import KINK_BAND, ProblemSpec, as_point, nearest_zero
+from .errors import InnerBudgetExhausted, NotAvailable, ResolutionFloor, StepTooLarge
+from .problem import KINK_BAND, ProblemSpec, as_point, min_norm_subgradient, nearest_zero
 
 # accept(candidate, residual_norm) -> bool; lets the outer loop install
 # candidate-dependent acceptance (relative inexactness rules).
@@ -55,24 +54,13 @@ def _validate_step(p: ProblemSpec, c: float) -> None:
 def residual_certificate(p: ProblemSpec, x, z, c: float):
     """Constructed element of H(x) = partial f(x) + (x - z)/c and its norm.
 
-    Exact (equals dist(0, H(x))) for problems exposing interval or separable
-    subdifferential structure; an upper bound otherwise.
+    The min-norm oracle at shift (x - z)/c: exact (equals dist(0, H(x))) for
+    problems exposing interval or separable subdifferential structure; an
+    upper bound otherwise.
     """
     x, z = as_point(x), as_point(z)
-    if p.value(x) == math.inf:
-        raise DomainError(f"value is +inf at {x}")
-    center = (x - z) / c
-    if p.interval_1d is not None:
-        e = nearest_zero(*p.interval_1d(float(x[0])), float(center[0]))
-        return np.array([e]), float(abs(e))
-    if p.composite is not None:
-        base = p.composite.grad_smooth(x) + center
-        element = base + p.composite.min_norm_h(base, x)
-    elif p.svm is not None:
-        element = p.svm.min_norm_element(x, center)
-    else:
-        element = np.asarray((p.min_norm_subgradient or p.subgradient)(x), dtype=float) + center
-    return element, float(np.linalg.norm(element))
+    info = min_norm_subgradient(p, x, shift=(x - z) / c)
+    return info.element, info.norm
 
 
 def prox(p: ProblemSpec, z, c: float, tol: InnerTolerance = InnerTolerance(),
@@ -98,22 +86,6 @@ def prox(p: ProblemSpec, z, c: float, tol: InnerTolerance = InnerTolerance(),
     if p.dimension == 1 and p.interval_1d is not None:
         return _solve_1d(p, z, c, tol, stop_rule)
     raise NotAvailable(f"no inner solver for problem {p.name!r}")
-
-
-def inner_solve_composite(p: ProblemSpec, z, c: float, tol: InnerTolerance,
-                          stop_rule: StopRule | None = None) -> ProxResult:
-    """Accelerated proximal-gradient inner solver (public alias)."""
-    if p.composite is None:
-        raise NotAvailable("problem has no composite structure")
-    return prox(p, z, c, tol, stop_rule)
-
-
-def inner_solve_svm_dual(p: ProblemSpec, z, c: float, tol: InnerTolerance,
-                         stop_rule: StopRule | None = None) -> ProxResult:
-    """Dual coordinate-ascent inner solver for hinge-loss problems (public alias)."""
-    if p.svm is None:
-        raise NotAvailable("problem has no SVM structure")
-    return prox(p, z, c, tol, stop_rule)
 
 
 def _solve_composite(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:

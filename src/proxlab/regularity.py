@@ -28,14 +28,13 @@ SUBOPTIMAL_GAP = 1e-6
 class EstimationPlan:
     """Where and how densely to sample.
 
-    Grid sampling needs a bracket and suits dimension <= 2; random sampling
+    With a bracket the plan samples a grid (dimension <= 2); without one it
     draws seeded Gaussians of scale ``radius`` around a solution point.
     Points with gap < tau_s or dist < sqrt(tau_s) are excluded from ratio
     denominators (estimator bias of order sqrt(tau_s)).
     """
 
     nu: float = math.inf
-    sampling: str = "grid"
     bracket: tuple[float, float] | None = None
     count: int = 10_001
     radius: float = 1.0
@@ -46,21 +45,14 @@ class EstimationPlan:
     def __post_init__(self):
         if self.count < 100:
             raise ValueError("need at least 100 samples")
-        if self.sampling not in ("grid", "random"):
-            raise ValueError(f"unknown sampling {self.sampling!r}")
-        if self.sampling == "grid" and self.bracket is None:
-            raise ValueError("grid sampling needs a bracket")
 
 
 def plan_for(p: ProblemSpec, count: int = 10_001, nu: float | None = None) -> EstimationPlan:
     """Default plan from benchmark metadata (bracket and sublevel radius)."""
     md = p.metadata
     bracket = md.get("bracket")
-    if bracket is None:
-        return EstimationPlan(nu=nu if nu is not None else math.inf,
-                              sampling="random", count=count)
     return EstimationPlan(nu=nu if nu is not None else md.get("nu", math.inf),
-                          sampling="grid", bracket=tuple(bracket), count=count)
+                          bracket=None if bracket is None else tuple(bracket), count=count)
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,7 @@ class RegularityReport:
 
 
 def _sample_points(p: ProblemSpec, plan: EstimationPlan) -> list[np.ndarray]:
-    if plan.sampling == "grid":
+    if plan.bracket is not None:
         lo, hi = plan.bracket
         if p.dimension == 1:
             return [np.array([t]) for t in np.linspace(lo, hi, plan.count)]
@@ -146,13 +138,15 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
         raise NeedsReference("estimation needs f_star and a solution oracle")
     fs = p.f_star
     points = _sample_points(p, plan)
-    if p.dimension == 1 and plan.sampling == "grid":
+    if p.dimension == 1 and plan.bracket is not None:
         # Sharpen the sample with bisection-refined stationary points so a
         # dominance failure shows up as an exact zero ratio, not a near-zero.
         points += find_suboptimal_stationary_points(p, plan.bracket)
 
     # Filter before the costly oracles: one projection per sample, and the
-    # subgradient oracle only for samples that enter the ratios.
+    # subgradient oracle only for samples that enter the ratios.  A sample
+    # reaching it has a finite value, so it skips the wrapper's domain check.
+    oracle = p.min_norm_subgradient or p.subgradient
     included: list[_Sample] = []
     for x in points:
         fx = float(p.value(x))
@@ -163,9 +157,9 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
         dist = float(np.linalg.norm(offset))
         if gap < plan.tau_s or dist < math.sqrt(plan.tau_s):
             continue
-        info = min_norm_subgradient(p, x)
-        included.append(_Sample(x, fx, info.element, info.norm, gap, dist,
-                                float(np.dot(info.element, offset))))
+        g = np.asarray(oracle(x), dtype=float)
+        included.append(_Sample(x, fx, g, float(np.linalg.norm(g)), gap, dist,
+                                float(np.dot(g, offset))))
     exact = p.min_norm_subgradient is not None and p.min_norm_exact
 
     pl_fail = eb_fail = any(s.gnorm < STATIONARY_NORM and s.gap > SUBOPTIMAL_GAP

@@ -91,11 +91,14 @@ def _aniso_quad(l_param: float) -> ProblemSpec:
         raise ValueError("anisotropy parameter must be >= 1")
     diag = np.array([1.0, l_param])
 
+    def gradient(x, shift=0.0):
+        return diag * np.asarray(x, dtype=float) + shift
+
     return ProblemSpec(
         dimension=2,
         value=lambda x: 0.5 * float(np.dot(diag, np.asarray(x) ** 2)),
-        subgradient=lambda x: diag * np.asarray(x, dtype=float),
-        min_norm_subgradient=lambda x: diag * np.asarray(x, dtype=float),
+        subgradient=gradient,
+        min_norm_subgradient=gradient,
         smoothness=float(l_param),
         strong_convexity=1.0,
         f_star=0.0,
@@ -266,20 +269,11 @@ def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
         margins = 1.0 - ba @ x
         return float(np.mean(np.maximum(margins, 0.0)) + 0.5 * reg * np.dot(x, x))
 
-    def subgradient(x):
-        x = np.asarray(x, dtype=float)
-        active = (1.0 - ba @ x) > 0.0
-        return -ba[active].sum(axis=0) / n + reg * x
-
-    def min_norm(x):
-        # Constructed upper bound: greedy choice over hinge terms at kinks.
-        return parts.min_norm_element(np.asarray(x, dtype=float), 0.0)
-
     return ProblemSpec(
         dimension=data.n_features,
         value=value,
-        subgradient=subgradient,
-        min_norm_subgradient=min_norm,
+        subgradient=parts.min_norm_element,
+        min_norm_subgradient=parts.min_norm_element,
         min_norm_exact=False,
         strong_convexity=reg,
         svm=parts,
@@ -300,13 +294,9 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
         return (0.5 * float(np.dot(r, r)) + 0.5 * en_reg * float(np.dot(x, x))
                 + lam * float(np.abs(x).sum()))
 
-    def subgradient(x):
+    def min_norm(x, shift=0.0):
         x = np.asarray(x, dtype=float)
-        return grad_smooth(x) + lam * np.sign(x)
-
-    def min_norm(x):
-        x = np.asarray(x, dtype=float)
-        base = grad_smooth(x)
+        base = grad_smooth(x) + shift
         return base + _l1_min_norm(base, x, lam)
 
     parts = CompositeParts(
@@ -318,7 +308,7 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
     return ProblemSpec(
         dimension=a_mat.shape[1],
         value=value,
-        subgradient=subgradient,
+        subgradient=min_norm,
         min_norm_subgradient=min_norm,
         strong_convexity=en_reg,
         composite=parts,

@@ -252,3 +252,55 @@ def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
     assert main([cmd, "--config", cfg, "--out", str(out)]) == 0
     checks = _checks(out)
     assert set(checks) == names and all(checks.values())
+
+
+@pytest.mark.parametrize("cmd,body", [
+    ("run-ppm", {"problem": {"benchmark": "quad1d"}, "schedule": {"sequence": []}}),
+    ("run-ippm", {"problem": {"benchmark": "quad1d"}, "criterion": {"kind": "A'"},
+                  "schedule": {"geometric": {"c0": 1, "growth": 0.5}}}),
+    ("run-ippm", {"problem": {"benchmark": "quad1d"}, "criterion": {"kind": "C"}}),
+    ("gen-data", {"gen": {"kind": "lasso", "m": 5, "s": 2}}),
+])
+def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
+    cfg = write_config(tmp_path, "bad.json", body)
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_non_finite_iterates_write_partial_run(tmp_path):
+    # Step 1 > 2/L on aniso_quad(9): the iterates overflow after about 340 steps.
+    cfg = write_config(tmp_path, "diverge.json", {
+        "problem": {"benchmark": "aniso_quad"}, "gd": {"mu": 1, "beta": 1, "step": 1.0},
+        "x0": [1.0, 1.0], "max_iter": 400})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run-gd", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stop_reason"] == "non_finite" and summary["iterations"] < 400
+    assert len(read_trace_csv(out / "trace.csv")) == summary["iterations"] + 1
+
+
+@pytest.mark.parametrize("name,c,extra,checks", [
+    ("sine_quad", 0.05, {}, {}),  # estimated mu_q <= rho/2: no contraction theorem
+    ("wc_piecewise", 0.4, {"nu": 1.0}, {"ippm_linear_dist": True}),
+])
+def test_relative_run_asserts_linear_rate_only_with_growth(tmp_path, name, c, extra, checks):
+    cfg = write_config(tmp_path, "bprime.json", {
+        "problem": {"benchmark": name}, "criterion": {"kind": "B'"},
+        "schedule": {"constant": c}, "x0": [0.5], "max_iter": 20, "test_mode": True,
+        "estimate": True, **extra})
+    out = tmp_path / "out"
+    assert main(["run-ippm", "--config", cfg, "--out", str(out)]) == 0
+    assert _checks(out) == checks
+
+
+def test_estimation_tau_s_applies_without_bracket(tmp_path):
+    counts = []
+    for estimation in ({}, {"tau_s": 0.01}, {"tau_s": 0.01, "bracket": [-1.0, 1.0]}):
+        cfg = write_config(tmp_path, "tau.json", {"problem": {"benchmark": "quad1d"},
+                                                  "estimation": estimation})
+        out = tmp_path / f"out{len(counts)}"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        counts.append(json.loads((out / "report.json").read_text())["n_samples"])
+    assert counts == [10_000, 9_001, 9_001]

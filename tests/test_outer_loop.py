@@ -1,8 +1,9 @@
 """The outer loop shared by PPM, iPPM and GD: trace shape and stop reasons.
 
-Every run, however it stops, leaves a trace whose columns all have one entry
-per iterate and whose final row carries only the step.  An inner solver that
-gives up ends the run with a named reason and keeps the rows recorded so far.
+Every run, however it stops, leaves a trace of finite iterates whose columns
+all have one entry per iterate and whose final row carries only the step.  An
+inner solver that gives up, or a step to a non-finite point, ends the run with
+a named reason and keeps the rows recorded so far.
 """
 
 import numpy as np
@@ -58,11 +59,19 @@ def _inner_budget(fixture):
                    inner_tol=InnerTolerance(1e-10, 200))
 
 
-# Each run with the stop reason it ends on; together they cover all five.
+def _non_finite(fixture):
+    # Step 1 > 2/L: the iterates grow eightfold per step until they overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return run_gd(fixture("aniso_quad"), [1.0, 1.0], GDParams(9.0, 1.0, 1.0, step=1.0),
+                      iters=400)
+
+
+# Each run with the stop reason it ends on; together they cover all six.
 RUNS = {"ppm": (_ppm, "max_iter"), "ppm_no_f_star": (_ppm_no_f_star, "residual"),
         "ippm_primed": (_ippm_primed, "gap"), "ippm_test_mode": (_ippm_test_mode, "gap"),
         "gd": (_gd, "max_iter"), "resolution": (_resolution, "resolution"),
-        "inner_budget": (_inner_budget, "inner_budget")}
+        "inner_budget": (_inner_budget, "inner_budget"),
+        "non_finite": (_non_finite, "non_finite")}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -70,6 +79,7 @@ def test_trace_shape(request, name):
     run, reason = RUNS[name]
     trace = run(request.getfixturevalue)
     assert trace.stop_reason == reason
+    assert all(np.all(np.isfinite(x)) for x in trace.points)
     for column in COLUMNS:
         assert len(getattr(trace, column)) == len(trace), column
     assert trace.steps[-1] is not None

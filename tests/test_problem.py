@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from proxlab import (BENCHMARKS, DomainError, NotAvailable, ProblemSpec,
+from proxlab import (BENCHMARKS, DomainError, NotAvailable, ProblemSpec, ProxResult,
                      distance_to_solution, make_benchmark, min_norm_subgradient)
 from proxlab.problem import Piecewise1D, as_point
 
 from oracles import grid_argmin
+from test_prox import certificate_is_subgradient
 
 
 def test_min_norm_smooth_quadratic(quad1d):
@@ -23,6 +24,35 @@ def test_min_norm_at_piecewise_kinks(wc_piecewise):
     assert min_norm_subgradient(wc_piecewise, [-0.5]).norm == pytest.approx(1.0)
     assert wc_piecewise.interval_1d(-1.0) == (0.0, 2.0)
     assert wc_piecewise.interval_1d(-0.5) == (1.0, 3.0)
+
+
+def box_distance(intervals, shift):
+    """dist(-shift, [lo_1, hi_1] x ... x [lo_d, hi_d]), one coordinate at a time."""
+    return math.hypot(*(max(0.0, lo + s, -(hi + s)) for (lo, hi), s in zip(intervals, shift)))
+
+
+@pytest.mark.parametrize("name,x,intervals", [
+    ("wc_piecewise", [-0.5], [(1.0, 3.0)]),  # a kink
+    ("lasso_toy", [0.5, 0.0], [(-1.5, -1.5), (-1.0, 1.0)]),  # x - y + sign(x), x_1 = 0
+    ("aniso_quad", [0.5, -0.2], [(0.5, 0.5), (-1.8, -1.8)]),  # diag(1, 9) x
+])
+def test_shifted_min_norm_is_the_distance_to_the_subdifferential(request, name, x,
+                                                                 intervals):
+    p = request.getfixturevalue(name)
+    for shift in np.random.default_rng(4).uniform(-4.0, 4.0, size=(40, len(x))):
+        info = min_norm_subgradient(p, x, shift=shift)
+        assert info.norm == pytest.approx(box_distance(intervals, shift), abs=1e-12)
+
+
+def test_shifted_svm_element_is_a_certificate(svm_toy):
+    # Hinge terms 0 and 1 sit at their kink at x.  Their weights span
+    # [-0.25, 0.25] in the first coordinate of the shifted set, so the
+    # nearest element to zero has weights strictly inside [0, 1].
+    x, z, c = np.array([1.0, 0.3]), np.array([1.375, -0.5]), 0.5
+    element = min_norm_subgradient(svm_toy, x, shift=(x - z) / c).element
+    assert element[0] == pytest.approx(0.0, abs=1e-12)
+    res = ProxResult(x, element, float(np.linalg.norm(element)), 0, False)
+    assert certificate_is_subgradient(svm_toy, res, z, c, np.random.default_rng(6))
 
 
 def test_min_norm_domain_error():

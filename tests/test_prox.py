@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxlab import (InnerBudgetExhausted, InnerTolerance, Piecewise1D, StepTooLarge,
-                     inner_solve_composite, inner_solve_svm_dual, make_benchmark,
-                     prox, residual_certificate)
+                     make_benchmark, prox, residual_certificate)
 from proxlab.problem import problem_from_1d
 
 from oracles import golden_section, parabola_polish, refined_grid_argmin_2d
@@ -40,6 +39,8 @@ def test_residual_certificate_quad1d(quad1d):
     assert norm == 0.0 and np.allclose(vec, [0.0])
     vec, norm = residual_certificate(quad1d, [1.1], [3.0], 1.0)
     assert norm == pytest.approx(0.3, abs=1e-12)
+    vec, norm = residual_certificate(quad1d, [0.0], [-1e-200], 1.0)
+    assert norm == 1e-200  # where the square of the element underflows
 
 
 def test_residual_certificate_domain_error():
@@ -194,18 +195,6 @@ def test_certificate_soundness(lasso_toy, svm_toy, wc_piecewise):
     for p, z, c in cases:
         res = prox(p, z, c, InnerTolerance(1e-9))
         assert certificate_is_subgradient(p, res, z, c, rng), p.name
-
-
-def test_composite_and_svm_entry_points(lasso_toy, svm_toy):
-    res = inner_solve_composite(lasso_toy, np.zeros(2), 0.16, InnerTolerance(1e-9))
-    assert res.residual_norm <= 1e-9
-    res = inner_solve_svm_dual(svm_toy, np.zeros(2), 1.0, InnerTolerance(1e-9))
-    assert res.residual_norm <= 1e-9
-    from proxlab import NotAvailable
-    with pytest.raises(NotAvailable):
-        inner_solve_composite(svm_toy, np.zeros(2), 1.0, InnerTolerance(1e-9))
-    with pytest.raises(NotAvailable):
-        inner_solve_svm_dual(lasso_toy, np.zeros(2), 1.0, InnerTolerance(1e-9))
 
 
 def test_certificate_matches_min_norm_for_composite(lasso_toy):

@@ -44,11 +44,11 @@ def test_sine_quad_global_failure(sine_quad):
 
 def test_estimate_requires_reference(lasso_toy):
     with pytest.raises(NeedsReference):
-        estimate_constants(lasso_toy, EstimationPlan(sampling="random", count=200))
+        estimate_constants(lasso_toy, EstimationPlan(count=200))
 
 
 def test_svm_estimates_tagged_approximate(svm_toy_ref):
-    plan = EstimationPlan(sampling="random", count=400, radius=0.8, seed=2, nu=math.inf)
+    plan = EstimationPlan(count=400, radius=0.8, seed=2, nu=math.inf)
     report = estimate_constants(svm_toy_ref, plan)
     assert report.estimates["mu_e"].bound_direction == "overestimate"
     assert report.estimates["mu_p"].bound_direction == "underestimate"
@@ -151,10 +151,6 @@ def test_report_json_shape(quad1d):
 def test_plan_validation():
     with pytest.raises(ValueError):
         EstimationPlan(count=10)
-    with pytest.raises(ValueError):
-        EstimationPlan(sampling="sobol")
-    with pytest.raises(ValueError):
-        EstimationPlan(sampling="grid", bracket=None)
 
 
 @pytest.mark.parametrize("name,count,seed", [
