@@ -19,12 +19,13 @@ import numpy as np
 
 from .errors import ConfigError, ProxlabError
 from .gd import GDParams, run_gd, verify_gd_rates
-from .ippm import InexactCriterion, check_ippm_linear, check_ippm_sublinear, run_ippm
+from .ippm import (InexactCriterion, check_inexact_one_step, check_ippm_linear,
+                   check_ippm_sublinear, run_ippm)
 from .ppm import (IterationTrace, RateBounds, StepSchedule, check_linear_rates,
                   check_one_step, check_sublinear_bound, reference_solution, run_ppm)
 from .problem import ProblemSpec
 from .prox import InnerTolerance
-from .regularity import EstimationPlan, audit_implications, estimate_constants, plan_for
+from .regularity import audit_implications, estimate_constants, plan_for
 from .traceio import emit_trace_csv
 from .zoo import (BENCHMARKS, MLProblemParams, generate_lasso_data, load_libsvm,
                   make_benchmark, make_blob_dataset, make_ml_problem, save_libsvm)
@@ -136,151 +137,169 @@ def _ratio_summary(xs: list[float | None]) -> dict:
 
 
 def _check_to_json(check) -> dict:
-    return {"name": check.name, "ok": check.all_ok,
-            "checked": len(check.indices), "first_violation": check.first_violation}
+    return {"name": check.name, "ok": check.all_ok, "checked": len(check.indices),
+            "first_violation": check.first_violation, "max_ratio": check.max_ratio,
+            "worst_index": check.worst_index}
 
 
-def _maybe_report(cfg: dict, p: ProblemSpec, out: Path, report=None) -> dict | None:
-    """Write report.json when the config asks for estimates; reuse ``report`` if given."""
-    if not (cfg.get("estimate", False) or cfg.get("audit", False)):
-        return None
-    if report is None:
-        report = estimate_constants(p, _build_plan(cfg, p))
-    body = report.to_json()
-    if cfg.get("audit", False):
-        rho = p.weak_convexity
-        body["audit"] = [{"relation": c.relation, "expected": c.expected,
-                          "observed": c.observed, "status": c.status}
-                         for c in audit_implications(report, rho)]
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return body
+def _missing_reference(p: ProblemSpec) -> str | None:
+    """Why bounds against S cannot be replayed or constants estimated on ``p``, if so."""
+    if p.f_star is None or p.project_solution is None:
+        return "no f_star or solution oracle"
+    return None
 
 
-def _build_plan(cfg: dict, p: ProblemSpec) -> EstimationPlan:
+def _estimate(cfg: dict, p: ProblemSpec, out: Path):
+    """Estimate the constants under the config's plan and write report.json, with
+    the audit when asked."""
     est = cfg.get("estimation", {})
     plan = plan_for(p, count=est.get("count", 10_001), nu=est.get("nu", cfg.get("nu")))
     if "bracket" in est:
         plan = replace(plan, bracket=tuple(est["bracket"]))
-    return replace(plan, tau_s=est.get("tau_s", plan.tau_s))
+    report = estimate_constants(p, replace(plan, tau_s=est.get("tau_s", plan.tau_s)))
+    body = report.to_json()
+    if cfg.get("audit", False):
+        body["audit"] = [{"relation": c.relation, "expected": c.expected,
+                          "observed": c.observed, "status": c.status}
+                         for c in audit_implications(report, p.weak_convexity)]
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
+        json.dump(body, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return report
+
+
+def _strict(value):
+    """``value`` with non-finite floats written "inf", "-inf" or "nan", as in report.json."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _write_summary(out: Path, body: dict) -> None:
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True, default=str)
+        json.dump(_strict(body), fh, indent=2, sort_keys=True, allow_nan=False, default=str)
         fh.write("\n")
 
 
-def _finish_run(cfg: dict, p: ProblemSpec, trace: IterationTrace, out: Path,
-                checks: list, bounds: dict | None = None, report=None) -> int:
+def _theorems(cmd: str, cfg: dict, p: ProblemSpec, trace: IterationTrace, report,
+              params: GDParams | None, crits) -> list:
+    """Every bound ``cmd`` can assert, in summary order: (row names, skip reason or
+    None, checker).  The reason is the first precondition that fails; the checker
+    returns one BoundCheck per name.  Checkers are looked up in this module when
+    called, so a wrapped ``check_*`` is the one that runs.
+    """
+    rho = p.weak_convexity
+    nu = cfg.get("nu", math.inf)
+    gate = ("test_mode is off" if not cfg.get("test_mode", False) else
+            None if cmd == "run-gd" else _missing_reference(p))
+
+    def reason(*preconditions):
+        return next((why for why in (gate, *preconditions) if why), None)
+
+    convex = f"convex result, rho = {rho:g}" if rho > 0 else None
+    estimate = None if cfg.get("estimate", False) else "estimate is off"
+    if cmd == "run-ppm":
+        return [(("sublinear_envelope",), reason(convex),
+                 lambda: [check_sublinear_bound(trace)]),
+                (("one_step_improvement",), reason(), lambda: [check_one_step(trace)]),
+                (("linear_cost", "linear_dist"), reason(estimate),
+                 lambda: check_linear_rates(trace, report, nu))]
+    if cmd == "run-ippm":
+        a_type = None if any(c.absolute for c in crits) else "no A-type budget"
+        b_type = None if any(not c.absolute for c in crits) else "no B-type budget"
+        # The contraction factor needs beta = mu_q - rho/2 > 0.
+        growth = None if report is None or report.mu_q > 0.5 * rho else "needs mu_q > rho/2"
+        # Only the unprimed rules log the exact prox the inequality compares against.
+        primed = "primed rule: no exact prox" if any(c.implementable for c in crits) else None
+        return [(("ippm_best_iterate",), reason(convex, a_type),
+                 lambda: [check_ippm_sublinear(trace)]),
+                (("ippm_linear_dist",), reason(estimate, b_type, growth),
+                 lambda: [check_ippm_linear(trace, report, nu)]),
+                (("inexact_one_step",), reason(convex, b_type, primed),
+                 lambda: [check_inexact_one_step(trace)])]
+    step = None if params.step_rule_valid else "step outside (0, 2/L)"
+    return [(("gd_dist", "gd_cost"), reason(step), lambda: verify_gd_rates(trace, params))]
+
+
+def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
+    """run-ppm, run-ippm, run-gd: run, write trace.csv, estimate at most once, replay
+    the theorem table and write summary.json; exit 2 on a failed check in test mode."""
+    p = build_problem(cfg, seed)
+    x0 = build_x0(cfg, p)
+    params = crits = None
+    bounds = {}
+    if cmd == "run-gd":
+        gd_cfg = _get(cfg, "gd", required=True)
+        params = GDParams(lipschitz=gd_cfg.get("lipschitz", p.smoothness),
+                          mu=gd_cfg.get("mu", p.metadata.get("gd_mu")),
+                          beta=gd_cfg.get("beta", p.metadata.get("gd_beta")),
+                          step=gd_cfg.get("step"))
+        trace = run_gd(p, x0, params, iters=cfg.get("max_iter", 50))
+        bounds = {"dist_factor": params.omega_dist, "cost_factor": params.omega_cost,
+                  "step": params.step_size, "step_rule_valid": params.step_rule_valid}
+    elif cmd == "run-ippm":
+        sched = build_schedule(cfg)
+        crits = build_criteria(cfg)
+        trace = run_ippm(p, x0, sched, crits, max_iter=cfg.get("max_iter", 500),
+                         test_mode=cfg.get("test_mode", False), seed=seed)
+    else:
+        sched = build_schedule(cfg)
+        inner = InnerTolerance(target_residual=cfg.get("inner_target", 1e-10),
+                               max_inner_iterations=cfg.get("max_inner", 100_000))
+        trace = run_ppm(p, x0, sched, max_iter=cfg.get("max_iter", 500), inner_tol=inner)
     emit_trace_csv(trace, out / "trace.csv")
-    _maybe_report(cfg, p, out, report)
-    summary = {
+    report, skipped = None, {}
+    wanted = cfg.get("estimate", False) or cfg.get("audit", False)
+    why = _missing_reference(p) if wanted else "estimate is off"
+    if why:
+        skipped["estimate"] = why
+    else:
+        report = _estimate(cfg, p, out)
+    checks = []
+    for names, reason, checker in _theorems(cmd, cfg, p, trace, report, params, crits):
+        if reason:
+            skipped.update(dict.fromkeys(names, reason))
+        else:
+            checks.extend(checker())
+    if cmd == "run-ppm" and "linear_cost" not in skipped:
+        rb = RateBounds(report.mu_p, report.mu_q, report.mu_e, rho=p.weak_convexity)
+        bounds = {"cost_factor": rb.omega(sched.at(0)), "dist_factor": rb.theta(sched.at(0))}
+    gaps = trace.gaps()
+    failed = [c.name for c in checks if not c.all_ok]
+    _write_summary(out, {
         "problem": p.name,
         "iterations": len(trace) - 1,
         "stop_reason": trace.stop_reason,
         "final_value": trace.values[-1],
-        "final_gap": trace.gaps()[-1],
-        "cost_ratio": _ratio_summary(trace.gaps()),
+        "final_gap": gaps[-1],
+        "cost_ratio": _ratio_summary(gaps),
         "dist_ratio": _ratio_summary(trace.dists()),
-        "bounds": bounds or {},
+        "bounds": bounds,
         "checks": [_check_to_json(c) for c in checks],
-    }
-    failed = [c for c in checks if not c.all_ok]
-    summary["bounds_ok"] = not failed
-    _write_summary(out, summary)
+        "bounds_ok": not failed,
+        "asserted": len(checks),
+        "skipped": skipped,
+    })
     if cfg.get("test_mode", False) and failed:
-        print(f"bound-check failure: {[c.name for c in failed]}", file=sys.stderr)
+        print(f"bound-check failure: {failed}", file=sys.stderr)
         return 2
     return 0
 
 
-def cmd_run_ppm(cfg: dict, out: Path, seed: int) -> int:
+def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
+    """estimate, audit: write report.json; exit 1 when the problem has no reference."""
+    if cmd == "audit":
+        cfg = {**cfg, "audit": True}
     p = build_problem(cfg, seed)
-    sched = build_schedule(cfg)
-    x0 = build_x0(cfg, p)
-    inner = InnerTolerance(target_residual=cfg.get("inner_target", 1e-10),
-                           max_inner_iterations=cfg.get("max_inner", 100_000))
-    trace = run_ppm(p, x0, sched, max_iter=cfg.get("max_iter", 500), inner_tol=inner)
-    checks = []
-    bounds = report = None
-    if cfg.get("test_mode", False) and p.f_star is not None and p.project_solution is not None:
-        if p.weak_convexity == 0:  # the envelope is a convex result
-            checks.append(check_sublinear_bound(trace))
-        checks.append(check_one_step(trace))
-        if cfg.get("estimate", False):
-            report = estimate_constants(p, _build_plan(cfg, p))
-            nu = cfg.get("nu", math.inf)
-            cost, dist = check_linear_rates(trace, report, nu)
-            checks.extend([cost, dist])
-            rb = RateBounds(mu_p=report.mu_p, mu_q=report.mu_q,
-                            mu_e=report.mu_e, rho=p.weak_convexity)
-            c0 = sched.at(0)
-            bounds = {"cost_factor": rb.omega(c0), "dist_factor": rb.theta(c0)}
-    return _finish_run(cfg, p, trace, out, checks, bounds=bounds, report=report)
-
-
-def cmd_run_ippm(cfg: dict, out: Path, seed: int) -> int:
-    p = build_problem(cfg, seed)
-    sched = build_schedule(cfg)
-    crits = build_criteria(cfg)
-    trace = run_ippm(p, build_x0(cfg, p), sched, crits,
-                     max_iter=cfg.get("max_iter", 500),
-                     test_mode=cfg.get("test_mode", False), seed=seed)
-    checks = []
-    report = None
-    if cfg.get("test_mode", False) and p.f_star is not None and p.project_solution is not None:
-        if any(c.absolute for c in crits) and p.weak_convexity == 0:  # a convex result
-            checks.append(check_ippm_sublinear(trace))
-        if any(not c.absolute for c in crits) and cfg.get("estimate", False):
-            report = estimate_constants(p, _build_plan(cfg, p))
-            if report.mu_q > 0.5 * p.weak_convexity:  # the contraction needs beta > 0
-                checks.append(check_ippm_linear(trace, report, cfg.get("nu", math.inf)))
-    return _finish_run(cfg, p, trace, out, checks, report=report)
-
-
-def cmd_run_gd(cfg: dict, out: Path, seed: int) -> int:
-    p = build_problem(cfg, seed)
-    gd_cfg = _get(cfg, "gd", required=True)
-    params = GDParams(
-        lipschitz=gd_cfg.get("lipschitz", p.smoothness),
-        mu=gd_cfg.get("mu", p.metadata.get("gd_mu")),
-        beta=gd_cfg.get("beta", p.metadata.get("gd_beta")),
-        step=gd_cfg.get("step"),
-    )
-    trace = run_gd(p, build_x0(cfg, p), params, iters=cfg.get("max_iter", 50))
-    checks = []
-    rate_note = None
-    if cfg.get("test_mode", False):
-        rates = verify_gd_rates(trace, params)
-        if rates.step_rule_valid:
-            checks.extend([rates.dist, rates.cost])
-        else:
-            rate_note = "step outside (0, 2/L): precondition breach, bounds not asserted"
-    code = _finish_run(cfg, p, trace, out, checks,
-                       bounds={"dist_factor": params.omega_dist,
-                               "cost_factor": params.omega_cost,
-                               "step": params.step_size,
-                               "step_rule_valid": params.step_rule_valid})
-    if rate_note:
-        print(rate_note, file=sys.stderr)
-    return code
-
-
-def cmd_estimate(cfg: dict, out: Path, seed: int, audit: bool = False) -> int:
-    cfg = dict(cfg)
-    cfg["estimate"] = True
-    if audit:
-        cfg["audit"] = True
-    p = build_problem(cfg, seed)
-    body = _maybe_report(cfg, p, out)
+    report = _estimate(cfg, p, out)
     _write_summary(out, {"problem": p.name, "report": "report.json",
-                         "flags": body["flags"]})
+                         "flags": report.to_json()["flags"]})
     return 0
 
 
-def cmd_gen_data(cfg: dict, out: Path, seed: int) -> int:
+def cmd_gen_data(_cmd: str, cfg: dict, out: Path, seed: int) -> int:
     gen = _get(cfg, "gen", required=True)
     kind = gen.get("kind")
     if kind == "lasso":
@@ -300,14 +319,8 @@ def cmd_gen_data(cfg: dict, out: Path, seed: int) -> int:
     raise ConfigError(f"unknown gen kind {kind!r}", field="gen.kind")
 
 
-_COMMANDS = {
-    "run-ppm": cmd_run_ppm,
-    "run-ippm": cmd_run_ippm,
-    "run-gd": cmd_run_gd,
-    "estimate": lambda cfg, out, seed: cmd_estimate(cfg, out, seed, audit=False),
-    "audit": lambda cfg, out, seed: cmd_estimate(cfg, out, seed, audit=True),
-    "gen-data": cmd_gen_data,
-}
+_COMMANDS = {"run-ppm": cmd_run, "run-ippm": cmd_run, "run-gd": cmd_run,
+             "estimate": cmd_estimate, "audit": cmd_estimate, "gen-data": cmd_gen_data}
 
 
 def main(argv=None) -> int:
@@ -324,7 +337,7 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, seed)
+        return _COMMANDS[args.command](args.command, cfg, out, seed)
     except (ConfigError, ValueError) as exc:  # values the library rejects
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -76,38 +76,13 @@ def run_gd(p: ProblemSpec, x0, params: GDParams, iters: int = 50) -> IterationTr
     return _iterate(p, x0, StepSchedule.constant(params.step_size), iters, step)
 
 
-@dataclass
-class GDRateCheck:
-    dist: BoundCheck
-    cost: BoundCheck
-    step_rule_valid: bool  # False flags a precondition breach, not a bound violation
-
-    @property
-    def all_ok(self) -> bool:
-        return self.dist.all_ok and self.cost.all_ok
-
-
 def verify_gd_rates(trace: IterationTrace, params: GDParams,
-                    atol: float = 1e-12) -> GDRateCheck:
-    """Per-step distance and cost-gap contraction checks.
+                    atol: float = 1e-12) -> tuple[BoundCheck, BoundCheck]:
+    """Per-step distance and cost-gap contraction checks, returned as (dist, cost).
 
-    Steps whose denominator is below 1e-14 are skipped (converged); a step
-    outside (0, 2/L) marks the result as a precondition breach.
+    Steps whose denominator is below 1e-14 are skipped (converged).  The
+    factors are theorems only for a step in (0, 2/L) (``step_rule_valid``).
     """
     dist = _contraction("gd_dist", trace.dists(), lambda k: params.omega_dist, atol)
     cost = _contraction("gd_cost", trace.gaps(), lambda k: params.omega_cost, atol)
-    return GDRateCheck(dist=dist, cost=cost, step_rule_valid=params.step_rule_valid)
-
-
-def check_gd_descent(trace: IterationTrace, params: GDParams,
-                     atol: float = 1e-12) -> BoundCheck:
-    """Per-step smooth descent: f(x_{k+1}) - f(x_k) <= ((-2t + L t^2)/2) |grad|^2."""
-    p = trace.problem
-    t = params.step_size
-    coef = 0.5 * (-2.0 * t + params.lipschitz * t * t)
-    out = BoundCheck("gd_descent")
-    for k in range(len(trace) - 1):
-        grad = np.asarray(p.subgradient(trace.points[k]), dtype=float)
-        out.add(k, trace.values[k + 1] - trace.values[k],
-                coef * float(np.dot(grad, grad)) + atol)
-    return out
+    return dist, cost

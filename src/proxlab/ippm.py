@@ -67,10 +67,6 @@ class InexactCriterion:
     def delta(self, k: int) -> float:
         return self.delta0 * self.gamma ** k
 
-    @property
-    def eps_sum(self) -> float:
-        return self.eps0 / (1.0 - self.gamma)
-
 
 @dataclass(frozen=True)
 class InexactRateBound:
@@ -235,34 +231,3 @@ def check_inexact_one_step(trace: IterationTrace, atol: float = 1e-9) -> BoundCh
                   2.0 * delta_k * dists[k] + distance_to_solution(trace.problem, ref) + atol)
     return check
 
-
-@dataclass(frozen=True)
-class AveragedIterates:
-    plain: np.ndarray
-    weighted: np.ndarray
-    plain_gap: float
-    weighted_gap: float
-    plain_bound: float  # mean of the per-iterate gaps (convexity bound)
-    weighted_bound: float
-
-
-def averaged_iterates(trace: IterationTrace) -> AveragedIterates:
-    """Plain and step-weighted iterate averages with their cost-gap bounds."""
-    if len(trace) < 2:
-        raise ValueError("need at least one step")
-    if trace.f_star is None:
-        raise ValueError("f_star required for cost gaps")
-    pts = trace.points
-    fs = trace.f_star
-    plain = np.mean(pts[1:], axis=0)
-    weights = np.asarray(trace.steps[:len(pts) - 1])
-    weighted = np.average(pts[1:], axis=0, weights=weights)
-    gaps = [v - fs for v in trace.values[1:]]
-    return AveragedIterates(
-        plain=plain,
-        weighted=weighted,
-        plain_gap=float(trace.problem.value(plain)) - fs,
-        weighted_gap=float(trace.problem.value(weighted)) - fs,
-        plain_bound=float(np.mean(gaps)),
-        weighted_bound=float(np.average(gaps, weights=weights)),
-    )

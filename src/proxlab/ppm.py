@@ -57,10 +57,6 @@ class StepSchedule:
                 raise StepTooLarge(
                     f"1/c_{k} = {1.0 / c:g} must exceed rho = {p.weak_convexity:g}")
 
-    def min_over(self, horizon: int) -> float:
-        # Infimum over the realized horizon (growing schedules have no global min).
-        return min(self.at(k) for k in range(max(horizon, 1)))
-
 
 @dataclass
 class IterationTrace:
@@ -133,13 +129,6 @@ class IterationTrace:
                 return k
         return None
 
-    def k0_apriori(self, nu: float, dist0: float | None = None) -> float:
-        """Worst-case sublevel entry bound dist^2(x_0,S) / (2 nu min_k c_k)."""
-        if dist0 is None:
-            dist0 = distance_to_solution(self.problem, self.points[0])
-        cmin = min(self.steps)
-        return dist0 ** 2 / (2.0 * nu * cmin)
-
 
 @dataclass
 class BoundCheck:
@@ -168,6 +157,18 @@ class BoundCheck:
             if not good:
                 return i
         return None
+
+    @property
+    def max_ratio(self) -> float | None:
+        """How tight the check was: the largest lhs/rhs over entries with rhs > 0."""
+        return max((lhs / rhs for lhs, rhs in zip(self.lhs, self.rhs) if rhs > 0), default=None)
+
+    @property
+    def worst_index(self) -> int | None:
+        """The first trace index attaining ``max_ratio``."""
+        worst = self.max_ratio
+        return next((k for k, lhs, rhs in zip(self.indices, self.lhs, self.rhs)
+                     if rhs > 0 and lhs / rhs == worst), None)
 
 
 def _contraction(name: str, s: Sequence[float | None], factor, atol: float,

@@ -108,8 +108,9 @@ def test_criterion_06_gd_rates(quad1d, aniso_quad):
     one_step = float(tr_q.points[1][0]) == 0.0 and params_q.omega_dist == 0.0
     params_a = GDParams(lipschitz=9.0, mu=1.0, beta=1.0)
     tr_a = run_gd(aniso_quad, [1.0, 1.0], params_a, iters=50)
-    chk = verify_gd_rates(tr_a, params_a)
-    report(6, "gradient descent contraction factors", one_step and chk.all_ok)
+    dist, cost = verify_gd_rates(tr_a, params_a)
+    report(6, "gradient descent contraction factors",
+           one_step and params_a.step_rule_valid and dist.all_ok and cost.all_ok)
 
 
 def test_criterion_07_ippm_sublinear(quad1d):

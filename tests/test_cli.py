@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from proxlab.cli import main
 from proxlab.traceio import CSV_HEADER, emit_trace_csv
 
 from oracles import longest_run_below
+
+EXPERIMENTS = Path(__file__).parent.parent / "experiments"
 
 
 def write_config(tmp_path, name, body):
@@ -136,14 +139,23 @@ def test_gd_exit_code_two_on_false_constants(tmp_path):
 
 
 def test_gd_valid_constants_exit_zero(tmp_path):
-    cfg = write_config(tmp_path, "gd_ok.json", {
+    body = {
         "problem": {"benchmark": "aniso_quad"},
         "gd": {"mu": 1.0, "beta": 1.0},
         "x0": [1.0, 1.0],
         "max_iter": 30,
         "test_mode": True,
-    })
+    }
+    cfg = write_config(tmp_path, "gd_ok.json", body)
     assert main(["run-gd", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert _checks(tmp_path / "out") == {"gd_dist": True, "gd_cost": True}
+    # t = 0.3 lies outside (0, 2/L) = (0, 0.22): the factors are no theorem there.
+    cfg = write_config(tmp_path, "gd_big.json", {**body, "gd": {**body["gd"], "step": 0.3}})
+    assert main(["run-gd", "--config", cfg, "--out", str(tmp_path / "big")]) == 0
+    summary = _summary(tmp_path / "big")
+    assert summary["asserted"] == 0 and summary["checks"] == []
+    assert {row: summary["skipped"][row] for row in ("gd_dist", "gd_cost")} == {
+        "gd_dist": "step outside (0, 2/L)", "gd_cost": "step outside (0, 2/L)"}
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
@@ -220,29 +232,42 @@ def test_stop_below_resolution_writes_partial_run(tmp_path):
     assert rows.f[-1] == summary["final_value"]
 
 
+def _summary(out):
+    return json.loads((out / "summary.json").read_text())
+
+
 def _checks(out):
-    return {c["name"]: c["ok"] for c in json.loads((out / "summary.json").read_text())["checks"]}
+    return {c["name"]: c["ok"] for c in _summary(out)["checks"]}
 
 
 @pytest.mark.parametrize("cmd,extra", [
     ("run-ppm", {}),
     ("run-ippm", {"criterion": {"kind": "A'", "eps0": 0.1, "gamma": 0.5}}),
+    ("run-ippm", {"criterion": {"kind": "B", "delta0": 0.5, "gamma": 0.7}}),
 ])
 def test_weakly_convex_test_mode_asserts_only_theorems(tmp_path, cmd, extra):
     # sine_quad is 10-weakly convex and this run stalls at the suboptimal
     # stationary point near 2.613, where the convex envelopes do not hold.
+    # The inexact one-step bound rests on the nonexpansive exact prox, also a
+    # convex result.
     cfg = write_config(tmp_path, "wc.json", {
         "problem": {"benchmark": "sine_quad"}, "schedule": {"constant": 0.05},
         "x0": [3.0], "max_iter": 60, "test_mode": True, **extra})
     out = tmp_path / "out"
     assert main([cmd, "--config", cfg, "--out", str(out)]) == 0
     assert _checks(out) == ({"one_step_improvement": True} if cmd == "run-ppm" else {})
+    convex_rows = ({"sublinear_envelope"} if cmd == "run-ppm"
+                   else {"ippm_best_iterate", "inexact_one_step"})
+    assert {row for row, why in _summary(out)["skipped"].items()
+            if why == "convex result, rho = 10"} == convex_rows
 
 
 @pytest.mark.parametrize("cmd,extra,names", [
     ("run-ppm", {}, {"sublinear_envelope", "one_step_improvement"}),
     ("run-ippm", {"criterion": {"kind": "A'", "eps0": 0.1, "gamma": 0.5}},
      {"ippm_best_iterate"}),
+    ("run-ippm", {"criterion": {"kind": "B", "delta0": 0.5, "gamma": 0.7}},
+     {"inexact_one_step"}),
 ])
 def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
     cfg = write_config(tmp_path, "convex.json", {
@@ -276,7 +301,11 @@ def test_non_finite_iterates_write_partial_run(tmp_path):
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run-gd", "--config", cfg, "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+
+    def reject(constant):
+        raise ValueError(f"summary.json is not strict JSON: {constant}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
     assert summary["stop_reason"] == "non_finite" and summary["iterations"] < 400
     assert len(read_trace_csv(out / "trace.csv")) == summary["iterations"] + 1
 
@@ -293,6 +322,24 @@ def test_relative_run_asserts_linear_rate_only_with_growth(tmp_path, name, c, ex
     out = tmp_path / "out"
     assert main(["run-ippm", "--config", cfg, "--out", str(out)]) == 0
     assert _checks(out) == checks
+    if not checks:
+        assert _summary(out)["skipped"]["ippm_linear_dist"] == "needs mu_q > rho/2"
+
+
+def test_run_without_reference_skips_every_row(tmp_path):
+    # Lasso has no unique minimizer, so there is no solution oracle: nothing
+    # can be asserted or estimated, and the summary says so instead of passing
+    # with an empty check list.
+    body = json.loads((EXPERIMENTS / "lasso_medium.json").read_text())
+    cfg = write_config(tmp_path, "lasso.json", {**body, "test_mode": True, "estimate": True})
+    out = tmp_path / "out"
+    assert main(["run-ppm", "--config", cfg, "--out", str(out)]) == 0
+    summary = _summary(out)
+    assert summary["asserted"] == 0 and summary["bounds_ok"]
+    assert summary["skipped"] == dict.fromkeys(
+        ("sublinear_envelope", "one_step_improvement", "linear_cost", "linear_dist",
+         "estimate"), "no f_star or solution oracle")
+    assert not (out / "report.json").exists()
 
 
 def test_estimation_tau_s_applies_without_bracket(tmp_path):

@@ -9,6 +9,13 @@ from proxlab.cli import main
 
 CONFIGS = sorted((Path(__file__).parent.parent / "experiments").glob("*.json"))
 
+# Every bound a run subcommand can assert; each is either checked or skipped.
+ROWS = {
+    "run-ppm": ("sublinear_envelope", "one_step_improvement", "linear_cost", "linear_dist"),
+    "run-ippm": ("ippm_best_iterate", "ippm_linear_dist", "inexact_one_step"),
+    "run-gd": ("gd_dist", "gd_cost"),
+}
+
 
 def subcommands(cfg: dict) -> list[str]:
     """The run its keys describe, then estimate / audit when those flags are set."""
@@ -37,6 +44,10 @@ def test_shipped_config(tmp_path, path):
         if cmd.startswith("run-"):
             assert (out / "trace.csv").is_file()
             assert summary["bounds_ok"], cmd
-            assert summary["checks"] or not cfg.get("test_mode"), cmd  # test mode checks
+            assert summary["asserted"] > 0 or not cfg.get("test_mode"), cmd  # no vacuous pass
+            skipped = dict(summary["skipped"])
+            assert (skipped.pop("estimate", None) is None) == (out / "report.json").is_file()
+            names = [c["name"] for c in summary["checks"]] + list(skipped)
+            assert sorted(names) == sorted(ROWS[cmd]), cmd
         else:
             assert (out / "report.json").is_file()

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from proxlab import (CriterionUnverifiable, InexactCriterion, InexactRateBound,
-                     StepSchedule, averaged_iterates, check_inexact_one_step,
-                     check_ippm_linear, check_ippm_sublinear, estimate_constants,
-                     plan_for, run_ippm, run_ppm)
+                     StepSchedule, check_inexact_one_step, check_ippm_linear,
+                     check_ippm_sublinear, estimate_constants, plan_for, run_ippm, run_ppm)
 
 
 def test_criterion_kinds_and_sequences():
     crit = InexactCriterion("A'", eps0=0.1, gamma=0.5)
     assert crit.implementable and crit.absolute
     assert crit.eps(3) == pytest.approx(0.1 * 0.5 ** 3)
-    assert crit.eps_sum == pytest.approx(0.2)
     assert InexactCriterion("bprime").kind == "B'"
     with pytest.raises(ValueError):
         InexactCriterion("A", gamma=1.0)
@@ -137,17 +135,3 @@ def test_diameter_stabilizes_on_convergent_run(quad1d):
     tail = diam[int(0.8 * len(diam)):]
     assert max(tail) - min(tail) < 1e-6
 
-
-def test_averaged_iterates_properties(quad1d, en_toy_ref):
-    tr = run_ppm(quad1d, [1.0], StepSchedule.constant(1.0), max_iter=8,
-                 stop_gap=0.0, stop_residual=0.0)
-    av = averaged_iterates(tr)
-    assert av.plain_gap <= av.plain_bound + 1e-12
-    assert av.weighted_gap <= av.weighted_bound + 1e-12
-    # Constant steps: the weighted average equals the plain average.
-    assert np.allclose(av.plain, av.weighted)
-    # Constant iterates: averages equal the iterate.
-    still = run_ppm(quad1d, [0.0], StepSchedule.constant(1.0), max_iter=4,
-                    stop_gap=-1.0, stop_residual=-1.0)
-    av0 = averaged_iterates(still)
-    assert np.allclose(av0.plain, [0.0]) and np.allclose(av0.weighted, [0.0])
