@@ -44,21 +44,32 @@ def nearest_zero(lo: float, hi: float, shift: float) -> float:
 
 @dataclass(frozen=True)
 class CompositeParts:
-    """Smooth-plus-separable structure f = g + h used by the inner APG solver.
+    """Quadratic-plus-l1 structure f = g + h used by the composite inner solver.
 
-    ``grad_smooth`` and ``lipschitz_smooth`` describe the differentiable part g
-    (any quadratic regularizer folded in); ``prox_h(v, t)`` solves
-    ``argmin_x h(x) + ||x - v||^2 / (2 t)`` in closed form, and
-    ``min_norm_h(base)`` returns the element of ``partial h`` at a point that
-    minimizes ``||base + s||`` (coordinate-wise clip for box subdifferentials).
-    ``grad_smooth`` must be affine (g is least squares plus a quadratic), which
-    lets the inner solver combine gradients instead of evaluating them.
+    g is least squares plus a quadratic regularizer: its gradient
+    ``grad_smooth`` is affine with constant Hessian ``hessian`` (A^T A + m I),
+    which lets the inner solver combine gradients instead of evaluating them
+    and solve for the minimizer on a fixed signed support.  h is
+    ``l1_weight * ||x||_1``.
     """
 
     grad_smooth: Callable[[Vector], Vector]
-    lipschitz_smooth: float
-    prox_h: Callable[[Vector, float], Vector]
-    min_norm_h: Callable[[Vector, Vector], Vector]
+    hessian: np.ndarray  # (d, d), symmetric positive semidefinite
+    l1_weight: float
+
+    @cached_property
+    def lipschitz_smooth(self) -> float:
+        """Largest eigenvalue of the Hessian, inflated for step-size safety."""
+        return float(np.linalg.eigvalsh(self.hessian)[-1]) * (1.0 + 1e-6)
+
+    def prox_h(self, v: Vector, t: float) -> Vector:
+        """argmin_x h(x) + ||x - v||^2 / (2 t): soft thresholding at t * l1_weight."""
+        return np.sign(v) * np.maximum(np.abs(v) - t * self.l1_weight, 0.0)
+
+    def min_norm_h(self, base: Vector, x: Vector) -> Vector:
+        """Element s of partial h(x) minimizing ||base + s||: a box clip off the support."""
+        lam = self.l1_weight
+        return np.where(x == 0.0, np.minimum(np.maximum(-base, -lam), lam), lam * np.sign(x))
 
 
 @dataclass(frozen=True)

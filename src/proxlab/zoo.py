@@ -206,37 +206,6 @@ class MLProblemParams:
         return self.kind in ("svm", "elastic_net")
 
 
-def largest_sq_singular_value(a_mat: np.ndarray, rel_tol: float = 1e-10,
-                              max_iter: int = 10_000) -> float:
-    """Power iteration estimate of sigma_max(A)^2, inflated for step-size safety."""
-    gram = a_mat.T @ a_mat
-    v = np.ones(gram.shape[0]) / math.sqrt(gram.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v_new = w / norm
-        if abs(norm - lam) <= rel_tol * max(norm, 1.0):
-            lam = norm
-            break
-        lam, v = norm, v_new
-    return lam * (1.0 + 1e-6)
-
-
-def _soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def _l1_min_norm(base: np.ndarray, x: np.ndarray, lam: float) -> np.ndarray:
-    """Element of lam*partial||.||_1 at x minimizing ||base + s|| (box clip)."""
-    s = lam * np.sign(x)
-    free = x == 0.0
-    s[free] = np.clip(-base[free], -lam, lam)
-    return s
-
-
 def make_ml_problem(kind: str, data, params: MLProblemParams) -> ProblemSpec:
     """Assemble a ProblemSpec from data and parameters.
 
@@ -283,7 +252,8 @@ def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
 
 
 def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
-    lipschitz = largest_sq_singular_value(a_mat) + en_reg
+    hessian = a_mat.T @ a_mat + en_reg * np.eye(a_mat.shape[1])
+    hessian.setflags(write=False)
 
     def grad_smooth(x):
         return a_mat.T @ (a_mat @ x - y) + en_reg * np.asarray(x, dtype=float)
@@ -294,17 +264,13 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
         return (0.5 * float(np.dot(r, r)) + 0.5 * en_reg * float(np.dot(x, x))
                 + lam * float(np.abs(x).sum()))
 
+    parts = CompositeParts(grad_smooth=grad_smooth, hessian=hessian, l1_weight=lam)
+
     def min_norm(x, shift=0.0):
         x = np.asarray(x, dtype=float)
         base = grad_smooth(x) + shift
-        return base + _l1_min_norm(base, x, lam)
+        return base + parts.min_norm_h(base, x)
 
-    parts = CompositeParts(
-        grad_smooth=grad_smooth,
-        lipschitz_smooth=lipschitz,
-        prox_h=lambda v, t: _soft_threshold(v, t * lam),
-        min_norm_h=lambda base, x: _l1_min_norm(base, x, lam),
-    )
     return ProblemSpec(
         dimension=a_mat.shape[1],
         value=value,

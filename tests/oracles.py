@@ -1,7 +1,8 @@
 """Independent numerical oracles used to derive expected values.
 
 These deliberately avoid the package's solvers: golden-section search,
-dense / refined grid minimization, sign bisection and central differences.
+dense / refined grid minimization, sign bisection, central differences and
+plain accelerated proximal gradient.
 Expected values asserted in the tests were computed with these and frozen.
 """
 
@@ -95,3 +96,23 @@ def longest_run_below(ratios, threshold: float) -> int:
         run = run + 1 if r < threshold else 0
         best = max(best, run)
     return best
+
+
+def fista_l1(grad, lipschitz: float, modulus: float, lam: float, z, c: float,
+             max_iter: int = 200_000, tol: float = 1e-11):
+    """Plain constant-momentum FISTA on g(x) + lam ||x||_1 + ||x - z||^2 / (2c).
+
+    ``grad`` is the gradient of g, which is ``lipschitz``-smooth and
+    ``modulus``-strongly convex.  Stops once the gradient mapping falls to
+    ``tol``, or after ``max_iter`` iterations.
+    """
+    lip, mu = lipschitz + 1.0 / c, modulus + 1.0 / c
+    q = (np.sqrt(lip / mu) - 1.0) / (np.sqrt(lip / mu) + 1.0)
+    x = y = np.array(z, dtype=float)
+    for _ in range(max_iter):
+        v = y - (grad(y) + (y - z) / c) / lip
+        w = np.sign(v) * np.maximum(np.abs(v) - lam / lip, 0.0)
+        if lip * np.linalg.norm(w - y) <= tol:
+            return w
+        y, x = w + q * (w - x), w
+    return x

@@ -2,9 +2,10 @@
 
 The work-count gate pins the deterministic cost of the shipped lasso_medium
 run: inner iterations summed over the outer steps, and smooth-gradient
-evaluations per inner iteration.  The property tests draw prox centers and
-steps at realistic sizes and check that every returned certificate is a true
-element of the subproblem subdifferential at the returned point.
+evaluations against one per prox call plus one per inner iteration.  The
+property tests draw prox centers and steps at realistic sizes and check that
+every returned certificate is a true element of the subproblem subdifferential
+at the returned point.
 """
 
 import json
@@ -20,6 +21,7 @@ import proxlab.cli as cli
 import proxlab.ppm as ppm_module
 from proxlab import InnerTolerance, min_norm_subgradient, prox, residual_certificate, run_ppm
 
+from oracles import fista_l1
 from test_prox import certificate_is_subgradient
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
@@ -41,20 +43,22 @@ def test_lasso_medium_work_count(monkeypatch):
         return grad(x)
 
     p = replace(p, composite=replace(p.composite, grad_smooth=counting_grad))
-    inner = 0
+    inner = prox_calls = 0
 
     def counting_prox(*args, **kwargs):
-        nonlocal inner
+        nonlocal inner, prox_calls
         result = prox(*args, **kwargs)
         inner += result.inner_iterations
+        prox_calls += 1
         return result
 
     monkeypatch.setattr(ppm_module, "prox", counting_prox)
     trace = run_ppm(p, cli.build_x0(cfg, p), cli.build_schedule(cfg),
                     max_iter=cfg["max_iter"])
     assert trace.stop_reason == "gap"
-    assert inner <= 3_000
-    assert grad_calls <= 1.1 * inner
+    assert inner <= 300
+    # One gradient at the prox center per call, at most one per inner iteration.
+    assert grad_calls <= inner + prox_calls
 
 
 @settings(max_examples=40, deadline=None)
@@ -66,6 +70,22 @@ def test_composite_certificate_recomputes_at_point(lasso_f20, en_f20, z, c):
         assert np.max(np.abs(res.residual_element - element)) <= 1e-12
         assert abs(res.residual_norm - norm) <= 1e-12
         assert res.residual_norm <= TOL.target_residual
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=arrays(float, 50, elements=centers), c=steps)
+def test_composite_support_solve_is_the_subproblem_minimizer(lasso_f20, en_f20, z, c):
+    for p in (lasso_f20, en_f20):
+        parts = p.composite
+        res = prox(p, z, c, TOL)
+        x, lam = res.point, parts.l1_weight
+        s = res.residual_element - (parts.grad_smooth(x) + (x - z) / c)
+        on = x != 0.0
+        assert np.allclose(s[on], lam * np.sign(x[on]), rtol=0.0, atol=1e-9)
+        assert np.all(np.abs(s[~on]) <= lam)
+        lip = float(np.linalg.eigvalsh(parts.hessian)[-1])
+        plain = fista_l1(parts.grad_smooth, lip, p.strong_convexity, lam, z, c)
+        assert np.max(np.abs(x - plain)) <= 1e-8
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,14 +6,19 @@ inner solver that gives up, or a step to a non-finite point, ends the run with
 a named reason and keeps the rows recorded so far.
 """
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import proxlab.cli as cli
 import proxlab.ippm as ippm_module
 from proxlab import (GDParams, InexactCriterion, InnerBudgetExhausted, InnerTolerance,
                      Piecewise1D, StepSchedule, problem_from_1d, reference_solution,
                      run_gd, run_ippm, run_ppm)
 
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 COLUMNS = ("points", "values", "steps", "residuals", "eps", "deltas", "criterion_ok",
            "ref_prox_points")
 MOVE = ("residuals", "eps", "deltas", "criterion_ok", "ref_prox_points")
@@ -52,11 +57,11 @@ def _resolution(fixture):
 
 
 def _inner_budget(fixture):
-    # Three cheap steps at c = 0.16, then c = 10 needs several hundred
-    # accelerated-gradient iterations, more than the budget of 200.
+    # Three steps at c = 0.16 need at most 15 inner iterations, then c = 10
+    # needs about 40, more than the budget of 25.
     sched = StepSchedule.from_sequence([0.16, 0.16, 0.16, 10.0])
     return run_ppm(fixture("lasso_f20"), np.zeros(50), sched, max_iter=60,
-                   inner_tol=InnerTolerance(1e-10, 200))
+                   inner_tol=InnerTolerance(1e-10, 25))
 
 
 def _non_finite(fixture):
@@ -103,6 +108,35 @@ def test_budget_below_resolution_stops_with_named_reason(sine_quad, monkeypatch)
     steps = len(trace) - 1
     assert 0 < steps < 60 and len(inner) == steps + 1
     assert max(inner) <= 200  # bisection stops at adjacent floats, not at its budget
+    for k in range(steps):  # every recorded step met its A' budget
+        assert trace.residuals[k] <= BELOW_RESOLUTION.eps(k) / trace.steps[k]
+
+
+def test_composite_budget_below_resolution_stops_with_named_reason(monkeypatch):
+    # From step 44 the A' budget is below the residual, near 1e-14, of the
+    # exact support solve; composite FISTA alone spent its whole budget there.
+    cfg = cli.load_config(EXPERIMENTS / "lasso_large.json")
+    p = cli.build_problem(cfg, cfg["seed"])
+    prox, inner = ippm_module.prox, []
+
+    def counting_prox(*args, **kwargs):
+        try:
+            result = prox(*args, **kwargs)
+        except InnerBudgetExhausted as exc:
+            inner.append(exc.best.inner_iterations)
+            raise
+        inner.append(result.inner_iterations)
+        return result
+
+    monkeypatch.setattr(ippm_module, "prox", counting_prox)
+    start = time.perf_counter()
+    trace = run_ippm(p, np.zeros(p.dimension), StepSchedule.constant(0.16),
+                     BELOW_RESOLUTION, max_iter=60)
+    assert time.perf_counter() - start < 0.5
+    assert trace.stop_reason == "resolution"
+    steps = len(trace) - 1
+    assert 0 < steps < 60 and len(inner) == steps + 1
+    assert max(inner) <= 200
     for k in range(steps):  # every recorded step met its A' budget
         assert trace.residuals[k] <= BELOW_RESOLUTION.eps(k) / trace.steps[k]
 
