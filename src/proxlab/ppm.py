@@ -46,13 +46,17 @@ class StepSchedule:
         if self.values:
             # Runs longer than the list repeat the final step.
             return self.values[min(k, len(self.values) - 1)]
-        return self.c0 * self.growth ** k
+        try:
+            return self.c0 * self.growth ** k
+        except OverflowError:
+            return math.inf
 
     def validate(self, p: ProblemSpec, horizon: int) -> None:
+        """Steps c_0 .. c_{horizon-1} are positive, finite and satisfy 1/c > rho."""
         for k in range(horizon):
             c = self.at(k)
-            if c <= 0:
-                raise StepTooLarge(f"c_{k} = {c:g} is not positive")
+            if not 0 < c < math.inf:
+                raise ValueError(f"c_{k} = {c:g} is not a positive finite step")
             if p.weak_convexity > 0 and 1.0 / c <= p.weak_convexity:
                 raise StepTooLarge(
                     f"1/c_{k} = {1.0 / c:g} must exceed rho = {p.weak_convexity:g}")
@@ -111,13 +115,20 @@ class IterationTrace:
         return [distance_to_solution(self.problem, x) for x in self.points]
 
     def running_diameter(self) -> list[float]:
-        """D_k = max pairwise distance among x_0 .. x_k (monotone in k)."""
-        out, d = [], 0.0
-        for k, x in enumerate(self.points):
-            for j in range(k):
-                d = max(d, float(np.linalg.norm(x - self.points[j])))
-            out.append(d)
-        return out
+        """D_k = max pairwise distance among x_0 .. x_k (monotone in k).
+
+        D_k = max(D_{k-1}, max_{j<k} ||x_k - x_j||), one row of squared
+        distances per k over the stacked points, so memory stays O(K d).  The
+        square root is taken after the running maximum; it is monotone, so
+        this commutes.
+        """
+        pts = np.array(self.points, dtype=float)
+        far = np.zeros(len(pts))  # far[k] = max_{j<k} ||x_k - x_j||^2
+        for k in range(1, len(pts)):
+            diff = pts[:k] - pts[k]
+            diff *= diff
+            far[k] = diff.sum(axis=1).max()
+        return np.sqrt(np.maximum.accumulate(far)).tolist()
 
     def entry_index(self, nu: float) -> int | None:
         """First k with f(x_k) <= f_star + nu (empirical sublevel entry)."""

@@ -234,13 +234,18 @@ def _solve_svm_dual(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
 
 
 def _solve_1d(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
-    """Monotone-subdifferential bisection for one-dimensional subproblems.
+    """Safeguarded regula falsi on the monotone subdifferential of a 1-d subproblem.
 
     The subproblem derivative interval at x is [lo, hi] + (x - z)/c; the
     minimizer is the unique point whose interval contains zero (1/c > rho
     makes the subproblem strongly convex).  Breakpoints are tested directly
-    because the pointwise residual jumps across a kink minimizer.  Once the
-    bracket shrinks to adjacent floats short of the stop rule, it raises
+    because the pointwise residual jumps across a kink minimizer.  Inside
+    the bracket the trial point is the secant root of the end elements, with
+    the Illinois modification (Dowell & Jarratt, 1971): an end kept twice in
+    a row has its element halved.  Every third trial, and whenever the
+    secant root is not strictly inside the bracket, the trial is the
+    midpoint, so the bracket at least halves every three evaluations.  Once
+    it shrinks to adjacent floats short of the stop rule, it raises
     ResolutionFloor.
     """
     z0 = float(z[0])
@@ -263,30 +268,42 @@ def _solve_1d(p: ProblemSpec, z, c, tol, stop_rule) -> ProxResult:
     # the stride, until the element changes sign.
     span = max(1.0, abs(z0))
     side = -1.0 if e_z > 0.0 else 1.0
-    near, far = z0, z0 + side * span
+    near, far, e_near = z0, z0 + side * span, e_z
     for it in range(tol.max_inner_iterations):
-        if side * element(far) > 0.0:
+        e_far = element(far)
+        if side * e_far > 0.0:
             break
-        near, far = far, far + side * span * 2.0 ** (it + 1)
+        near, far, e_near = far, far + side * span * 2.0 ** (it + 1), e_far
     else:
         raise InnerBudgetExhausted("1d bracket expansion failed", best=result(z0, e_z, 0))
-    a, b = min(near, far), max(near, far)
+    # The ends' elements: e_a <= 0 <= e_b, never both zero, which the Illinois
+    # rule keeps (it halves one end's element just after setting the other's).
+    (a, e_a), (b, e_b) = sorted([(near, e_near), (far, e_far)])
 
-    best = (z0, e_z)
+    best, kept = (z0, e_z), None
     for it in range(1, tol.max_inner_iterations + 1):
         mid = 0.5 * (a + b)
         if not a < mid < b:  # a and b are adjacent floats
-            raise ResolutionFloor(f"1d bisection: residual {abs(best[1]):.3e} at float "
+            raise ResolutionFloor(f"1d inner solver: residual {abs(best[1]):.3e} at float "
                                   "resolution", best=result(*best, it - 1))
-        e = element(mid)
+        x = a - e_a * (b - a) / (e_b - e_a)
+        if it % 3 == 0 or not a < x < b:
+            x = mid
+        e = element(x)
         if e > 0.0:
-            b = mid
+            b, e_b = x, e
+            if kept == "a":
+                e_a *= 0.5
+            kept = "a"
         else:
-            a = mid
+            a, e_a = x, e
+            if kept == "b":
+                e_b *= 0.5
+            kept = "b"
         if abs(e) < abs(best[1]):
-            best = (mid, e)
-        if e == 0.0 or stop_rule(np.array([mid]), abs(e)):
-            return result(mid, e, it)
+            best = (x, e)
+        if e == 0.0 or stop_rule(np.array([x]), abs(e)):
+            return result(x, e, it)
     raise InnerBudgetExhausted(
-        f"1d bisection: residual {abs(best[1]):.3e} after {tol.max_inner_iterations} iterations",
+        f"1d inner solver: residual {abs(best[1]):.3e} after {tol.max_inner_iterations} iterations",
         best=result(*best, tol.max_inner_iterations))

@@ -1,8 +1,8 @@
 """Independent numerical oracles used to derive expected values.
 
 These deliberately avoid the package's solvers: golden-section search,
-dense / refined grid minimization, sign bisection, central differences and
-plain accelerated proximal gradient.
+dense / refined grid minimization, sign bisection, central differences,
+plain accelerated proximal gradient and the pairwise running diameter.
 Expected values asserted in the tests were computed with these and frozen.
 """
 
@@ -78,6 +78,16 @@ def bisect_root(g, a: float, b: float, iters: int = 200) -> float:
         else:
             a, ga = mid, gm
     return 0.5 * (a + b)
+
+
+def running_diameter(points) -> list[float]:
+    """D_k = max pairwise distance among points[0] .. points[k], pair by pair."""
+    out, d = [], 0.0
+    for k, x in enumerate(points):
+        for j in range(k):
+            d = max(d, float(np.linalg.norm(x - points[j])))
+        out.append(d)
+    return out
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -285,12 +285,18 @@ def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
                   "schedule": {"geometric": {"c0": 1, "growth": 0.5}}}),
     ("run-ippm", {"problem": {"benchmark": "quad1d"}, "criterion": {"kind": "C"}}),
     ("gen-data", {"gen": {"kind": "lasso", "m": 5, "s": 2}}),
+    # JSON as Python reads it accepts NaN; 2^1024 overflows a float.
+    ("run-ppm", {"problem": {"benchmark": "quad_quartic"},
+                 "schedule": {"constant": float("nan")}, "test_mode": True}),
+    ("run-ppm", {"problem": {"benchmark": "quad1d"}, "max_iter": 1100,
+                 "schedule": {"geometric": {"c0": 1, "growth": 2}}}),
 ])
 def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
     cfg = write_config(tmp_path, "bad.json", body)
     assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "Traceback" not in err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o" / "trace.csv").exists()  # rejected before any step
 
 
 def test_non_finite_iterates_write_partial_run(tmp_path):

@@ -1,11 +1,13 @@
 """Work counts and certificates of the structured inner solvers.
 
-The work-count gate pins the deterministic cost of the shipped lasso_medium
-run: inner iterations summed over the outer steps, and smooth-gradient
-evaluations against one per prox call plus one per inner iteration.  The
+The work-count gates pin the deterministic cost of the shipped lasso_medium
+run (inner iterations summed over the outer steps, and smooth-gradient
+evaluations against one per prox call plus one per inner iteration) and of
+two 1-d PPM runs (inner iterations summed over the outer steps).  The
 property tests draw prox centers and steps at realistic sizes and check that
 every returned certificate is a true element of the subproblem subdifferential
-at the returned point.
+at the returned point, and that the 1-d solver's point is as close to the
+subproblem root as its certificate promises.
 """
 
 import json
@@ -19,10 +21,12 @@ from hypothesis.extra.numpy import arrays
 
 import proxlab.cli as cli
 import proxlab.ppm as ppm_module
-from proxlab import InnerTolerance, min_norm_subgradient, prox, residual_certificate, run_ppm
+from proxlab import (InnerTolerance, StepSchedule, make_benchmark, min_norm_subgradient, prox,
+                     residual_certificate, run_ppm)
+from proxlab.problem import problem_from_1d
 
-from oracles import fista_l1
-from test_prox import certificate_is_subgradient
+from oracles import bisect_root, fista_l1
+from test_prox import certificate_is_subgradient, convex_piecewise
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 TOL = InnerTolerance(1e-10, 200_000)
@@ -59,6 +63,56 @@ def test_lasso_medium_work_count(monkeypatch):
     assert inner <= 300
     # One gradient at the prox center per call, at most one per inner iteration.
     assert grad_calls <= inner + prox_calls
+
+
+@pytest.mark.parametrize("name,c,x0,horizon,cap", [
+    ("quad_quartic", 0.01, 1.2, 300, 700),  # 345 with the secant steps, 11,383 bisecting
+    ("sine_quad", 0.05, 3.0, 60, 450),  # 220 with the secant steps, 2,240 bisecting
+])
+def test_1d_ppm_work_count(monkeypatch, name, c, x0, horizon, cap):
+    inner = 0
+
+    def counting_prox(*args, **kwargs):
+        nonlocal inner
+        result = prox(*args, **kwargs)
+        inner += result.inner_iterations
+        return result
+
+    monkeypatch.setattr(ppm_module, "prox", counting_prox)
+    trace = run_ppm(make_benchmark(name), [x0], StepSchedule.constant(c), max_iter=horizon)
+    assert len(trace) - 1 == horizon
+    assert inner <= cap
+
+
+def assert_1d_prox_certified(p, z, c, target):
+    """The returned element is the residual certificate at the returned point,
+    and the point lies within c r / (1 - c rho) of the subproblem root: the
+    subproblem is (1/c - rho)-strongly convex."""
+    res = prox(p, [z], c, InnerTolerance(target))
+    element, norm = residual_certificate(p, res.point, [z], c)
+    assert np.array_equal(res.residual_element, element) and res.residual_norm == norm
+    assert norm <= target
+    root = bisect_root(lambda t: 0.5 * sum(p.interval_1d(t)) + (t - z) / c, -100.0, 100.0)
+    x = float(res.point[0])
+    assert abs(x - root) <= c * norm / (1.0 - c * p.weak_convexity) + 1e-12
+
+
+targets = st.sampled_from([1e-3, 1e-8, 1e-12])
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["sine_quad", "wc_piecewise"]), z=st.floats(-4.0, 4.0),
+       c_rho=st.floats(0.05, 0.9), target=targets)
+def test_1d_prox_certified_on_weakly_convex(name, z, c_rho, target):
+    # wc_piecewise has kinks at -1 (its minimizer) and -0.5; c rho < 1.
+    p = make_benchmark(name)
+    assert_1d_prox_certified(p, z, c_rho / p.weak_convexity, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pw=convex_piecewise(), z=st.floats(-4.0, 4.0), c=steps, target=targets)
+def test_1d_prox_certified_on_random_convex(pw, z, c, target):
+    assert_1d_prox_certified(problem_from_1d(pw, name="random_convex"), z, c, target)
 
 
 @settings(max_examples=40, deadline=None)

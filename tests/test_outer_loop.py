@@ -107,7 +107,7 @@ def test_budget_below_resolution_stops_with_named_reason(sine_quad, monkeypatch)
     trace = _resolution(lambda _: sine_quad)
     steps = len(trace) - 1
     assert 0 < steps < 60 and len(inner) == steps + 1
-    assert max(inner) <= 200  # bisection stops at adjacent floats, not at its budget
+    assert max(inner) <= 200  # the 1-d solver stops at adjacent floats, not at its budget
     for k in range(steps):  # every recorded step met its A' budget
         assert trace.residuals[k] <= BELOW_RESOLUTION.eps(k) / trace.steps[k]
 

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from proxlab import (InnerTolerance, RateBounds, StepSchedule, StepTooLarge,
+from proxlab import (InnerTolerance, IterationTrace, RateBounds, StepSchedule, StepTooLarge,
                      check_linear_rates, check_one_step, check_sublinear_bound,
                      make_benchmark, prox, reference_solution, run_ppm)
+
+from oracles import running_diameter
 
 TIGHT = InnerTolerance(target_residual=1e-12, max_inner_iterations=100_000)
 
@@ -145,6 +149,28 @@ def test_trace_bookkeeping(quad_run):
     assert all(b >= a for a, b in zip(diam, diam[1:]))
     assert diam[-1] == pytest.approx(1.0 - 3.0 ** (-12))
     assert quad_run.entry_index(0.5) == 1  # first gap <= 0.5 is 1/9
+
+
+@st.composite
+def point_clouds(draw):
+    k, d = draw(st.integers(0, 60)), draw(st.sampled_from([1, 2, 50]))
+    return draw(arrays(float, (k, d), elements=st.floats(-1e3, 1e3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=point_clouds())
+def test_running_diameter_matches_pairwise_loop(pts):
+    # The row reduction sums squares in another order than one norm per pair
+    # does, except at d = 1, where both take sqrt(x * x).
+    points = list(pts)
+    diam = IterationTrace(problem=None, points=points).running_diameter()
+    expect = running_diameter(points)
+    if pts.shape[1] == 1:
+        assert diam == expect
+    else:
+        assert len(diam) == len(expect)
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(diam, expect))
+    assert all(b >= a for a, b in zip(diam, diam[1:]))
 
 
 def test_reference_solution_en_toy(en_toy_ref):

@@ -154,7 +154,7 @@ def convex_piecewise(draw):
 @given(pw=convex_piecewise(), x=st.floats(-4.0, 4.0), y=st.floats(-4.0, 4.0),
        c=st.floats(0.05, 2.0))
 def test_firmly_nonexpansive_random_piecewise(pw, x, y, c):
-    # No closed form: both prox points come from the certified bisection.
+    # No closed form: both prox points come from the certified 1-d solver.
     # Each certificate e lies in partial f(p) + (p - z)/c, so monotonicity of
     # partial f gives <p_x - p_y, x - y> >= |p_x - p_y|^2 - c (r_x + r_y) |p_x - p_y|.
     p = problem_from_1d(pw, name="random_convex")
