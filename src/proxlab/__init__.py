@@ -18,8 +18,8 @@ from .regularity import (ConstantEstimate, EstimationPlan, ImplicationCheck,
                          find_suboptimal_stationary_points, plan_for,
                          verify_weak_convexity)
 from .traceio import ParsedTrace, emit_trace_csv, read_trace_csv
-from .zoo import (BENCHMARKS, CONVEX_BENCHMARKS, Dataset, MLProblemParams,
-                  generate_lasso_data, load_libsvm, make_benchmark,
-                  make_blob_dataset, make_ml_problem, save_libsvm)
+from .zoo import (BENCHMARKS, Dataset, MLProblemParams, generate_lasso_data,
+                  load_libsvm, make_benchmark, make_blob_dataset, make_ml_problem,
+                  save_libsvm)
 
 __version__ = "0.1.0"

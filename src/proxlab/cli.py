@@ -35,8 +35,8 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
 
@@ -162,14 +162,12 @@ def _estimate(cfg: dict, p: ProblemSpec, out: Path):
         body["audit"] = [{"relation": c.relation, "expected": c.expected,
                           "observed": c.observed, "status": c.status}
                          for c in audit_implications(report, p.weak_convexity)]
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", body)
     return report
 
 
 def _strict(value):
-    """``value`` with non-finite floats written "inf", "-inf" or "nan", as in report.json."""
+    """``value`` with non-finite floats written "inf", "-inf" or "nan"."""
     if isinstance(value, dict):
         return {k: _strict(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -177,8 +175,9 @@ def _strict(value):
     return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _write_summary(out: Path, body: dict) -> None:
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
+def _write_json(path: Path, body: dict) -> None:
+    """Write ``body`` as strict JSON: sorted keys, non-finite floats as strings."""
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(_strict(body), fh, indent=2, sort_keys=True, allow_nan=False, default=str)
         fh.write("\n")
 
@@ -243,7 +242,8 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
         sched = build_schedule(cfg)
         crits = build_criteria(cfg)
         trace = run_ippm(p, x0, sched, crits, max_iter=cfg.get("max_iter", 500),
-                         test_mode=cfg.get("test_mode", False), seed=seed)
+                         test_mode=cfg.get("test_mode", False), seed=seed,
+                         max_inner=cfg.get("max_inner", 100_000))
     else:
         sched = build_schedule(cfg)
         inner = InnerTolerance(target_residual=cfg.get("inner_target", 1e-10),
@@ -268,7 +268,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
         bounds = {"cost_factor": rb.omega(sched.at(0)), "dist_factor": rb.theta(sched.at(0))}
     gaps = trace.gaps()
     failed = [c.name for c in checks if not c.all_ok]
-    _write_summary(out, {
+    _write_json(out / "summary.json", {
         "problem": p.name,
         "iterations": len(trace) - 1,
         "stop_reason": trace.stop_reason,
@@ -294,8 +294,8 @@ def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
         cfg = {**cfg, "audit": True}
     p = build_problem(cfg, seed)
     report = _estimate(cfg, p, out)
-    _write_summary(out, {"problem": p.name, "report": "report.json",
-                         "flags": report.to_json()["flags"]})
+    _write_json(out / "summary.json", {"problem": p.name, "report": "report.json",
+                                       "flags": report.to_json()["flags"]})
     return 0
 
 
@@ -306,15 +306,15 @@ def cmd_gen_data(_cmd: str, cfg: dict, out: Path, seed: int) -> int:
         a_mat, y, xhat = generate_lasso_data(gen["n"], gen["m"], gen["s"],
                                              gen.get("seed", seed))
         np.savez(out / "data.npz", A=a_mat, y=y, xhat=xhat)
-        _write_summary(out, {"kind": "lasso", "A_shape": list(a_mat.shape),
-                             "zeros_in_xhat": int(np.sum(xhat == 0.0))})
+        _write_json(out / "summary.json", {"kind": "lasso", "A_shape": list(a_mat.shape),
+                                           "zeros_in_xhat": int(np.sum(xhat == 0.0))})
         return 0
     if kind == "blobs":
         dataset = make_blob_dataset(gen["n"], gen["d"], gen.get("seed", seed),
                                     gen.get("separation", 2.0))
         save_libsvm(dataset, out / "data.libsvm")
-        _write_summary(out, {"kind": "blobs", "n": dataset.n_samples,
-                             "d": dataset.n_features})
+        _write_json(out / "summary.json", {"kind": "blobs", "n": dataset.n_samples,
+                                           "d": dataset.n_features})
         return 0
     raise ConfigError(f"unknown gen kind {kind!r}", field="gen.kind")
 
@@ -336,7 +336,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, a file on the path, no permission
+            raise ConfigError(f"cannot create --out {out}: {exc.strerror}")
         return _COMMANDS[args.command](args.command, cfg, out, seed)
     except (ConfigError, ValueError) as exc:  # values the library rejects
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,6 +19,8 @@ from .ppm import BoundCheck, IterationTrace, StepSchedule, _contraction, _iterat
 from .problem import ProblemSpec
 
 _REL = 1e-12
+# Absolute slack on the replayed contraction inequalities.
+GD_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,13 +78,13 @@ def run_gd(p: ProblemSpec, x0, params: GDParams, iters: int = 50) -> IterationTr
     return _iterate(p, x0, StepSchedule.constant(params.step_size), iters, step)
 
 
-def verify_gd_rates(trace: IterationTrace, params: GDParams,
-                    atol: float = 1e-12) -> tuple[BoundCheck, BoundCheck]:
+def verify_gd_rates(trace: IterationTrace,
+                    params: GDParams) -> tuple[BoundCheck, BoundCheck]:
     """Per-step distance and cost-gap contraction checks, returned as (dist, cost).
 
     Steps whose denominator is below 1e-14 are skipped (converged).  The
     factors are theorems only for a step in (0, 2/L) (``step_rule_valid``).
     """
-    dist = _contraction("gd_dist", trace.dists(), lambda k: params.omega_dist, atol)
-    cost = _contraction("gd_cost", trace.gaps(), lambda k: params.omega_cost, atol)
+    dist = _contraction("gd_dist", trace.dists(), lambda k: params.omega_dist, GD_ATOL)
+    cost = _contraction("gd_cost", trace.gaps(), lambda k: params.omega_cost, GD_ATOL)
     return dist, cost

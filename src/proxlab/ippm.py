@@ -17,13 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CriterionUnverifiable
-from .ppm import (BoundCheck, IterationTrace, StepSchedule, _constants, _contraction,
-                  _envelope, _iterate)
+from .ppm import (CHECK_ATOL, BoundCheck, IterationTrace, StepSchedule, _constants,
+                  _contraction, _envelope, _iterate)
 from .problem import ProblemSpec, distance_to_solution
 from .prox import InnerTolerance, prox, residual_certificate
 
 PRIMED = ("A'", "B'")
 _ALIASES = {"aprime": "A'", "bprime": "B'", "a'": "A'", "b'": "B'", "a": "A", "b": "B"}
+
+# Residual target of the reference prox that test-mode steps perturb.
+REFERENCE_TARGET = 1e-12
 
 
 def _canonical_kind(kind: str) -> str:
@@ -84,7 +87,6 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
              crit: InexactCriterion | Sequence[InexactCriterion],
              max_iter: int = 500, test_mode: bool = False, seed: int = 0,
              stop_gap: float = 1e-10, stop_residual: float = 1e-10,
-             reference_target: float = 1e-12,
              max_inner: int = 100_000) -> IterationTrace:
     """Inexact proximal point run under one or several criteria.
 
@@ -113,12 +115,12 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
         eps_k = min((cr.eps(k) for cr in crits if cr.absolute), default=None)
         delta_k = min((cr.delta(k) for cr in crits if not cr.absolute), default=None)
         if unprimed:
-            x_next, resid, ref_point = _test_mode_step(
-                p, x, c, eps_k, delta_k, rng, reference_target, max_inner)
+            x_next, resid, ref_point = _test_mode_step(p, x, c, eps_k, delta_k, rng,
+                                                       max_inner)
         else:
             x_next, resid = _primed_step(p, x, c, eps_k, delta_k, max_inner)
             ref_point = None
-        return x_next, resid, eps_k, delta_k, True, ref_point
+        return x_next, resid, eps_k, delta_k, ref_point
 
     return _iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
 
@@ -136,15 +138,13 @@ def _primed_step(p, x, c, eps_k, delta_k, max_inner):
             return rn <= (delta_k / c) * float(np.linalg.norm(w - x))
         return True
 
-    tol = InnerTolerance(target_residual=max(target, 1e-300) if target < math.inf else 1e-10,
-                         max_inner_iterations=max_inner)
-    result = prox(p, x, c, tol, stop_rule=accept)
+    result = prox(p, x, c, InnerTolerance(max_inner_iterations=max_inner), stop_rule=accept)
     return result.point, result.residual_norm
 
 
-def _test_mode_step(p, x, c, eps_k, delta_k, rng, reference_target, max_inner):
+def _test_mode_step(p, x, c, eps_k, delta_k, rng, max_inner):
     """Perturb a tight reference prox inside every requested budget."""
-    tol = InnerTolerance(target_residual=reference_target, max_inner_iterations=max_inner)
+    tol = InnerTolerance(target_residual=REFERENCE_TARGET, max_inner_iterations=max_inner)
     ref = prox(p, x, c, tol)
     p_k = ref.point
     radius = eps_k if eps_k is not None else math.inf
@@ -173,8 +173,7 @@ def _test_mode_step(p, x, c, eps_k, delta_k, rng, reference_target, max_inner):
     return x_next, resid, p_k
 
 
-def check_ippm_sublinear(trace: IterationTrace, dist0: float | None = None,
-                         atol: float = 1e-9) -> BoundCheck:
+def check_ippm_sublinear(trace: IterationTrace, dist0: float | None = None) -> BoundCheck:
     """Best-iterate envelope with the diameter-weighted error budget.
 
     min_{j<=k} f(x_j) - f_star <= (dist^2(x_0,S) + 2 D sum eps_j) / (2 sum c_j),
@@ -182,11 +181,10 @@ def check_ippm_sublinear(trace: IterationTrace, dist0: float | None = None,
     """
     if any(e is None for e in trace.eps[:-1]):
         raise ValueError("trace has no absolute (A-type) budgets logged")
-    return _envelope("ippm_best_iterate", trace, dist0, trace.eps, atol, best=True)
+    return _envelope("ippm_best_iterate", trace, dist0, trace.eps, best=True)
 
 
-def check_ippm_linear(trace: IterationTrace, report, nu: float,
-                      atol: float = 1e-9) -> BoundCheck:
+def check_ippm_linear(trace: IterationTrace, report, nu: float) -> BoundCheck:
     """Eventual distance contraction dist_{k+1} <= theta_hat_k dist_k.
 
     theta_hat_k = (theta_k + 2 delta_k) / (1 - delta_k) with
@@ -208,11 +206,11 @@ def check_ippm_linear(trace: IterationTrace, report, nu: float,
         theta = 1.0 / math.sqrt(2.0 * trace.steps[k] * beta + 1.0)
         return InexactRateBound(theta, trace.deltas[k]).theta_hat
 
-    return _contraction("ippm_linear_dist", trace.dists(), theta_hat, atol,
+    return _contraction("ippm_linear_dist", trace.dists(), theta_hat, CHECK_ATOL,
                         start=max(k_entry, k_delta))
 
 
-def check_inexact_one_step(trace: IterationTrace, atol: float = 1e-9) -> BoundCheck:
+def check_inexact_one_step(trace: IterationTrace) -> BoundCheck:
     """Test-mode audit of the inexact distance inequality.
 
     (1 - delta_k) dist(x_{k+1},S) <= 2 delta_k dist(x_k,S) + dist(prox(x_k),S)
@@ -228,6 +226,7 @@ def check_inexact_one_step(trace: IterationTrace, atol: float = 1e-9) -> BoundCh
         if ref is None or delta_k is None or delta_k >= 1.0:
             continue
         check.add(k, (1.0 - delta_k) * dists[k + 1],
-                  2.0 * delta_k * dists[k] + distance_to_solution(trace.problem, ref) + atol)
+                  2.0 * delta_k * dists[k] + distance_to_solution(trace.problem, ref)
+                  + CHECK_ATOL)
     return check
 

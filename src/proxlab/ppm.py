@@ -18,6 +18,9 @@ from .errors import InnerBudgetExhausted, ResolutionFloor, StepTooLarge
 from .problem import ProblemSpec, as_point, distance_to_solution
 from .prox import InnerTolerance, prox
 
+# Absolute slack on every replayed PPM and iPPM inequality.
+CHECK_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class StepSchedule:
@@ -67,8 +70,8 @@ class IterationTrace:
     """Per-iteration log of one solver run.
 
     Row k holds the state at iterate x_k; the transition fields (step, the
-    certificate residual, the inexactness budgets and the criterion flag)
-    describe the move from x_k to x_{k+1} and are None on the final row.
+    certificate residual and the inexactness budgets) describe the move from
+    x_k to x_{k+1} and are None on the final row.
     """
 
     problem: ProblemSpec
@@ -78,14 +81,13 @@ class IterationTrace:
     residuals: list[float | None] = field(default_factory=list)
     eps: list[float | None] = field(default_factory=list)
     deltas: list[float | None] = field(default_factory=list)
-    criterion_ok: list[bool | None] = field(default_factory=list)
     ref_prox_points: list[np.ndarray | None] = field(default_factory=list)
     stop_reason: str = ""
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def record(self, c: float, x=None, residual=None, eps=None, delta=None, ok=None,
+    def record(self, c: float, x=None, residual=None, eps=None, delta=None,
                ref=None) -> None:
         """Fill the current row's move (step c and the transition fields), then open x's row.
 
@@ -95,18 +97,13 @@ class IterationTrace:
         self.residuals.append(residual)
         self.eps.append(eps)
         self.deltas.append(delta)
-        self.criterion_ok.append(ok)
         self.ref_prox_points.append(ref)
         if x is not None:
             self.points.append(x)
             self.values.append(float(self.problem.value(x)))
 
-    @property
-    def f_star(self) -> float | None:
-        return self.problem.f_star
-
     def gaps(self) -> list[float | None]:
-        fs = self.f_star
+        fs = self.problem.f_star
         return [None if fs is None else v - fs for v in self.values]
 
     def dists(self) -> list[float | None]:
@@ -132,7 +129,7 @@ class IterationTrace:
 
     def entry_index(self, nu: float) -> int | None:
         """First k with f(x_k) <= f_star + nu (empirical sublevel entry)."""
-        fs = self.f_star
+        fs = self.problem.f_star
         if fs is None:
             return None
         for k, v in enumerate(self.values):
@@ -197,13 +194,13 @@ def _contraction(name: str, s: Sequence[float | None], factor, atol: float,
 
 
 def _envelope(name: str, trace: IterationTrace, dist0: float | None,
-              errors: Sequence[float], atol: float, best: bool = False) -> BoundCheck:
-    """gap_k <= (dist^2(x_0,S) + 2 D_k sum_{j<k} errors_j) / (2 sum_{j<k} c_j) + atol.
+              errors: Sequence[float], best: bool = False) -> BoundCheck:
+    """gap_k <= (dist^2(x_0,S) + 2 D_k sum_{j<k} errors_j) / (2 sum_{j<k} c_j) + CHECK_ATOL.
 
     D_k is the running diameter and errors_j the step's error term (c_j r_j or
     eps_j).  With ``best`` the left side is the best gap so far, min_{j<=k} gap_j.
     """
-    if trace.f_star is None:
+    if trace.problem.f_star is None:
         raise ValueError("f_star required for the sublinear envelope")
     if dist0 is None:
         dist0 = distance_to_solution(trace.problem, trace.points[0])
@@ -216,7 +213,7 @@ def _envelope(name: str, trace: IterationTrace, dist0: float | None,
         csum += trace.steps[k - 1]
         esum += errors[k - 1]
         lhs = min(lhs, gaps[k]) if best else gaps[k]
-        check.add(k, lhs, (dist0 ** 2 + 2.0 * diam[k] * esum) / (2.0 * csum) + atol)
+        check.add(k, lhs, (dist0 ** 2 + 2.0 * diam[k] * esum) / (2.0 * csum) + CHECK_ATOL)
     return check
 
 
@@ -264,7 +261,7 @@ def _iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
              stop_gap: float | None = None, stop_residual: float | None = None):
     """The outer loop of PPM, iPPM and GD: ``step(k, x, c)`` gives (x_next, residual, *move).
 
-    ``move`` is the eps / delta / ok / ref fields of ``record``.  Stops with
+    ``move`` is the eps / delta / ref fields of ``record``.  Stops with
     ``gap`` (f - f_star <= stop_gap), ``residual`` (||x_{k+1} - x_k||/c_k +
     residual <= stop_residual), ``max_iter``, ``resolution`` / ``inner_budget``
     when a step's inner solver gives up, or ``non_finite`` when a step returns
@@ -311,18 +308,17 @@ def run_ppm(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int = 500,
     return _iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
 
 
-def check_sublinear_bound(trace: IterationTrace, dist0: float | None = None,
-                          atol: float = 1e-9) -> BoundCheck:
+def check_sublinear_bound(trace: IterationTrace, dist0: float | None = None) -> BoundCheck:
     """Replay the envelope f(x_k) - f_star <= dist^2(x_0,S) / (2 sum c_t).
 
     Inexact inner solves widen the envelope by their certified residuals
     (the same diameter-weighted term as the best-iterate bound).
     """
     errors = [c * (r or 0.0) for c, r in zip(trace.steps, trace.residuals)]
-    return _envelope("sublinear_envelope", trace, dist0, errors, atol)
+    return _envelope("sublinear_envelope", trace, dist0, errors)
 
 
-def check_one_step(trace: IterationTrace, x_star=None, atol: float = 1e-9) -> BoundCheck:
+def check_one_step(trace: IterationTrace, x_star=None) -> BoundCheck:
     """Per-step improvement 2 c_k (f(x_{k+1}) - f_star) <= |x_k-x*|^2 - (1 - c_k rho)|x_{k+1}-x*|^2.
 
     Holds for any minimizer x*, since each subproblem is (1/c_k - rho)-strongly
@@ -345,12 +341,12 @@ def check_one_step(trace: IterationTrace, x_star=None, atol: float = 1e-9) -> Bo
         d_next = float(np.linalg.norm(x_n - x_star))
         check.add(k, 2.0 * c * (trace.values[k + 1] - f_star_val),
                   float(np.linalg.norm(x_k - x_star)) ** 2 - (1.0 - c * rho) * d_next ** 2
-                  + 2.0 * c * r * d_next + atol)
+                  + 2.0 * c * r * d_next + CHECK_ATOL)
     return check
 
 
-def check_linear_rates(trace: IterationTrace, report, nu: float,
-                       atol: float = 1e-9) -> tuple[BoundCheck, BoundCheck]:
+def check_linear_rates(trace: IterationTrace, report,
+                       nu: float) -> tuple[BoundCheck, BoundCheck]:
     """Cost and distance contraction checks, gated on sublevel-set entry.
 
     Uses omega_k = 2/(2 + mu_p c_k) for the cost gap and the two-branch
@@ -365,9 +361,9 @@ def check_linear_rates(trace: IterationTrace, report, nu: float,
     steps = trace.steps
     slack = lambda k: steps[k] * (trace.residuals[k] or 0.0)
     cost = _contraction("linear_cost", trace.gaps(), lambda k: bounds.omega(steps[k]),
-                        atol, slack, start=k0)
+                        CHECK_ATOL, slack, start=k0)
     dist = _contraction("linear_dist", trace.dists(), lambda k: bounds.theta(steps[k]),
-                        atol, slack, start=k0)
+                        CHECK_ATOL, slack, start=k0)
     return cost, dist
 
 

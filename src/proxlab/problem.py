@@ -23,8 +23,6 @@ from .errors import DomainError, NotAvailable
 
 Vector = np.ndarray
 
-DEFAULT_TOL = 1e-9
-
 # Margin band inside which a hinge term counts as sitting at its kink.
 KINK_BAND = 1e-9
 
@@ -154,31 +152,26 @@ class ProblemSpec:
 class SubgradientInfo:
     element: Vector
     norm: float
-    exact: bool  # True when norm equals dist(0, subdifferential at x)
 
 
-def min_norm_subgradient(p: ProblemSpec, x, require_exact: bool = False,
-                         shift=0.0) -> SubgradientInfo:
+def min_norm_subgradient(p: ProblemSpec, x, shift=0.0) -> SubgradientInfo:
     """Element of partial f(x) + shift nearest zero, or the best constructed one.
 
     The norm of the exact element equals dist(-shift, partial f(x)): the slope
-    at shift 0, the prox certificate at shift (x - z)/c.  Raises DomainError
-    outside the domain and NotAvailable when exactness is demanded but only a
-    generic element exists.
+    at shift 0, the prox certificate at shift (x - z)/c.  The element is exact
+    when p has a min-norm oracle and ``min_norm_exact``.  Raises DomainError
+    outside the domain.
     """
     x = as_point(x)
     if p.value(x) == math.inf:
         raise DomainError(f"value is +inf at {x}")
-    exact = p.min_norm_subgradient is not None and p.min_norm_exact
-    if require_exact and not exact:
-        raise NotAvailable("no exact min-norm subgradient oracle")
     if p.min_norm_subgradient is None:
         g = np.asarray(p.subgradient(x), dtype=float) + shift
     else:
         g = np.asarray(p.min_norm_subgradient(x, shift=shift), dtype=float)
     # In one dimension |g| is exact where sqrt(g^2) would underflow to 0.
     norm = abs(float(g[0])) if g.size == 1 else float(np.linalg.norm(g))
-    return SubgradientInfo(g, norm, exact)
+    return SubgradientInfo(g, norm)
 
 
 def distance_to_solution(p: ProblemSpec, x) -> float:

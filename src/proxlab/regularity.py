@@ -22,6 +22,12 @@ from .problem import ProblemSpec, as_point, min_norm_subgradient
 EB_CAP = 1e12
 STATIONARY_NORM = 1e-8
 SUBOPTIMAL_GAP = 1e-6
+# Secant growth is estimated over ordered pairs of at most this many samples.
+PAIR_THIN = 200
+# Grid points of the sign-change scan for stationary points.
+STATIONARY_SCAN = 4096
+# Absolute slack on the weak-convexity secant inequality.
+WEAK_CONVEXITY_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,6 @@ class EstimationPlan:
     radius: float = 1.0
     seed: int = 0
     tau_s: float = 1e-9
-    pair_thin: int = 200
 
     def __post_init__(self):
         if self.count < 100:
@@ -180,8 +185,8 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
         mu_r = (0.0, mu_r[1])  # a negative ratio refutes every positive constant
 
     # Secant growth over ordered pairs from a thinned subset.
-    thin = max(1, len(included) // plan.pair_thin)
-    subset = included[::thin][:plan.pair_thin]
+    thin = max(1, len(included) // PAIR_THIN)
+    subset = included[::thin][:PAIR_THIN]
 
     def secant_ratios():
         for si in subset:
@@ -219,10 +224,6 @@ class ImplicationCheck:
     expected: float
     observed: float
     status: str  # "pass" | "fail" | "degenerate" | "skipped"
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 def audit_implications(report: RegularityReport, rho: float,
@@ -269,8 +270,7 @@ def audit_implications(report: RegularityReport, rho: float,
     return out
 
 
-def find_suboptimal_stationary_points(p: ProblemSpec, bracket,
-                                      scan: int = 4096) -> list[np.ndarray]:
+def find_suboptimal_stationary_points(p: ProblemSpec, bracket) -> list[np.ndarray]:
     """Roots of the signed min-norm subgradient that are not minimizers.
 
     Sign-change bisection over the bracket; keeps points with
@@ -285,15 +285,17 @@ def find_suboptimal_stationary_points(p: ProblemSpec, bracket,
     def signed(x: float) -> float:
         return float(min_norm_subgradient(p, [x]).element[0])
 
-    xs = np.linspace(lo, hi, scan)
+    xs = np.linspace(lo, hi, STATIONARY_SCAN)
     vals = [signed(x) for x in xs]
     roots: list[float] = []
-    for i in range(scan - 1):
+    for i in range(STATIONARY_SCAN - 1):
         a, b, va, vb = xs[i], xs[i + 1], vals[i], vals[i + 1]
         if va == 0.0:
             roots.append(float(a))
             continue
-        if va * vb >= 0.0:
+        # Signs are compared, since va * vb underflows to 0 below about 1e-162;
+        # va and every later va, vm are nonzero.
+        if vb == 0.0 or (va < 0.0) == (vb < 0.0):
             continue
         for _ in range(80):
             mid = 0.5 * (a + b)
@@ -301,7 +303,7 @@ def find_suboptimal_stationary_points(p: ProblemSpec, bracket,
             if vm == 0.0:
                 a = b = mid
                 break
-            if va * vm < 0.0:
+            if (va < 0.0) != (vm < 0.0):
                 b, vb = mid, vm
             else:
                 a, va = mid, vm
@@ -322,7 +324,7 @@ def find_suboptimal_stationary_points(p: ProblemSpec, bracket,
 
 
 def verify_weak_convexity(p: ProblemSpec, rho_claim: float, samples: int = 500,
-                          seed: int = 0, bracket=None, atol: float = 1e-9):
+                          seed: int = 0, bracket=None):
     """Secant test of rho-weak convexity on seeded triples (x, y, lambda).
 
     Returns (True, None) when every triple satisfies the rho-relaxed secant
@@ -340,6 +342,6 @@ def verify_weak_convexity(p: ProblemSpec, rho_claim: float, samples: int = 500,
         lhs = float(p.value(mid))
         rhs = (lam * float(p.value(x)) + (1.0 - lam) * float(p.value(y))
                + 0.5 * rho_claim * lam * (1.0 - lam) * float(np.dot(x - y, x - y)))
-        if lhs > rhs + atol:
+        if lhs > rhs + WEAK_CONVEXITY_ATOL:
             return False, (x, y, lam)
     return True, None

@@ -11,21 +11,19 @@ from dataclasses import dataclass
 
 from .ppm import IterationTrace
 
-CSV_HEADER = "k,c_k,f,cost_gap,dist_S,residual_norm,eps_k,delta_k,criterion_ok"
+CSV_HEADER = "k,c_k,f,cost_gap,dist_S,residual_norm,eps_k,delta_k"
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
     return f"{value:.17e}"
 
 
 def emit_trace_csv(trace: IterationTrace, path) -> None:
     """Write one row per iterate k = 0..K (transition fields live on row k)."""
     columns = (trace.steps, trace.values, trace.gaps(), trace.dists(), trace.residuals,
-               trace.eps, trace.deltas, trace.criterion_ok)
+               trace.eps, trace.deltas)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for k, row in enumerate(zip(*columns, strict=True)):
@@ -44,24 +42,22 @@ class ParsedTrace:
     residual_norm: list[float | None]
     eps: list[float | None]
     delta: list[float | None]
-    criterion_ok: list[bool | None]
 
     def __len__(self) -> int:
         return len(self.k)
 
 
 def read_trace_csv(path) -> ParsedTrace:
-    cols: list[list] = [[] for _ in range(9)]
+    cols: list[list] = [[] for _ in range(8)]
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected header {header!r}")
         for line in fh:
             parts = line.rstrip("\n").split(",")
-            if len(parts) != 9:
+            if len(parts) != 8:
                 raise ValueError(f"bad row {line!r}")
             cols[0].append(int(parts[0]))
             for i in range(1, 8):
                 cols[i].append(float(parts[i]) if parts[i] else None)
-            cols[8].append(None if not parts[8] else parts[8] == "1")
     return ParsedTrace(*cols)

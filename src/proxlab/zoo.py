@@ -119,7 +119,6 @@ _BUILDERS = {
     "aniso_quad": _aniso_quad,
 }
 BENCHMARKS = tuple(_BUILDERS)
-CONVEX_BENCHMARKS = ("quad1d", "quad_quartic", "aniso_quad")
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +199,6 @@ class MLProblemParams:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if min(self.svm_reg, self.lam, self.en_reg) <= 0:
             raise ValueError("regularization weights must be positive")
-
-    @property
-    def strongly_convex(self) -> bool:
-        return self.kind in ("svm", "elastic_net")
 
 
 def make_ml_problem(kind: str, data, params: MLProblemParams) -> ProblemSpec:

@@ -66,14 +66,15 @@ def refined_grid_argmin_2d(f, lo: float, hi: float, side: int = 201,
 
 
 def bisect_root(g, a: float, b: float, iters: int = 200) -> float:
+    # Signs, not products: a product of two values below 1e-162 underflows to 0.
     ga, gb = g(a), g(b)
-    assert ga * gb <= 0.0, "root not bracketed"
+    assert np.sign(ga) * np.sign(gb) <= 0.0, "root not bracketed"
     for _ in range(iters):
         mid = 0.5 * (a + b)
         gm = g(mid)
         if gm == 0.0:
             return mid
-        if ga * gm < 0.0:
+        if np.sign(ga) * np.sign(gm) < 0.0:
             b, gb = mid, gm
         else:
             a, ga = mid, gm

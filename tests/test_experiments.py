@@ -30,6 +30,15 @@ def subcommands(cfg: dict) -> list[str]:
     return cmds + [flag for flag in ("estimate", "audit") if cfg.get(flag) and flag not in cmds]
 
 
+def load_strict(path: Path) -> dict:
+    """Parse a JSON artifact, refusing the non-standard NaN / Infinity literals."""
+
+    def reject(constant):
+        raise ValueError(f"{path.name} is not strict JSON: {constant}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
 def test_configs_are_found():
     assert len(CONFIGS) >= 10
 
@@ -40,7 +49,9 @@ def test_shipped_config(tmp_path, path):
     for cmd in subcommands(cfg):
         out = tmp_path / cmd
         assert main([cmd, "--config", str(path), "--out", str(out)]) == 0, cmd
-        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        summary = load_strict(out / "summary.json")
+        if (out / "report.json").is_file():
+            load_strict(out / "report.json")
         if cmd.startswith("run-"):
             assert (out / "trace.csv").is_file()
             assert summary["bounds_ok"], cmd

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import proxlab.cli as cli
@@ -103,6 +103,9 @@ targets = st.sampled_from([1e-3, 1e-8, 1e-12])
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(["sine_quad", "wc_piecewise"]), z=st.floats(-4.0, 4.0),
        c_rho=st.floats(0.05, 0.9), target=targets)
+# A subnormal center: the subproblem root lies between 0 and the smallest
+# positive float, where the derivative values are subnormal.
+@example(name="sine_quad", z=5e-324, c_rho=0.5, target=1e-12)
 def test_1d_prox_certified_on_weakly_convex(name, z, c_rho, target):
     # wc_piecewise has kinks at -1 (its minimizer) and -0.5; c rho < 1.
     p = make_benchmark(name)

@@ -19,9 +19,8 @@ from proxlab import (GDParams, InexactCriterion, InnerBudgetExhausted, InnerTole
                      run_gd, run_ippm, run_ppm)
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
-COLUMNS = ("points", "values", "steps", "residuals", "eps", "deltas", "criterion_ok",
-           "ref_prox_points")
-MOVE = ("residuals", "eps", "deltas", "criterion_ok", "ref_prox_points")
+COLUMNS = ("points", "values", "steps", "residuals", "eps", "deltas", "ref_prox_points")
+MOVE = ("residuals", "eps", "deltas", "ref_prox_points")
 
 # An A' budget that drops below double precision at step 50 of the horizon.
 BELOW_RESOLUTION = InexactCriterion("A'", eps0=0.1, gamma=0.5)

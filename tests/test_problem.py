@@ -15,7 +15,6 @@ def test_min_norm_smooth_quadratic(quad1d):
     info = min_norm_subgradient(quad1d, [3.0])
     assert np.allclose(info.element, [6.0])
     assert info.norm == pytest.approx(6.0)
-    assert info.exact
 
 
 def test_min_norm_at_piecewise_kinks(wc_piecewise):
@@ -61,13 +60,6 @@ def test_min_norm_domain_error():
                     subgradient=lambda x: 2.0 * x)
     with pytest.raises(DomainError):
         min_norm_subgradient(p, [2.0])
-
-
-def test_min_norm_require_exact(svm_toy):
-    info = min_norm_subgradient(svm_toy, [0.3, 0.1])
-    assert not info.exact  # constructed upper bound only
-    with pytest.raises(NotAvailable):
-        min_norm_subgradient(svm_toy, [0.3, 0.1], require_exact=True)
 
 
 def test_distance_examples(quad1d, wc_piecewise, sine_quad):

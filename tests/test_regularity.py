@@ -157,7 +157,7 @@ def test_plan_validation():
     ("quad1d", 101, 0), ("quad_quartic", 150, 1), ("sine_quad", 199, 2),
     ("wc_piecewise", 163, 3), ("aniso_quad", 196, 4)])
 def test_estimate_is_invariant_under_sample_order(monkeypatch, name, count, seed):
-    # Below pair_thin = 200 samples the secant pairs are not thinned, so
+    # Below PAIR_THIN = 200 samples the secant pairs are not thinned, so
     # every constant is an extremum over the same set in any order; only the
     # witness (the first extremal sample) may move.
     import numpy as np

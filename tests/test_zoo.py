@@ -170,8 +170,6 @@ def test_params_validation():
         MLProblemParams("ridge")
     with pytest.raises(ValueError):
         MLProblemParams("lasso", lam=0.0)
-    assert MLProblemParams("svm").strongly_convex
-    assert not MLProblemParams("lasso").strongly_convex
 
 
 def test_unknown_benchmark():
