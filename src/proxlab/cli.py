@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, ProxlabError
 from .gd import GDParams, run_gd, verify_gd_rates
-from .ippm import (InexactCriterion, check_inexact_one_step, check_ippm_linear,
-                   check_ippm_sublinear, run_ippm)
+from .ippm import (MAX_INNER, InexactCriterion, check_inexact_one_step,
+                   check_ippm_linear, check_ippm_sublinear, run_ippm)
 from .ppm import (IterationTrace, RateBounds, StepSchedule, check_linear_rates,
                   check_one_step, check_sublinear_bound, reference_solution, run_ppm)
 from .problem import ProblemSpec
@@ -242,13 +242,11 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
         sched = build_schedule(cfg)
         crits = build_criteria(cfg)
         trace = run_ippm(p, x0, sched, crits, max_iter=cfg.get("max_iter", 500),
-                         test_mode=cfg.get("test_mode", False), seed=seed,
-                         max_inner=cfg.get("max_inner", 100_000))
+                         test_mode=cfg.get("test_mode", False), seed=seed)
     else:
         sched = build_schedule(cfg)
-        inner = InnerTolerance(target_residual=cfg.get("inner_target", 1e-10),
-                               max_inner_iterations=cfg.get("max_inner", 100_000))
-        trace = run_ppm(p, x0, sched, max_iter=cfg.get("max_iter", 500), inner_tol=inner)
+        trace = run_ppm(p, x0, sched, max_iter=cfg.get("max_iter", 500),
+                        inner_tol=InnerTolerance(max_inner_iterations=MAX_INNER))
     emit_trace_csv(trace, out / "trace.csv")
     report, skipped = None, {}
     wanted = cfg.get("estimate", False) or cfg.get("audit", False)

@@ -27,6 +27,8 @@ _ALIASES = {"aprime": "A'", "bprime": "B'", "a'": "A'", "b'": "B'", "a": "A", "b
 
 # Residual target of the reference prox that test-mode steps perturb.
 REFERENCE_TARGET = 1e-12
+# Iteration budget of each inner solve under run-ppm and run-ippm.
+MAX_INNER = 100_000
 
 
 def _canonical_kind(kind: str) -> str:
@@ -87,7 +89,7 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
              crit: InexactCriterion | Sequence[InexactCriterion],
              max_iter: int = 500, test_mode: bool = False, seed: int = 0,
              stop_gap: float = 1e-10, stop_residual: float = 1e-10,
-             max_inner: int = 100_000) -> IterationTrace:
+             max_inner: int = MAX_INNER) -> IterationTrace:
     """Inexact proximal point run under one or several criteria.
 
     Primed criteria drive the inner solver's stopping rule directly.  The
