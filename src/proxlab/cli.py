@@ -34,7 +34,7 @@ from .zoo import (BENCHMARKS, MLProblemParams, generate_lasso_data, load_libsvm,
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _typed(json.load(fh), dict, path)
     except OSError as exc:  # missing, a directory, unreadable
         raise ConfigError(f"cannot read config {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
@@ -49,8 +49,15 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
     return default
 
 
+def _typed(value, kind: type, field: str):
+    """Return value if it has the JSON type kind (a bool is not an int)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}", field=field)
+    return value
+
+
 def build_problem(cfg: dict, seed: int) -> ProblemSpec:
-    prob = _get(cfg, "problem", required=True)
+    prob = _typed(_get(cfg, "problem", required=True), dict, "problem")
     if "benchmark" in prob:
         name = prob["benchmark"]
         if name not in BENCHMARKS:
@@ -92,7 +99,7 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
 
 
 def build_schedule(cfg: dict) -> StepSchedule:
-    sched = _get(cfg, "schedule", {"constant": 1.0})
+    sched = _typed(_get(cfg, "schedule", {"constant": 1.0}), dict, "schedule")
     if "constant" in sched:
         return StepSchedule.constant(sched["constant"])
     if "sequence" in sched:
@@ -111,7 +118,7 @@ def build_x0(cfg: dict, p: ProblemSpec) -> np.ndarray:
         if x0 == "ones":
             return np.ones(p.dimension)
         raise ConfigError(f"unknown x0 preset {x0!r}", field="x0")
-    arr = np.asarray(x0, dtype=float)
+    arr = np.asarray(_typed(x0, list, "x0"), dtype=float)
     if arr.shape != (p.dimension,):
         raise ConfigError(f"x0 has shape {arr.shape}, problem dimension is {p.dimension}",
                           field="x0")
@@ -227,25 +234,26 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     the theorem table and write summary.json; exit 2 on a failed check in test mode."""
     p = build_problem(cfg, seed)
     x0 = build_x0(cfg, p)
+    max_iter = _typed(cfg.get("max_iter", 50 if cmd == "run-gd" else 500), int, "max_iter")
     params = crits = None
     bounds = {}
     if cmd == "run-gd":
-        gd_cfg = _get(cfg, "gd", required=True)
+        gd_cfg = _typed(_get(cfg, "gd", required=True), dict, "gd")
         params = GDParams(lipschitz=gd_cfg.get("lipschitz", p.smoothness),
                           mu=gd_cfg.get("mu", p.metadata.get("gd_mu")),
                           beta=gd_cfg.get("beta", p.metadata.get("gd_beta")),
                           step=gd_cfg.get("step"))
-        trace = run_gd(p, x0, params, iters=cfg.get("max_iter", 50))
+        trace = run_gd(p, x0, params, iters=max_iter)
         bounds = {"dist_factor": params.omega_dist, "cost_factor": params.omega_cost,
                   "step": params.step_size, "step_rule_valid": params.step_rule_valid}
     elif cmd == "run-ippm":
         sched = build_schedule(cfg)
         crits = build_criteria(cfg)
-        trace = run_ippm(p, x0, sched, crits, max_iter=cfg.get("max_iter", 500),
+        trace = run_ippm(p, x0, sched, crits, max_iter=max_iter,
                          test_mode=cfg.get("test_mode", False), seed=seed)
     else:
         sched = build_schedule(cfg)
-        trace = run_ppm(p, x0, sched, max_iter=cfg.get("max_iter", 500),
+        trace = run_ppm(p, x0, sched, max_iter=max_iter,
                         inner_tol=InnerTolerance(max_inner_iterations=MAX_INNER))
     emit_trace_csv(trace, out / "trace.csv")
     report, skipped = None, {}
@@ -298,7 +306,7 @@ def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_gen_data(_cmd: str, cfg: dict, out: Path, seed: int) -> int:
-    gen = _get(cfg, "gen", required=True)
+    gen = _typed(_get(cfg, "gen", required=True), dict, "gen")
     kind = gen.get("kind")
     if kind == "lasso":
         a_mat, y, xhat = generate_lasso_data(gen["n"], gen["m"], gen["s"],

@@ -11,8 +11,7 @@ equivalence on convex (and growth-dominated weakly convex) problems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,7 @@ class EstimationPlan:
     With a bracket the plan samples a grid (dimension <= 2); without one it
     draws seeded Gaussians of scale ``radius`` around a solution point.
     Points with gap < tau_s or dist < sqrt(tau_s) are excluded from ratio
-    denominators (estimator bias of order sqrt(tau_s)).
+    denominators (estimator bias of order sqrt(tau_s)); tau_s > 0 keeps them nonzero.
     """
 
     nu: float = math.inf
@@ -50,6 +49,8 @@ class EstimationPlan:
     def __post_init__(self):
         if self.count < 100:
             raise ValueError("need at least 100 samples")
+        if not self.tau_s > 0:
+            raise ValueError(f"tau_s = {self.tau_s:g} is not positive")
 
 
 def plan_for(p: ProblemSpec, count: int = 10_001, nu: float | None = None) -> EstimationPlan:
@@ -79,7 +80,6 @@ class RegularityReport:
     eb_fails_globally: bool
     nu: float
     n_samples: int
-    plan: EstimationPlan | None = field(default=None, repr=False)
 
     mu_s = _estimate("mu_s")
     mu_r = _estimate("mu_r")
@@ -104,76 +104,74 @@ class RegularityReport:
         }
 
 
-def _sample_points(p: ProblemSpec, plan: EstimationPlan) -> list[np.ndarray]:
+def _sample_points(p: ProblemSpec, plan: EstimationPlan) -> np.ndarray:
+    """The sample as one (N, d) array: a grid with a bracket, else seeded Gaussians."""
     if plan.bracket is not None:
         lo, hi = plan.bracket
         if p.dimension == 1:
-            return [np.array([t]) for t in np.linspace(lo, hi, plan.count)]
+            return np.linspace(lo, hi, plan.count)[:, None]
         if p.dimension == 2:
-            side = max(int(math.isqrt(plan.count)), 10)
-            axis = np.linspace(lo, hi, side)
-            return [np.array([a, b]) for a in axis for b in axis]
+            axis = np.linspace(lo, hi, max(int(math.isqrt(plan.count)), 10))
+            return np.stack([a.ravel() for a in np.meshgrid(axis, axis, indexing="ij")], axis=1)
         raise ValueError("grid sampling supports dimension <= 2")
     rng = np.random.default_rng(plan.seed)
-    center = as_point(p.project_solution(np.zeros(p.dimension)))
-    return [center + plan.radius * rng.standard_normal(p.dimension)
-            for _ in range(plan.count)]
+    points = rng.standard_normal((plan.count, p.dimension))
+    points *= plan.radius
+    points += as_point(p.project_solution(np.zeros(p.dimension)))
+    return points
 
 
-class _Sample(NamedTuple):
-    """A sample that enters the ratios, with the scalars they are built from."""
-
-    x: np.ndarray
-    fx: float
-    g: np.ndarray  # min-norm subgradient element
-    gnorm: float
-    gap: float
-    dist: float
-    secant: float  # <g, x - proj_S(x)>
-
-
-def _first_extremum(pick, pairs):
-    """The first (ratio, x) pair of extremal ratio (``pick`` is min or max); (0, None) if none."""
-    return pick(pairs, key=lambda pair: pair[0], default=(0.0, None))
+def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
 
 def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport:
-    """Extremal empirical ratios over the sampled sublevel region."""
+    """Extremal empirical ratios over the sampled sublevel region.
+
+    The witness of a constant is its first extremal sample in sample order.
+    """
     if p.f_star is None or p.project_solution is None:
         raise NeedsReference("estimation needs f_star and a solution oracle")
-    fs = p.f_star
-    points = _sample_points(p, plan)
+    xs = _sample_points(p, plan)
     if p.dimension == 1 and plan.bracket is not None:
         # Sharpen the sample with bisection-refined stationary points so a
         # dominance failure shows up as an exact zero ratio, not a near-zero.
-        points += find_suboptimal_stationary_points(p, plan.bracket)
+        xs = np.vstack([xs, *find_suboptimal_stationary_points(p, plan.bracket)])
 
-    # Filter before the costly oracles: one projection per sample, and the
-    # subgradient oracle only for samples that enter the ratios.  A sample
-    # reaching it has a finite value, so it skips the wrapper's domain check.
+    # One index of the rows that enter the ratios, narrowed before each costly
+    # oracle: a projection only for rows in the nu-sublevel set, the
+    # subgradient oracle only for rows that pass the tau_s filter as well.  A
+    # row reaching it has a finite value, so it skips the wrapper's domain check.
+    fx = np.array([float(p.value(x)) for x in xs])
+    gap = fx - p.f_star
+    rows = np.flatnonzero(~(gap > plan.nu) & (fx != math.inf))
+    offset = np.zeros_like(xs)
+    for i in rows:
+        offset[i] = xs[i] - as_point(p.project_solution(xs[i]))
+    dist = np.sqrt(_rowwise_dot(offset, offset))
+    rows = rows[~(gap[rows] < plan.tau_s) & ~(dist[rows] < math.sqrt(plan.tau_s))]
     oracle = p.min_norm_subgradient or p.subgradient
-    included: list[_Sample] = []
-    for x in points:
-        fx = float(p.value(x))
-        if fx - fs > plan.nu or fx == math.inf:
-            continue
-        gap = fx - fs
-        offset = x - as_point(p.project_solution(x))
-        dist = float(np.linalg.norm(offset))
-        if gap < plan.tau_s or dist < math.sqrt(plan.tau_s):
-            continue
-        g = np.asarray(oracle(x), dtype=float)
-        included.append(_Sample(x, fx, g, float(np.linalg.norm(g)), gap, dist,
-                                float(np.dot(g, offset))))
+    g = np.zeros_like(xs)
+    for i in rows:
+        g[i] = oracle(xs[i])
+    secant = _rowwise_dot(g, offset)[rows]  # <g, x - proj_S(x)>
+    gnorm = np.sqrt(_rowwise_dot(g, g))[rows]
+    gap, dist = gap[rows], dist[rows]
     exact = p.min_norm_subgradient is not None and p.min_norm_exact
 
-    pl_fail = eb_fail = any(s.gnorm < STATIONARY_NORM and s.gap > SUBOPTIMAL_GAP
-                            for s in included)
-    mu_q = _first_extremum(min, ((s.gap / s.dist ** 2, s.x) for s in included))
-    mu_r = _first_extremum(min, ((s.secant / s.dist ** 2, s.x) for s in included))
-    mu_p = _first_extremum(min, ((s.gnorm ** 2 / s.gap, s.x) for s in included))
-    mu_e = _first_extremum(max, ((s.dist / s.gnorm if s.gnorm > 0 else math.inf, s.x)
-                                 for s in included))
+    def first(argpick, ratios, at):
+        """(ratio, sample) at the first extremal ratio; (0.0, None) if there is none."""
+        if ratios.size == 0:
+            return 0.0, None
+        k = argpick(ratios)
+        return float(ratios[k]), tuple(float(v) for v in xs[at[k]])
+
+    pl_fail = eb_fail = bool(np.any((gnorm < STATIONARY_NORM) & (gap > SUBOPTIMAL_GAP)))
+    mu_q = first(np.argmin, gap / dist ** 2, rows)
+    mu_r = first(np.argmin, secant / dist ** 2, rows)
+    mu_p = first(np.argmin, gnorm ** 2 / gap, rows)
+    mu_e = first(np.argmax, np.divide(dist, gnorm, out=np.full(rows.size, math.inf),
+                                      where=gnorm > 0), rows)
     if mu_e[0] > EB_CAP:
         mu_e = (math.inf, mu_e[1])
         eb_fail = True
@@ -184,38 +182,29 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     if mu_r[0] < 0.0:
         mu_r = (0.0, mu_r[1])  # a negative ratio refutes every positive constant
 
-    # Secant growth over ordered pairs from a thinned subset.
-    thin = max(1, len(included) // PAIR_THIN)
-    subset = included[::thin][:PAIR_THIN]
-
-    def secant_ratios():
-        for si in subset:
-            for sj in subset:
-                step = sj.x - si.x
-                sq = float(np.dot(step, step))
-                if sq >= plan.tau_s:
-                    yield (sj.fx - si.fx - float(np.dot(si.g, step))) / sq, si.x
-
-    mu_s = _first_extremum(min, secant_ratios())
+    # Secant growth over ordered pairs (i, j) from a thinned subset, one
+    # numpy row per i: a (P, P, d) difference would take 16 MB at d = 50.
+    subset = rows[::max(1, rows.size // PAIR_THIN)][:PAIR_THIN]
+    pts, vals = xs[subset], fx[subset]
+    row_min, starts = [], []
+    for i in subset:
+        step = pts - xs[i]
+        sq = _rowwise_dot(step, step)
+        far = sq >= plan.tau_s
+        if far.any():
+            row_min.append(np.min((vals[far] - fx[i] - step[far] @ g[i]) / sq[far]))
+            starts.append(i)
+    mu_s = first(np.argmin, np.array(row_min), starts)
     mu_s = (max(mu_s[0], 0.0), mu_s[1])
 
-    def est(pair, direction_exact, direction_approx):
-        value, witness = pair
-        return ConstantEstimate(
-            value=value,
-            witness=tuple(float(v) for v in witness) if witness is not None else None,
-            bound_direction=direction_exact if exact else direction_approx)
+    def est(pair, direction_approx):
+        return ConstantEstimate(*pair, bound_direction="exact" if exact else direction_approx)
 
-    estimates = {
-        "mu_s": est(mu_s, "exact", "approximate"),
-        "mu_r": est(mu_r, "exact", "approximate"),
-        "mu_e": est(mu_e, "exact", "overestimate"),
-        "mu_p": est(mu_p, "exact", "underestimate"),
-        "mu_q": est(mu_q, "exact", "exact"),
-    }
+    estimates = {"mu_s": est(mu_s, "approximate"), "mu_r": est(mu_r, "approximate"),
+                 "mu_e": est(mu_e, "overestimate"), "mu_p": est(mu_p, "underestimate"),
+                 "mu_q": est(mu_q, "exact")}
     return RegularityReport(estimates=estimates, pl_fails_globally=pl_fail,
-                            eb_fails_globally=eb_fail, nu=plan.nu,
-                            n_samples=len(included), plan=plan)
+                            eb_fails_globally=eb_fail, nu=plan.nu, n_samples=int(rows.size))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@
 
 These deliberately avoid the package's solvers: golden-section search,
 dense / refined grid minimization, sign bisection, central differences,
-plain accelerated proximal gradient and the pairwise running diameter.
+plain accelerated proximal gradient, the pairwise running diameter and the
+per-sample loop estimator of the regularity constants.
 Expected values asserted in the tests were computed with these and frozen.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -89,6 +92,82 @@ def running_diameter(points) -> list[float]:
             d = max(d, float(np.linalg.norm(x - points[j])))
         out.append(d)
     return out
+
+
+def loop_estimate(p, plan):
+    """The regularity estimator as a loop over per-sample records, for reference.
+
+    Same sample, filters and extremal ratios as ``estimate_constants``.
+    Returns ``(report, ratios)``: ``ratios[name]`` maps each candidate sample,
+    as a tuple, to its raw ratio (for mu_s, the least ratio of the pairs the
+    sample starts), in sample order.
+    """
+    from proxlab.regularity import (EB_CAP, PAIR_THIN, STATIONARY_NORM, SUBOPTIMAL_GAP,
+                                    ConstantEstimate, RegularityReport,
+                                    find_suboptimal_stationary_points)
+
+    if plan.bracket is None:
+        rng = np.random.default_rng(plan.seed)
+        center = np.atleast_1d(p.project_solution(np.zeros(p.dimension)))
+        points = [center + plan.radius * rng.standard_normal(p.dimension)
+                  for _ in range(plan.count)]
+    elif p.dimension == 1:
+        points = [np.array([t]) for t in np.linspace(*plan.bracket, plan.count)]
+        points += find_suboptimal_stationary_points(p, plan.bracket)
+    else:
+        axis = np.linspace(*plan.bracket, max(math.isqrt(plan.count), 10))
+        points = [np.array([a, b]) for a in axis for b in axis]
+    oracle = p.min_norm_subgradient or p.subgradient
+    kept = []  # (x, fx, g, gnorm, gap, dist, secant)
+    for x in points:
+        fx = float(p.value(x))
+        if fx - p.f_star > plan.nu or fx == math.inf:
+            continue
+        offset = x - np.atleast_1d(p.project_solution(x))
+        dist = float(np.linalg.norm(offset))
+        if fx - p.f_star < plan.tau_s or dist < math.sqrt(plan.tau_s):
+            continue
+        g = np.asarray(oracle(x), dtype=float)
+        kept.append((x, fx, g, float(np.linalg.norm(g)), fx - p.f_star, dist,
+                     float(np.dot(g, offset))))
+
+    def key(x):
+        return tuple(float(v) for v in x)
+
+    ratios = {name: {} for name in ("mu_s", "mu_r", "mu_e", "mu_p", "mu_q")}
+    for x, _, _, gnorm, gap, dist, secant in kept:
+        ratios["mu_q"][key(x)] = gap / dist ** 2
+        ratios["mu_r"][key(x)] = secant / dist ** 2
+        ratios["mu_p"][key(x)] = gnorm ** 2 / gap
+        ratios["mu_e"][key(x)] = dist / gnorm if gnorm > 0 else math.inf
+    subset = kept[::max(1, len(kept) // PAIR_THIN)][:PAIR_THIN]
+    for xi, fi, gi, *_ in subset:
+        row = []
+        for xj, fj, *_ in subset:
+            step = xj - xi
+            sq = float(np.dot(step, step))
+            if sq >= plan.tau_s:
+                row.append((fj - fi - float(np.dot(gi, step))) / sq)
+        if row:
+            ratios["mu_s"][key(xi)] = min(row)
+
+    def first(pick, name):
+        return pick(ratios[name].items(), key=lambda item: item[1], default=(None, 0.0))
+
+    pl_fail = eb_fail = any(gnorm < STATIONARY_NORM and gap > SUBOPTIMAL_GAP
+                            for _, _, _, gnorm, gap, _, _ in kept)
+    picked = {name: first(max if name == "mu_e" else min, name) for name in ratios}
+    values = {name: value for name, (_, value) in picked.items()}
+    if values["mu_e"] > EB_CAP:
+        values["mu_e"], eb_fail = math.inf, True
+    if pl_fail:
+        values["mu_p"] = 0.0
+    values["mu_r"] = max(values["mu_r"], 0.0)
+    values["mu_s"] = max(values["mu_s"], 0.0)
+    report = RegularityReport(
+        {name: ConstantEstimate(values[name], picked[name][0], "") for name in ratios},
+        pl_fail, eb_fail, plan.nu, len(kept))
+    return report, ratios
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -290,6 +290,14 @@ def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
                  "schedule": {"constant": float("nan")}, "test_mode": True}),
     ("run-ppm", {"problem": {"benchmark": "quad1d"}, "max_iter": 1100,
                  "schedule": {"geometric": {"c0": 1, "growth": 2}}}),
+    # Values of the wrong JSON type.
+    ("run-ppm", []),
+    ("run-ppm", {"problem": 3, "schedule": {"constant": 1.0}}),
+    ("run-ppm", {"problem": {"benchmark": "quad1d"}, "schedule": {"constant": 1.0},
+                 "max_iter": "10"}),
+    ("run-ppm", {"problem": {"benchmark": "quad1d"}, "schedule": {"constant": 1.0},
+                 "x0": {"a": 1}}),
+    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"tau_s": 0}}),
 ])
 def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
     cfg = write_config(tmp_path, "bad.json", body)
@@ -297,6 +305,16 @@ def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (tmp_path / "o" / "trace.csv").exists()  # rejected before any step
+
+
+@pytest.mark.parametrize("field,value", [
+    ("problem", 3), ("schedule", 3), ("max_iter", "10"), ("max_iter", True), ("x0", {"a": 1}),
+])
+def test_wrong_json_type_names_the_field(tmp_path, capsys, field, value):
+    body = {"problem": {"benchmark": "quad1d"}, "schedule": {"constant": 1.0}, field: value}
+    cfg = write_config(tmp_path, "bad.json", body)
+    assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: expected ")
 
 
 @pytest.mark.parametrize("config,out", [

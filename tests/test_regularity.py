@@ -1,13 +1,19 @@
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxlab import (EstimationPlan, NeedsReference, audit_implications,
                      estimate_constants, find_suboptimal_stationary_points,
-                     make_benchmark, plan_for, verify_weak_convexity)
+                     make_benchmark, plan_for, regularity, verify_weak_convexity)
 
-from oracles import bisect_root
+from oracles import bisect_root, loop_estimate
+
+BENCHMARKS = ("quad1d", "quad_quartic", "sine_quad", "wc_piecewise", "aniso_quad")
 
 
 def rel_close(value, target, tol=0.05):
@@ -151,6 +157,9 @@ def test_report_json_shape(quad1d):
 def test_plan_validation():
     with pytest.raises(ValueError):
         EstimationPlan(count=10)
+    for tau_s in (0.0, -1e-9, math.nan):  # a zero denominator, or no filter at all
+        with pytest.raises(ValueError):
+            EstimationPlan(tau_s=tau_s)
 
 
 @pytest.mark.parametrize("name,count,seed", [
@@ -160,17 +169,73 @@ def test_estimate_is_invariant_under_sample_order(monkeypatch, name, count, seed
     # Below PAIR_THIN = 200 samples the secant pairs are not thinned, so
     # every constant is an extremum over the same set in any order; only the
     # witness (the first extremal sample) may move.
-    import numpy as np
-    from proxlab import regularity
-
     p = make_benchmark(name)
     plan = EstimationPlan(nu=p.metadata["nu"], bracket=p.metadata["bracket"], count=count)
     grid = regularity._sample_points(p, plan)
     order = np.random.default_rng(seed).permutation(len(grid))
     forward = estimate_constants(p, plan)
-    monkeypatch.setattr(regularity, "_sample_points", lambda p, plan: [grid[i] for i in order])
+    monkeypatch.setattr(regularity, "_sample_points", lambda p, plan: grid[order])
     shuffled = estimate_constants(p, plan)
     assert ({k: e.value for k, e in forward.estimates.items()}
             == {k: e.value for k, e in shuffled.estimates.items()})
     assert (forward.pl_fails_globally, forward.eb_fails_globally, forward.n_samples) \
         == (shuffled.pl_fails_globally, shuffled.eb_fails_globally, shuffled.n_samples)
+
+
+@pytest.mark.parametrize("lead", [0.5, -0.5])
+def test_witness_is_the_first_extremal_sample(monkeypatch, quad1d, lead):
+    # f = x^2 is even, so x and -x give bitwise equal ratios: every constant
+    # ties between them, and its witness is the sample that comes first.
+    sample = np.array([[lead], [-lead]] * 50)
+    monkeypatch.setattr(regularity, "_sample_points", lambda p, plan: sample)
+    report = estimate_constants(quad1d, plan_for(quad1d))
+    assert report.n_samples == 100
+    assert {e.witness for e in report.estimates.values()} == {(lead,)}
+
+
+def _close(value, target, rel=1e-12):
+    """Equal within ``rel`` relative; zero and infinity only exactly."""
+    return value == target or (math.isfinite(target) and abs(value - target) <= rel * abs(target))
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(BENCHMARKS), count=st.integers(100, 2000),
+       tau_s=st.sampled_from((1e-9, 1e-2)))
+def test_estimate_matches_loop_reference(name, count, tau_s):
+    p = make_benchmark(name)
+    plan = replace(plan_for(p, count=count), tau_s=tau_s)
+    report = estimate_constants(p, plan)
+    ref, ratios = loop_estimate(p, plan)
+    assert (report.pl_fails_globally, report.eb_fails_globally, report.n_samples) \
+        == (ref.pl_fails_globally, ref.eb_fails_globally, ref.n_samples)
+    for key, est in report.estimates.items():
+        want = ref.estimates[key]
+        assert _close(est.value, want.value), key
+        if est.witness != want.witness:
+            # A tie: the reference ratio at the new witness is the extremum too.
+            assert _close(ratios[key][est.witness], ratios[key][want.witness]), key
+
+
+@pytest.mark.parametrize("fixture,nu,counts", [
+    ("quad1d", None, {"value": 14_100, "project": 10_001, "min_norm": 14_098}),
+    ("quad1d", 0.25, {"value": 14_100, "project": 5_001, "min_norm": 9_098}),
+    ("en_f20", None, {"value": 10_001, "project": 10_002, "min_norm": 10_001}),
+])
+def test_estimate_oracle_work_count(request, fixture, nu, counts):
+    # One value per sample (quad1d: plus the stationary scan's domain checks);
+    # a projection only inside the nu-sublevel set (and one for the Gaussian
+    # centre); a subgradient only for samples that enter the ratios.
+    p = request.getfixturevalue(fixture)
+    calls = Counter()
+
+    def counted(name, oracle):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return oracle(*args, **kwargs)
+        return call
+
+    p = replace(p, value=counted("value", p.value),
+                project_solution=counted("project", p.project_solution),
+                min_norm_subgradient=counted("min_norm", p.min_norm_subgradient))
+    estimate_constants(p, plan_for(p, nu=nu))
+    assert dict(calls) == counts
