@@ -4,8 +4,8 @@ from .errors import (BadShape, ConfigError, CriterionUnverifiable, DomainError,
                      InnerBudgetExhausted, NeedsReference, NotAvailable, NotSmooth,
                      ParseError, ProxlabError, StepTooLarge)
 from .gd import GDParams, run_gd, verify_gd_rates
-from .ippm import (InexactCriterion, InexactRateBound, check_inexact_one_step,
-                   check_ippm_linear, check_ippm_sublinear, run_ippm)
+from .ippm import (InexactCriterion, check_inexact_one_step, check_ippm_linear,
+                   check_ippm_sublinear, run_ippm)
 from .ppm import (BoundCheck, IterationTrace, RateBounds, StepSchedule,
                   check_linear_rates, check_one_step, check_sublinear_bound,
                   reference_solution, run_ppm)

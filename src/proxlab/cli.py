@@ -134,13 +134,13 @@ def build_criteria(cfg: dict):
                                   gamma=e.get("gamma", 0.7)) for e in entries)
 
 
-def _ratio_summary(xs: list[float | None]) -> dict:
-    vals = [v for v in xs if v is not None and v > 1e-14]
-    ratios = [b / a for a, b in zip(vals, vals[1:])]
-    if not ratios:
+def _ratio_summary(xs: np.ndarray) -> dict:
+    vals = xs[xs > 1e-14]
+    ratios = vals[1:] / vals[:-1]
+    if not ratios.size:
         return {"count": 0}
-    return {"count": len(ratios), "max": max(ratios), "min": min(ratios),
-            "last": ratios[-1]}
+    return {"count": len(ratios), "max": float(ratios.max()), "min": float(ratios.min()),
+            "last": float(ratios[-1])}
 
 
 def _check_to_json(check) -> dict:
@@ -272,16 +272,16 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     if cmd == "run-ppm" and "linear_cost" not in skipped:
         rb = RateBounds(report.mu_p, report.mu_q, report.mu_e, rho=p.weak_convexity)
         bounds = {"cost_factor": rb.omega(sched.at(0)), "dist_factor": rb.theta(sched.at(0))}
-    gaps = trace.gaps()
+    final_gap = float(trace.gaps[-1])
     failed = [c.name for c in checks if not c.all_ok]
     _write_json(out / "summary.json", {
         "problem": p.name,
         "iterations": len(trace) - 1,
         "stop_reason": trace.stop_reason,
-        "final_value": trace.values[-1],
-        "final_gap": gaps[-1],
-        "cost_ratio": _ratio_summary(gaps),
-        "dist_ratio": _ratio_summary(trace.dists()),
+        "final_value": float(trace.values[-1]),
+        "final_gap": None if math.isnan(final_gap) else final_gap,
+        "cost_ratio": _ratio_summary(trace.gaps),
+        "dist_ratio": _ratio_summary(trace.dists),
         "bounds": bounds,
         "checks": [_check_to_json(c) for c in checks],
         "bounds_ok": not failed,
@@ -306,23 +306,17 @@ def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_gen_data(_cmd: str, cfg: dict, out: Path, seed: int) -> int:
+    """gen-data: write blob classification data as data.libsvm."""
     gen = _typed(_get(cfg, "gen", required=True), dict, "gen")
-    kind = gen.get("kind")
-    if kind == "lasso":
-        a_mat, y, xhat = generate_lasso_data(gen["n"], gen["m"], gen["s"],
-                                             gen.get("seed", seed))
-        np.savez(out / "data.npz", A=a_mat, y=y, xhat=xhat)
-        _write_json(out / "summary.json", {"kind": "lasso", "A_shape": list(a_mat.shape),
-                                           "zeros_in_xhat": int(np.sum(xhat == 0.0))})
-        return 0
-    if kind == "blobs":
-        dataset = make_blob_dataset(gen["n"], gen["d"], gen.get("seed", seed),
-                                    gen.get("separation", 2.0))
-        save_libsvm(dataset, out / "data.libsvm")
-        _write_json(out / "summary.json", {"kind": "blobs", "n": dataset.n_samples,
-                                           "d": dataset.n_features})
-        return 0
-    raise ConfigError(f"unknown gen kind {kind!r}", field="gen.kind")
+    if gen.get("kind") != "blobs":
+        raise ConfigError(f"unknown gen kind {gen.get('kind')!r}; gen-data makes only blobs",
+                          field="gen.kind")
+    dataset = make_blob_dataset(gen["n"], gen["d"], gen.get("seed", seed),
+                                gen.get("separation", 2.0))
+    save_libsvm(dataset, out / "data.libsvm")
+    _write_json(out / "summary.json", {"kind": "blobs", "n": dataset.n_samples,
+                                       "d": dataset.n_features})
+    return 0
 
 
 _COMMANDS = {"run-ppm": cmd_run, "run-ippm": cmd_run, "run-gd": cmd_run,

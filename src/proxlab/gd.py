@@ -73,7 +73,7 @@ def run_gd(p: ProblemSpec, x0, params: GDParams, iters: int = 50) -> IterationTr
         raise NotSmooth(f"problem {p.name!r} has no smoothness constant")
 
     def step(k, x, t):
-        return x - t * np.asarray(p.subgradient(x), dtype=float), None
+        return x - t * np.asarray(p.subgradient(x), dtype=float), None, None, None, None
 
     return _iterate(p, x0, StepSchedule.constant(params.step_size), iters, step)
 
@@ -85,6 +85,5 @@ def verify_gd_rates(trace: IterationTrace,
     Steps whose denominator is below 1e-14 are skipped (converged).  The
     factors are theorems only for a step in (0, 2/L) (``step_rule_valid``).
     """
-    dist = _contraction("gd_dist", trace.dists(), lambda k: params.omega_dist, GD_ATOL)
-    cost = _contraction("gd_cost", trace.gaps(), lambda k: params.omega_cost, GD_ATOL)
-    return dist, cost
+    return (_contraction("gd_dist", trace.dists, params.omega_dist, GD_ATOL),
+            _contraction("gd_cost", trace.gaps, params.omega_cost, GD_ATOL))

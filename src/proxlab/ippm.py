@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CriterionUnverifiable
 from .ppm import (CHECK_ATOL, BoundCheck, IterationTrace, StepSchedule, _constants,
-                  _contraction, _envelope, _iterate)
+                  _contraction, _envelope, _first, _iterate)
 from .problem import ProblemSpec, distance_to_solution
 from .prox import InnerTolerance, prox, residual_certificate
 
@@ -71,18 +71,6 @@ class InexactCriterion:
 
     def delta(self, k: int) -> float:
         return self.delta0 * self.gamma ** k
-
-
-@dataclass(frozen=True)
-class InexactRateBound:
-    """Distance contraction factor under relative inexactness."""
-
-    theta: float
-    delta: float
-
-    @property
-    def theta_hat(self) -> float:
-        return (self.theta + 2.0 * self.delta) / (1.0 - self.delta)
 
 
 def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
@@ -181,7 +169,7 @@ def check_ippm_sublinear(trace: IterationTrace, dist0: float | None = None) -> B
     min_{j<=k} f(x_j) - f_star <= (dist^2(x_0,S) + 2 D sum eps_j) / (2 sum c_j),
     evaluated with the running diameter D_k.
     """
-    if any(e is None for e in trace.eps[:-1]):
+    if np.isnan(trace.eps[:-1]).any():
         raise ValueError("trace has no absolute (A-type) budgets logged")
     return _envelope("ippm_best_iterate", trace, dist0, trace.eps, best=True)
 
@@ -197,18 +185,17 @@ def check_ippm_linear(trace: IterationTrace, report, nu: float) -> BoundCheck:
     beta = mu_q - 0.5 * trace.problem.weak_convexity
     if beta <= 0:
         raise ValueError("need mu_q > rho/2 for the distance contraction")
-    if any(d is None for d in trace.deltas[:-1]):
+    deltas = trace.deltas[:-1]
+    if np.isnan(deltas).any():
         raise ValueError("trace has no relative (B-type) budgets logged")
     k_entry = trace.entry_index(nu)
-    k_delta = next((k for k in range(len(trace) - 1) if trace.deltas[k] < 1.0), None)
+    k_delta = _first(deltas < 1.0)
     if k_entry is None or k_delta is None:
         return BoundCheck("ippm_linear_dist")
-
-    def theta_hat(k):
-        theta = 1.0 / math.sqrt(2.0 * trace.steps[k] * beta + 1.0)
-        return InexactRateBound(theta, trace.deltas[k]).theta_hat
-
-    return _contraction("ippm_linear_dist", trace.dists(), theta_hat, CHECK_ATOL,
+    theta = 1.0 / np.sqrt(2.0 * trace.steps[:-1] * beta + 1.0)
+    with np.errstate(divide="ignore"):  # delta_k = 1, before k_delta
+        theta_hat = (theta + 2.0 * deltas) / (1.0 - deltas)
+    return _contraction("ippm_linear_dist", trace.dists, theta_hat, CHECK_ATOL,
                         start=max(k_entry, k_delta))
 
 
@@ -220,15 +207,9 @@ def check_inexact_one_step(trace: IterationTrace) -> BoundCheck:
     """
     if trace.problem.project_solution is None:
         raise ValueError("need a solution oracle")
-    dists = trace.dists()
-    check = BoundCheck("inexact_one_step")
-    for k in range(len(trace) - 1):
-        ref = trace.ref_prox_points[k]
-        delta_k = trace.deltas[k]
-        if ref is None or delta_k is None or delta_k >= 1.0:
-            continue
-        check.add(k, (1.0 - delta_k) * dists[k + 1],
-                  2.0 * delta_k * dists[k] + distance_to_solution(trace.problem, ref)
-                  + CHECK_ATOL)
-    return check
+    refs, deltas, dists = trace.ref_prox_points[:-1], trace.deltas[:-1], trace.dists
+    k = np.flatnonzero(~np.isnan(refs).any(axis=1) & (deltas < 1.0))
+    ref_dists = np.array([distance_to_solution(trace.problem, x) for x in refs[k]])
+    return BoundCheck("inexact_one_step", k, (1.0 - deltas[k]) * dists[k + 1],
+                      2.0 * deltas[k] * dists[k] + ref_dists + CHECK_ATOL)
 

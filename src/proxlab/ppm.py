@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InnerBudgetExhausted, ResolutionFloor, StepTooLarge
+from .errors import InnerBudgetExhausted, NotAvailable, ResolutionFloor, StepTooLarge
 from .problem import ProblemSpec, as_point, distance_to_solution
 from .prox import InnerTolerance, prox
 
@@ -65,53 +65,49 @@ class StepSchedule:
                     f"1/c_{k} = {1.0 / c:g} must exceed rho = {p.weak_convexity:g}")
 
 
-@dataclass
-class IterationTrace:
-    """Per-iteration log of one solver run.
+# The columns of a trace, in constructor order after ``problem``.
+_COLUMNS = ("points", "values", "steps", "residuals", "eps", "deltas", "ref_prox_points")
 
-    Row k holds the state at iterate x_k; the transition fields (step, the
-    certificate residual and the inexactness budgets) describe the move from
-    x_k to x_{k+1} and are None on the final row.
+
+@dataclass(frozen=True, eq=False)
+class IterationTrace:
+    """Per-iteration log of one solver run, one read-only float array per column.
+
+    Row k holds the state at iterate x_k: ``points`` (K+1, d) and ``values``.
+    The transition columns (``steps``, ``residuals``, ``eps``, ``deltas`` and
+    the (K+1, d) ``ref_prox_points``) describe the move from x_k to x_{k+1}.
+    NaN marks "does not apply": the final row's move, which carries only its
+    step, and columns the run does not log.  ``gaps`` and ``dists`` are
+    derived once, NaN without f_star or a solution oracle.  Edit a copy with
+    ``dataclasses.replace``, which derives them again.
     """
 
     problem: ProblemSpec
-    points: list[np.ndarray] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-    steps: list[float] = field(default_factory=list)
-    residuals: list[float | None] = field(default_factory=list)
-    eps: list[float | None] = field(default_factory=list)
-    deltas: list[float | None] = field(default_factory=list)
-    ref_prox_points: list[np.ndarray | None] = field(default_factory=list)
+    points: np.ndarray
+    values: np.ndarray
+    steps: np.ndarray
+    residuals: np.ndarray
+    eps: np.ndarray
+    deltas: np.ndarray
+    ref_prox_points: np.ndarray
     stop_reason: str = ""
+    gaps: np.ndarray = field(init=False)
+    dists: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        p = self.problem
+        cols = {name: np.array(getattr(self, name), dtype=float) for name in _COLUMNS}
+        cols["gaps"] = cols["values"] - (math.nan if p.f_star is None else p.f_star)
+        cols["dists"] = (np.full(len(cols["points"]), math.nan) if p.project_solution is None
+                         else np.array([distance_to_solution(p, x) for x in cols["points"]]))
+        for name, col in cols.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def record(self, c: float, x=None, residual=None, eps=None, delta=None,
-               ref=None) -> None:
-        """Fill the current row's move (step c and the transition fields), then open x's row.
-
-        Called with only ``c`` it writes the final row.
-        """
-        self.steps.append(c)
-        self.residuals.append(residual)
-        self.eps.append(eps)
-        self.deltas.append(delta)
-        self.ref_prox_points.append(ref)
-        if x is not None:
-            self.points.append(x)
-            self.values.append(float(self.problem.value(x)))
-
-    def gaps(self) -> list[float | None]:
-        fs = self.problem.f_star
-        return [None if fs is None else v - fs for v in self.values]
-
-    def dists(self) -> list[float | None]:
-        if self.problem.project_solution is None:
-            return [None] * len(self)
-        return [distance_to_solution(self.problem, x) for x in self.points]
-
-    def running_diameter(self) -> list[float]:
+    def running_diameter(self) -> np.ndarray:
         """D_k = max pairwise distance among x_0 .. x_k (monotone in k).
 
         D_k = max(D_{k-1}, max_{j<k} ||x_k - x_j||), one row of squared
@@ -119,82 +115,87 @@ class IterationTrace:
         square root is taken after the running maximum; it is monotone, so
         this commutes.
         """
-        pts = np.array(self.points, dtype=float)
+        pts = self.points
         far = np.zeros(len(pts))  # far[k] = max_{j<k} ||x_k - x_j||^2
         for k in range(1, len(pts)):
             diff = pts[:k] - pts[k]
             diff *= diff
             far[k] = diff.sum(axis=1).max()
-        return np.sqrt(np.maximum.accumulate(far)).tolist()
+        return np.sqrt(np.maximum.accumulate(far))
 
     def entry_index(self, nu: float) -> int | None:
         """First k with f(x_k) <= f_star + nu (empirical sublevel entry)."""
         fs = self.problem.f_star
-        if fs is None:
-            return None
-        for k, v in enumerate(self.values):
-            if v <= fs + nu:
-                return k
-        return None
+        return None if fs is None else _first(self.values <= fs + nu)
 
 
-@dataclass
+def _first(mask: np.ndarray) -> int | None:
+    """The first index where ``mask`` holds, if any."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _or_zero(column: np.ndarray) -> np.ndarray:
+    """A transition column with "does not apply" (NaN) read as 0."""
+    return np.where(np.isnan(column), 0.0, column)
+
+
+@dataclass(frozen=True, eq=False)
 class BoundCheck:
-    """Outcome of replaying one inequality along a trace."""
+    """Outcome of replaying lhs <= rhs at each trace index in ``indices``."""
 
     name: str
-    indices: list[int] = field(default_factory=list)
-    ok: list[bool] = field(default_factory=list)
-    lhs: list[float] = field(default_factory=list)
-    rhs: list[float] = field(default_factory=list)
+    indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    lhs: np.ndarray = field(default_factory=lambda: np.empty(0))
+    rhs: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    def add(self, k: int, lhs: float, rhs: float) -> None:
-        """Record lhs <= rhs at trace index k."""
-        self.indices.append(k)
-        self.lhs.append(lhs)
-        self.rhs.append(rhs)
-        self.ok.append(lhs <= rhs)
+    @property
+    def ok(self) -> np.ndarray:
+        return self.lhs <= self.rhs
 
     @property
     def all_ok(self) -> bool:
-        return all(self.ok)
+        return bool(self.ok.all())
 
     @property
     def first_violation(self) -> int | None:
-        for i, good in zip(self.indices, self.ok):
-            if not good:
-                return i
-        return None
+        i = _first(~self.ok)
+        return None if i is None else int(self.indices[i])
 
     @property
     def max_ratio(self) -> float | None:
         """How tight the check was: the largest lhs/rhs over entries with rhs > 0."""
-        return max((lhs / rhs for lhs, rhs in zip(self.lhs, self.rhs) if rhs > 0), default=None)
+        ratios = self._ratios()[1]
+        return float(ratios.max()) if ratios.size else None
 
     @property
     def worst_index(self) -> int | None:
         """The first trace index attaining ``max_ratio``."""
-        worst = self.max_ratio
-        return next((k for k, lhs, rhs in zip(self.indices, self.lhs, self.rhs)
-                     if rhs > 0 and lhs / rhs == worst), None)
+        indices, ratios = self._ratios()
+        return int(indices[np.argmax(ratios)]) if ratios.size else None
+
+    def _ratios(self) -> tuple[np.ndarray, np.ndarray]:
+        positive = self.rhs > 0
+        return self.indices[positive], self.lhs[positive] / self.rhs[positive]
 
 
-def _contraction(name: str, s: Sequence[float | None], factor, atol: float,
-                 slack=lambda k: 0.0, start: int = 0) -> BoundCheck:
-    """s[k+1] <= factor(k) s[k] + atol + slack(k) for k >= start, skipping k where
-    s[k] is missing or below 1e-14 (converged) or the factor is infinite (no bound).
+def _contraction(name: str, s: np.ndarray, factor, atol: float, slack=0.0,
+                 start: int = 0) -> BoundCheck:
+    """s[k+1] <= factor_k s[k] + atol + slack_k for k >= start, skipping k where
+    s[k] is NaN or below 1e-14 (converged) or the factor is infinite (no bound).
+
+    ``factor`` and ``slack`` are scalars or arrays over the moves k = 0 .. K-1.
     """
-    check = BoundCheck(name)
-    for k in range(start, len(s) - 1):
-        if s[k] is not None and s[k] > 1e-14:
-            f = factor(k)
-            if f < math.inf:
-                check.add(k, s[k + 1], f * s[k] + atol + slack(k))
-    return check
+    head = s[:-1]
+    factor = np.broadcast_to(factor, head.shape)
+    slack = np.broadcast_to(slack, head.shape)
+    k = np.flatnonzero((head > 1e-14) & (factor < math.inf))
+    k = k[k >= start]
+    return BoundCheck(name, k, s[k + 1], factor[k] * head[k] + atol + slack[k])
 
 
 def _envelope(name: str, trace: IterationTrace, dist0: float | None,
-              errors: Sequence[float], best: bool = False) -> BoundCheck:
+              errors: np.ndarray, best: bool = False) -> BoundCheck:
     """gap_k <= (dist^2(x_0,S) + 2 D_k sum_{j<k} errors_j) / (2 sum_{j<k} c_j) + CHECK_ATOL.
 
     D_k is the running diameter and errors_j the step's error term (c_j r_j or
@@ -203,18 +204,14 @@ def _envelope(name: str, trace: IterationTrace, dist0: float | None,
     if trace.problem.f_star is None:
         raise ValueError("f_star required for the sublinear envelope")
     if dist0 is None:
-        dist0 = distance_to_solution(trace.problem, trace.points[0])
-    gaps = trace.gaps()
+        if trace.problem.project_solution is None:
+            raise NotAvailable("no solution oracle on this problem")
+        dist0 = float(trace.dists[0])
+    lhs = np.minimum.accumulate(trace.gaps) if best else trace.gaps
     diam = trace.running_diameter()
-    check = BoundCheck(name)
-    csum = esum = 0.0
-    lhs = gaps[0]
-    for k in range(1, len(trace)):
-        csum += trace.steps[k - 1]
-        esum += errors[k - 1]
-        lhs = min(lhs, gaps[k]) if best else gaps[k]
-        check.add(k, lhs, (dist0 ** 2 + 2.0 * diam[k] * esum) / (2.0 * csum) + CHECK_ATOL)
-    return check
+    rhs = ((dist0 ** 2 + 2.0 * diam[1:] * np.cumsum(errors[:-1]))
+           / (2.0 * np.cumsum(trace.steps[:-1])) + CHECK_ATOL)
+    return BoundCheck(name, np.arange(1, len(trace)), lhs[1:], rhs)
 
 
 @dataclass(frozen=True)
@@ -224,7 +221,8 @@ class RateBounds:
     omega bounds the cost-gap ratio, theta the distance ratio.  For a
     rho-weakly convex problem the growth constant is beta = mu_q - rho/2.
     The distance factor from the error bound follows the firmly-nonexpansive
-    chain: dist^2 shrinks by 1/(1 + c^2/mu_e^2).
+    chain: dist^2 shrinks by 1/(1 + c^2/mu_e^2).  Both factors take a step
+    or an array of steps.
     """
 
     mu_p: float
@@ -236,18 +234,16 @@ class RateBounds:
     def beta(self) -> float:
         return self.mu_q - 0.5 * self.rho
 
-    def omega(self, c: float) -> float:
+    def omega(self, c):
         return 2.0 / (2.0 + self.mu_p * c)
 
-    def theta(self, c: float) -> float:
-        branches = []
+    def theta(self, c):
+        factor = math.inf
         if self.beta > 0:
-            branches.append(1.0 / math.sqrt(2.0 * c * self.beta + 1.0))
+            factor = np.minimum(factor, 1.0 / np.sqrt(2.0 * c * self.beta + 1.0))
         if 0.0 < self.mu_e < math.inf:
-            branches.append(1.0 / math.sqrt(1.0 + c * c / self.mu_e ** 2))
-        if not branches:
-            return math.inf
-        return min(branches)
+            factor = np.minimum(factor, 1.0 / np.sqrt(1.0 + c * c / self.mu_e ** 2))
+        return factor
 
 
 def _constants(report) -> tuple[float, float, float]:
@@ -259,40 +255,45 @@ def _constants(report) -> tuple[float, float, float]:
 
 def _iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
              stop_gap: float | None = None, stop_residual: float | None = None):
-    """The outer loop of PPM, iPPM and GD: ``step(k, x, c)`` gives (x_next, residual, *move).
+    """The outer loop of PPM, iPPM and GD: ``step(k, x, c)`` gives the move
+    (x_next, residual, eps, delta, ref), None where a field does not apply.
 
-    ``move`` is the eps / delta / ref fields of ``record``.  Stops with
-    ``gap`` (f - f_star <= stop_gap), ``residual`` (||x_{k+1} - x_k||/c_k +
-    residual <= stop_residual), ``max_iter``, ``resolution`` / ``inner_budget``
-    when a step's inner solver gives up, or ``non_finite`` when a step returns
-    a non-finite coordinate, which is not recorded; the trace is kept.
+    Stops with ``gap`` (f - f_star <= stop_gap), ``residual`` (||x_{k+1} -
+    x_k||/c_k + residual <= stop_residual), ``max_iter``, ``resolution`` /
+    ``inner_budget`` when a step's inner solver gives up, or ``non_finite``
+    when a step returns a non-finite coordinate, which is not recorded; the
+    trace is kept.
     """
     x = as_point(x0)
-    trace = IterationTrace(problem=p, points=[x], values=[float(p.value(x))],
-                           stop_reason="max_iter")
+    points, values, steps, moves = [x], [float(p.value(x))], [], []
+    stop_reason = "max_iter"
     for k in range(max_iter):
         c = sched.at(k)
         try:
-            x_next, residual, *move = step(k, x, c)
+            x_next, *move = step(k, x, c)
         except InnerBudgetExhausted as exc:
-            trace.stop_reason = ("resolution" if isinstance(exc, ResolutionFloor)
-                                 else "inner_budget")
+            stop_reason = "resolution" if isinstance(exc, ResolutionFloor) else "inner_budget"
             break
         if not np.isfinite(x_next).all():
-            trace.stop_reason = "non_finite"
+            stop_reason = "non_finite"
             break
-        trace.record(c, x_next, residual, *move)
-        if stop_gap is not None and p.f_star is not None \
-                and trace.values[-1] - p.f_star <= stop_gap:
-            trace.stop_reason = "gap"
+        points.append(x_next)
+        values.append(float(p.value(x_next)))
+        steps.append(c)
+        moves.append(move)
+        if stop_gap is not None and p.f_star is not None and values[-1] - p.f_star <= stop_gap:
+            stop_reason = "gap"
             break
         if stop_residual is not None and \
-                float(np.linalg.norm(x_next - x)) / c + residual <= stop_residual:
-            trace.stop_reason = "residual"
+                float(np.linalg.norm(x_next - x)) / c + move[0] <= stop_residual:
+            stop_reason = "residual"
             break
         x = x_next
-    trace.record(sched.at(len(trace) - 1))
-    return trace
+    steps.append(sched.at(len(points) - 1))
+    # The final row's move is empty: one more None per transition column.
+    residuals, eps, deltas, refs = zip(*moves, (None,) * 4)
+    refs = [np.full(x.shape, math.nan) if ref is None else ref for ref in refs]
+    return IterationTrace(p, points, values, steps, residuals, eps, deltas, refs, stop_reason)
 
 
 def run_ppm(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int = 500,
@@ -303,7 +304,7 @@ def run_ppm(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int = 500,
 
     def step(k, x, c):
         result = prox(p, x, c, inner_tol)
-        return result.point, result.residual_norm
+        return result.point, result.residual_norm, None, None, None
 
     return _iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
 
@@ -314,8 +315,7 @@ def check_sublinear_bound(trace: IterationTrace, dist0: float | None = None) -> 
     Inexact inner solves widen the envelope by their certified residuals
     (the same diameter-weighted term as the best-iterate bound).
     """
-    errors = [c * (r or 0.0) for c, r in zip(trace.steps, trace.residuals)]
-    return _envelope("sublinear_envelope", trace, dist0, errors)
+    return _envelope("sublinear_envelope", trace, dist0, trace.steps * _or_zero(trace.residuals))
 
 
 def check_one_step(trace: IterationTrace, x_star=None) -> BoundCheck:
@@ -332,17 +332,16 @@ def check_one_step(trace: IterationTrace, x_star=None) -> BoundCheck:
         x_star = p.project_solution(trace.points[0])
     x_star = as_point(x_star)
     f_star_val = float(p.value(x_star))
-    rho = p.weak_convexity
-    check = BoundCheck("one_step_improvement")
-    for k in range(len(trace) - 1):
-        c = trace.steps[k]
-        r = trace.residuals[k] or 0.0
-        x_k, x_n = trace.points[k], trace.points[k + 1]
-        d_next = float(np.linalg.norm(x_n - x_star))
-        check.add(k, 2.0 * c * (trace.values[k + 1] - f_star_val),
-                  float(np.linalg.norm(x_k - x_star)) ** 2 - (1.0 - c * rho) * d_next ** 2
-                  + 2.0 * c * r * d_next + CHECK_ATOL)
-    return check
+    c, r = trace.steps[:-1], _or_zero(trace.residuals[:-1])
+    diff = trace.points - x_star
+    # ||x_k - x*|| as np.linalg.norm sums it (one dot product per row), squared
+    # by libm pow like a Python float's ** 2; x * x can differ by an ulp.
+    d = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    sq = np.float_power(d, 2)
+    return BoundCheck("one_step_improvement", np.arange(len(c)),
+                      2.0 * c * (trace.values[1:] - f_star_val),
+                      sq[:-1] - (1.0 - c * p.weak_convexity) * sq[1:] + 2.0 * c * r * d[1:]
+                      + CHECK_ATOL)
 
 
 def check_linear_rates(trace: IterationTrace, report,
@@ -356,15 +355,11 @@ def check_linear_rates(trace: IterationTrace, report,
     mu_p, mu_q, mu_e = _constants(report)
     bounds = RateBounds(mu_p=mu_p, mu_q=mu_q, mu_e=mu_e, rho=trace.problem.weak_convexity)
     k0 = trace.entry_index(nu)
-    if k0 is None:
-        return BoundCheck("linear_cost"), BoundCheck("linear_dist")
-    steps = trace.steps
-    slack = lambda k: steps[k] * (trace.residuals[k] or 0.0)
-    cost = _contraction("linear_cost", trace.gaps(), lambda k: bounds.omega(steps[k]),
-                        CHECK_ATOL, slack, start=k0)
-    dist = _contraction("linear_dist", trace.dists(), lambda k: bounds.theta(steps[k]),
-                        CHECK_ATOL, slack, start=k0)
-    return cost, dist
+    start = len(trace) if k0 is None else k0
+    c = trace.steps[:-1]
+    slack = c * _or_zero(trace.residuals[:-1])
+    return (_contraction("linear_cost", trace.gaps, bounds.omega(c), CHECK_ATOL, slack, start),
+            _contraction("linear_dist", trace.dists, bounds.theta(c), CHECK_ATOL, slack, start))
 
 
 def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
@@ -388,7 +383,7 @@ def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
         raise InnerBudgetExhausted(
             f"reference solve stopped with {trace.stop_reason} after {len(trace) - 1} steps")
     x_ref = trace.points[-1]
-    f_ref = trace.values[-1]
+    f_ref = float(trace.values[-1])
     tail = float(np.linalg.norm(trace.points[-1] - trace.points[-2])) / c_ref \
         if len(trace) > 1 else 0.0
     project = None

@@ -2,11 +2,12 @@
 
 The CSV is the figure-level contract of the package: one row per iterate,
 full-precision scientific notation, LF newlines, empty fields where a column
-does not apply to the run.
+does not apply to the run (NaN in the trace, None when read back).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .ppm import IterationTrace
@@ -14,20 +15,18 @@ from .ppm import IterationTrace
 CSV_HEADER = "k,c_k,f,cost_gap,dist_S,residual_norm,eps_k,delta_k"
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17e}"
+def _fmt(value: float) -> str:
+    return "" if math.isnan(value) else f"{value:.17e}"
 
 
 def emit_trace_csv(trace: IterationTrace, path) -> None:
     """Write one row per iterate k = 0..K (transition fields live on row k)."""
-    columns = (trace.steps, trace.values, trace.gaps(), trace.dists(), trace.residuals,
-               trace.eps, trace.deltas)
+    columns = [col.tolist() for col in (trace.steps, trace.values, trace.gaps, trace.dists,
+                                        trace.residuals, trace.eps, trace.deltas)]
+    rows = (",".join([str(k), *map(_fmt, row)])
+            for k, row in enumerate(zip(*columns, strict=True)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for k, row in enumerate(zip(*columns, strict=True)):
-            fh.write(",".join([str(k), *map(_fmt, row)]) + "\n")
+        fh.write("\n".join([CSV_HEADER, *rows, ""]))
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's solvers: golden-section search,
 dense / refined grid minimization, sign bisection, central differences,
-plain accelerated proximal gradient, the pairwise running diameter and the
-per-sample loop estimator of the regularity constants.
+plain accelerated proximal gradient, the pairwise running diameter, the
+per-sample loop estimator of the regularity constants and the per-step loop
+replays of the bound checkers.
 Expected values asserted in the tests were computed with these and frozen.
 """
 
@@ -92,6 +93,107 @@ def running_diameter(points) -> list[float]:
             d = max(d, float(np.linalg.norm(x - points[j])))
         out.append(d)
     return out
+
+
+class LoopCheck:
+    """A replayed inequality as per-entry lists, its tightness read by loops."""
+
+    def __init__(self):
+        self.indices, self.ok, self.lhs, self.rhs = [], [], [], []
+
+    def add(self, k: int, lhs: float, rhs: float) -> None:
+        self.indices.append(k)
+        self.lhs.append(lhs)
+        self.rhs.append(rhs)
+        self.ok.append(lhs <= rhs)
+
+    @property
+    def first_violation(self):
+        return next((k for k, good in zip(self.indices, self.ok) if not good), None)
+
+    @property
+    def max_ratio(self):
+        return max((lhs / rhs for lhs, rhs in zip(self.lhs, self.rhs) if rhs > 0), default=None)
+
+    @property
+    def worst_index(self):
+        worst = self.max_ratio
+        return next((k for k, lhs, rhs in zip(self.indices, self.lhs, self.rhs)
+                     if rhs > 0 and lhs / rhs == worst), None)
+
+
+def cells(column) -> list:
+    """A trace column as Python floats, with None where it does not apply (NaN)."""
+    return [None if math.isnan(v) else v for v in column.tolist()]
+
+
+def loop_contraction(s, factor, atol: float, slack=lambda k: 0.0, start: int = 0) -> LoopCheck:
+    """s[k+1] <= factor(k) s[k] + atol + slack(k) for k >= start, skipping k where
+    s[k] is None or below 1e-14 or the factor is infinite."""
+    check = LoopCheck()
+    for k in range(start, len(s) - 1):
+        if s[k] is not None and s[k] > 1e-14:
+            f = factor(k)
+            if f < math.inf:
+                check.add(k, s[k + 1], f * s[k] + atol + slack(k))
+    return check
+
+
+def loop_envelope(trace, dist0, errors, atol: float, best: bool = False) -> LoopCheck:
+    """gap_k <= (dist0^2 + 2 D_k sum_{j<k} errors_j) / (2 sum_{j<k} c_j) + atol, with
+    the pairwise running diameter D_k; with ``best`` the left side is min_{j<=k} gap_j."""
+    from proxlab.problem import distance_to_solution
+
+    p = trace.problem
+    if dist0 is None:
+        dist0 = distance_to_solution(p, trace.points[0])
+    gaps = [v - p.f_star for v in trace.values.tolist()]
+    steps = trace.steps.tolist()
+    diam = running_diameter(list(trace.points))
+    check = LoopCheck()
+    csum = esum = 0.0
+    lhs = gaps[0]
+    for k in range(1, len(trace)):
+        csum += steps[k - 1]
+        esum += errors[k - 1]
+        lhs = min(lhs, gaps[k]) if best else gaps[k]
+        check.add(k, lhs, (dist0 ** 2 + 2.0 * diam[k] * esum) / (2.0 * csum) + atol)
+    return check
+
+
+def loop_one_step(trace, atol: float) -> LoopCheck:
+    """2 c_k (f(x_{k+1}) - f*) <= |x_k - x*|^2 - (1 - c_k rho)|x_{k+1} - x*|^2
+    + 2 c_k r_k |x_{k+1} - x*| + atol, with x* the projection of x_0."""
+    p = trace.problem
+    x_star = np.atleast_1d(np.asarray(p.project_solution(trace.points[0]), dtype=float))
+    f_star_val = float(p.value(x_star))
+    steps, residuals = trace.steps.tolist(), cells(trace.residuals)
+    check = LoopCheck()
+    for k in range(len(trace) - 1):
+        c, r = steps[k], residuals[k] or 0.0
+        d_next = float(np.linalg.norm(trace.points[k + 1] - x_star))
+        check.add(k, 2.0 * c * (float(trace.values[k + 1]) - f_star_val),
+                  float(np.linalg.norm(trace.points[k] - x_star)) ** 2
+                  - (1.0 - c * p.weak_convexity) * d_next ** 2 + 2.0 * c * r * d_next + atol)
+    return check
+
+
+def loop_inexact_one_step(trace, atol: float) -> LoopCheck:
+    """(1 - delta_k) dist(x_{k+1}) <= 2 delta_k dist(x_k) + dist(prox(x_k)) + atol for
+    every step with delta_k < 1 and a logged reference prox."""
+    from proxlab.problem import distance_to_solution
+
+    p = trace.problem
+    dists = [distance_to_solution(p, x) for x in trace.points]
+    deltas = cells(trace.deltas)
+    check = LoopCheck()
+    for k in range(len(trace) - 1):
+        ref = trace.ref_prox_points[k]
+        if np.isnan(ref).any() or deltas[k] is None or deltas[k] >= 1.0:
+            continue
+        check.add(k, (1.0 - deltas[k]) * dists[k + 1],
+                  2.0 * deltas[k] * dists[k] + distance_to_solution(p, ref) + atol)
+    return check
 
 
 def loop_estimate(p, plan):

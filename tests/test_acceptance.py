@@ -29,8 +29,8 @@ def test_criterion_01_quadratic_ppm_closed_form(quad1d):
                  stop_gap=0.0, stop_residual=0.0)
     iterates_ok = all(abs(float(x[0]) - 3.0 ** (-k)) <= 1e-12
                       for k, x in enumerate(tr.points))
-    dists = tr.dists()
-    gaps = tr.gaps()
+    dists = tr.dists
+    gaps = tr.gaps
     theta = 1.0 / math.sqrt(3.0)  # growth-branch factor with mu_q = 1, c = 1
     omega = 1.0 / 3.0  # 2 / (2 + mu_p c) with mu_p = 4
     dist_ok = all(dists[k + 1] <= theta * dists[k] + 1e-15 for k in range(len(tr) - 1))
@@ -168,7 +168,7 @@ def test_criterion_10_ml_linear_decay(lasso_f20, en_f20, svm_blobs):
     for label, p, x0, c, iters in runs:
         tr = run_ppm(p, x0, StepSchedule.constant(c), max_iter=iters,
                      inner_tol=InnerTolerance(1e-10, 200_000), stop_gap=1e-14)
-        gaps = [g for g in tr.gaps() if g is not None and g > 1e-11]
+        gaps = [g for g in tr.gaps if g > 1e-11]
         decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
         sustained = longest_run_below(ratios, 0.999)
@@ -184,7 +184,7 @@ def test_criterion_11_weakly_convex_ppm(wc_piecewise):
     rep = estimate_constants(wc_piecewise, plan_for(wc_piecewise))
     beta = rep.mu_q - 0.5 * wc_piecewise.weak_convexity
     bound = 1.0 / math.sqrt(2.0 * 0.4 * beta + 1.0)
-    dists = tr.dists()
+    dists = tr.dists
     k0 = tr.entry_index(1.0)
     contraction = all(dists[k + 1] <= 1.1 * bound * dists[k] + 1e-12
                       for k in range(k0, len(tr) - 1))

@@ -1,12 +1,13 @@
-import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from proxlab import (CriterionUnverifiable, InexactCriterion, InexactRateBound,
-                     StepSchedule, check_inexact_one_step, check_ippm_linear,
-                     check_ippm_sublinear, estimate_constants, plan_for, run_ippm, run_ppm)
+import proxlab.ippm as ippm_module
+from proxlab import (CriterionUnverifiable, InexactCriterion, StepSchedule,
+                     check_inexact_one_step, check_ippm_linear, check_ippm_sublinear,
+                     estimate_constants, plan_for, run_ippm, run_ppm)
 
 
 def test_criterion_kinds_and_sequences():
@@ -31,7 +32,7 @@ def test_unprimed_requires_test_mode(quad1d):
 def test_aprime_quad1d_converges_and_bound_holds(quad1d):
     crit = InexactCriterion("A'", eps0=0.1, gamma=0.5)
     tr = run_ippm(quad1d, [1.0], StepSchedule.constant(1.0), crit, max_iter=40)
-    assert tr.gaps()[-1] <= 1e-10
+    assert tr.gaps[-1] <= 1e-10
     chk = check_ippm_sublinear(tr)
     assert chk.all_ok and len(chk.indices) == len(tr) - 1
 
@@ -39,9 +40,7 @@ def test_aprime_quad1d_converges_and_bound_holds(quad1d):
 def test_sublinear_detects_corruption(quad1d):
     crit = InexactCriterion("A'", eps0=0.1, gamma=0.5)
     tr = run_ippm(quad1d, [1.0], StepSchedule.constant(1.0), crit, max_iter=20)
-    bad = copy.deepcopy(tr)
-    for k in range(len(bad)):
-        bad.values[k] = bad.values[k] + 5.0  # inflate every value: min-gap breaks
+    bad = replace(tr, values=tr.values + 5.0)  # inflate every value: min-gap breaks
     assert not check_ippm_sublinear(bad).all_ok
 
 
@@ -112,19 +111,33 @@ def test_eq20_detector(en_toy_ref):
     crits = (InexactCriterion("B", delta0=0.4, gamma=0.7),)
     tr = run_ippm(en_toy_ref, [4.0], StepSchedule.constant(1.0), crits,
                   max_iter=15, test_mode=True, seed=1)
-    bad = copy.deepcopy(tr)
+    points, values = tr.points.copy(), tr.values.copy()
     k = 3
-    bad.points[k + 1] = bad.points[k + 1] + 10.0  # breaches criterion B at step k
-    bad.values[k + 1] = float(bad.problem.value(bad.points[k + 1]))
-    chk = check_inexact_one_step(bad)
+    points[k + 1] = points[k + 1] + 10.0  # breaches criterion B at step k
+    values[k + 1] = float(tr.problem.value(points[k + 1]))
+    chk = check_inexact_one_step(replace(tr, points=points, values=values))
     assert not chk.all_ok and chk.first_violation == k
 
 
-def test_theta_hat_monotone_for_constant_theta():
-    theta = 1.0 / math.sqrt(3.0)
-    hats = [InexactRateBound(theta, 0.5 * 0.7 ** k).theta_hat for k in range(30)]
+def test_theta_hat_monotone_for_constant_theta(quad1d, monkeypatch):
+    # theta_hat_k = (theta + 2 delta_k) / (1 - delta_k), as check_ippm_linear
+    # applies it on a constant-step B run: theta = 1/sqrt(2 c mu_q + 1) = 1/sqrt(3).
+    factors = []
+
+    def capture(name, s, factor, *args, **kwargs):
+        factors.append(factor)
+        return contraction(name, s, factor, *args, **kwargs)
+
+    contraction = ippm_module._contraction
+    monkeypatch.setattr(ippm_module, "_contraction", capture)
+    tr = run_ippm(quad1d, [1.0], StepSchedule.constant(1.0),
+                  InexactCriterion("B", delta0=0.5, gamma=0.7), max_iter=30,
+                  test_mode=True, seed=2, stop_gap=-1.0, stop_residual=-1.0)
+    assert check_ippm_linear(tr, quad1d.metadata, nu=math.inf).all_ok
+    (hats,) = factors
+    assert len(hats) == 30
     assert all(b < a for a, b in zip(hats, hats[1:]))
-    assert hats[-1] == pytest.approx(theta, abs=1e-3)
+    assert hats[-1] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-3)
 
 
 def test_diameter_stabilizes_on_convergent_run(quad1d):

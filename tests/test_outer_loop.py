@@ -1,9 +1,10 @@
 """The outer loop shared by PPM, iPPM and GD: trace shape and stop reasons.
 
 Every run, however it stops, leaves a trace of finite iterates whose columns
-all have one entry per iterate and whose final row carries only the step.  An
-inner solver that gives up, or a step to a non-finite point, ends the run with
-a named reason and keeps the rows recorded so far.
+all have one entry per iterate and whose final row carries only the step (the
+other transition columns are NaN there).  An inner solver that gives up, or a
+step to a non-finite point, ends the run with a named reason and keeps the
+rows recorded so far.
 """
 
 import time
@@ -83,11 +84,11 @@ def test_trace_shape(request, name):
     run, reason = RUNS[name]
     trace = run(request.getfixturevalue)
     assert trace.stop_reason == reason
-    assert all(np.all(np.isfinite(x)) for x in trace.points)
+    assert np.isfinite(trace.points).all()
     for column in COLUMNS:
         assert len(getattr(trace, column)) == len(trace), column
-    assert trace.steps[-1] is not None
-    assert all(getattr(trace, column)[-1] is None for column in MOVE)
+    assert not np.isnan(trace.steps[-1])
+    assert all(np.isnan(getattr(trace, column)[-1]).all() for column in MOVE)
 
 
 def test_budget_below_resolution_stops_with_named_reason(sine_quad, monkeypatch):
@@ -142,7 +143,7 @@ def test_composite_budget_below_resolution_stops_with_named_reason(monkeypatch):
 
 def test_inner_budget_keeps_partial_trace(lasso_f20):
     trace = _inner_budget(lambda _: lasso_f20)
-    assert len(trace) == 4 and trace.steps == [0.16, 0.16, 0.16, 10.0]
+    assert len(trace) == 4 and trace.steps.tolist() == [0.16, 0.16, 0.16, 10.0]
     assert all(r <= 1e-10 for r in trace.residuals[:3])
 
 

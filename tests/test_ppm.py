@@ -1,13 +1,14 @@
-import copy
+import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from proxlab import (InnerTolerance, IterationTrace, RateBounds, StepSchedule, StepTooLarge,
-                     check_linear_rates, check_one_step, check_sublinear_bound,
+from proxlab import (InnerTolerance, IterationTrace, ProblemSpec, RateBounds, StepSchedule,
+                     StepTooLarge, check_linear_rates, check_one_step, check_sublinear_bound,
                      make_benchmark, prox, reference_solution, run_ppm)
 
 from oracles import running_diameter
@@ -61,9 +62,9 @@ def test_sublinear_envelope_quad(quad_run):
 
 
 def test_sublinear_envelope_detects_corruption(quad_run):
-    bad = copy.deepcopy(quad_run)
-    bad.values[5] = bad.values[5] * 10.0 + 1.0
-    chk = check_sublinear_bound(bad)
+    values = quad_run.values.copy()
+    values[5] = values[5] * 10.0 + 1.0
+    chk = check_sublinear_bound(replace(quad_run, values=values))
     assert not chk.all_ok and chk.first_violation == 5
     # The tightness report points at the same step: the only entry above 1.
     assert chk.max_ratio > 1 and chk.worst_index == chk.first_violation
@@ -78,10 +79,10 @@ def test_one_step_improvement_quad(quad_run):
 
 
 def test_one_step_detects_corruption(quad_run):
-    bad = copy.deepcopy(quad_run)
-    bad.points[3] = np.array([2.5])  # jump away from the solution
-    bad.values[3] = float(bad.problem.value(bad.points[3]))
-    assert not check_one_step(bad).all_ok
+    points, values = quad_run.points.copy(), quad_run.values.copy()
+    points[3] = np.array([2.5])  # jump away from the solution
+    values[3] = float(quad_run.problem.value(points[3]))
+    assert not check_one_step(replace(quad_run, points=points, values=values)).all_ok
 
 
 def test_one_step_trivial_at_solution(quad1d):
@@ -118,7 +119,7 @@ def test_linear_rates_gated_outside_sublevel(sine_quad):
     tr = run_ppm(sine_quad, [2.5], StepSchedule.constant(0.05), max_iter=30,
                  inner_tol=TIGHT, stop_gap=-1.0, stop_residual=1e-12)
     cost, dist = check_linear_rates(tr, {"mu_p": 1.0, "mu_q": 1.0, "mu_e": 1.0}, nu=1.0)
-    assert cost.indices == [] and dist.indices == []
+    assert len(cost.indices) == len(dist.indices) == 0
     assert tr.entry_index(1.0) is None
 
 
@@ -137,18 +138,30 @@ def test_values_and_distances_nonincreasing():
 
 def test_constant_step_sublinear_rate(quad_run):
     # Specialization: gap_k <= dist0^2 / (2 c k).
-    gaps = quad_run.gaps()
+    gaps = quad_run.gaps
     for k in range(1, len(quad_run)):
         assert gaps[k] <= 1.0 / (2.0 * k) + 1e-12
 
 
 def test_trace_bookkeeping(quad_run):
     assert len(quad_run.points) == len(quad_run.steps) == 13
-    assert quad_run.residuals[-1] is None
+    assert np.isnan(quad_run.residuals[-1])
     diam = quad_run.running_diameter()
     assert all(b >= a for a, b in zip(diam, diam[1:]))
     assert diam[-1] == pytest.approx(1.0 - 3.0 ** (-12))
     assert quad_run.entry_index(0.5) == 1  # first gap <= 0.5 is 1/9
+
+
+def test_finished_trace_is_read_only(quad_run):
+    for column in ("points", "values", "steps", "residuals", "gaps", "dists"):
+        with pytest.raises(ValueError):
+            getattr(quad_run, column)[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        quad_run.values = quad_run.values + 1.0
+    # A doctored copy derives its gaps and distances again.
+    shifted = replace(quad_run, values=quad_run.values + 1.0, points=quad_run.points * 2.0)
+    assert np.array_equal(shifted.gaps, quad_run.gaps + 1.0)
+    assert np.array_equal(shifted.dists, 2.0 * quad_run.dists)
 
 
 @st.composite
@@ -162,11 +175,14 @@ def point_clouds(draw):
 def test_running_diameter_matches_pairwise_loop(pts):
     # The row reduction sums squares in another order than one norm per pair
     # does, except at d = 1, where both take sqrt(x * x).
-    points = list(pts)
-    diam = IterationTrace(problem=None, points=points).running_diameter()
-    expect = running_diameter(points)
-    if pts.shape[1] == 1:
-        assert diam == expect
+    k, d = pts.shape
+    # Without f_star or a solution oracle the trace derives no oracle calls.
+    p = ProblemSpec(dimension=d, value=np.sum, subgradient=np.sign)
+    columns = [np.full(k, np.nan)] * 5  # values, steps and the transition columns
+    diam = IterationTrace(p, pts, *columns, np.full((k, d), np.nan)).running_diameter()
+    expect = running_diameter(list(pts))
+    if d == 1:
+        assert diam.tolist() == expect
     else:
         assert len(diam) == len(expect)
         assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(diam, expect))
@@ -210,6 +226,6 @@ def test_one_step_bound_on_weakly_convex_runs(sine_quad, wc_piecewise):
         trace = run_ppm(p, [x0], StepSchedule.constant(c), max_iter=60)
         check = check_one_step(trace)
         assert check.all_ok, p.name
-        corrupted = copy.deepcopy(trace)
-        corrupted.values[1] += check.rhs[0] / c  # the first step now claims too much
-        assert check_one_step(corrupted).first_violation == 0, p.name
+        values = trace.values.copy()
+        values[1] += check.rhs[0] / c  # the first step now claims too much
+        assert check_one_step(replace(trace, values=values)).first_violation == 0, p.name
