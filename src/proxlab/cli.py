@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import ConfigError, ProxlabError
 from .gd import GDParams, run_gd, verify_gd_rates
-from .ippm import (MAX_INNER, InexactCriterion, check_inexact_one_step,
-                   check_ippm_linear, check_ippm_sublinear, run_ippm)
+from .ippm import (InexactCriterion, check_inexact_one_step, check_ippm_linear,
+                   check_ippm_sublinear, run_ippm)
 from .ppm import (IterationTrace, RateBounds, StepSchedule, check_linear_rates,
                   check_one_step, check_sublinear_bound, reference_solution, run_ppm)
 from .problem import ProblemSpec
-from .prox import InnerTolerance
 from .regularity import audit_implications, estimate_constants, plan_for
 from .traceio import emit_trace_csv
 from .zoo import (BENCHMARKS, MLProblemParams, generate_lasso_data, load_libsvm,
@@ -66,13 +65,15 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
         return make_benchmark(name, aniso_l=prob.get("aniso_l", 9.0))
     if "ml" in prob:
         kind = prob["ml"]
-        data_cfg = prob.get("data", {})
-        params = MLProblemParams(kind=kind, **prob.get("params", {}))
+        data_cfg = _typed(prob.get("data", {}), dict, "problem.data")
+        params = MLProblemParams(kind=kind, **_typed(prob.get("params", {}), dict,
+                                                     "problem.params"))
         if kind in ("lasso", "elastic_net"):
             gen = data_cfg.get("lasso")
             if gen is None:
                 raise ConfigError("regression problems need data.lasso generation sizes",
                                   field="problem.data")
+            gen = _typed(gen, dict, "problem.data.lasso")
             a_mat, y, _ = generate_lasso_data(gen["n"], gen["m"], gen["s"],
                                               gen.get("seed", seed))
             problem = make_ml_problem(kind, (a_mat, y), params)
@@ -80,7 +81,7 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
             if "libsvm" in data_cfg:
                 dataset = load_libsvm(data_cfg["libsvm"])
             elif "blobs" in data_cfg:
-                blobs = data_cfg["blobs"]
+                blobs = _typed(data_cfg["blobs"], dict, "problem.data.blobs")
                 dataset = make_blob_dataset(blobs["n"], blobs["d"],
                                             blobs.get("seed", seed),
                                             blobs.get("separation", 2.0))
@@ -90,7 +91,7 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
             problem = make_ml_problem("svm", dataset, params)
         else:
             raise ConfigError(f"unknown ml kind {kind!r}", field="problem.ml")
-        ref = cfg.get("reference", {})
+        ref = _typed(cfg.get("reference", {}), dict, "reference")
         if ref.get("skip", False):
             return problem
         return reference_solution(problem, effort=ref.get("effort", 400),
@@ -105,8 +106,8 @@ def build_schedule(cfg: dict) -> StepSchedule:
     if "sequence" in sched:
         return StepSchedule.from_sequence(sched["sequence"])
     if "geometric" in sched:
-        return StepSchedule.geometric(sched["geometric"]["c0"],
-                                      sched["geometric"]["growth"])
+        geometric = _typed(sched["geometric"], dict, "schedule.geometric")
+        return StepSchedule.geometric(geometric["c0"], geometric["growth"])
     raise ConfigError("schedule needs constant / sequence / geometric", field="schedule")
 
 
@@ -127,7 +128,7 @@ def build_x0(cfg: dict, p: ProblemSpec) -> np.ndarray:
 
 def build_criteria(cfg: dict):
     crit = _get(cfg, "criterion", required=True)
-    entries = crit if isinstance(crit, list) else [crit]
+    entries = [_typed(e, dict, "criterion") for e in (crit if isinstance(crit, list) else [crit])]
     return tuple(InexactCriterion(kind=e["kind"],
                                   eps0=e.get("eps0", 0.1),
                                   delta0=e.get("delta0", 0.5),
@@ -159,10 +160,10 @@ def _missing_reference(p: ProblemSpec) -> str | None:
 def _estimate(cfg: dict, p: ProblemSpec, out: Path):
     """Estimate the constants under the config's plan and write report.json, with
     the audit when asked."""
-    est = cfg.get("estimation", {})
+    est = _typed(cfg.get("estimation", {}), dict, "estimation")
     plan = plan_for(p, count=est.get("count", 10_001), nu=est.get("nu", cfg.get("nu")))
     if "bracket" in est:
-        plan = replace(plan, bracket=tuple(est["bracket"]))
+        plan = replace(plan, bracket=tuple(_typed(est["bracket"], list, "estimation.bracket")))
     report = estimate_constants(p, replace(plan, tau_s=est.get("tau_s", plan.tau_s)))
     body = report.to_json()
     if cfg.get("audit", False):
@@ -253,8 +254,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
                          test_mode=cfg.get("test_mode", False), seed=seed)
     else:
         sched = build_schedule(cfg)
-        trace = run_ppm(p, x0, sched, max_iter=max_iter,
-                        inner_tol=InnerTolerance(max_inner_iterations=MAX_INNER))
+        trace = run_ppm(p, x0, sched, max_iter=max_iter)
     emit_trace_csv(trace, out / "trace.csv")
     report, skipped = None, {}
     wanted = cfg.get("estimate", False) or cfg.get("audit", False)
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

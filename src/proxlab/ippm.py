@@ -27,8 +27,6 @@ _ALIASES = {"aprime": "A'", "bprime": "B'", "a'": "A'", "b'": "B'", "a": "A", "b
 
 # Residual target of the reference prox that test-mode steps perturb.
 REFERENCE_TARGET = 1e-12
-# Iteration budget of each inner solve under run-ppm and run-ippm.
-MAX_INNER = 100_000
 
 
 def _canonical_kind(kind: str) -> str:
@@ -76,8 +74,7 @@ class InexactCriterion:
 def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
              crit: InexactCriterion | Sequence[InexactCriterion],
              max_iter: int = 500, test_mode: bool = False, seed: int = 0,
-             stop_gap: float = 1e-10, stop_residual: float = 1e-10,
-             max_inner: int = MAX_INNER) -> IterationTrace:
+             stop_gap: float = 1e-10, stop_residual: float = 1e-10) -> IterationTrace:
     """Inexact proximal point run under one or several criteria.
 
     Primed criteria drive the inner solver's stopping rule directly.  The
@@ -105,17 +102,16 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
         eps_k = min((cr.eps(k) for cr in crits if cr.absolute), default=None)
         delta_k = min((cr.delta(k) for cr in crits if not cr.absolute), default=None)
         if unprimed:
-            x_next, resid, ref_point = _test_mode_step(p, x, c, eps_k, delta_k, rng,
-                                                       max_inner)
+            x_next, resid, ref_point = _test_mode_step(p, x, c, eps_k, delta_k, rng)
         else:
-            x_next, resid = _primed_step(p, x, c, eps_k, delta_k, max_inner)
+            x_next, resid = _primed_step(p, x, c, eps_k, delta_k)
             ref_point = None
         return x_next, resid, eps_k, delta_k, ref_point
 
     return _iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
 
 
-def _primed_step(p, x, c, eps_k, delta_k, max_inner):
+def _primed_step(p, x, c, eps_k, delta_k):
     """One step satisfying A' and/or B' via the inner solver's stop rule."""
     target = eps_k / c if eps_k is not None else math.inf
 
@@ -128,14 +124,13 @@ def _primed_step(p, x, c, eps_k, delta_k, max_inner):
             return rn <= (delta_k / c) * float(np.linalg.norm(w - x))
         return True
 
-    result = prox(p, x, c, InnerTolerance(max_inner_iterations=max_inner), stop_rule=accept)
+    result = prox(p, x, c, stop_rule=accept)
     return result.point, result.residual_norm
 
 
-def _test_mode_step(p, x, c, eps_k, delta_k, rng, max_inner):
+def _test_mode_step(p, x, c, eps_k, delta_k, rng):
     """Perturb a tight reference prox inside every requested budget."""
-    tol = InnerTolerance(target_residual=REFERENCE_TARGET, max_inner_iterations=max_inner)
-    ref = prox(p, x, c, tol)
+    ref = prox(p, x, c, InnerTolerance(target_residual=REFERENCE_TARGET))
     p_k = ref.point
     radius = eps_k if eps_k is not None else math.inf
     if delta_k is not None:

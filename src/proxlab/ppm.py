@@ -376,9 +376,9 @@ def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
     if p.weak_convexity > 0:
         c_ref = min(c_ref, 0.5 / p.weak_convexity)
     sched = StepSchedule.constant(c_ref)
-    tol = InnerTolerance(target_residual=inner_target, max_inner_iterations=200_000)
     trace = run_ppm(p, np.zeros(p.dimension), sched, max_iter=effort,
-                    inner_tol=tol, stop_gap=0.0, stop_residual=inner_target * 10)
+                    inner_tol=InnerTolerance(target_residual=inner_target), stop_gap=0.0,
+                    stop_residual=inner_target * 10)
     if trace.stop_reason in ("resolution", "inner_budget"):
         raise InnerBudgetExhausted(
             f"reference solve stopped with {trace.stop_reason} after {len(trace) - 1} steps")

@@ -319,13 +319,29 @@ def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
     assert not (tmp_path / "o" / "trace.csv").exists()  # rejected before any step
 
 
+# The subcommand that reads a section, where run-ppm does not.
+READERS = {"criterion": "run-ippm", "estimation": "estimate"}
+
+
 @pytest.mark.parametrize("field,value", [
     ("problem", 3), ("schedule", 3), ("max_iter", "10"), ("max_iter", True), ("x0", {"a": 1}),
+    ("criterion", "A'"), ("estimation", []), ("seed", "x"),
+    # A nested field: the value is its whole section.
+    ("estimation.bracket", {"bracket": 3}), ("schedule.geometric", {"geometric": 2}),
+    ("problem.params", {"ml": "lasso", "params": [1]}),
+    ("problem.data", {"ml": "lasso", "data": 3}),
+    ("problem.data.lasso", {"ml": "lasso", "data": {"lasso": [20, 50, 10]}}),
+    ("problem.data.blobs", {"ml": "svm", "data": {"blobs": 3}}),
+    ("reference", 3),
 ])
 def test_wrong_json_type_names_the_field(tmp_path, capsys, field, value):
-    body = {"problem": {"benchmark": "quad1d"}, "schedule": {"constant": 1.0}, field: value}
+    section = field.split(".")[0]
+    body = {"problem": {"benchmark": "quad1d"}, "schedule": {"constant": 1.0}, section: value}
+    if section == "reference":  # read for ml problems only
+        body["problem"] = {"ml": "lasso", "data": {"lasso": {"n": 4, "m": 6, "s": 2}}}
     cfg = write_config(tmp_path, "bad.json", body)
-    assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    cmd = READERS.get(section, "run-ppm")
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: expected ")
 
 

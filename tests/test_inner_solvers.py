@@ -2,7 +2,7 @@
 
 The work-count gates pin the deterministic cost of the shipped lasso_medium
 run (inner iterations summed over the outer steps, and smooth-gradient
-evaluations against one per prox call plus one per inner iteration) and of
+evaluations: one per prox call plus one per inner iteration) and of
 two 1-d PPM runs (inner iterations summed over the outer steps).  The
 property tests draw prox centers and steps at realistic sizes and check that
 every returned certificate is a true element of the subproblem subdifferential
@@ -61,8 +61,8 @@ def test_lasso_medium_work_count(monkeypatch):
                     max_iter=cfg["max_iter"])
     assert trace.stop_reason == "gap"
     assert inner <= 300
-    # One gradient at the prox center per call, at most one per inner iteration.
-    assert grad_calls <= inner + prox_calls
+    # One gradient at the prox center per call, then one per inner iteration.
+    assert grad_calls == inner + prox_calls
 
 
 @pytest.mark.parametrize("name,c,x0,horizon,cap", [

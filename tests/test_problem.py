@@ -50,7 +50,7 @@ def test_shifted_svm_element_is_a_certificate(svm_toy):
     x, z, c = np.array([1.0, 0.3]), np.array([1.375, -0.5]), 0.5
     element = min_norm_subgradient(svm_toy, x, shift=(x - z) / c).element
     assert element[0] == pytest.approx(0.0, abs=1e-12)
-    res = ProxResult(x, element, float(np.linalg.norm(element)), 0, False)
+    res = ProxResult(x, element, float(np.linalg.norm(element)), 0)
     assert certificate_is_subgradient(svm_toy, res, z, c, np.random.default_rng(6))
 
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from proxlab import (InnerBudgetExhausted, InnerTolerance, Piecewise1D, StepTooLarge,
                      make_benchmark, prox, residual_certificate)
+from proxlab.errors import ResolutionFloor
 from proxlab.problem import problem_from_1d
 
 from oracles import golden_section, parabola_polish, refined_grid_argmin_2d
@@ -18,7 +21,7 @@ def subproblem(p, z, c):
 
 def test_prox_quad1d_closed_form(quad1d):
     res = prox(quad1d, [3.0], 1.0)
-    assert res.exact and res.inner_iterations == 0
+    assert res.inner_iterations == 0
     assert float(res.point[0]) == pytest.approx(1.0, abs=1e-15)
     assert res.residual_norm == 0.0
 
@@ -44,7 +47,6 @@ def test_residual_certificate_quad1d(quad1d):
 
 
 def test_residual_certificate_domain_error():
-    import math
     from proxlab import DomainError, ProblemSpec
     p = ProblemSpec(dimension=1,
                     value=lambda x: float(x[0] ** 2) if abs(x[0]) <= 1 else math.inf,
@@ -98,6 +100,57 @@ def test_prox_svm_budget_exhausted(svm_toy):
              InnerTolerance(target_residual=1e-30, max_inner_iterations=5))
     best = err.value.best
     assert best is not None and best.inner_iterations == 5
+
+
+# A composite, an SVM and a 1-d subproblem, none solved at its start point or
+# at a kink: (problem fixture, prox center, step).
+SOLVERS = [("lasso_toy", [0.0, 0.0], 0.16), ("svm_toy", [0.2, -0.4], 1.0),
+           ("wc_piecewise", [1.0], 0.2)]
+
+
+@pytest.mark.parametrize("name,z,c", SOLVERS)
+@pytest.mark.parametrize("budget", [0, 1, 3, 1000])
+def test_refused_candidates_end_in_budget_or_floor(request, name, z, c, budget):
+    # Budgets up to 3 run out before the first support solve and before the
+    # bracket reaches adjacent floats.  Within 1000 the composite candidates
+    # end at the exact support solve, the 1-d ones at adjacent floats; the
+    # SVM coordinate ascent has no floor.
+    seen = []
+
+    def refuse(w, rn):
+        seen.append(rn)
+        return False
+
+    p = request.getfixturevalue(name)
+    with pytest.raises(InnerBudgetExhausted) as err:
+        prox(p, z, c, InnerTolerance(max_inner_iterations=budget), stop_rule=refuse)
+    assert isinstance(err.value, ResolutionFloor) == (budget > 3 and name != "svm_toy")
+    if not isinstance(err.value, ResolutionFloor):
+        assert len(seen) == budget + 1  # the start point, then one per iteration
+    assert err.value.best.inner_iterations == len(seen) - 1
+    assert err.value.best.residual_norm == min(seen)
+
+
+@pytest.mark.parametrize("name,z,c", SOLVERS)
+def test_accepted_start_point_costs_no_iteration(request, name, z, c):
+    seen = []
+
+    def accept(w, rn):
+        seen.append((w, rn))
+        return True
+
+    res = prox(request.getfixturevalue(name), z, c, stop_rule=accept)
+    assert res.inner_iterations == 0 and len(seen) == 1
+    assert seen[0][0] is res.point and seen[0][1] == res.residual_norm
+
+
+def test_bracket_walk_without_sign_change_ends():
+    # An interval oracle that is no subdifferential: the certificate is -inf
+    # everywhere, so the walk finds no sign change before it leaves the floats.
+    pw = Piecewise1D([], [(lambda x: 0.0, lambda x: -math.inf)])
+    with pytest.raises(ResolutionFloor) as err:
+        prox(problem_from_1d(pw, name="no_root"), [0.0], 1.0)
+    assert err.value.best.inner_iterations == 0
 
 
 def test_step_too_large(wc_piecewise, sine_quad):
