@@ -48,15 +48,30 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
     return default
 
 
-def _typed(value, kind: type, field: str):
-    """Return value if it has the JSON type kind (a bool is not an int)."""
+# The JSON type of a number field: an int or a float (a bool is neither).
+NUMBER = (int, float)
+
+
+def _typed(value, kind, field: str):
+    """Return value if it has the JSON type kind, a type or NUMBER (a bool is not an int)."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}", field=field)
+        expected = "number" if kind is NUMBER else kind.__name__
+        raise ConfigError(f"expected {expected}, got {type(value).__name__}", field=field)
     return value
 
 
+def _scalars(section: dict, name: str, **kinds) -> dict:
+    """Return section after checking each of its non-null fields named in kinds
+    against its JSON type; ``name`` is the section's path ("" at the top)."""
+    for key, kind in kinds.items():
+        if section.get(key) is not None:
+            _typed(section[key], kind, f"{name}.{key}" if name else key)
+    return section
+
+
 def build_problem(cfg: dict, seed: int) -> ProblemSpec:
-    prob = _typed(_get(cfg, "problem", required=True), dict, "problem")
+    prob = _scalars(_typed(_get(cfg, "problem", required=True), dict, "problem"), "problem",
+                    aniso_l=NUMBER)
     if "benchmark" in prob:
         name = prob["benchmark"]
         if name not in BENCHMARKS:
@@ -66,14 +81,16 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
     if "ml" in prob:
         kind = prob["ml"]
         data_cfg = _typed(prob.get("data", {}), dict, "problem.data")
-        params = MLProblemParams(kind=kind, **_typed(prob.get("params", {}), dict,
-                                                     "problem.params"))
+        params = _typed(prob.get("params", {}), dict, "problem.params")
+        params = MLProblemParams(kind=kind, **_scalars(params, "problem.params", svm_reg=NUMBER,
+                                                       lam=NUMBER, en_reg=NUMBER))
         if kind in ("lasso", "elastic_net"):
             gen = data_cfg.get("lasso")
             if gen is None:
                 raise ConfigError("regression problems need data.lasso generation sizes",
                                   field="problem.data")
-            gen = _typed(gen, dict, "problem.data.lasso")
+            gen = _scalars(_typed(gen, dict, "problem.data.lasso"), "problem.data.lasso",
+                           n=int, m=int, s=int, seed=int)
             a_mat, y, _ = generate_lasso_data(gen["n"], gen["m"], gen["s"],
                                               gen.get("seed", seed))
             problem = make_ml_problem(kind, (a_mat, y), params)
@@ -81,7 +98,9 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
             if "libsvm" in data_cfg:
                 dataset = load_libsvm(data_cfg["libsvm"])
             elif "blobs" in data_cfg:
-                blobs = _typed(data_cfg["blobs"], dict, "problem.data.blobs")
+                blobs = _scalars(_typed(data_cfg["blobs"], dict, "problem.data.blobs"),
+                                 "problem.data.blobs", n=int, d=int, seed=int,
+                                 separation=NUMBER)
                 dataset = make_blob_dataset(blobs["n"], blobs["d"],
                                             blobs.get("seed", seed),
                                             blobs.get("separation", 2.0))
@@ -91,7 +110,8 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
             problem = make_ml_problem("svm", dataset, params)
         else:
             raise ConfigError(f"unknown ml kind {kind!r}", field="problem.ml")
-        ref = _typed(cfg.get("reference", {}), dict, "reference")
+        ref = _scalars(_typed(cfg.get("reference", {}), dict, "reference"), "reference",
+                       effort=int, c=NUMBER)
         if ref.get("skip", False):
             return problem
         return reference_solution(problem, effort=ref.get("effort", 400),
@@ -128,7 +148,9 @@ def build_x0(cfg: dict, p: ProblemSpec) -> np.ndarray:
 
 def build_criteria(cfg: dict):
     crit = _get(cfg, "criterion", required=True)
-    entries = [_typed(e, dict, "criterion") for e in (crit if isinstance(crit, list) else [crit])]
+    entries = [_scalars(_typed(e, dict, "criterion"), "criterion", kind=str, eps0=NUMBER,
+                        delta0=NUMBER, gamma=NUMBER)
+               for e in (crit if isinstance(crit, list) else [crit])]
     return tuple(InexactCriterion(kind=e["kind"],
                                   eps0=e.get("eps0", 0.1),
                                   delta0=e.get("delta0", 0.5),
@@ -160,10 +182,12 @@ def _missing_reference(p: ProblemSpec) -> str | None:
 def _estimate(cfg: dict, p: ProblemSpec, out: Path):
     """Estimate the constants under the config's plan and write report.json, with
     the audit when asked."""
-    est = _typed(cfg.get("estimation", {}), dict, "estimation")
+    est = _scalars(_typed(cfg.get("estimation", {}), dict, "estimation"), "estimation",
+                   count=int, nu=NUMBER, tau_s=NUMBER)
     plan = plan_for(p, count=est.get("count", 10_001), nu=est.get("nu", cfg.get("nu")))
     if "bracket" in est:
-        plan = replace(plan, bracket=tuple(_typed(est["bracket"], list, "estimation.bracket")))
+        ends = _typed(est["bracket"], list, "estimation.bracket")
+        plan = replace(plan, bracket=tuple(_typed(v, NUMBER, "estimation.bracket") for v in ends))
     report = estimate_constants(p, replace(plan, tau_s=est.get("tau_s", plan.tau_s)))
     body = report.to_json()
     if cfg.get("audit", False):
@@ -239,7 +263,8 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     params = crits = None
     bounds = {}
     if cmd == "run-gd":
-        gd_cfg = _typed(_get(cfg, "gd", required=True), dict, "gd")
+        gd_cfg = _scalars(_typed(_get(cfg, "gd", required=True), dict, "gd"), "gd",
+                          lipschitz=NUMBER, mu=NUMBER, beta=NUMBER, step=NUMBER)
         params = GDParams(lipschitz=gd_cfg.get("lipschitz", p.smoothness),
                           mu=gd_cfg.get("mu", p.metadata.get("gd_mu")),
                           beta=gd_cfg.get("beta", p.metadata.get("gd_beta")),
@@ -307,7 +332,8 @@ def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_gen_data(_cmd: str, cfg: dict, out: Path, seed: int) -> int:
     """gen-data: write blob classification data as data.libsvm."""
-    gen = _typed(_get(cfg, "gen", required=True), dict, "gen")
+    gen = _scalars(_typed(_get(cfg, "gen", required=True), dict, "gen"), "gen",
+                   n=int, d=int, seed=int, separation=NUMBER)
     if gen.get("kind") != "blobs":
         raise ConfigError(f"unknown gen kind {gen.get('kind')!r}; gen-data makes only blobs",
                           field="gen.kind")
@@ -333,7 +359,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _scalars(load_config(args.config), "", nu=NUMBER)
         seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
         out = Path(args.out)
         try:

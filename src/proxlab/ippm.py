@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CriterionUnverifiable
 from .ppm import (CHECK_ATOL, BoundCheck, IterationTrace, StepSchedule, _constants,
                   _contraction, _envelope, _first, _iterate)
-from .problem import ProblemSpec, distance_to_solution
+from .problem import ProblemSpec, distances_to_solution
 from .prox import InnerTolerance, prox, residual_certificate
 
 PRIMED = ("A'", "B'")
@@ -204,7 +204,7 @@ def check_inexact_one_step(trace: IterationTrace) -> BoundCheck:
         raise ValueError("need a solution oracle")
     refs, deltas, dists = trace.ref_prox_points[:-1], trace.deltas[:-1], trace.dists
     k = np.flatnonzero(~np.isnan(refs).any(axis=1) & (deltas < 1.0))
-    ref_dists = np.array([distance_to_solution(trace.problem, x) for x in refs[k]])
+    ref_dists = distances_to_solution(trace.problem, refs[k])
     return BoundCheck("inexact_one_step", k, (1.0 - deltas[k]) * dists[k + 1],
                       2.0 * deltas[k] * dists[k] + ref_dists + CHECK_ATOL)
 

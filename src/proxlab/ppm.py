@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InnerBudgetExhausted, NotAvailable, ResolutionFloor, StepTooLarge
-from .problem import ProblemSpec, as_point, distance_to_solution
+from .problem import ProblemSpec, as_point, distances_to_solution, row_dots
 from .prox import InnerTolerance, prox
 
 # Absolute slack on every replayed PPM and iPPM inequality.
@@ -78,7 +78,8 @@ class IterationTrace:
     the (K+1, d) ``ref_prox_points``) describe the move from x_k to x_{k+1}.
     NaN marks "does not apply": the final row's move, which carries only its
     step, and columns the run does not log.  ``gaps`` and ``dists`` are
-    derived once, NaN without f_star or a solution oracle.  Edit a copy with
+    derived once (``dists`` from one batch projection of the points), NaN
+    without f_star or a solution oracle.  Edit a copy with
     ``dataclasses.replace``, which derives them again.
     """
 
@@ -99,7 +100,7 @@ class IterationTrace:
         cols = {name: np.array(getattr(self, name), dtype=float) for name in _COLUMNS}
         cols["gaps"] = cols["values"] - (math.nan if p.f_star is None else p.f_star)
         cols["dists"] = (np.full(len(cols["points"]), math.nan) if p.project_solution is None
-                         else np.array([distance_to_solution(p, x) for x in cols["points"]]))
+                         else distances_to_solution(p, cols["points"]))
         for name, col in cols.items():
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -334,9 +335,9 @@ def check_one_step(trace: IterationTrace, x_star=None) -> BoundCheck:
     f_star_val = float(p.value(x_star))
     c, r = trace.steps[:-1], _or_zero(trace.residuals[:-1])
     diff = trace.points - x_star
-    # ||x_k - x*|| as np.linalg.norm sums it (one dot product per row), squared
-    # by libm pow like a Python float's ** 2; x * x can differ by an ulp.
-    d = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    # ||x_k - x*|| as np.linalg.norm takes it, squared by libm pow like a
+    # Python float's ** 2; x * x can differ by an ulp.
+    d = np.sqrt(row_dots(diff, diff))
     sq = np.float_power(d, 2)
     return BoundCheck("one_step_improvement", np.arange(len(c)),
                       2.0 * c * (trace.values[1:] - f_star_val),
@@ -386,10 +387,11 @@ def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
     f_ref = float(trace.values[-1])
     tail = float(np.linalg.norm(trace.points[-1] - trace.points[-2])) / c_ref \
         if len(trace) > 1 else 0.0
-    project = None
+    project = project_rows = None
     if p.strong_convexity > 0:
         project = lambda x: x_ref
-    return p.with_reference(f_ref, project=project,
+        project_rows = lambda xs: np.broadcast_to(x_ref, xs.shape)
+    return p.with_reference(f_ref, project=project, project_rows=project_rows,
                             reference_point=tuple(float(v) for v in x_ref),
                             reference_residual=tail,
                             reference_iterations=len(trace) - 1)

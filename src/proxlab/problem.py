@@ -4,7 +4,9 @@ A problem is a bundle of oracles: value, one subdifferential element,
 optionally the exact min-norm element, optionally the nearest minimizer,
 optionally a closed-form prox.  Values are extended reals: the value oracle
 returns ``math.inf`` outside the effective domain (IEEE infinity is the
-tagged "infinite" value; finite sentinels are never used).
+tagged "infinite" value; finite sentinels are never used).  Three of the
+oracles may also come in a batch form on an (N, d) array of rows;
+``batch_oracle`` calls it, or maps the scalar oracle over the rows.
 
 All oracles are pure and problems are immutable after construction, so they
 are safe to share across threads and concurrent runs.
@@ -25,6 +27,8 @@ Vector = np.ndarray
 
 # Margin band inside which a hinge term counts as sitting at its kink.
 KINK_BAND = 1e-9
+# Rows per batch-oracle call: a batch's temporaries stay this many rows tall.
+BATCH_ROWS = 512
 
 
 def as_point(x) -> Vector:
@@ -38,6 +42,22 @@ def as_point(x) -> Vector:
 def nearest_zero(lo: float, hi: float, shift: float) -> float:
     """The signed element of [lo, hi] + shift nearest zero: the 1-d certificate."""
     return min(max(0.0, lo + shift), hi + shift)
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot(a[n], b[n]) for each row n, summed as np.dot sums one pair.
+
+    np.linalg.norm(x) is sqrt(np.dot(x, x)), so np.sqrt(row_dots(a, a)) is
+    its norm row by row; np.linalg.norm(a, axis=1) and np.einsum sum in
+    another order and can differ in the last digit for d > 1.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def row_matvecs(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat @ r for each row r, one matrix-vector product per row as ``mat @ r``
+    computes it (rows @ mat.T is a matrix product and sums in another order)."""
+    return np.matmul(mat, rows[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -118,6 +138,13 @@ class ProblemSpec:
     ``min_norm_subgradient(x, shift=0.0)`` returns the element of
     ``partial f(x) + shift`` nearest zero; ``min_norm_exact`` says whether that
     is the true minimum-norm element or only a constructed upper bound.
+
+    The batch oracles are optional and take an (N, d) array of rows:
+    ``values`` gives f per row (N,), ``min_norm_subgradients`` the min-norm
+    element at shift 0 per row (N, d), and ``project_solutions`` the nearest
+    minimizer per row (N, d).  Each must agree with its scalar oracle row by
+    row; ``dataclasses.replace`` of a scalar oracle leaves its batch form as
+    it was.
     """
 
     dimension: int
@@ -138,14 +165,52 @@ class ProblemSpec:
     svm: SvmParts | None = None
     metadata: Mapping[str, Any] = field(default_factory=dict)
     name: str = ""
+    values: Callable[[np.ndarray], np.ndarray] | None = None
+    min_norm_subgradients: Callable[[np.ndarray], np.ndarray] | None = None
+    project_solutions: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def with_reference(self, f_star: float, project=None, **meta) -> "ProblemSpec":
-        """Copy of this problem with f_star (and optionally a solution oracle) installed."""
+    def with_reference(self, f_star: float, project=None, project_rows=None,
+                       **meta) -> "ProblemSpec":
+        """Copy of this problem with f_star installed, and with ``project`` (and
+        its batch form ``project_rows``) as the solution oracle when given."""
         md = dict(self.metadata)
         md.update(meta)
-        return replace(self, f_star=f_star,
-                       project_solution=project if project is not None else self.project_solution,
-                       metadata=md)
+        if project is None:
+            return replace(self, f_star=f_star, metadata=md)
+        return replace(self, f_star=f_star, project_solution=project,
+                       project_solutions=project_rows, metadata=md)
+
+
+def _row_oracle(p: ProblemSpec, name: str) -> Callable[[Vector], Any]:
+    """The scalar oracle behind the batch oracle ``name``."""
+    if name == "values":
+        return p.value
+    if name == "min_norm_subgradients":
+        return p.min_norm_subgradient or p.subgradient
+    return lambda x: as_point(p.project_solution(x))
+
+
+def batch_oracle(p: ProblemSpec, name: str, xs: np.ndarray, rows=None) -> np.ndarray:
+    """The batch oracle ``name`` at the rows ``rows`` of xs (default: every row).
+
+    ``name`` is "values", "min_norm_subgradients" or "project_solutions".  The
+    result has one entry (values) or one row per row of xs, zero outside
+    ``rows``.  The oracle is called on BATCH_ROWS rows at a time and each block
+    is written straight into its rows, so no temporary is larger than a block.
+    A problem without the batch form gets its scalar oracle mapped over the
+    rows instead (min-norm elements at shift 0, with no domain check).
+    """
+    rows = np.arange(len(xs)) if rows is None else rows
+    out = np.zeros(len(xs)) if name == "values" else np.zeros_like(xs)
+    batch, row = getattr(p, name), _row_oracle(p, name)
+    for start in range(0, len(rows), BATCH_ROWS):
+        block = rows[start:start + BATCH_ROWS]
+        if batch is not None:
+            out[block] = batch(xs[block])
+        else:
+            for i in block:
+                out[i] = row(xs[i])
+    return out
 
 
 @dataclass(frozen=True)
@@ -182,6 +247,16 @@ def distance_to_solution(p: ProblemSpec, x) -> float:
     return float(np.linalg.norm(x - as_point(p.project_solution(x))))
 
 
+def distances_to_solution(p: ProblemSpec, xs: np.ndarray) -> np.ndarray:
+    """``distance_to_solution`` of each row of xs: one batch projection, then
+    one np.dot per row, so each distance is the one the scalar form gives."""
+    if p.project_solution is None:
+        raise NotAvailable("no solution oracle on this problem")
+    offset = batch_oracle(p, "project_solutions", xs)
+    np.subtract(xs, offset, out=offset)
+    return np.sqrt(row_dots(offset, offset))
+
+
 class Piecewise1D:
     """A 1-d function defined by pieces with explicit breakpoints.
 
@@ -198,6 +273,7 @@ class Piecewise1D:
             raise ValueError("need exactly one more piece than breakpoints")
         self.breakpoints = [float(b) for b in breakpoints]
         self.pieces = pieces
+        self._breaks = np.array(self.breakpoints)
 
     def _locate(self, x: float) -> tuple[int, bool]:
         """(i, True) when x is breakpoint i, else (i, False) with x in piece i."""
@@ -219,6 +295,38 @@ class Piecewise1D:
             lo, hi = hi, lo
         return lo, hi
 
+    # Batch forms on a 1-d array of points.  Each piece is called once, on the
+    # points it covers, so pieces must be ufunc-safe (numpy functions of x).
+
+    def _locate_all(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_locate`` of every point: x <= breakpoint i first at i, as there."""
+        i = np.searchsorted(self._breaks, xs, side="left")
+        at_break = np.zeros(xs.shape, dtype=bool)
+        inside = i < len(self.breakpoints)
+        at_break[inside] = self._breaks[i[inside]] == xs[inside]
+        return i, at_break
+
+    def _each_piece(self, which: int, piece: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """pieces[piece[n]][which](xs[n]) for every n, one call per piece."""
+        out = np.empty(xs.shape)
+        for j, fns in enumerate(self.pieces):
+            mask = piece == j
+            if mask.any():
+                out[mask] = fns[which](xs[mask])
+        return out
+
+    def values(self, xs: np.ndarray) -> np.ndarray:
+        i, at_break = self._locate_all(xs)
+        return self._each_piece(0, i + at_break, xs)
+
+    def intervals(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        i, at_break = self._locate_all(xs)
+        lo = self._each_piece(1, i, xs)
+        hi = lo.copy()
+        hi[at_break] = self._each_piece(1, i[at_break] + 1, xs[at_break])
+        swap = lo > hi
+        return np.where(swap, hi, lo), np.where(swap, lo, hi)
+
 
 def problem_from_1d(pw: Piecewise1D, **kwargs) -> ProblemSpec:
     """Wrap a Piecewise1D into a ProblemSpec with interval-aware oracles."""
@@ -235,6 +343,14 @@ def problem_from_1d(pw: Piecewise1D, **kwargs) -> ProblemSpec:
     def min_norm(x, shift=0.0):
         return np.array([nearest_zero(*interval(scalar(x)), scalar(shift))])
 
+    def min_norms(xs):
+        # nearest_zero at shift 0, taken as min(max(0.0, lo), hi) takes it.
+        lo, hi = pw.intervals(xs[:, 0])
+        low = np.where(lo > 0.0, lo, 0.0)
+        return np.where(hi < low, hi, low)[:, None]
+
     return ProblemSpec(dimension=1, value=value, subgradient=min_norm,
                        min_norm_subgradient=min_norm, interval_1d=interval,
-                       breakpoints_1d=tuple(pw.breakpoints), **kwargs)
+                       breakpoints_1d=tuple(pw.breakpoints),
+                       values=lambda xs: pw.values(xs[:, 0]),
+                       min_norm_subgradients=min_norms, **kwargs)

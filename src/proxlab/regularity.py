@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NeedsReference
-from .problem import ProblemSpec, as_point, min_norm_subgradient
+from .errors import DomainError, NeedsReference
+from .problem import ProblemSpec, as_point, batch_oracle
 
 EB_CAP = 1e12
 STATIONARY_NORM = 1e-8
@@ -139,21 +139,17 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
         xs = np.vstack([xs, *find_suboptimal_stationary_points(p, plan.bracket)])
 
     # One index of the rows that enter the ratios, narrowed before each costly
-    # oracle: a projection only for rows in the nu-sublevel set, the
-    # subgradient oracle only for rows that pass the tau_s filter as well.  A
-    # row reaching it has a finite value, so it skips the wrapper's domain check.
-    fx = np.array([float(p.value(x)) for x in xs])
+    # batch oracle: a projection only for rows in the nu-sublevel set, the
+    # min-norm element only for rows that pass the tau_s filter as well.  A
+    # row reaching it has a finite value, so it needs no domain check.
+    fx = batch_oracle(p, "values", xs)
     gap = fx - p.f_star
     rows = np.flatnonzero(~(gap > plan.nu) & (fx != math.inf))
-    offset = np.zeros_like(xs)
-    for i in rows:
-        offset[i] = xs[i] - as_point(p.project_solution(xs[i]))
+    offset = batch_oracle(p, "project_solutions", xs, rows)
+    np.subtract(xs, offset, out=offset)  # x - proj_S(x); only its rows are read
     dist = np.sqrt(_rowwise_dot(offset, offset))
     rows = rows[~(gap[rows] < plan.tau_s) & ~(dist[rows] < math.sqrt(plan.tau_s))]
-    oracle = p.min_norm_subgradient or p.subgradient
-    g = np.zeros_like(xs)
-    for i in rows:
-        g[i] = oracle(xs[i])
+    g = batch_oracle(p, "min_norm_subgradients", xs, rows)
     secant = _rowwise_dot(g, offset)[rows]  # <g, x - proj_S(x)>
     gnorm = np.sqrt(_rowwise_dot(g, g))[rows]
     gap, dist = gap[rows], dist[rows]
@@ -263,53 +259,56 @@ def find_suboptimal_stationary_points(p: ProblemSpec, bracket) -> list[np.ndarra
     """Roots of the signed min-norm subgradient that are not minimizers.
 
     Sign-change bisection over the bracket; keeps points with
-    dist(0, subdifferential) < 1e-8 and value gap > 1e-6.
+    dist(0, subdifferential) < 1e-8 and value gap > 1e-6.  The grid is one
+    batch call per oracle, and every sign-change bracket is halved at once,
+    80 times; a bracket whose midpoint is an exact root stays there.  Raises
+    DomainError when f is +inf at a grid point.
     """
     if p.dimension != 1:
         raise ValueError("stationary-point scan is one-dimensional")
     if p.f_star is None:
         raise NeedsReference("needs f_star to classify stationary points")
-    lo, hi = float(bracket[0]), float(bracket[1])
+    grid = as_point(np.linspace(float(bracket[0]), float(bracket[1]), STATIONARY_SCAN))
+    outside = np.flatnonzero(batch_oracle(p, "values", grid[:, None]) == math.inf)
+    if outside.size:
+        raise DomainError(f"value is +inf at {grid[outside[:1]]}")
 
-    def signed(x: float) -> float:
-        return float(min_norm_subgradient(p, [x]).element[0])
+    def signed(points: np.ndarray) -> np.ndarray:
+        return batch_oracle(p, "min_norm_subgradients", points[:, None])[:, 0]
 
-    xs = np.linspace(lo, hi, STATIONARY_SCAN)
-    vals = [signed(x) for x in xs]
-    roots: list[float] = []
-    for i in range(STATIONARY_SCAN - 1):
-        a, b, va, vb = xs[i], xs[i + 1], vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(a))
-            continue
-        # Signs are compared, since va * vb underflows to 0 below about 1e-162;
-        # va and every later va, vm are nonzero.
-        if vb == 0.0 or (va < 0.0) == (vb < 0.0):
-            continue
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            vm = signed(mid)
-            if vm == 0.0:
-                a = b = mid
-                break
-            if (va < 0.0) != (vm < 0.0):
-                b, vb = mid, vm
-            else:
-                a, va = mid, vm
-        roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    vals = signed(grid)
+    neg = vals < 0.0
+    # Signs are compared, since va * vb underflows to 0 below about 1e-162.
+    at_zero = vals[:-1] == 0.0
+    starts = np.flatnonzero(~at_zero & (vals[1:] != 0.0) & (neg[:-1] != neg[1:]))
+    a, b, a_neg = grid[starts], grid[starts + 1], neg[starts]
+    live = np.arange(starts.size)
+    for _ in range(80):
+        if not live.size:
+            break
+        mid = 0.5 * (a[live] + b[live])
+        vm = signed(mid)
+        # A midpoint that is a root closes its bracket there (a = b = mid);
+        # otherwise the half whose ends differ in sign stays.  The sign at a
+        # never changes, since a moves only to midpoints of its own sign.
+        root = vm == 0.0
+        left = a_neg[live] != (vm < 0.0)
+        b[live[root | left]] = mid[root | left]
+        a[live[root | ~left]] = mid[root | ~left]
+        live = live[~root]
+    # The root found in each grid interval, in grid order, then the last point.
+    found = np.where(at_zero, grid[:-1], math.nan)
+    found[starts] = 0.5 * (a + b)
+    roots = found[~np.isnan(found)].tolist() + ([float(grid[-1])] if vals[-1] == 0.0 else [])
 
-    out, seen = [], []
+    unique: list[float] = []
     for r in roots:
-        if any(abs(r - s) < 1e-6 for s in seen):
-            continue
-        seen.append(r)
-        info = min_norm_subgradient(p, [r])
-        gap = float(p.value(np.array([r]))) - p.f_star
-        if info.norm < STATIONARY_NORM and gap > SUBOPTIMAL_GAP:
-            out.append(np.array([r]))
-    return out
+        if not any(abs(r - s) < 1e-6 for s in unique):
+            unique.append(r)
+    points = np.array(unique).reshape(-1, 1)
+    gap = batch_oracle(p, "values", points) - p.f_star
+    slope = np.abs(signed(points[:, 0]))
+    return [points[i] for i in np.flatnonzero((slope < STATIONARY_NORM) & (gap > SUBOPTIMAL_GAP))]
 
 
 def verify_weak_convexity(p: ProblemSpec, rho_claim: float, samples: int = 500,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadShape, ParseError
 from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SvmParts,
-                      problem_from_1d)
+                      problem_from_1d, row_dots, row_matvecs)
 
 
 def make_benchmark(name: str, aniso_l: float = 9.0) -> ProblemSpec:
@@ -24,6 +24,20 @@ def make_benchmark(name: str, aniso_l: float = 9.0) -> ProblemSpec:
     if name not in _BUILDERS:
         raise ValueError(f"unknown benchmark {name!r}")
     return _BUILDERS[name](aniso_l)
+
+
+# The pieces below take a float (the scalar oracles and the 1-d prox) or an
+# array of points (the batch oracles of Piecewise1D), with the same values.
+# numpy's ``**`` on an array is not the libm pow of a float's ``**`` and can
+# differ in the last digit, so powers use np.float_power on arrays; numpy
+# functions cost about 1 us on a float, so floats keep ``**`` and math.sin.
+
+def _power(x, n: int):
+    return x ** n if isinstance(x, float) else np.float_power(x, n)
+
+
+def _sin(x):
+    return math.sin(x) if isinstance(x, float) else np.sin(x)
 
 
 def _quad1d() -> ProblemSpec:
@@ -34,6 +48,7 @@ def _quad1d() -> ProblemSpec:
         strong_convexity=2.0,
         f_star=0.0,
         project_solution=lambda x: np.zeros(1),
+        project_solutions=np.zeros_like,
         prox_closed_form=lambda z, c: z / (1.0 + 2.0 * c),
         name="quad1d",
         metadata={"mu_s": 1.0, "mu_r": 2.0, "mu_e": 0.5, "mu_p": 4.0, "mu_q": 1.0,
@@ -42,13 +57,15 @@ def _quad1d() -> ProblemSpec:
 
 
 def _quad_quartic() -> ProblemSpec:
-    quart = (lambda x: 0.5 * x ** 4 + 0.5, lambda x: 2.0 * x ** 3)
+    quart = (lambda x: 0.5 * _power(x, 4) + 0.5,
+             lambda x: 2.0 * _power(x, 3))
     quad = (lambda x: x * x, lambda x: 2.0 * x)
     pw = Piecewise1D([-1.0, 1.0], [quart, quad, quart])
     return problem_from_1d(
         pw,
         f_star=0.0,
         project_solution=lambda x: np.zeros(1),
+        project_solutions=np.zeros_like,
         name="quad_quartic",
         metadata={"mu_s": 1.0, "mu_r": 2.0, "mu_e": 0.5, "mu_p": 4.0, "mu_q": 1.0,
                   "bracket": (-1.8, 1.8), "nu": math.inf},
@@ -57,14 +74,15 @@ def _quad_quartic() -> ProblemSpec:
 
 def _sine_quad() -> ProblemSpec:
     # f'' = 2 + 12 cos(2x) ranges over [-10, 14]: 10-weakly convex, 14-smooth.
-    pw = Piecewise1D([], [(lambda x: x * x + 6.0 * math.sin(x) ** 2,
-                           lambda x: 2.0 * x + 6.0 * math.sin(2.0 * x))])
+    pw = Piecewise1D([], [(lambda x: x * x + 6.0 * _power(_sin(x), 2),
+                           lambda x: 2.0 * x + 6.0 * _sin(2.0 * x))])
     return problem_from_1d(
         pw,
         weak_convexity=10.0,
         smoothness=14.0,
         f_star=0.0,
         project_solution=lambda x: np.zeros(1),
+        project_solutions=np.zeros_like,
         name="sine_quad",
         metadata={"mu_q": 1.0, "pl_holds_globally": False, "eb_holds_globally": False,
                   "bracket": (-10.0, 10.0), "nu": math.inf},
@@ -72,7 +90,7 @@ def _sine_quad() -> ProblemSpec:
 
 
 def _wc_piecewise() -> ProblemSpec:
-    outer = (lambda x: 3.0 * (x + 1.0) ** 2, lambda x: 6.0 * (x + 1.0))
+    outer = (lambda x: 3.0 * _power(x + 1.0, 2), lambda x: 6.0 * (x + 1.0))
     cap = (lambda x: -x * x + 1.0, lambda x: -2.0 * x)
     pw = Piecewise1D([-1.0, -0.5], [outer, cap, outer])
     return problem_from_1d(
@@ -80,6 +98,7 @@ def _wc_piecewise() -> ProblemSpec:
         weak_convexity=2.0,
         f_star=0.0,
         project_solution=lambda x: -np.ones(1),
+        project_solutions=lambda xs: np.full_like(xs, -1.0),
         name="wc_piecewise",
         metadata={"mu_q": 3.0, "mu_e": 0.5, "mu_p": 4.0 / 3.0, "mu_r": 2.0,
                   "bracket": (-2.0, 0.5), "nu": 1.0},
@@ -91,8 +110,11 @@ def _aniso_quad(l_param: float) -> ProblemSpec:
         raise ValueError("anisotropy parameter must be >= 1")
     diag = np.array([1.0, l_param])
 
-    def gradient(x, shift=0.0):
+    def gradient(x, shift=0.0):  # one point, or one row per point
         return diag * np.asarray(x, dtype=float) + shift
+
+    def values(xs):
+        return 0.5 * row_dots(np.broadcast_to(diag, xs.shape), xs ** 2)
 
     return ProblemSpec(
         dimension=2,
@@ -103,6 +125,9 @@ def _aniso_quad(l_param: float) -> ProblemSpec:
         strong_convexity=1.0,
         f_star=0.0,
         project_solution=lambda x: np.zeros(2),
+        values=values,
+        min_norm_subgradients=gradient,
+        project_solutions=np.zeros_like,
         prox_closed_form=lambda z, c: np.asarray(z) / (1.0 + c * diag),
         name=f"aniso_quad({l_param:g})",
         metadata={"gd_mu": 1.0, "gd_beta": 1.0, "mu_q": 0.5, "mu_p": 2.0, "mu_e": 1.0,
@@ -266,11 +291,24 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
         base = grad_smooth(x) + shift
         return base + parts.min_norm_h(base, x)
 
+    # The batch forms repeat value and min_norm row by row with the same
+    # products: one matrix-vector product and one dot per row.
+    def values(xs):
+        r = row_matvecs(a_mat, xs) - y
+        return (0.5 * row_dots(r, r) + 0.5 * en_reg * row_dots(xs, xs)
+                + lam * np.abs(xs).sum(axis=1))
+
+    def min_norms(xs, shift=0.0):
+        base = row_matvecs(a_mat.T, row_matvecs(a_mat, xs) - y) + en_reg * xs + shift
+        return base + parts.min_norm_h(base, xs)
+
     return ProblemSpec(
         dimension=a_mat.shape[1],
         value=value,
         subgradient=min_norm,
         min_norm_subgradient=min_norm,
+        values=values,
+        min_norm_subgradients=min_norms,
         strong_convexity=en_reg,
         composite=parts,
         name=f"{kind}(n={a_mat.shape[0]},m={a_mat.shape[1]},lam={lam:g})",

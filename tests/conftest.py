@@ -1,4 +1,6 @@
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,26 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from proxlab import (Dataset, MLProblemParams, generate_lasso_data, make_benchmark,
                      make_blob_dataset, make_ml_problem, reference_solution)
+
+
+# The oracles the estimator and the trace read, with whether each is a batch form.
+COUNTED_ORACLES = {"value": False, "project_solution": False, "min_norm_subgradient": False,
+                   "values": True, "project_solutions": True, "min_norm_subgradients": True}
+
+
+def counted(p, tally: Counter):
+    """Copy of p whose oracles in COUNTED_ORACLES add to tally[name] a pair
+    (calls, rows) per call: one row for a scalar oracle, len(xs) for a batch."""
+
+    def wrap(name, oracle):
+        def call(x, *args, **kwargs):
+            calls, rows = tally[name] or (0, 0)
+            tally[name] = (calls + 1, rows + (len(x) if COUNTED_ORACLES[name] else 1))
+            return oracle(x, *args, **kwargs)
+        return call
+
+    return replace(p, **{name: wrap(name, getattr(p, name)) for name in COUNTED_ORACLES
+                         if getattr(p, name) is not None})
 
 
 @pytest.fixture(scope="session")

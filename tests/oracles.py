@@ -3,8 +3,8 @@
 These deliberately avoid the package's solvers: golden-section search,
 dense / refined grid minimization, sign bisection, central differences,
 plain accelerated proximal gradient, the pairwise running diameter, the
-per-sample loop estimator of the regularity constants and the per-step loop
-replays of the bound checkers.
+per-sample loop estimator of the regularity constants, the scalar
+stationary-point scan and the per-step loop replays of the bound checkers.
 Expected values asserted in the tests were computed with these and frozen.
 """
 
@@ -196,6 +196,64 @@ def loop_inexact_one_step(trace, atol: float) -> LoopCheck:
     return check
 
 
+def loop_stationary_points(p, bracket) -> list:
+    """The stationary-point scan one scalar oracle call at a time, for reference.
+
+    Same grid, brackets, 80 halvings and classification as
+    ``find_suboptimal_stationary_points``; every call is the checked
+    ``min_norm_subgradient`` wrapper.
+    """
+    from proxlab.errors import NeedsReference
+    from proxlab.problem import min_norm_subgradient
+    from proxlab.regularity import STATIONARY_NORM, STATIONARY_SCAN, SUBOPTIMAL_GAP
+
+    if p.dimension != 1:
+        raise ValueError("stationary-point scan is one-dimensional")
+    if p.f_star is None:
+        raise NeedsReference("needs f_star to classify stationary points")
+    lo, hi = float(bracket[0]), float(bracket[1])
+
+    def signed(x: float) -> float:
+        return float(min_norm_subgradient(p, [x]).element[0])
+
+    xs = np.linspace(lo, hi, STATIONARY_SCAN)
+    vals = [signed(x) for x in xs]
+    roots: list[float] = []
+    for i in range(STATIONARY_SCAN - 1):
+        a, b, va, vb = xs[i], xs[i + 1], vals[i], vals[i + 1]
+        if va == 0.0:
+            roots.append(float(a))
+            continue
+        # Signs are compared, since va * vb underflows to 0 below about 1e-162;
+        # va and every later va, vm are nonzero.
+        if vb == 0.0 or (va < 0.0) == (vb < 0.0):
+            continue
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            vm = signed(mid)
+            if vm == 0.0:
+                a = b = mid
+                break
+            if (va < 0.0) != (vm < 0.0):
+                b, vb = mid, vm
+            else:
+                a, va = mid, vm
+        roots.append(0.5 * (a + b))
+    if vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+
+    out, seen = [], []
+    for r in roots:
+        if any(abs(r - s) < 1e-6 for s in seen):
+            continue
+        seen.append(r)
+        info = min_norm_subgradient(p, [r])
+        gap = float(p.value(np.array([r]))) - p.f_star
+        if info.norm < STATIONARY_NORM and gap > SUBOPTIMAL_GAP:
+            out.append(np.array([r]))
+    return out
+
+
 def loop_estimate(p, plan):
     """The regularity estimator as a loop over per-sample records, for reference.
 
@@ -205,8 +263,7 @@ def loop_estimate(p, plan):
     sample starts), in sample order.
     """
     from proxlab.regularity import (EB_CAP, PAIR_THIN, STATIONARY_NORM, SUBOPTIMAL_GAP,
-                                    ConstantEstimate, RegularityReport,
-                                    find_suboptimal_stationary_points)
+                                    ConstantEstimate, RegularityReport)
 
     if plan.bracket is None:
         rng = np.random.default_rng(plan.seed)
@@ -215,7 +272,7 @@ def loop_estimate(p, plan):
                   for _ in range(plan.count)]
     elif p.dimension == 1:
         points = [np.array([t]) for t in np.linspace(*plan.bracket, plan.count)]
-        points += find_suboptimal_stationary_points(p, plan.bracket)
+        points += loop_stationary_points(p, plan.bracket)
     else:
         axis = np.linspace(*plan.bracket, max(math.isqrt(plan.count), 10))
         points = [np.array([a, b]) for a in axis for b in axis]

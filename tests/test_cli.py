@@ -320,7 +320,7 @@ def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
 
 
 # The subcommand that reads a section, where run-ppm does not.
-READERS = {"criterion": "run-ippm", "estimation": "estimate"}
+READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd"}
 
 
 @pytest.mark.parametrize("field,value", [
@@ -333,6 +333,14 @@ READERS = {"criterion": "run-ippm", "estimation": "estimate"}
     ("problem.data.lasso", {"ml": "lasso", "data": {"lasso": [20, 50, 10]}}),
     ("problem.data.blobs", {"ml": "svm", "data": {"blobs": 3}}),
     ("reference", 3),
+    # A scalar field inside its section, and the top-level nu.
+    ("criterion.kind", {"kind": 3}), ("criterion.eps0", {"kind": "A'", "eps0": "x"}),
+    ("problem.aniso_l", {"benchmark": "aniso_quad", "aniso_l": "x"}),
+    ("gd.mu", {"mu": "x"}), ("gd.step", {"step": [1]}),
+    ("estimation.tau_s", {"tau_s": "x"}), ("estimation.count", {"count": 100.5}),
+    ("estimation.bracket", {"bracket": ["a", 1]}),
+    ("problem.data.lasso.n", {"ml": "lasso", "data": {"lasso": {"n": "x", "m": 6, "s": 2}}}),
+    ("reference.effort", {"effort": "x"}), ("nu", "x"),
 ])
 def test_wrong_json_type_names_the_field(tmp_path, capsys, field, value):
     section = field.split(".")[0]

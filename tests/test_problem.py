@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from proxlab import (BENCHMARKS, DomainError, NotAvailable, ProblemSpec, ProxResult,
                      distance_to_solution, make_benchmark, min_norm_subgradient)
-from proxlab.problem import Piecewise1D, as_point
+from proxlab.problem import BATCH_ROWS, Piecewise1D, as_point, batch_oracle
 
 from oracles import grid_argmin
 from test_prox import certificate_is_subgradient
@@ -141,3 +142,46 @@ def test_with_reference_copies():
     q = p.with_reference(0.0, note="x")
     assert q is not p and q.metadata["note"] == "x"
     assert p.metadata.get("note") is None
+
+
+BATCH_FIELDS = ("values", "min_norm_subgradients", "project_solutions")
+
+
+@pytest.mark.parametrize("name", [*BENCHMARKS, "en_f20", "lasso_f20"])
+def test_batch_oracles_equal_the_scalar_oracles_bitwise(request, name):
+    # Every row, signed zeros included, on random points, zeros and breakpoints;
+    # the row fallback maps the scalar oracles, so it is the reference.
+    p = make_benchmark(name) if name in BENCHMARKS else request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-3.0, 3.0, (2 * BATCH_ROWS + 77, p.dimension))
+    xs[:40] = 0.0
+    xs[40:80, ::2] = -0.0
+    xs[80:80 + len(p.breakpoints_1d), 0] = p.breakpoints_1d
+    rows = np.flatnonzero(rng.random(len(xs)) < 0.7)
+    scalar = replace(p, **dict.fromkeys(BATCH_FIELDS))
+    for field in BATCH_FIELDS:
+        if field == "project_solutions" and p.project_solution is None:
+            continue
+        assert getattr(p, field) is not None, field
+        got, want = batch_oracle(p, field, xs, rows), batch_oracle(scalar, field, xs, rows)
+        assert got.tobytes() == want.tobytes(), field
+
+
+def test_batch_oracle_calls_blocks_and_leaves_other_rows_zero(quad1d):
+    sizes = []
+
+    def values(xs):
+        sizes.append(len(xs))
+        return quad1d.values(xs)
+
+    xs = np.linspace(-1.0, 1.0, 3 * BATCH_ROWS)[:, None]
+    rows = np.arange(1, len(xs), 2)
+    out = batch_oracle(replace(quad1d, values=values), "values", xs, rows)
+    assert sizes == [BATCH_ROWS, BATCH_ROWS // 2]
+    assert np.array_equal(out[rows], xs[rows, 0] ** 2) and not out[::2].any()
+
+
+def test_with_reference_replaces_a_stale_batch_projection(quad1d):
+    q = quad1d.with_reference(0.0, project=lambda x: np.ones(1))
+    assert q.project_solutions is None  # the old batch form would disagree
+    assert batch_oracle(q, "project_solutions", np.zeros((3, 1))).tolist() == [[1.0]] * 3

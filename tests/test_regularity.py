@@ -11,9 +11,11 @@ from proxlab import (EstimationPlan, NeedsReference, audit_implications,
                      estimate_constants, find_suboptimal_stationary_points,
                      make_benchmark, plan_for, regularity, verify_weak_convexity)
 
-from oracles import bisect_root, loop_estimate
+from conftest import counted
+from oracles import bisect_root, loop_estimate, loop_stationary_points
 
-BENCHMARKS = ("quad1d", "quad_quartic", "sine_quad", "wc_piecewise", "aniso_quad")
+ONE_D = ("quad1d", "quad_quartic", "sine_quad", "wc_piecewise")
+BENCHMARKS = (*ONE_D, "aniso_quad")
 
 
 def rel_close(value, target, tol=0.05):
@@ -131,6 +133,36 @@ def test_stationary_points_empty_when_unique(quad1d, wc_piecewise):
     assert find_suboptimal_stationary_points(wc_piecewise, (-2.0, 0.5)) == []
 
 
+def _hex_roots(points):
+    return [float(x[0]).hex() for x in points]
+
+
+# f_star one below the minimum makes every stationary point suboptimal, so the
+# scan returns every root it finds.
+@pytest.mark.parametrize("name,bracket", [
+    *((name, make_benchmark(name).metadata["bracket"]) for name in ONE_D),
+    ("quad1d", (0.0, 1.0)), ("quad1d", (-1.0, 0.0)),            # root at vals[0], vals[-1]
+    ("quad_quartic", (0.0, 1.8)), ("sine_quad", (-3.0, 0.0)),
+    ("wc_piecewise", (-1.0, 0.5)), ("wc_piecewise", (-2.0, -1.0)),  # at a breakpoint
+])
+def test_stationary_scan_matches_loop_reference(name, bracket):
+    p = make_benchmark(name)
+    p = replace(p, f_star=p.f_star - 1.0)
+    roots = _hex_roots(find_suboptimal_stationary_points(p, bracket))
+    assert roots and roots == _hex_roots(loop_stationary_points(p, bracket))
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(ONE_D), lo=st.floats(-12.0, 12.0),
+       width=st.floats(1e-3, 20.0))
+def test_stationary_scan_matches_loop_reference_on_any_bracket(name, lo, width):
+    p = make_benchmark(name)
+    p = replace(p, f_star=p.f_star - 1.0)
+    bracket = (lo, lo + width)
+    assert _hex_roots(find_suboptimal_stationary_points(p, bracket)) \
+        == _hex_roots(loop_stationary_points(p, bracket))
+
+
 def test_verify_weak_convexity(quad1d, wc_piecewise):
     ok, witness = verify_weak_convexity(wc_piecewise, 2.0, samples=800)
     assert ok and witness is None
@@ -217,25 +249,31 @@ def test_estimate_matches_loop_reference(name, count, tau_s):
 
 
 @pytest.mark.parametrize("fixture,nu,counts", [
-    ("quad1d", None, {"value": 14_100, "project": 10_001, "min_norm": 14_098}),
-    ("quad1d", 0.25, {"value": 14_100, "project": 5_001, "min_norm": 9_098}),
-    ("en_f20", None, {"value": 10_001, "project": 10_002, "min_norm": 10_001}),
+    ("quad1d", None, {"values": (29, 14_098), "project_solutions": (20, 10_001),
+                      "min_norm_subgradients": (30, 14_098)}),
+    ("quad1d", 0.25, {"values": (29, 14_098), "project_solutions": (10, 5_001),
+                      "min_norm_subgradients": (20, 9_098)}),
+    ("en_f20", None, {"values": (20, 10_001), "project_solution": (1, 1),
+                      "project_solutions": (20, 10_001), "min_norm_subgradients": (20, 10_001)}),
 ])
 def test_estimate_oracle_work_count(request, fixture, nu, counts):
-    # One value per sample (quad1d: plus the stationary scan's domain checks);
-    # a projection only inside the nu-sublevel set (and one for the Gaussian
-    # centre); a subgradient only for samples that enter the ratios.
+    # (calls, rows) per oracle, 512 rows a batch call.  One value per sample
+    # (quad1d: plus the stationary scan's grid and its one root); a projection
+    # only inside the nu-sublevel set (en_f20: plus one scalar call for the
+    # Gaussian centre); a min-norm element only for samples that enter the
+    # ratios (quad1d: plus the scan's grid, its one halving and its root).
     p = request.getfixturevalue(fixture)
-    calls = Counter()
+    tally = Counter()
+    estimate_constants(counted(p, tally), plan_for(p, nu=nu))
+    assert dict(tally) == counts
 
-    def counted(name, oracle):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return oracle(*args, **kwargs)
-        return call
 
-    p = replace(p, value=counted("value", p.value),
-                project_solution=counted("project", p.project_solution),
-                min_norm_subgradient=counted("min_norm", p.min_norm_subgradient))
-    estimate_constants(p, plan_for(p, nu=nu))
-    assert dict(calls) == counts
+def test_estimate_row_fallback_work_count(quad1d):
+    # Without batch forms every row is one scalar call; the calls per oracle
+    # are the rows of the batched quad1d case above.
+    p = replace(quad1d, values=None, min_norm_subgradients=None, project_solutions=None)
+    tally = Counter()
+    report = estimate_constants(counted(p, tally), plan_for(p))
+    assert dict(tally) == {"value": (14_098, 14_098), "project_solution": (10_001, 10_001),
+                           "min_norm_subgradient": (14_098, 14_098)}
+    assert report.to_json() == estimate_constants(quad1d, plan_for(quad1d)).to_json()

@@ -9,12 +9,12 @@ relative.
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 import proxlab.cli as cli
-import proxlab.ppm as ppm_module
 from proxlab import (GDParams, InexactCriterion, RateBounds, StepSchedule,
                      check_inexact_one_step, check_ippm_linear, check_ippm_sublinear,
                      check_linear_rates, check_one_step, check_sublinear_bound,
@@ -22,6 +22,7 @@ from proxlab import (GDParams, InexactCriterion, RateBounds, StepSchedule,
 from proxlab.gd import GD_ATOL
 from proxlab.ppm import CHECK_ATOL
 
+from conftest import counted
 from oracles import (cells, loop_contraction, loop_envelope, loop_inexact_one_step,
                      loop_one_step)
 
@@ -122,27 +123,12 @@ def test_checkers_match_loop_reference(run, nu):
 
 
 def test_run_ppm_distance_work_count(tmp_path, monkeypatch):
-    # One distance_to_solution per trace row; one more projection for x* of
-    # the one-step check.  Every reader shares the trace's dists column.
-    counts = {"distance": 0, "project": 0}
-    distance = ppm_module.distance_to_solution
-
-    def counted_distance(*args):
-        counts["distance"] += 1
-        return distance(*args)
-
-    def counted(p):
-        project = p.project_solution
-
-        def counted_project(x):
-            counts["project"] += 1
-            return project(x)
-
-        return replace(p, project_solution=counted_project)
-
+    # The trace's dists column is one batch projection of its 501 rows; the
+    # one-step check makes one more scalar projection for x*.  Every reader
+    # shares the column.
+    tally = Counter()
     build = cli.make_benchmark
-    monkeypatch.setattr(ppm_module, "distance_to_solution", counted_distance)
-    monkeypatch.setattr(cli, "make_benchmark", lambda *a, **kw: counted(build(*a, **kw)))
+    monkeypatch.setattr(cli, "make_benchmark", lambda *a, **kw: counted(build(*a, **kw), tally))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problem": {"benchmark": "quad_quartic"},
                                "schedule": {"constant": 0.007}, "x0": [1.2],
@@ -150,4 +136,4 @@ def test_run_ppm_distance_work_count(tmp_path, monkeypatch):
     assert cli.main(["run-ppm", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["iterations"] == 500 and summary["asserted"] == 2
-    assert counts == {"distance": 501, "project": 502}
+    assert tally["project_solutions"] == (1, 501) and tally["project_solution"] == (1, 1)
