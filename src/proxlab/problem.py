@@ -264,6 +264,14 @@ class Piecewise1D:
     neighbouring breakpoints; at a breakpoint the subdifferential is the
     interval hull of the one-sided derivative limits.  Weak convexity forces
     left limit <= right limit at every breakpoint, so the hull is [lo, hi].
+
+    The pieces are called on a float by ``value`` and ``interval`` and on a
+    1-d array of points by ``values`` and ``intervals``, so they must be
+    ufunc-safe: numpy expressions of x, not ``math`` functions, which raise
+    TypeError on an array.  They must also give the same value both ways, or
+    a batch oracle built on them disagrees with its scalar oracle: ``x ** n``
+    on a float is libm pow but on an array is numpy's own power and can differ
+    in the last digit, so write powers as ``np.float_power(x, n)``.
     """
 
     def __init__(self, breakpoints, pieces):
@@ -295,8 +303,8 @@ class Piecewise1D:
             lo, hi = hi, lo
         return lo, hi
 
-    # Batch forms on a 1-d array of points.  Each piece is called once, on the
-    # points it covers, so pieces must be ufunc-safe (numpy functions of x).
+    # Batch forms on a 1-d array of points: each piece is called once, on the
+    # points it covers.
 
     def _locate_all(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``_locate`` of every point: x <= breakpoint i first at i, as there."""
@@ -329,7 +337,12 @@ class Piecewise1D:
 
 
 def problem_from_1d(pw: Piecewise1D, **kwargs) -> ProblemSpec:
-    """Wrap a Piecewise1D into a ProblemSpec with interval-aware oracles."""
+    """Wrap a Piecewise1D into a ProblemSpec with interval-aware oracles.
+
+    The batch oracles ``values`` and ``min_norm_subgradients`` are built from
+    ``pw.values`` and ``pw.intervals``, so the pieces must be ufunc-safe and
+    give the same value on a float and on an array (see Piecewise1D).
+    """
 
     def scalar(v) -> float:
         return float(np.asarray(v).reshape(-1)[0])

@@ -27,18 +27,10 @@ def make_benchmark(name: str, aniso_l: float = 9.0) -> ProblemSpec:
 
 
 # The pieces below take a float (the scalar oracles and the 1-d prox) or an
-# array of points (the batch oracles of Piecewise1D), with the same values.
-# numpy's ``**`` on an array is not the libm pow of a float's ``**`` and can
-# differ in the last digit, so powers use np.float_power on arrays; numpy
-# functions cost about 1 us on a float, so floats keep ``**`` and math.sin.
-
-def _power(x, n: int):
-    return x ** n if isinstance(x, float) else np.float_power(x, n)
-
-
-def _sin(x):
-    return math.sin(x) if isinstance(x, float) else np.sin(x)
-
+# array of points (the batch oracles of Piecewise1D) and must give the same
+# values on both.  ``x ** n`` on an array is not the libm pow that ``**`` on a
+# float calls and can differ in the last digit, so powers use np.float_power,
+# which is the same function on both.
 
 def _quad1d() -> ProblemSpec:
     pw = Piecewise1D([], [(lambda x: x * x, lambda x: 2.0 * x)])
@@ -57,8 +49,8 @@ def _quad1d() -> ProblemSpec:
 
 
 def _quad_quartic() -> ProblemSpec:
-    quart = (lambda x: 0.5 * _power(x, 4) + 0.5,
-             lambda x: 2.0 * _power(x, 3))
+    quart = (lambda x: 0.5 * np.float_power(x, 4) + 0.5,
+             lambda x: 2.0 * np.float_power(x, 3))
     quad = (lambda x: x * x, lambda x: 2.0 * x)
     pw = Piecewise1D([-1.0, 1.0], [quart, quad, quart])
     return problem_from_1d(
@@ -74,8 +66,8 @@ def _quad_quartic() -> ProblemSpec:
 
 def _sine_quad() -> ProblemSpec:
     # f'' = 2 + 12 cos(2x) ranges over [-10, 14]: 10-weakly convex, 14-smooth.
-    pw = Piecewise1D([], [(lambda x: x * x + 6.0 * _power(_sin(x), 2),
-                           lambda x: 2.0 * x + 6.0 * _sin(2.0 * x))])
+    pw = Piecewise1D([], [(lambda x: x * x + 6.0 * np.float_power(np.sin(x), 2),
+                           lambda x: 2.0 * x + 6.0 * np.sin(2.0 * x))])
     return problem_from_1d(
         pw,
         weak_convexity=10.0,
@@ -90,7 +82,7 @@ def _sine_quad() -> ProblemSpec:
 
 
 def _wc_piecewise() -> ProblemSpec:
-    outer = (lambda x: 3.0 * _power(x + 1.0, 2), lambda x: 6.0 * (x + 1.0))
+    outer = (lambda x: 3.0 * np.float_power(x + 1.0, 2), lambda x: 6.0 * (x + 1.0))
     cap = (lambda x: -x * x + 1.0, lambda x: -2.0 * x)
     pw = Piecewise1D([-1.0, -0.5], [outer, cap, outer])
     return problem_from_1d(
@@ -118,7 +110,7 @@ def _aniso_quad(l_param: float) -> ProblemSpec:
 
     return ProblemSpec(
         dimension=2,
-        value=lambda x: 0.5 * float(np.dot(diag, np.asarray(x) ** 2)),
+        value=lambda x: float(values(np.asarray(x, dtype=float)[None])[0]),
         subgradient=gradient,
         min_norm_subgradient=gradient,
         smoothness=float(l_param),
@@ -278,21 +270,11 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
     def grad_smooth(x):
         return a_mat.T @ (a_mat @ x - y) + en_reg * np.asarray(x, dtype=float)
 
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        r = a_mat @ x - y
-        return (0.5 * float(np.dot(r, r)) + 0.5 * en_reg * float(np.dot(x, x))
-                + lam * float(np.abs(x).sum()))
-
     parts = CompositeParts(grad_smooth=grad_smooth, hessian=hessian, l1_weight=lam)
 
-    def min_norm(x, shift=0.0):
-        x = np.asarray(x, dtype=float)
-        base = grad_smooth(x) + shift
-        return base + parts.min_norm_h(base, x)
-
-    # The batch forms repeat value and min_norm row by row with the same
-    # products: one matrix-vector product and one dot per row.
+    # The oracles are written for rows, one matrix-vector product and one dot
+    # per row; the scalar oracles are their one-row case.  grad_smooth keeps
+    # its own one-point form: the inner solver calls it once per iteration.
     def values(xs):
         r = row_matvecs(a_mat, xs) - y
         return (0.5 * row_dots(r, r) + 0.5 * en_reg * row_dots(xs, xs)
@@ -301,6 +283,12 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
     def min_norms(xs, shift=0.0):
         base = row_matvecs(a_mat.T, row_matvecs(a_mat, xs) - y) + en_reg * xs + shift
         return base + parts.min_norm_h(base, xs)
+
+    def value(x):
+        return float(values(np.asarray(x, dtype=float)[None])[0])
+
+    def min_norm(x, shift=0.0):
+        return min_norms(np.asarray(x, dtype=float)[None], shift)[0]
 
     return ProblemSpec(
         dimension=a_mat.shape[1],
