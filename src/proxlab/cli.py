@@ -53,8 +53,8 @@ NUMBER = (int, float)
 
 
 def _typed(value, kind, field: str):
-    """Return value if it has the JSON type kind, a type or NUMBER (a bool is not an int)."""
-    if isinstance(value, bool) or not isinstance(value, kind):
+    """Return value if it has the JSON type kind, a type or NUMBER (a bool is only a bool)."""
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         expected = "number" if kind is NUMBER else kind.__name__
         raise ConfigError(f"expected {expected}, got {type(value).__name__}", field=field)
     return value
@@ -70,20 +70,20 @@ def _scalars(section: dict, name: str, **kinds) -> dict:
 
 
 def build_problem(cfg: dict, seed: int) -> ProblemSpec:
-    prob = _scalars(_typed(_get(cfg, "problem", required=True), dict, "problem"), "problem",
-                    aniso_l=NUMBER)
+    prob = _typed(_get(cfg, "problem", required=True), dict, "problem")
     if "benchmark" in prob:
         name = prob["benchmark"]
         if name not in BENCHMARKS:
             raise ConfigError(f"unknown benchmark {name!r}; pick one of {BENCHMARKS}",
                               field="problem.benchmark")
-        return make_benchmark(name, aniso_l=prob.get("aniso_l", 9.0))
+        return make_benchmark(name)
     if "ml" in prob:
         kind = prob["ml"]
         data_cfg = _typed(prob.get("data", {}), dict, "problem.data")
-        params = _typed(prob.get("params", {}), dict, "problem.params")
-        params = MLProblemParams(kind=kind, **_scalars(params, "problem.params", svm_reg=NUMBER,
-                                                       lam=NUMBER, en_reg=NUMBER))
+        weights = _scalars(_typed(prob.get("params", {}), dict, "problem.params"),
+                           "problem.params", svm_reg=NUMBER, lam=NUMBER, en_reg=NUMBER)
+        params = MLProblemParams(kind=kind, **{key: v for key, v in weights.items()
+                                               if key in ("svm_reg", "lam", "en_reg")})
         if kind in ("lasso", "elastic_net"):
             gen = data_cfg.get("lasso")
             if gen is None:
@@ -96,7 +96,12 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
             problem = make_ml_problem(kind, (a_mat, y), params)
         elif kind == "svm":
             if "libsvm" in data_cfg:
-                dataset = load_libsvm(data_cfg["libsvm"])
+                path = _typed(data_cfg["libsvm"], str, "problem.data.libsvm")
+                try:
+                    dataset = load_libsvm(path)
+                except OSError as exc:  # missing, a directory, unreadable
+                    raise ConfigError(f"cannot read {path}: {exc.strerror}",
+                                      field="problem.data.libsvm")
             elif "blobs" in data_cfg:
                 blobs = _scalars(_typed(data_cfg["blobs"], dict, "problem.data.blobs"),
                                  "problem.data.blobs", n=int, d=int, seed=int,
@@ -110,24 +115,22 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
             problem = make_ml_problem("svm", dataset, params)
         else:
             raise ConfigError(f"unknown ml kind {kind!r}", field="problem.ml")
-        ref = _scalars(_typed(cfg.get("reference", {}), dict, "reference"), "reference",
-                       effort=int, c=NUMBER)
-        if ref.get("skip", False):
-            return problem
-        return reference_solution(problem, effort=ref.get("effort", 400),
-                                  c_ref=ref.get("c", 1.0))
+        return reference_solution(problem)
     raise ConfigError("problem needs either 'benchmark' or 'ml'", field="problem")
 
 
 def build_schedule(cfg: dict) -> StepSchedule:
     sched = _typed(_get(cfg, "schedule", {"constant": 1.0}), dict, "schedule")
     if "constant" in sched:
-        return StepSchedule.constant(sched["constant"])
+        return StepSchedule.constant(_typed(sched["constant"], NUMBER, "schedule.constant"))
     if "sequence" in sched:
-        return StepSchedule.from_sequence(sched["sequence"])
+        return StepSchedule.from_sequence(
+            [_typed(c, NUMBER, "schedule.sequence")
+             for c in _typed(sched["sequence"], list, "schedule.sequence")])
     if "geometric" in sched:
         geometric = _typed(sched["geometric"], dict, "schedule.geometric")
-        return StepSchedule.geometric(geometric["c0"], geometric["growth"])
+        return StepSchedule.geometric(*(_typed(geometric.get(k), NUMBER, f"schedule.geometric.{k}")
+                                        for k in ("c0", "growth")))
     raise ConfigError("schedule needs constant / sequence / geometric", field="schedule")
 
 
@@ -136,10 +139,8 @@ def build_x0(cfg: dict, p: ProblemSpec) -> np.ndarray:
     if isinstance(x0, str):
         if x0 == "zeros":
             return np.zeros(p.dimension)
-        if x0 == "ones":
-            return np.ones(p.dimension)
         raise ConfigError(f"unknown x0 preset {x0!r}", field="x0")
-    arr = np.asarray(_typed(x0, list, "x0"), dtype=float)
+    arr = np.array([_typed(v, NUMBER, "x0") for v in _typed(x0, list, "x0")], dtype=float)
     if arr.shape != (p.dimension,):
         raise ConfigError(f"x0 has shape {arr.shape}, problem dimension is {p.dimension}",
                           field="x0")
@@ -186,8 +187,12 @@ def _estimate(cfg: dict, p: ProblemSpec, out: Path):
                    count=int, nu=NUMBER, tau_s=NUMBER)
     plan = plan_for(p, count=est.get("count", 10_001), nu=est.get("nu", cfg.get("nu")))
     if "bracket" in est:
-        ends = _typed(est["bracket"], list, "estimation.bracket")
-        plan = replace(plan, bracket=tuple(_typed(v, NUMBER, "estimation.bracket") for v in ends))
+        ends = tuple(_typed(v, NUMBER, "estimation.bracket")
+                     for v in _typed(est["bracket"], list, "estimation.bracket"))
+        if len(ends) != 2:
+            raise ConfigError(f"expected [lo, hi], got {len(ends)} numbers",
+                              field="estimation.bracket")
+        plan = replace(plan, bracket=ends)
     report = estimate_constants(p, replace(plan, tau_s=est.get("tau_s", plan.tau_s)))
     body = report.to_json()
     if cfg.get("audit", False):
@@ -264,8 +269,8 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     bounds = {}
     if cmd == "run-gd":
         gd_cfg = _scalars(_typed(_get(cfg, "gd", required=True), dict, "gd"), "gd",
-                          lipschitz=NUMBER, mu=NUMBER, beta=NUMBER, step=NUMBER)
-        params = GDParams(lipschitz=gd_cfg.get("lipschitz", p.smoothness),
+                          mu=NUMBER, beta=NUMBER, step=NUMBER)
+        params = GDParams(lipschitz=p.smoothness,
                           mu=gd_cfg.get("mu", p.metadata.get("gd_mu")),
                           beta=gd_cfg.get("beta", p.metadata.get("gd_beta")),
                           step=gd_cfg.get("step"))
@@ -351,15 +356,14 @@ _COMMANDS = {"run-ppm": cmd_run, "run-ippm": cmd_run, "run-gd": cmd_run,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="proxlab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True)
-        cmd.add_argument("--out", required=True)
-        cmd.add_argument("--seed", type=int, default=None)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = _scalars(load_config(args.config), "", nu=NUMBER)
+        cfg = _scalars(load_config(args.config), "", nu=NUMBER, test_mode=bool, estimate=bool,
+                       audit=bool)
         seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
         out = Path(args.out)
         try:

@@ -14,6 +14,7 @@ are safe to share across threads and concurrent runs.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -284,11 +285,10 @@ class Piecewise1D:
         self._breaks = np.array(self.breakpoints)
 
     def _locate(self, x: float) -> tuple[int, bool]:
-        """(i, True) when x is breakpoint i, else (i, False) with x in piece i."""
-        for i, b in enumerate(self.breakpoints):
-            if x <= b:
-                return i, x == b
-        return len(self.breakpoints), False
+        """(i, True) when x is breakpoint i, else (i, False) with x in piece i: i is
+        the first breakpoint >= x, as in ``_locate_all`` (x may be +-inf, not NaN)."""
+        i = bisect.bisect_left(self.breakpoints, x)
+        return i, i < len(self.breakpoints) and self.breakpoints[i] == x
 
     def value(self, x: float) -> float:
         i, at_break = self._locate(x)

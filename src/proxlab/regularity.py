@@ -27,6 +27,8 @@ PAIR_THIN = 200
 STATIONARY_SCAN = 4096
 # Absolute slack on the weak-convexity secant inequality.
 WEAK_CONVEXITY_ATOL = 1e-9
+# Multiplicative sampling tolerance of every audited constant relation.
+AUDIT_TOL = 0.10
 
 
 @dataclass(frozen=True)
@@ -211,15 +213,14 @@ class ImplicationCheck:
     status: str  # "pass" | "fail" | "degenerate" | "skipped"
 
 
-def audit_implications(report: RegularityReport, rho: float,
-                       tol: float = 0.10) -> list[ImplicationCheck]:
+def audit_implications(report: RegularityReport, rho: float) -> list[ImplicationCheck]:
     """Replay the constant relations implied by the implication chain.
 
-    Each derived constant must be met by the directly estimated one within a
-    multiplicative sampling tolerance.  Degenerate constants (a zero growth
-    constant or an unbounded error-bound ratio) mark their relations as
-    unauditable rather than failed; the growth-only branch is skipped unless
-    the problem is convex or mu_q > rho/2.
+    Each derived constant must be met by the directly estimated one within the
+    multiplicative sampling tolerance ``AUDIT_TOL``.  Degenerate constants (a
+    zero growth constant or an unbounded error-bound ratio) mark their
+    relations as unauditable rather than failed; the growth-only branch is
+    skipped unless the problem is convex or mu_q > rho/2.
     """
     mu_s, mu_r = report.mu_s, report.mu_r
     mu_e, mu_p, mu_q = report.mu_e, report.mu_p, report.mu_q
@@ -230,9 +231,9 @@ def audit_implications(report: RegularityReport, rho: float,
             out.append(ImplicationCheck(relation, expected, observed, "degenerate"))
             return
         if kind == "ge":
-            good = observed >= expected * (1.0 - tol)
+            good = observed >= expected * (1.0 - AUDIT_TOL)
         else:
-            good = observed <= expected * (1.0 + tol)
+            good = observed <= expected * (1.0 + AUDIT_TOL)
         out.append(ImplicationCheck(relation, expected, observed,
                                     "pass" if good else "fail"))
 

@@ -19,11 +19,11 @@ from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SvmParts,
                       problem_from_1d, row_dots, row_matvecs)
 
 
-def make_benchmark(name: str, aniso_l: float = 9.0) -> ProblemSpec:
+def make_benchmark(name: str) -> ProblemSpec:
     """Construct a benchmark problem by name (see BENCHMARKS)."""
     if name not in _BUILDERS:
         raise ValueError(f"unknown benchmark {name!r}")
-    return _BUILDERS[name](aniso_l)
+    return _BUILDERS[name]()
 
 
 # The pieces below take a float (the scalar oracles and the 1-d prox) or an
@@ -97,10 +97,8 @@ def _wc_piecewise() -> ProblemSpec:
     )
 
 
-def _aniso_quad(l_param: float) -> ProblemSpec:
-    if l_param < 1.0:
-        raise ValueError("anisotropy parameter must be >= 1")
-    diag = np.array([1.0, l_param])
+def _aniso_quad() -> ProblemSpec:
+    diag = np.array([1.0, 9.0])  # f(x) = (x_1^2 + 9 x_2^2) / 2
 
     def gradient(x, shift=0.0):  # one point, or one row per point
         return diag * np.asarray(x, dtype=float) + shift
@@ -113,7 +111,7 @@ def _aniso_quad(l_param: float) -> ProblemSpec:
         value=lambda x: float(values(np.asarray(x, dtype=float)[None])[0]),
         subgradient=gradient,
         min_norm_subgradient=gradient,
-        smoothness=float(l_param),
+        smoothness=9.0,
         strong_convexity=1.0,
         f_star=0.0,
         project_solution=lambda x: np.zeros(2),
@@ -121,20 +119,14 @@ def _aniso_quad(l_param: float) -> ProblemSpec:
         min_norm_subgradients=gradient,
         project_solutions=np.zeros_like,
         prox_closed_form=lambda z, c: np.asarray(z) / (1.0 + c * diag),
-        name=f"aniso_quad({l_param:g})",
+        name="aniso_quad(9)",
         metadata={"gd_mu": 1.0, "gd_beta": 1.0, "mu_q": 0.5, "mu_p": 2.0, "mu_e": 1.0,
                   "mu_r": 1.0, "mu_s": 0.5, "bracket": (-1.0, 1.0), "nu": math.inf},
     )
 
 
-# Builders by benchmark name; only aniso_quad reads the anisotropy parameter.
-_BUILDERS = {
-    "quad1d": lambda aniso_l: _quad1d(),
-    "quad_quartic": lambda aniso_l: _quad_quartic(),
-    "sine_quad": lambda aniso_l: _sine_quad(),
-    "wc_piecewise": lambda aniso_l: _wc_piecewise(),
-    "aniso_quad": _aniso_quad,
-}
+_BUILDERS = {"quad1d": _quad1d, "quad_quartic": _quad_quartic, "sine_quad": _sine_quad,
+             "wc_piecewise": _wc_piecewise, "aniso_quad": _aniso_quad}
 BENCHMARKS = tuple(_BUILDERS)
 
 

@@ -90,7 +90,6 @@ def test_lasso_config_produces_linear_decay(tmp_path):
         "schedule": {"constant": 0.16},
         "x0": "zeros",
         "max_iter": 50,
-        "reference": {"effort": 500, "c": 1.0},
         "seed": 1,
     })
     out = tmp_path / "out"
@@ -108,7 +107,6 @@ def test_determinism_byte_identical(tmp_path):
                     "params": {"svm_reg": 1.0}},
         "schedule": {"constant": 1.0},
         "max_iter": 20,
-        "reference": {"effort": 200},
         "seed": 5,
     })
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -129,7 +127,6 @@ def test_seed_override_changes_data(tmp_path):
                     "params": {"lam": 5.0}},
         "schedule": {"constant": 0.2},
         "max_iter": 10,
-        "reference": {"effort": 150},
         "seed": 1,
     }
     cfg = write_config(tmp_path, "seeded.json", body)
@@ -218,7 +215,6 @@ def test_svm_libsvm_config_path(tmp_path):
                     "params": {"svm_reg": 1.0}},
         "schedule": {"constant": 1.0},
         "max_iter": 15,
-        "reference": {"effort": 150},
     })
     out = tmp_path / "outsvm"
     assert main(["run-ppm", "--config", cfg, "--out", str(out)]) == 0
@@ -310,6 +306,9 @@ def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
     ("run-ppm", {"problem": {"benchmark": "quad1d"}, "schedule": {"constant": 1.0},
                  "x0": {"a": 1}}),
     ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"tau_s": 0}}),
+    # A data file that cannot be read.
+    ("run-ppm", {"problem": {"ml": "svm", "data": {"libsvm": "no_such_dir/data.libsvm"}},
+                 "schedule": {"constant": 1.0}}),
 ])
 def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
     cfg = write_config(tmp_path, "bad.json", body)
@@ -332,21 +331,22 @@ READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd"}
     ("problem.data", {"ml": "lasso", "data": 3}),
     ("problem.data.lasso", {"ml": "lasso", "data": {"lasso": [20, 50, 10]}}),
     ("problem.data.blobs", {"ml": "svm", "data": {"blobs": 3}}),
-    ("reference", 3),
-    # A scalar field inside its section, and the top-level nu.
+    # A scalar field inside its section or list, and the top-level nu and flags.
+    ("problem.data.libsvm", {"ml": "svm", "data": {"libsvm": 3}}),
     ("criterion.kind", {"kind": 3}), ("criterion.eps0", {"kind": "A'", "eps0": "x"}),
-    ("problem.aniso_l", {"benchmark": "aniso_quad", "aniso_l": "x"}),
+    ("schedule.constant", {"constant": "x"}),
     ("gd.mu", {"mu": "x"}), ("gd.step", {"step": [1]}),
     ("estimation.tau_s", {"tau_s": "x"}), ("estimation.count", {"count": 100.5}),
     ("estimation.bracket", {"bracket": ["a", 1]}),
     ("problem.data.lasso.n", {"ml": "lasso", "data": {"lasso": {"n": "x", "m": 6, "s": 2}}}),
-    ("reference.effort", {"effort": "x"}), ("nu", "x"),
+    ("schedule.sequence", {"sequence": [1.0, "x"]}), ("nu", "x"),
+    ("schedule.geometric.growth", {"geometric": {"c0": 1.0}}),
+    ("estimation.bracket", {"bracket": [1.0]}), ("x0", ["x"]),
+    ("test_mode", "yes"), ("estimate", 1), ("audit", "no"),
 ])
 def test_wrong_json_type_names_the_field(tmp_path, capsys, field, value):
     section = field.split(".")[0]
     body = {"problem": {"benchmark": "quad1d"}, "schedule": {"constant": 1.0}, section: value}
-    if section == "reference":  # read for ml problems only
-        body["problem"] = {"ml": "lasso", "data": {"lasso": {"n": 4, "m": 6, "s": 2}}}
     cfg = write_config(tmp_path, "bad.json", body)
     cmd = READERS.get(section, "run-ppm")
     assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -413,6 +413,19 @@ def test_run_without_reference_skips_every_row(tmp_path):
         ("sublinear_envelope", "one_step_improvement", "linear_cost", "linear_dist",
          "estimate"), "no f_star or solution oracle")
     assert not (out / "report.json").exists()
+
+
+def test_unread_params_key_is_ignored(tmp_path):
+    # A misspelt weight is an unread key like any other: lam keeps its default.
+    body = {"problem": {"ml": "lasso", "data": {"lasso": {"n": 4, "m": 6, "s": 2}},
+                        "params": {}},
+            "schedule": {"constant": 0.2}, "max_iter": 5}
+    for name, params in (("a", {}), ("b", {"lamda": 1.0})):
+        body["problem"]["params"] = params
+        cfg = write_config(tmp_path, f"{name}.json", body)
+        assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "a" / "trace.csv").read_bytes() == \
+        (tmp_path / "b" / "trace.csv").read_bytes()
 
 
 def test_estimation_tau_s_applies_without_bracket(tmp_path):
