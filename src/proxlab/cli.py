@@ -26,7 +26,7 @@ from .ppm import (IterationTrace, RateBounds, StepSchedule, check_linear_rates,
 from .problem import ProblemSpec
 from .regularity import audit_implications, estimate_constants, plan_for
 from .traceio import emit_trace_csv
-from .zoo import (BENCHMARKS, MLProblemParams, generate_lasso_data, load_libsvm,
+from .zoo import (BENCHMARKS, Dataset, MLProblemParams, generate_lasso_data, load_libsvm,
                   make_benchmark, make_blob_dataset, make_ml_problem, save_libsvm)
 
 
@@ -40,107 +40,105 @@ def load_config(path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
 
 
-def _get(cfg: dict, key: str, default=None, required: bool = False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError("missing required field", field=key)
-    return default
-
-
-# The JSON type of a number field: an int or a float (a bool is neither).
-NUMBER = (int, float)
-
-
 def _typed(value, kind, field: str):
-    """Return value if it has the JSON type kind, a type or NUMBER (a bool is only a bool)."""
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        expected = "number" if kind is NUMBER else kind.__name__
-        raise ConfigError(f"expected {expected}, got {type(value).__name__}", field=field)
+    """``value`` if it has the JSON kind ``kind``: a type (``float`` for any number) or a
+    tuple of them.  A bool is only a bool, and a null is nothing."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    accepted = kinds + (int,) if float in kinds else kinds
+    if not isinstance(value, accepted) or isinstance(value, bool) and bool not in kinds:
+        expected = " or ".join("number" if k is float else k.__name__ for k in kinds)
+        got = "nothing" if value is None else type(value).__name__
+        raise ConfigError(f"expected {expected}, got {got}", field=field)
     return value
 
 
-def _scalars(section: dict, name: str, **kinds) -> dict:
-    """Return section after checking each of its non-null fields named in kinds
-    against its JSON type; ``name`` is the section's path ("" at the top)."""
+class _Fields(dict):
+    """The present fields of one config section; indexing an absent one is a config error."""
+
+    def __init__(self, fields: dict, prefix: str, kinds: dict):
+        super().__init__(fields)
+        self.prefix, self.kinds = prefix, kinds
+
+    def __missing__(self, key):
+        return _typed(None, self.kinds[key], self.prefix + key)  # raises
+
+
+def _fields(section: dict, path: str, defaults: dict | None = None, /, **kinds) -> _Fields:
+    """The fields of the JSON object ``section`` at ``path`` ("" at the top) named in
+    ``kinds``, each checked against its kind (see ``_typed``).  A null field is an
+    absent one.  An absent field takes its value in ``defaults``, or is left out, so a
+    library call given ``**fields`` keeps its own default; indexing a left-out field
+    raises "<path>.<key>: expected <kind>, got nothing"."""
+    prefix = f"{path}." if path else ""
+    fields = {}
     for key, kind in kinds.items():
-        if section.get(key) is not None:
-            _typed(section[key], kind, f"{name}.{key}" if name else key)
-    return section
+        value = section.get(key)
+        if value is None and defaults:
+            value = defaults.get(key)
+        if value is not None:
+            fields[key] = _typed(value, kind, prefix + key)
+    return _Fields(fields, prefix, kinds)
+
+
+def _blob_dataset(section: dict, path: str, seed: int) -> Dataset:
+    """The blobs that ``problem.data.blobs`` or ``gen`` describes; ``seed`` is the run's."""
+    size = _fields(section, path, n=int, d=int)
+    return make_blob_dataset(size["n"], size["d"],
+                             **_fields(section, path, {"seed": seed}, seed=int, separation=float))
 
 
 def build_problem(cfg: dict, seed: int) -> ProblemSpec:
-    prob = _typed(_get(cfg, "problem", required=True), dict, "problem")
+    prob = _fields(cfg["problem"], "problem", {"data": {}, "params": {}}, benchmark=str,
+                   ml=str, data=dict, params=dict)
     if "benchmark" in prob:
         name = prob["benchmark"]
         if name not in BENCHMARKS:
             raise ConfigError(f"unknown benchmark {name!r}; pick one of {BENCHMARKS}",
                               field="problem.benchmark")
         return make_benchmark(name)
-    if "ml" in prob:
-        kind = prob["ml"]
-        data_cfg = _typed(prob.get("data", {}), dict, "problem.data")
-        weights = _scalars(_typed(prob.get("params", {}), dict, "problem.params"),
-                           "problem.params", svm_reg=NUMBER, lam=NUMBER, en_reg=NUMBER)
-        params = MLProblemParams(kind=kind, **{key: v for key, v in weights.items()
-                                               if key in ("svm_reg", "lam", "en_reg")})
-        if kind in ("lasso", "elastic_net"):
-            gen = data_cfg.get("lasso")
-            if gen is None:
-                raise ConfigError("regression problems need data.lasso generation sizes",
-                                  field="problem.data")
-            gen = _scalars(_typed(gen, dict, "problem.data.lasso"), "problem.data.lasso",
-                           n=int, m=int, s=int, seed=int)
-            a_mat, y, _ = generate_lasso_data(gen["n"], gen["m"], gen["s"],
-                                              gen.get("seed", seed))
-            problem = make_ml_problem(kind, (a_mat, y), params)
-        elif kind == "svm":
-            if "libsvm" in data_cfg:
-                path = _typed(data_cfg["libsvm"], str, "problem.data.libsvm")
-                try:
-                    dataset = load_libsvm(path)
-                except OSError as exc:  # missing, a directory, unreadable
-                    raise ConfigError(f"cannot read {path}: {exc.strerror}",
-                                      field="problem.data.libsvm")
-            elif "blobs" in data_cfg:
-                blobs = _scalars(_typed(data_cfg["blobs"], dict, "problem.data.blobs"),
-                                 "problem.data.blobs", n=int, d=int, seed=int,
-                                 separation=NUMBER)
-                dataset = make_blob_dataset(blobs["n"], blobs["d"],
-                                            blobs.get("seed", seed),
-                                            blobs.get("separation", 2.0))
-            else:
-                raise ConfigError("svm needs data.libsvm or data.blobs",
-                                  field="problem.data")
-            problem = make_ml_problem("svm", dataset, params)
-        else:
-            raise ConfigError(f"unknown ml kind {kind!r}", field="problem.ml")
-        return reference_solution(problem)
-    raise ConfigError("problem needs either 'benchmark' or 'ml'", field="problem")
+    if "ml" not in prob:
+        raise ConfigError("problem needs either 'benchmark' or 'ml'", field="problem")
+    kind = prob["ml"]
+    params = MLProblemParams(kind, **_fields(prob["params"], "problem.params", svm_reg=float,
+                                             lam=float, en_reg=float))
+    data = _fields(prob["data"], "problem.data", lasso=dict, blobs=dict, libsvm=str)
+    if kind != "svm":  # lasso or elastic_net: MLProblemParams rejects any other kind
+        gen = _fields(data["lasso"], "problem.data.lasso", {"seed": seed}, n=int, m=int, s=int,
+                      seed=int)
+        dataset = generate_lasso_data(gen["n"], gen["m"], gen["s"], gen["seed"])
+    elif "libsvm" in data:
+        try:
+            dataset = load_libsvm(data["libsvm"])
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"cannot read {data['libsvm']}: {exc.strerror}",
+                              field="problem.data.libsvm")
+    elif "blobs" in data:
+        dataset = _blob_dataset(data["blobs"], "problem.data.blobs", seed)
+    else:
+        raise ConfigError("svm needs data.libsvm or data.blobs", field="problem.data")
+    return reference_solution(make_ml_problem(kind, dataset, params))
 
 
 def build_schedule(cfg: dict) -> StepSchedule:
-    sched = _typed(_get(cfg, "schedule", {"constant": 1.0}), dict, "schedule")
+    sched = _fields(cfg["schedule"], "schedule", constant=float, sequence=list, geometric=dict)
     if "constant" in sched:
-        return StepSchedule.constant(_typed(sched["constant"], NUMBER, "schedule.constant"))
+        return StepSchedule.constant(sched["constant"])
     if "sequence" in sched:
-        return StepSchedule.from_sequence(
-            [_typed(c, NUMBER, "schedule.sequence")
-             for c in _typed(sched["sequence"], list, "schedule.sequence")])
+        return StepSchedule.from_sequence([_typed(c, float, "schedule.sequence")
+                                           for c in sched["sequence"]])
     if "geometric" in sched:
-        geometric = _typed(sched["geometric"], dict, "schedule.geometric")
-        return StepSchedule.geometric(*(_typed(geometric.get(k), NUMBER, f"schedule.geometric.{k}")
-                                        for k in ("c0", "growth")))
+        geometric = _fields(sched["geometric"], "schedule.geometric", c0=float, growth=float)
+        return StepSchedule.geometric(geometric["c0"], geometric["growth"])
     raise ConfigError("schedule needs constant / sequence / geometric", field="schedule")
 
 
 def build_x0(cfg: dict, p: ProblemSpec) -> np.ndarray:
-    x0 = _get(cfg, "x0", "zeros")
+    x0 = cfg["x0"]
     if isinstance(x0, str):
         if x0 == "zeros":
             return np.zeros(p.dimension)
         raise ConfigError(f"unknown x0 preset {x0!r}", field="x0")
-    arr = np.array([_typed(v, NUMBER, "x0") for v in _typed(x0, list, "x0")], dtype=float)
+    arr = np.array([_typed(v, float, "x0") for v in x0], dtype=float)
     if arr.shape != (p.dimension,):
         raise ConfigError(f"x0 has shape {arr.shape}, problem dimension is {p.dimension}",
                           field="x0")
@@ -148,14 +146,11 @@ def build_x0(cfg: dict, p: ProblemSpec) -> np.ndarray:
 
 
 def build_criteria(cfg: dict):
-    crit = _get(cfg, "criterion", required=True)
-    entries = [_scalars(_typed(e, dict, "criterion"), "criterion", kind=str, eps0=NUMBER,
-                        delta0=NUMBER, gamma=NUMBER)
-               for e in (crit if isinstance(crit, list) else [crit])]
-    return tuple(InexactCriterion(kind=e["kind"],
-                                  eps0=e.get("eps0", 0.1),
-                                  delta0=e.get("delta0", 0.5),
-                                  gamma=e.get("gamma", 0.7)) for e in entries)
+    crit = cfg["criterion"]
+    entries = [_typed(e, dict, "criterion") for e in (crit if isinstance(crit, list) else [crit])]
+    return tuple(InexactCriterion(_fields(e, "criterion", kind=str)["kind"],
+                                  **_fields(e, "criterion", eps0=float, delta0=float,
+                                            gamma=float)) for e in entries)
 
 
 def _ratio_summary(xs: np.ndarray) -> dict:
@@ -180,22 +175,21 @@ def _missing_reference(p: ProblemSpec) -> str | None:
     return None
 
 
-def _estimate(cfg: dict, p: ProblemSpec, out: Path):
+def _estimate(cfg: dict, p: ProblemSpec, out: Path, audit: bool):
     """Estimate the constants under the config's plan and write report.json, with
-    the audit when asked."""
-    est = _scalars(_typed(cfg.get("estimation", {}), dict, "estimation"), "estimation",
-                   count=int, nu=NUMBER, tau_s=NUMBER)
-    plan = plan_for(p, count=est.get("count", 10_001), nu=est.get("nu", cfg.get("nu")))
-    if "bracket" in est:
-        ends = tuple(_typed(v, NUMBER, "estimation.bracket")
-                     for v in _typed(est["bracket"], list, "estimation.bracket"))
+    the audit when asked.  The sublevel radius nu falls back to the top-level one."""
+    est = cfg["estimation"]
+    plan = plan_for(p, **_fields(est, "estimation", {"nu": cfg.get("nu")}, count=int, nu=float))
+    overrides = _fields(est, "estimation", tau_s=float, bracket=list)
+    if "bracket" in overrides:
+        ends = tuple(_typed(v, float, "estimation.bracket") for v in overrides["bracket"])
         if len(ends) != 2:
             raise ConfigError(f"expected [lo, hi], got {len(ends)} numbers",
                               field="estimation.bracket")
-        plan = replace(plan, bracket=ends)
-    report = estimate_constants(p, replace(plan, tau_s=est.get("tau_s", plan.tau_s)))
+        overrides["bracket"] = ends
+    report = estimate_constants(p, replace(plan, **overrides))
     body = report.to_json()
-    if cfg.get("audit", False):
+    if audit:
         body["audit"] = [{"relation": c.relation, "expected": c.expected,
                           "observed": c.observed, "status": c.status}
                          for c in audit_implications(report, p.weak_convexity)]
@@ -227,21 +221,20 @@ def _theorems(cmd: str, cfg: dict, p: ProblemSpec, trace: IterationTrace, report
     called, so a wrapped ``check_*`` is the one that runs.
     """
     rho = p.weak_convexity
-    nu = cfg.get("nu", math.inf)
-    gate = ("test_mode is off" if not cfg.get("test_mode", False) else
+    gate = ("test_mode is off" if not cfg["test_mode"] else
             None if cmd == "run-gd" else _missing_reference(p))
 
     def reason(*preconditions):
         return next((why for why in (gate, *preconditions) if why), None)
 
     convex = f"convex result, rho = {rho:g}" if rho > 0 else None
-    estimate = None if cfg.get("estimate", False) else "estimate is off"
+    estimate = None if cfg["estimate"] else "estimate is off"
     if cmd == "run-ppm":
         return [(("sublinear_envelope",), reason(convex),
                  lambda: [check_sublinear_bound(trace)]),
                 (("one_step_improvement",), reason(), lambda: [check_one_step(trace)]),
                 (("linear_cost", "linear_dist"), reason(estimate),
-                 lambda: check_linear_rates(trace, report, nu))]
+                 lambda: check_linear_rates(trace, report, report.nu))]
     if cmd == "run-ippm":
         a_type = None if any(c.absolute for c in crits) else "no A-type budget"
         b_type = None if any(not c.absolute for c in crits) else "no B-type budget"
@@ -252,7 +245,7 @@ def _theorems(cmd: str, cfg: dict, p: ProblemSpec, trace: IterationTrace, report
         return [(("ippm_best_iterate",), reason(convex, a_type),
                  lambda: [check_ippm_sublinear(trace)]),
                 (("ippm_linear_dist",), reason(estimate, b_type, growth),
-                 lambda: [check_ippm_linear(trace, report, nu)]),
+                 lambda: [check_ippm_linear(trace, report, report.nu)]),
                 (("inexact_one_step",), reason(convex, b_type, primed),
                  lambda: [check_inexact_one_step(trace)])]
     step = None if params.step_rule_valid else "step outside (0, 2/L)"
@@ -264,35 +257,32 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     the theorem table and write summary.json; exit 2 on a failed check in test mode."""
     p = build_problem(cfg, seed)
     x0 = build_x0(cfg, p)
-    max_iter = _typed(cfg.get("max_iter", 50 if cmd == "run-gd" else 500), int, "max_iter")
+    limit = [cfg["max_iter"]] if "max_iter" in cfg else []  # else each loop's own horizon
     params = crits = None
     bounds = {}
     if cmd == "run-gd":
-        gd_cfg = _scalars(_typed(_get(cfg, "gd", required=True), dict, "gd"), "gd",
-                          mu=NUMBER, beta=NUMBER, step=NUMBER)
-        params = GDParams(lipschitz=p.smoothness,
-                          mu=gd_cfg.get("mu", p.metadata.get("gd_mu")),
-                          beta=gd_cfg.get("beta", p.metadata.get("gd_beta")),
-                          step=gd_cfg.get("step"))
-        trace = run_gd(p, x0, params, iters=max_iter)
+        md = p.metadata
+        gd = _fields(cfg["gd"], "gd", {"mu": md.get("gd_mu"), "beta": md.get("gd_beta")},
+                     mu=float, beta=float)
+        params = GDParams(p.smoothness, gd["mu"], gd["beta"],
+                          **_fields(cfg["gd"], "gd", step=float))
+        trace = run_gd(p, x0, params, *limit)
         bounds = {"dist_factor": params.omega_dist, "cost_factor": params.omega_cost,
                   "step": params.step_size, "step_rule_valid": params.step_rule_valid}
     elif cmd == "run-ippm":
         sched = build_schedule(cfg)
         crits = build_criteria(cfg)
-        trace = run_ippm(p, x0, sched, crits, max_iter=max_iter,
-                         test_mode=cfg.get("test_mode", False), seed=seed)
+        trace = run_ippm(p, x0, sched, crits, *limit, test_mode=cfg["test_mode"], seed=seed)
     else:
         sched = build_schedule(cfg)
-        trace = run_ppm(p, x0, sched, max_iter=max_iter)
+        trace = run_ppm(p, x0, sched, *limit)
     emit_trace_csv(trace, out / "trace.csv")
     report, skipped = None, {}
-    wanted = cfg.get("estimate", False) or cfg.get("audit", False)
-    why = _missing_reference(p) if wanted else "estimate is off"
+    why = _missing_reference(p) if cfg["estimate"] or cfg["audit"] else "estimate is off"
     if why:
         skipped["estimate"] = why
     else:
-        report = _estimate(cfg, p, out)
+        report = _estimate(cfg, p, out, cfg["audit"])
     checks = []
     for names, reason, checker in _theorems(cmd, cfg, p, trace, report, params, crits):
         if reason:
@@ -318,7 +308,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
         "asserted": len(checks),
         "skipped": skipped,
     })
-    if cfg.get("test_mode", False) and failed:
+    if cfg["test_mode"] and failed:
         print(f"bound-check failure: {failed}", file=sys.stderr)
         return 2
     return 0
@@ -326,10 +316,8 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     """estimate, audit: write report.json; exit 1 when the problem has no reference."""
-    if cmd == "audit":
-        cfg = {**cfg, "audit": True}
     p = build_problem(cfg, seed)
-    report = _estimate(cfg, p, out)
+    report = _estimate(cfg, p, out, cmd == "audit" or cfg["audit"])
     _write_json(out / "summary.json", {"problem": p.name, "report": "report.json",
                                        "flags": report.to_json()["flags"]})
     return 0
@@ -337,13 +325,11 @@ def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_gen_data(_cmd: str, cfg: dict, out: Path, seed: int) -> int:
     """gen-data: write blob classification data as data.libsvm."""
-    gen = _scalars(_typed(_get(cfg, "gen", required=True), dict, "gen"), "gen",
-                   n=int, d=int, seed=int, separation=NUMBER)
-    if gen.get("kind") != "blobs":
-        raise ConfigError(f"unknown gen kind {gen.get('kind')!r}; gen-data makes only blobs",
+    kind = _fields(cfg["gen"], "gen", kind=str)["kind"]
+    if kind != "blobs":
+        raise ConfigError(f"unknown gen kind {kind!r}; gen-data makes only blobs",
                           field="gen.kind")
-    dataset = make_blob_dataset(gen["n"], gen["d"], gen.get("seed", seed),
-                                gen.get("separation", 2.0))
+    dataset = _blob_dataset(cfg["gen"], "gen", seed)
     save_libsvm(dataset, out / "data.libsvm")
     _write_json(out / "summary.json", {"kind": "blobs", "n": dataset.n_samples,
                                        "d": dataset.n_features})
@@ -362,9 +348,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = _scalars(load_config(args.config), "", nu=NUMBER, test_mode=bool, estimate=bool,
-                       audit=bool)
-        seed = args.seed if args.seed is not None else _typed(cfg.get("seed", 0), int, "seed")
+        cfg = _fields(load_config(args.config), "", {
+            "schedule": {"constant": 1.0}, "x0": "zeros", "estimation": {}, "seed": 0,
+            "test_mode": False, "estimate": False, "audit": False},
+            problem=dict, schedule=dict, x0=(str, list), max_iter=int, criterion=(dict, list),
+            gd=dict, estimation=dict, gen=dict, nu=float, seed=int, test_mode=bool,
+            estimate=bool, audit=bool)
+        seed = args.seed if args.seed is not None else cfg["seed"]
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
@@ -373,9 +363,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args.command, cfg, out, seed)
     except (ConfigError, ValueError) as exc:  # values the library rejects
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"config error: missing field {exc}", file=sys.stderr)
         return 1
     except ProxlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

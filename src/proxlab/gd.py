@@ -38,6 +38,8 @@ class GDParams:
     step: float | None = None
 
     def __post_init__(self):
+        if self.lipschitz is None:
+            raise NotSmooth("gradient descent needs a smoothness constant L; the problem has none")
         if min(self.lipschitz, self.mu, self.beta) <= 0:
             raise ValueError("constants must be positive")
         if self.mu > self.lipschitz * (1.0 + _REL):

@@ -165,6 +165,8 @@ class Dataset:
 
 def make_blob_dataset(n: int, d: int, seed: int, separation: float = 2.0) -> Dataset:
     """Two Gaussian blobs at +/- separation/2 along the all-ones direction."""
+    if min(n, d) < 1:
+        raise BadShape(f"blobs need n >= 1 samples and d >= 1 features, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     center = np.full(d, separation / 2.0 / math.sqrt(d))
     n_pos = n // 2

@@ -1,10 +1,11 @@
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proxlab import StepSchedule, read_trace_csv, run_ppm
+from proxlab import StepSchedule, cli, read_trace_csv, run_ppm
 from proxlab.cli import main
 from proxlab.traceio import CSV_HEADER, emit_trace_csv
 
@@ -309,6 +310,8 @@ def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
     # A data file that cannot be read.
     ("run-ppm", {"problem": {"ml": "svm", "data": {"libsvm": "no_such_dir/data.libsvm"}},
                  "schedule": {"constant": 1.0}}),
+    # A gd section without mu on a problem whose metadata has no gd_mu.
+    ("run-gd", {"problem": {"benchmark": "sine_quad"}, "gd": {}, "x0": [1.0]}),
 ])
 def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
     cfg = write_config(tmp_path, "bad.json", body)
@@ -319,7 +322,7 @@ def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
 
 
 # The subcommand that reads a section, where run-ppm does not.
-READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd"}
+READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd", "gen": "gen-data"}
 
 
 @pytest.mark.parametrize("field,value", [
@@ -343,6 +346,10 @@ READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd"}
     ("schedule.geometric.growth", {"geometric": {"c0": 1.0}}),
     ("estimation.bracket", {"bracket": [1.0]}), ("x0", ["x"]),
     ("test_mode", "yes"), ("estimate", 1), ("audit", "no"),
+    # A missing required field, named by its path.
+    ("problem.data.lasso.n", {"ml": "lasso", "data": {"lasso": {"m": 6, "s": 2}}}),
+    ("problem.data.blobs.d", {"ml": "svm", "data": {"blobs": {"n": 6}}}),
+    ("gen.n", {"kind": "blobs", "d": 2}),
 ])
 def test_wrong_json_type_names_the_field(tmp_path, capsys, field, value):
     section = field.split(".")[0]
@@ -437,3 +444,75 @@ def test_estimation_tau_s_applies_without_bracket(tmp_path):
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
         counts.append(json.loads((out / "report.json").read_text())["n_samples"])
     assert counts == [10_000, 9_001, 9_001]
+
+
+@pytest.mark.parametrize("cmd,field,body", [
+    ("run-ppm", "problem.params.lam",
+     {"problem": {"ml": "lasso", "data": {"lasso": {"n": 4, "m": 6, "s": 2}},
+                  "params": {"lam": None}}, "schedule": {"constant": 0.2}, "max_iter": 5}),
+    ("run-ppm", "nu", {"problem": {"benchmark": "quad1d"}, "x0": [1.0], "max_iter": 10,
+                       "nu": None, "test_mode": True, "estimate": True}),
+    ("gen-data", "gen.seed", {"gen": {"kind": "blobs", "n": 10, "d": 2, "seed": None}}),
+    ("run-ppm", "x0", {"problem": {"benchmark": "quad1d"}, "x0": None, "max_iter": 3}),
+])
+def test_null_field_is_an_absent_one(tmp_path, cmd, field, body):
+    absent = copy.deepcopy(body)
+    *parents, key = field.split(".")
+    section = absent
+    for name in parents:
+        section = section[name]
+    del section[key]
+    outputs = []
+    for name, cfg in (("null", body), ("absent", absent)):
+        out = tmp_path / name
+        assert main([cmd, "--config", write_config(tmp_path, f"{name}.json", cfg),
+                     "--out", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("cmd,body,line", [
+    ("run-gd", {"problem": {"benchmark": "quad_quartic"}, "gd": {"mu": 1.0, "beta": 1.0},
+                "x0": [1.0]}, "error: gradient descent needs a smoothness constant"),
+    ("run-ppm", {"problem": {"ml": "svm", "data": {"blobs": {"n": 6, "d": 0}}}},
+     "error: blobs need n >= 1"),
+    ("run-ppm", {"problem": {"ml": "svm", "data": {"blobs": {"n": 0, "d": 2}}}},
+     "error: blobs need n >= 1"),
+    ("gen-data", {"gen": {"kind": "blobs", "n": 4, "d": 0}}, "error: blobs need n >= 1"),
+])
+def test_unusable_problem_prints_one_error_line(tmp_path, capsys, cmd, body, line):
+    cfg = write_config(tmp_path, "bad.json", body)
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name,c,extra", [
+    ("wc_piecewise", 0.4, {}),
+    ("quad1d", 0.2, {}),
+    ("quad1d", 0.2, {"criterion": {"kind": "B'"}}),
+])
+def test_linear_rows_check_only_the_reports_sublevel_set(tmp_path, monkeypatch, name, c, extra):
+    # The constants are estimated on the nu-sublevel set of the report, so the
+    # linear-rate rows may replay only steps whose gap lies within that nu.
+    checks = []
+
+    def recording(real):
+        def checker(trace, report, nu):
+            result = real(trace, report, nu)
+            checks.extend(result if isinstance(result, tuple) else [result])
+            return result
+        return checker
+
+    for checker in ("check_linear_rates", "check_ippm_linear"):
+        monkeypatch.setattr(cli, checker, recording(getattr(cli, checker)))
+    cfg = write_config(tmp_path, "nu.json", {
+        "problem": {"benchmark": name}, "schedule": {"constant": c}, "x0": [0.5],
+        "max_iter": 20, "test_mode": True, "estimate": True, "estimation": {"nu": 0.05},
+        **extra})
+    out = tmp_path / "out"
+    assert main(["run-ippm" if extra else "run-ppm", "--config", cfg, "--out", str(out)]) == 0
+    nu = json.loads((out / "report.json").read_text())["nu"]
+    gaps = read_trace_csv(out / "trace.csv").cost_gap
+    assert nu == 0.05 and checks
+    assert all(gaps[k] <= nu for check in checks for k in check.indices)

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from run_configs import subcommands
 
 from proxlab.cli import main
 
@@ -15,19 +16,6 @@ ROWS = {
     "run-ippm": ("ippm_best_iterate", "ippm_linear_dist", "inexact_one_step"),
     "run-gd": ("gd_dist", "gd_cost"),
 }
-
-
-def subcommands(cfg: dict) -> list[str]:
-    """The run its keys describe, then estimate / audit when those flags are set."""
-    if "gd" in cfg:
-        cmds = ["run-gd"]
-    elif "criterion" in cfg:
-        cmds = ["run-ippm"]
-    elif "schedule" in cfg:
-        cmds = ["run-ppm"]
-    else:
-        cmds = ["audit"]
-    return cmds + [flag for flag in ("estimate", "audit") if cfg.get(flag) and flag not in cmds]
 
 
 def load_strict(path: Path) -> dict:

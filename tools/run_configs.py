@@ -1,0 +1,77 @@
+"""Run every shipped config and every benchmark deck job through the CLI.
+
+    python3 tools/run_configs.py OUT
+
+Each config under ``experiments/`` runs through the subcommands its keys
+describe (the run, then ``estimate`` / ``audit`` when those flags are set), and
+each job of the ``perfbench`` decks at seeds 1-3 runs as its one subcommand,
+all through ``proxlab.cli.main`` in this process.  Every run writes into its
+own directory under OUT (the job's config beside its outputs), and
+``OUT/exit_codes.txt`` lists each run's directory and exit code.  Two trees
+made from two versions of the code compare with one ``diff -r``.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+
+
+def subcommands(cfg: dict) -> list[str]:
+    """The run a config's keys describe, then estimate / audit when those flags are set."""
+    if "gd" in cfg:
+        cmds = ["run-gd"]
+    elif "criterion" in cfg:
+        cmds = ["run-ippm"]
+    elif "schedule" in cfg:
+        cmds = ["run-ppm"]
+    else:
+        cmds = ["audit"]
+    return cmds + [flag for flag in ("estimate", "audit") if cfg.get(flag) and flag not in cmds]
+
+
+def runs():
+    """(directory under OUT, subcommand, config) for every run, in a fixed order."""
+    for path in sorted((ROOT / "experiments").glob("*.json")):
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        for cmd in subcommands(cfg):
+            yield f"experiments/{path.stem}/{cmd}", cmd, cfg
+    sys.dont_write_bytecode = True  # import the benchmark's decks without writing there
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import bench_workloads
+
+    for workload in bench_workloads.WORKLOADS:
+        for seed in SEEDS:
+            for job in bench_workloads.build_deck(workload, seed):
+                yield (f"decks/{workload}/seed{seed}/{job['id']:02d}-{job['kind']}",
+                       job["cmd"], job["cfg"])
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "src"))
+    from proxlab.cli import main as proxlab_main
+
+    out = Path(argv[0])
+    codes = []
+    for name, cmd, cfg in runs():
+        run_dir = out / name
+        run_dir.mkdir(parents=True, exist_ok=True)
+        config = run_dir / "config.json"
+        config.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        code = proxlab_main([cmd, "--config", str(config), "--out", str(run_dir)])
+        codes.append((name, code))
+    (out / "exit_codes.txt").write_text("".join(f"{name} {code}\n" for name, code in codes),
+                                        encoding="utf-8")
+    print(f"{len(codes)} runs, {sum(code != 0 for _, code in codes)} nonzero exit codes")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
