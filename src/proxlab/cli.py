@@ -68,7 +68,8 @@ def _fields(section: dict, path: str, defaults: dict | None = None, /, **kinds) 
     ``kinds``, each checked against its kind (see ``_typed``).  A null field is an
     absent one.  An absent field takes its value in ``defaults``, or is left out, so a
     library call given ``**fields`` keeps its own default; indexing a left-out field
-    raises "<path>.<key>: expected <kind>, got nothing"."""
+    raises "<path>.<key>: expected <kind>, got nothing".  A ``seed`` must not be
+    negative."""
     prefix = f"{path}." if path else ""
     fields = {}
     for key, kind in kinds.items():
@@ -77,6 +78,9 @@ def _fields(section: dict, path: str, defaults: dict | None = None, /, **kinds) 
             value = defaults.get(key)
         if value is not None:
             fields[key] = _typed(value, kind, prefix + key)
+            if key == "seed" and value < 0:
+                raise ConfigError(f"expected non-negative integer, got {value}",
+                                  field=prefix + key)
     return _Fields(fields, prefix, kinds)
 
 
@@ -348,13 +352,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = _fields(load_config(args.config), "", {
+        body = load_config(args.config)
+        if args.seed is not None:
+            body["seed"] = args.seed
+        cfg = _fields(body, "", {
             "schedule": {"constant": 1.0}, "x0": "zeros", "estimation": {}, "seed": 0,
             "test_mode": False, "estimate": False, "audit": False},
             problem=dict, schedule=dict, x0=(str, list), max_iter=int, criterion=(dict, list),
             gd=dict, estimation=dict, gen=dict, nu=float, seed=int, test_mode=bool,
             estimate=bool, audit=bool)
-        seed = args.seed if args.seed is not None else cfg["seed"]
+        seed = cfg["seed"]
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)

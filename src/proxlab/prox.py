@@ -123,13 +123,15 @@ def _composite(p: ProblemSpec, z, c):
     certificates, and a candidate costs one ``grad_smooth`` call.
 
     F is the quadratic x^T H x / 2 - v^T x plus l1_weight * ||x||_1, with
-    H = hessian + I/c and v = hessian z - grad(z) + z/c.  Once the iterates'
-    sign pattern s has held for three iterations, and s was not tried yet,
-    the solver solves H_EE x_E = v_E - l1_weight s_E on the support E of s
-    (the active-set step of Hintermueller, Ito & Kunisch, 2002).  A solution
-    with signs s is the next candidate; if its element is also zero off E,
-    it is the minimizer of F up to rounding, and when it is refused the
-    candidates end.
+    H = hessian + I/c and v = hessian z - grad(z) + z/c.  The support solve on
+    a sign pattern s solves H_EE x_E = v_E - l1_weight s_E on the support E
+    of s (the active-set step of Hintermueller, Ito & Kunisch, 2002).  A
+    solution with signs s is the next candidate; if its element is also zero
+    off E, it is the minimizer of F up to rounding, and when it is refused the
+    candidates end.  In PPM the center usually has the minimizer's signs, so
+    the candidate after the start is the support solve on sign(z), unless z
+    is zero.  After it, once the iterates' sign pattern has held for three
+    iterations, it is solved unless it was tried already.
     """
     parts = p.composite
     lip = parts.lipschitz_smooth + 1.0 / c
@@ -142,12 +144,25 @@ def _composite(p: ProblemSpec, z, c):
         element = base + parts.min_norm_h(base, x)
         return x, element, float(np.linalg.norm(element))
 
+    def finish(s):
+        # The support solve on s as a candidate; True once it is the minimizer.
+        tried.add(s.tobytes())
+        w = _support_solve(parts, v, c, s)
+        if w is None:
+            return False
+        candidate = certified(w, parts.grad_smooth(w))
+        yield candidate
+        return not candidate[1][s == 0.0].any()
+
     x = z.copy()
     grad_x = parts.grad_smooth(x)
     yield certified(x, grad_x)
     v = parts.hessian @ z - grad_x + z / c
+    tried = set()
+    if np.any(z) and (yield from finish(np.sign(z))):
+        return
     y, grad_y = x, grad_x
-    signs, held, tried = None, 0, set()
+    signs, held = None, 0
     while True:
         w = parts.prox_h(y - step * (grad_y + (y - z) / c), step)
         grad_w = parts.grad_smooth(w)
@@ -157,15 +172,9 @@ def _composite(p: ProblemSpec, z, c):
         x, grad_x = w, grad_w
         s = np.sign(w)
         held = held + 1 if np.array_equal(s, signs) else 1
-        signs, key = s, s.tobytes()
-        if held >= 3 and key not in tried:
-            tried.add(key)
-            w = _support_solve(parts, v, c, s)
-            if w is not None:
-                candidate = certified(w, parts.grad_smooth(w))
-                yield candidate
-                if not candidate[1][s == 0.0].any():
-                    return
+        signs = s
+        if held >= 3 and s.tobytes() not in tried and (yield from finish(s)):
+            return
 
 
 def _support_solve(parts, v, c, signs):
@@ -173,7 +182,7 @@ def _support_solve(parts, v, c, signs):
     zero elsewhere, or None when its signs are not s."""
     on = np.flatnonzero(signs)
     h_on = parts.hessian[np.ix_(on, on)]
-    h_on[np.diag_indices_from(h_on)] += 1.0 / c
+    h_on.flat[::on.size + 1] += 1.0 / c
     x_on = np.linalg.solve(h_on, v[on] - parts.l1_weight * signs[on])
     if not np.array_equal(np.sign(x_on), signs[on]):
         return None
@@ -183,7 +192,8 @@ def _support_solve(parts, v, c, signs):
 
 
 def _svm_dual(p: ProblemSpec, z, c):
-    """Coordinate ascent on the box-constrained dual of the hinge subproblem.
+    """Coordinate ascent on the box-constrained dual of the hinge subproblem,
+    finished by exact solves on the free set.
 
     The subproblem min (1/n) sum max(0, 1 - b_i a_i^T x) + (reg/2)||x||^2
     + ||x-z||^2/(2c) is sigma-strongly convex with sigma = reg + 1/c; each
@@ -192,25 +202,71 @@ def _svm_dual(p: ProblemSpec, z, c):
     visits only the coordinates that can move: it skips alpha_i = 0 with a
     negative margin and alpha_i = 1/n with a positive one, since the
     projected dual gradient is zero there.  Each sweep gives one candidate.
+
+    After each sweep's candidate, the rows F with 0 < alpha_i < 1/n are the
+    free set.  Holding alpha fixed off F, with x_0 its primal point at
+    alpha_F = 0, the margins on F vanish where
+    (B_F B_F^T / sigma) alpha_F = 1 - B_F x_0 (the free-set system of Hastie,
+    Rosset, Tibshirani & Zhu, 2004).  A solution inside [0, 1/n] is the next
+    candidate.  If every margin then agrees with its alpha (zero on F, not
+    positive where alpha_i = 0, not negative where alpha_i = 1/n), it is the
+    minimizer up to rounding and its alpha replaces the sweep's.  Each free
+    set is solved at most once, and not when |F| > d or the system is
+    singular.
     """
     parts = p.svm
-    n = parts.labels.size
+    n, d = parts.features.shape
     ba = parts.signed_rows
     q = np.einsum("ij,ij->i", ba, ba)
     sigma = parts.reg + 1.0 / c
     w0 = z / (sigma * c)
     cap = 1.0 / n
 
-    # Warm start: hinge activity pattern at the prox center.
-    alpha = np.where(1.0 - ba @ z > 0.0, cap, 0.0)
-    alpha[q == 0.0] = cap  # zero rows contribute nothing; keep t_i valid
-    x = w0 + (ba.T @ alpha) / sigma
-    while True:
+    def certified(x, alpha):
+        # The candidate at x with kink weights from alpha, and the margins at x.
         margins = 1.0 - ba @ x
         t = np.where(margins > KINK_BAND, 1.0,
                      np.where(margins < -KINK_BAND, 0.0, np.clip(n * alpha, 0.0, 1.0)))
         element = -(t @ ba) / n + parts.reg * x + (x - z) / c
-        yield x, element, float(np.linalg.norm(element))
+        return (x, element, float(np.linalg.norm(element))), margins
+
+    def free_set_solve(x, alpha):
+        # (primal point, alpha) with alpha's free set re-solved, or None.
+        free = (alpha > 0.0) & (alpha < cap)
+        key = free.tobytes()
+        if not 0 < np.count_nonzero(free) <= d or key in tried:
+            return None
+        tried.add(key)
+        rows = ba[free]
+        base = x - (rows.T @ alpha[free]) / sigma
+        try:
+            alpha_free = np.linalg.solve(rows @ rows.T / sigma, 1.0 - rows @ base)
+        except np.linalg.LinAlgError:  # singular: repeated or dependent rows
+            return None
+        if not np.all((alpha_free >= 0.0) & (alpha_free <= cap)):
+            return None
+        alpha = alpha.copy()
+        alpha[free] = alpha_free
+        return w0 + (ba.T @ alpha) / sigma, alpha
+
+    # Warm start: hinge activity pattern at the prox center.
+    alpha = np.where(1.0 - ba @ z > 0.0, cap, 0.0)
+    alpha[q == 0.0] = cap  # zero rows contribute nothing; keep t_i valid
+    x = w0 + (ba.T @ alpha) / sigma
+    tried = set()
+    while True:
+        candidate, margins = certified(x, alpha)
+        yield candidate
+        finished = free_set_solve(x, alpha)
+        if finished is not None:
+            candidate, margins_f = certified(*finished)
+            yield candidate
+            alpha_f = finished[1]
+            disagree = np.where(alpha_f == 0.0, margins_f > KINK_BAND,
+                                np.where(alpha_f == cap, margins_f < -KINK_BAND,
+                                         np.abs(margins_f) > KINK_BAND))
+            if not disagree.any():
+                (x, alpha), margins = finished, margins_f
         pinned = ((alpha == 0.0) & (margins < 0.0)) | ((alpha == cap) & (margins > 0.0))
         for i in np.flatnonzero(~pinned & (q > 0.0)):
             margin = 1.0 - float(np.dot(ba[i], x))

@@ -183,6 +183,8 @@ def generate_lasso_data(n: int, m: int, s: int, seed: int):
     Entries of A and the nonzero entries of xhat are i.i.d. standard normal
     from the seeded generator; exactly s entries of xhat are zero.
     """
+    if min(n, m) < 1:
+        raise BadShape(f"lasso data need n >= 1 samples and m >= 1 features, got n={n}, m={m}")
     if s >= m:
         raise BadShape(f"need s < m, got s={s}, m={m}")
     rng = np.random.default_rng(seed)

@@ -350,6 +350,12 @@ READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd", "g
     ("problem.data.lasso.n", {"ml": "lasso", "data": {"lasso": {"m": 6, "s": 2}}}),
     ("problem.data.blobs.d", {"ml": "svm", "data": {"blobs": {"n": 6}}}),
     ("gen.n", {"kind": "blobs", "d": 2}),
+    # A negative seed, which numpy's generator would reject without the path.
+    ("seed", -1),
+    ("problem.data.lasso.seed",
+     {"ml": "lasso", "data": {"lasso": {"n": 4, "m": 6, "s": 2, "seed": -1}}}),
+    ("problem.data.blobs.seed", {"ml": "svm", "data": {"blobs": {"n": 6, "d": 2, "seed": -2}}}),
+    ("gen.seed", {"kind": "blobs", "n": 4, "d": 2, "seed": -3}),
 ])
 def test_wrong_json_type_names_the_field(tmp_path, capsys, field, value):
     section = field.split(".")[0]
@@ -358,6 +364,13 @@ def test_wrong_json_type_names_the_field(tmp_path, capsys, field, value):
     cmd = READERS.get(section, "run-ppm")
     assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: expected ")
+
+
+def test_negative_seed_option_names_the_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, "ok.json", {"problem": {"benchmark": "quad1d"}})
+    assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: seed: expected non-negative integer, got -1\n"
 
 
 @pytest.mark.parametrize("config,out", [
@@ -479,6 +492,8 @@ def test_null_field_is_an_absent_one(tmp_path, cmd, field, body):
     ("run-ppm", {"problem": {"ml": "svm", "data": {"blobs": {"n": 0, "d": 2}}}},
      "error: blobs need n >= 1"),
     ("gen-data", {"gen": {"kind": "blobs", "n": 4, "d": 0}}, "error: blobs need n >= 1"),
+    ("run-ppm", {"problem": {"ml": "lasso", "data": {"lasso": {"n": 0, "m": 6, "s": 2}}}},
+     "error: lasso data need n >= 1"),
 ])
 def test_unusable_problem_prints_one_error_line(tmp_path, capsys, cmd, body, line):
     cfg = write_config(tmp_path, "bad.json", body)

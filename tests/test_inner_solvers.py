@@ -2,15 +2,17 @@
 
 The work-count gates pin the deterministic cost of the shipped lasso_medium
 run (inner iterations summed over the outer steps, and smooth-gradient
-evaluations: one per prox call plus one per inner iteration) and of
-two 1-d PPM runs (inner iterations summed over the outer steps).  The
-property tests draw prox centers and steps at realistic sizes and check that
-every returned certificate is a true element of the subproblem subdifferential
-at the returned point, and that the 1-d solver's point is as close to the
-subproblem root as its certificate promises.
+evaluations: one per prox call plus one per inner iteration), of the shipped
+svm_synthetic run and of two 1-d PPM runs (inner iterations summed over the
+outer steps).  The property tests draw prox centers and steps at realistic
+sizes and check that every returned certificate is a true element of the
+subproblem subdifferential at the returned point, and that the 1-d solver's
+point is as close to the subproblem root as its certificate promises.
 """
 
+import importlib
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +23,8 @@ from hypothesis.extra.numpy import arrays
 
 import proxlab.cli as cli
 import proxlab.ppm as ppm_module
-from proxlab import (InnerTolerance, StepSchedule, make_benchmark, min_norm_subgradient, prox,
+from proxlab import (Dataset, InnerTolerance, MLProblemParams, StepSchedule, make_benchmark,
+                     make_blob_dataset, make_ml_problem, min_norm_subgradient, prox,
                      residual_certificate, run_ppm)
 from proxlab.problem import problem_from_1d
 
@@ -35,53 +38,54 @@ centers = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 steps = st.floats(0.05, 2.0)
 
 
-def test_lasso_medium_work_count(monkeypatch):
-    cfg = cli.load_config(EXPERIMENTS / "lasso_medium.json")
-    p = cli.build_problem(cfg, cfg["seed"])
-    grad_calls = 0
-    grad = p.composite.grad_smooth
-
-    def counting_grad(x):
-        nonlocal grad_calls
-        grad_calls += 1
-        return grad(x)
-
-    p = replace(p, composite=replace(p.composite, grad_smooth=counting_grad))
-    inner = prox_calls = 0
+@pytest.fixture
+def prox_work(monkeypatch):
+    """Counter of the run's prox calls ("calls") and their inner iterations ("inner")."""
+    work = Counter()
 
     def counting_prox(*args, **kwargs):
-        nonlocal inner, prox_calls
         result = prox(*args, **kwargs)
-        inner += result.inner_iterations
-        prox_calls += 1
+        work.update(calls=1, inner=result.inner_iterations)
         return result
 
     monkeypatch.setattr(ppm_module, "prox", counting_prox)
-    trace = run_ppm(p, cli.build_x0(cfg, p), cli.build_schedule(cfg),
-                    max_iter=cfg["max_iter"])
-    assert trace.stop_reason == "gap"
-    assert inner <= 300
+    return work
+
+
+def run_config(name, work, grad_calls=None):
+    """The PPM run of a shipped config, with ``work`` counting only the run and not
+    the reference solve, and ``grad_calls`` the run's smooth gradients when given."""
+    cfg = cli.load_config(EXPERIMENTS / f"{name}.json")
+    p = cli.build_problem(cfg, cfg["seed"])
+    work.clear()
+    if grad_calls is not None:
+        grad = p.composite.grad_smooth
+        p = replace(p, composite=replace(
+            p.composite, grad_smooth=lambda x: grad_calls.update(grad=1) or grad(x)))
+    return run_ppm(p, cli.build_x0(cfg, p), cli.build_schedule(cfg), max_iter=cfg["max_iter"])
+
+
+def test_lasso_medium_work_count(prox_work):
+    grad_calls = Counter()
+    assert run_config("lasso_medium", prox_work, grad_calls).stop_reason == "gap"
+    assert prox_work["inner"] <= 100  # 100 with the support solve at sign(z), 195 before
     # One gradient at the prox center per call, then one per inner iteration.
-    assert grad_calls == inner + prox_calls
+    assert grad_calls["grad"] == prox_work["inner"] + prox_work["calls"]
+
+
+def test_svm_synthetic_work_count(prox_work):
+    assert run_config("svm_synthetic", prox_work).stop_reason == "gap"
+    assert prox_work["inner"] <= 54  # 54 with the free-set finish, 157 sweeping only
 
 
 @pytest.mark.parametrize("name,c,x0,horizon,cap", [
     ("quad_quartic", 0.01, 1.2, 300, 700),  # 345 with the secant steps, 11,383 bisecting
     ("sine_quad", 0.05, 3.0, 60, 450),  # 220 with the secant steps, 2,240 bisecting
 ])
-def test_1d_ppm_work_count(monkeypatch, name, c, x0, horizon, cap):
-    inner = 0
-
-    def counting_prox(*args, **kwargs):
-        nonlocal inner
-        result = prox(*args, **kwargs)
-        inner += result.inner_iterations
-        return result
-
-    monkeypatch.setattr(ppm_module, "prox", counting_prox)
+def test_1d_ppm_work_count(prox_work, name, c, x0, horizon, cap):
     trace = run_ppm(make_benchmark(name), [x0], StepSchedule.constant(c), max_iter=horizon)
     assert len(trace) - 1 == horizon
-    assert inner <= cap
+    assert prox_work["inner"] <= cap
 
 
 def assert_1d_prox_certified(p, z, c, target):
@@ -151,6 +155,74 @@ def test_svm_certificate_is_subgradient(svm_blobs, z, c):
     res = prox(svm_blobs, z, c, TOL)
     assert res.residual_norm <= TOL.target_residual
     assert certificate_is_subgradient(svm_blobs, res, z, c, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("c", [0.1, 1.0, 10.0])
+def test_composite_center_with_the_minimizer_signs_needs_one_candidate(lasso_f20, en_f20, c):
+    # The center whose prox point is a chosen x with signs s: z = x + c (grad g(x)
+    # + lam s) on the support of s and 0 off it, where |grad g(x)| <= lam.  An x
+    # this close to the minimizer of f keeps both conditions at every c here.
+    for p in (lasso_f20, en_f20):
+        parts = p.composite
+        x = 0.9999 * np.array(p.metadata["reference_point"])
+        s, grad = np.sign(x), parts.grad_smooth(x)
+        assert np.all(np.abs(grad[s == 0.0]) <= parts.l1_weight)
+        z = np.where(s != 0.0, x + c * (grad + parts.l1_weight * s), 0.0)
+        assert np.array_equal(np.sign(z), s)
+        res = prox(p, z, c, TOL)
+        assert res.inner_iterations == 1 and res.residual_norm <= TOL.target_residual
+        assert np.max(np.abs(res.point - x)) <= 1e-9
+
+
+@pytest.mark.parametrize("center", ["zero", "reference"])
+def test_composite_support_candidate_at_the_center_signs(monkeypatch, lasso_f20, center):
+    prox_module = importlib.import_module("proxlab.prox")
+    solved = []
+    support_solve = prox_module._support_solve
+
+    def recording(parts, v, c, signs):
+        solved.append(signs.copy())
+        return support_solve(parts, v, c, signs)
+
+    monkeypatch.setattr(prox_module, "_support_solve", recording)
+    z = np.zeros(50) if center == "zero" else np.array(lasso_f20.metadata["reference_point"])
+    candidates = prox_module._composite(lasso_f20, z, 1.0)
+    next(candidates), next(candidates)  # the start point, then the next candidate
+    if center == "zero":  # the next candidate is a FISTA step
+        assert solved == []
+    else:
+        assert len(solved) == 1 and np.array_equal(solved[0], np.sign(z))
+
+
+@pytest.mark.parametrize("rows", ["once", "twice"])
+def test_svm_free_set_finish_skips_large_and_singular_sets(monkeypatch, rows):
+    # With d = 3 the free set often has more than d rows.  With every row
+    # twice, a free set holding both copies of a row has a singular system.
+    data = make_blob_dataset(40, 3, seed=5)
+    if rows == "twice":
+        data = Dataset(np.vstack([data.features] * 2), np.tile(data.labels, 2), "twice")
+    p = make_ml_problem("svm", data, MLProblemParams("svm", svm_reg=1.0))
+    sizes, singular = [], []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        sizes.append(b.size)
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(b.size)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        z, c = rng.normal(size=3), rng.uniform(0.1, 5.0)
+        res = prox(p, z, c, TOL)
+        assert res.residual_norm <= TOL.target_residual
+        assert np.linalg.norm(res.residual_element) == res.residual_norm
+        assert certificate_is_subgradient(p, res, z, c, rng)
+    assert sizes and max(sizes) <= 3
+    assert bool(singular) == (rows == "twice")
 
 
 def test_svm_min_norm_and_certificate_share_the_hinge_routine(svm_blobs):
