@@ -22,7 +22,8 @@ from .gd import GDParams, run_gd, verify_gd_rates
 from .ippm import (InexactCriterion, check_inexact_one_step, check_ippm_linear,
                    check_ippm_sublinear, run_ippm)
 from .ppm import (IterationTrace, RateBounds, StepSchedule, check_linear_rates,
-                  check_one_step, check_sublinear_bound, reference_solution, run_ppm)
+                  check_one_step, check_sublinear_bound, install_reference,
+                  reference_solution, run_ppm)
 from .problem import ProblemSpec
 from .regularity import audit_implications, estimate_constants, plan_for
 from .traceio import emit_trace_csv
@@ -91,6 +92,31 @@ def _blob_dataset(section: dict, path: str, seed: int) -> Dataset:
                              **_fields(section, path, {"seed": seed}, seed=int, separation=float))
 
 
+# Reference solves of ML problems kept for later runs in this process, oldest
+# first: (kind, params, (shape, bytes) of each data array) -> the arguments of
+# install_reference after the problem.  At most REFERENCE_MEMO_SIZE entries.
+REFERENCE_MEMO_SIZE = 16
+_references: dict = {}
+
+
+def _ml_problem(kind: str, dataset, params: MLProblemParams) -> ProblemSpec:
+    """The ML problem on ``dataset`` with its reference installed.  The first build
+    of these data and params in this process solves it (``reference_solution``);
+    later builds install the solve's numbers on a freshly built problem."""
+    p = make_ml_problem(kind, dataset, params)
+    arrays = (dataset.features, dataset.labels) if kind == "svm" else dataset[:2]
+    key = (kind, params, *((a.shape, a.tobytes()) for a in arrays))
+    if key in _references:
+        return install_reference(p, *_references[key])
+    ref = reference_solution(p)
+    md = ref.metadata
+    if len(_references) >= REFERENCE_MEMO_SIZE:
+        del _references[next(iter(_references))]
+    _references[key] = (ref.f_star, md["reference_point"], md["reference_residual"],
+                        md["reference_iterations"])
+    return ref
+
+
 def build_problem(cfg: dict, seed: int) -> ProblemSpec:
     prob = _fields(cfg["problem"], "problem", {"data": {}, "params": {}}, benchmark=str,
                    ml=str, data=dict, params=dict)
@@ -120,7 +146,7 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
         dataset = _blob_dataset(data["blobs"], "problem.data.blobs", seed)
     else:
         raise ConfigError("svm needs data.libsvm or data.blobs", field="problem.data")
-    return reference_solution(make_ml_problem(kind, dataset, params))
+    return _ml_problem(kind, dataset, params)
 
 
 def build_schedule(cfg: dict) -> StepSchedule:

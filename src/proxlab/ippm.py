@@ -23,17 +23,10 @@ from .problem import ProblemSpec, distances_to_solution
 from .prox import InnerTolerance, prox, residual_certificate
 
 PRIMED = ("A'", "B'")
-_ALIASES = {"aprime": "A'", "bprime": "B'", "a'": "A'", "b'": "B'", "a": "A", "b": "B"}
+KINDS = ("A", "B") + PRIMED
 
 # Residual target of the reference prox that test-mode steps perturb.
 REFERENCE_TARGET = 1e-12
-
-
-def _canonical_kind(kind: str) -> str:
-    k = _ALIASES.get(kind.strip().lower())
-    if k is None:
-        raise ValueError(f"unknown criterion kind {kind!r}")
-    return k
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,9 @@ class InexactCriterion:
     gamma: float = 0.7
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", _canonical_kind(self.kind))
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown criterion kind {self.kind!r}; "
+                             f"pick one of {', '.join(KINDS)}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1) for summability")
         if self.eps0 < 0 or self.delta0 < 0:

@@ -111,12 +111,19 @@ class IterationTrace:
     def running_diameter(self) -> np.ndarray:
         """D_k = max pairwise distance among x_0 .. x_k (monotone in k).
 
-        D_k = max(D_{k-1}, max_{j<k} ||x_k - x_j||), one row of squared
+        In d > 1, D_k = max(D_{k-1}, max_{j<k} ||x_k - x_j||), one row of squared
         distances per k over the stacked points, so memory stays O(K d).  The
         square root is taken after the running maximum; it is monotone, so
         this commutes.
         """
         pts = self.points
+        if pts.shape[1] == 1:
+            # In 1-d, max_{j<=k} |x_k - x_j| is the spread of x_0 .. x_k, and the
+            # rounded differences and squares are monotone, so squaring and
+            # rooting the spread agrees bitwise with the row loop, even where
+            # the square under- or overflows.
+            spread = np.maximum.accumulate(pts[:, 0]) - np.minimum.accumulate(pts[:, 0])
+            return np.sqrt(spread * spread)
         far = np.zeros(len(pts))  # far[k] = max_{j<k} ||x_k - x_j||^2
         for k in range(1, len(pts)):
             diff = pts[:k] - pts[k]
@@ -383,15 +390,23 @@ def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
     if trace.stop_reason in ("resolution", "inner_budget"):
         raise InnerBudgetExhausted(
             f"reference solve stopped with {trace.stop_reason} after {len(trace) - 1} steps")
-    x_ref = trace.points[-1]
-    f_ref = float(trace.values[-1])
     tail = float(np.linalg.norm(trace.points[-1] - trace.points[-2])) / c_ref \
         if len(trace) > 1 else 0.0
+    return install_reference(p, float(trace.values[-1]), trace.points[-1], tail,
+                             len(trace) - 1)
+
+
+def install_reference(p: ProblemSpec, f_ref: float, x_ref, residual: float,
+                      iterations: int) -> ProblemSpec:
+    """``p`` with a reference solve's outcome installed: f_star = f_ref, and x_ref
+    as the solution set when ``p`` is strongly convex (a unique minimizer).  The
+    point, its tail residual and the step count go into the metadata."""
+    x_ref = np.array(x_ref, dtype=float)
+    x_ref.flags.writeable = False
     project = project_rows = None
     if p.strong_convexity > 0:
         project = lambda x: x_ref
         project_rows = lambda xs: np.broadcast_to(x_ref, xs.shape)
     return p.with_reference(f_ref, project=project, project_rows=project_rows,
                             reference_point=tuple(float(v) for v in x_ref),
-                            reference_residual=tail,
-                            reference_iterations=len(trace) - 1)
+                            reference_residual=residual, reference_iterations=iterations)

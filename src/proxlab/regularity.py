@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NeedsReference
+from .errors import DomainError, NeedsReference, ProxlabError
 from .problem import ProblemSpec, as_point, batch_oracle
 
 EB_CAP = 1e12
@@ -131,6 +131,7 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     """Extremal empirical ratios over the sampled sublevel region.
 
     The witness of a constant is its first extremal sample in sample order.
+    Raises ProxlabError when no sample enters the ratios.
     """
     if p.f_star is None or p.project_solution is None:
         raise NeedsReference("estimation needs f_star and a solution oracle")
@@ -151,6 +152,10 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     np.subtract(xs, offset, out=offset)  # x - proj_S(x); only its rows are read
     dist = np.sqrt(_rowwise_dot(offset, offset))
     rows = rows[~(gap[rows] < plan.tau_s) & ~(dist[rows] < math.sqrt(plan.tau_s))]
+    if not rows.size:
+        raise ProxlabError(f"no sample point has gap in [tau_s, nu] and dist >= sqrt(tau_s) "
+                           f"(nu = {plan.nu:g}, bracket = {plan.bracket}, "
+                           f"tau_s = {plan.tau_s:g})")
     g = batch_oracle(p, "min_norm_subgradients", xs, rows)
     secant = _rowwise_dot(g, offset)[rows]  # <g, x - proj_S(x)>
     gnorm = np.sqrt(_rowwise_dot(g, g))[rows]

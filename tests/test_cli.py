@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxlab import StepSchedule, cli, read_trace_csv, run_ppm
+from proxlab import (InnerBudgetExhausted, StepSchedule, cli, make_blob_dataset,
+                     read_trace_csv, run_ppm, save_libsvm)
 from proxlab.cli import main
 from proxlab.traceio import CSV_HEADER, emit_trace_csv
 
@@ -494,6 +495,11 @@ def test_null_field_is_an_absent_one(tmp_path, cmd, field, body):
     ("gen-data", {"gen": {"kind": "blobs", "n": 4, "d": 0}}, "error: blobs need n >= 1"),
     ("run-ppm", {"problem": {"ml": "lasso", "data": {"lasso": {"n": 0, "m": 6, "s": 2}}}},
      "error: lasso data need n >= 1"),
+    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"nu": -1}},
+     "error: no sample point has gap in [tau_s, nu] and dist >= sqrt(tau_s) (nu = -1,"),
+    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"bracket": [0.0, 0.0]}},
+     "error: no sample point has gap in [tau_s, nu] and dist >= sqrt(tau_s) (nu = 1, "
+     "bracket = (0.0, 0.0)"),
 ])
 def test_unusable_problem_prints_one_error_line(tmp_path, capsys, cmd, body, line):
     cfg = write_config(tmp_path, "bad.json", body)
@@ -531,3 +537,84 @@ def test_linear_rows_check_only_the_reports_sublevel_set(tmp_path, monkeypatch, 
     gaps = read_trace_csv(out / "trace.csv").cost_gap
     assert nu == 0.05 and checks
     assert all(gaps[k] <= nu for check in checks for k in check.indices)
+
+
+# -- the in-process memo of ML reference solves --------------------------------
+
+@pytest.fixture
+def reference_solves(monkeypatch):
+    """The problems ``cli.reference_solution`` solves, starting from an empty memo."""
+    monkeypatch.setattr(cli, "_references", {})
+    solved, solve = [], cli.reference_solution
+    monkeypatch.setattr(cli, "reference_solution", lambda p: solved.append(p) or solve(p))
+    return solved
+
+
+def run_ml(tmp_path, problem, out, **extra):
+    cfg = write_config(tmp_path, "ml.json", {
+        "problem": problem, "schedule": {"constant": 0.5}, "max_iter": 30, **extra})
+    return main(["run-ppm", "--config", cfg, "--out", str(tmp_path / out)])
+
+
+@pytest.mark.parametrize("problem", [
+    {"ml": "elastic_net", "data": {"lasso": {"n": 10, "m": 20, "s": 5}},
+     "params": {"lam": 1.0}},
+    {"ml": "svm", "data": {"blobs": {"n": 60, "d": 3}}},
+])
+def test_reference_solve_runs_once_per_problem(tmp_path, reference_solves, problem):
+    for out in ("cold", "warm"):
+        assert run_ml(tmp_path, problem, out, estimate=True, audit=True,
+                      estimation={"count": 500}) == 0
+    assert len(reference_solves) == 1
+    for name in ("trace.csv", "summary.json", "report.json"):
+        assert (tmp_path / "cold" / name).read_bytes() == \
+            (tmp_path / "warm" / name).read_bytes()
+
+
+def test_reference_memo_keys_on_the_data_and_params(tmp_path, reference_solves):
+    data = tmp_path / "blobs.libsvm"
+    problem = {"ml": "svm", "data": {"libsvm": str(data)}}
+    for seed, out in ((1, "a"), (2, "b"), (2, "c")):  # the file is rewritten once
+        save_libsvm(make_blob_dataset(40, 3, seed=seed), data)
+        assert run_ml(tmp_path, problem, out) == 0
+    assert len(reference_solves) == 2
+    assert run_ml(tmp_path, {**problem, "params": {"svm_reg": 2.0}}, "d") == 0
+    assert len(reference_solves) == 3
+
+
+def test_failed_reference_solve_is_not_kept(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_references", {})
+    calls, solve = [], cli.reference_solution
+
+    def fails_first(p):
+        calls.append(p)
+        if len(calls) == 1:
+            raise InnerBudgetExhausted("reference solve stopped with inner_budget")
+        return solve(p)
+
+    monkeypatch.setattr(cli, "reference_solution", fails_first)
+    problem = {"ml": "svm", "data": {"blobs": {"n": 30, "d": 2}}}
+    assert run_ml(tmp_path, problem, "a") == 1
+    assert capsys.readouterr().err == "error: reference solve stopped with inner_budget\n"
+    assert cli._references == {}
+    assert run_ml(tmp_path, problem, "b") == 0 and run_ml(tmp_path, problem, "c") == 0
+    assert len(calls) == 2
+
+
+def test_reference_memo_keeps_the_newest_entries(reference_solves):
+    def build(seed):
+        cfg = {"problem": {"ml": "lasso", "data": {"lasso": {"n": 3, "m": 4, "s": 1}}}}
+        return cli.build_problem(cfg, seed)
+
+    for seed in range(cli.REFERENCE_MEMO_SIZE + 1):
+        build(seed)
+    assert len(reference_solves) == cli.REFERENCE_MEMO_SIZE + 1
+    assert len(cli._references) == cli.REFERENCE_MEMO_SIZE
+    # Only the solve's numbers are kept: no problem, oracle or data.
+    assert all(list(map(type, entry)) == [float, tuple, float, int]
+               for entry in cli._references.values())
+    build(cli.REFERENCE_MEMO_SIZE)  # the newest is kept
+    assert len(reference_solves) == cli.REFERENCE_MEMO_SIZE + 1
+    build(0)  # the oldest was evicted
+    assert len(reference_solves) == cli.REFERENCE_MEMO_SIZE + 2
+    assert len(cli._references) == cli.REFERENCE_MEMO_SIZE

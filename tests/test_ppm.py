@@ -189,6 +189,24 @@ def test_running_diameter_matches_pairwise_loop(pts):
     assert all(b >= a for a, b in zip(diam, diam[1:]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(xs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=301),
+       scale=st.sampled_from([10.0 ** e for e in range(-8, 9)]))
+def test_1d_running_diameter_matches_the_row_loop(xs, scale):
+    # A zero second coordinate sends the same points through the d > 1 row loop.
+    pts = np.array(xs)[:, None] * scale
+    k = len(pts)
+
+    def diameter(points):
+        p = ProblemSpec(dimension=points.shape[1], value=np.sum, subgradient=np.sign)
+        columns = [np.full(k, np.nan)] * 5
+        return IterationTrace(p, points, *columns, np.full(points.shape, np.nan)) \
+            .running_diameter()
+
+    one_d = diameter(pts)
+    assert one_d.tobytes() == diameter(np.hstack([pts, np.zeros_like(pts)])).tobytes()
+
+
 def test_reference_solution_en_toy(en_toy_ref):
     assert en_toy_ref.f_star == pytest.approx(5.75, abs=1e-10)
     ref_pt = np.asarray(en_toy_ref.project_solution(np.zeros(1)))

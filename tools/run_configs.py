@@ -8,13 +8,16 @@ each job of the ``perfbench`` decks at seeds 1-3 runs as its one subcommand,
 all through ``proxlab.cli.main`` in this process.  Every run writes into its
 own directory under OUT (the job's config beside its outputs), and
 ``OUT/exit_codes.txt`` lists each run's directory and exit code.  Two trees
-made from two versions of the code compare with one ``diff -r``.
+made from two versions of the code compare with one ``diff -r``.  The summary
+line on stdout ends with the total wall time of the runs, which nothing in OUT
+records.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +63,7 @@ def main(argv: list[str]) -> int:
 
     out = Path(argv[0])
     codes = []
+    start = time.perf_counter()
     for name, cmd, cfg in runs():
         run_dir = out / name
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -67,9 +71,11 @@ def main(argv: list[str]) -> int:
         config.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         code = proxlab_main([cmd, "--config", str(config), "--out", str(run_dir)])
         codes.append((name, code))
+    wall = time.perf_counter() - start
     (out / "exit_codes.txt").write_text("".join(f"{name} {code}\n" for name, code in codes),
                                         encoding="utf-8")
-    print(f"{len(codes)} runs, {sum(code != 0 for _, code in codes)} nonzero exit codes")
+    print(f"{len(codes)} runs, {sum(code != 0 for _, code in codes)} nonzero exit codes, "
+          f"{wall:.2f} s")
     return 0
 
 
