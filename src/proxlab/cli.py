@@ -93,19 +93,33 @@ def _blob_dataset(section: dict, path: str, seed: int) -> Dataset:
 
 
 # Reference solves of ML problems kept for later runs in this process, oldest
-# first: (kind, params, (shape, bytes) of each data array) -> the arguments of
-# install_reference after the problem.  At most REFERENCE_MEMO_SIZE entries.
+# first: (params, (shape, dtype, SHA-256 digest) of each data array) -> the
+# arguments of install_reference after the problem.  The entries are the
+# outcomes of _solver, the make_ml_problem and reference_solution this module
+# bound when they were solved; rebinding either (tracing, tests) empties the
+# memo, so a replaced solver is always called.  tools/run_configs.py builds 9
+# distinct data sets in one process and a benchmark deck at most 6; an entry
+# holds one point of the problem's dimension, so 16 entries cover both with
+# room to spare.
 REFERENCE_MEMO_SIZE = 16
 _references: dict = {}
+_solver: tuple = ()
 
 
 def _ml_problem(kind: str, dataset, params: MLProblemParams) -> ProblemSpec:
     """The ML problem on ``dataset`` with its reference installed.  The first build
     of these data and params in this process solves it (``reference_solution``);
     later builds install the solve's numbers on a freshly built problem."""
+    global _solver
+    import hashlib  # here, not at the top: only ML runs pay for its import
+
     p = make_ml_problem(kind, dataset, params)
+    if _solver != (make_ml_problem, reference_solution):
+        _references.clear()
+        _solver = (make_ml_problem, reference_solution)
     arrays = (dataset.features, dataset.labels) if kind == "svm" else dataset[:2]
-    key = (kind, params, *((a.shape, a.tobytes()) for a in arrays))
+    key = (params, *((a.shape, a.dtype.str,
+                      hashlib.sha256(np.ascontiguousarray(a)).digest()) for a in arrays))
     if key in _references:
         return install_reference(p, *_references[key])
     ref = reference_solution(p)

@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -541,13 +542,17 @@ def test_linear_rows_check_only_the_reports_sublevel_set(tmp_path, monkeypatch, 
 
 # -- the in-process memo of ML reference solves --------------------------------
 
-@pytest.fixture
-def reference_solves(monkeypatch):
-    """The problems ``cli.reference_solution`` solves, starting from an empty memo."""
-    monkeypatch.setattr(cli, "_references", {})
+def count_reference_solves(monkeypatch) -> list:
+    """The problems ``cli.reference_solution`` solves from now on.  Rebinding it
+    empties the memo, so the count starts from an empty one."""
     solved, solve = [], cli.reference_solution
     monkeypatch.setattr(cli, "reference_solution", lambda p: solved.append(p) or solve(p))
     return solved
+
+
+@pytest.fixture
+def reference_solves(monkeypatch):
+    return count_reference_solves(monkeypatch)
 
 
 def run_ml(tmp_path, problem, out, **extra):
@@ -582,8 +587,24 @@ def test_reference_memo_keys_on_the_data_and_params(tmp_path, reference_solves):
     assert len(reference_solves) == 3
 
 
+def test_rebinding_the_solver_empties_the_memo(tmp_path, monkeypatch):
+    problem = {"ml": "elastic_net", "data": {"lasso": {"n": 10, "m": 20, "s": 5}},
+               "params": {"lam": 1.0}}
+    first = count_reference_solves(monkeypatch)
+    assert run_ml(tmp_path, problem, "a") == 0 and run_ml(tmp_path, problem, "b") == 0
+    second = count_reference_solves(monkeypatch)  # as a tracer wraps the CLI's names
+    assert run_ml(tmp_path, problem, "c") == 0 and run_ml(tmp_path, problem, "d") == 0
+    assert (len(first), len(second)) == (2, 1)  # second's solve goes through first
+    make = cli.make_ml_problem
+    monkeypatch.setattr(cli, "make_ml_problem", lambda *args: make(*args))
+    assert run_ml(tmp_path, problem, "e") == 0
+    assert len(second) == 2
+    for out in "bcde":
+        assert (tmp_path / "a" / "trace.csv").read_bytes() == \
+            (tmp_path / out / "trace.csv").read_bytes()
+
+
 def test_failed_reference_solve_is_not_kept(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_references", {})
     calls, solve = [], cli.reference_solution
 
     def fails_first(p):
@@ -618,3 +639,13 @@ def test_reference_memo_keeps_the_newest_entries(reference_solves):
     build(0)  # the oldest was evicted
     assert len(reference_solves) == cli.REFERENCE_MEMO_SIZE + 2
     assert len(cli._references) == cli.REFERENCE_MEMO_SIZE
+
+
+def test_reference_memo_holds_nothing_of_the_data_size(reference_solves):
+    cfg = {"problem": {"ml": "svm", "data": {"blobs": {"n": 2000, "d": 20}}}}
+    cli.build_problem(cfg, 1)  # 2000 x 20 features and 2000 labels: 328 kB
+    (key, entry), = cli._references.items()
+    assert [type(part) for part in key] == [cli.MLProblemParams, tuple, tuple]
+    assert [(shape, dtype, len(digest)) for shape, dtype, digest in key[1:]] == \
+        [((2000, 20), "<f8", 32), ((2000,), "<f8", 32)]
+    assert len(pickle.dumps((key, entry))) < 2000
