@@ -15,6 +15,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+# hashlib.blake2b is this function, but importing hashlib loads OpenSSL: 5 ms
+# and at times 30 ms, paid by the first ML run of a process.
+from _blake2 import blake2b
+
 import numpy as np
 
 from .errors import ConfigError, ProxlabError
@@ -93,7 +97,7 @@ def _blob_dataset(section: dict, path: str, seed: int) -> Dataset:
 
 
 # Reference solves of ML problems kept for later runs in this process, oldest
-# first: (params, (shape, dtype, SHA-256 digest) of each data array) -> the
+# first: (params, (shape, dtype, BLAKE2b digest) of each data array) -> the
 # arguments of install_reference after the problem.  The entries are the
 # outcomes of _solver, the make_ml_problem and reference_solution this module
 # bound when they were solved; rebinding either (tracing, tests) empties the
@@ -111,15 +115,14 @@ def _ml_problem(kind: str, dataset, params: MLProblemParams) -> ProblemSpec:
     of these data and params in this process solves it (``reference_solution``);
     later builds install the solve's numbers on a freshly built problem."""
     global _solver
-    import hashlib  # here, not at the top: only ML runs pay for its import
-
     p = make_ml_problem(kind, dataset, params)
     if _solver != (make_ml_problem, reference_solution):
         _references.clear()
         _solver = (make_ml_problem, reference_solution)
     arrays = (dataset.features, dataset.labels) if kind == "svm" else dataset[:2]
     key = (params, *((a.shape, a.dtype.str,
-                      hashlib.sha256(np.ascontiguousarray(a)).digest()) for a in arrays))
+                      blake2b(np.ascontiguousarray(a), digest_size=32).digest())
+                     for a in arrays))
     if key in _references:
         return install_reference(p, *_references[key])
     ref = reference_solution(p)
