@@ -9,10 +9,9 @@ from .ippm import (InexactCriterion, check_inexact_one_step, check_ippm_linear,
 from .ppm import (BoundCheck, IterationTrace, RateBounds, StepSchedule,
                   check_linear_rates, check_one_step, check_sublinear_bound,
                   reference_solution, run_ppm)
-from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SubgradientInfo,
-                      SvmParts, distance_to_solution, min_norm_subgradient,
-                      problem_from_1d)
-from .prox import InnerTolerance, ProxResult, prox, residual_certificate
+from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SvmParts,
+                      distance_to_solution, min_norm_subgradient, problem_from_1d)
+from .prox import ProxResult, prox
 from .regularity import (ConstantEstimate, EstimationPlan, ImplicationCheck,
                          RegularityReport, audit_implications, estimate_constants,
                          find_suboptimal_stationary_points, plan_for,

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import CriterionUnverifiable
 from .ppm import (CHECK_ATOL, BoundCheck, IterationTrace, StepSchedule, _constants,
                   _contraction, _envelope, _first, _iterate)
-from .problem import ProblemSpec, distances_to_solution
-from .prox import InnerTolerance, prox, residual_certificate
+from .problem import ProblemSpec, distances_to_solution, min_norm_subgradient
+from .prox import prox
 
 PRIMED = ("A'", "B'")
 KINDS = ("A", "B") + PRIMED
@@ -125,7 +125,7 @@ def _primed_step(p, x, c, eps_k, delta_k):
 
 def _test_mode_step(p, x, c, eps_k, delta_k, rng):
     """Perturb a tight reference prox inside every requested budget."""
-    ref = prox(p, x, c, InnerTolerance(target_residual=REFERENCE_TARGET))
+    ref = prox(p, x, c, REFERENCE_TARGET)
     p_k = ref.point
     radius = eps_k if eps_k is not None else math.inf
     if delta_k is not None:
@@ -149,7 +149,7 @@ def _test_mode_step(p, x, c, eps_k, delta_k, rng):
             x_next = p_k + radius * direction
         else:
             x_next = p_k
-    _, resid = residual_certificate(p, x_next, x, c)
+    _, resid = min_norm_subgradient(p, x_next, shift=(x_next - x) / c)
     return x_next, resid, p_k
 
 

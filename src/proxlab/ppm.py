@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InnerBudgetExhausted, NotAvailable, ResolutionFloor, StepTooLarge
 from .problem import ProblemSpec, as_point, distances_to_solution, row_dots
-from .prox import InnerTolerance, prox
+from .prox import prox
 
 # Absolute slack on every replayed PPM and iPPM inequality.
 CHECK_ATOL = 1e-9
@@ -305,13 +305,13 @@ def _iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
 
 
 def run_ppm(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int = 500,
-            inner_tol: InnerTolerance = InnerTolerance(),
+            inner_target: float = 1e-10,
             stop_gap: float = 1e-10, stop_residual: float = 1e-10) -> IterationTrace:
     """Exact proximal point method; stops on max_iter, tiny gap or tiny residual."""
     sched.validate(p, max_iter)
 
     def step(k, x, c):
-        result = prox(p, x, c, inner_tol)
+        result = prox(p, x, c, inner_target)
         return result.point, result.residual_norm, None, None, None
 
     return _iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
@@ -385,8 +385,7 @@ def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
         c_ref = min(c_ref, 0.5 / p.weak_convexity)
     sched = StepSchedule.constant(c_ref)
     trace = run_ppm(p, np.zeros(p.dimension), sched, max_iter=effort,
-                    inner_tol=InnerTolerance(target_residual=inner_target), stop_gap=0.0,
-                    stop_residual=inner_target * 10)
+                    inner_target=inner_target, stop_gap=0.0, stop_residual=inner_target * 10)
     if trace.stop_reason in ("resolution", "inner_budget"):
         raise InnerBudgetExhausted(
             f"reference solve stopped with {trace.stop_reason} after {len(trace) - 1} steps")

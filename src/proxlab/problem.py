@@ -1,10 +1,10 @@
 """Problem abstraction consumed by every solver and estimator.
 
-A problem is a bundle of oracles: value, one subdifferential element,
-optionally the exact min-norm element, optionally the nearest minimizer,
-optionally a closed-form prox.  Values are extended reals: the value oracle
-returns ``math.inf`` outside the effective domain (IEEE infinity is the
-tagged "infinite" value; finite sentinels are never used).  Three of the
+A problem is a bundle of oracles: value, one subdifferential element, the
+min-norm element, optionally the nearest minimizer, optionally a closed-form
+prox.  Values are extended reals: the value oracle returns ``math.inf``
+outside the effective domain (IEEE infinity is the tagged "infinite" value;
+finite sentinels are never used).  Three of the
 oracles may also come in a batch form on an (N, d) array of rows;
 ``batch_oracle`` calls it, or maps the scalar oracle over the rows.
 
@@ -30,6 +30,8 @@ Vector = np.ndarray
 KINK_BAND = 1e-9
 # Rows per batch-oracle call: a batch's temporaries stay this many rows tall.
 BATCH_ROWS = 512
+# Cap on the greedy passes over the kink weights of one SVM min-norm element.
+MIN_NORM_PASSES = 1000
 
 
 def as_point(x) -> Vector:
@@ -108,24 +110,27 @@ class SvmParts:
         """Element of the objective's subdifferential at x, plus ``shift``, of small norm.
 
         Hinge terms off their kink contribute their gradient; the weights
-        t_i in [0, 1] of the terms at a kink are chosen by a few greedy
-        coordinate passes on ||element||.  The norm upper-bounds the distance
-        from -shift to the subdifferential.
+        t_i in [0, 1] of the terms at a kink are chosen by greedy coordinate
+        passes on ||element||, repeated while a pass strictly lowers it (at
+        most MIN_NORM_PASSES).  The norm upper-bounds the distance from -shift
+        to the subdifferential.
         """
         ba, n = self.signed_rows, self.labels.size
         margins = 1.0 - ba @ x
         r = -ba[margins > KINK_BAND].sum(axis=0) / n + self.reg * x + shift
         kinks = np.flatnonzero(np.abs(margins) <= KINK_BAND)
+        rows = ba[kinks] / n
+        sq = row_dots(rows, rows)
         t = np.zeros(kinks.size)
-        for _ in range(4):
-            for j, i in enumerate(kinks):
-                row = ba[i] / n
-                sq = float(np.dot(row, row))
-                if sq == 0.0:
-                    continue
-                r_wo = r + t[j] * row  # r = base - sum_j t_j * row_j
-                t[j] = min(max(float(np.dot(r_wo, row)) / sq, 0.0), 1.0)
-                r = r_wo - t[j] * row
+        size = float(np.dot(r, r))
+        for _ in range(MIN_NORM_PASSES):
+            for j in np.flatnonzero(sq > 0.0):
+                r_wo = r + t[j] * rows[j]  # r = base - sum_j t_j * row_j
+                t[j] = min(max(float(np.dot(r_wo, rows[j])) / sq[j], 0.0), 1.0)
+                r = r_wo - t[j] * rows[j]
+            before, size = size, float(np.dot(r, r))
+            if not size < before:
+                break
         return r
 
 
@@ -136,9 +141,10 @@ class ProblemSpec:
     ``weak_convexity`` is the modulus rho (0 for convex problems);
     ``strong_convexity`` is the modulus m of an explicit (m/2)||x||^2 term,
     recorded so reference solves know when the minimizer is unique.
-    ``min_norm_subgradient(x, shift=0.0)`` returns the element of
-    ``partial f(x) + shift`` nearest zero; ``min_norm_exact`` says whether that
-    is the true minimum-norm element or only a constructed upper bound.
+    ``min_norm_subgradient(x, shift=0.0)`` is required: it returns the element
+    of ``partial f(x) + shift`` nearest zero, and every prox certificate and
+    estimated slope is read from it.  ``min_norm_exact`` says whether that is
+    the true minimum-norm element or only a constructed upper bound.
 
     The batch oracles are optional and take an (N, d) array of rows:
     ``values`` gives f per row (N,), ``min_norm_subgradients`` the min-norm
@@ -151,7 +157,7 @@ class ProblemSpec:
     dimension: int
     value: Callable[[Vector], float]
     subgradient: Callable[[Vector], Vector]
-    min_norm_subgradient: Callable[..., Vector] | None = None
+    min_norm_subgradient: Callable[..., Vector]
     min_norm_exact: bool = True
     weak_convexity: float = 0.0
     strong_convexity: float = 0.0
@@ -187,7 +193,7 @@ def _row_oracle(p: ProblemSpec, name: str) -> Callable[[Vector], Any]:
     if name == "values":
         return p.value
     if name == "min_norm_subgradients":
-        return p.min_norm_subgradient or p.subgradient
+        return p.min_norm_subgradient
     return lambda x: as_point(p.project_solution(x))
 
 
@@ -214,30 +220,20 @@ def batch_oracle(p: ProblemSpec, name: str, xs: np.ndarray, rows=None) -> np.nda
     return out
 
 
-@dataclass(frozen=True)
-class SubgradientInfo:
-    element: Vector
-    norm: float
-
-
-def min_norm_subgradient(p: ProblemSpec, x, shift=0.0) -> SubgradientInfo:
-    """Element of partial f(x) + shift nearest zero, or the best constructed one.
+def min_norm_subgradient(p: ProblemSpec, x, shift=0.0) -> tuple[Vector, float]:
+    """(element, norm): the element of partial f(x) + shift nearest zero, or the
+    best constructed one, and its norm.
 
     The norm of the exact element equals dist(-shift, partial f(x)): the slope
     at shift 0, the prox certificate at shift (x - z)/c.  The element is exact
-    when p has a min-norm oracle and ``min_norm_exact``.  Raises DomainError
-    outside the domain.
+    when ``min_norm_exact``.  Raises DomainError outside the domain.
     """
     x = as_point(x)
     if p.value(x) == math.inf:
         raise DomainError(f"value is +inf at {x}")
-    if p.min_norm_subgradient is None:
-        g = np.asarray(p.subgradient(x), dtype=float) + shift
-    else:
-        g = np.asarray(p.min_norm_subgradient(x, shift=shift), dtype=float)
+    g = np.asarray(p.min_norm_subgradient(x, shift=shift), dtype=float)
     # In one dimension |g| is exact where sqrt(g^2) would underflow to 0.
-    norm = abs(float(g[0])) if g.size == 1 else float(np.linalg.norm(g))
-    return SubgradientInfo(g, norm)
+    return g, abs(float(g[0])) if g.size == 1 else float(np.linalg.norm(g))
 
 
 def distance_to_solution(p: ProblemSpec, x) -> float:

@@ -18,25 +18,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import InnerBudgetExhausted, NotAvailable, ResolutionFloor, StepTooLarge
-from .problem import KINK_BAND, ProblemSpec, as_point, min_norm_subgradient, nearest_zero
+from .problem import KINK_BAND, ProblemSpec, as_point, nearest_zero
 
 # accept(candidate, residual_norm) -> bool; lets the outer loop install
 # candidate-dependent acceptance (relative inexactness rules).
 StopRule = Callable[[np.ndarray, float], bool]
 
 
-# Iteration budget of every inner solve.
+# Iteration budget of every inner solve, read at each call.
 MAX_INNER = 100_000
-
-
-@dataclass(frozen=True)
-class InnerTolerance:
-    target_residual: float = 1e-10
-    max_inner_iterations: int = MAX_INNER
-
-    def __post_init__(self):
-        if self.target_residual <= 0:
-            raise ValueError("target_residual must be positive")
 
 
 @dataclass(frozen=True)
@@ -55,19 +45,7 @@ def _validate_step(p: ProblemSpec, c: float) -> None:
             f"1/c = {1.0 / c:g} must exceed the weak convexity modulus {p.weak_convexity:g}")
 
 
-def residual_certificate(p: ProblemSpec, x, z, c: float):
-    """Constructed element of H(x) = partial f(x) + (x - z)/c and its norm.
-
-    The min-norm oracle at shift (x - z)/c: exact (equals dist(0, H(x))) for
-    problems exposing interval or separable subdifferential structure; an
-    upper bound otherwise.
-    """
-    x, z = as_point(x), as_point(z)
-    info = min_norm_subgradient(p, x, shift=(x - z) / c)
-    return info.element, info.norm
-
-
-def prox(p: ProblemSpec, z, c: float, tol: InnerTolerance = InnerTolerance(),
+def prox(p: ProblemSpec, z, c: float, target: float = 1e-10,
          stop_rule: StopRule | None = None) -> ProxResult:
     """Compute prox_{c,f}(z), exactly or to a certified residual target.
 
@@ -75,12 +53,14 @@ def prox(p: ProblemSpec, z, c: float, tol: InnerTolerance = InnerTolerance(),
     the minimizer).  Otherwise the structure-matched inner solver yields
     certified candidates (point, element of H(point), its norm), the start
     point first, and the first candidate ``stop_rule`` accepts (default:
-    residual_norm <= tol.target_residual) is returned; its index in that
-    sequence is its ``inner_iterations``.  When tol.max_inner_iterations
-    candidates after the start are refused the solve raises
-    InnerBudgetExhausted, and when the solver runs out of candidates,
-    ResolutionFloor; both carry the best candidate and the iterations spent.
+    residual_norm <= target) is returned; its index in that sequence is its
+    ``inner_iterations``.  When MAX_INNER candidates after the start are
+    refused the solve raises InnerBudgetExhausted, and when the solver runs
+    out of candidates, ResolutionFloor; both carry the best candidate and the
+    iterations spent.
     """
+    if not target > 0:
+        raise ValueError(f"inner residual target must be positive, got {target}")
     z = as_point(z)
     _validate_step(p, c)
     if p.prox_closed_form is not None:
@@ -95,13 +75,13 @@ def prox(p: ProblemSpec, z, c: float, tol: InnerTolerance = InnerTolerance(),
     else:
         raise NotAvailable(f"no inner solver for problem {p.name!r}")
     if stop_rule is None:
-        stop_rule = lambda w, rn: rn <= tol.target_residual
+        stop_rule = lambda w, rn: rn <= target
     for it, candidate in enumerate(candidates):
         if it == 0 or candidate[2] < best[2]:
             best = candidate
         if stop_rule(candidate[0], candidate[2]):
             return ProxResult(*candidate, it)
-        if it == tol.max_inner_iterations:
+        if it == MAX_INNER:
             raise InnerBudgetExhausted(
                 f"{name} inner solver: residual {best[2]:.3e} after {it} iterations",
                 best=ProxResult(*best, it))
@@ -208,11 +188,8 @@ def _svm_dual(p: ProblemSpec, z, c):
     alpha_F = 0, the margins on F vanish where
     (B_F B_F^T / sigma) alpha_F = 1 - B_F x_0 (the free-set system of Hastie,
     Rosset, Tibshirani & Zhu, 2004).  A solution inside [0, 1/n] is the next
-    candidate.  If every margin then agrees with its alpha (zero on F, not
-    positive where alpha_i = 0, not negative where alpha_i = 1/n), it is the
-    minimizer up to rounding and its alpha replaces the sweep's.  Each free
-    set is solved at most once, and not when |F| > d or the system is
-    singular.
+    candidate.  Each free set is solved at most once, and not when |F| > d or
+    the system is singular.
     """
     parts = p.svm
     n, d = parts.features.shape
@@ -259,14 +236,7 @@ def _svm_dual(p: ProblemSpec, z, c):
         yield candidate
         finished = free_set_solve(x, alpha)
         if finished is not None:
-            candidate, margins_f = certified(*finished)
-            yield candidate
-            alpha_f = finished[1]
-            disagree = np.where(alpha_f == 0.0, margins_f > KINK_BAND,
-                                np.where(alpha_f == cap, margins_f < -KINK_BAND,
-                                         np.abs(margins_f) > KINK_BAND))
-            if not disagree.any():
-                (x, alpha), margins = finished, margins_f
+            yield certified(*finished)[0]
         pinned = ((alpha == 0.0) & (margins < 0.0)) | ((alpha == cap) & (margins > 0.0))
         for i in np.flatnonzero(~pinned & (q > 0.0)):
             margin = 1.0 - float(np.dot(ba[i], x))

@@ -160,7 +160,7 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     secant = _rowwise_dot(g, offset)[rows]  # <g, x - proj_S(x)>
     gnorm = np.sqrt(_rowwise_dot(g, g))[rows]
     gap, dist = gap[rows], dist[rows]
-    exact = p.min_norm_subgradient is not None and p.min_norm_exact
+    exact = p.min_norm_exact
 
     def first(argpick, ratios, at):
         """(ratio, sample) at the first extremal ratio; (0.0, None) if there is none."""

@@ -145,8 +145,8 @@ class Dataset:
         labs = np.asarray(self.labels, dtype=float)
         if feats.ndim != 2 or labs.shape != (feats.shape[0],):
             raise BadShape(f"features {feats.shape} vs labels {labs.shape}")
-        if np.isnan(feats).any() or np.isnan(labs).any():
-            raise BadShape("NaN entries in dataset")
+        if not (np.isfinite(feats).all() and np.isfinite(labs).all()):
+            raise BadShape("non-finite entries in dataset")
         if not np.all(np.isin(labs, (-1.0, 1.0))):
             raise BadShape("labels must be -1 or +1")
         feats.setflags(write=False)
@@ -241,6 +241,7 @@ def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
     n = data.n_samples
     parts = SvmParts(features=data.features, labels=data.labels, reg=reg)
     ba = parts.signed_rows
+    min_norm = parts.min_norm_element  # one bound method for both oracles
 
     def value(x):
         margins = 1.0 - ba @ x
@@ -249,8 +250,8 @@ def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
     return ProblemSpec(
         dimension=data.n_features,
         value=value,
-        subgradient=parts.min_norm_element,
-        min_norm_subgradient=parts.min_norm_element,
+        subgradient=min_norm,
+        min_norm_subgradient=min_norm,
         min_norm_exact=False,
         strong_convexity=reg,
         svm=parts,
@@ -308,7 +309,8 @@ def load_libsvm(path) -> Dataset:
 
     Lines look like ``label idx:val idx:val ...`` with 1-based indices;
     missing indices are zero.  Raw labels must be -1, 0 or +1; 0 maps to -1
-    (the {0,1} convention), anything else raises ParseError with its line.
+    (the {0,1} convention), anything else raises ParseError with its line, as
+    does a non-finite feature value.
     """
     rows: list[dict[int, float]] = []
     labels: list[float] = []
@@ -336,6 +338,8 @@ def load_libsvm(path) -> Dataset:
                     raise ParseError(f"bad feature token {tok!r}", lineno) from None
                 if idx < 1:
                     raise ParseError(f"feature index {idx} must be >= 1", lineno)
+                if not math.isfinite(val):
+                    raise ParseError(f"non-finite feature value {tok!r}", lineno)
                 entries[idx] = val
                 max_idx = max(max_idx, idx)
             rows.append(entries)

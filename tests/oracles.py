@@ -214,7 +214,7 @@ def loop_stationary_points(p, bracket) -> list:
     lo, hi = float(bracket[0]), float(bracket[1])
 
     def signed(x: float) -> float:
-        return float(min_norm_subgradient(p, [x]).element[0])
+        return float(min_norm_subgradient(p, [x])[0][0])
 
     xs = np.linspace(lo, hi, STATIONARY_SCAN)
     vals = [signed(x) for x in xs]
@@ -247,9 +247,9 @@ def loop_stationary_points(p, bracket) -> list:
         if any(abs(r - s) < 1e-6 for s in seen):
             continue
         seen.append(r)
-        info = min_norm_subgradient(p, [r])
+        _, norm = min_norm_subgradient(p, [r])
         gap = float(p.value(np.array([r]))) - p.f_star
-        if info.norm < STATIONARY_NORM and gap > SUBOPTIMAL_GAP:
+        if norm < STATIONARY_NORM and gap > SUBOPTIMAL_GAP:
             out.append(np.array([r]))
     return out
 
@@ -276,7 +276,6 @@ def loop_estimate(p, plan):
     else:
         axis = np.linspace(*plan.bracket, max(math.isqrt(plan.count), 10))
         points = [np.array([a, b]) for a in axis for b in axis]
-    oracle = p.min_norm_subgradient or p.subgradient
     kept = []  # (x, fx, g, gnorm, gap, dist, secant)
     for x in points:
         fx = float(p.value(x))
@@ -286,7 +285,7 @@ def loop_estimate(p, plan):
         dist = float(np.linalg.norm(offset))
         if fx - p.f_star < plan.tau_s or dist < math.sqrt(plan.tau_s):
             continue
-        g = np.asarray(oracle(x), dtype=float)
+        g = np.asarray(p.min_norm_subgradient(x), dtype=float)
         kept.append((x, fx, g, float(np.linalg.norm(g)), fx - p.f_star, dist,
                      float(np.dot(g, offset))))
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from proxlab import (GDParams, InexactCriterion, InnerTolerance, StepSchedule,
+from proxlab import (GDParams, InexactCriterion, StepSchedule,
                      audit_implications, check_ippm_linear, check_ippm_sublinear,
                      check_one_step, check_sublinear_bound, estimate_constants,
                      find_suboptimal_stationary_points, plan_for, prox, run_gd,
@@ -16,7 +16,7 @@ from proxlab import (GDParams, InexactCriterion, InnerTolerance, StepSchedule,
 
 from oracles import longest_run_below
 
-TIGHT = InnerTolerance(target_residual=1e-12, max_inner_iterations=200_000)
+TIGHT = 1e-12
 
 
 def report(num: int, label: str, ok: bool):
@@ -89,8 +89,7 @@ def test_criterion_05_envelope_and_one_step(quad1d, quad_quartic, aniso_quad,
     ]
     ok = True
     for p, x0, c, x_star in runs:
-        tr = run_ppm(p, x0, StepSchedule.constant(c), max_iter=40,
-                     inner_tol=InnerTolerance(1e-10, 200_000))
+        tr = run_ppm(p, x0, StepSchedule.constant(c), max_iter=40)
         if x_star is None:
             envelope = check_sublinear_bound(tr)
             one_step = check_one_step(tr)
@@ -166,8 +165,7 @@ def test_criterion_10_ml_linear_decay(lasso_f20, en_f20, svm_blobs):
     ]
     ok = True
     for label, p, x0, c, iters in runs:
-        tr = run_ppm(p, x0, StepSchedule.constant(c), max_iter=iters,
-                     inner_tol=InnerTolerance(1e-10, 200_000), stop_gap=1e-14)
+        tr = run_ppm(p, x0, StepSchedule.constant(c), max_iter=iters, stop_gap=1e-14)
         gaps = [g for g in tr.gaps if g > 1e-11]
         decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
         ratios = [b / a for a, b in zip(gaps, gaps[1:])]
@@ -178,7 +176,7 @@ def test_criterion_10_ml_linear_decay(lasso_f20, en_f20, svm_blobs):
 
 def test_criterion_11_weakly_convex_ppm(wc_piecewise):
     tr = run_ppm(wc_piecewise, [0.5], StepSchedule.constant(0.4), max_iter=20,
-                 inner_tol=TIGHT)
+                 inner_target=TIGHT)
     vals = tr.values
     monotone = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     rep = estimate_constants(wc_piecewise, plan_for(wc_piecewise))

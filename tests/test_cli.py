@@ -1,6 +1,10 @@
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +18,7 @@ from proxlab.traceio import CSV_HEADER, emit_trace_csv
 from oracles import longest_run_below
 
 EXPERIMENTS = Path(__file__).parent.parent / "experiments"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, name, body):
@@ -170,6 +175,27 @@ def test_gd_valid_constants_exit_zero(tmp_path):
         "gd_dist": "step outside (0, 2/L)", "gd_cost": "step outside (0, 2/L)"}
 
 
+GD_FALSE_CONSTANTS = {"problem": {"benchmark": "aniso_quad"}, "gd": {"mu": 8.0, "beta": 1.0},
+                      "x0": [1.0, 1.0], "max_iter": 30, "test_mode": True}
+
+
+@pytest.mark.parametrize("cmd,body,code,err", [
+    ("run-gd", None, 0, ""),  # the shipped experiments/gd_aniso.json
+    ("run-ppm", {"problem": {"benchmark": "cubic"}}, 1, "config error: problem.benchmark"),
+    ("run-gd", GD_FALSE_CONSTANTS, 2, "bound-check failure: ['gd_dist']"),
+])
+def test_module_entry_point_exit_codes(tmp_path, cmd, body, code, err):
+    # ``python -m proxlab.cli`` in a child process: its exit code and stderr.
+    cfg = EXPERIMENTS / "gd_aniso.json" if body is None else write_config(tmp_path, "c.json", body)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "proxlab.cli", cmd, "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == code
+    assert done.stderr.startswith(err) and done.stderr.count("\n") == (code != 0)
+    assert (tmp_path / "out" / "summary.json").exists() == (code != 1)
+
+
 def test_config_errors_exit_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {"problem": {"benchmark": "cubic"}})
     assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -207,6 +233,19 @@ def test_gen_data_lasso_and_blobs(tmp_path, capsys):
     assert main(["gen-data", "--config", cfg2, "--out", str(out2)]) == 0
     from proxlab import load_libsvm
     assert load_libsvm(out2 / "data.libsvm").features.shape == (20, 3)
+
+
+def test_non_finite_libsvm_value_exits_one_at_once(tmp_path, capsys):
+    data = tmp_path / "inf.libsvm"
+    data.write_text("+1 1:0.5 2:1\n-1 1:inf\n", encoding="utf-8")
+    cfg = write_config(tmp_path, "svm.json", {
+        "problem": {"ml": "svm", "data": {"libsvm": str(data)}},
+        "schedule": {"constant": 1.0}, "max_iter": 5})
+    start = time.perf_counter()
+    assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: non-finite feature value") and err.count("\n") == 1
 
 
 def test_svm_libsvm_config_path(tmp_path):

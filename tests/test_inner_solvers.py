@@ -23,16 +23,15 @@ from hypothesis.extra.numpy import arrays
 
 import proxlab.cli as cli
 import proxlab.ppm as ppm_module
-from proxlab import (Dataset, InnerTolerance, MLProblemParams, StepSchedule, make_benchmark,
-                     make_blob_dataset, make_ml_problem, min_norm_subgradient, prox,
-                     residual_certificate, run_ppm)
+from proxlab import (Dataset, MLProblemParams, StepSchedule, make_benchmark, make_blob_dataset,
+                     make_ml_problem, min_norm_subgradient, prox, run_ppm)
 from proxlab.problem import problem_from_1d
 
 from oracles import bisect_root, fista_l1
-from test_prox import certificate_is_subgradient, convex_piecewise
+from test_prox import certificate, certificate_is_subgradient, convex_piecewise
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
-TOL = InnerTolerance(1e-10, 200_000)
+TOL = 1e-10
 
 centers = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 steps = st.floats(0.05, 2.0)
@@ -92,8 +91,8 @@ def assert_1d_prox_certified(p, z, c, target):
     """The returned element is the residual certificate at the returned point,
     and the point lies within c r / (1 - c rho) of the subproblem root: the
     subproblem is (1/c - rho)-strongly convex."""
-    res = prox(p, [z], c, InnerTolerance(target))
-    element, norm = residual_certificate(p, res.point, [z], c)
+    res = prox(p, [z], c, target)
+    element, norm = certificate(p, res.point, [z], c)
     assert np.array_equal(res.residual_element, element) and res.residual_norm == norm
     assert norm <= target
     root = bisect_root(lambda t: 0.5 * sum(p.interval_1d(t)) + (t - z) / c, -100.0, 100.0)
@@ -127,10 +126,10 @@ def test_1d_prox_certified_on_random_convex(pw, z, c, target):
 def test_composite_certificate_recomputes_at_point(lasso_f20, en_f20, z, c):
     for p in (lasso_f20, en_f20):
         res = prox(p, z, c, TOL)
-        element, norm = residual_certificate(p, res.point, z, c)
+        element, norm = certificate(p, res.point, z, c)
         assert np.max(np.abs(res.residual_element - element)) <= 1e-12
         assert abs(res.residual_norm - norm) <= 1e-12
-        assert res.residual_norm <= TOL.target_residual
+        assert res.residual_norm <= TOL
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,7 +152,7 @@ def test_composite_support_solve_is_the_subproblem_minimizer(lasso_f20, en_f20, 
 @given(z=arrays(float, 10, elements=centers), c=steps)
 def test_svm_certificate_is_subgradient(svm_blobs, z, c):
     res = prox(svm_blobs, z, c, TOL)
-    assert res.residual_norm <= TOL.target_residual
+    assert res.residual_norm <= TOL
     assert certificate_is_subgradient(svm_blobs, res, z, c, np.random.default_rng(5))
 
 
@@ -170,7 +169,7 @@ def test_composite_center_with_the_minimizer_signs_needs_one_candidate(lasso_f20
         z = np.where(s != 0.0, x + c * (grad + parts.l1_weight * s), 0.0)
         assert np.array_equal(np.sign(z), s)
         res = prox(p, z, c, TOL)
-        assert res.inner_iterations == 1 and res.residual_norm <= TOL.target_residual
+        assert res.inner_iterations == 1 and res.residual_norm <= TOL
         assert np.max(np.abs(res.point - x)) <= 1e-9
 
 
@@ -218,11 +217,34 @@ def test_svm_free_set_finish_skips_large_and_singular_sets(monkeypatch, rows):
     for _ in range(30):
         z, c = rng.normal(size=3), rng.uniform(0.1, 5.0)
         res = prox(p, z, c, TOL)
-        assert res.residual_norm <= TOL.target_residual
+        assert res.residual_norm <= TOL
         assert np.linalg.norm(res.residual_element) == res.residual_norm
         assert certificate_is_subgradient(p, res, z, c, rng)
     assert sizes and max(sizes) <= 3
     assert bool(singular) == (rows == "twice")
+
+
+@pytest.fixture(scope="module")
+def svm_blobs_40():
+    # Small enough that some prox points have several hinge terms at their kink.
+    return make_ml_problem("svm", make_blob_dataset(40, 3, seed=5),
+                           MLProblemParams("svm", svm_reg=1.0))
+
+
+@pytest.mark.parametrize("name", ["lasso_f20", "svm_blobs_40", "wc_piecewise"])
+def test_min_norm_oracle_meets_the_prox_certificate(request, name):
+    # At the point prox returns, the min-norm oracle at the prox shift is an
+    # element of the same set as the solver's certificate, the one nearest
+    # zero, so it is no longer, up to rounding.
+    p = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        z = 2.0 * rng.standard_normal(p.dimension)
+        c = rng.uniform(0.05, 0.9) / p.weak_convexity if p.weak_convexity else \
+            rng.uniform(0.05, 5.0)
+        res = prox(p, z, c, 1e-12)
+        _, norm = certificate(p, res.point, z, c)
+        assert norm <= res.residual_norm + 1e-15
 
 
 def test_svm_min_norm_and_certificate_share_the_hinge_routine(svm_blobs):
@@ -232,9 +254,9 @@ def test_svm_min_norm_and_certificate_share_the_hinge_routine(svm_blobs):
     x = np.array(svm_blobs.metadata["reference_point"])
     x = x + (1.0 - row @ x) / (row @ row) * row
     assert abs(1.0 - row @ x) <= 1e-12
-    info = min_norm_subgradient(svm_blobs, x)
-    element, norm = residual_certificate(svm_blobs, x, x, 1.0)
-    assert np.array_equal(info.element, element) and info.norm == norm
+    element, norm = min_norm_subgradient(svm_blobs, x)
+    shifted, shifted_norm = certificate(svm_blobs, x, x, 1.0)
+    assert np.array_equal(element, shifted) and norm == shifted_norm
 
 
 @pytest.mark.parametrize("command,criterion", [("run-ppm", None),

@@ -7,6 +7,7 @@ step to a non-finite point, ends the run with a named reason and keeps the
 rows recorded so far.
 """
 
+import importlib
 import time
 from pathlib import Path
 
@@ -15,10 +16,11 @@ import pytest
 
 import proxlab.cli as cli
 import proxlab.ippm as ippm_module
-from proxlab import (GDParams, InexactCriterion, InnerBudgetExhausted, InnerTolerance,
-                     Piecewise1D, StepSchedule, problem_from_1d, reference_solution,
-                     run_gd, run_ippm, run_ppm)
+from proxlab import (GDParams, InexactCriterion, InnerBudgetExhausted, Piecewise1D,
+                     StepSchedule, problem_from_1d, reference_solution, run_gd, run_ippm,
+                     run_ppm)
 
+prox_module = importlib.import_module("proxlab.prox")  # not proxlab.prox, the function
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 COLUMNS = ("points", "values", "steps", "residuals", "eps", "deltas", "ref_prox_points")
 MOVE = ("residuals", "eps", "deltas", "ref_prox_points")
@@ -59,9 +61,11 @@ def _resolution(fixture):
 def _inner_budget(fixture):
     # Three steps at c = 0.16 need at most 15 inner iterations, then c = 10
     # needs about 40, more than the budget of 25.
+    p = fixture("lasso_f20")
     sched = StepSchedule.from_sequence([0.16, 0.16, 0.16, 10.0])
-    return run_ppm(fixture("lasso_f20"), np.zeros(50), sched, max_iter=60,
-                   inner_tol=InnerTolerance(1e-10, 25))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prox_module, "MAX_INNER", 25)
+        return run_ppm(p, np.zeros(50), sched, max_iter=60)
 
 
 def _non_finite(fixture):

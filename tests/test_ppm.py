@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from proxlab import (InnerTolerance, IterationTrace, ProblemSpec, RateBounds, StepSchedule,
-                     StepTooLarge, check_linear_rates, check_one_step, check_sublinear_bound,
+from proxlab import (IterationTrace, ProblemSpec, RateBounds, StepSchedule, StepTooLarge,
+                     check_linear_rates, check_one_step, check_sublinear_bound,
                      make_benchmark, prox, reference_solution, run_ppm)
 
 from oracles import running_diameter
 
-TIGHT = InnerTolerance(target_residual=1e-12, max_inner_iterations=100_000)
+TIGHT = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def test_fixed_point_at_solution(quad1d):
 
 def test_weakly_convex_run_descends(wc_piecewise):
     tr = run_ppm(wc_piecewise, [-0.7], StepSchedule.constant(0.4), max_iter=20,
-                 inner_tol=TIGHT)
+                 inner_target=TIGHT)
     vals = tr.values
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     assert float(tr.points[-1][0]) == pytest.approx(-1.0, abs=1e-9)
@@ -93,8 +93,7 @@ def test_one_step_trivial_at_solution(quad1d):
 
 
 def test_one_step_lasso_with_inner_slack(lasso_f20):
-    tr = run_ppm(lasso_f20, np.zeros(50), StepSchedule.constant(0.16), max_iter=40,
-                 inner_tol=InnerTolerance(1e-10))
+    tr = run_ppm(lasso_f20, np.zeros(50), StepSchedule.constant(0.16), max_iter=40)
     x_ref = np.array(lasso_f20.metadata["reference_point"])
     assert check_one_step(tr, x_star=x_ref).all_ok
     d0 = float(np.linalg.norm(tr.points[0] - x_ref)) + 1e-9
@@ -117,7 +116,7 @@ def test_linear_rates_gated_outside_sublevel(sine_quad):
     # Started beyond the suboptimal stationary points with small steps, the
     # iterates never reach [f <= f* + 1]: every rate check is skipped.
     tr = run_ppm(sine_quad, [2.5], StepSchedule.constant(0.05), max_iter=30,
-                 inner_tol=TIGHT, stop_gap=-1.0, stop_residual=1e-12)
+                 inner_target=TIGHT, stop_gap=-1.0, stop_residual=1e-12)
     cost, dist = check_linear_rates(tr, {"mu_p": 1.0, "mu_q": 1.0, "mu_e": 1.0}, nu=1.0)
     assert len(cost.indices) == len(dist.indices) == 0
     assert tr.entry_index(1.0) is None
@@ -128,7 +127,7 @@ def test_values_and_distances_nonincreasing():
     for name in ("quad1d", "quad_quartic", "aniso_quad"):
         p = make_benchmark(name)
         x0 = rng.uniform(-2, 2, size=p.dimension)
-        tr = run_ppm(p, x0, StepSchedule.constant(0.8), max_iter=25, inner_tol=TIGHT)
+        tr = run_ppm(p, x0, StepSchedule.constant(0.8), max_iter=25, inner_target=TIGHT)
         vals = tr.values
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:])), name
         x_star = np.asarray(p.project_solution(x0))
@@ -177,7 +176,8 @@ def test_running_diameter_matches_pairwise_loop(pts):
     # does, except at d = 1, where both take sqrt(x * x).
     k, d = pts.shape
     # Without f_star or a solution oracle the trace derives no oracle calls.
-    p = ProblemSpec(dimension=d, value=np.sum, subgradient=np.sign)
+    p = ProblemSpec(dimension=d, value=np.sum, subgradient=np.sign,
+                    min_norm_subgradient=np.sign)
     columns = [np.full(k, np.nan)] * 5  # values, steps and the transition columns
     diam = IterationTrace(p, pts, *columns, np.full((k, d), np.nan)).running_diameter()
     expect = running_diameter(list(pts))
@@ -198,7 +198,8 @@ def test_1d_running_diameter_matches_the_row_loop(xs, scale):
     k = len(pts)
 
     def diameter(points):
-        p = ProblemSpec(dimension=points.shape[1], value=np.sum, subgradient=np.sign)
+        p = ProblemSpec(dimension=points.shape[1], value=np.sum, subgradient=np.sign,
+                        min_norm_subgradient=np.sign)
         columns = [np.full(k, np.nan)] * 5
         return IterationTrace(p, points, *columns, np.full(points.shape, np.nan)) \
             .running_diameter()

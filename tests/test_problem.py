@@ -6,22 +6,22 @@ import pytest
 
 from proxlab import (BENCHMARKS, DomainError, NotAvailable, ProblemSpec, ProxResult,
                      distance_to_solution, make_benchmark, min_norm_subgradient)
-from proxlab.problem import BATCH_ROWS, Piecewise1D, as_point, batch_oracle
+from proxlab.problem import BATCH_ROWS, Piecewise1D, as_point, batch_oracle, problem_from_1d
 
 from oracles import grid_argmin
 from test_prox import certificate_is_subgradient
 
 
 def test_min_norm_smooth_quadratic(quad1d):
-    info = min_norm_subgradient(quad1d, [3.0])
-    assert np.allclose(info.element, [6.0])
-    assert info.norm == pytest.approx(6.0)
+    element, norm = min_norm_subgradient(quad1d, [3.0])
+    assert np.allclose(element, [6.0])
+    assert norm == pytest.approx(6.0)
 
 
 def test_min_norm_at_piecewise_kinks(wc_piecewise):
     # Subdifferential hulls are [0, 2] at -1 and [1, 3] at -0.5.
-    assert min_norm_subgradient(wc_piecewise, [-1.0]).norm == 0.0
-    assert min_norm_subgradient(wc_piecewise, [-0.5]).norm == pytest.approx(1.0)
+    assert min_norm_subgradient(wc_piecewise, [-1.0])[1] == 0.0
+    assert min_norm_subgradient(wc_piecewise, [-0.5])[1] == pytest.approx(1.0)
     assert wc_piecewise.interval_1d(-1.0) == (0.0, 2.0)
     assert wc_piecewise.interval_1d(-0.5) == (1.0, 3.0)
 
@@ -40,8 +40,8 @@ def test_shifted_min_norm_is_the_distance_to_the_subdifferential(request, name, 
                                                                  intervals):
     p = request.getfixturevalue(name)
     for shift in np.random.default_rng(4).uniform(-4.0, 4.0, size=(40, len(x))):
-        info = min_norm_subgradient(p, x, shift=shift)
-        assert info.norm == pytest.approx(box_distance(intervals, shift), abs=1e-12)
+        _, norm = min_norm_subgradient(p, x, shift=shift)
+        assert norm == pytest.approx(box_distance(intervals, shift), abs=1e-12)
 
 
 def test_shifted_svm_element_is_a_certificate(svm_toy):
@@ -49,16 +49,27 @@ def test_shifted_svm_element_is_a_certificate(svm_toy):
     # [-0.25, 0.25] in the first coordinate of the shifted set, so the
     # nearest element to zero has weights strictly inside [0, 1].
     x, z, c = np.array([1.0, 0.3]), np.array([1.375, -0.5]), 0.5
-    element = min_norm_subgradient(svm_toy, x, shift=(x - z) / c).element
+    element, _ = min_norm_subgradient(svm_toy, x, shift=(x - z) / c)
     assert element[0] == pytest.approx(0.0, abs=1e-12)
     res = ProxResult(x, element, float(np.linalg.norm(element)), 0)
     assert certificate_is_subgradient(svm_toy, res, z, c, np.random.default_rng(6))
 
 
+def test_every_builder_has_one_subgradient_routine(lasso_toy, en_toy, svm_toy):
+    # Gradient descent steps along ``subgradient`` and every certificate reads
+    # ``min_norm_subgradient``; each builder passes one routine as both.
+    pw = Piecewise1D([0.0], [(lambda x: -x, lambda x: -1.0), (lambda x: x, lambda x: 1.0)])
+    problems = [make_benchmark(name) for name in BENCHMARKS]
+    problems += [problem_from_1d(pw, name="abs"), lasso_toy, en_toy, svm_toy]
+    for p in problems:
+        assert p.subgradient is p.min_norm_subgradient, p.name
+
+
 def test_min_norm_domain_error():
     p = ProblemSpec(dimension=1,
                     value=lambda x: float(x[0] ** 2) if abs(x[0]) <= 1 else math.inf,
-                    subgradient=lambda x: 2.0 * x)
+                    subgradient=lambda x: 2.0 * x,
+                    min_norm_subgradient=lambda x, shift=0.0: 2.0 * x + shift)
     with pytest.raises(DomainError):
         min_norm_subgradient(p, [2.0])
 
@@ -98,7 +109,7 @@ def test_min_norm_zero_on_solution_set():
     for name in BENCHMARKS:
         p = make_benchmark(name)
         sol = as_point(p.project_solution(np.zeros(p.dimension)))
-        assert min_norm_subgradient(p, sol).norm <= 1e-12, name
+        assert min_norm_subgradient(p, sol)[1] <= 1e-12, name
 
 
 def test_subgradient_inequality_weakly_convex():

@@ -1,17 +1,20 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxlab import (InnerBudgetExhausted, InnerTolerance, Piecewise1D, StepTooLarge,
-                     make_benchmark, prox, residual_certificate)
+from proxlab import (InnerBudgetExhausted, Piecewise1D, StepTooLarge, make_benchmark,
+                     min_norm_subgradient, prox)
 from proxlab.errors import ResolutionFloor
 from proxlab.problem import problem_from_1d
 
 from oracles import golden_section, parabola_polish, refined_grid_argmin_2d
 
-TIGHT = InnerTolerance(target_residual=1e-12, max_inner_iterations=100_000)
+prox_module = importlib.import_module("proxlab.prox")  # not proxlab.prox, the function
+
+TIGHT = 1e-12
 
 
 def subproblem(p, z, c):
@@ -37,12 +40,19 @@ def test_prox_abs_soft_threshold():
     assert res0.residual_norm == 0.0
 
 
+def certificate(p, x, z, c):
+    """The residual certificate at x of the prox at center z and step c: the
+    min-norm element of partial f(x) + (x - z)/c and its norm."""
+    x, z = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(z, dtype=float))
+    return min_norm_subgradient(p, x, shift=(x - z) / c)
+
+
 def test_residual_certificate_quad1d(quad1d):
-    vec, norm = residual_certificate(quad1d, [1.0], [3.0], 1.0)
+    vec, norm = certificate(quad1d, [1.0], [3.0], 1.0)
     assert norm == 0.0 and np.allclose(vec, [0.0])
-    vec, norm = residual_certificate(quad1d, [1.1], [3.0], 1.0)
+    vec, norm = certificate(quad1d, [1.1], [3.0], 1.0)
     assert norm == pytest.approx(0.3, abs=1e-12)
-    vec, norm = residual_certificate(quad1d, [0.0], [-1e-200], 1.0)
+    vec, norm = certificate(quad1d, [0.0], [-1e-200], 1.0)
     assert norm == 1e-200  # where the square of the element underflows
 
 
@@ -50,15 +60,16 @@ def test_residual_certificate_domain_error():
     from proxlab import DomainError, ProblemSpec
     p = ProblemSpec(dimension=1,
                     value=lambda x: float(x[0] ** 2) if abs(x[0]) <= 1 else math.inf,
-                    subgradient=lambda x: 2.0 * x)
+                    subgradient=lambda x: 2.0 * x,
+                    min_norm_subgradient=lambda x, shift=0.0: 2.0 * x + shift)
     with pytest.raises(DomainError):
-        residual_certificate(p, [2.0], [0.0], 1.0)
+        certificate(p, [2.0], [0.0], 1.0)
 
 
 def test_prox_lasso_toy_vs_separable_oracle(lasso_toy):
     # Subproblem is separable; golden-section each coordinate independently.
     z, c = np.zeros(2), 0.16
-    res = prox(lasso_toy, z, c, InnerTolerance(1e-10))
+    res = prox(lasso_toy, z, c, 1e-10)
     y = np.array([3.0, 0.0])
     for j in range(2):
         scalar = lambda t: 0.5 * (y[j] - t) ** 2 + abs(t) + t * t / (2 * c)
@@ -74,13 +85,13 @@ def test_prox_lasso_generated_sizes_terminate():
     for n, m, s in [(10, 40, 5), (20, 50, 10), (30, 60, 15)]:
         a_mat, y, _ = generate_lasso_data(n, m, s, seed=1)
         p = make_ml_problem("lasso", (a_mat, y), MLProblemParams("lasso", lam=10.0))
-        res = prox(p, np.zeros(m), 0.16, InnerTolerance(1e-8, max_inner_iterations=10_000))
+        res = prox(p, np.zeros(m), 0.16, 1e-8)
         assert res.residual_norm <= 1e-8
         assert res.inner_iterations <= 10_000
 
 
 def test_prox_svm_toy_vs_grid_oracle(svm_toy):
-    res = prox(svm_toy, np.zeros(2), 1.0, InnerTolerance(1e-8))
+    res = prox(svm_toy, np.zeros(2), 1.0, 1e-8)
     target = subproblem(svm_toy, np.zeros(2), 1.0)
     pt, _ = refined_grid_argmin_2d(target, -3.0, 3.0, side=121, refinements=3)
     assert np.linalg.norm(res.point - pt) <= 1e-4
@@ -89,15 +100,15 @@ def test_prox_svm_toy_vs_grid_oracle(svm_toy):
 
 def test_prox_svm_idempotent_at_optimum(svm_toy):
     # (0.5, 0.5) minimizes the toy objective, hence is a prox fixed point.
-    res = prox(svm_toy, np.array([0.5, 0.5]), 1.0, InnerTolerance(1e-8))
+    res = prox(svm_toy, np.array([0.5, 0.5]), 1.0, 1e-8)
     assert res.inner_iterations == 0
     assert np.allclose(res.point, [0.5, 0.5], atol=1e-12)
 
 
-def test_prox_svm_budget_exhausted(svm_toy):
+def test_prox_svm_budget_exhausted(svm_toy, monkeypatch):
+    monkeypatch.setattr(prox_module, "MAX_INNER", 5)
     with pytest.raises(InnerBudgetExhausted) as err:
-        prox(svm_toy, np.array([0.2, -0.4]), 1.0,
-             InnerTolerance(target_residual=1e-30, max_inner_iterations=5))
+        prox(svm_toy, np.array([0.2, -0.4]), 1.0, 1e-30)
     best = err.value.best
     assert best is not None and best.inner_iterations == 5
 
@@ -110,7 +121,7 @@ SOLVERS = [("lasso_toy", [0.0, 0.0], 0.16), ("svm_toy", [0.2, -0.4], 1.0),
 
 @pytest.mark.parametrize("name,z,c", SOLVERS)
 @pytest.mark.parametrize("budget", [0, 1, 3, 1000])
-def test_refused_candidates_end_in_budget_or_floor(request, name, z, c, budget):
+def test_refused_candidates_end_in_budget_or_floor(request, monkeypatch, name, z, c, budget):
     # Budgets up to 3 run out before the first support solve and before the
     # bracket reaches adjacent floats.  Within 1000 the composite candidates
     # end at the exact support solve, the 1-d ones at adjacent floats; the
@@ -122,8 +133,9 @@ def test_refused_candidates_end_in_budget_or_floor(request, name, z, c, budget):
         return False
 
     p = request.getfixturevalue(name)
+    monkeypatch.setattr(prox_module, "MAX_INNER", budget)
     with pytest.raises(InnerBudgetExhausted) as err:
-        prox(p, z, c, InnerTolerance(max_inner_iterations=budget), stop_rule=refuse)
+        prox(p, z, c, stop_rule=refuse)
     assert isinstance(err.value, ResolutionFloor) == (budget > 3 and name != "svm_toy")
     if not isinstance(err.value, ResolutionFloor):
         assert len(seen) == budget + 1  # the start point, then one per iteration
@@ -246,14 +258,14 @@ def test_certificate_soundness(lasso_toy, svm_toy, wc_piecewise):
     cases = [(lasso_toy, np.zeros(2), 0.16), (svm_toy, np.array([0.1, -0.3]), 1.0),
              (wc_piecewise, np.array([0.2]), 0.4)]
     for p, z, c in cases:
-        res = prox(p, z, c, InnerTolerance(1e-9))
+        res = prox(p, z, c, 1e-9)
         assert certificate_is_subgradient(p, res, z, c, rng), p.name
 
 
 def test_certificate_matches_min_norm_for_composite(lasso_toy):
     # Box subdifferential: the constructed element is the true min-norm one.
     x, z, c = np.array([0.4, 0.0]), np.zeros(2), 0.5
-    _, norm = residual_certificate(lasso_toy, x, z, c)
+    _, norm = certificate(lasso_toy, x, z, c)
     # Independent check: coordinate-wise interval distance.
     grad = np.array([0.4 - 3.0, 0.0]) + (x - z) / c
     d0 = abs(grad[0] + 1.0)  # x_0 > 0: subdifferential of |.| is {+1}
@@ -289,7 +301,7 @@ def test_1d_certificate_membership(pw, z, c, x, pick):
     p = problem_from_1d(pw, name="random_convex")
     if pw.breakpoints and pick % 2:
         x = pw.breakpoints[pick // 2 % len(pw.breakpoints)]
-    element, norm = residual_certificate(p, [x], [z], c)
+    element, norm = certificate(p, [x], [z], c)
     assert_1d_certificate(pw, x, z, c, float(element[0]), norm)
     res = prox(p, [z], c, TIGHT)
     assert_1d_certificate(pw, float(res.point[0]), z, c, float(res.residual_element[0]),

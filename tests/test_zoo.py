@@ -110,8 +110,9 @@ def test_ml_problem_shape_errors():
 def test_dataset_validation():
     with pytest.raises(BadShape):
         Dataset(np.ones((2, 2)), np.array([1.0, 2.0]))  # labels not in {-1,+1}
-    with pytest.raises(BadShape):
-        Dataset(np.array([[math.nan, 0.0]]), np.array([1.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(BadShape):
+            Dataset(np.array([[bad, 0.0]]), np.array([1.0]))
     ds = Dataset(np.ones((2, 2)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         ds.features[0, 0] = 5.0  # frozen buffers
@@ -145,6 +146,15 @@ def test_load_libsvm_rejects_other_labels(tmp_path):
 def test_load_libsvm_malformed_token(tmp_path):
     path = tmp_path / "tok.libsvm"
     path.write_text("+1 1:0.5\n-1 x:y\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_libsvm(path)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_load_libsvm_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "inf.libsvm"
+    path.write_text(f"+1 1:0.5\n-1 2:{value}\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
         load_libsvm(path)
     assert err.value.line == 2
