@@ -21,13 +21,13 @@ from _blake2 import blake2b
 
 import numpy as np
 
+from .checks import (RateBounds, check_inexact_one_step, check_ippm_linear,
+                     check_ippm_sublinear, check_linear_rates, check_one_step,
+                     check_sublinear_bound, verify_gd_rates)
 from .errors import ConfigError, ProxlabError
-from .gd import GDParams, run_gd, verify_gd_rates
-from .ippm import (InexactCriterion, check_inexact_one_step, check_ippm_linear,
-                   check_ippm_sublinear, run_ippm)
-from .ppm import (IterationTrace, RateBounds, StepSchedule, check_linear_rates,
-                  check_one_step, check_sublinear_bound, install_reference,
-                  reference_solution, run_ppm)
+from .gd import GDParams, run_gd
+from .ippm import InexactCriterion, run_ippm
+from .ppm import IterationTrace, StepSchedule, install_reference, reference_solution, run_ppm
 from .problem import ProblemSpec
 from .regularity import audit_implications, estimate_constants, plan_for
 from .traceio import emit_trace_csv

@@ -1,10 +1,11 @@
-"""Gradient descent with contraction-factor verification.
+"""Gradient descent with the secant/dominance step rule and its contraction factors.
 
 With step t = mu / L^2 the iterates contract by omega_1 = sqrt(1 - mu^2/L^2)
 in distance and the cost gaps by omega_2 = (L^3 - 2 mu L beta + mu^2 beta)/L^3,
 where mu is the secant-growth constant and beta the gradient-dominance
 constant of the smooth objective.  Custom steps in (0, 2/L) get the
 step-dependent factors sqrt(1 - 2 t mu + t^2 L^2) and 1 + (-2t + L t^2) beta.
+``checks.verify_gd_rates`` replays both against a trace.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSmooth
-from .ppm import BoundCheck, IterationTrace, StepSchedule, _contraction, _iterate
+from .ppm import IterationTrace, StepSchedule, iterate
 from .problem import ProblemSpec
 
 _REL = 1e-12
-# Absolute slack on the replayed contraction inequalities.
-GD_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,15 +76,4 @@ def run_gd(p: ProblemSpec, x0, params: GDParams, iters: int = 50) -> IterationTr
     def step(k, x, t):
         return x - t * np.asarray(p.subgradient(x), dtype=float), None, None, None, None
 
-    return _iterate(p, x0, StepSchedule.constant(params.step_size), iters, step)
-
-
-def verify_gd_rates(trace: IterationTrace,
-                    params: GDParams) -> tuple[BoundCheck, BoundCheck]:
-    """Per-step distance and cost-gap contraction checks, returned as (dist, cost).
-
-    Steps whose denominator is below 1e-14 are skipped (converged).  The
-    factors are theorems only for a step in (0, 2/L) (``step_rule_valid``).
-    """
-    return (_contraction("gd_dist", trace.dists, params.omega_dist, GD_ATOL),
-            _contraction("gd_cost", trace.gaps, params.omega_cost, GD_ATOL))
+    return iterate(p, x0, StepSchedule.constant(params.step_size), iters, step)

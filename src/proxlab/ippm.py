@@ -5,7 +5,7 @@ use.  The unprimed rules reference the unknown exact prox, so they exist only
 in test mode: each step computes a tight reference prox and perturbs it by a
 seeded direction scaled to satisfy the requested rules exactly.  That makes
 the inexactness adversarial-but-admissible, which is what the contraction
-checkers need to be a meaningful audit.
+checkers in ``checks`` need to be a meaningful audit.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CriterionUnverifiable
-from .ppm import (CHECK_ATOL, BoundCheck, IterationTrace, StepSchedule, _constants,
-                  _contraction, _envelope, _first, _iterate)
-from .problem import ProblemSpec, distances_to_solution, min_norm_subgradient
+from .ppm import IterationTrace, StepSchedule, iterate
+from .problem import ProblemSpec, min_norm_subgradient
 from .prox import prox
 
 PRIMED = ("A'", "B'")
@@ -103,7 +102,7 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
             ref_point = None
         return x_next, resid, eps_k, delta_k, ref_point
 
-    return _iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
+    return iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
 
 
 def _primed_step(p, x, c, eps_k, delta_k):
@@ -151,55 +150,3 @@ def _test_mode_step(p, x, c, eps_k, delta_k, rng):
             x_next = p_k
     _, resid = min_norm_subgradient(p, x_next, shift=(x_next - x) / c)
     return x_next, resid, p_k
-
-
-def check_ippm_sublinear(trace: IterationTrace, dist0: float | None = None) -> BoundCheck:
-    """Best-iterate envelope with the diameter-weighted error budget.
-
-    min_{j<=k} f(x_j) - f_star <= (dist^2(x_0,S) + 2 D sum eps_j) / (2 sum c_j),
-    evaluated with the running diameter D_k.
-    """
-    if np.isnan(trace.eps[:-1]).any():
-        raise ValueError("trace has no absolute (A-type) budgets logged")
-    return _envelope("ippm_best_iterate", trace, dist0, trace.eps, best=True)
-
-
-def check_ippm_linear(trace: IterationTrace, report, nu: float) -> BoundCheck:
-    """Eventual distance contraction dist_{k+1} <= theta_hat_k dist_k.
-
-    theta_hat_k = (theta_k + 2 delta_k) / (1 - delta_k) with
-    theta_k = 1/sqrt(2 c_k beta + 1), beta = mu_q - rho/2.  Gated at
-    k_bar = max(sublevel entry, first k with delta_k < 1).
-    """
-    _, mu_q, _ = _constants(report)
-    beta = mu_q - 0.5 * trace.problem.weak_convexity
-    if beta <= 0:
-        raise ValueError("need mu_q > rho/2 for the distance contraction")
-    deltas = trace.deltas[:-1]
-    if np.isnan(deltas).any():
-        raise ValueError("trace has no relative (B-type) budgets logged")
-    k_entry = trace.entry_index(nu)
-    k_delta = _first(deltas < 1.0)
-    if k_entry is None or k_delta is None:
-        return BoundCheck("ippm_linear_dist")
-    theta = 1.0 / np.sqrt(2.0 * trace.steps[:-1] * beta + 1.0)
-    with np.errstate(divide="ignore"):  # delta_k = 1, before k_delta
-        theta_hat = (theta + 2.0 * deltas) / (1.0 - deltas)
-    return _contraction("ippm_linear_dist", trace.dists, theta_hat, CHECK_ATOL,
-                        start=max(k_entry, k_delta))
-
-
-def check_inexact_one_step(trace: IterationTrace) -> BoundCheck:
-    """Test-mode audit of the inexact distance inequality.
-
-    (1 - delta_k) dist(x_{k+1},S) <= 2 delta_k dist(x_k,S) + dist(prox(x_k),S)
-    for every step with delta_k < 1 and a logged reference prox.
-    """
-    if trace.problem.project_solution is None:
-        raise ValueError("need a solution oracle")
-    refs, deltas, dists = trace.ref_prox_points[:-1], trace.deltas[:-1], trace.dists
-    k = np.flatnonzero(~np.isnan(refs).any(axis=1) & (deltas < 1.0))
-    ref_dists = distances_to_solution(trace.problem, refs[k])
-    return BoundCheck("inexact_one_step", k, (1.0 - deltas[k]) * dists[k + 1],
-                      2.0 * deltas[k] * dists[k] + ref_dists + CHECK_ATOL)
-

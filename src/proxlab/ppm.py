@@ -1,25 +1,22 @@
-"""Exact proximal point iteration and the bound checkers attached to it.
+"""Exact proximal point iteration and the outer loop every solver shares.
 
 ``run_ppm`` iterates x_{k+1} = prox_{c_k,f}(x_k) and logs everything a bound
-check needs: values, distances, certificate residuals, steps.  The checkers
-replay the sublinear envelope, the per-step improvement and the linear
-contraction factors against a trace and report the first violation.
+check needs: values, distances, certificate residuals, steps.  ``iterate`` is
+the loop itself; iPPM and GD run it with their own step rule.  The checkers
+that replay the bounds against a trace live in ``checks``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InnerBudgetExhausted, NotAvailable, ResolutionFloor, StepTooLarge
-from .problem import ProblemSpec, as_point, distances_to_solution, row_dots
+from .errors import InnerBudgetExhausted, ResolutionFloor, StepTooLarge
+from .problem import ProblemSpec, as_point, distances_to_solution
 from .prox import prox
-
-# Absolute slack on every replayed PPM and iPPM inequality.
-CHECK_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,16 @@ class StepSchedule:
             return math.inf
 
     def validate(self, p: ProblemSpec, horizon: int) -> None:
-        """Steps c_0 .. c_{horizon-1} are positive, finite and satisfy 1/c > rho."""
-        for k in range(horizon):
+        """Steps c_0 .. c_{horizon-1} are positive, finite and satisfy 1/c > rho.
+
+        Only the distinct steps are tested: a list's, else c_0, c_1 and c_{horizon-1}
+        (c_1 > 0 means growth > 0, and then c0 * growth^k is monotone in k).
+        """
+        if self.values:
+            ks = range(min(horizon, len(self.values)))
+        else:
+            ks = sorted({0, 1, horizon - 1}) if horizon > 2 else range(horizon)
+        for k in ks:
             c = self.at(k)
             if not 0 < c < math.inf:
                 raise ValueError(f"c_{k} = {c:g} is not a positive finite step")
@@ -134,134 +139,13 @@ class IterationTrace:
     def entry_index(self, nu: float) -> int | None:
         """First k with f(x_k) <= f_star + nu (empirical sublevel entry)."""
         fs = self.problem.f_star
-        return None if fs is None else _first(self.values <= fs + nu)
+        if fs is None:
+            return None
+        hits = np.flatnonzero(self.values <= fs + nu)
+        return int(hits[0]) if hits.size else None
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """The first index where ``mask`` holds, if any."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else None
-
-
-def _or_zero(column: np.ndarray) -> np.ndarray:
-    """A transition column with "does not apply" (NaN) read as 0."""
-    return np.where(np.isnan(column), 0.0, column)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundCheck:
-    """Outcome of replaying lhs <= rhs at each trace index in ``indices``."""
-
-    name: str
-    indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    lhs: np.ndarray = field(default_factory=lambda: np.empty(0))
-    rhs: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    @property
-    def ok(self) -> np.ndarray:
-        return self.lhs <= self.rhs
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(self.ok.all())
-
-    @property
-    def first_violation(self) -> int | None:
-        i = _first(~self.ok)
-        return None if i is None else int(self.indices[i])
-
-    @property
-    def max_ratio(self) -> float | None:
-        """How tight the check was: the largest lhs/rhs over entries with rhs > 0."""
-        ratios = self._ratios()[1]
-        return float(ratios.max()) if ratios.size else None
-
-    @property
-    def worst_index(self) -> int | None:
-        """The first trace index attaining ``max_ratio``."""
-        indices, ratios = self._ratios()
-        return int(indices[np.argmax(ratios)]) if ratios.size else None
-
-    def _ratios(self) -> tuple[np.ndarray, np.ndarray]:
-        positive = self.rhs > 0
-        return self.indices[positive], self.lhs[positive] / self.rhs[positive]
-
-
-def _contraction(name: str, s: np.ndarray, factor, atol: float, slack=0.0,
-                 start: int = 0) -> BoundCheck:
-    """s[k+1] <= factor_k s[k] + atol + slack_k for k >= start, skipping k where
-    s[k] is NaN or below 1e-14 (converged) or the factor is infinite (no bound).
-
-    ``factor`` and ``slack`` are scalars or arrays over the moves k = 0 .. K-1.
-    """
-    head = s[:-1]
-    factor = np.broadcast_to(factor, head.shape)
-    slack = np.broadcast_to(slack, head.shape)
-    k = np.flatnonzero((head > 1e-14) & (factor < math.inf))
-    k = k[k >= start]
-    return BoundCheck(name, k, s[k + 1], factor[k] * head[k] + atol + slack[k])
-
-
-def _envelope(name: str, trace: IterationTrace, dist0: float | None,
-              errors: np.ndarray, best: bool = False) -> BoundCheck:
-    """gap_k <= (dist^2(x_0,S) + 2 D_k sum_{j<k} errors_j) / (2 sum_{j<k} c_j) + CHECK_ATOL.
-
-    D_k is the running diameter and errors_j the step's error term (c_j r_j or
-    eps_j).  With ``best`` the left side is the best gap so far, min_{j<=k} gap_j.
-    """
-    if trace.problem.f_star is None:
-        raise ValueError("f_star required for the sublinear envelope")
-    if dist0 is None:
-        if trace.problem.project_solution is None:
-            raise NotAvailable("no solution oracle on this problem")
-        dist0 = float(trace.dists[0])
-    lhs = np.minimum.accumulate(trace.gaps) if best else trace.gaps
-    diam = trace.running_diameter()
-    rhs = ((dist0 ** 2 + 2.0 * diam[1:] * np.cumsum(errors[:-1]))
-           / (2.0 * np.cumsum(trace.steps[:-1])) + CHECK_ATOL)
-    return BoundCheck(name, np.arange(1, len(trace)), lhs[1:], rhs)
-
-
-@dataclass(frozen=True)
-class RateBounds:
-    """Per-step contraction factors built from regularity constants.
-
-    omega bounds the cost-gap ratio, theta the distance ratio.  For a
-    rho-weakly convex problem the growth constant is beta = mu_q - rho/2.
-    The distance factor from the error bound follows the firmly-nonexpansive
-    chain: dist^2 shrinks by 1/(1 + c^2/mu_e^2).  Both factors take a step
-    or an array of steps.
-    """
-
-    mu_p: float
-    mu_q: float
-    mu_e: float
-    rho: float = 0.0
-
-    @property
-    def beta(self) -> float:
-        return self.mu_q - 0.5 * self.rho
-
-    def omega(self, c):
-        return 2.0 / (2.0 + self.mu_p * c)
-
-    def theta(self, c):
-        factor = math.inf
-        if self.beta > 0:
-            factor = np.minimum(factor, 1.0 / np.sqrt(2.0 * c * self.beta + 1.0))
-        if 0.0 < self.mu_e < math.inf:
-            factor = np.minimum(factor, 1.0 / np.sqrt(1.0 + c * c / self.mu_e ** 2))
-        return factor
-
-
-def _constants(report) -> tuple[float, float, float]:
-    """Pull (mu_p, mu_q, mu_e) from a RegularityReport, mapping or metadata."""
-    if isinstance(report, Mapping):
-        return float(report["mu_p"]), float(report["mu_q"]), float(report["mu_e"])
-    return float(report.mu_p), float(report.mu_q), float(report.mu_e)
-
-
-def _iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
+def iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
              stop_gap: float | None = None, stop_residual: float | None = None):
     """The outer loop of PPM, iPPM and GD: ``step(k, x, c)`` gives the move
     (x_next, residual, eps, delta, ref), None where a field does not apply.
@@ -314,60 +198,7 @@ def run_ppm(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int = 500,
         result = prox(p, x, c, inner_target)
         return result.point, result.residual_norm, None, None, None
 
-    return _iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
-
-
-def check_sublinear_bound(trace: IterationTrace, dist0: float | None = None) -> BoundCheck:
-    """Replay the envelope f(x_k) - f_star <= dist^2(x_0,S) / (2 sum c_t).
-
-    Inexact inner solves widen the envelope by their certified residuals
-    (the same diameter-weighted term as the best-iterate bound).
-    """
-    return _envelope("sublinear_envelope", trace, dist0, trace.steps * _or_zero(trace.residuals))
-
-
-def check_one_step(trace: IterationTrace, x_star=None) -> BoundCheck:
-    """Per-step improvement 2 c_k (f(x_{k+1}) - f_star) <= |x_k-x*|^2 - (1 - c_k rho)|x_{k+1}-x*|^2.
-
-    Holds for any minimizer x*, since each subproblem is (1/c_k - rho)-strongly
-    convex; inexact steps contribute slack 2 c_k r_k ||x_{k+1} - x*|| with r_k
-    the certificate residual.
-    """
-    p = trace.problem
-    if x_star is None:
-        if p.project_solution is None:
-            raise ValueError("need a solution oracle or explicit x_star")
-        x_star = p.project_solution(trace.points[0])
-    x_star = as_point(x_star)
-    f_star_val = float(p.value(x_star))
-    c, r = trace.steps[:-1], _or_zero(trace.residuals[:-1])
-    diff = trace.points - x_star
-    # ||x_k - x*|| as np.linalg.norm takes it, squared by libm pow like a
-    # Python float's ** 2; x * x can differ by an ulp.
-    d = np.sqrt(row_dots(diff, diff))
-    sq = np.float_power(d, 2)
-    return BoundCheck("one_step_improvement", np.arange(len(c)),
-                      2.0 * c * (trace.values[1:] - f_star_val),
-                      sq[:-1] - (1.0 - c * p.weak_convexity) * sq[1:] + 2.0 * c * r * d[1:]
-                      + CHECK_ATOL)
-
-
-def check_linear_rates(trace: IterationTrace, report,
-                       nu: float) -> tuple[BoundCheck, BoundCheck]:
-    """Cost and distance contraction checks, gated on sublevel-set entry.
-
-    Uses omega_k = 2/(2 + mu_p c_k) for the cost gap and the two-branch
-    theta_k for distances, with beta = mu_q - rho/2 on weakly convex
-    problems.  Steps before the empirical entry index are skipped.
-    """
-    mu_p, mu_q, mu_e = _constants(report)
-    bounds = RateBounds(mu_p=mu_p, mu_q=mu_q, mu_e=mu_e, rho=trace.problem.weak_convexity)
-    k0 = trace.entry_index(nu)
-    start = len(trace) if k0 is None else k0
-    c = trace.steps[:-1]
-    slack = c * _or_zero(trace.residuals[:-1])
-    return (_contraction("linear_cost", trace.gaps, bounds.omega(c), CHECK_ATOL, slack, start),
-            _contraction("linear_dist", trace.dists, bounds.theta(c), CHECK_ATOL, slack, start))
+    return iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
 
 
 def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,

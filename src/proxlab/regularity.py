@@ -25,8 +25,6 @@ SUBOPTIMAL_GAP = 1e-6
 PAIR_THIN = 200
 # Grid points of the sign-change scan for stationary points.
 STATIONARY_SCAN = 4096
-# Absolute slack on the weak-convexity secant inequality.
-WEAK_CONVEXITY_ATOL = 1e-9
 # Multiplicative sampling tolerance of every audited constant relation.
 AUDIT_TOL = 0.10
 
@@ -315,27 +313,3 @@ def find_suboptimal_stationary_points(p: ProblemSpec, bracket) -> list[np.ndarra
     gap = batch_oracle(p, "values", points) - p.f_star
     slope = np.abs(signed(points[:, 0]))
     return [points[i] for i in np.flatnonzero((slope < STATIONARY_NORM) & (gap > SUBOPTIMAL_GAP))]
-
-
-def verify_weak_convexity(p: ProblemSpec, rho_claim: float, samples: int = 500,
-                          seed: int = 0, bracket=None):
-    """Secant test of rho-weak convexity on seeded triples (x, y, lambda).
-
-    Returns (True, None) when every triple satisfies the rho-relaxed secant
-    inequality, else (False, witness_triple).
-    """
-    rng = np.random.default_rng(seed)
-    if bracket is None:
-        bracket = p.metadata.get("bracket", (-1.0, 1.0))
-    lo, hi = bracket
-    for _ in range(samples):
-        x = lo + (hi - lo) * rng.random(p.dimension)
-        y = lo + (hi - lo) * rng.random(p.dimension)
-        lam = float(rng.random())
-        mid = lam * x + (1.0 - lam) * y
-        lhs = float(p.value(mid))
-        rhs = (lam * float(p.value(x)) + (1.0 - lam) * float(p.value(y))
-               + 0.5 * rho_claim * lam * (1.0 - lam) * float(np.dot(x - y, x - y)))
-        if lhs > rhs + WEAK_CONVEXITY_ATOL:
-            return False, (x, y, lam)
-    return True, None

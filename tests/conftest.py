@@ -37,6 +37,14 @@ def quad1d():
     return make_benchmark("quad1d")
 
 
+def with_solution_point(p, x_star):
+    """Copy of p (f_star kept) whose solution oracle projects every point onto x_star,
+    for replaying the bounds against one minimizer of a problem without a unique one."""
+    x_star = np.array(x_star, dtype=float)
+    return p.with_reference(p.f_star, project=lambda x: x_star,
+                            project_rows=lambda xs: np.broadcast_to(x_star, xs.shape))
+
+
 @pytest.fixture(scope="session")
 def quad_quartic():
     return make_benchmark("quad_quartic")

@@ -579,6 +579,41 @@ def test_linear_rows_check_only_the_reports_sublevel_set(tmp_path, monkeypatch, 
     assert all(gaps[k] <= nu for check in checks for k in check.indices)
 
 
+QUARTIC_RUN = {"problem": {"benchmark": "quad_quartic"}, "schedule": {"constant": 0.5},
+               "x0": [1.5], "max_iter": 30, "test_mode": True, "estimate": True}
+
+
+@pytest.mark.parametrize("cmd,checker,extra", [
+    ("run-ppm", "check_sublinear_bound", {}),
+    ("run-ppm", "check_one_step", {}),
+    ("run-ppm", "check_linear_rates", {}),
+    ("run-ippm", "check_ippm_sublinear", {"criterion": {"kind": "A'"}}),
+    ("run-ippm", "check_ippm_linear", {"criterion": {"kind": "B"}}),
+    ("run-ippm", "check_inexact_one_step", {"criterion": {"kind": "B"}}),
+    ("run-gd", "verify_gd_rates", {"problem": {"benchmark": "aniso_quad"}, "x0": [1.0, 1.0],
+                                   "gd": {}}),
+])
+def test_each_row_is_checked_through_its_cli_name(tmp_path, monkeypatch, cmd, checker, extra):
+    # The tracer times the checkers by rebinding their names in ``cli``, so a run
+    # must look each one up there when it replays the row.
+    results = []
+
+    def recording(real):
+        def call(*args):
+            result = real(*args)
+            results.extend(result if isinstance(result, tuple) else [result])
+            return result
+        return call
+
+    monkeypatch.setattr(cli, checker, recording(getattr(cli, checker)))
+    cfg = write_config(tmp_path, "rows.json", {**QUARTIC_RUN, **extra})
+    out = tmp_path / "out"
+    assert main([cmd, "--config", cfg, "--out", str(out)]) == 0
+    rows = {c["name"]: c for c in _summary(out)["checks"]}
+    assert results and all(rows[r.name] == cli._check_to_json(r) for r in results)
+    assert all(rows[r.name]["ok"] and rows[r.name]["checked"] > 0 for r in results)
+
+
 # -- the in-process memo of ML reference solves --------------------------------
 
 def count_reference_solves(monkeypatch) -> list:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import proxlab.ippm as ippm_module
+import proxlab.checks as checks_module
 from proxlab import (CriterionUnverifiable, InexactCriterion, StepSchedule,
                      check_inexact_one_step, check_ippm_linear, check_ippm_sublinear,
                      estimate_constants, plan_for, run_ippm, run_ppm)
@@ -128,8 +128,8 @@ def test_theta_hat_monotone_for_constant_theta(quad1d, monkeypatch):
         factors.append(factor)
         return contraction(name, s, factor, *args, **kwargs)
 
-    contraction = ippm_module._contraction
-    monkeypatch.setattr(ippm_module, "_contraction", capture)
+    contraction = checks_module._contraction
+    monkeypatch.setattr(checks_module, "_contraction", capture)
     tr = run_ippm(quad1d, [1.0], StepSchedule.constant(1.0),
                   InexactCriterion("B", delta0=0.5, gamma=0.7), max_iter=30,
                   test_mode=True, seed=2, stop_gap=-1.0, stop_residual=-1.0)

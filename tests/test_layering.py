@@ -1,21 +1,30 @@
 """Module layering of the package: every import points down the stack.
 
-errors -> problem -> {prox, zoo, regularity} -> ppm -> {ippm, gd, traceio} -> cli
+errors -> problem -> {prox, zoo, regularity} -> ppm -> {ippm, gd, traceio} -> checks -> cli
 
 A module may import only from modules on a lower layer, and only at module
-level; ``__init__`` re-exports everything and is exempt.
+level; ``__init__`` re-exports everything and is exempt.  No module imports
+another's underscore names, and the bound checkers are defined in ``checks``
+alone: the loop modules only run.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "proxlab"
 LAYERS = [("errors",), ("problem",), ("prox", "zoo", "regularity"), ("ppm",),
-          ("ippm", "gd", "traceio"), ("cli",)]
+          ("ippm", "gd", "traceio"), ("checks",), ("cli",)]
 LEVEL = {name: level for level, names in enumerate(LAYERS) for name in names}
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+# The names that replay a bound against a trace.
+CHECKER = re.compile(r"BoundCheck|RateBounds|check_\w+|verify_gd_rates")
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
 
 
 def package_imports(tree: ast.Module):
@@ -44,9 +53,28 @@ def test_every_module_has_a_layer():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_imports_point_down_the_stack(module):
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    tree = parse(module)
     top_level = set(map(id, tree.body))
     for node, target in package_imports(tree):
         where = f"{module}.py:{node.lineno} imports {target}"
         assert id(node) in top_level, f"function-local import: {where}"
         assert target in LEVEL and LEVEL[target] < LEVEL[module], f"upward import: {where}"
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_module_imports_private_names(module):
+    for node, target in package_imports(parse(module)):
+        private = [alias.name for alias in node.names if alias.name.startswith("_")]
+        assert not private, f"{module}.py:{node.lineno} imports {private} from {target}"
+
+
+def test_bound_checkers_are_defined_only_in_checks():
+    homes = {}
+    for module in MODULES:
+        for node in parse(module).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and CHECKER.fullmatch(node.name):
+                homes.setdefault(node.name, []).append(module)
+    assert set(homes) == {"BoundCheck", "RateBounds", "check_sublinear_bound", "check_one_step",
+                          "check_linear_rates", "check_ippm_sublinear", "check_ippm_linear",
+                          "check_inexact_one_step", "verify_gd_rates"}
+    assert all(modules == ["checks"] for modules in homes.values()), homes

@@ -11,6 +11,7 @@ from proxlab import (IterationTrace, ProblemSpec, RateBounds, StepSchedule, Step
                      check_linear_rates, check_one_step, check_sublinear_bound,
                      make_benchmark, prox, reference_solution, run_ppm)
 
+from conftest import with_solution_point
 from oracles import running_diameter
 
 TIGHT = 1e-12
@@ -53,6 +54,30 @@ def test_schedule_validation(wc_piecewise):
     assert sched.at(5) == 0.4  # repeats the final entry
 
 
+@pytest.mark.parametrize("sched,tested", [
+    (StepSchedule.geometric(0.4, 1.0 + 1e-10), [0, 1, 10**9 - 1]),  # c_1 and the two ends
+    (StepSchedule.constant(0.4), [0, 1, 10**9 - 1]),
+    (StepSchedule.from_sequence([0.3, 0.4, 0.2]), [0, 1, 2]),  # later steps repeat c_2
+])
+def test_validate_tests_only_the_distinct_steps(monkeypatch, wc_piecewise, sched, tested):
+    at, seen = StepSchedule.at, []
+    monkeypatch.setattr(StepSchedule, "at", lambda self, k: seen.append(k) or at(self, k))
+    sched.validate(wc_piecewise, 10**9)
+    assert seen == tested
+
+
+@pytest.mark.parametrize("sched,horizon,message", [
+    (StepSchedule.geometric(0.1, 2.0), 1100, "c_1099 = inf is not a positive finite step"),
+    (StepSchedule.geometric(0.1, 0.5), 1100, "c_1099 = 0 is not a positive finite step"),
+    (StepSchedule.geometric(0.1, -1.0), 11, "c_1 = -0.1 is not a positive finite step"),
+    (StepSchedule.geometric(0.1, 1.1), 40, "1/c_39 = 0.243044 must exceed rho = 2"),
+])
+def test_validate_names_the_failing_step(wc_piecewise, sched, horizon, message):
+    with pytest.raises((ValueError, StepTooLarge)) as err:
+        sched.validate(wc_piecewise, horizon)
+    assert str(err.value) == message
+
+
 def test_sublinear_envelope_quad(quad_run):
     chk = check_sublinear_bound(quad_run)
     assert chk.all_ok
@@ -93,11 +118,11 @@ def test_one_step_trivial_at_solution(quad1d):
 
 
 def test_one_step_lasso_with_inner_slack(lasso_f20):
-    tr = run_ppm(lasso_f20, np.zeros(50), StepSchedule.constant(0.16), max_iter=40)
-    x_ref = np.array(lasso_f20.metadata["reference_point"])
-    assert check_one_step(tr, x_star=x_ref).all_ok
-    d0 = float(np.linalg.norm(tr.points[0] - x_ref)) + 1e-9
-    assert check_sublinear_bound(tr, dist0=d0).all_ok
+    # Lasso has no unique minimizer: replay against the reference point.
+    p = with_solution_point(lasso_f20, lasso_f20.metadata["reference_point"])
+    tr = run_ppm(p, np.zeros(50), StepSchedule.constant(0.16), max_iter=40)
+    assert check_one_step(tr).all_ok
+    assert check_sublinear_bound(tr).all_ok
 
 
 def test_linear_rates_quad(quad_run):

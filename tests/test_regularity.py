@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from proxlab import (EstimationPlan, NeedsReference, audit_implications,
                      estimate_constants, find_suboptimal_stationary_points,
-                     make_benchmark, plan_for, regularity, verify_weak_convexity)
+                     make_benchmark, plan_for, regularity)
 
 from conftest import counted
 from oracles import bisect_root, loop_estimate, loop_stationary_points
@@ -161,17 +161,6 @@ def test_stationary_scan_matches_loop_reference_on_any_bracket(name, lo, width):
     bracket = (lo, lo + width)
     assert _hex_roots(find_suboptimal_stationary_points(p, bracket)) \
         == _hex_roots(loop_stationary_points(p, bracket))
-
-
-def test_verify_weak_convexity(quad1d, wc_piecewise):
-    ok, witness = verify_weak_convexity(wc_piecewise, 2.0, samples=800)
-    assert ok and witness is None
-    ok, witness = verify_weak_convexity(wc_piecewise, 1.0, samples=800)
-    assert not ok
-    x, y, lam = witness
-    mid = float((lam * x + (1 - lam) * y)[0])
-    assert -1.0 < mid < -0.5  # violation sits on the concave cap
-    assert verify_weak_convexity(quad1d, 0.0, samples=400)[0]
 
 
 def test_report_json_shape(quad1d):

@@ -19,8 +19,7 @@ from proxlab import (GDParams, InexactCriterion, RateBounds, StepSchedule,
                      check_inexact_one_step, check_ippm_linear, check_ippm_sublinear,
                      check_linear_rates, check_one_step, check_sublinear_bound,
                      make_benchmark, run_gd, run_ippm, run_ppm, verify_gd_rates)
-from proxlab.gd import GD_ATOL
-from proxlab.ppm import CHECK_ATOL
+from proxlab.checks import CHECK_ATOL, GD_ATOL
 
 from conftest import counted
 from oracles import (cells, loop_contraction, loop_envelope, loop_inexact_one_step,
