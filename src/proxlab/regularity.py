@@ -51,6 +51,10 @@ class EstimationPlan:
             raise ValueError("need at least 100 samples")
         if not self.tau_s > 0:
             raise ValueError(f"tau_s = {self.tau_s:g} is not positive")
+        if self.bracket is not None:
+            lo, hi = self.bracket  # a finite width needs finite ends
+            if not (math.isfinite(hi - lo) and lo < hi):
+                raise ValueError(f"bracket [{lo:g}, {hi:g}] is not a finite [lo, hi] with lo < hi")
 
 
 def plan_for(p: ProblemSpec, count: int = 10_001, nu: float | None = None) -> EstimationPlan:
@@ -125,6 +129,32 @@ def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _secant_rows(xs, fx, g, rows, tau_s):
+    """(least ratio of each row i, i) over the pairs (i, j) of a thinned subset
+    of rows with ||x_j - x_i||^2 >= tau_s, in blocks of a (B, P, d) difference
+    of about 2^15 elements.  Each row's <g_i, x_j - x_i> is one gemv on its
+    pairs alone: OpenBLAS rounds a row's dot by the row count of its matrix."""
+    subset = rows[::max(1, rows.size // PAIR_THIN)][:PAIR_THIN]
+    pts, vals, d = xs[subset], fx[subset], xs.shape[1]
+    row_min, far_pairs = np.empty(subset.size), np.empty(subset.size, dtype=int)
+    block = max(1, 2 ** 15 // (subset.size * d))
+    for lo in range(0, subset.size, block):
+        at = subset[lo:lo + block]
+        flat = (pts - xs[at, None]).reshape(-1, d)
+        sq = _rowwise_dot(flat, flat).reshape(at.size, -1)
+        far = sq >= tau_s
+        m = far_pairs[lo:lo + block] = far.sum(axis=1)
+        dots = np.zeros(far.shape)
+        for count in set(m.tolist()):  # one matmul over the rows with `count` pairs
+            same = m == count
+            pairs = far & same[:, None]
+            gathered = flat.compress(pairs.ravel(), axis=0).reshape(same.sum(), count, d)
+            dots[pairs] = np.matmul(gathered, g[at[same], :, None]).ravel()
+        row_min[lo:lo + block] = np.divide(vals - fx[at, None] - dots, sq, where=far,
+                                           out=np.full(sq.shape, math.inf)).min(axis=1)
+    return row_min[far_pairs > 0], subset[far_pairs > 0]
+
+
 def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport:
     """Extremal empirical ratios over the sampled sublevel region.
 
@@ -183,19 +213,7 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     if mu_r[0] < 0.0:
         mu_r = (0.0, mu_r[1])  # a negative ratio refutes every positive constant
 
-    # Secant growth over ordered pairs (i, j) from a thinned subset, one
-    # numpy row per i: a (P, P, d) difference would take 16 MB at d = 50.
-    subset = rows[::max(1, rows.size // PAIR_THIN)][:PAIR_THIN]
-    pts, vals = xs[subset], fx[subset]
-    row_min, starts = [], []
-    for i in subset:
-        step = pts - xs[i]
-        sq = _rowwise_dot(step, step)
-        far = sq >= plan.tau_s
-        if far.any():
-            row_min.append(np.min((vals[far] - fx[i] - step[far] @ g[i]) / sq[far]))
-            starts.append(i)
-    mu_s = first(np.argmin, np.array(row_min), starts)
+    mu_s = first(np.argmin, *_secant_rows(xs, fx, g, rows, plan.tau_s))
     mu_s = (max(mu_s[0], 0.0), mu_s[1])
 
     def est(pair, direction_approx):

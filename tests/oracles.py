@@ -328,6 +328,29 @@ def loop_estimate(p, plan):
     return report, ratios
 
 
+def loop_secant_rows(xs, fx, g, rows, tau_s):
+    """The estimator's mu_s pair step as one numpy row per thinned sample.
+
+    Same arguments and result as ``regularity._secant_rows``: (the least
+    ratio of each row with a pair at squared distance >= tau_s, its row).
+    Each product ``step[far] @ g[i]`` runs on the row's far pairs alone, the
+    matrix-vector shape the blocked step must keep to match it bitwise.
+    """
+    from proxlab.regularity import PAIR_THIN
+
+    subset = rows[::max(1, rows.size // PAIR_THIN)][:PAIR_THIN]
+    pts, vals = xs[subset], fx[subset]
+    row_min, starts = [], []
+    for i in subset:
+        step = pts - xs[i]
+        sq = np.einsum("ij,ij->i", step, step)
+        far = sq >= tau_s
+        if far.any():
+            row_min.append(np.min((vals[far] - fx[i] - step[far] @ g[i]) / sq[far]))
+            starts.append(i)
+    return np.array(row_min), np.array(starts, dtype=rows.dtype)
+
+
 def central_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)

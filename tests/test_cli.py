@@ -353,13 +353,19 @@ def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
                  "schedule": {"constant": 1.0}}),
     # A gd section without mu on a problem whose metadata has no gd_mu.
     ("run-gd", {"problem": {"benchmark": "sine_quad"}, "gd": {}, "x0": [1.0]}),
+    # A bracket of one point, of an overflowing width, or reversed.
+    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"bracket": [0.5, 0.5]}}),
+    ("estimate", {"problem": {"benchmark": "quad1d"},
+                  "estimation": {"bracket": [-1e308, 1e308]}}),
+    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"bracket": [1.0, -1.0]}}),
 ])
 def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
     cfg = write_config(tmp_path, "bad.json", body)
     assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert not (tmp_path / "o" / "trace.csv").exists()  # rejected before any step
+    # Rejected before any step or estimate.
+    assert not {"trace.csv", "report.json"} & {f.name for f in (tmp_path / "o").glob("*")}
 
 
 # The subcommand that reads a section, where run-ppm does not.
@@ -537,9 +543,9 @@ def test_null_field_is_an_absent_one(tmp_path, cmd, field, body):
      "error: lasso data need n >= 1"),
     ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"nu": -1}},
      "error: no sample point has gap in [tau_s, nu] and dist >= sqrt(tau_s) (nu = -1,"),
-    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"bracket": [0.0, 0.0]}},
+    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"bracket": [5.0, 6.0]}},
      "error: no sample point has gap in [tau_s, nu] and dist >= sqrt(tau_s) (nu = 1, "
-     "bracket = (0.0, 0.0)"),
+     "bracket = (5.0, 6.0)"),
 ])
 def test_unusable_problem_prints_one_error_line(tmp_path, capsys, cmd, body, line):
     cfg = write_config(tmp_path, "bad.json", body)

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from proxlab import (EstimationPlan, NeedsReference, audit_implications,
                      estimate_constants, find_suboptimal_stationary_points,
-                     make_benchmark, plan_for, regularity)
+                     make_benchmark, plan_for, regularity, zoo)
 
 from conftest import counted
-from oracles import bisect_root, loop_estimate, loop_stationary_points
+from oracles import bisect_root, loop_estimate, loop_secant_rows, loop_stationary_points
 
 ONE_D = ("quad1d", "quad_quartic", "sine_quad", "wc_piecewise")
 BENCHMARKS = (*ONE_D, "aniso_quad")
@@ -181,6 +185,13 @@ def test_plan_validation():
     for tau_s in (0.0, -1e-9, math.nan):  # a zero denominator, or no filter at all
         with pytest.raises(ValueError):
             EstimationPlan(tau_s=tau_s)
+    for bracket in ((0.5, 0.5), (1.0, -1.0), (-1e308, 1e308), (0.0, math.inf),
+                    (math.nan, 1.0), (-math.inf, math.inf)):
+        with pytest.raises(ValueError, match="bracket"):
+            EstimationPlan(bracket=bracket)
+    for name in zoo.BENCHMARKS:  # every documented bracket makes a plan
+        p = make_benchmark(name)
+        assert plan_for(p).bracket == p.metadata.get("bracket")
 
 
 @pytest.mark.parametrize("name,count,seed", [
@@ -219,12 +230,7 @@ def _close(value, target, rel=1e-12):
     return value == target or (math.isfinite(target) and abs(value - target) <= rel * abs(target))
 
 
-@settings(max_examples=15, deadline=None)
-@given(name=st.sampled_from(BENCHMARKS), count=st.integers(100, 2000),
-       tau_s=st.sampled_from((1e-9, 1e-2)))
-def test_estimate_matches_loop_reference(name, count, tau_s):
-    p = make_benchmark(name)
-    plan = replace(plan_for(p, count=count), tau_s=tau_s)
+def _matches_loop_reference(p, plan):
     report = estimate_constants(p, plan)
     ref, ratios = loop_estimate(p, plan)
     assert (report.pl_fails_globally, report.eb_fails_globally, report.n_samples) \
@@ -235,6 +241,69 @@ def test_estimate_matches_loop_reference(name, count, tau_s):
         if est.witness != want.witness:
             # A tie: the reference ratio at the new witness is the extremum too.
             assert _close(ratios[key][est.witness], ratios[key][want.witness]), key
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(BENCHMARKS), count=st.integers(100, 2000),
+       tau_s=st.sampled_from((1e-9, 1e-2)))
+def test_estimate_matches_loop_reference(name, count, tau_s):
+    p = make_benchmark(name)
+    _matches_loop_reference(p, replace(plan_for(p, count=count), tau_s=tau_s))
+
+
+@settings(max_examples=6, deadline=None)
+@given(count=st.integers(100, 500), seed=st.integers(0, 2 ** 16),
+       tau_s=st.sampled_from((1e-9, 1e-2)))
+def test_estimate_matches_loop_reference_on_gaussians(en_f20, count, seed, tau_s):
+    # d = 50, sampled around the solution: the thinned secant pairs take
+    # their products in blocks of a few rows.
+    _matches_loop_reference(en_f20, replace(plan_for(en_f20, count=count), seed=seed,
+                                            tau_s=tau_s))
+
+
+@pytest.mark.parametrize("fixture,duplicated", [
+    ("quad1d", False), ("aniso_quad", False), ("en_f20", False),
+    # Repeated rows start one pair fewer, so their block mixes far counts.
+    ("quad1d", True)])
+def test_secant_rows_match_row_loop_bitwise(request, monkeypatch, fixture, duplicated):
+    p = request.getfixturevalue(fixture)
+    plan = plan_for(p)
+    if duplicated:
+        grid = regularity._sample_points(p, replace(plan, count=150))
+        sample = np.vstack([grid, grid[::10]])
+        monkeypatch.setattr(regularity, "_sample_points", lambda p, plan: sample)
+    blocked, seen = regularity._secant_rows, {}
+
+    def spy(*args):
+        seen["args"], seen["rows"] = args, blocked(*args)
+        return seen["rows"]
+
+    monkeypatch.setattr(regularity, "_secant_rows", spy)
+    report = estimate_constants(p, plan)
+    xs, _, _, rows, tau_s = seen["args"]
+    (row_min, starts), (want, want_starts) = seen["rows"], loop_secant_rows(*seen["args"])
+    assert row_min.tobytes() == want.tobytes() and np.array_equal(starts, want_starts)
+    k = int(np.argmin(want))
+    assert report.mu_s == max(float(want[k]), 0.0)
+    assert report.estimates["mu_s"].witness == tuple(float(v) for v in xs[want_starts[k]])
+    if duplicated:  # below PAIR_THIN rows, every row starts pairs
+        step = xs[rows][:, None] - xs[rows]
+        assert len(set((np.einsum("ijk,ijk->ij", step, step) >= tau_s).sum(axis=1))) > 1
+
+
+def test_grid_estimate_imports_no_module():
+    # A lazily imported module (np.unique loads numpy.ma, 1.6 MB) would grow
+    # every estimating process; a fresh interpreter shows what one run loads.
+    script = ("import sys; from proxlab import estimate_constants, make_benchmark, plan_for\n"
+              "before = set(sys.modules)\n"
+              "for name in ('quad1d', 'aniso_quad'):\n"
+              "    p = make_benchmark(name); estimate_constants(p, plan_for(p))\n"
+              "print(sorted(set(sys.modules) - before))")
+    src = str(Path(regularity.__file__).parents[1])  # the package under test
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("fixture,nu,counts", [

@@ -9,7 +9,8 @@ all through ``proxlab.cli.main`` in this process.  Every run writes into its
 own directory under OUT (the job's config beside its outputs), and
 ``OUT/exit_codes.txt`` lists each run's directory and exit code.  Two trees
 made from two versions of the code compare with one ``diff -r``.  The summary
-line on stdout ends with the total wall time of the runs, which nothing in OUT
+line on stdout ends with the total wall time of the runs and its share per
+group (``experiments``, then each workload's decks), which nothing in OUT
 records.
 """
 
@@ -62,20 +63,23 @@ def main(argv: list[str]) -> int:
     from proxlab.cli import main as proxlab_main
 
     out = Path(argv[0])
-    codes = []
+    codes, group_s = [], {}
     start = time.perf_counter()
     for name, cmd, cfg in runs():
+        run_start = time.perf_counter()
         run_dir = out / name
         run_dir.mkdir(parents=True, exist_ok=True)
         config = run_dir / "config.json"
         config.write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         code = proxlab_main([cmd, "--config", str(config), "--out", str(run_dir)])
         codes.append((name, code))
+        group = name.split("/")[1 if name.startswith("decks/") else 0]
+        group_s[group] = group_s.get(group, 0.0) + time.perf_counter() - run_start
     wall = time.perf_counter() - start
     (out / "exit_codes.txt").write_text("".join(f"{name} {code}\n" for name, code in codes),
                                         encoding="utf-8")
     print(f"{len(codes)} runs, {sum(code != 0 for _, code in codes)} nonzero exit codes, "
-          f"{wall:.2f} s")
+          f"{wall:.2f} s ({', '.join(f'{group} {t:.2f} s' for group, t in group_s.items())})")
     return 0
 
 
