@@ -386,14 +386,17 @@ def cmd_gen_data(_cmd: str, cfg: dict, out: Path, seed: int) -> int:
 _COMMANDS = {"run-ppm": cmd_run, "run-ippm": cmd_run, "run-gd": cmd_run,
              "estimate": cmd_estimate, "audit": cmd_estimate, "gen-data": cmd_gen_data}
 
+# Built once: parsing does not change the parser, and building it costs more
+# than a parse.
+_PARSER = argparse.ArgumentParser(prog="proxlab", description=__doc__)
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("--config", required=True)
+_PARSER.add_argument("--out", required=True)
+_PARSER.add_argument("--seed", type=int, default=None)
+
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="proxlab", description=__doc__)
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", required=True)
-    parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         body = load_config(args.config)
         if args.seed is not None:

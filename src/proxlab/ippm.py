@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CriterionUnverifiable
 from .ppm import IterationTrace, StepSchedule, iterate
-from .problem import ProblemSpec, min_norm_subgradient
+from .problem import ProblemSpec, min_norm_subgradient, vector_norm
 from .prox import prox
 
 PRIMED = ("A'", "B'")
@@ -115,7 +115,7 @@ def _primed_step(p, x, c, eps_k, delta_k):
         if delta_k is not None:
             # Relative rule couples the candidate to its own bound; zero
             # movement is acceptable only with a zero residual.
-            return rn <= (delta_k / c) * float(np.linalg.norm(w - x))
+            return rn <= (delta_k / c) * vector_norm(w - x)
         return True
 
     result = prox(p, x, c, stop_rule=accept)
@@ -130,18 +130,18 @@ def _test_mode_step(p, x, c, eps_k, delta_k, rng):
     if delta_k is not None:
         # Safe radius: r <= delta ||p_k + r u - x|| holds whenever
         # r <= delta ||p_k - x|| / (1 + delta).
-        radius = min(radius, delta_k * float(np.linalg.norm(p_k - x)) / (1.0 + delta_k))
+        radius = min(radius, delta_k * vector_norm(p_k - x) / (1.0 + delta_k))
     if not 0.0 < radius < math.inf:  # no budget to spend, or no finite one
         x_next = p_k
     else:
         direction = rng.standard_normal(p.dimension)
-        norm = float(np.linalg.norm(direction))
+        norm = vector_norm(direction)
         direction = direction / norm if norm > 0 else np.zeros(p.dimension)
         x_next = p_k + radius * direction
         for _ in range(60):  # recheck the coupled budgets on the realized point
-            gap = float(np.linalg.norm(x_next - p_k))
+            gap = vector_norm(x_next - p_k)
             ok = (eps_k is None or gap <= eps_k) and (
-                delta_k is None or gap <= delta_k * float(np.linalg.norm(x_next - x)))
+                delta_k is None or gap <= delta_k * vector_norm(x_next - x))
             if ok:
                 break
             radius *= 0.5

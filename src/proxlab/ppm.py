@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InnerBudgetExhausted, ResolutionFloor, StepTooLarge
-from .problem import ProblemSpec, as_point, distances_to_solution
+from .problem import ProblemSpec, all_finite, as_point, distances_to_solution, vector_norm
 from .prox import prox
 
 
@@ -153,8 +153,8 @@ def iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
     Stops with ``gap`` (f - f_star <= stop_gap), ``residual`` (||x_{k+1} -
     x_k||/c_k + residual <= stop_residual), ``max_iter``, ``resolution`` /
     ``inner_budget`` when a step's inner solver gives up, or ``non_finite``
-    when a step returns a non-finite coordinate, which is not recorded; the
-    trace is kept.
+    when a step returns a point with a non-finite coordinate or a value of NaN
+    or +inf, which is not recorded; the trace is kept.
     """
     x = as_point(x0)
     points, values, steps, moves = [x], [float(p.value(x))], [], []
@@ -166,26 +166,31 @@ def iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
         except InnerBudgetExhausted as exc:
             stop_reason = "resolution" if isinstance(exc, ResolutionFloor) else "inner_budget"
             break
-        if not np.isfinite(x_next).all():
+        value = float(p.value(x_next)) if all_finite(x_next) else math.nan
+        if not value < math.inf:  # a non-finite point, or a value of NaN or +inf
             stop_reason = "non_finite"
             break
         points.append(x_next)
-        values.append(float(p.value(x_next)))
+        values.append(value)
         steps.append(c)
         moves.append(move)
         if stop_gap is not None and p.f_star is not None and values[-1] - p.f_star <= stop_gap:
             stop_reason = "gap"
             break
         if stop_residual is not None and \
-                float(np.linalg.norm(x_next - x)) / c + move[0] <= stop_residual:
+                vector_norm(x_next - x) / c + move[0] <= stop_residual:
             stop_reason = "residual"
             break
         x = x_next
     steps.append(sched.at(len(points) - 1))
     # The final row's move is empty: one more None per transition column.
     residuals, eps, deltas, refs = zip(*moves, (None,) * 4)
-    refs = [np.full(x.shape, math.nan) if ref is None else ref for ref in refs]
-    return IterationTrace(p, points, values, steps, residuals, eps, deltas, refs, stop_reason)
+    ref_rows = np.full((len(points), x.size), math.nan)
+    for k, ref in enumerate(refs):
+        if ref is not None:
+            ref_rows[k] = ref
+    return IterationTrace(p, points, values, steps, residuals, eps, deltas, ref_rows,
+                          stop_reason)
 
 
 def run_ppm(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int = 500,
@@ -220,7 +225,7 @@ def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
     if trace.stop_reason in ("resolution", "inner_budget"):
         raise InnerBudgetExhausted(
             f"reference solve stopped with {trace.stop_reason} after {len(trace) - 1} steps")
-    tail = float(np.linalg.norm(trace.points[-1] - trace.points[-2])) / c_ref \
+    tail = vector_norm(trace.points[-1] - trace.points[-2]) / c_ref \
         if len(trace) > 1 else 0.0
     return install_reference(p, float(trace.values[-1]), trace.points[-1], tail,
                              len(trace) - 1)

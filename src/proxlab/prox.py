@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InnerBudgetExhausted, NotAvailable, ResolutionFloor, StepTooLarge
-from .problem import KINK_BAND, ProblemSpec, as_point, nearest_zero
+from .problem import KINK_BAND, ProblemSpec, as_point, nearest_zero, vector_norm
 
 # accept(candidate, residual_norm) -> bool; lets the outer loop install
 # candidate-dependent acceptance (relative inexactness rules).
@@ -65,7 +65,7 @@ def prox(p: ProblemSpec, z, c: float, target: float = 1e-10,
     _validate_step(p, c)
     if p.prox_closed_form is not None:
         point = as_point(p.prox_closed_form(z, c))
-        return ProxResult(point, np.zeros_like(point), 0.0, 0)
+        return ProxResult(point, np.zeros(point.shape), 0.0, 0)
     if p.composite is not None:
         name, candidates = "composite", _composite(p, z, c)
     elif p.svm is not None:
@@ -122,7 +122,7 @@ def _composite(p: ProblemSpec, z, c):
     def certified(x, grad_x):
         base = grad_x + (x - z) / c
         element = base + parts.min_norm_h(base, x)
-        return x, element, float(np.linalg.norm(element))
+        return x, element, vector_norm(element)
 
     def finish(s):
         # The support solve on s as a candidate; True once it is the minimizer.
@@ -205,7 +205,7 @@ def _svm_dual(p: ProblemSpec, z, c):
         t = np.where(margins > KINK_BAND, 1.0,
                      np.where(margins < -KINK_BAND, 0.0, np.clip(n * alpha, 0.0, 1.0)))
         element = -(t @ ba) / n + parts.reg * x + (x - z) / c
-        return (x, element, float(np.linalg.norm(element))), margins
+        return (x, element, vector_norm(element)), margins
 
     def free_set_solve(x, alpha):
         # (primal point, alpha) with alpha's free set re-solved, or None.
@@ -252,15 +252,20 @@ def _regula_falsi(p: ProblemSpec, z, c):
 
     The subproblem derivative interval at x is [lo, hi] + (x - z)/c; the
     minimizer is the unique point whose interval contains zero (1/c > rho
-    makes the subproblem strongly convex).  A breakpoint whose interval
+    makes the subproblem strongly convex).  The bracket walk only finds a
+    sign change: its points are not candidates.  A breakpoint whose interval
     contains zero is a candidate, because the pointwise residual jumps
-    across a kink minimizer.  The bracket walk is not: it only finds a sign
-    change.  Inside the bracket the trial point is the secant root of the
-    end elements, with the Illinois modification (Dowell & Jarratt, 1971):
-    an end kept twice in a row has its element halved.  Every third trial,
-    and whenever the secant root is not strictly inside the bracket, the
-    trial is the midpoint, so the bracket at least halves every three
-    evaluations.  The candidates end when it shrinks to adjacent floats.
+    across a kink minimizer.  Such a breakpoint is the minimizer, so only
+    the breakpoints between the walk's last point whose element is nonzero
+    with the start's sign and its end are tested, after the walk: the
+    bracket, unless the walk met an element of exactly zero, which in
+    floating point can hold on neighbouring floats too.  Inside the bracket
+    the trial point is the secant root of the end elements, with the
+    Illinois modification (Dowell & Jarratt, 1971): an end kept twice in a
+    row has its element halved.  Every third trial, and whenever the secant
+    root is not strictly inside the bracket, the trial is the midpoint, so
+    the bracket at least halves every three evaluations.  The candidates end
+    when it shrinks to adjacent floats.
     """
     z0 = float(z[0])
 
@@ -273,22 +278,29 @@ def _regula_falsi(p: ProblemSpec, z, c):
 
     e_z = element(z0)
     yield candidate(z0, e_z)
-    for bp in p.breakpoints_1d:
-        if element(bp) == 0.0:
-            yield candidate(bp, 0.0)
 
     # Bracket the minimizer: walk from z in the descent direction, doubling
-    # the stride, until the element changes sign.
+    # the stride, until the element changes sign.  ``behind`` is the last
+    # point whose element is nonzero with the start's sign (none: -side inf).
     side = -1.0 if e_z > 0.0 else 1.0
     stride = side * max(1.0, abs(z0))
+    behind = z0 if side * e_z < 0.0 else -side * math.inf
     near, far, e_near = z0, z0 + stride, e_z
     e_far = element(far)
     while not side * e_far > 0.0:
         if math.isinf(far):  # no sign change among the floats
             return
+        if side * e_far < 0.0:
+            behind = far
         stride *= 2.0
         near, far, e_near = far, far + stride, e_far
         e_far = element(far)
+    # The element is monotone, so every point where it is zero lies between
+    # behind and far.
+    lo, hi = sorted((behind, far))
+    for bp in p.breakpoints_1d:
+        if lo <= bp <= hi and element(bp) == 0.0:
+            yield candidate(bp, 0.0)
     # The ends' elements: e_a <= 0 <= e_b, never both zero, which the Illinois
     # rule keeps (it halves one end's element just after setting the other's).
     (a, e_a), (b, e_b) = sorted([(near, e_near), (far, e_far)])

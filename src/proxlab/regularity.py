@@ -283,8 +283,10 @@ def find_suboptimal_stationary_points(p: ProblemSpec, bracket) -> list[np.ndarra
     Sign-change bisection over the bracket; keeps points with
     dist(0, subdifferential) < 1e-8 and value gap > 1e-6.  The grid is one
     batch call per oracle, and every sign-change bracket is halved at once,
-    80 times; a bracket whose midpoint is an exact root stays there.  Raises
-    DomainError when f is +inf at a grid point.
+    at most 80 times; a bracket whose midpoint is an exact root stays there,
+    and one whose midpoint is one of its ends (adjacent floats) can no longer
+    move, so neither is halved again.  Raises DomainError when f is +inf at a
+    grid point.
     """
     if p.dimension != 1:
         raise ValueError("stationary-point scan is one-dimensional")
@@ -306,9 +308,11 @@ def find_suboptimal_stationary_points(p: ProblemSpec, bracket) -> list[np.ndarra
     a, b, a_neg = grid[starts], grid[starts + 1], neg[starts]
     live = np.arange(starts.size)
     for _ in range(80):
+        mid = 0.5 * (a[live] + b[live])
+        moves = (mid != a[live]) & (mid != b[live])
+        live, mid = live[moves], mid[moves]
         if not live.size:
             break
-        mid = 0.5 * (a[live] + b[live])
         vm = signed(mid)
         # A midpoint that is a root closes its bracket there (a = b = mid);
         # otherwise the half whose ends differ in sign stays.  The sign at a

@@ -4,12 +4,14 @@ These deliberately avoid the package's solvers: golden-section search,
 dense / refined grid minimization, sign bisection, central differences,
 plain accelerated proximal gradient, the pairwise running diameter, the
 per-sample loop estimator of the regularity constants, the scalar
-stationary-point scan and the per-step loop replays of the bound checkers.
+stationary-point scan, the 1-d inner solver that tests every breakpoint first
+and the per-step loop replays of the bound checkers.
 Expected values asserted in the tests were computed with these and frozen.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -349,6 +351,64 @@ def loop_secant_rows(xs, fx, g, rows, tau_s):
             row_min.append(np.min((vals[far] - fx[i] - step[far] @ g[i]) / sq[far]))
             starts.append(i)
     return np.array(row_min), np.array(starts, dtype=rows.dtype)
+
+
+def loop_regula_falsi(p, z, c):
+    """The 1-d inner solver's candidates with every breakpoint tested before the
+    bracket walk, for reference.
+
+    Same candidates, in the same order, as ``prox._regula_falsi``, which tests
+    only the breakpoints inside the bracket, after the walk: a breakpoint whose
+    element is zero is the subproblem's unique minimizer, so it lies there.
+    """
+    from proxlab.problem import nearest_zero
+
+    z0 = float(z[0])
+
+    def element(x):
+        return nearest_zero(*p.interval_1d(x), (x - z0) / c)
+
+    def candidate(x, e):
+        return np.array([x]), np.array([e]), abs(e)
+
+    e_z = element(z0)
+    yield candidate(z0, e_z)
+    for bp in p.breakpoints_1d:
+        if element(bp) == 0.0:
+            yield candidate(bp, 0.0)
+
+    side = -1.0 if e_z > 0.0 else 1.0
+    stride = side * max(1.0, abs(z0))
+    near, far, e_near = z0, z0 + stride, e_z
+    e_far = element(far)
+    while not side * e_far > 0.0:
+        if math.isinf(far):
+            return
+        stride *= 2.0
+        near, far, e_near = far, far + stride, e_far
+        e_far = element(far)
+    (a, e_a), (b, e_b) = sorted([(near, e_near), (far, e_far)])
+
+    kept = None
+    for trial in itertools.count(1):
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return
+        x = a - e_a * (b - a) / (e_b - e_a)
+        if trial % 3 == 0 or not a < x < b:
+            x = mid
+        e = element(x)
+        if e > 0.0:
+            b, e_b = x, e
+            if kept == "a":
+                e_a *= 0.5
+            kept = "a"
+        else:
+            a, e_a = x, e
+            if kept == "b":
+                e_b *= 0.5
+            kept = "b"
+        yield candidate(x, e)
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -1,10 +1,12 @@
 import copy
 import json
+import math
 import os
 import pickle
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +450,34 @@ def test_non_finite_iterates_write_partial_run(tmp_path):
     summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
     assert summary["stop_reason"] == "non_finite" and summary["iterations"] < 400
     assert len(read_trace_csv(out / "trace.csv")) == summary["iterations"] + 1
+
+
+def test_non_finite_value_writes_partial_run(tmp_path, monkeypatch):
+    # A quad1d whose value oracle returns +inf from its fourth call on: x_0 and
+    # two steps are recorded, and the third step, whose value is +inf, is not.
+    build, calls = cli.make_benchmark, []
+
+    def stub(name):
+        p = build(name)
+        value = p.value
+
+        def capped(x):
+            calls.append(x)
+            return math.inf if len(calls) >= 4 else value(x)
+
+        return replace(p, value=capped)
+
+    monkeypatch.setattr(cli, "make_benchmark", stub)
+    cfg = write_config(tmp_path, "quad.json", {
+        "problem": {"benchmark": "quad1d"}, "schedule": {"constant": 1.0}, "x0": [1.0],
+        "max_iter": 10, "test_mode": True})
+    out = tmp_path / "out"
+    assert main(["run-ppm", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stop_reason"] == "non_finite" and summary["iterations"] == 2
+    assert summary["asserted"] == 2 and summary["bounds_ok"]
+    rows = read_trace_csv(out / "trace.csv")
+    assert len(rows) == 3 and all(map(math.isfinite, rows.f))
 
 
 @pytest.mark.parametrize("name,c,extra,checks", [

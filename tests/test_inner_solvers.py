@@ -4,13 +4,16 @@ The work-count gates pin the deterministic cost of the shipped lasso_medium
 run (inner iterations summed over the outer steps, and smooth-gradient
 evaluations: one per prox call plus one per inner iteration), of the shipped
 svm_synthetic run and of two 1-d PPM runs (inner iterations summed over the
-outer steps).  The property tests draw prox centers and steps at realistic
-sizes and check that every returned certificate is a true element of the
-subproblem subdifferential at the returned point, and that the 1-d solver's
-point is as close to the subproblem root as its certificate promises.
+outer steps, and interval-oracle calls).  The property tests draw prox
+centers and steps at realistic sizes and check that every returned
+certificate is a true element of the subproblem subdifferential at the
+returned point, that the 1-d solver's point is as close to the subproblem
+root as its certificate promises, and that its candidates are those of the
+solver that tests every breakpoint before the bracket walk.
 """
 
 import importlib
+import itertools
 import json
 from collections import Counter
 from dataclasses import replace
@@ -23,13 +26,14 @@ from hypothesis.extra.numpy import arrays
 
 import proxlab.cli as cli
 import proxlab.ppm as ppm_module
-from proxlab import (Dataset, MLProblemParams, StepSchedule, make_benchmark, make_blob_dataset,
-                     make_ml_problem, min_norm_subgradient, prox, run_ppm)
+from proxlab import (Dataset, MLProblemParams, Piecewise1D, StepSchedule, make_benchmark,
+                     make_blob_dataset, make_ml_problem, min_norm_subgradient, prox, run_ppm)
 from proxlab.problem import problem_from_1d
 
-from oracles import bisect_root, fista_l1
+from oracles import bisect_root, fista_l1, loop_regula_falsi
 from test_prox import certificate, certificate_is_subgradient, convex_piecewise
 
+prox_module = importlib.import_module("proxlab.prox")  # not proxlab.prox, the function
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 TOL = 1e-10
 
@@ -77,14 +81,83 @@ def test_svm_synthetic_work_count(prox_work):
     assert prox_work["inner"] <= 54  # 54 with the free-set finish, 157 sweeping only
 
 
+# Caps on the interval_1d calls of the runs below.  quad_quartic: 953 testing only
+# the breakpoints inside the bracket, 1,545 testing both on every call.
+# sine_quad has no breakpoints: 340 calls.
+INTERVAL_CAPS = {"quad_quartic": 1_000, "sine_quad": 400}
+
+
 @pytest.mark.parametrize("name,c,x0,horizon,cap", [
     ("quad_quartic", 0.01, 1.2, 300, 700),  # 345 with the secant steps, 11,383 bisecting
     ("sine_quad", 0.05, 3.0, 60, 450),  # 220 with the secant steps, 2,240 bisecting
 ])
 def test_1d_ppm_work_count(prox_work, name, c, x0, horizon, cap):
-    trace = run_ppm(make_benchmark(name), [x0], StepSchedule.constant(c), max_iter=horizon)
+    p, calls = make_benchmark(name), Counter()
+    interval = p.interval_1d
+    p = replace(p, interval_1d=lambda x: calls.update(interval=1) or interval(x))
+    trace = run_ppm(p, [x0], StepSchedule.constant(c), max_iter=horizon)
     assert len(trace) - 1 == horizon
     assert prox_work["inner"] <= cap
+    assert calls["interval"] <= INTERVAL_CAPS[name]
+
+
+def candidate_bytes(solver, p, z, c, limit=20_000):
+    """The bytes of each candidate ``solver`` yields, in order (at most ``limit``),
+    then the name of the arithmetic error that ended the candidates, if one did.
+
+    A walk that stops on a zero element leaves a bracket end at zero, and a
+    trial that lands on the minimizer puts the other end there too, so the
+    next secant root divides by zero.  Both solvers do it at the same
+    candidate; prox never asks for it, since its stop rules accept a zero
+    residual.
+    """
+    out = []
+    try:
+        for x, e, norm in itertools.islice(solver(p, np.array([z]), c), limit):
+            out.append((x.tobytes(), e.tobytes(), float(norm).hex()))
+    except ArithmeticError as exc:
+        out.append(type(exc).__name__)
+    return out
+
+
+def assert_same_candidates(p, z, c):
+    assert candidate_bytes(prox_module._regula_falsi, p, z, c) == \
+        candidate_bytes(loop_regula_falsi, p, z, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pw=convex_piecewise(), z=centers, c=steps, kink=st.integers(0, 7),
+       t=st.floats(0.0, 1.0))
+def test_1d_candidates_match_breakpoints_first_random_convex(pw, z, c, kink, t):
+    # In about half of the draws with a breakpoint the centre is one whose prox
+    # point is that breakpoint b: z in b + c [lo, hi].
+    if pw.breakpoints and kink % 2:
+        b = pw.breakpoints[kink // 2 % len(pw.breakpoints)]
+        lo, hi = pw.interval(b)
+        z = b + c * (lo + t * (hi - lo))
+    assert_same_candidates(problem_from_1d(pw, name="random_convex"), z, c)
+
+
+def test_1d_candidates_match_when_the_walk_meets_a_zero_element():
+    # f(x) = -x with a breakpoint (no kink) at -4.4e-211.  From z = -1 at c = 1
+    # the walk lands on 0, the minimizer, and goes on to 2, so the bracket is
+    # [0, 2]; but x + 1 rounds to 1 for every |x| below 1.1e-16, so the
+    # element x + 1 - 1 is exactly zero at the breakpoint too.
+    line = (lambda x: -x, lambda x: -1.0 + 0.0 * x)
+    pw = Piecewise1D([-4.372344721372969e-211], [line, line])
+    assert_same_candidates(problem_from_1d(pw, name="flat_root"), -1.0, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["sine_quad", "wc_piecewise"]), z=st.floats(-4.0, 4.0),
+       c_rho=st.floats(0.05, 0.9))
+# wc_piecewise at c = 0.3: the prox point of z in [-1, -0.4] is the kink -1,
+# and of z in [-0.2, 0.4] the kink -0.5.
+@example(name="wc_piecewise", z=-0.7, c_rho=0.6)
+@example(name="wc_piecewise", z=0.4, c_rho=0.6)
+def test_1d_candidates_match_breakpoints_first_on_weakly_convex(name, z, c_rho):
+    p = make_benchmark(name)
+    assert_same_candidates(p, z, c_rho / p.weak_convexity)
 
 
 def assert_1d_prox_certified(p, z, c, target):
@@ -175,7 +248,6 @@ def test_composite_center_with_the_minimizer_signs_needs_one_candidate(lasso_f20
 
 @pytest.mark.parametrize("center", ["zero", "reference"])
 def test_composite_support_candidate_at_the_center_signs(monkeypatch, lasso_f20, center):
-    prox_module = importlib.import_module("proxlab.prox")
     solved = []
     support_solve = prox_module._support_solve
 

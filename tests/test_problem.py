@@ -3,10 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from proxlab import (BENCHMARKS, DomainError, NotAvailable, ProblemSpec, ProxResult,
                      distance_to_solution, make_benchmark, min_norm_subgradient)
-from proxlab.problem import BATCH_ROWS, Piecewise1D, as_point, batch_oracle, problem_from_1d
+from proxlab.problem import (BATCH_ROWS, SHORT_VECTOR, Piecewise1D, all_finite, as_point,
+                             batch_oracle, problem_from_1d, vector_norm)
 
 from oracles import grid_argmin
 from test_prox import certificate_is_subgradient
@@ -93,6 +96,35 @@ def test_point_coercion_rejects_nonfinite():
         as_point([1.0, math.nan])
     with pytest.raises(ValueError):
         as_point([math.inf])
+
+
+# Entries whose squares overflow, whose squares underflow, subnormals, and the
+# non-finite values, besides any float.
+EXTREME = st.sampled_from([1.7e308, -1.3e154, 1.4e154, 1e-160, -2.2e-308, 5e-324,
+                           math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=arrays(np.float64, st.integers(1, 60), elements=st.floats() | EXTREME))
+def test_vector_norm_is_np_linalg_norm_bitwise(v):
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past 1.8e308
+        norm, want = vector_norm(v), np.linalg.norm(v)
+    assert type(norm) is float
+    assert np.float64(norm).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 2, SHORT_VECTOR - 1, SHORT_VECTOR, SHORT_VECTOR + 1,
+                                  3 * SHORT_VECTOR])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_all_finite_is_np_isfinite_all(size, bad):
+    v = np.linspace(-1e307, 1e307, size)
+    assert all_finite(v) is True and np.isfinite(v).all()
+    for i in range(size):
+        w = v.copy()
+        w[i] = bad
+        assert all_finite(w) is False and not np.isfinite(w).all()
+        assert all_finite(w[None]) is False  # the same entries as one row
+    assert all_finite(v[None]) is True
 
 
 def test_projection_value_is_optimal():

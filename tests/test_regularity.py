@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from proxlab import (EstimationPlan, NeedsReference, audit_implications,
                      estimate_constants, find_suboptimal_stationary_points,
                      make_benchmark, plan_for, regularity, zoo)
+from proxlab.problem import BATCH_ROWS
 
 from conftest import counted
 from oracles import bisect_root, loop_estimate, loop_secant_rows, loop_stationary_points
@@ -135,6 +136,16 @@ def test_stationary_points_sine(sine_quad):
 def test_stationary_points_empty_when_unique(quad1d, wc_piecewise):
     assert find_suboptimal_stationary_points(quad1d, (-1.0, 1.0)) == []
     assert find_suboptimal_stationary_points(wc_piecewise, (-2.0, 0.5)) == []
+
+
+def test_stationary_scan_stops_halving_once_no_bracket_moves(sine_quad):
+    # The grid is 8 batch calls of 512 rows and classifying the roots one more;
+    # every other call halves the live brackets.  On the sine_quad bracket no
+    # end moves after halving 44 (halving all 80 times makes 80 calls).
+    tally = Counter()
+    find_suboptimal_stationary_points(counted(sine_quad, tally), sine_quad.metadata["bracket"])
+    calls, _ = tally["min_norm_subgradients"]
+    assert calls - regularity.STATIONARY_SCAN // BATCH_ROWS - 1 <= 44
 
 
 def _hex_roots(points):

@@ -1,0 +1,115 @@
+"""Time two versions of proxlab against each other in one process, job by job.
+
+    python3 tools/ab_inprocess.py PARENT_SRC CHANGE_SRC WORKLOAD [--seed S] [--passes N]
+
+PARENT_SRC and CHANGE_SRC are directories holding a ``proxlab`` package (the
+``src`` directory of a checkout).  Both packages are copied into a temporary
+directory as ``proxlab_parent`` and ``proxlab_change`` and imported side by
+side.  Every job of WORKLOAD's benchmark deck (``perfbench/bench_workloads.py``
+at --seed, as ``tools/run_configs.py`` reads it) runs through each side's
+``cli.main`` in turn, the side that goes first alternating from job to job, over
+--passes timed passes after one untimed warm-up pass.  Configs and outputs go
+to the temporary directory, which is removed at the end; nothing is written
+under ``perfbench/``.
+
+For each job kind, and for the whole pass, the report gives each side's median
+time per pass, their ratio (parent over change: above 1 when the change is
+faster) and the passes the change won.  This is a development aid for a noisy
+shared host, where one process alternating the two versions sees both under
+the same machine state.  It decides nothing: the benchmark
+(``perfbench/run.py``, run on each commit) alone decides a performance claim.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def load_cli(src: Path, into: Path, side: str):
+    """The ``cli`` module of the proxlab package under ``src``, imported as proxlab_<side>."""
+    name = f"proxlab_{side}"
+    shutil.copytree(src / "proxlab", into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(f"{name}.cli")
+
+
+def build_deck(workload: str, seed: int) -> list[dict]:
+    sys.dont_write_bytecode = True  # import the benchmark's decks without writing there
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import bench_workloads
+
+    return bench_workloads.build_deck(workload, seed)
+
+
+def run_passes(clis: dict, deck: list[dict], passes: int, work: Path) -> tuple[list, dict]:
+    """Per timed pass, each side's seconds per job kind; and each side's nonzero exits."""
+    for job in deck:
+        config = work / f"cfg{job['id']}.json"
+        config.write_text(json.dumps(job["cfg"]), encoding="utf-8")
+        job["argv"] = [job["cmd"], "--config", str(config), "--out"]
+    timed, failed = [], dict.fromkeys(SIDES, 0)
+    for done in range(passes + 1):  # pass 0 warms up
+        spent = {side: dict.fromkeys((job["kind"] for job in deck), 0.0) for side in SIDES}
+        for job in deck:
+            for side in SIDES if (done + job["id"]) % 2 == 0 else SIDES[::-1]:
+                out = work / "out" / side
+                shutil.rmtree(out, ignore_errors=True)
+                start = time.perf_counter()
+                code = clis[side].main(job["argv"] + [str(out)])
+                spent[side][job["kind"]] += time.perf_counter() - start
+                failed[side] += code != 0
+        if done:
+            timed.append(spent)
+    return timed, failed
+
+
+def report(timed: list) -> str:
+    kinds = list(timed[0]["parent"])
+    rows = [(kind, [{side: t[side][kind] for side in SIDES} for t in timed]) for kind in kinds]
+    rows.append(("pass", [{side: sum(t[side].values()) for side in SIDES} for t in timed]))
+    width = max(len(kind) for kind, _ in rows)
+    lines = [f"{'kind':<{width}}  {'parent ms':>10}  {'change ms':>10}  {'ratio':>6}  won"]
+    for kind, per_pass in rows:
+        med = {side: statistics.median(t[side] for t in per_pass) for side in SIDES}
+        won = sum(t["change"] < t["parent"] for t in per_pass)
+        lines.append(f"{kind:<{width}}  {med['parent'] * 1e3:10.3f}  {med['change'] * 1e3:10.3f}"
+                     f"  {med['parent'] / med['change']:6.3f}  {won}/{len(per_pass)}")
+    return "\n".join(lines)
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("workload")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--passes", type=int, default=9)
+    args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error("--passes must be at least 1")
+    deck = build_deck(args.workload, args.seed)
+    with tempfile.TemporaryDirectory(prefix="ab_inprocess-") as tmp:
+        work = Path(tmp)
+        sys.path.insert(0, str(work))
+        clis = {side: load_cli(src, work, side)
+                for side, src in zip(SIDES, (args.parent_src, args.change_src))}
+        timed, failed = run_passes(clis, deck, args.passes, work)
+    print(report(timed))
+    if any(failed.values()):
+        print(f"nonzero exits: {failed}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
