@@ -154,10 +154,14 @@ def iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
     x_k||/c_k + residual <= stop_residual), ``max_iter``, ``resolution`` /
     ``inner_budget`` when a step's inner solver gives up, or ``non_finite``
     when a step returns a point with a non-finite coordinate or a value of NaN
-    or +inf, which is not recorded; the trace is kept.
+    or +inf, which is not recorded; the trace is kept.  An x0 with such a
+    value raises ValueError, as ``as_point`` does for a non-finite coordinate.
     """
     x = as_point(x0)
-    points, values, steps, moves = [x], [float(p.value(x))], [], []
+    value = float(p.value(x))
+    if not value < math.inf:
+        raise ValueError(f"x0: f(x0) = {value}, not finite")
+    points, values, steps, moves = [x], [value], [], []
     stop_reason = "max_iter"
     for k in range(max_iter):
         c = sched.at(k)

@@ -150,21 +150,21 @@ def _composite(p: ProblemSpec, z, c):
         y = w + q * (w - x)
         grad_y = (1.0 + q) * grad_w - q * grad_x
         x, grad_x = w, grad_w
+        # np.sign gives no -0.0, so equal bytes are equal patterns.
         s = np.sign(w)
-        held = held + 1 if np.array_equal(s, signs) else 1
-        signs = s
-        if held >= 3 and s.tobytes() not in tried and (yield from finish(s)):
+        key = s.tobytes()
+        held = held + 1 if key == signs else 1
+        signs = key
+        if held >= 3 and key not in tried and (yield from finish(s)):
             return
 
 
 def _support_solve(parts, v, c, signs):
     """Minimizer of x^T H x / 2 - v^T x + l1_weight s^T x over the support of s,
     zero elsewhere, or None when its signs are not s."""
-    on = np.flatnonzero(signs)
-    h_on = parts.hessian[np.ix_(on, on)]
-    h_on.flat[::on.size + 1] += 1.0 / c
-    x_on = np.linalg.solve(h_on, v[on] - parts.l1_weight * signs[on])
-    if not np.array_equal(np.sign(x_on), signs[on]):
+    on, h_on, l1_signs = parts.support_system(c, signs)
+    x_on = np.linalg.solve(h_on, v[on] - l1_signs)
+    if np.sign(x_on).tobytes() != signs[on].tobytes():
         return None
     x = np.zeros_like(v)
     x[on] = x_on
@@ -193,8 +193,7 @@ def _svm_dual(p: ProblemSpec, z, c):
     """
     parts = p.svm
     n, d = parts.features.shape
-    ba = parts.signed_rows
-    q = np.einsum("ij,ij->i", ba, ba)
+    ba, q = parts.signed_rows, parts.squared_norms
     sigma = parts.reg + 1.0 / c
     w0 = z / (sigma * c)
     cap = 1.0 / n
@@ -214,10 +213,10 @@ def _svm_dual(p: ProblemSpec, z, c):
         if not 0 < np.count_nonzero(free) <= d or key in tried:
             return None
         tried.add(key)
-        rows = ba[free]
+        rows, gram = parts.free_set_system(c, free)
         base = x - (rows.T @ alpha[free]) / sigma
         try:
-            alpha_free = np.linalg.solve(rows @ rows.T / sigma, 1.0 - rows @ base)
+            alpha_free = np.linalg.solve(gram, 1.0 - rows @ base)
         except np.linalg.LinAlgError:  # singular: repeated or dependent rows
             return None
         if not np.all((alpha_free >= 0.0) & (alpha_free <= cap)):
@@ -265,7 +264,8 @@ def _regula_falsi(p: ProblemSpec, z, c):
     row has its element halved.  Every third trial, and whenever the secant
     root is not strictly inside the bracket, the trial is the midpoint, so
     the bracket at least halves every three evaluations.  The candidates end
-    when it shrinks to adjacent floats.
+    when it shrinks to adjacent floats, or when both ends have an element of
+    exactly zero, where the secant root would divide 0 by 0.
     """
     z0 = float(z[0])
 
@@ -301,14 +301,14 @@ def _regula_falsi(p: ProblemSpec, z, c):
     for bp in p.breakpoints_1d:
         if lo <= bp <= hi and element(bp) == 0.0:
             yield candidate(bp, 0.0)
-    # The ends' elements: e_a <= 0 <= e_b, never both zero, which the Illinois
-    # rule keeps (it halves one end's element just after setting the other's).
+    # The ends' elements: e_a <= 0 <= e_b.  Both can be zero: the walk can end
+    # past a point of zero element, and a trial can land on another one.
     (a, e_a), (b, e_b) = sorted([(near, e_near), (far, e_far)])
 
     kept = None
     for trial in itertools.count(1):
         mid = 0.5 * (a + b)
-        if not a < mid < b:  # a and b are adjacent floats
+        if not a < mid < b or e_a == e_b:  # adjacent floats, or both elements zero
             return
         x = a - e_a * (b - a) / (e_b - e_a)
         if trial % 3 == 0 or not a < x < b:

@@ -210,8 +210,10 @@ class MLProblemParams:
     def __post_init__(self):
         if self.kind not in ("svm", "lasso", "elastic_net"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if min(self.svm_reg, self.lam, self.en_reg) <= 0:
-            raise ValueError("regularization weights must be positive")
+        for name in ("svm_reg", "lam", "en_reg"):
+            weight = getattr(self, name)
+            if not 0.0 < weight < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {weight}")
 
 
 def make_ml_problem(kind: str, data, params: MLProblemParams) -> ProblemSpec:

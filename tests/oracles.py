@@ -4,8 +4,9 @@ These deliberately avoid the package's solvers: golden-section search,
 dense / refined grid minimization, sign bisection, central differences,
 plain accelerated proximal gradient, the pairwise running diameter, the
 per-sample loop estimator of the regularity constants, the scalar
-stationary-point scan, the 1-d inner solver that tests every breakpoint first
-and the per-step loop replays of the bound checkers.
+stationary-point scan, the 1-d inner solver that tests every breakpoint first,
+the composite and SVM inner solvers that build every linear system afresh and
+the per-step loop replays of the bound checkers.
 Expected values asserted in the tests were computed with these and frozen.
 """
 
@@ -409,6 +410,134 @@ def loop_regula_falsi(p, z, c):
                 e_b *= 0.5
             kept = "b"
         yield candidate(x, e)
+
+
+def unmemoized_composite(p, z, c):
+    """The composite inner solver's candidates with every support system built
+    afresh, for reference.
+
+    Same candidates, in the same order, as ``prox._composite``, which takes
+    each system from ``CompositeParts.support_system`` and compares sign
+    patterns as bytes; here each support solve slices H_EE + I/c out of the
+    Hessian itself and patterns are compared with ``np.array_equal``.
+    """
+    from proxlab.problem import vector_norm
+
+    parts = p.composite
+    lip = parts.lipschitz_smooth + 1.0 / c
+    step = 1.0 / lip
+    root_kappa = math.sqrt(lip / (1.0 / c + p.strong_convexity))
+    q = (root_kappa - 1.0) / (root_kappa + 1.0)
+
+    def certified(x, grad_x):
+        base = grad_x + (x - z) / c
+        element = base + parts.min_norm_h(base, x)
+        return x, element, vector_norm(element)
+
+    def support_solve(s):
+        on = np.flatnonzero(s)
+        h_on = parts.hessian[np.ix_(on, on)]
+        h_on.flat[::on.size + 1] += 1.0 / c
+        x_on = np.linalg.solve(h_on, v[on] - parts.l1_weight * s[on])
+        if not np.array_equal(np.sign(x_on), s[on]):
+            return None
+        x = np.zeros_like(v)
+        x[on] = x_on
+        return x
+
+    def finish(s):
+        tried.add(s.tobytes())
+        w = support_solve(s)
+        if w is None:
+            return False
+        candidate = certified(w, parts.grad_smooth(w))
+        yield candidate
+        return not candidate[1][s == 0.0].any()
+
+    x = z.copy()
+    grad_x = parts.grad_smooth(x)
+    yield certified(x, grad_x)
+    v = parts.hessian @ z - grad_x + z / c
+    tried = set()
+    if np.any(z) and (yield from finish(np.sign(z))):
+        return
+    y, grad_y = x, grad_x
+    signs, held = None, 0
+    while True:
+        w = parts.prox_h(y - step * (grad_y + (y - z) / c), step)
+        grad_w = parts.grad_smooth(w)
+        yield certified(w, grad_w)
+        y = w + q * (w - x)
+        grad_y = (1.0 + q) * grad_w - q * grad_x
+        x, grad_x = w, grad_w
+        s = np.sign(w)
+        held = held + 1 if np.array_equal(s, signs) else 1
+        signs = s
+        if held >= 3 and s.tobytes() not in tried and (yield from finish(s)):
+            return
+
+
+def unmemoized_svm_dual(p, z, c):
+    """The SVM dual inner solver's candidates with every free-set system and row
+    norm computed afresh, for reference.
+
+    Same candidates, in the same order, as ``prox._svm_dual``, which takes the
+    row norms from ``SvmParts.squared_norms`` and each free set's rows and
+    B_F B_F^T / sigma from ``SvmParts.free_set_system``.
+    """
+    from proxlab.problem import KINK_BAND, vector_norm
+
+    parts = p.svm
+    n, d = parts.features.shape
+    ba = parts.signed_rows
+    q = np.einsum("ij,ij->i", ba, ba)
+    sigma = parts.reg + 1.0 / c
+    w0 = z / (sigma * c)
+    cap = 1.0 / n
+
+    def certified(x, alpha):
+        margins = 1.0 - ba @ x
+        t = np.where(margins > KINK_BAND, 1.0,
+                     np.where(margins < -KINK_BAND, 0.0, np.clip(n * alpha, 0.0, 1.0)))
+        element = -(t @ ba) / n + parts.reg * x + (x - z) / c
+        return (x, element, vector_norm(element)), margins
+
+    def free_set_solve(x, alpha):
+        free = (alpha > 0.0) & (alpha < cap)
+        key = free.tobytes()
+        if not 0 < np.count_nonzero(free) <= d or key in tried:
+            return None
+        tried.add(key)
+        rows = ba[free]
+        base = x - (rows.T @ alpha[free]) / sigma
+        try:
+            alpha_free = np.linalg.solve(rows @ rows.T / sigma, 1.0 - rows @ base)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all((alpha_free >= 0.0) & (alpha_free <= cap)):
+            return None
+        alpha = alpha.copy()
+        alpha[free] = alpha_free
+        return w0 + (ba.T @ alpha) / sigma, alpha
+
+    alpha = np.where(1.0 - ba @ z > 0.0, cap, 0.0)
+    alpha[q == 0.0] = cap
+    x = w0 + (ba.T @ alpha) / sigma
+    tried = set()
+    while True:
+        candidate, margins = certified(x, alpha)
+        yield candidate
+        finished = free_set_solve(x, alpha)
+        if finished is not None:
+            yield certified(*finished)[0]
+        pinned = ((alpha == 0.0) & (margins < 0.0)) | ((alpha == cap) & (margins > 0.0))
+        for i in np.flatnonzero(~pinned & (q > 0.0)):
+            margin = 1.0 - float(np.dot(ba[i], x))
+            new = min(max(alpha[i] + sigma * margin / q[i], 0.0), cap)
+            if new != alpha[i]:
+                x = x + ((new - alpha[i]) / sigma) * ba[i]
+                alpha[i] = new
+        x = w0 + (ba.T @ alpha) / sigma
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import pickle
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -248,6 +250,30 @@ def test_non_finite_libsvm_value_exits_one_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: non-finite feature value") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name,field,value", [
+    ("lasso_small", "lam", math.nan),  # spun to the inner budget in the reference solve
+    ("lasso_small", "lam", math.inf),  # exited 0 with a RuntimeWarning
+    ("svm_synthetic", "svm_reg", math.nan),  # did not end
+    ("elastic_net_medium", "en_reg", math.nan),  # "Eigenvalues did not converge"
+    ("elastic_net_medium", "en_reg", math.inf),
+    ("quad1d_audit", "x0", [1e300]),  # exited 0 with f = inf in row 0
+])
+def test_non_finite_parameters_exit_one_naming_the_field(tmp_path, capsys, monkeypatch,
+                                                           name, field, value):
+    # A regression would show as a spin to the lowered inner budget, not a hang.
+    monkeypatch.setattr(importlib.import_module("proxlab.prox"), "MAX_INNER", 100)
+    body = json.loads((EXPERIMENTS / f"{name}.json").read_text())
+    (body if field == "x0" else body["problem"]["params"])[field] = value
+    body["max_iter"] = 30
+    cfg = write_config(tmp_path, "bad.json", body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}") and err.count("\n") == 1
+    assert not list((tmp_path / "o").iterdir())
 
 
 def test_svm_libsvm_config_path(tmp_path):

@@ -9,12 +9,17 @@ centers and steps at realistic sizes and check that every returned
 certificate is a true element of the subproblem subdifferential at the
 returned point, that the 1-d solver's point is as close to the subproblem
 root as its certificate promises, and that its candidates are those of the
-solver that tests every breakpoint before the bracket walk.
+solver that tests every breakpoint before the bracket walk.  The composite
+and SVM solvers' candidates, with their memoized linear systems, are bitwise
+those of the solvers that build every system afresh, also when the memo is
+shared by threads, and a memo holds the systems of one step size at a time.
 """
 
 import importlib
 import itertools
 import json
+import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -28,9 +33,11 @@ import proxlab.cli as cli
 import proxlab.ppm as ppm_module
 from proxlab import (Dataset, MLProblemParams, Piecewise1D, StepSchedule, make_benchmark,
                      make_blob_dataset, make_ml_problem, min_norm_subgradient, prox, run_ppm)
+from proxlab.errors import ResolutionFloor
 from proxlab.problem import problem_from_1d
 
-from oracles import bisect_root, fista_l1, loop_regula_falsi
+from oracles import (bisect_root, fista_l1, loop_regula_falsi, unmemoized_composite,
+                     unmemoized_svm_dual)
 from test_prox import certificate, certificate_is_subgradient, convex_piecewise
 
 prox_module = importlib.import_module("proxlab.prox")  # not proxlab.prox, the function
@@ -68,12 +75,21 @@ def run_config(name, work, grad_calls=None):
     return run_ppm(p, cli.build_x0(cfg, p), cli.build_schedule(cfg), max_iter=cfg["max_iter"])
 
 
-def test_lasso_medium_work_count(prox_work):
+def test_lasso_medium_work_count(monkeypatch, prox_work):
     grad_calls = Counter()
-    assert run_config("lasso_medium", prox_work, grad_calls).stop_reason == "gap"
+    support_solve = prox_module._support_solve
+    monkeypatch.setattr(prox_module, "_support_solve",
+                        lambda *args: prox_work.update(support=1) or support_solve(*args))
+    trace = run_config("lasso_medium", prox_work, grad_calls)
+    assert trace.stop_reason == "gap"
     assert prox_work["inner"] <= 100  # 100 with the support solve at sign(z), 195 before
     # One gradient at the prox center per call, then one per inner iteration.
     assert grad_calls["grad"] == prox_work["inner"] + prox_work["calls"]
+    # The run's parts are fresh (run_config replaced them), and its step is
+    # constant: 10 support systems built for 47 support solves.
+    systems = trace.problem.composite._support_systems
+    assert list(systems) == [0.16]
+    assert len(systems[0.16]) <= 10 < prox_work["support"]
 
 
 def test_svm_synthetic_work_count(prox_work):
@@ -101,28 +117,30 @@ def test_1d_ppm_work_count(prox_work, name, c, x0, horizon, cap):
     assert calls["interval"] <= INTERVAL_CAPS[name]
 
 
-def candidate_bytes(solver, p, z, c, limit=20_000):
-    """The bytes of each candidate ``solver`` yields, in order (at most ``limit``),
-    then the name of the arithmetic error that ended the candidates, if one did.
-
-    A walk that stops on a zero element leaves a bracket end at zero, and a
-    trial that lands on the minimizer puts the other end there too, so the
-    next secant root divides by zero.  Both solvers do it at the same
-    candidate; prox never asks for it, since its stop rules accept a zero
-    residual.
-    """
+def candidate_bytes(solver, p, z, c, limit=20_000, target=None):
+    """The bytes of each candidate ``solver`` yields, in order (at most ``limit``,
+    and up to the first whose residual is at most ``target`` when given), then
+    the name of the arithmetic error that ended the candidates, if one did."""
     out = []
     try:
-        for x, e, norm in itertools.islice(solver(p, np.array([z]), c), limit):
+        for x, e, norm in itertools.islice(solver(p, np.atleast_1d(z), c), limit):
             out.append((x.tobytes(), e.tobytes(), float(norm).hex()))
+            if target is not None and norm <= target:
+                break
     except ArithmeticError as exc:
         out.append(type(exc).__name__)
     return out
 
 
 def assert_same_candidates(p, z, c):
-    assert candidate_bytes(prox_module._regula_falsi, p, z, c) == \
-        candidate_bytes(loop_regula_falsi, p, z, c)
+    # A walk that stops on a zero element leaves a bracket end at zero, and a
+    # trial that lands on the minimizer puts the other end there too.  The
+    # reference's next secant root then divides 0 by 0, where the solver ends
+    # its candidates.
+    reference = candidate_bytes(loop_regula_falsi, p, z, c)
+    if reference[-1] == "ZeroDivisionError":
+        reference.pop()
+    assert candidate_bytes(prox_module._regula_falsi, p, z, c) == reference
 
 
 @settings(max_examples=80, deadline=None)
@@ -158,6 +176,20 @@ def test_1d_candidates_match_when_the_walk_meets_a_zero_element():
 def test_1d_candidates_match_breakpoints_first_on_weakly_convex(name, z, c_rho):
     p = make_benchmark(name)
     assert_same_candidates(p, z, c_rho / p.weak_convexity)
+
+
+def test_1d_candidates_end_when_both_bracket_ends_are_zero():
+    # f(x) = x from z = 0.99 at c = 1: the element x + 0.01 is exactly zero on
+    # a run of floats near the minimizer -0.01, the bracket's ends both reach
+    # it, and prox raises ResolutionFloor with its best candidate, not
+    # ZeroDivisionError.
+    line = (lambda x: x, lambda x: 1.0 + 0.0 * x)
+    p = problem_from_1d(Piecewise1D([], [line]), name="line")
+    with pytest.raises(ResolutionFloor) as info:
+        prox(p, [0.99], 1.0, stop_rule=lambda w, rn: False)
+    best = info.value.best
+    assert best.residual_norm == 0.0 and abs(best.point[0] + 0.01) <= 1e-15
+    assert candidate_bytes(loop_regula_falsi, p, 0.99, 1.0)[-1] == "ZeroDivisionError"
 
 
 def assert_1d_prox_certified(p, z, c, target):
@@ -219,6 +251,106 @@ def test_composite_support_solve_is_the_subproblem_minimizer(lasso_f20, en_f20, 
         lip = float(np.linalg.eigvalsh(parts.hessian)[-1])
         plain = fista_l1(parts.grad_smooth, lip, p.strong_convexity, lam, z, c)
         assert np.max(np.abs(x - plain)) <= 1e-8
+
+
+def memo(p) -> dict:
+    """The systems memo of p's structured inner solver, by step size."""
+    return p.composite._support_systems if p.composite else p.svm._free_set_systems
+
+
+def fresh_parts(p):
+    """Copy of p with copies of its structure parts, whose memos start empty."""
+    if p.composite:
+        return replace(p, composite=replace(p.composite))
+    return replace(p, svm=replace(p.svm))
+
+
+def solver_and_reference(p):
+    """p's structured inner solver and the reference that builds every system afresh."""
+    if p.composite:
+        return prox_module._composite, unmemoized_composite
+    return prox_module._svm_dual, unmemoized_svm_dual
+
+
+def assert_ppm_steps_match_unmemoized(p, z, c, count=3):
+    """From z, ``count`` PPM steps at the one step c: at each, the solver's candidates
+    up to the first prox accepts at TOL are bitwise the unmemoized reference's.
+    The later steps meet the sign patterns or free sets of the earlier ones."""
+    solver, reference = solver_and_reference(p)
+    for _ in range(count):
+        ours = candidate_bytes(solver, p, z, c, target=TOL)
+        assert ours == candidate_bytes(reference, p, z, c, target=TOL)
+        z = np.frombuffer(ours[-1][0])
+        assert len(memo(p)) <= 1
+
+
+# Few step sizes, so that consecutive draws often share one and the memo of the
+# shared fixture problems hits across draws as well as within one.
+memo_steps = st.sampled_from([0.16, 0.5, 2.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=arrays(float, 50, elements=centers), c=memo_steps)
+def test_composite_candidates_match_unmemoized(lasso_f20, en_f20, z, c):
+    for p in (lasso_f20, en_f20):
+        assert_ppm_steps_match_unmemoized(p, z, c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(z=arrays(float, 10, elements=centers), small=arrays(float, 3, elements=centers),
+       c=memo_steps)
+def test_svm_candidates_match_unmemoized(svm_blobs, svm_blobs_40, z, small, c):
+    assert_ppm_steps_match_unmemoized(svm_blobs, z, c)
+    assert_ppm_steps_match_unmemoized(svm_blobs_40, small, c)
+
+
+@pytest.mark.parametrize("name", ["lasso_f20", "svm_blobs"])
+def test_memo_holds_one_step_size_under_a_geometric_schedule(monkeypatch, request, name):
+    p = fresh_parts(request.getfixturevalue(name))
+    held = []  # the step sizes the memo held after each prox call
+
+    def checking_prox(q, z, c, *args, **kwargs):
+        result = prox(q, z, c, *args, **kwargs)
+        held.append(list(memo(q)))
+        assert len(held[-1]) <= 1
+        return result
+
+    monkeypatch.setattr(ppm_module, "prox", checking_prox)
+    trace = run_ppm(p, np.zeros(p.dimension), StepSchedule.geometric(0.1, 1.5), max_iter=8,
+                    stop_gap=0.0, stop_residual=0.0)
+    assert len(trace) - 1 == len(held) == 8
+    assert len({c for steps in held for c in steps}) >= 3
+
+
+@pytest.mark.parametrize("name", ["lasso_f20", "svm_blobs_40"])
+def test_memo_shared_by_threads_gives_the_unmemoized_candidates(request, name):
+    # Four threads solve the same jobs in rotated orders on one problem, so each
+    # memo is emptied for one step size while another thread reads it.
+    p = fresh_parts(request.getfixturevalue(name))
+    solver, reference = solver_and_reference(p)
+    rng = np.random.default_rng(3)
+    jobs = [(2.0 * rng.standard_normal(p.dimension), c) for _ in range(4)
+            for c in (0.16, 0.5, 2.0)]
+    expected = [candidate_bytes(reference, p, z, c, target=TOL) for z, c in jobs]
+    got = {}
+
+    def work(t):
+        order = [(i + 3 * t) % len(jobs) for i in range(len(jobs))] * 3
+        got[t] = [(i, candidate_bytes(solver, p, *jobs[i], target=TOL)) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(got) == 4
+    for results in got.values():
+        assert all(candidates == expected[i] for i, candidates in results)
 
 
 @settings(max_examples=40, deadline=None)

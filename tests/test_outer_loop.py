@@ -151,6 +151,19 @@ def test_inner_budget_keeps_partial_trace(lasso_f20):
     assert all(r <= 1e-10 for r in trace.residuals[:3])
 
 
+@pytest.mark.parametrize("run", ["ppm", "ippm", "gd"])
+def test_non_finite_value_at_x0_raises_naming_x0(quad1d, run):
+    # f(1e300) overflows to inf, without a warning; x0 is never recorded.
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="^x0: "):
+        if run == "ppm":
+            run_ppm(quad1d, [1e300], StepSchedule.constant(1.0), max_iter=5)
+        elif run == "ippm":
+            run_ippm(quad1d, [1e300], StepSchedule.constant(1.0),
+                     InexactCriterion("A'", eps0=0.1, gamma=0.5), max_iter=5)
+        else:
+            run_gd(quad1d, [1e300], GDParams(lipschitz=2.0, mu=2.0, beta=2.0), iters=5)
+
+
 def test_reference_solution_raises_on_exhausted_inner_solve():
     # The prox steps of (x - 1)^4 have irrational minimizers, so no float
     # meets a residual target of 1e-300.

@@ -182,6 +182,13 @@ def test_params_validation():
         MLProblemParams("lasso", lam=0.0)
 
 
+@pytest.mark.parametrize("field", ["lam", "en_reg", "svm_reg"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_params_reject_non_finite_weights_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        MLProblemParams("elastic_net", **{field: value})
+
+
 def test_unknown_benchmark():
     with pytest.raises(ValueError):
         make_benchmark("cubic")

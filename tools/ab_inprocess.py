@@ -8,16 +8,21 @@ directory as ``proxlab_parent`` and ``proxlab_change`` and imported side by
 side.  Every job of WORKLOAD's benchmark deck (``perfbench/bench_workloads.py``
 at --seed, as ``tools/run_configs.py`` reads it) runs through each side's
 ``cli.main`` in turn, the side that goes first alternating from job to job, over
---passes timed passes after one untimed warm-up pass.  Configs and outputs go
-to the temporary directory, which is removed at the end; nothing is written
-under ``perfbench/``.
+--passes timed passes after one warm-up pass.  Configs and outputs go to the
+temporary directory, which is removed at the end; nothing is written under
+``perfbench/``.
 
 For each job kind, and for the whole pass, the report gives each side's median
-time per pass, their ratio (parent over change: above 1 when the change is
-faster) and the passes the change won.  This is a development aid for a noisy
-shared host, where one process alternating the two versions sees both under
-the same machine state.  It decides nothing: the benchmark
-(``perfbench/run.py``, run on each commit) alone decides a performance claim.
+time per timed pass, their ratio (parent over change: above 1 when the change
+is faster) and the passes the change won.  A last row gives the warm-up pass
+the same way, kept out of the medians: it pays each side's first-call costs
+and the reference solve of each ML data set, which the benchmark's first timed
+pass pays too, for every instance but that of its warm-up job.
+
+This is a development aid for a noisy shared host, where one process
+alternating the two versions sees both under the same machine state.  It
+decides nothing: the benchmark (``perfbench/run.py``, run on each commit) alone
+decides a performance claim.
 """
 
 from __future__ import annotations
@@ -52,12 +57,13 @@ def build_deck(workload: str, seed: int) -> list[dict]:
 
 
 def run_passes(clis: dict, deck: list[dict], passes: int, work: Path) -> tuple[list, dict]:
-    """Per timed pass, each side's seconds per job kind; and each side's nonzero exits."""
+    """Per pass, the warm-up first, each side's seconds per job kind; and each side's
+    nonzero exits."""
     for job in deck:
         config = work / f"cfg{job['id']}.json"
         config.write_text(json.dumps(job["cfg"]), encoding="utf-8")
         job["argv"] = [job["cmd"], "--config", str(config), "--out"]
-    timed, failed = [], dict.fromkeys(SIDES, 0)
+    spent_per_pass, failed = [], dict.fromkeys(SIDES, 0)
     for done in range(passes + 1):  # pass 0 warms up
         spent = {side: dict.fromkeys((job["kind"] for job in deck), 0.0) for side in SIDES}
         for job in deck:
@@ -68,15 +74,16 @@ def run_passes(clis: dict, deck: list[dict], passes: int, work: Path) -> tuple[l
                 code = clis[side].main(job["argv"] + [str(out)])
                 spent[side][job["kind"]] += time.perf_counter() - start
                 failed[side] += code != 0
-        if done:
-            timed.append(spent)
-    return timed, failed
+        spent_per_pass.append(spent)
+    return spent_per_pass, failed
 
 
-def report(timed: list) -> str:
-    kinds = list(timed[0]["parent"])
+def report(spent_per_pass: list) -> str:
+    warm_up, *timed = spent_per_pass
+    kinds = list(warm_up["parent"])
     rows = [(kind, [{side: t[side][kind] for side in SIDES} for t in timed]) for kind in kinds]
     rows.append(("pass", [{side: sum(t[side].values()) for side in SIDES} for t in timed]))
+    rows.append(("warm-up pass", [{side: sum(warm_up[side].values()) for side in SIDES}]))
     width = max(len(kind) for kind, _ in rows)
     lines = [f"{'kind':<{width}}  {'parent ms':>10}  {'change ms':>10}  {'ratio':>6}  won"]
     for kind, per_pass in rows:
@@ -103,8 +110,8 @@ def main(argv: list[str]) -> int:
         sys.path.insert(0, str(work))
         clis = {side: load_cli(src, work, side)
                 for side, src in zip(SIDES, (args.parent_src, args.change_src))}
-        timed, failed = run_passes(clis, deck, args.passes, work)
-    print(report(timed))
+        spent_per_pass, failed = run_passes(clis, deck, args.passes, work)
+    print(report(spent_per_pass))
     if any(failed.values()):
         print(f"nonzero exits: {failed}", file=sys.stderr)
         return 1
