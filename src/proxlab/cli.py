@@ -29,7 +29,7 @@ from .gd import GDParams, run_gd
 from .ippm import InexactCriterion, run_ippm
 from .ppm import IterationTrace, StepSchedule, install_reference, reference_solution, run_ppm
 from .problem import ProblemSpec
-from .regularity import audit_implications, estimate_constants, plan_for
+from .regularity import EstimationPlan, audit_implications, estimate_constants, plan_for
 from .traceio import emit_trace_csv
 from .zoo import (BENCHMARKS, Dataset, MLProblemParams, generate_lasso_data, load_libsvm,
                   make_benchmark, make_blob_dataset, make_ml_problem, save_libsvm)
@@ -92,8 +92,11 @@ def _fields(section: dict, path: str, defaults: dict | None = None, /, **kinds) 
 def _blob_dataset(section: dict, path: str, seed: int) -> Dataset:
     """The blobs that ``problem.data.blobs`` or ``gen`` describes; ``seed`` is the run's."""
     size = _fields(section, path, n=int, d=int)
-    return make_blob_dataset(size["n"], size["d"],
-                             **_fields(section, path, {"seed": seed}, seed=int, separation=float))
+    shape = _fields(section, path, {"seed": seed}, seed=int, separation=float)
+    if not math.isfinite(shape.get("separation", 0.0)):
+        raise ConfigError(f"expected a finite number, got {shape['separation']}",
+                          field=f"{path}.separation")
+    return make_blob_dataset(size["n"], size["d"], **shape)
 
 
 # Reference solves of ML problems kept for later runs in this process, oldest
@@ -222,9 +225,9 @@ def _missing_reference(p: ProblemSpec) -> str | None:
     return None
 
 
-def _estimate(cfg: dict, p: ProblemSpec, out: Path, audit: bool):
-    """Estimate the constants under the config's plan and write report.json, with
-    the audit when asked.  The sublevel radius nu falls back to the top-level one."""
+def _plan(cfg: dict, p: ProblemSpec) -> EstimationPlan:
+    """The estimation plan the config describes on ``p``.  The sublevel radius nu
+    falls back to the top-level one."""
     est = cfg["estimation"]
     plan = plan_for(p, **_fields(est, "estimation", {"nu": cfg.get("nu")}, count=int, nu=float))
     overrides = _fields(est, "estimation", tau_s=float, bracket=list)
@@ -234,7 +237,13 @@ def _estimate(cfg: dict, p: ProblemSpec, out: Path, audit: bool):
             raise ConfigError(f"expected [lo, hi], got {len(ends)} numbers",
                               field="estimation.bracket")
         overrides["bracket"] = ends
-    report = estimate_constants(p, replace(plan, **overrides))
+    return replace(plan, **overrides)
+
+
+def _estimate(plan: EstimationPlan, p: ProblemSpec, out: Path, audit: bool):
+    """Estimate the constants under ``plan`` and write report.json, with the audit
+    when asked."""
+    report = estimate_constants(p, plan)
     body = report.to_json()
     if audit:
         body["audit"] = [{"relation": c.relation, "expected": c.expected,
@@ -304,6 +313,8 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     the theorem table and write summary.json; exit 2 on a failed check in test mode."""
     p = build_problem(cfg, seed)
     x0 = build_x0(cfg, p)
+    why = _missing_reference(p) if cfg["estimate"] or cfg["audit"] else "estimate is off"
+    plan = None if why else _plan(cfg, p)  # a bad plan is refused before the run
     limit = [cfg["max_iter"]] if "max_iter" in cfg else []  # else each loop's own horizon
     params = crits = None
     bounds = {}
@@ -325,11 +336,10 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
         trace = run_ppm(p, x0, sched, *limit)
     emit_trace_csv(trace, out / "trace.csv")
     report, skipped = None, {}
-    why = _missing_reference(p) if cfg["estimate"] or cfg["audit"] else "estimate is off"
     if why:
         skipped["estimate"] = why
     else:
-        report = _estimate(cfg, p, out, cfg["audit"])
+        report = _estimate(plan, p, out, cfg["audit"])
     checks = []
     for names, reason, checker in _theorems(cmd, cfg, p, trace, report, params, crits):
         if reason:
@@ -364,7 +374,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
 def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     """estimate, audit: write report.json; exit 1 when the problem has no reference."""
     p = build_problem(cfg, seed)
-    report = _estimate(cfg, p, out, cmd == "audit" or cfg["audit"])
+    report = _estimate(_plan(cfg, p), p, out, cmd == "audit" or cfg["audit"])
     _write_json(out / "summary.json", {"problem": p.name, "report": "report.json",
                                        "flags": report.to_json()["flags"]})
     return 0

@@ -33,8 +33,11 @@ Vector = np.ndarray
 
 # Margin band inside which a hinge term counts as sitting at its kink.
 KINK_BAND = 1e-9
-# Rows per batch-oracle call: a batch's temporaries stay this many rows tall.
-BATCH_ROWS = 512
+# Elements (rows times dimension) per batch-oracle block, and per block of the
+# estimator's pair differences: a block's temporaries stay about 256 KB
+# whatever the dimension, and a 1-d or 2-d grid of up to 2^15 or 2^14 points
+# is one oracle call.
+BATCH_ELEMENTS = 2 ** 15
 # Cap on the greedy passes over the kink weights of one SVM min-norm element.
 MIN_NORM_PASSES = 1000
 # Length up to which ``all_finite`` tests entries one by one in Python, which
@@ -293,22 +296,33 @@ def batch_oracle(p: ProblemSpec, name: str, xs: np.ndarray, rows=None) -> np.nda
     """The batch oracle ``name`` at the rows ``rows`` of xs (default: every row).
 
     ``name`` is "values", "min_norm_subgradients" or "project_solutions".  The
-    result has one entry (values) or one row per row of xs, zero outside
-    ``rows``.  The oracle is called on BATCH_ROWS rows at a time and each block
-    is written straight into its rows, so no temporary is larger than a block.
-    A problem without the batch form gets its scalar oracle mapped over the
-    rows instead (min-norm elements at shift 0, with no domain check).
+    result is a fresh writable array with one entry (values) or one row per
+    row of xs, zero outside ``rows``.  The oracle is called on blocks of
+    max(1, BATCH_ELEMENTS // d) rows and each block is written straight into
+    its rows, so no temporary is larger than a block; every batch oracle is
+    row-wise, so the blocks do not change a bit of the result.  A block is a
+    slice of xs when ``rows`` is None or one run of consecutive indices, and
+    a gather of its rows otherwise.  A problem without the batch form gets its
+    scalar oracle mapped over the rows instead (min-norm elements at shift 0,
+    with no domain check).
     """
-    rows = np.arange(len(xs)) if rows is None else rows
     out = np.zeros(len(xs)) if name == "values" else np.zeros_like(xs)
-    batch, row = getattr(p, name), _row_oracle(p, name)
-    for start in range(0, len(rows), BATCH_ROWS):
-        block = rows[start:start + BATCH_ROWS]
-        if batch is not None:
+    batch = getattr(p, name)
+    if batch is None:
+        row = _row_oracle(p, name)
+        for i in range(len(xs)) if rows is None else rows:
+            out[i] = row(xs[i])
+        return out
+    step = max(1, BATCH_ELEMENTS // xs.shape[1])
+    if rows is not None and not (rows.size and (np.diff(rows) == 1).all()):
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
             out[block] = batch(xs[block])
-        else:
-            for i in block:
-                out[i] = row(xs[i])
+        return out
+    lo, hi = (0, len(xs)) if rows is None else (int(rows[0]), int(rows[-1]) + 1)
+    for start in range(lo, hi, step):
+        block = slice(start, min(start + step, hi))
+        out[block] = batch(xs[block])
     return out
 
 

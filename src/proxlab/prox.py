@@ -38,8 +38,8 @@ class ProxResult:
 
 
 def _validate_step(p: ProblemSpec, c: float) -> None:
-    if c <= 0:
-        raise ValueError(f"prox step must be positive, got {c}")
+    if not 0 < c < math.inf:  # NaN fails too
+        raise ValueError(f"prox step must be positive and finite, got {c}")
     if p.weak_convexity > 0 and 1.0 / c <= p.weak_convexity:
         raise StepTooLarge(
             f"1/c = {1.0 / c:g} must exceed the weak convexity modulus {p.weak_convexity:g}")

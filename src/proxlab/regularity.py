@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NeedsReference, ProxlabError
-from .problem import ProblemSpec, as_point, batch_oracle
+from .problem import BATCH_ELEMENTS, ProblemSpec, as_point, batch_oracle
 
 EB_CAP = 1e12
 STATIONARY_NORM = 1e-8
 SUBOPTIMAL_GAP = 1e-6
 # Secant growth is estimated over ordered pairs of at most this many samples.
 PAIR_THIN = 200
-# Grid points of the sign-change scan for stationary points.
+# Grid points of the sign-change scan for stationary points: one batch-oracle
+# block in one dimension while it is at most BATCH_ELEMENTS.
 STATIONARY_SCAN = 4096
 # Multiplicative sampling tolerance of every audited constant relation.
 AUDIT_TOL = 0.10
@@ -51,6 +52,8 @@ class EstimationPlan:
             raise ValueError("need at least 100 samples")
         if not self.tau_s > 0:
             raise ValueError(f"tau_s = {self.tau_s:g} is not positive")
+        if math.isnan(self.nu):  # every gap > nan is false, so nothing would be cut
+            raise ValueError("nu = nan is not a sublevel bound; give a number or inf")
         if self.bracket is not None:
             lo, hi = self.bracket  # a finite width needs finite ends
             if not (math.isfinite(hi - lo) and lo < hi):
@@ -132,12 +135,13 @@ def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _secant_rows(xs, fx, g, rows, tau_s):
     """(least ratio of each row i, i) over the pairs (i, j) of a thinned subset
     of rows with ||x_j - x_i||^2 >= tau_s, in blocks of a (B, P, d) difference
-    of about 2^15 elements.  Each row's <g_i, x_j - x_i> is one gemv on its
-    pairs alone: OpenBLAS rounds a row's dot by the row count of its matrix."""
+    of about BATCH_ELEMENTS elements.  Each row's <g_i, x_j - x_i> is one gemv
+    on its pairs alone: OpenBLAS rounds a row's dot by the row count of its
+    matrix."""
     subset = rows[::max(1, rows.size // PAIR_THIN)][:PAIR_THIN]
     pts, vals, d = xs[subset], fx[subset], xs.shape[1]
     row_min, far_pairs = np.empty(subset.size), np.empty(subset.size, dtype=int)
-    block = max(1, 2 ** 15 // (subset.size * d))
+    block = max(1, BATCH_ELEMENTS // (subset.size * d))
     for lo in range(0, subset.size, block):
         at = subset[lo:lo + block]
         flat = (pts - xs[at, None]).reshape(-1, d)

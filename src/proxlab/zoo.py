@@ -244,6 +244,10 @@ def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
     parts = SvmParts(features=data.features, labels=data.labels, reg=reg)
     ba = parts.signed_rows
     min_norm = parts.min_norm_element  # one bound method for both oracles
+    overflow = np.flatnonzero(parts.squared_norms == math.inf)
+    if overflow.size:  # the dual solver divides by them and would spin to no end
+        raise ValueError(f"squared row norms of the features overflow (row {overflow[0]}); "
+                         f"rescale the data")
 
     def value(x):
         margins = 1.0 - ba @ x

@@ -276,6 +276,29 @@ def test_non_finite_parameters_exit_one_naming_the_field(tmp_path, capsys, monke
     assert not list((tmp_path / "o").iterdir())
 
 
+@pytest.mark.parametrize("separation,line", [
+    (math.nan, "config error: problem.data.blobs.separation: expected a finite number"),
+    (math.inf, "config error: problem.data.blobs.separation: expected a finite number"),
+    (1e300, "config error: squared row norms of the features overflow"),  # ran past 60 s
+])
+def test_blobs_that_break_the_data_exit_one(tmp_path, capsys, monkeypatch, separation, line):
+    # A non-finite separation printed "error: non-finite entries in dataset".  A
+    # regression would show as a spin to the lowered inner budget, not a hang.
+    monkeypatch.setattr(importlib.import_module("proxlab.prox"), "MAX_INNER", 100)
+    body = json.loads((EXPERIMENTS / "svm_synthetic.json").read_text())
+    body["problem"]["data"]["blobs"]["separation"] = separation
+    body["max_iter"] = 30
+    cfg = write_config(tmp_path, "bad.json", body)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1
+    assert not list((tmp_path / "o").iterdir())
+
+
 def test_svm_libsvm_config_path(tmp_path):
     data = tmp_path / "toy.libsvm"
     data.write_text("+1 1:1 2:0.5\n-1 1:-1 2:-0.5\n+1 1:0.8\n-1 2:-1\n",
@@ -394,6 +417,21 @@ def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
     assert err.startswith("config error: ") and err.count("\n") == 1
     # Rejected before any step or estimate.
     assert not {"trace.csv", "report.json"} & {f.name for f in (tmp_path / "o").glob("*")}
+
+
+@pytest.mark.parametrize("cmd,body", [
+    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"nu": math.nan}}),
+    ("run-ppm", {"problem": {"benchmark": "quad1d"}, "nu": math.nan, "estimate": True}),
+])
+def test_nan_nu_exits_one_naming_it(tmp_path, capsys, cmd, body):
+    # A NaN nu cut no sample: estimate exited 0 with "nu": "inf" in report.json.
+    cfg = write_config(tmp_path, "bad.json", body)
+    start = time.perf_counter()
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: nu = nan") and err.count("\n") == 1
+    assert not list((tmp_path / "o").iterdir())  # refused before the run
 
 
 # The subcommand that reads a section, where run-ppm does not.

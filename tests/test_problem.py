@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from proxlab import (BENCHMARKS, DomainError, NotAvailable, ProblemSpec, ProxResult,
-                     distance_to_solution, make_benchmark, min_norm_subgradient)
-from proxlab.problem import (BATCH_ROWS, SHORT_VECTOR, Piecewise1D, all_finite, as_point,
-                             batch_oracle, problem_from_1d, vector_norm)
+                     distance_to_solution, make_benchmark, min_norm_subgradient, problem)
+from proxlab.problem import (SHORT_VECTOR, Piecewise1D, all_finite, as_point, batch_oracle,
+                             problem_from_1d, vector_norm)
 
 from oracles import grid_argmin
 from test_prox import certificate_is_subgradient
@@ -190,38 +191,85 @@ def test_with_reference_copies():
 BATCH_FIELDS = ("values", "min_norm_subgradients", "project_solutions")
 
 
+def probe_points(p, n, rng):
+    """n random rows of p's dimension, with zeros, signed zeros and p's breakpoints."""
+    xs = rng.uniform(-3.0, 3.0, (n, p.dimension))
+    xs[:40] = 0.0
+    xs[40:80, ::2] = -0.0
+    xs[80:80 + len(p.breakpoints_1d), 0] = p.breakpoints_1d
+    return xs
+
+
+def oracle_fields(p):
+    return [f for f in BATCH_FIELDS if f != "project_solutions" or p.project_solution is not None]
+
+
 @pytest.mark.parametrize("name", [*BENCHMARKS, "en_f20", "lasso_f20"])
 def test_batch_oracles_equal_the_scalar_oracles_bitwise(request, name):
     # Every row, signed zeros included, on random points, zeros and breakpoints;
     # the row fallback maps the scalar oracles, so it is the reference.
     p = make_benchmark(name) if name in BENCHMARKS else request.getfixturevalue(name)
     rng = np.random.default_rng(5)
-    xs = rng.uniform(-3.0, 3.0, (2 * BATCH_ROWS + 77, p.dimension))
-    xs[:40] = 0.0
-    xs[40:80, ::2] = -0.0
-    xs[80:80 + len(p.breakpoints_1d), 0] = p.breakpoints_1d
+    xs = probe_points(p, 1101, rng)
     rows = np.flatnonzero(rng.random(len(xs)) < 0.7)
     scalar = replace(p, **dict.fromkeys(BATCH_FIELDS))
-    for field in BATCH_FIELDS:
-        if field == "project_solutions" and p.project_solution is None:
-            continue
+    for field in oracle_fields(p):
         assert getattr(p, field) is not None, field
         got, want = batch_oracle(p, field, xs, rows), batch_oracle(scalar, field, xs, rows)
         assert got.tobytes() == want.tobytes(), field
 
 
-def test_batch_oracle_calls_blocks_and_leaves_other_rows_zero(quad1d):
-    sizes = []
+@pytest.mark.parametrize("name", [*BENCHMARKS, "en_f20", "lasso_f20", "svm_blobs"])
+def test_batch_oracle_is_bitwise_independent_of_its_blocks(request, monkeypatch, name):
+    # Blocks of 1 row, 7 rows and one block for all, taken over every row, a
+    # run of rows starting at an odd row and scattered rows, give the bytes of
+    # one call on every row, zero outside the rows asked for (the SVM has no
+    # batch value or min-norm form and maps its scalar oracles).
+    p = make_benchmark(name) if name in BENCHMARKS else request.getfixturevalue(name)
+    rng = np.random.default_rng(6)
+    xs = probe_points(p, 120, rng)
+    selections = [None, np.arange(13, 111), np.flatnonzero(rng.random(len(xs)) < 0.5)]
+    for field in oracle_fields(p):
+        whole = batch_oracle(p, field, xs)
+        for budget in (p.dimension, 7 * p.dimension, sys.maxsize):
+            monkeypatch.setattr(problem, "BATCH_ELEMENTS", budget)
+            for rows in selections:
+                want = np.zeros_like(whole)
+                at = slice(None) if rows is None else rows
+                want[at] = whole[at]
+                got = batch_oracle(p, field, xs, rows)
+                assert got.tobytes() == want.tobytes(), (field, budget, rows)
+            monkeypatch.undo()
 
-    def values(xs):
-        sizes.append(len(xs))
-        return quad1d.values(xs)
 
-    xs = np.linspace(-1.0, 1.0, 3 * BATCH_ROWS)[:, None]
-    rows = np.arange(1, len(xs), 2)
-    out = batch_oracle(replace(quad1d, values=values), "values", xs, rows)
-    assert sizes == [BATCH_ROWS, BATCH_ROWS // 2]
-    assert np.array_equal(out[rows], xs[rows, 0] ** 2) and not out[::2].any()
+def test_batch_oracle_calls_blocks_and_leaves_other_rows_zero(monkeypatch, aniso_quad):
+    # A budget of 9 elements is 4 rows at d = 2.  Every row and a run of rows
+    # go as views of xs, scattered rows as gathered blocks; the result is a
+    # fresh array, zero outside the rows.
+    monkeypatch.setattr(problem, "BATCH_ELEMENTS", 9)
+    xs = np.linspace(-1.0, 1.0, 22).reshape(11, 2)
+    for rows, sizes, views in [(None, [4, 4, 3], True), (np.arange(3, 11), [4, 4], True),
+                               (np.arange(1, 11, 2), [4, 1], False)]:
+        blocks = []
+
+        def values(block):
+            blocks.append(block)
+            return aniso_quad.values(block)
+
+        out = batch_oracle(replace(aniso_quad, values=values), "values", xs, rows)
+        assert [len(b) for b in blocks] == sizes
+        assert [np.shares_memory(b, xs) for b in blocks] == [views] * len(sizes)
+        asked = np.isin(np.arange(len(xs)), np.arange(len(xs)) if rows is None else rows)
+        assert out.tobytes() == np.where(asked, aniso_quad.values(xs), 0.0).tobytes()
+
+
+def test_batch_oracle_copies_a_read_only_projection(svm_blobs):
+    # The reference projection is a read-only broadcast view of one point;
+    # distances_to_solution writes into what batch_oracle returns.
+    xs = np.zeros((3, svm_blobs.dimension))
+    assert not svm_blobs.project_solutions(xs).flags.writeable
+    out = batch_oracle(svm_blobs, "project_solutions", xs)
+    assert out.flags.writeable and out.tobytes() == svm_blobs.project_solutions(xs).tobytes()
 
 
 def test_with_reference_replaces_a_stale_batch_projection(quad1d):

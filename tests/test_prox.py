@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,6 +173,21 @@ def test_step_too_large(wc_piecewise, sine_quad):
         prox(sine_quad, [1.0], 0.2)  # 1/0.2 = 5 < rho = 10
     with pytest.raises(ValueError):
         prox(wc_piecewise, [-0.7], -1.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+@pytest.mark.parametrize("name,z", [("quad1d", [3.0]), ("lasso_toy", [0.0, 0.0]),
+                                    ("svm_toy", [0.2, -0.4]), ("sine_quad", [1.0])])
+def test_non_finite_step_is_refused_before_any_iteration(request, name, z, c):
+    # The closed form, composite, SVM-dual and 1-d paths: a NaN step spun the
+    # lasso to its inner budget and certified the centre on sine_quad.
+    calls = []
+    p = request.getfixturevalue(name)
+    if p.prox_closed_form is not None:
+        p = replace(p, prox_closed_form=lambda z, c: calls.append(c) or z)
+    with pytest.raises(ValueError, match="positive and finite"):
+        prox(p, z, c, stop_rule=lambda w, rn: calls.append(rn) or True)
+    assert calls == []
 
 
 def test_prox_weakly_convex_valid_step(wc_piecewise):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from proxlab import (EstimationPlan, NeedsReference, audit_implications,
                      estimate_constants, find_suboptimal_stationary_points,
                      make_benchmark, plan_for, regularity, zoo)
-from proxlab.problem import BATCH_ROWS
+from proxlab.problem import BATCH_ELEMENTS
 
 from conftest import counted
 from oracles import bisect_root, loop_estimate, loop_secant_rows, loop_stationary_points
@@ -139,13 +139,15 @@ def test_stationary_points_empty_when_unique(quad1d, wc_piecewise):
 
 
 def test_stationary_scan_stops_halving_once_no_bracket_moves(sine_quad):
-    # The grid is 8 batch calls of 512 rows and classifying the roots one more;
-    # every other call halves the live brackets.  On the sine_quad bracket no
-    # end moves after halving 44 (halving all 80 times makes 80 calls).
+    # The grid is one batch call per BATCH_ELEMENTS points (one call today)
+    # and classifying the roots one more; every other call halves the live
+    # brackets.  On the sine_quad bracket no end moves after halving 44
+    # (halving all 80 times makes 80 calls).
     tally = Counter()
     find_suboptimal_stationary_points(counted(sine_quad, tally), sine_quad.metadata["bracket"])
     calls, _ = tally["min_norm_subgradients"]
-    assert calls - regularity.STATIONARY_SCAN // BATCH_ROWS - 1 <= 44
+    grid_calls = math.ceil(regularity.STATIONARY_SCAN / BATCH_ELEMENTS)
+    assert calls - grid_calls - 1 <= 44
 
 
 def _hex_roots(points):
@@ -196,6 +198,8 @@ def test_plan_validation():
     for tau_s in (0.0, -1e-9, math.nan):  # a zero denominator, or no filter at all
         with pytest.raises(ValueError):
             EstimationPlan(tau_s=tau_s)
+    with pytest.raises(ValueError, match="nu = nan"):  # no sublevel cut at all
+        EstimationPlan(nu=math.nan)
     for bracket in ((0.5, 0.5), (1.0, -1.0), (-1e308, 1e308), (0.0, math.inf),
                     (math.nan, 1.0), (-math.inf, math.inf)):
         with pytest.raises(ValueError, match="bracket"):
@@ -318,15 +322,16 @@ def test_grid_estimate_imports_no_module():
 
 
 @pytest.mark.parametrize("fixture,nu,counts", [
-    ("quad1d", None, {"values": (29, 14_098), "project_solutions": (20, 10_001),
-                      "min_norm_subgradients": (30, 14_098)}),
-    ("quad1d", 0.25, {"values": (29, 14_098), "project_solutions": (10, 5_001),
-                      "min_norm_subgradients": (20, 9_098)}),
-    ("en_f20", None, {"values": (20, 10_001), "project_solution": (1, 1),
-                      "project_solutions": (20, 10_001), "min_norm_subgradients": (20, 10_001)}),
+    ("quad1d", None, {"values": (3, 14_098), "project_solutions": (1, 10_001),
+                      "min_norm_subgradients": (4, 14_098)}),
+    ("quad1d", 0.25, {"values": (3, 14_098), "project_solutions": (1, 5_001),
+                      "min_norm_subgradients": (4, 9_098)}),
+    ("en_f20", None, {"values": (16, 10_001), "project_solution": (1, 1),
+                      "project_solutions": (16, 10_001), "min_norm_subgradients": (16, 10_001)}),
 ])
 def test_estimate_oracle_work_count(request, fixture, nu, counts):
-    # (calls, rows) per oracle, 512 rows a batch call.  One value per sample
+    # (calls, rows) per oracle, a batch call per 2^15 elements: all of a 1-d
+    # grid, 655 rows at d = 50.  One value per sample
     # (quad1d: plus the stationary scan's grid and its one root); a projection
     # only inside the nu-sublevel set (en_f20: plus one scalar call for the
     # Gaussian centre); a min-norm element only for samples that enter the

@@ -8,7 +8,11 @@ each job of the ``perfbench`` decks at seeds 1-3 runs as its one subcommand,
 all through ``proxlab.cli.main`` in this process.  Every run writes into its
 own directory under OUT (the job's config beside its outputs), and
 ``OUT/exit_codes.txt`` lists each run's directory and exit code.  Two trees
-made from two versions of the code compare with one ``diff -r``.  The summary
+made from two versions of the code compare with one ``diff -r``, or with
+``python3 tools/compare_runs.py A B``, which prints each differing file with
+the largest relative change of its numeric CSV or JSON fields, then how many
+files differ and the largest change of all, and exits 0 only when the trees
+are identical.  The summary
 line on stdout ends with the total wall time of the runs and its share per
 group (``experiments``, then each workload's decks), which nothing in OUT
 records.
