@@ -1,6 +1,6 @@
 """Experiment harness: JSON config in, CSV trace / JSON report out.
 
-Subcommands: run-ppm, run-ippm, run-gd, estimate, audit, gen-data.  Each
+Subcommands: run-ppm, run-ippm, run-gd, estimate, audit.  Each
 takes --config <path> and --out <dir>; --seed overrides the config seed.
 Exit codes: 0 success, 1 operational error, 2 bound-check failure in
 test mode (so CI can tell theory regressions from crashes).
@@ -31,8 +31,8 @@ from .ppm import IterationTrace, StepSchedule, install_reference, reference_solu
 from .problem import ProblemSpec
 from .regularity import EstimationPlan, audit_implications, estimate_constants, plan_for
 from .traceio import emit_trace_csv
-from .zoo import (BENCHMARKS, Dataset, MLProblemParams, generate_lasso_data, load_libsvm,
-                  make_benchmark, make_blob_dataset, make_ml_problem, save_libsvm)
+from .zoo import (BENCHMARKS, MLProblemParams, generate_lasso_data, load_libsvm,
+                  make_benchmark, make_blob_dataset, make_ml_problem)
 
 
 def load_config(path) -> dict:
@@ -47,13 +47,20 @@ def load_config(path) -> dict:
 
 def _typed(value, kind, field: str):
     """``value`` if it has the JSON kind ``kind``: a type (``float`` for any number) or a
-    tuple of them.  A bool is only a bool, and a null is nothing."""
+    tuple of them.  A bool is only a bool, and a null is nothing.  A number must fit a
+    float; an integer that does is returned as it is."""
     kinds = kind if isinstance(kind, tuple) else (kind,)
     accepted = kinds + (int,) if float in kinds else kinds
     if not isinstance(value, accepted) or isinstance(value, bool) and bool not in kinds:
         expected = " or ".join("number" if k is float else k.__name__ for k in kinds)
         got = "nothing" if value is None else type(value).__name__
         raise ConfigError(f"expected {expected}, got {got}", field=field)
+    if float in kinds and type(value) is int:
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError("expected a number, got an integer too large for a float",
+                              field=field) from None
     return value
 
 
@@ -87,16 +94,6 @@ def _fields(section: dict, path: str, defaults: dict | None = None, /, **kinds) 
                 raise ConfigError(f"expected non-negative integer, got {value}",
                                   field=prefix + key)
     return _Fields(fields, prefix, kinds)
-
-
-def _blob_dataset(section: dict, path: str, seed: int) -> Dataset:
-    """The blobs that ``problem.data.blobs`` or ``gen`` describes; ``seed`` is the run's."""
-    size = _fields(section, path, n=int, d=int)
-    shape = _fields(section, path, {"seed": seed}, seed=int, separation=float)
-    if not math.isfinite(shape.get("separation", 0.0)):
-        raise ConfigError(f"expected a finite number, got {shape['separation']}",
-                          field=f"{path}.separation")
-    return make_blob_dataset(size["n"], size["d"], **shape)
 
 
 # Reference solves of ML problems kept for later runs in this process, oldest
@@ -163,7 +160,13 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
             raise ConfigError(f"cannot read {data['libsvm']}: {exc.strerror}",
                               field="problem.data.libsvm")
     elif "blobs" in data:
-        dataset = _blob_dataset(data["blobs"], "problem.data.blobs", seed)
+        size = _fields(data["blobs"], "problem.data.blobs", n=int, d=int)
+        shape = _fields(data["blobs"], "problem.data.blobs", {"seed": seed}, seed=int,
+                        separation=float)
+        if not math.isfinite(shape.get("separation", 0.0)):
+            raise ConfigError(f"expected a finite number, got {shape['separation']}",
+                              field="problem.data.blobs.separation")
+        dataset = make_blob_dataset(size["n"], size["d"], **shape)
     else:
         raise ConfigError("svm needs data.libsvm or data.blobs", field="problem.data")
     return _ml_problem(kind, dataset, params)
@@ -380,21 +383,8 @@ def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_gen_data(_cmd: str, cfg: dict, out: Path, seed: int) -> int:
-    """gen-data: write blob classification data as data.libsvm."""
-    kind = _fields(cfg["gen"], "gen", kind=str)["kind"]
-    if kind != "blobs":
-        raise ConfigError(f"unknown gen kind {kind!r}; gen-data makes only blobs",
-                          field="gen.kind")
-    dataset = _blob_dataset(cfg["gen"], "gen", seed)
-    save_libsvm(dataset, out / "data.libsvm")
-    _write_json(out / "summary.json", {"kind": "blobs", "n": dataset.n_samples,
-                                       "d": dataset.n_features})
-    return 0
-
-
 _COMMANDS = {"run-ppm": cmd_run, "run-ippm": cmd_run, "run-gd": cmd_run,
-             "estimate": cmd_estimate, "audit": cmd_estimate, "gen-data": cmd_gen_data}
+             "estimate": cmd_estimate, "audit": cmd_estimate}
 
 # Built once: parsing does not change the parser, and building it costs more
 # than a parse.
@@ -415,7 +405,7 @@ def main(argv=None) -> int:
             "schedule": {"constant": 1.0}, "x0": "zeros", "estimation": {}, "seed": 0,
             "test_mode": False, "estimate": False, "audit": False},
             problem=dict, schedule=dict, x0=(str, list), max_iter=int, criterion=(dict, list),
-            gd=dict, estimation=dict, gen=dict, nu=float, seed=int, test_mode=bool,
+            gd=dict, estimation=dict, nu=float, seed=int, test_mode=bool,
             estimate=bool, audit=bool)
         seed = cfg["seed"]
         out = Path(args.out)

@@ -10,7 +10,7 @@ class DomainError(ProxlabError):
 
 
 class NotAvailable(ProxlabError):
-    """An optional oracle (solution set, exact min-norm subgradient, ...) is missing."""
+    """An optional oracle (solution set, inner solver, ...) is missing."""
 
 
 class BadShape(ProxlabError):

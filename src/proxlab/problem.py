@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, NotAvailable
+from .errors import DomainError, InnerBudgetExhausted, NotAvailable
 
 Vector = np.ndarray
 
@@ -38,7 +38,9 @@ KINK_BAND = 1e-9
 # whatever the dimension, and a 1-d or 2-d grid of up to 2^15 or 2^14 points
 # is one oracle call.
 BATCH_ELEMENTS = 2 ** 15
-# Cap on the greedy passes over the kink weights of one SVM min-norm element.
+# Cap on the active-set passes over the kink weights of one SVM min-norm
+# element; an element at a kink still not optimal after them raises
+# InnerBudgetExhausted.
 MIN_NORM_PASSES = 1000
 # Length up to which ``all_finite`` tests entries one by one in Python, which
 # is cheaper there than one np.isfinite call: about 0.05 us an entry against
@@ -202,31 +204,55 @@ class SvmParts:
         return system
 
     def min_norm_element(self, x: Vector, shift=0.0) -> Vector:
-        """Element of the objective's subdifferential at x, plus ``shift``, of small norm.
+        """The element of the objective's subdifferential at x, plus ``shift``,
+        nearest zero.
 
-        Hinge terms off their kink contribute their gradient; the weights
-        t_i in [0, 1] of the terms at a kink are chosen by greedy coordinate
-        passes on ||element||, repeated while a pass strictly lowers it (at
-        most MIN_NORM_PASSES).  The norm upper-bounds the distance from -shift
-        to the subdifferential.
+        Hinge terms off their kink contribute their gradient.  The weights
+        t in [0, 1]^k of the terms at a kink minimize ||base - sum_j t_j row_j||:
+        bounded-variable least squares, solved by the active-set method
+        (Lawson & Hanson, 1974; Stark & Parker, 1995).  Each pass frees the
+        bound weight whose gradient points furthest into the box and solves
+        the free weights by least squares, cutting a solution that leaves the
+        box back at the first bound met.  It stops when no bound weight's
+        gradient points into the box by more than rounding, which is the
+        optimality condition, so the element is exact up to rounding.  At a
+        kink, raises InnerBudgetExhausted after MIN_NORM_PASSES passes.
         """
         ba, n = self.signed_rows, self.labels.size
         margins = 1.0 - ba @ x
-        r = -ba[margins > KINK_BAND].sum(axis=0) / n + self.reg * x + shift
-        kinks = np.flatnonzero(np.abs(margins) <= KINK_BAND)
-        rows = ba[kinks] / n
-        sq = row_dots(rows, rows)
-        t = np.zeros(kinks.size)
-        size = float(np.dot(r, r))
+        base = -ba[margins > KINK_BAND].sum(axis=0) / n + self.reg * x + shift
+        rows = ba[np.abs(margins) <= KINK_BAND] / n
+        if not rows.size:  # no kink, as off the solution: the gradient, with no pass
+            return base
+        norms = np.sqrt(row_dots(rows, rows))
+        # Rounding of <r, row_j>: every partial sum of r is within ||base|| + sum_j ||row_j||.
+        slack = 16 * np.finfo(float).eps * (vector_norm(base) + norms.sum()) * norms
+        t, free, r = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool), base
         for _ in range(MIN_NORM_PASSES):
-            for j in np.flatnonzero(sq > 0.0):
-                r_wo = r + t[j] * rows[j]  # r = base - sum_j t_j * row_j
-                t[j] = min(max(float(np.dot(r_wo, rows[j])) / sq[j], 0.0), 1.0)
-                r = r_wo - t[j] * rows[j]
-            before, size = size, float(np.dot(r, r))
-            if not size < before:
-                break
-        return r
+            pull = rows @ r  # minus the gradient of ||r||^2 / 2 in t
+            gain = np.where(free, 0.0, np.where(t == 0.0, pull, -pull)) - slack
+            if gain.max() <= 0.0:
+                return r
+            free[np.argmax(gain)] = True
+            while free.any():
+                trial = t.copy()
+                trial[free] = np.linalg.lstsq(rows[free].T, base - rows[~free].T @ t[~free],
+                                              rcond=None)[0]
+                if np.all((trial >= 0.0) & (trial <= 1.0)):
+                    t = trial
+                    break
+                # Go toward the trial until a free weight meets its bound, and put
+                # it there exactly; the weights on a bound leave the free set.
+                step = trial - t
+                reach = np.divide(np.where(step < 0.0, t, 1.0 - t), np.abs(step),
+                                  out=np.full(t.size, np.inf), where=step != 0.0)
+                i = np.argmin(reach)
+                t = np.clip(t + reach[i] * step, 0.0, 1.0)
+                t[i] = round(t[i])
+                free &= (t > 0.0) & (t < 1.0)
+            r = base - rows.T @ t
+        raise InnerBudgetExhausted(f"SVM min-norm element: not optimal after "
+                                   f"{MIN_NORM_PASSES} active-set passes (MIN_NORM_PASSES)")
 
 
 @dataclass(frozen=True)
@@ -238,8 +264,7 @@ class ProblemSpec:
     recorded so reference solves know when the minimizer is unique.
     ``min_norm_subgradient(x, shift=0.0)`` is required: it returns the element
     of ``partial f(x) + shift`` nearest zero, and every prox certificate and
-    estimated slope is read from it.  ``min_norm_exact`` says whether that is
-    the true minimum-norm element or only a constructed upper bound.
+    estimated slope is read from it.
 
     The batch oracles are optional and take an (N, d) array of rows:
     ``values`` gives f per row (N,), ``min_norm_subgradients`` the min-norm
@@ -253,7 +278,6 @@ class ProblemSpec:
     value: Callable[[Vector], float]
     subgradient: Callable[[Vector], Vector]
     min_norm_subgradient: Callable[..., Vector]
-    min_norm_exact: bool = True
     weak_convexity: float = 0.0
     strong_convexity: float = 0.0
     smoothness: float | None = None
@@ -327,12 +351,10 @@ def batch_oracle(p: ProblemSpec, name: str, xs: np.ndarray, rows=None) -> np.nda
 
 
 def min_norm_subgradient(p: ProblemSpec, x, shift=0.0) -> tuple[Vector, float]:
-    """(element, norm): the element of partial f(x) + shift nearest zero, or the
-    best constructed one, and its norm.
+    """(element, norm): the element of partial f(x) + shift nearest zero, and its norm.
 
-    The norm of the exact element equals dist(-shift, partial f(x)): the slope
-    at shift 0, the prox certificate at shift (x - z)/c.  The element is exact
-    when ``min_norm_exact``.  Raises DomainError outside the domain.
+    The norm equals dist(-shift, partial f(x)): the slope at shift 0, the prox
+    certificate at shift (x - z)/c.  Raises DomainError outside the domain.
     """
     x = as_point(x)
     if p.value(x) == math.inf:

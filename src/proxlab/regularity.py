@@ -28,6 +28,8 @@ PAIR_THIN = 200
 STATIONARY_SCAN = 4096
 # Multiplicative sampling tolerance of every audited constant relation.
 AUDIT_TOL = 0.10
+# Seed of the standard Gaussian sample drawn around a solution point.
+SAMPLE_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class EstimationPlan:
     """Where and how densely to sample.
 
     With a bracket the plan samples a grid (dimension <= 2); without one it
-    draws seeded Gaussians of scale ``radius`` around a solution point.
+    draws standard Gaussians, seeded by SAMPLE_SEED, around a solution point.
     Points with gap < tau_s or dist < sqrt(tau_s) are excluded from ratio
     denominators (estimator bias of order sqrt(tau_s)); tau_s > 0 keeps them nonzero.
     """
@@ -43,8 +45,6 @@ class EstimationPlan:
     nu: float = math.inf
     bracket: tuple[float, float] | None = None
     count: int = 10_001
-    radius: float = 1.0
-    seed: int = 0
     tau_s: float = 1e-9
 
     def __post_init__(self):
@@ -72,7 +72,7 @@ def plan_for(p: ProblemSpec, count: int = 10_001, nu: float | None = None) -> Es
 class ConstantEstimate:
     value: float
     witness: tuple[float, ...] | None
-    bound_direction: str  # "exact" | "overestimate" | "underestimate" | "approximate"
+    bound_direction: str  # "exact": the ratio of exact oracle values at a sample
 
 
 def _estimate(name: str) -> property:
@@ -121,9 +121,8 @@ def _sample_points(p: ProblemSpec, plan: EstimationPlan) -> np.ndarray:
             axis = np.linspace(lo, hi, max(int(math.isqrt(plan.count)), 10))
             return np.stack([a.ravel() for a in np.meshgrid(axis, axis, indexing="ij")], axis=1)
         raise ValueError("grid sampling supports dimension <= 2")
-    rng = np.random.default_rng(plan.seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     points = rng.standard_normal((plan.count, p.dimension))
-    points *= plan.radius
     points += as_point(p.project_solution(np.zeros(p.dimension)))
     return points
 
@@ -192,7 +191,6 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     secant = _rowwise_dot(g, offset)[rows]  # <g, x - proj_S(x)>
     gnorm = np.sqrt(_rowwise_dot(g, g))[rows]
     gap, dist = gap[rows], dist[rows]
-    exact = p.min_norm_exact
 
     def first(argpick, ratios, at):
         """(ratio, sample) at the first extremal ratio; (0.0, None) if there is none."""
@@ -220,12 +218,8 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     mu_s = first(np.argmin, *_secant_rows(xs, fx, g, rows, plan.tau_s))
     mu_s = (max(mu_s[0], 0.0), mu_s[1])
 
-    def est(pair, direction_approx):
-        return ConstantEstimate(*pair, bound_direction="exact" if exact else direction_approx)
-
-    estimates = {"mu_s": est(mu_s, "approximate"), "mu_r": est(mu_r, "approximate"),
-                 "mu_e": est(mu_e, "overestimate"), "mu_p": est(mu_p, "underestimate"),
-                 "mu_q": est(mu_q, "exact")}
+    estimates = {name: ConstantEstimate(*pair, bound_direction="exact") for name, pair in
+                 (("mu_s", mu_s), ("mu_r", mu_r), ("mu_e", mu_e), ("mu_p", mu_p), ("mu_q", mu_q))}
     return RegularityReport(estimates=estimates, pl_fails_globally=pl_fail,
                             eb_fails_globally=eb_fail, nu=plan.nu, n_samples=int(rows.size))
 

@@ -258,7 +258,6 @@ def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
         value=value,
         subgradient=min_norm,
         min_norm_subgradient=min_norm,
-        min_norm_exact=False,
         strong_convexity=reg,
         svm=parts,
         name=f"svm(n={n},d={data.n_features},reg={reg:g})",
@@ -356,12 +355,3 @@ def load_libsvm(path) -> Dataset:
         for idx, val in entries.items():
             feats[i, idx - 1] = val
     return Dataset(feats, np.asarray(labels), source=f"file({path})")
-
-
-def save_libsvm(dataset: Dataset, path) -> None:
-    """Write a Dataset in LIBSVM text format (inverse of load_libsvm)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row, label in zip(dataset.features, dataset.labels):
-            toks = [f"{int(label):+d}"]
-            toks += [f"{j + 1}:{v:.17g}" for j, v in enumerate(row) if v != 0.0]
-            fh.write(" ".join(toks) + "\n")

@@ -5,7 +5,8 @@ dense / refined grid minimization, sign bisection, central differences,
 plain accelerated proximal gradient, the pairwise running diameter, the
 per-sample loop estimator of the regularity constants, the scalar
 stationary-point scan, the 1-d inner solver that tests every breakpoint first,
-the composite and SVM inner solvers that build every linear system afresh and
+the composite and SVM inner solvers that build every linear system afresh,
+the SVM min-norm element by enumeration of the kink weights' bound patterns and
 the per-step loop replays of the bound checkers.
 Expected values asserted in the tests were computed with these and frozen.
 """
@@ -265,14 +266,13 @@ def loop_estimate(p, plan):
     as a tuple, to its raw ratio (for mu_s, the least ratio of the pairs the
     sample starts), in sample order.
     """
-    from proxlab.regularity import (EB_CAP, PAIR_THIN, STATIONARY_NORM, SUBOPTIMAL_GAP,
-                                    ConstantEstimate, RegularityReport)
+    from proxlab.regularity import (EB_CAP, PAIR_THIN, SAMPLE_SEED, STATIONARY_NORM,
+                                    SUBOPTIMAL_GAP, ConstantEstimate, RegularityReport)
 
     if plan.bracket is None:
-        rng = np.random.default_rng(plan.seed)
+        rng = np.random.default_rng(SAMPLE_SEED)
         center = np.atleast_1d(p.project_solution(np.zeros(p.dimension)))
-        points = [center + plan.radius * rng.standard_normal(p.dimension)
-                  for _ in range(plan.count)]
+        points = [center + rng.standard_normal(p.dimension) for _ in range(plan.count)]
     elif p.dimension == 1:
         points = [np.array([t]) for t in np.linspace(*plan.bracket, plan.count)]
         points += loop_stationary_points(p, plan.bracket)
@@ -538,6 +538,45 @@ def unmemoized_svm_dual(p, z, c):
                 x = x + ((new - alpha[i]) / sigma) * ba[i]
                 alpha[i] = new
         x = w0 + (ba.T @ alpha) / sigma
+
+
+def svm_kink_terms(parts, x):
+    """(base, rows) of the SVM subdifferential at x: every element is
+    base - sum_j t_j rows[j] with t in [0, 1]^k, one row per hinge term at its
+    kink (margin within KINK_BAND of zero)."""
+    from proxlab.problem import KINK_BAND
+
+    ba, n = parts.signed_rows, parts.labels.size
+    margins = 1.0 - ba @ x
+    base = -ba[margins > KINK_BAND].sum(axis=0) / n + parts.reg * x
+    return base, ba[np.abs(margins) <= KINK_BAND] / n
+
+
+def box_least_squares(base, rows) -> np.ndarray:
+    """The vector base - rows^T t of least norm over t in [0, 1]^k, by enumeration.
+
+    Each weight is at 0, at 1 or free.  For every such pattern the free
+    weights solve the least-squares problem with the others fixed, and a
+    solution inside [0, 1] (clipped to it) is a candidate.  Some minimizer has
+    independent free rows (moving along a null direction of the free rows
+    keeps the vector and can be stopped at a bound), so its least-squares
+    solution is unique and among the candidates; the least candidate is the
+    minimum.
+    """
+    best = None
+    for pattern in itertools.product((0.0, 1.0, None), repeat=len(rows)):
+        free = [j for j, s in enumerate(pattern) if s is None]
+        t = np.array([0.0 if s is None else s for s in pattern])
+        if free:
+            rest = base - rows.T @ t
+            sol = np.linalg.lstsq(rows[free].T, rest, rcond=None)[0]
+            if not np.all((sol >= -1e-12) & (sol <= 1.0 + 1e-12)):
+                continue
+            t[free] = np.clip(sol, 0.0, 1.0)
+        r = base - rows.T @ t
+        if best is None or r @ r < best @ best:
+            best = r
+    return best
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

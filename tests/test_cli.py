@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from proxlab import (InnerBudgetExhausted, StepSchedule, cli, make_blob_dataset,
-                     read_trace_csv, run_ppm, save_libsvm)
+                     read_trace_csv, run_ppm)
 from proxlab.cli import main
 from proxlab.traceio import CSV_HEADER, emit_trace_csv
 
 from oracles import longest_run_below
+from test_zoo import libsvm_text
 
 EXPERIMENTS = Path(__file__).parent.parent / "experiments"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -223,22 +224,6 @@ def test_estimate_and_audit_subcommands(tmp_path):
     assert "audit" not in json.loads((out2 / "report.json").read_text())
 
 
-def test_gen_data_lasso_and_blobs(tmp_path, capsys):
-    # Lasso data is regenerated from (n, m, s, seed) by the run subcommands, so
-    # gen-data makes only blobs.
-    cfg = write_config(tmp_path, "gen1.json",
-                       {"gen": {"kind": "lasso", "n": 10, "m": 40, "s": 5, "seed": 1}})
-    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "g1")]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error: gen.kind: ")
-    cfg2 = write_config(tmp_path, "gen2.json",
-                        {"gen": {"kind": "blobs", "n": 20, "d": 3, "seed": 2}})
-    out2 = tmp_path / "g2"
-    assert main(["gen-data", "--config", cfg2, "--out", str(out2)]) == 0
-    from proxlab import load_libsvm
-    assert load_libsvm(out2 / "data.libsvm").features.shape == (20, 3)
-
-
 def test_non_finite_libsvm_value_exits_one_at_once(tmp_path, capsys):
     data = tmp_path / "inf.libsvm"
     data.write_text("+1 1:0.5 2:1\n-1 1:inf\n", encoding="utf-8")
@@ -385,7 +370,7 @@ def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
     ("run-ippm", {"problem": {"benchmark": "quad1d"}, "criterion": {"kind": "A'"},
                   "schedule": {"geometric": {"c0": 1, "growth": 0.5}}}),
     ("run-ippm", {"problem": {"benchmark": "quad1d"}, "criterion": {"kind": "C"}}),
-    ("gen-data", {"gen": {"kind": "lasso", "m": 5, "s": 2}}),
+    ("run-ppm", {"problem": {"benchmark": "quad1d"}, "x0": "ones"}),
     # JSON as Python reads it accepts NaN; 2^1024 overflows a float.
     ("run-ppm", {"problem": {"benchmark": "quad_quartic"},
                  "schedule": {"constant": float("nan")}, "test_mode": True}),
@@ -435,7 +420,7 @@ def test_nan_nu_exits_one_naming_it(tmp_path, capsys, cmd, body):
 
 
 # The subcommand that reads a section, where run-ppm does not.
-READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd", "gen": "gen-data"}
+READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd"}
 
 
 @pytest.mark.parametrize("field,value", [
@@ -462,13 +447,12 @@ READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd", "g
     # A missing required field, named by its path.
     ("problem.data.lasso.n", {"ml": "lasso", "data": {"lasso": {"m": 6, "s": 2}}}),
     ("problem.data.blobs.d", {"ml": "svm", "data": {"blobs": {"n": 6}}}),
-    ("gen.n", {"kind": "blobs", "d": 2}),
+    ("problem.data.blobs.n", {"ml": "svm", "data": {"blobs": {"d": 2}}}),
     # A negative seed, which numpy's generator would reject without the path.
     ("seed", -1),
     ("problem.data.lasso.seed",
      {"ml": "lasso", "data": {"lasso": {"n": 4, "m": 6, "s": 2, "seed": -1}}}),
     ("problem.data.blobs.seed", {"ml": "svm", "data": {"blobs": {"n": 6, "d": 2, "seed": -2}}}),
-    ("gen.seed", {"kind": "blobs", "n": 4, "d": 2, "seed": -3}),
 ])
 def test_wrong_json_type_names_the_field(tmp_path, capsys, field, value):
     section = field.split(".")[0]
@@ -477,6 +461,33 @@ def test_wrong_json_type_names_the_field(tmp_path, capsys, field, value):
     cmd = READERS.get(section, "run-ppm")
     assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}: expected ")
+
+
+# An integer a float cannot hold (401 digits) in each number field.
+HUGE = int("9" * 401)
+
+
+@pytest.mark.parametrize("cmd,field,body", [
+    ("run-ppm", "problem.params.svm_reg",
+     {"problem": {"ml": "svm", "data": {"blobs": {"n": 6, "d": 2}}, "params": {"svm_reg": HUGE}}}),
+    ("run-ppm", "schedule.constant", {"schedule": {"constant": HUGE}}),
+    ("run-ppm", "schedule.geometric.growth", {"schedule": {"geometric": {"c0": 1, "growth": HUGE}}}),
+    ("run-ppm", "x0", {"x0": [HUGE]}),
+    ("run-ppm", "problem.data.blobs.separation",
+     {"problem": {"ml": "svm", "data": {"blobs": {"n": 6, "d": 2, "separation": HUGE}}}}),
+    ("estimate", "nu", {"nu": HUGE}),
+    ("run-ippm", "criterion.eps0", {"criterion": {"kind": "A'", "eps0": HUGE}}),
+    ("run-gd", "gd.step",
+     {"problem": {"benchmark": "aniso_quad"}, "gd": {"step": HUGE}, "x0": [1.0, 1.0]}),
+    ("estimate", "estimation.bracket", {"estimation": {"bracket": [0.0, HUGE]}}),
+    ("estimate", "estimation.tau_s", {"estimation": {"tau_s": HUGE}}),
+])
+def test_integer_too_large_for_a_float_names_the_field(tmp_path, capsys, cmd, field, body):
+    # It ended in "OverflowError: int too large to convert to float" and a traceback.
+    cfg = write_config(tmp_path, "big.json", {"problem": {"benchmark": "quad1d"}, **body})
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
 
 
 def test_negative_seed_option_names_the_field(tmp_path, capsys):
@@ -606,7 +617,9 @@ def test_estimation_tau_s_applies_without_bracket(tmp_path):
                   "params": {"lam": None}}, "schedule": {"constant": 0.2}, "max_iter": 5}),
     ("run-ppm", "nu", {"problem": {"benchmark": "quad1d"}, "x0": [1.0], "max_iter": 10,
                        "nu": None, "test_mode": True, "estimate": True}),
-    ("gen-data", "gen.seed", {"gen": {"kind": "blobs", "n": 10, "d": 2, "seed": None}}),
+    ("run-ppm", "problem.data.blobs.seed",
+     {"problem": {"ml": "svm", "data": {"blobs": {"n": 10, "d": 2, "seed": None}}},
+      "max_iter": 3}),
     ("run-ppm", "x0", {"problem": {"benchmark": "quad1d"}, "x0": None, "max_iter": 3}),
 ])
 def test_null_field_is_an_absent_one(tmp_path, cmd, field, body):
@@ -632,7 +645,8 @@ def test_null_field_is_an_absent_one(tmp_path, cmd, field, body):
      "error: blobs need n >= 1"),
     ("run-ppm", {"problem": {"ml": "svm", "data": {"blobs": {"n": 0, "d": 2}}}},
      "error: blobs need n >= 1"),
-    ("gen-data", {"gen": {"kind": "blobs", "n": 4, "d": 0}}, "error: blobs need n >= 1"),
+    ("estimate", {"problem": {"ml": "svm", "data": {"blobs": {"n": 4, "d": 0}}}},
+     "error: blobs need n >= 1"),
     ("run-ppm", {"problem": {"ml": "lasso", "data": {"lasso": {"n": 0, "m": 6, "s": 2}}}},
      "error: lasso data need n >= 1"),
     ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"nu": -1}},
@@ -754,7 +768,7 @@ def test_reference_memo_keys_on_the_data_and_params(tmp_path, reference_solves):
     data = tmp_path / "blobs.libsvm"
     problem = {"ml": "svm", "data": {"libsvm": str(data)}}
     for seed, out in ((1, "a"), (2, "b"), (2, "c")):  # the file is rewritten once
-        save_libsvm(make_blob_dataset(40, 3, seed=seed), data)
+        data.write_text(libsvm_text(make_blob_dataset(40, 3, seed=seed)), encoding="utf-8")
         assert run_ml(tmp_path, problem, out) == 0
     assert len(reference_solves) == 2
     assert run_ml(tmp_path, {**problem, "params": {"svm_reg": 2.0}}, "d") == 0
@@ -823,3 +837,33 @@ def test_reference_memo_holds_nothing_of_the_data_size(reference_solves):
     assert [(shape, dtype, len(digest)) for shape, dtype, digest in key[1:]] == \
         [((2000, 20), "<f8", 32), ((2000,), "<f8", 32)]
     assert len(pickle.dumps((key, entry))) < 2000
+
+
+def test_min_norm_cap_stops_an_svm_step_with_inner_budget(tmp_path, monkeypatch):
+    # With no pass allowed, an SVM min-norm element at a hinge kink gives up;
+    # off every kink it is the gradient and needs none.  A test-mode B step
+    # with delta0 = 0 is the exact prox, which sits on kinks, and it certifies
+    # that point with the element: the run stops with inner_budget and keeps
+    # its trace.
+    problem = importlib.import_module("proxlab.problem")
+    svm = {"ml": "svm", "data": {"blobs": {"n": 40, "d": 3}}}
+    p = cli.build_problem({"problem": svm}, 5)
+    row = p.svm.signed_rows[0]
+    monkeypatch.setattr(problem, "MIN_NORM_PASSES", 0)
+    with pytest.raises(InnerBudgetExhausted, match="after 0 active-set passes"):
+        problem.min_norm_subgradient(p, row / row.dot(row))  # on the kink of row 0
+    problem.min_norm_subgradient(p, np.zeros(3))
+    body = {"problem": svm, "schedule": {"constant": 0.5}, "max_iter": 10, "test_mode": True,
+            "criterion": {"kind": "B", "delta0": 0.0}, "seed": 5}
+    out = tmp_path / "ippm"
+    assert main(["run-ippm", "--config", write_config(tmp_path, "b.json", body),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["stop_reason"] == "inner_budget"
+    assert len(read_trace_csv(out / "trace.csv")) == 1
+
+
+def test_readme_command_line_names_every_subcommand():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("proxlab ")]
+    assert sorted(named) == sorted(cli._COMMANDS)

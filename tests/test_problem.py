@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from proxlab import (BENCHMARKS, DomainError, NotAvailable, ProblemSpec, ProxResult,
-                     distance_to_solution, make_benchmark, min_norm_subgradient, problem)
+from proxlab import (BENCHMARKS, DomainError, NotAvailable, ProblemSpec, ProxResult, SvmParts,
+                     distance_to_solution, make_benchmark, make_blob_dataset,
+                     min_norm_subgradient, problem)
 from proxlab.problem import (SHORT_VECTOR, Piecewise1D, all_finite, as_point, batch_oracle,
                              problem_from_1d, vector_norm)
 
-from oracles import grid_argmin
+from oracles import box_least_squares, grid_argmin, svm_kink_terms
 from test_prox import certificate_is_subgradient
 
 
@@ -57,6 +58,30 @@ def test_shifted_svm_element_is_a_certificate(svm_toy):
     assert element[0] == pytest.approx(0.0, abs=1e-12)
     res = ProxResult(x, element, float(np.linalg.norm(element)), 0)
     assert certificate_is_subgradient(svm_toy, res, z, c, np.random.default_rng(6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(6, 40), d=st.sampled_from((2, 3, 10)), kinks=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 16), shifted=st.booleans())
+def test_svm_min_norm_element_is_the_box_least_squares_minimum(n, d, kinks, seed, shifted):
+    # x sits on the kinks of min(kinks, d) hinge terms.  A shifted element aims
+    # at weights drawn from [-0.5, 1.5], so its optimum mixes weights at 0, at
+    # 1 and free.
+    rng = np.random.default_rng(seed)
+    data = make_blob_dataset(n, d, seed=seed)
+    parts = SvmParts(data.features, data.labels, reg=rng.uniform(0.1, 2.0))
+    on = rng.choice(n, size=min(kinks, d), replace=False)
+    x = rng.standard_normal(d)
+    x += np.linalg.lstsq(parts.signed_rows[on], 1.0 - parts.signed_rows[on] @ x, rcond=None)[0]
+    base, rows = svm_kink_terms(parts, x)
+    shift = np.zeros(d)
+    if shifted:
+        noise = 0.1 * np.linalg.norm(rows, axis=1).mean() * rng.standard_normal(d)
+        shift = rows.T @ rng.uniform(-0.5, 1.5, len(rows)) - base + noise
+    want = box_least_squares(base + shift, rows)
+    got = parts.min_norm_element(x, shift)
+    scale = np.linalg.norm(base + shift) + np.linalg.norm(rows, axis=1).sum()
+    assert np.linalg.norm(got - want) <= 1e-12 * scale
 
 
 def test_every_builder_has_one_subgradient_routine(lasso_toy, en_toy, svm_toy):
