@@ -10,7 +10,7 @@ from .gd import GDParams, run_gd
 from .ippm import InexactCriterion, run_ippm
 from .ppm import IterationTrace, StepSchedule, reference_solution, run_ppm
 from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SvmParts,
-                      distance_to_solution, min_norm_subgradient, problem_from_1d)
+                      distances_to_solution, min_norm_subgradient, problem_from_1d)
 from .prox import ProxResult, prox
 from .regularity import (ConstantEstimate, EstimationPlan, ImplicationCheck,
                          RegularityReport, audit_implications, estimate_constants,

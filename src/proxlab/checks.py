@@ -253,7 +253,7 @@ def verify_gd_rates(trace: IterationTrace,
     """Per-step distance and cost-gap contraction checks, returned as (dist, cost).
 
     Steps whose denominator is below 1e-14 are skipped (converged).  The
-    factors are theorems only for a step in (0, 2/L) (``step_rule_valid``).
+    factors are theorems for a step in (0, 2/L), as GDParams' t = mu / L^2 is.
     """
     return (_contraction("gd_dist", trace.dists, params.omega_dist, GD_ATOL),
             _contraction("gd_cost", trace.gaps, params.omega_cost, GD_ATOL))

@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 # hashlib.blake2b is this function, but importing hashlib loads OpenSSL: 5 ms
@@ -134,6 +133,14 @@ def _ml_problem(kind: str, dataset, params: MLProblemParams) -> ProblemSpec:
     return ref
 
 
+def _size(fields: _Fields, key: str) -> int:
+    """The integer ``fields[key]``, refused when numpy cannot take it as an array size."""
+    value, top = fields[key], np.iinfo(np.intp).max
+    if not 0 <= value <= top:
+        raise ConfigError(f"expected an array size, from 0 to {top}", field=fields.prefix + key)
+    return value
+
+
 def build_problem(cfg: dict, seed: int) -> ProblemSpec:
     prob = _fields(cfg["problem"], "problem", {"data": {}, "params": {}}, benchmark=str,
                    ml=str, data=dict, params=dict)
@@ -152,7 +159,7 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
     if kind != "svm":  # lasso or elastic_net: MLProblemParams rejects any other kind
         gen = _fields(data["lasso"], "problem.data.lasso", {"seed": seed}, n=int, m=int, s=int,
                       seed=int)
-        dataset = generate_lasso_data(gen["n"], gen["m"], gen["s"], gen["seed"])
+        dataset = generate_lasso_data(*(_size(gen, key) for key in "nms"), gen["seed"])
     elif "libsvm" in data:
         try:
             dataset = load_libsvm(data["libsvm"])
@@ -166,7 +173,7 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
         if not math.isfinite(shape.get("separation", 0.0)):
             raise ConfigError(f"expected a finite number, got {shape['separation']}",
                               field="problem.data.blobs.separation")
-        dataset = make_blob_dataset(size["n"], size["d"], **shape)
+        dataset = make_blob_dataset(_size(size, "n"), _size(size, "d"), **shape)
     else:
         raise ConfigError("svm needs data.libsvm or data.blobs", field="problem.data")
     return _ml_problem(kind, dataset, params)
@@ -226,21 +233,6 @@ def _missing_reference(p: ProblemSpec) -> str | None:
     if p.f_star is None or p.project_solution is None:
         return "no f_star or solution oracle"
     return None
-
-
-def _plan(cfg: dict, p: ProblemSpec) -> EstimationPlan:
-    """The estimation plan the config describes on ``p``.  The sublevel radius nu
-    falls back to the top-level one."""
-    est = cfg["estimation"]
-    plan = plan_for(p, **_fields(est, "estimation", {"nu": cfg.get("nu")}, count=int, nu=float))
-    overrides = _fields(est, "estimation", tau_s=float, bracket=list)
-    if "bracket" in overrides:
-        ends = tuple(_typed(v, float, "estimation.bracket") for v in overrides["bracket"])
-        if len(ends) != 2:
-            raise ConfigError(f"expected [lo, hi], got {len(ends)} numbers",
-                              field="estimation.bracket")
-        overrides["bracket"] = ends
-    return replace(plan, **overrides)
 
 
 def _estimate(plan: EstimationPlan, p: ProblemSpec, out: Path, audit: bool):
@@ -307,8 +299,7 @@ def _theorems(cmd: str, cfg: dict, p: ProblemSpec, trace: IterationTrace, report
                  lambda: [check_ippm_linear(trace, report, report.nu)]),
                 (("inexact_one_step",), reason(convex, b_type, primed),
                  lambda: [check_inexact_one_step(trace)])]
-    step = None if params.step_rule_valid else "step outside (0, 2/L)"
-    return [(("gd_dist", "gd_cost"), reason(step), lambda: verify_gd_rates(trace, params))]
+    return [(("gd_dist", "gd_cost"), reason(), lambda: verify_gd_rates(trace, params))]
 
 
 def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
@@ -317,7 +308,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     p = build_problem(cfg, seed)
     x0 = build_x0(cfg, p)
     why = _missing_reference(p) if cfg["estimate"] or cfg["audit"] else "estimate is off"
-    plan = None if why else _plan(cfg, p)  # a bad plan is refused before the run
+    plan = None if why else plan_for(p, nu=cfg.get("nu"))  # a NaN nu is refused before the run
     limit = [cfg["max_iter"]] if "max_iter" in cfg else []  # else each loop's own horizon
     params = crits = None
     bounds = {}
@@ -325,11 +316,10 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
         md = p.metadata
         gd = _fields(cfg["gd"], "gd", {"mu": md.get("gd_mu"), "beta": md.get("gd_beta")},
                      mu=float, beta=float)
-        params = GDParams(p.smoothness, gd["mu"], gd["beta"],
-                          **_fields(cfg["gd"], "gd", step=float))
+        params = GDParams(p.smoothness, gd["mu"], gd["beta"])
         trace = run_gd(p, x0, params, *limit)
         bounds = {"dist_factor": params.omega_dist, "cost_factor": params.omega_cost,
-                  "step": params.step_size, "step_rule_valid": params.step_rule_valid}
+                  "step": params.step_size}
     elif cmd == "run-ippm":
         sched = build_schedule(cfg)
         crits = build_criteria(cfg)
@@ -377,7 +367,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
 def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     """estimate, audit: write report.json; exit 1 when the problem has no reference."""
     p = build_problem(cfg, seed)
-    report = _estimate(_plan(cfg, p), p, out, cmd == "audit" or cfg["audit"])
+    report = _estimate(plan_for(p, nu=cfg.get("nu")), p, out, cmd == "audit" or cfg["audit"])
     _write_json(out / "summary.json", {"problem": p.name, "report": "report.json",
                                        "flags": report.to_json()["flags"]})
     return 0
@@ -402,11 +392,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             body["seed"] = args.seed
         cfg = _fields(body, "", {
-            "schedule": {"constant": 1.0}, "x0": "zeros", "estimation": {}, "seed": 0,
-            "test_mode": False, "estimate": False, "audit": False},
+            "schedule": {"constant": 1.0}, "x0": "zeros", "seed": 0, "test_mode": False,
+            "estimate": False, "audit": False},
             problem=dict, schedule=dict, x0=(str, list), max_iter=int, criterion=(dict, list),
-            gd=dict, estimation=dict, nu=float, seed=int, test_mode=bool,
-            estimate=bool, audit=bool)
+            gd=dict, nu=float, seed=int, test_mode=bool, estimate=bool, audit=bool)
         seed = cfg["seed"]
         out = Path(args.out)
         try:

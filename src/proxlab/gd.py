@@ -3,9 +3,10 @@
 With step t = mu / L^2 the iterates contract by omega_1 = sqrt(1 - mu^2/L^2)
 in distance and the cost gaps by omega_2 = (L^3 - 2 mu L beta + mu^2 beta)/L^3,
 where mu is the secant-growth constant and beta the gradient-dominance
-constant of the smooth objective.  Custom steps in (0, 2/L) get the
-step-dependent factors sqrt(1 - 2 t mu + t^2 L^2) and 1 + (-2t + L t^2) beta.
-``checks.verify_gd_rates`` replays both against a trace.
+constant of the smooth objective.  Both are the step-dependent factors
+sqrt(1 - 2 t mu + t^2 L^2) and 1 + (-2t + L t^2) beta at that t, which lies
+in (0, 2/L) since mu <= L.  ``checks.verify_gd_rates`` replays both against
+a trace.
 """
 
 from __future__ import annotations
@@ -24,38 +25,34 @@ _REL = 1e-12
 
 @dataclass(frozen=True)
 class GDParams:
-    """Smoothness / growth constants and the step rule.
+    """Smoothness / growth constants; the step is t = mu / L^2.
 
-    ``step=None`` selects t = mu / L^2.  Feasibility of the constants is
-    validated: mu <= L always, and beta <= L^3 / (2 mu L - mu^2), otherwise
-    the cost factor would be negative while gaps are nonnegative.
+    Feasibility of the constants is validated: mu <= L always, and
+    beta <= L^3 / (2 mu L - mu^2), otherwise the cost factor would be
+    negative while gaps are nonnegative.
     """
 
     lipschitz: float
     mu: float
     beta: float
-    step: float | None = None
 
     def __post_init__(self):
         if self.lipschitz is None:
             raise NotSmooth("gradient descent needs a smoothness constant L; the problem has none")
-        if min(self.lipschitz, self.mu, self.beta) <= 0:
-            raise ValueError("constants must be positive")
+        if not (self.lipschitz > 0 and self.mu > 0 and self.beta > 0):  # NaN too
+            raise ValueError(f"constants must be positive, got L={self.lipschitz:g}, "
+                             f"mu={self.mu:g}, beta={self.beta:g}")
         if self.mu > self.lipschitz * (1.0 + _REL):
             raise ValueError(f"mu={self.mu:g} cannot exceed L={self.lipschitz:g}")
         beta_cap = self.lipschitz ** 3 / (2 * self.mu * self.lipschitz - self.mu ** 2)
         if self.beta > beta_cap * (1.0 + _REL):
             raise ValueError(f"beta={self.beta:g} exceeds its cap {beta_cap:g}")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
+        if self.step_size == 0.0:
+            raise ValueError(f"step mu/L^2 = {self.mu:g}/{self.lipschitz:g}^2 underflows to 0")
 
     @property
     def step_size(self) -> float:
-        return self.step if self.step is not None else self.mu / self.lipschitz ** 2
-
-    @property
-    def step_rule_valid(self) -> bool:
-        return 0.0 < self.step_size < 2.0 / self.lipschitz
+        return self.mu / self.lipschitz ** 2
 
     @property
     def omega_dist(self) -> float:

@@ -93,12 +93,15 @@ def _read_only(*arrays: np.ndarray) -> tuple:
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot(a[n], b[n]) for each row n, summed as np.dot sums one pair.
+    """np.dot(a[n], b[n]) for each row n, summed as np.dot sums one pair
+    (for d = 1 it is 0 + a*b, so a -0.0 product is +0.0).
 
     np.linalg.norm(x) is sqrt(np.dot(x, x)), so np.sqrt(row_dots(a, a)) is
     its norm row by row; np.linalg.norm(a, axis=1) and np.einsum sum in
     another order and can differ in the last digit for d > 1.
     """
+    if a.shape[1] == 1:  # the matmul's 0 + a*b, without a BLAS call per row
+        return a[:, 0] * b[:, 0] + 0.0
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
@@ -364,17 +367,9 @@ def min_norm_subgradient(p: ProblemSpec, x, shift=0.0) -> tuple[Vector, float]:
     return g, abs(float(g[0])) if g.size == 1 else vector_norm(g)
 
 
-def distance_to_solution(p: ProblemSpec, x) -> float:
-    """dist(x, S) via the solution oracle; zero iff x is a minimizer (to 1e-12)."""
-    x = as_point(x)
-    if p.project_solution is None:
-        raise NotAvailable("no solution oracle on this problem")
-    return vector_norm(x - as_point(p.project_solution(x)))
-
-
 def distances_to_solution(p: ProblemSpec, xs: np.ndarray) -> np.ndarray:
-    """``distance_to_solution`` of each row of xs: one batch projection, then
-    one np.dot per row, so each distance is the one the scalar form gives."""
+    """dist(x, S) of each row x of xs via the solution oracle: one batch
+    projection, then the norm of x - proj_S(x) as one np.dot per row."""
     if p.project_solution is None:
         raise NotAvailable("no solution oracle on this problem")
     offset = batch_oracle(p, "project_solutions", xs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NeedsReference, ProxlabError
-from .problem import BATCH_ELEMENTS, ProblemSpec, as_point, batch_oracle
+from .problem import BATCH_ELEMENTS, ProblemSpec, as_point, batch_oracle, row_dots
 
 EB_CAP = 1e12
 STATIONARY_NORM = 1e-8
@@ -127,10 +127,6 @@ def _sample_points(p: ProblemSpec, plan: EstimationPlan) -> np.ndarray:
     return points
 
 
-def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
-
-
 def _secant_rows(xs, fx, g, rows, tau_s):
     """(least ratio of each row i, i) over the pairs (i, j) of a thinned subset
     of rows with ||x_j - x_i||^2 >= tau_s, in blocks of a (B, P, d) difference
@@ -144,7 +140,7 @@ def _secant_rows(xs, fx, g, rows, tau_s):
     for lo in range(0, subset.size, block):
         at = subset[lo:lo + block]
         flat = (pts - xs[at, None]).reshape(-1, d)
-        sq = _rowwise_dot(flat, flat).reshape(at.size, -1)
+        sq = row_dots(flat, flat).reshape(at.size, -1)
         far = sq >= tau_s
         m = far_pairs[lo:lo + block] = far.sum(axis=1)
         dots = np.zeros(far.shape)
@@ -181,15 +177,15 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     rows = np.flatnonzero(~(gap > plan.nu) & (fx != math.inf))
     offset = batch_oracle(p, "project_solutions", xs, rows)
     np.subtract(xs, offset, out=offset)  # x - proj_S(x); only its rows are read
-    dist = np.sqrt(_rowwise_dot(offset, offset))
+    dist = np.sqrt(row_dots(offset, offset))
     rows = rows[~(gap[rows] < plan.tau_s) & ~(dist[rows] < math.sqrt(plan.tau_s))]
     if not rows.size:
         raise ProxlabError(f"no sample point has gap in [tau_s, nu] and dist >= sqrt(tau_s) "
                            f"(nu = {plan.nu:g}, bracket = {plan.bracket}, "
                            f"tau_s = {plan.tau_s:g})")
     g = batch_oracle(p, "min_norm_subgradients", xs, rows)
-    secant = _rowwise_dot(g, offset)[rows]  # <g, x - proj_S(x)>
-    gnorm = np.sqrt(_rowwise_dot(g, g))[rows]
+    secant = row_dots(g, offset)[rows]  # <g, x - proj_S(x)>
+    gnorm = np.sqrt(row_dots(g, g))[rows]
     gap, dist = gap[rows], dist[rows]
 
     def first(argpick, ratios, at):

@@ -146,11 +146,11 @@ def loop_contraction(s, factor, atol: float, slack=lambda k: 0.0, start: int = 0
 def loop_envelope(trace, dist0, errors, atol: float, best: bool = False) -> LoopCheck:
     """gap_k <= (dist0^2 + 2 D_k sum_{j<k} errors_j) / (2 sum_{j<k} c_j) + atol, with
     the pairwise running diameter D_k; with ``best`` the left side is min_{j<=k} gap_j."""
-    from proxlab.problem import distance_to_solution
+    from proxlab.problem import distances_to_solution
 
     p = trace.problem
     if dist0 is None:
-        dist0 = distance_to_solution(p, trace.points[0])
+        dist0 = float(distances_to_solution(p, trace.points[:1])[0])
     gaps = [v - p.f_star for v in trace.values.tolist()]
     steps = trace.steps.tolist()
     diam = running_diameter(list(trace.points))
@@ -185,18 +185,19 @@ def loop_one_step(trace, atol: float) -> LoopCheck:
 def loop_inexact_one_step(trace, atol: float) -> LoopCheck:
     """(1 - delta_k) dist(x_{k+1}) <= 2 delta_k dist(x_k) + dist(prox(x_k)) + atol for
     every step with delta_k < 1 and a logged reference prox."""
-    from proxlab.problem import distance_to_solution
+    from proxlab.problem import distances_to_solution
 
     p = trace.problem
-    dists = [distance_to_solution(p, x) for x in trace.points]
+    dists = distances_to_solution(p, trace.points).tolist()
     deltas = cells(trace.deltas)
     check = LoopCheck()
     for k in range(len(trace) - 1):
         ref = trace.ref_prox_points[k]
         if np.isnan(ref).any() or deltas[k] is None or deltas[k] >= 1.0:
             continue
+        ref_dist = float(distances_to_solution(p, ref[None])[0])
         check.add(k, (1.0 - deltas[k]) * dists[k + 1],
-                  2.0 * deltas[k] * dists[k] + distance_to_solution(p, ref) + atol)
+                  2.0 * deltas[k] * dists[k] + ref_dist + atol)
     return check
 
 
@@ -346,7 +347,7 @@ def loop_secant_rows(xs, fx, g, rows, tau_s):
     row_min, starts = [], []
     for i in subset:
         step = pts - xs[i]
-        sq = np.einsum("ij,ij->i", step, step)
+        sq = np.array([np.dot(v, v) for v in step])
         far = sq >= tau_s
         if far.any():
             row_min.append(np.min((vals[far] - fx[i] - step[far] @ g[i]) / sq[far]))

@@ -105,7 +105,8 @@ def test_criterion_06_gd_rates(quad1d, aniso_quad):
     tr_a = run_gd(aniso_quad, [1.0, 1.0], params_a, iters=50)
     dist, cost = verify_gd_rates(tr_a, params_a)
     report(6, "gradient descent contraction factors",
-           one_step and params_a.step_rule_valid and dist.all_ok and cost.all_ok)
+           one_step and 0 < params_a.step_size < 2 / params_a.lipschitz and dist.all_ok
+           and cost.all_ok)
 
 
 def test_criterion_07_ippm_sublinear(quad1d):

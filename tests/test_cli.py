@@ -171,13 +171,6 @@ def test_gd_valid_constants_exit_zero(tmp_path):
     cfg = write_config(tmp_path, "gd_ok.json", body)
     assert main(["run-gd", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert _checks(tmp_path / "out") == {"gd_dist": True, "gd_cost": True}
-    # t = 0.3 lies outside (0, 2/L) = (0, 0.22): the factors are no theorem there.
-    cfg = write_config(tmp_path, "gd_big.json", {**body, "gd": {**body["gd"], "step": 0.3}})
-    assert main(["run-gd", "--config", cfg, "--out", str(tmp_path / "big")]) == 0
-    summary = _summary(tmp_path / "big")
-    assert summary["asserted"] == 0 and summary["checks"] == []
-    assert {row: summary["skipped"][row] for row in ("gd_dist", "gd_cost")} == {
-        "gd_dist": "step outside (0, 2/L)", "gd_cost": "step outside (0, 2/L)"}
 
 
 GD_FALSE_CONSTANTS = {"problem": {"benchmark": "aniso_quad"}, "gd": {"mu": 8.0, "beta": 1.0},
@@ -383,17 +376,12 @@ def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
                  "max_iter": "10"}),
     ("run-ppm", {"problem": {"benchmark": "quad1d"}, "schedule": {"constant": 1.0},
                  "x0": {"a": 1}}),
-    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"tau_s": 0}}),
+    ("estimate", {"problem": {"ml": "svm", "data": {}}}),
     # A data file that cannot be read.
     ("run-ppm", {"problem": {"ml": "svm", "data": {"libsvm": "no_such_dir/data.libsvm"}},
                  "schedule": {"constant": 1.0}}),
     # A gd section without mu on a problem whose metadata has no gd_mu.
     ("run-gd", {"problem": {"benchmark": "sine_quad"}, "gd": {}, "x0": [1.0]}),
-    # A bracket of one point, of an overflowing width, or reversed.
-    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"bracket": [0.5, 0.5]}}),
-    ("estimate", {"problem": {"benchmark": "quad1d"},
-                  "estimation": {"bracket": [-1e308, 1e308]}}),
-    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"bracket": [1.0, -1.0]}}),
 ])
 def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
     cfg = write_config(tmp_path, "bad.json", body)
@@ -405,7 +393,7 @@ def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):
 
 
 @pytest.mark.parametrize("cmd,body", [
-    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"nu": math.nan}}),
+    ("estimate", {"problem": {"benchmark": "quad1d"}, "nu": math.nan}),
     ("run-ppm", {"problem": {"benchmark": "quad1d"}, "nu": math.nan, "estimate": True}),
 ])
 def test_nan_nu_exits_one_naming_it(tmp_path, capsys, cmd, body):
@@ -420,14 +408,14 @@ def test_nan_nu_exits_one_naming_it(tmp_path, capsys, cmd, body):
 
 
 # The subcommand that reads a section, where run-ppm does not.
-READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd"}
+READERS = {"criterion": "run-ippm", "gd": "run-gd"}
 
 
 @pytest.mark.parametrize("field,value", [
     ("problem", 3), ("schedule", 3), ("max_iter", "10"), ("max_iter", True), ("x0", {"a": 1}),
-    ("criterion", "A'"), ("estimation", []), ("seed", "x"),
+    ("criterion", "A'"), ("gd", []), ("seed", "x"),
     # A nested field: the value is its whole section.
-    ("estimation.bracket", {"bracket": 3}), ("schedule.geometric", {"geometric": 2}),
+    ("schedule.sequence", {"sequence": 3}), ("schedule.geometric", {"geometric": 2}),
     ("problem.params", {"ml": "lasso", "params": [1]}),
     ("problem.data", {"ml": "lasso", "data": 3}),
     ("problem.data.lasso", {"ml": "lasso", "data": {"lasso": [20, 50, 10]}}),
@@ -436,13 +424,14 @@ READERS = {"criterion": "run-ippm", "estimation": "estimate", "gd": "run-gd"}
     ("problem.data.libsvm", {"ml": "svm", "data": {"libsvm": 3}}),
     ("criterion.kind", {"kind": 3}), ("criterion.eps0", {"kind": "A'", "eps0": "x"}),
     ("schedule.constant", {"constant": "x"}),
-    ("gd.mu", {"mu": "x"}), ("gd.step", {"step": [1]}),
-    ("estimation.tau_s", {"tau_s": "x"}), ("estimation.count", {"count": 100.5}),
-    ("estimation.bracket", {"bracket": ["a", 1]}),
+    ("gd.mu", {"mu": "x"}), ("gd.beta", {"beta": [1]}),
+    ("criterion.delta0", {"kind": "B", "delta0": "x"}),
+    ("problem.data.blobs.n", {"ml": "svm", "data": {"blobs": {"n": 6.5, "d": 2}}}),
+    ("criterion", [{"kind": "A'"}, 3]),
     ("problem.data.lasso.n", {"ml": "lasso", "data": {"lasso": {"n": "x", "m": 6, "s": 2}}}),
     ("schedule.sequence", {"sequence": [1.0, "x"]}), ("nu", "x"),
     ("schedule.geometric.growth", {"geometric": {"c0": 1.0}}),
-    ("estimation.bracket", {"bracket": [1.0]}), ("x0", ["x"]),
+    ("problem.params.lam", {"ml": "lasso", "params": {"lam": "x"}}), ("x0", ["x"]),
     ("test_mode", "yes"), ("estimate", 1), ("audit", "no"),
     # A missing required field, named by its path.
     ("problem.data.lasso.n", {"ml": "lasso", "data": {"lasso": {"m": 6, "s": 2}}}),
@@ -477,10 +466,6 @@ HUGE = int("9" * 401)
      {"problem": {"ml": "svm", "data": {"blobs": {"n": 6, "d": 2, "separation": HUGE}}}}),
     ("estimate", "nu", {"nu": HUGE}),
     ("run-ippm", "criterion.eps0", {"criterion": {"kind": "A'", "eps0": HUGE}}),
-    ("run-gd", "gd.step",
-     {"problem": {"benchmark": "aniso_quad"}, "gd": {"step": HUGE}, "x0": [1.0, 1.0]}),
-    ("estimate", "estimation.bracket", {"estimation": {"bracket": [0.0, HUGE]}}),
-    ("estimate", "estimation.tau_s", {"estimation": {"tau_s": HUGE}}),
 ])
 def test_integer_too_large_for_a_float_names_the_field(tmp_path, capsys, cmd, field, body):
     # It ended in "OverflowError: int too large to convert to float" and a traceback.
@@ -488,6 +473,29 @@ def test_integer_too_large_for_a_float_names_the_field(tmp_path, capsys, cmd, fi
     assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+
+
+def lasso(n=4, m=6, s=2):
+    return {"ml": "lasso", "data": {"lasso": {"n": n, "m": m, "s": s}}}
+
+
+def blobs(n=6, d=2):
+    return {"ml": "svm", "data": {"blobs": {"n": n, "d": d}}}
+
+
+@pytest.mark.parametrize("field,problem", [
+    ("problem.data.lasso.n", lasso(n=10 ** 400)), ("problem.data.lasso.m", lasso(m=10 ** 400)),
+    ("problem.data.lasso.s", lasso(s=10 ** 400)), ("problem.data.blobs.n", blobs(n=10 ** 400)),
+    ("problem.data.blobs.d", blobs(d=10 ** 400)), ("problem.data.lasso.s", lasso(s=-1)),
+])
+def test_array_size_out_of_range_names_the_field(tmp_path, capsys, field, problem):
+    # It printed numpy's "Maximum allowed dimension exceeded" or "negative
+    # dimensions are not allowed" with no field, or ended in a traceback.
+    cfg = write_config(tmp_path, "big.json", {"problem": problem})
+    assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert not list((tmp_path / "o").iterdir())
 
 
 def test_negative_seed_option_names_the_field(tmp_path, capsys):
@@ -510,10 +518,12 @@ def test_unusable_paths_exit_one(tmp_path, capsys, config, out):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-def test_non_finite_iterates_write_partial_run(tmp_path):
-    # Step 1 > 2/L on aniso_quad(9): the iterates overflow after about 340 steps.
+def test_non_finite_iterates_write_partial_run(tmp_path, monkeypatch, aniso_quad):
+    # An aniso_quad(9) that states L = 0.25: the step t = mu / L^2 = 4 exceeds
+    # 2/9, x_2 grows 35-fold per step and the iterates overflow.
+    monkeypatch.setattr(cli, "make_benchmark", lambda name: replace(aniso_quad, smoothness=0.25))
     cfg = write_config(tmp_path, "diverge.json", {
-        "problem": {"benchmark": "aniso_quad"}, "gd": {"mu": 1, "beta": 1, "step": 1.0},
+        "problem": {"benchmark": "aniso_quad"}, "gd": {"mu": 0.25, "beta": 0.25},
         "x0": [1.0, 1.0], "max_iter": 400})
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -600,15 +610,21 @@ def test_unread_params_key_is_ignored(tmp_path):
         (tmp_path / "b" / "trace.csv").read_bytes()
 
 
-def test_estimation_tau_s_applies_without_bracket(tmp_path):
-    counts = []
-    for estimation in ({}, {"tau_s": 0.01}, {"tau_s": 0.01, "bracket": [-1.0, 1.0]}):
-        cfg = write_config(tmp_path, "tau.json", {"problem": {"benchmark": "quad1d"},
-                                                  "estimation": estimation})
-        out = tmp_path / f"out{len(counts)}"
-        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
-        counts.append(json.loads((out / "report.json").read_text())["n_samples"])
-    assert counts == [10_000, 9_001, 9_001]
+@pytest.mark.parametrize("cmd,body,removed", [
+    ("estimate", {"problem": {"benchmark": "quad1d"}},
+     {"estimation": {"count": 500, "nu": 0.5, "tau_s": 0.01, "bracket": [-1.0, 1.0]}}),
+    ("run-gd", {"problem": {"benchmark": "aniso_quad"}, "x0": [1.0, 1.0], "max_iter": 20,
+                "test_mode": True, "gd": {}}, {"gd": {"step": 1.0}}),
+])
+def test_removed_settings_are_ignored(tmp_path, cmd, body, removed):
+    # An old config's estimation block or gd.step is an unread key like any other.
+    outputs = []
+    for name, cfg in (("now", body), ("old", {**body, **removed})):
+        out = tmp_path / name
+        assert main([cmd, "--config", write_config(tmp_path, f"{name}.json", cfg),
+                     "--out", str(out)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("cmd,field,body", [
@@ -649,11 +665,8 @@ def test_null_field_is_an_absent_one(tmp_path, cmd, field, body):
      "error: blobs need n >= 1"),
     ("run-ppm", {"problem": {"ml": "lasso", "data": {"lasso": {"n": 0, "m": 6, "s": 2}}}},
      "error: lasso data need n >= 1"),
-    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"nu": -1}},
+    ("estimate", {"problem": {"benchmark": "quad1d"}, "nu": -1},
      "error: no sample point has gap in [tau_s, nu] and dist >= sqrt(tau_s) (nu = -1,"),
-    ("estimate", {"problem": {"benchmark": "quad1d"}, "estimation": {"bracket": [5.0, 6.0]}},
-     "error: no sample point has gap in [tau_s, nu] and dist >= sqrt(tau_s) (nu = 1, "
-     "bracket = (5.0, 6.0)"),
 ])
 def test_unusable_problem_prints_one_error_line(tmp_path, capsys, cmd, body, line):
     cfg = write_config(tmp_path, "bad.json", body)
@@ -683,7 +696,7 @@ def test_linear_rows_check_only_the_reports_sublevel_set(tmp_path, monkeypatch, 
         monkeypatch.setattr(cli, checker, recording(getattr(cli, checker)))
     cfg = write_config(tmp_path, "nu.json", {
         "problem": {"benchmark": name}, "schedule": {"constant": c}, "x0": [0.5],
-        "max_iter": 20, "test_mode": True, "estimate": True, "estimation": {"nu": 0.05},
+        "max_iter": 20, "test_mode": True, "estimate": True, "nu": 0.05,
         **extra})
     out = tmp_path / "out"
     assert main(["run-ippm" if extra else "run-ppm", "--config", cfg, "--out", str(out)]) == 0
@@ -756,8 +769,7 @@ def run_ml(tmp_path, problem, out, **extra):
 ])
 def test_reference_solve_runs_once_per_problem(tmp_path, reference_solves, problem):
     for out in ("cold", "warm"):
-        assert run_ml(tmp_path, problem, out, estimate=True, audit=True,
-                      estimation={"count": 500}) == 0
+        assert run_ml(tmp_path, problem, out, estimate=True, audit=True) == 0
     assert len(reference_solves) == 1
     for name in ("trace.csv", "summary.json", "report.json"):
         assert (tmp_path / "cold" / name).read_bytes() == \

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+import run_configs
 from run_configs import subcommands
 
 from proxlab.cli import main
@@ -50,3 +51,17 @@ def test_shipped_config(tmp_path, path):
             assert sorted(names) == sorted(ROWS[cmd]), cmd
         else:
             assert (out / "report.json").is_file()
+
+
+QUAD1D, CUBIC = {"problem": {"benchmark": "quad1d"}}, {"problem": {"benchmark": "cubic"}}
+
+
+@pytest.mark.parametrize("configs,codes", [([QUAD1D], [0]), ([QUAD1D, CUBIC], [0, 1])])
+def test_run_configs_exits_one_when_a_run_fails(tmp_path, monkeypatch, capsys, configs, codes):
+    runs = [(f"experiments/c{i}/estimate", "estimate", cfg) for i, cfg in enumerate(configs)]
+    monkeypatch.setattr(run_configs, "runs", lambda: iter(runs))
+    assert run_configs.main([str(tmp_path)]) == (1 if any(codes) else 0)
+    assert (tmp_path / "exit_codes.txt").read_text() == "".join(
+        f"{name} {code}\n" for (name, _, _), code in zip(runs, codes))
+    out = capsys.readouterr().out
+    assert out.startswith(f"{len(runs)} runs, {sum(codes)} nonzero exit codes")

@@ -13,6 +13,11 @@ def test_params_validation():
         GDParams(lipschitz=2.0, mu=3.0, beta=1.0)  # mu > L
     with pytest.raises(ValueError):
         GDParams(lipschitz=2.0, mu=2.0, beta=2.1)  # beta above L^3/(2 mu L - mu^2) = 2
+    for mu, beta in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            GDParams(lipschitz=2.0, mu=mu, beta=beta)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        GDParams(lipschitz=2.0, mu=5e-324, beta=1.0)  # t = mu / L^2 rounds to 0
     p = GDParams(lipschitz=2.0, mu=2.0, beta=2.0)
     assert p.step_size == pytest.approx(0.5)
     assert p.omega_dist == pytest.approx(0.0)
@@ -24,7 +29,7 @@ def test_quad1d_one_step_convergence(quad1d):
     assert float(tr.points[1][0]) == 0.0
     assert all(float(x[0]) == 0.0 for x in tr.points[1:])
     dist, cost = verify_gd_rates(tr, params)
-    assert dist.all_ok and cost.all_ok and params.step_rule_valid
+    assert dist.all_ok and cost.all_ok and 0 < params.step_size < 2 / params.lipschitz
     # Only the first step has a nonzero denominator; later ones are skipped.
     assert dist.indices.tolist() == [0]
 
@@ -34,7 +39,7 @@ def test_aniso_both_bounds_hold(aniso_quad):
     assert params.step_size == pytest.approx(1.0 / 81.0)
     tr = run_gd(aniso_quad, [1.0, 1.0], params, iters=50)
     dist, cost = verify_gd_rates(tr, params)
-    assert dist.all_ok and cost.all_ok and params.step_rule_valid
+    assert dist.all_ok and cost.all_ok and 0 < params.step_size < 2 / params.lipschitz
     assert params.omega_dist == pytest.approx(math.sqrt(1.0 - 1.0 / 81.0))
     assert params.omega_cost == pytest.approx((729.0 - 18.0 + 1.0) / 729.0)
 
@@ -44,11 +49,6 @@ def test_stationary_start(aniso_quad):
     tr = run_gd(aniso_quad, [0.0, 0.0], params, iters=5)
     dist, cost = verify_gd_rates(tr, params)
     assert len(dist.indices) == len(cost.indices) == 0  # nothing to check
-
-
-def test_large_step_flags_precondition_breach():
-    params = GDParams(lipschitz=9.0, mu=1.0, beta=1.0, step=3.0 / 9.0)
-    assert not params.step_rule_valid  # t = 3/L outside (0, 2/L)
 
 
 def test_not_smooth(wc_piecewise):

@@ -69,9 +69,10 @@ def _inner_budget(fixture):
 
 
 def _non_finite(fixture):
-    # Step 1 > 2/L: the iterates grow eightfold per step until they overflow.
+    # An understated L = 0.25 gives t = mu / L^2 = 4 > 2/9: x_2 grows 35-fold per
+    # step until the iterates overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        return run_gd(fixture("aniso_quad"), [1.0, 1.0], GDParams(9.0, 1.0, 1.0, step=1.0),
+        return run_gd(fixture("aniso_quad"), [1.0, 1.0], GDParams(0.25, 0.25, 0.25),
                       iters=400)
 
 

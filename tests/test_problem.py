@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from proxlab import (BENCHMARKS, DomainError, NotAvailable, ProblemSpec, ProxResult, SvmParts,
-                     distance_to_solution, make_benchmark, make_blob_dataset,
+                     distances_to_solution, make_benchmark, make_blob_dataset,
                      min_norm_subgradient, problem)
 from proxlab.problem import (SHORT_VECTOR, Piecewise1D, all_finite, as_point, batch_oracle,
-                             problem_from_1d, vector_norm)
+                             problem_from_1d, row_dots, vector_norm)
 
 from oracles import box_least_squares, grid_argmin, svm_kink_terms
 from test_prox import certificate_is_subgradient
@@ -104,17 +104,17 @@ def test_min_norm_domain_error():
 
 
 def test_distance_examples(quad1d, wc_piecewise, sine_quad):
-    assert distance_to_solution(quad1d, [2.0]) == pytest.approx(2.0)
-    assert distance_to_solution(wc_piecewise, [0.0]) == pytest.approx(1.0)
+    assert distances_to_solution(quad1d, np.array([[2.0]])) == pytest.approx([2.0])
+    assert distances_to_solution(wc_piecewise, np.array([[0.0]])) == pytest.approx([1.0])
     # Oracle: the global argmin of x^2 + 6 sin^2 x on [-10, 10] is 0.
     argmin, _ = grid_argmin(lambda t: t * t + 6 * math.sin(t) ** 2, -10, 10)
     assert abs(argmin) < 1e-9
-    assert distance_to_solution(sine_quad, [math.pi]) == pytest.approx(math.pi)
+    assert distances_to_solution(sine_quad, np.array([[math.pi]])) == pytest.approx([math.pi])
 
 
 def test_distance_not_available(lasso_toy):
     with pytest.raises(NotAvailable):
-        distance_to_solution(lasso_toy, [0.0, 0.0])
+        distances_to_solution(lasso_toy, np.zeros((1, 2)))
 
 
 def test_point_coercion_rejects_nonfinite():
@@ -137,6 +137,16 @@ def test_vector_norm_is_np_linalg_norm_bitwise(v):
         norm, want = vector_norm(v), np.linalg.norm(v)
     assert type(norm) is float
     assert np.float64(norm).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ab=arrays(np.float64, (8, 2), elements=st.floats() | EXTREME | st.just(-0.0)))
+def test_row_dots_of_one_column_is_the_matmul_bitwise(ab):
+    # One column takes the product path; the matmul is what every wider row takes.
+    a, b = ab[:, :1], ab[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = row_dots(a, b), np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("size", [1, 2, SHORT_VECTOR - 1, SHORT_VECTOR, SHORT_VECTOR + 1,

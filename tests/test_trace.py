@@ -43,8 +43,8 @@ def runs(draw):
     x0 = [draw(st.floats(lo, hi)) for _ in range(p.dimension)]
     horizon = draw(st.integers(1, 40))
     if kind == "gd":
-        lip, mu, beta = GD[name]
-        params = GDParams(lip, mu, beta, step=draw(st.floats(0.01, 1.99)) / lip)
+        lip, _, beta = GD[name]  # beta <= L is below its cap for every mu <= L
+        params = GDParams(lip, draw(st.floats(0.01, 1.0)) * lip, beta)  # t in [0.01/L, 1/L]
         return run_gd(p, x0, params, iters=horizon), params
     sched = StepSchedule.constant(draw(st.floats(*STEPS[name])))
     if kind == "ppm":

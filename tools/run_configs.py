@@ -7,7 +7,8 @@ describe (the run, then ``estimate`` / ``audit`` when those flags are set), and
 each job of the ``perfbench`` decks at seeds 1-3 runs as its one subcommand,
 all through ``proxlab.cli.main`` in this process.  Every run writes into its
 own directory under OUT (the job's config beside its outputs), and
-``OUT/exit_codes.txt`` lists each run's directory and exit code.  Two trees
+``OUT/exit_codes.txt`` lists each run's directory and exit code, and the script
+exits 1 when any run exits nonzero.  Two trees
 made from two versions of the code compare with one ``diff -r``, or with
 ``python3 tools/compare_runs.py A B``, which prints each differing file with
 the largest relative change of its numeric CSV or JSON fields, then how many
@@ -82,9 +83,10 @@ def main(argv: list[str]) -> int:
     wall = time.perf_counter() - start
     (out / "exit_codes.txt").write_text("".join(f"{name} {code}\n" for name, code in codes),
                                         encoding="utf-8")
-    print(f"{len(codes)} runs, {sum(code != 0 for _, code in codes)} nonzero exit codes, "
+    failed = sum(code != 0 for _, code in codes)
+    print(f"{len(codes)} runs, {failed} nonzero exit codes, "
           f"{wall:.2f} s ({', '.join(f'{group} {t:.2f} s' for group, t in group_s.items())})")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
