@@ -135,7 +135,11 @@ class RateBounds:
         if self.beta > 0:
             factor = np.minimum(factor, 1.0 / np.sqrt(2.0 * c * self.beta + 1.0))
         if 0.0 < self.mu_e < math.inf:
-            factor = np.minimum(factor, 1.0 / np.sqrt(1.0 + c * c / self.mu_e ** 2))
+            with np.errstate(over="ignore"):
+                ratio = c * c / self.mu_e ** 2
+            # Where c^2/mu_e^2 overflows, the factor is its limit mu_e / c.
+            factor = np.minimum(factor, np.where(np.isinf(ratio), self.mu_e / c,
+                                                 1.0 / np.sqrt(1.0 + ratio)))
         return factor
 
 

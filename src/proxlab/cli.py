@@ -180,16 +180,7 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
 
 
 def build_schedule(cfg: dict) -> StepSchedule:
-    sched = _fields(cfg["schedule"], "schedule", constant=float, sequence=list, geometric=dict)
-    if "constant" in sched:
-        return StepSchedule.constant(sched["constant"])
-    if "sequence" in sched:
-        return StepSchedule.from_sequence([_typed(c, float, "schedule.sequence")
-                                           for c in sched["sequence"]])
-    if "geometric" in sched:
-        geometric = _fields(sched["geometric"], "schedule.geometric", c0=float, growth=float)
-        return StepSchedule.geometric(geometric["c0"], geometric["growth"])
-    raise ConfigError("schedule needs constant / sequence / geometric", field="schedule")
+    return StepSchedule.constant(_fields(cfg["schedule"], "schedule", constant=float)["constant"])
 
 
 def build_x0(cfg: dict, p: ProblemSpec) -> np.ndarray:
@@ -309,7 +300,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     x0 = build_x0(cfg, p)
     why = _missing_reference(p) if cfg["estimate"] or cfg["audit"] else "estimate is off"
     plan = None if why else plan_for(p, nu=cfg.get("nu"))  # a NaN nu is refused before the run
-    limit = [cfg["max_iter"]] if "max_iter" in cfg else []  # else each loop's own horizon
+    limit = [_size(cfg, "max_iter")] if "max_iter" in cfg else []  # else each loop's own horizon
     params = crits = None
     bounds = {}
     if cmd == "run-gd":
@@ -341,7 +332,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
             checks.extend(checker())
     if cmd == "run-ppm" and "linear_cost" not in skipped:
         rb = RateBounds(report.mu_p, report.mu_q, report.mu_e, rho=p.weak_convexity)
-        bounds = {"cost_factor": rb.omega(sched.at(0)), "dist_factor": rb.theta(sched.at(0))}
+        bounds = {"cost_factor": rb.omega(sched.c), "dist_factor": rb.theta(sched.c)}
     final_gap = float(trace.gaps[-1])
     failed = [c.name for c in checks if not c.all_ok]
     _write_json(out / "summary.json", {

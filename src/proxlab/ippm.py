@@ -2,10 +2,10 @@
 
 The primed rules bound the certificate residual and are what production runs
 use.  The unprimed rules reference the unknown exact prox, so they exist only
-in test mode: each step computes a tight reference prox and perturbs it by a
-seeded direction scaled to satisfy the requested rules exactly.  That makes
-the inexactness adversarial-but-admissible, which is what the contraction
-checkers in ``checks`` need to be a meaningful audit.
+in test mode: each step computes a tight reference prox and moves it along a
+seeded Gaussian direction to the safe radius of the requested budgets, halving
+the move until every budget holds.  The step is admissible and random, not
+the worst admissible one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import CriterionUnverifiable
 from .ppm import IterationTrace, StepSchedule, iterate
 from .problem import ProblemSpec, min_norm_subgradient, vector_norm
-from .prox import prox
+from .prox import prox, validate_step
 
 PRIMED = ("A'", "B'")
 KINDS = ("A", "B") + PRIMED
@@ -86,10 +86,7 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
             "enable test_mode")
     if unprimed and any(c.implementable for c in crits):
         raise ValueError("cannot mix primed and unprimed criteria in one run")
-    if sched.growth < 1.0:
-        raise ValueError("inexact runs need steps bounded away from zero; "
-                         "a decaying geometric schedule is not")
-    sched.validate(p, max_iter)
+    validate_step(p, sched.c)
     rng = np.random.default_rng(seed)
 
     def step(k, x, c):

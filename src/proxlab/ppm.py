@@ -10,64 +10,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .errors import InnerBudgetExhausted, ResolutionFloor, StepTooLarge
+from .errors import InnerBudgetExhausted, ResolutionFloor
 from .problem import ProblemSpec, all_finite, as_point, distances_to_solution, vector_norm
-from .prox import prox
+from .prox import prox, validate_step
 
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Positive prox steps c_k: an explicit list, else c0 * growth^k (constant at growth 1)."""
+    """The step c of every iteration: PPM's and iPPM's prox step, GD's gradient step.
 
-    c0: float = 1.0
-    growth: float = 1.0
-    values: tuple[float, ...] = ()
+    A constant prox step is bounded away from 0, as Rockafellar's (1976) inexact
+    criteria need."""
+
+    c: float
 
     @staticmethod
     def constant(c: float) -> "StepSchedule":
-        return StepSchedule(c0=float(c))
-
-    @staticmethod
-    def from_sequence(values: Sequence[float]) -> "StepSchedule":
-        steps = tuple(float(v) for v in values)
-        if not steps:
-            raise ValueError("a step sequence needs at least one step")
-        return StepSchedule(values=steps)
-
-    @staticmethod
-    def geometric(c0: float, growth: float) -> "StepSchedule":
-        return StepSchedule(c0=float(c0), growth=float(growth))
-
-    def at(self, k: int) -> float:
-        if self.values:
-            # Runs longer than the list repeat the final step.
-            return self.values[min(k, len(self.values) - 1)]
-        try:
-            return self.c0 * self.growth ** k
-        except OverflowError:
-            return math.inf
-
-    def validate(self, p: ProblemSpec, horizon: int) -> None:
-        """Steps c_0 .. c_{horizon-1} are positive, finite and satisfy 1/c > rho.
-
-        Only the distinct steps are tested: a list's, else c_0, c_1 and c_{horizon-1}
-        (c_1 > 0 means growth > 0, and then c0 * growth^k is monotone in k).
-        """
-        if self.values:
-            ks = range(min(horizon, len(self.values)))
-        else:
-            ks = sorted({0, 1, horizon - 1}) if horizon > 2 else range(horizon)
-        for k in ks:
-            c = self.at(k)
-            if not 0 < c < math.inf:
-                raise ValueError(f"c_{k} = {c:g} is not a positive finite step")
-            if p.weak_convexity > 0 and 1.0 / c <= p.weak_convexity:
-                raise StepTooLarge(
-                    f"1/c_{k} = {1.0 / c:g} must exceed rho = {p.weak_convexity:g}")
+        return StepSchedule(float(c))
 
 
 # The columns of a trace, in constructor order after ``problem``.
@@ -162,9 +124,8 @@ def iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
     if not value < math.inf:
         raise ValueError(f"x0: f(x0) = {value}, not finite")
     points, values, steps, moves = [x], [value], [], []
-    stop_reason = "max_iter"
+    stop_reason, c = "max_iter", sched.c
     for k in range(max_iter):
-        c = sched.at(k)
         try:
             x_next, *move = step(k, x, c)
         except InnerBudgetExhausted as exc:
@@ -186,7 +147,7 @@ def iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
             stop_reason = "residual"
             break
         x = x_next
-    steps.append(sched.at(len(points) - 1))
+    steps.append(c)
     # The final row's move is empty: one more None per transition column.
     residuals, eps, deltas, refs = zip(*moves, (None,) * 4)
     ref_rows = np.full((len(points), x.size), math.nan)
@@ -201,7 +162,7 @@ def run_ppm(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int = 500,
             inner_target: float = 1e-10,
             stop_gap: float = 1e-10, stop_residual: float = 1e-10) -> IterationTrace:
     """Exact proximal point method; stops on max_iter, tiny gap or tiny residual."""
-    sched.validate(p, max_iter)
+    validate_step(p, sched.c)
 
     def step(k, x, c):
         result = prox(p, x, c, inner_target)

@@ -37,7 +37,8 @@ class ProxResult:
     inner_iterations: int
 
 
-def _validate_step(p: ProblemSpec, c: float) -> None:
+def validate_step(p: ProblemSpec, c: float) -> None:
+    """Refuse a prox step c that is not positive and finite, or with 1/c <= rho."""
     if not 0 < c < math.inf:  # NaN fails too
         raise ValueError(f"prox step must be positive and finite, got {c}")
     if p.weak_convexity > 0 and 1.0 / c <= p.weak_convexity:
@@ -62,7 +63,7 @@ def prox(p: ProblemSpec, z, c: float, target: float = 1e-10,
     if not target > 0:
         raise ValueError(f"inner residual target must be positive, got {target}")
     z = as_point(z)
-    _validate_step(p, c)
+    validate_step(p, c)
     if p.prox_closed_form is not None:
         point = as_point(p.prox_closed_form(z, c))
         return ProxResult(point, np.zeros(point.shape), 0.0, 0)

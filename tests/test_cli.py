@@ -277,6 +277,19 @@ def test_blobs_that_break_the_data_exit_one(tmp_path, capsys, monkeypatch, separ
     assert not list((tmp_path / "o").iterdir())
 
 
+def test_huge_step_gives_the_limit_of_the_distance_factor(tmp_path):
+    # c * c overflowed in RateBounds.theta: a RuntimeWarning and a dist_factor of 0.
+    body = json.loads((EXPERIMENTS / "quad1d_audit.json").read_text())
+    body["schedule"] = {"constant": 1e300}
+    cfg = write_config(tmp_path, "huge.json", body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report, summary = (json.loads((tmp_path / "o" / name).read_text())
+                       for name in ("report.json", "summary.json"))
+    assert summary["bounds"]["dist_factor"] == report["constants"]["mu_e"]["value"] / 1e300
+
+
 def test_svm_libsvm_config_path(tmp_path):
     data = tmp_path / "toy.libsvm"
     data.write_text("+1 1:1 2:0.5\n-1 1:-1 2:-0.5\n+1 1:0.8\n-1 2:-1\n",
@@ -359,16 +372,16 @@ def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
 
 
 @pytest.mark.parametrize("cmd,body", [
-    ("run-ppm", {"problem": {"benchmark": "quad1d"}, "schedule": {"sequence": []}}),
+    # A schedule without its constant step, and a step that is not positive.
+    ("run-ppm", {"problem": {"benchmark": "quad1d"}, "schedule": {"sequence": [0.5]}}),
     ("run-ippm", {"problem": {"benchmark": "quad1d"}, "criterion": {"kind": "A'"},
-                  "schedule": {"geometric": {"c0": 1, "growth": 0.5}}}),
+                  "schedule": {"constant": 0}}),
     ("run-ippm", {"problem": {"benchmark": "quad1d"}, "criterion": {"kind": "C"}}),
     ("run-ppm", {"problem": {"benchmark": "quad1d"}, "x0": "ones"}),
     # JSON as Python reads it accepts NaN; 2^1024 overflows a float.
     ("run-ppm", {"problem": {"benchmark": "quad_quartic"},
                  "schedule": {"constant": float("nan")}, "test_mode": True}),
-    ("run-ppm", {"problem": {"benchmark": "quad1d"}, "max_iter": 1100,
-                 "schedule": {"geometric": {"c0": 1, "growth": 2}}}),
+    ("run-ppm", {"problem": {"benchmark": "quad1d"}, "max_iter": -3}),
     # Values of the wrong JSON type.
     ("run-ppm", []),
     ("run-ppm", {"problem": 3, "schedule": {"constant": 1.0}}),
@@ -414,8 +427,10 @@ READERS = {"criterion": "run-ippm", "gd": "run-gd"}
 @pytest.mark.parametrize("field,value", [
     ("problem", 3), ("schedule", 3), ("max_iter", "10"), ("max_iter", True), ("x0", {"a": 1}),
     ("criterion", "A'"), ("gd", []), ("seed", "x"),
+    # A schedule of only the step list or the geometric rule, which are not read.
+    ("schedule.constant", {"sequence": [0.5]}),
+    ("schedule.constant", {"geometric": {"c0": 1.0, "growth": 1.0}}),
     # A nested field: the value is its whole section.
-    ("schedule.sequence", {"sequence": 3}), ("schedule.geometric", {"geometric": 2}),
     ("problem.params", {"ml": "lasso", "params": [1]}),
     ("problem.data", {"ml": "lasso", "data": 3}),
     ("problem.data.lasso", {"ml": "lasso", "data": {"lasso": [20, 50, 10]}}),
@@ -429,8 +444,8 @@ READERS = {"criterion": "run-ippm", "gd": "run-gd"}
     ("problem.data.blobs.n", {"ml": "svm", "data": {"blobs": {"n": 6.5, "d": 2}}}),
     ("criterion", [{"kind": "A'"}, 3]),
     ("problem.data.lasso.n", {"ml": "lasso", "data": {"lasso": {"n": "x", "m": 6, "s": 2}}}),
-    ("schedule.sequence", {"sequence": [1.0, "x"]}), ("nu", "x"),
-    ("schedule.geometric.growth", {"geometric": {"c0": 1.0}}),
+    ("criterion.gamma", {"kind": "A'", "gamma": "x"}), ("nu", "x"),
+    ("problem.params.en_reg", {"ml": "elastic_net", "params": {"en_reg": "x"}}),
     ("problem.params.lam", {"ml": "lasso", "params": {"lam": "x"}}), ("x0", ["x"]),
     ("test_mode", "yes"), ("estimate", 1), ("audit", "no"),
     # A missing required field, named by its path.
@@ -460,7 +475,7 @@ HUGE = int("9" * 401)
     ("run-ppm", "problem.params.svm_reg",
      {"problem": {"ml": "svm", "data": {"blobs": {"n": 6, "d": 2}}, "params": {"svm_reg": HUGE}}}),
     ("run-ppm", "schedule.constant", {"schedule": {"constant": HUGE}}),
-    ("run-ppm", "schedule.geometric.growth", {"schedule": {"geometric": {"c0": 1, "growth": HUGE}}}),
+    ("run-ippm", "criterion.gamma", {"criterion": {"kind": "A'", "gamma": HUGE}}),
     ("run-ppm", "x0", {"x0": [HUGE]}),
     ("run-ppm", "problem.data.blobs.separation",
      {"problem": {"ml": "svm", "data": {"blobs": {"n": 6, "d": 2, "separation": HUGE}}}}),
@@ -496,6 +511,25 @@ def test_array_size_out_of_range_names_the_field(tmp_path, capsys, field, proble
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
     assert not list((tmp_path / "o").iterdir())
+
+
+# The smallest config of each loop.
+LOOPS = {"run-ppm": {"problem": {"benchmark": "quad1d"}},
+         "run-ippm": {"problem": {"benchmark": "quad1d"}, "criterion": {"kind": "A'"}},
+         "run-gd": {"problem": {"benchmark": "aniso_quad"}, "gd": {"mu": 1.0, "beta": 1.0},
+                    "x0": [1.0, 1.0]}}
+
+
+@pytest.mark.parametrize("max_iter", [-3, 10 ** 400], ids=["negative", "401_digits"])
+@pytest.mark.parametrize("cmd", sorted(LOOPS))
+def test_max_iter_out_of_range_names_the_field(tmp_path, capsys, cmd, max_iter):
+    # -3 ran no step and exited 0.  10**400 printed a 400-digit "c_999...9 = inf"
+    # line, and run-gd ran until it was killed.
+    cfg = write_config(tmp_path, "big.json", {**LOOPS[cmd], "max_iter": max_iter})
+    assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: max_iter: expected an array size, from 0 to ")
+    assert err.count("\n") == 1 and not list((tmp_path / "o").iterdir())
 
 
 def test_negative_seed_option_names_the_field(tmp_path, capsys):

@@ -65,3 +65,20 @@ def test_run_configs_exits_one_when_a_run_fails(tmp_path, monkeypatch, capsys, c
         f"{name} {code}\n" for (name, _, _), code in zip(runs, codes))
     out = capsys.readouterr().out
     assert out.startswith(f"{len(runs)} runs, {sum(codes)} nonzero exit codes")
+
+
+def test_run_configs_prints_theorem_row_coverage(tmp_path, monkeypatch, capsys):
+    run = {"problem": {"benchmark": "quad1d"}, "schedule": {"constant": 1.0}, "max_iter": 5}
+    runs = [("experiments/on/run-ppm", "run-ppm", {**run, "test_mode": True}),
+            ("experiments/off/run-ppm", "run-ppm", run),
+            ("experiments/on/estimate", "estimate", run)]
+    monkeypatch.setattr(run_configs, "runs", lambda: iter(runs))
+    assert run_configs.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # Most asserted first; the summary line stays last.
+    assert lines[:-1] == [
+        "one_step_improvement: 1 asserted | 1 test_mode is off",
+        "sublinear_envelope: 1 asserted | 1 test_mode is off",
+        "linear_cost: 0 asserted | 1 estimate is off | 1 test_mode is off",
+        "linear_dist: 0 asserted | 1 estimate is off | 1 test_mode is off"]
+    assert lines[-1].startswith("3 runs, 0 nonzero exit codes")

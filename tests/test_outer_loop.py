@@ -16,6 +16,7 @@ import pytest
 
 import proxlab.cli as cli
 import proxlab.ippm as ippm_module
+import proxlab.ppm as ppm_module
 from proxlab import (GDParams, InexactCriterion, InnerBudgetExhausted, Piecewise1D,
                      StepSchedule, problem_from_1d, reference_solution, run_gd, run_ippm,
                      run_ppm)
@@ -59,13 +60,19 @@ def _resolution(fixture):
 
 
 def _inner_budget(fixture):
-    # Three steps at c = 0.16 need at most 15 inner iterations, then c = 10
-    # needs about 40, more than the budget of 25.
-    p = fixture("lasso_f20")
-    sched = StepSchedule.from_sequence([0.16, 0.16, 0.16, 10.0])
+    # Three steps at c = 0.16 need at most 15 inner iterations each; then the
+    # budget drops to 2, fewer than the fourth step needs.
+    p, calls = fixture("lasso_f20"), []
+
+    def budgeted_prox(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            patch.setattr(prox_module, "MAX_INNER", 2)
+        return prox_module.prox(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(prox_module, "MAX_INNER", 25)
-        return run_ppm(p, np.zeros(50), sched, max_iter=60)
+        patch.setattr(ppm_module, "prox", budgeted_prox)
+        return run_ppm(p, np.zeros(50), StepSchedule.constant(0.16), max_iter=60)
 
 
 def _non_finite(fixture):
@@ -148,7 +155,7 @@ def test_composite_budget_below_resolution_stops_with_named_reason(monkeypatch):
 
 def test_inner_budget_keeps_partial_trace(lasso_f20):
     trace = _inner_budget(lambda _: lasso_f20)
-    assert len(trace) == 4 and trace.steps.tolist() == [0.16, 0.16, 0.16, 10.0]
+    assert len(trace) == 4 and trace.steps.tolist() == [0.16] * 4
     assert all(r <= 1e-10 for r in trace.residuals[:3])
 
 

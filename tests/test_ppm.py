@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from proxlab import (IterationTrace, ProblemSpec, RateBounds, StepSchedule, StepTooLarge,
-                     check_linear_rates, check_one_step, check_sublinear_bound,
-                     make_benchmark, prox, reference_solution, run_ppm)
+import proxlab.ippm as ippm_module
+import proxlab.ppm as ppm_module
+from proxlab import (InexactCriterion, IterationTrace, ProblemSpec, RateBounds, StepSchedule,
+                     StepTooLarge, check_linear_rates, check_one_step, check_sublinear_bound,
+                     make_benchmark, prox, reference_solution, run_ippm, run_ppm)
 
 from conftest import with_solution_point
 from oracles import running_diameter
@@ -46,36 +48,34 @@ def test_weakly_convex_run_descends(wc_piecewise):
 
 
 def test_schedule_validation(wc_piecewise):
+    # 1/c must exceed rho = 2: c = 0.5 is refused, a step just below it reaches
+    # the minimizer.
     with pytest.raises(StepTooLarge):
-        run_ppm(wc_piecewise, [-0.7], StepSchedule.constant(0.6), max_iter=3)
-    with pytest.raises(StepTooLarge):
-        run_ppm(wc_piecewise, [-0.7], StepSchedule.geometric(0.3, 1.5), max_iter=10)
-    sched = StepSchedule.from_sequence([0.3, 0.4])
-    assert sched.at(5) == 0.4  # repeats the final entry
+        run_ppm(wc_piecewise, [-0.7], StepSchedule.constant(0.5), max_iter=3)
+    assert run_ppm(wc_piecewise, [-0.7], StepSchedule.constant(0.499),
+                   max_iter=3).stop_reason == "gap"
 
 
-@pytest.mark.parametrize("sched,tested", [
-    (StepSchedule.geometric(0.4, 1.0 + 1e-10), [0, 1, 10**9 - 1]),  # c_1 and the two ends
-    (StepSchedule.constant(0.4), [0, 1, 10**9 - 1]),
-    (StepSchedule.from_sequence([0.3, 0.4, 0.2]), [0, 1, 2]),  # later steps repeat c_2
-])
-def test_validate_tests_only_the_distinct_steps(monkeypatch, wc_piecewise, sched, tested):
-    at, seen = StepSchedule.at, []
-    monkeypatch.setattr(StepSchedule, "at", lambda self, k: seen.append(k) or at(self, k))
-    sched.validate(wc_piecewise, 10**9)
-    assert seen == tested
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, 0.6])
+def test_one_step_check_refuses_before_any_step(monkeypatch, wc_piecewise, c):
+    # A step that is not positive and finite, or one with 1/c <= rho = 2, gives
+    # one error from prox and from both loops, and the loops take no step.
+    with pytest.raises((ValueError, StepTooLarge)) as direct:
+        prox(wc_piecewise, [0.5], c)
 
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step ran")
 
-@pytest.mark.parametrize("sched,horizon,message", [
-    (StepSchedule.geometric(0.1, 2.0), 1100, "c_1099 = inf is not a positive finite step"),
-    (StepSchedule.geometric(0.1, 0.5), 1100, "c_1099 = 0 is not a positive finite step"),
-    (StepSchedule.geometric(0.1, -1.0), 11, "c_1 = -0.1 is not a positive finite step"),
-    (StepSchedule.geometric(0.1, 1.1), 40, "1/c_39 = 0.243044 must exceed rho = 2"),
-])
-def test_validate_names_the_failing_step(wc_piecewise, sched, horizon, message):
-    with pytest.raises((ValueError, StepTooLarge)) as err:
-        sched.validate(wc_piecewise, horizon)
-    assert str(err.value) == message
+    monkeypatch.setattr(ppm_module, "prox", no_step)
+    monkeypatch.setattr(ippm_module, "prox", no_step)
+    sched = StepSchedule.constant(c)
+    for run in (lambda: run_ppm(wc_piecewise, [0.5], sched, max_iter=5),
+                lambda: run_ippm(wc_piecewise, [0.5], sched, InexactCriterion("A'"),
+                                 max_iter=5)):
+        with pytest.raises(type(direct.value)) as err:
+            run()
+        assert type(err.value) is type(direct.value)
+        assert str(err.value) == str(direct.value)
 
 
 def test_sublinear_envelope_quad(quad_run):
@@ -251,14 +251,11 @@ def test_reference_solution_lasso_policy(lasso_toy_ref):
     assert lasso_toy_ref.metadata["reference_residual"] <= 1e-10
 
 
-def test_schedule_has_two_rules():
-    # A list of steps, else c0 * growth^k; a constant step is growth 1.
-    assert StepSchedule.constant(0.3) == StepSchedule(c0=0.3, growth=1.0)
-    assert [StepSchedule.constant(0.3).at(k) for k in (0, 7)] == [0.3, 0.3]
-    assert StepSchedule.geometric(0.5, 2.0).at(3) == 4.0
-    assert StepSchedule.from_sequence(np.array([0.3, 0.4])).at(9) == 0.4
-    with pytest.raises(ValueError):
-        StepSchedule.from_sequence([])
+def test_schedule_is_one_step(quad_run):
+    # The trace records the one step on every row, the final one included.
+    assert [f.name for f in dataclasses.fields(StepSchedule)] == ["c"]
+    assert StepSchedule.constant(1) == StepSchedule(1.0)
+    assert quad_run.steps.tolist() == [1.0] * len(quad_run)
 
 
 def test_one_step_bound_on_weakly_convex_runs(sine_quad, wc_piecewise):

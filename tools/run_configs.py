@@ -13,10 +13,14 @@ made from two versions of the code compare with one ``diff -r``, or with
 ``python3 tools/compare_runs.py A B``, which prints each differing file with
 the largest relative change of its numeric CSV or JSON fields, then how many
 files differ and the largest change of all, and exits 0 only when the trees
-are identical.  The summary
-line on stdout ends with the total wall time of the runs and its share per
-group (``experiments``, then each workload's decks), which nothing in OUT
-records.
+are identical.
+
+Stdout gives one line per theorem row that a run's ``summary.json`` names:
+how many runs asserted it, then how many skipped it for each reason, as in
+``linear_cost: 5 asserted | 20 test_mode is off | 15 estimate is off``.  The
+summary line comes last and ends with the total wall time of the runs and its
+share per group (``experiments``, then each workload's decks), which nothing in
+OUT records.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +65,28 @@ def runs():
                        job["cmd"], job["cfg"])
 
 
+def coverage(out: Path, codes: list[tuple[str, int]]) -> list[str]:
+    """One line per theorem row named in the runs' summaries, most asserted first:
+    the runs that asserted it, then the runs that skipped it for each reason."""
+    rows = {}  # row -> Counter of "asserted" and of each skip reason
+    for name, code in codes:
+        if code == 1:  # a run that exits 1 writes no summary
+            continue
+        summary = json.loads((out / name / "summary.json").read_text(encoding="utf-8"))
+        for check in summary.get("checks", ()):
+            rows.setdefault(check["name"], Counter())["asserted"] += 1
+        for row, why in summary.get("skipped", {}).items():
+            if row != "estimate":  # a skipped estimate is not a theorem row
+                rows.setdefault(row, Counter())[why] += 1
+    lines = []
+    for row, counts in sorted(rows.items(), key=lambda item: (-item[1]["asserted"], item[0])):
+        asserted = counts.pop("asserted", 0)
+        reasons = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+        lines.append(" | ".join([f"{row}: {asserted} asserted"] +
+                                [f"{n} {why}" for why, n in reasons]))
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -83,6 +110,8 @@ def main(argv: list[str]) -> int:
     wall = time.perf_counter() - start
     (out / "exit_codes.txt").write_text("".join(f"{name} {code}\n" for name, code in codes),
                                         encoding="utf-8")
+    for line in coverage(out, codes):
+        print(line)
     failed = sum(code != 0 for _, code in codes)
     print(f"{len(codes)} runs, {failed} nonzero exit codes, "
           f"{wall:.2f} s ({', '.join(f'{group} {t:.2f} s' for group, t in group_s.items())})")
