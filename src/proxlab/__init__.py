@@ -3,9 +3,7 @@
 from .checks import (BoundCheck, RateBounds, check_inexact_one_step, check_ippm_linear,
                      check_ippm_sublinear, check_linear_rates, check_one_step,
                      check_sublinear_bound, verify_gd_rates)
-from .errors import (BadShape, ConfigError, CriterionUnverifiable, DomainError,
-                     InnerBudgetExhausted, NeedsReference, NotAvailable, NotSmooth,
-                     ParseError, ProxlabError, StepTooLarge)
+from .errors import InnerBudgetExhausted, ProxlabError
 from .gd import GDParams, run_gd
 from .ippm import InexactCriterion, run_ippm
 from .ppm import IterationTrace, StepSchedule, reference_solution, run_ppm

@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NotAvailable
+from .errors import ProxlabError
 from .gd import GDParams
 from .ppm import IterationTrace
 from .problem import as_point, distances_to_solution, row_dots
@@ -96,14 +96,15 @@ def _envelope(name: str, trace: IterationTrace, errors: np.ndarray,
     eps_j).  With ``best`` the left side is the best gap so far, min_{j<=k} gap_j.
     """
     if trace.problem.f_star is None:
-        raise ValueError("f_star required for the sublinear envelope")
+        raise ProxlabError("f_star required for the sublinear envelope")
     if trace.problem.project_solution is None:
-        raise NotAvailable("no solution oracle on this problem")
+        raise ProxlabError("no solution oracle on this problem")
     dist0 = float(trace.dists[0])
     lhs = np.minimum.accumulate(trace.gaps) if best else trace.gaps
     diam = trace.running_diameter()
-    rhs = ((dist0 ** 2 + 2.0 * diam[1:] * np.cumsum(errors[:-1]))
-           / (2.0 * np.cumsum(trace.steps[:-1])) + CHECK_ATOL)
+    with np.errstate(over="ignore"):  # a step sum of inf gives the limit, 0
+        rhs = ((dist0 ** 2 + 2.0 * diam[1:] * np.cumsum(errors[:-1]))
+               / (2.0 * np.cumsum(trace.steps[:-1])) + CHECK_ATOL)
     return BoundCheck(name, np.arange(1, len(trace)), lhs[1:], rhs)
 
 
@@ -115,7 +116,8 @@ class RateBounds:
     rho-weakly convex problem the growth constant is beta = mu_q - rho/2.
     The distance factor from the error bound follows the firmly-nonexpansive
     chain: dist^2 shrinks by 1/(1 + c^2/mu_e^2).  Both factors take a step
-    or an array of steps.
+    or an array of steps; where a step overflows a factor's denominator, the
+    factor is its limit.
     """
 
     mu_p: float
@@ -128,18 +130,19 @@ class RateBounds:
         return self.mu_q - 0.5 * self.rho
 
     def omega(self, c):
-        return 2.0 / (2.0 + self.mu_p * c)
+        with np.errstate(over="ignore"):
+            return 2.0 / (2.0 + self.mu_p * c)
 
     def theta(self, c):
         factor = math.inf
-        if self.beta > 0:
-            factor = np.minimum(factor, 1.0 / np.sqrt(2.0 * c * self.beta + 1.0))
-        if 0.0 < self.mu_e < math.inf:
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            if self.beta > 0:
+                factor = np.minimum(factor, 1.0 / np.sqrt(2.0 * c * self.beta + 1.0))
+            if 0.0 < self.mu_e < math.inf:
                 ratio = c * c / self.mu_e ** 2
-            # Where c^2/mu_e^2 overflows, the factor is its limit mu_e / c.
-            factor = np.minimum(factor, np.where(np.isinf(ratio), self.mu_e / c,
-                                                 1.0 / np.sqrt(1.0 + ratio)))
+                # Where c^2/mu_e^2 overflows, the factor is its limit mu_e / c.
+                factor = np.minimum(factor, np.where(np.isinf(ratio), self.mu_e / c,
+                                                     1.0 / np.sqrt(1.0 + ratio)))
         return factor
 
 
@@ -168,7 +171,7 @@ def check_one_step(trace: IterationTrace) -> BoundCheck:
     """
     p = trace.problem
     if p.project_solution is None:
-        raise ValueError("need a solution oracle")
+        raise ProxlabError("need a solution oracle")
     x_star = as_point(p.project_solution(trace.points[0]))
     f_star_val = float(p.value(x_star))
     c, r = trace.steps[:-1], _or_zero(trace.residuals[:-1])
@@ -177,9 +180,11 @@ def check_one_step(trace: IterationTrace) -> BoundCheck:
     # Python float's ** 2; x * x can differ by an ulp.
     d = np.sqrt(row_dots(diff, diff))
     sq = np.float_power(d, 2)
+    # c is multiplied into the gap and the residual before the 2, so a step
+    # whose double overflows still meets an exact step's zeros as 0, not NaN.
     return BoundCheck("one_step_improvement", np.arange(len(c)),
-                      2.0 * c * (trace.values[1:] - f_star_val),
-                      sq[:-1] - (1.0 - c * p.weak_convexity) * sq[1:] + 2.0 * c * r * d[1:]
+                      2.0 * (c * (trace.values[1:] - f_star_val)),
+                      sq[:-1] - (1.0 - c * p.weak_convexity) * sq[1:] + 2.0 * (c * r * d[1:])
                       + CHECK_ATOL)
 
 
@@ -244,7 +249,7 @@ def check_inexact_one_step(trace: IterationTrace) -> BoundCheck:
     for every step with delta_k < 1 and a logged reference prox.
     """
     if trace.problem.project_solution is None:
-        raise ValueError("need a solution oracle")
+        raise ProxlabError("need a solution oracle")
     refs, deltas, dists = trace.ref_prox_points[:-1], trace.deltas[:-1], trace.dists
     k = np.flatnonzero(~np.isnan(refs).any(axis=1) & (deltas < 1.0))
     ref_dists = distances_to_solution(trace.problem, refs[k])

@@ -23,7 +23,7 @@ import numpy as np
 from .checks import (RateBounds, check_inexact_one_step, check_ippm_linear,
                      check_ippm_sublinear, check_linear_rates, check_one_step,
                      check_sublinear_bound, verify_gd_rates)
-from .errors import ConfigError, ProxlabError
+from .errors import ProxlabError
 from .gd import GDParams, run_gd
 from .ippm import InexactCriterion, run_ippm
 from .ppm import IterationTrace, StepSchedule, install_reference, reference_solution, run_ppm
@@ -39,9 +39,9 @@ def load_config(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return _typed(json.load(fh), dict, path)
     except OSError as exc:  # missing, a directory, unreadable
-        raise ConfigError(f"cannot read config {path}: {exc.strerror}")
+        raise ValueError(f"cannot read config {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}")
+        raise ValueError(f"invalid JSON in {path}: {exc}")
 
 
 def _typed(value, kind, field: str):
@@ -53,13 +53,13 @@ def _typed(value, kind, field: str):
     if not isinstance(value, accepted) or isinstance(value, bool) and bool not in kinds:
         expected = " or ".join("number" if k is float else k.__name__ for k in kinds)
         got = "nothing" if value is None else type(value).__name__
-        raise ConfigError(f"expected {expected}, got {got}", field=field)
+        raise ValueError(f"{field}: expected {expected}, got {got}")
     if float in kinds and type(value) is int:
         try:
             float(value)
         except OverflowError:
-            raise ConfigError("expected a number, got an integer too large for a float",
-                              field=field) from None
+            raise ValueError(f"{field}: expected a number, got an integer too large for "
+                             "a float") from None
     return value
 
 
@@ -90,8 +90,7 @@ def _fields(section: dict, path: str, defaults: dict | None = None, /, **kinds) 
         if value is not None:
             fields[key] = _typed(value, kind, prefix + key)
             if key == "seed" and value < 0:
-                raise ConfigError(f"expected non-negative integer, got {value}",
-                                  field=prefix + key)
+                raise ValueError(f"{prefix}{key}: expected non-negative integer, got {value}")
     return _Fields(fields, prefix, kinds)
 
 
@@ -109,16 +108,16 @@ _references: dict = {}
 _solver: tuple = ()
 
 
-def _ml_problem(kind: str, dataset, params: MLProblemParams) -> ProblemSpec:
+def _ml_problem(dataset, params: MLProblemParams) -> ProblemSpec:
     """The ML problem on ``dataset`` with its reference installed.  The first build
     of these data and params in this process solves it (``reference_solution``);
     later builds install the solve's numbers on a freshly built problem."""
     global _solver
-    p = make_ml_problem(kind, dataset, params)
+    p = make_ml_problem(dataset, params)
     if _solver != (make_ml_problem, reference_solution):
         _references.clear()
         _solver = (make_ml_problem, reference_solution)
-    arrays = (dataset.features, dataset.labels) if kind == "svm" else dataset[:2]
+    arrays = (dataset.features, dataset.labels) if params.kind == "svm" else dataset[:2]
     key = (params, *((a.shape, a.dtype.str,
                       blake2b(np.ascontiguousarray(a), digest_size=32).digest())
                      for a in arrays))
@@ -137,7 +136,7 @@ def _size(fields: _Fields, key: str) -> int:
     """The integer ``fields[key]``, refused when numpy cannot take it as an array size."""
     value, top = fields[key], np.iinfo(np.intp).max
     if not 0 <= value <= top:
-        raise ConfigError(f"expected an array size, from 0 to {top}", field=fields.prefix + key)
+        raise ValueError(f"{fields.prefix}{key}: expected an array size, from 0 to {top}")
     return value
 
 
@@ -147,11 +146,11 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
     if "benchmark" in prob:
         name = prob["benchmark"]
         if name not in BENCHMARKS:
-            raise ConfigError(f"unknown benchmark {name!r}; pick one of {BENCHMARKS}",
-                              field="problem.benchmark")
+            raise ValueError(f"problem.benchmark: unknown benchmark {name!r}; pick one of "
+                             f"{BENCHMARKS}")
         return make_benchmark(name)
     if "ml" not in prob:
-        raise ConfigError("problem needs either 'benchmark' or 'ml'", field="problem")
+        raise ValueError("problem: problem needs either 'benchmark' or 'ml'")
     kind = prob["ml"]
     params = MLProblemParams(kind, **_fields(prob["params"], "problem.params", svm_reg=float,
                                              lam=float, en_reg=float))
@@ -164,19 +163,19 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
         try:
             dataset = load_libsvm(data["libsvm"])
         except OSError as exc:  # missing, a directory, unreadable
-            raise ConfigError(f"cannot read {data['libsvm']}: {exc.strerror}",
-                              field="problem.data.libsvm")
+            raise ValueError(f"problem.data.libsvm: cannot read {data['libsvm']}: "
+                             f"{exc.strerror}")
     elif "blobs" in data:
         size = _fields(data["blobs"], "problem.data.blobs", n=int, d=int)
         shape = _fields(data["blobs"], "problem.data.blobs", {"seed": seed}, seed=int,
                         separation=float)
         if not math.isfinite(shape.get("separation", 0.0)):
-            raise ConfigError(f"expected a finite number, got {shape['separation']}",
-                              field="problem.data.blobs.separation")
+            raise ValueError(f"problem.data.blobs.separation: expected a finite number, "
+                             f"got {shape['separation']}")
         dataset = make_blob_dataset(_size(size, "n"), _size(size, "d"), **shape)
     else:
-        raise ConfigError("svm needs data.libsvm or data.blobs", field="problem.data")
-    return _ml_problem(kind, dataset, params)
+        raise ValueError("problem.data: svm needs data.libsvm or data.blobs")
+    return _ml_problem(dataset, params)
 
 
 def build_schedule(cfg: dict) -> StepSchedule:
@@ -188,11 +187,10 @@ def build_x0(cfg: dict, p: ProblemSpec) -> np.ndarray:
     if isinstance(x0, str):
         if x0 == "zeros":
             return np.zeros(p.dimension)
-        raise ConfigError(f"unknown x0 preset {x0!r}", field="x0")
+        raise ValueError(f"x0: unknown x0 preset {x0!r}")
     arr = np.array([_typed(v, float, "x0") for v in x0], dtype=float)
     if arr.shape != (p.dimension,):
-        raise ConfigError(f"x0 has shape {arr.shape}, problem dimension is {p.dimension}",
-                          field="x0")
+        raise ValueError(f"x0: x0 has shape {arr.shape}, problem dimension is {p.dimension}")
     return arr
 
 
@@ -304,8 +302,9 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     params = crits = None
     bounds = {}
     if cmd == "run-gd":
-        md = p.metadata
-        gd = _fields(cfg["gd"], "gd", {"mu": md.get("gd_mu"), "beta": md.get("gd_beta")},
+        mu_p = p.metadata.get("mu_p")
+        gd = _fields(cfg["gd"], "gd", {"mu": p.metadata.get("mu_r"),
+                                       "beta": None if mu_p is None else mu_p / 2},
                      mu=float, beta=float)
         params = GDParams(p.smoothness, gd["mu"], gd["beta"])
         trace = run_gd(p, x0, params, *limit)
@@ -392,9 +391,9 @@ def main(argv=None) -> int:
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # an existing file, a file on the path, no permission
-            raise ConfigError(f"cannot create --out {out}: {exc.strerror}")
+            raise ValueError(f"cannot create --out {out}: {exc.strerror}")
         return _COMMANDS[args.command](args.command, cfg, out, seed)
-    except (ConfigError, ValueError) as exc:  # values the library rejects
+    except ValueError as exc:  # values the config or the library refuses
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except ProxlabError as exc:

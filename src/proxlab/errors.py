@@ -1,34 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A value the package refuses raises ValueError.  Every other failure raises
+ProxlabError: a point outside the domain, a missing reference or oracle,
+malformed data.  Its two subclasses are the inner-solve outcomes that the
+outer loop turns into the ``inner_budget`` and ``resolution`` stop reasons.
+"""
 
 
 class ProxlabError(Exception):
-    """Base class for all package errors."""
-
-
-class DomainError(ProxlabError):
-    """Point lies outside the effective domain of the objective."""
-
-
-class NotAvailable(ProxlabError):
-    """An optional oracle (solution set, inner solver, ...) is missing."""
-
-
-class BadShape(ProxlabError):
-    """Inconsistent array dimensions or an infeasible size request."""
-
-
-class ParseError(ProxlabError):
-    """Malformed input file; carries the offending line number when known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-
-
-class StepTooLarge(ProxlabError):
-    """Prox step c violates 1/c > rho for a weakly convex objective."""
+    """A call the package cannot carry out on the problem or data it was given."""
 
 
 class InnerBudgetExhausted(ProxlabError):
@@ -44,25 +24,3 @@ class InnerBudgetExhausted(ProxlabError):
 
 class ResolutionFloor(InnerBudgetExhausted):
     """Inner solver reached floating-point resolution short of its residual target."""
-
-
-class NotSmooth(ProxlabError):
-    """Gradient descent requested on a problem without a smoothness constant."""
-
-
-class NeedsReference(ProxlabError):
-    """Operation requires f_star (and usually a solution oracle) to be installed first."""
-
-
-class CriterionUnverifiable(ProxlabError):
-    """Criterion A/B requested outside test mode; they reference the unknown true prox."""
-
-
-class ConfigError(ProxlabError):
-    """Invalid experiment configuration; carries the offending field path."""
-
-    def __init__(self, message: str, field: str | None = None):
-        self.field = field
-        if field is not None:
-            message = f"{field}: {message}"
-        super().__init__(message)

@@ -2,11 +2,11 @@
 
 With step t = mu / L^2 the iterates contract by omega_1 = sqrt(1 - mu^2/L^2)
 in distance and the cost gaps by omega_2 = (L^3 - 2 mu L beta + mu^2 beta)/L^3,
-where mu is the secant-growth constant and beta the gradient-dominance
-constant of the smooth objective.  Both are the step-dependent factors
-sqrt(1 - 2 t mu + t^2 L^2) and 1 + (-2t + L t^2) beta at that t, which lies
-in (0, 2/L) since mu <= L.  ``checks.verify_gd_rates`` replays both against
-a trace.
+where mu is the restricted secant constant (a problem's ``mu_r``) and beta
+the gradient-dominance constant (``mu_p / 2``) of the smooth objective.  Both
+are the step-dependent factors sqrt(1 - 2 t mu + t^2 L^2) and
+1 + (-2t + L t^2) beta at that t, which lies in (0, 2/L) since mu <= L.
+``checks.verify_gd_rates`` replays both against a trace.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSmooth
+from .errors import ProxlabError
 from .ppm import IterationTrace, StepSchedule, iterate
 from .problem import ProblemSpec
 
@@ -38,7 +38,8 @@ class GDParams:
 
     def __post_init__(self):
         if self.lipschitz is None:
-            raise NotSmooth("gradient descent needs a smoothness constant L; the problem has none")
+            raise ProxlabError("gradient descent needs a smoothness constant L; "
+                               "the problem has none")
         if not (self.lipschitz > 0 and self.mu > 0 and self.beta > 0):  # NaN too
             raise ValueError(f"constants must be positive, got L={self.lipschitz:g}, "
                              f"mu={self.mu:g}, beta={self.beta:g}")
@@ -66,11 +67,14 @@ class GDParams:
 
 
 def run_gd(p: ProblemSpec, x0, params: GDParams, iters: int = 50) -> IterationTrace:
-    """x_{k+1} = x_k - t grad f(x_k); the step column of the trace carries t."""
+    """x_{k+1} = x_k - t grad f(x_k); the step column of the trace carries t.
+
+    Stops at ``run_ppm``'s thresholds: a gap or a gradient norm
+    ||x_{k+1} - x_k||/t of at most 1e-10, else after ``iters`` steps."""
     if p.smoothness is None:
-        raise NotSmooth(f"problem {p.name!r} has no smoothness constant")
+        raise ProxlabError(f"problem {p.name!r} has no smoothness constant")
 
     def step(k, x, t):
         return x - t * np.asarray(p.subgradient(x), dtype=float), None, None, None, None
 
-    return iterate(p, x0, StepSchedule.constant(params.step_size), iters, step)
+    return iterate(p, x0, StepSchedule.constant(params.step_size), iters, step, 1e-10, 1e-10)

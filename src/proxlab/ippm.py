@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CriterionUnverifiable
+from .errors import ProxlabError
 from .ppm import IterationTrace, StepSchedule, iterate
 from .problem import ProblemSpec, min_norm_subgradient, vector_norm
 from .prox import prox, validate_step
@@ -81,7 +81,7 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
         raise ValueError("need at least one criterion")
     unprimed = [c for c in crits if not c.implementable]
     if unprimed and not test_mode:
-        raise CriterionUnverifiable(
+        raise ProxlabError(
             f"criteria {[c.kind for c in unprimed]} reference the exact prox; "
             "enable test_mode")
     if unprimed and any(c.implementable for c in crits):

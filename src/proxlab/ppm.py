@@ -108,16 +108,17 @@ class IterationTrace:
 
 
 def iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
-             stop_gap: float | None = None, stop_residual: float | None = None):
+             stop_gap: float, stop_residual: float):
     """The outer loop of PPM, iPPM and GD: ``step(k, x, c)`` gives the move
     (x_next, residual, eps, delta, ref), None where a field does not apply.
 
     Stops with ``gap`` (f - f_star <= stop_gap), ``residual`` (||x_{k+1} -
-    x_k||/c_k + residual <= stop_residual), ``max_iter``, ``resolution`` /
-    ``inner_budget`` when a step's inner solver gives up, or ``non_finite``
-    when a step returns a point with a non-finite coordinate or a value of NaN
-    or +inf, which is not recorded; the trace is kept.  An x0 with such a
-    value raises ValueError, as ``as_point`` does for a non-finite coordinate.
+    x_k||/c_k + residual <= stop_residual, a None residual read as 0),
+    ``max_iter``, ``resolution`` / ``inner_budget`` when a step's inner solver
+    gives up, or ``non_finite`` when a step returns a point with a non-finite
+    coordinate or a value of NaN or +inf, which is not recorded; the trace is
+    kept.  An x0 with such a value raises ValueError, as ``as_point`` does for
+    a non-finite coordinate.
     """
     x = as_point(x0)
     value = float(p.value(x))
@@ -139,11 +140,10 @@ def iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
         values.append(value)
         steps.append(c)
         moves.append(move)
-        if stop_gap is not None and p.f_star is not None and values[-1] - p.f_star <= stop_gap:
+        if p.f_star is not None and values[-1] - p.f_star <= stop_gap:
             stop_reason = "gap"
             break
-        if stop_residual is not None and \
-                vector_norm(x_next - x) / c + move[0] <= stop_residual:
+        if vector_norm(x_next - x) / c + (move[0] or 0.0) <= stop_residual:
             stop_reason = "residual"
             break
         x = x_next

@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, InnerBudgetExhausted, NotAvailable
+from .errors import InnerBudgetExhausted, ProxlabError
 
 Vector = np.ndarray
 
@@ -357,11 +357,11 @@ def min_norm_subgradient(p: ProblemSpec, x, shift=0.0) -> tuple[Vector, float]:
     """(element, norm): the element of partial f(x) + shift nearest zero, and its norm.
 
     The norm equals dist(-shift, partial f(x)): the slope at shift 0, the prox
-    certificate at shift (x - z)/c.  Raises DomainError outside the domain.
+    certificate at shift (x - z)/c.  Raises ProxlabError outside the domain.
     """
     x = as_point(x)
     if p.value(x) == math.inf:
-        raise DomainError(f"value is +inf at {x}")
+        raise ProxlabError(f"value is +inf at {x}")
     g = np.asarray(p.min_norm_subgradient(x, shift=shift), dtype=float)
     # In one dimension |g| is exact where sqrt(g^2) would underflow to 0.
     return g, abs(float(g[0])) if g.size == 1 else vector_norm(g)
@@ -371,7 +371,7 @@ def distances_to_solution(p: ProblemSpec, xs: np.ndarray) -> np.ndarray:
     """dist(x, S) of each row x of xs via the solution oracle: one batch
     projection, then the norm of x - proj_S(x) as one np.dot per row."""
     if p.project_solution is None:
-        raise NotAvailable("no solution oracle on this problem")
+        raise ProxlabError("no solution oracle on this problem")
     offset = batch_oracle(p, "project_solutions", xs)
     np.subtract(xs, offset, out=offset)
     return np.sqrt(row_dots(offset, offset))

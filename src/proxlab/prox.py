@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InnerBudgetExhausted, NotAvailable, ResolutionFloor, StepTooLarge
+from .errors import InnerBudgetExhausted, ProxlabError, ResolutionFloor
 from .problem import KINK_BAND, ProblemSpec, as_point, nearest_zero, vector_norm
 
 # accept(candidate, residual_norm) -> bool; lets the outer loop install
@@ -42,7 +42,7 @@ def validate_step(p: ProblemSpec, c: float) -> None:
     if not 0 < c < math.inf:  # NaN fails too
         raise ValueError(f"prox step must be positive and finite, got {c}")
     if p.weak_convexity > 0 and 1.0 / c <= p.weak_convexity:
-        raise StepTooLarge(
+        raise ProxlabError(
             f"1/c = {1.0 / c:g} must exceed the weak convexity modulus {p.weak_convexity:g}")
 
 
@@ -74,7 +74,7 @@ def prox(p: ProblemSpec, z, c: float, target: float = 1e-10,
     elif p.dimension == 1 and p.interval_1d is not None:
         name, candidates = "1d", _regula_falsi(p, z, c)
     else:
-        raise NotAvailable(f"no inner solver for problem {p.name!r}")
+        raise ProxlabError(f"no inner solver for problem {p.name!r}")
     if stop_rule is None:
         stop_rule = lambda w, rn: rn <= target
     for it, candidate in enumerate(candidates):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NeedsReference, ProxlabError
+from .errors import ProxlabError
 from .problem import BATCH_ELEMENTS, ProblemSpec, as_point, batch_oracle, row_dots
 
 EB_CAP = 1e12
@@ -161,7 +161,7 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     Raises ProxlabError when no sample enters the ratios.
     """
     if p.f_star is None or p.project_solution is None:
-        raise NeedsReference("estimation needs f_star and a solution oracle")
+        raise ProxlabError("estimation needs f_star and a solution oracle")
     xs = _sample_points(p, plan)
     if p.dimension == 1 and plan.bracket is not None:
         # Sharpen the sample with bisection-refined stationary points so a
@@ -279,17 +279,17 @@ def find_suboptimal_stationary_points(p: ProblemSpec, bracket) -> list[np.ndarra
     batch call per oracle, and every sign-change bracket is halved at once,
     at most 80 times; a bracket whose midpoint is an exact root stays there,
     and one whose midpoint is one of its ends (adjacent floats) can no longer
-    move, so neither is halved again.  Raises DomainError when f is +inf at a
+    move, so neither is halved again.  Raises ProxlabError when f is +inf at a
     grid point.
     """
     if p.dimension != 1:
         raise ValueError("stationary-point scan is one-dimensional")
     if p.f_star is None:
-        raise NeedsReference("needs f_star to classify stationary points")
+        raise ProxlabError("needs f_star to classify stationary points")
     grid = as_point(np.linspace(float(bracket[0]), float(bracket[1]), STATIONARY_SCAN))
     outside = np.flatnonzero(batch_oracle(p, "values", grid[:, None]) == math.inf)
     if outside.size:
-        raise DomainError(f"value is +inf at {grid[outside[:1]]}")
+        raise ProxlabError(f"value is +inf at {grid[outside[:1]]}")
 
     def signed(points: np.ndarray) -> np.ndarray:
         return batch_oracle(p, "min_norm_subgradients", points[:, None])[:, 0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadShape, ParseError
+from .errors import ProxlabError
 from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SvmParts,
                       problem_from_1d, row_dots, row_matvecs)
 
@@ -44,7 +44,7 @@ def _quad1d() -> ProblemSpec:
         prox_closed_form=lambda z, c: z / (1.0 + 2.0 * c),
         name="quad1d",
         metadata={"mu_s": 1.0, "mu_r": 2.0, "mu_e": 0.5, "mu_p": 4.0, "mu_q": 1.0,
-                  "gd_mu": 2.0, "gd_beta": 2.0, "bracket": (-1.0, 1.0), "nu": 1.0},
+                  "bracket": (-1.0, 1.0), "nu": 1.0},
     )
 
 
@@ -120,8 +120,8 @@ def _aniso_quad() -> ProblemSpec:
         project_solutions=np.zeros_like,
         prox_closed_form=lambda z, c: np.asarray(z) / (1.0 + c * diag),
         name="aniso_quad(9)",
-        metadata={"gd_mu": 1.0, "gd_beta": 1.0, "mu_q": 0.5, "mu_p": 2.0, "mu_e": 1.0,
-                  "mu_r": 1.0, "mu_s": 0.5, "bracket": (-1.0, 1.0), "nu": math.inf},
+        metadata={"mu_q": 0.5, "mu_p": 2.0, "mu_e": 1.0, "mu_r": 1.0, "mu_s": 0.5,
+                  "bracket": (-1.0, 1.0), "nu": math.inf},
     )
 
 
@@ -144,11 +144,11 @@ class Dataset:
         feats = np.asarray(self.features, dtype=float)
         labs = np.asarray(self.labels, dtype=float)
         if feats.ndim != 2 or labs.shape != (feats.shape[0],):
-            raise BadShape(f"features {feats.shape} vs labels {labs.shape}")
+            raise ProxlabError(f"features {feats.shape} vs labels {labs.shape}")
         if not (np.isfinite(feats).all() and np.isfinite(labs).all()):
-            raise BadShape("non-finite entries in dataset")
+            raise ProxlabError("non-finite entries in dataset")
         if not np.all(np.isin(labs, (-1.0, 1.0))):
-            raise BadShape("labels must be -1 or +1")
+            raise ProxlabError("labels must be -1 or +1")
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -166,7 +166,7 @@ class Dataset:
 def make_blob_dataset(n: int, d: int, seed: int, separation: float = 2.0) -> Dataset:
     """Two Gaussian blobs at +/- separation/2 along the all-ones direction."""
     if min(n, d) < 1:
-        raise BadShape(f"blobs need n >= 1 samples and d >= 1 features, got n={n}, d={d}")
+        raise ProxlabError(f"blobs need n >= 1 samples and d >= 1 features, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     center = np.full(d, separation / 2.0 / math.sqrt(d))
     n_pos = n // 2
@@ -184,9 +184,9 @@ def generate_lasso_data(n: int, m: int, s: int, seed: int):
     from the seeded generator; exactly s entries of xhat are zero.
     """
     if min(n, m) < 1:
-        raise BadShape(f"lasso data need n >= 1 samples and m >= 1 features, got n={n}, m={m}")
+        raise ProxlabError(f"lasso data need n >= 1 samples and m >= 1 features, got n={n}, m={m}")
     if s >= m:
-        raise BadShape(f"need s < m, got s={s}, m={m}")
+        raise ProxlabError(f"need s < m, got s={s}, m={m}")
     rng = np.random.default_rng(seed)
     a_mat = rng.standard_normal((n, m))
     xhat = rng.standard_normal(m)
@@ -216,27 +216,24 @@ class MLProblemParams:
                 raise ValueError(f"{name} must be positive and finite, got {weight}")
 
 
-def make_ml_problem(kind: str, data, params: MLProblemParams) -> ProblemSpec:
-    """Assemble a ProblemSpec from data and parameters.
+def make_ml_problem(data, params: MLProblemParams) -> ProblemSpec:
+    """Assemble the ``params.kind`` problem from data and parameters.
 
     ``data`` is a Dataset for kind "svm", or an (A, y) pair / (A, y, xhat)
     triple for the regression kinds.  All three problems are convex; the
     reference value is installed later by a high-accuracy solve.
     """
-    if params.kind != kind:
-        raise BadShape(f"params.kind={params.kind!r} does not match {kind!r}")
+    kind = params.kind
     if kind == "svm":
         if not isinstance(data, Dataset):
-            raise BadShape("svm expects a Dataset")
+            raise ProxlabError("svm expects a Dataset")
         return _svm_problem(data, params.svm_reg)
-    if kind in ("lasso", "elastic_net"):
-        a_mat = np.asarray(data[0], dtype=float)
-        y = np.asarray(data[1], dtype=float)
-        if a_mat.ndim != 2 or y.shape != (a_mat.shape[0],):
-            raise BadShape(f"A {a_mat.shape} vs y {y.shape}")
-        en_reg = params.en_reg if kind == "elastic_net" else 0.0
-        return _least_squares_l1_problem(a_mat, y, params.lam, en_reg, kind)
-    raise ValueError(f"unknown problem kind {kind!r}")
+    a_mat = np.asarray(data[0], dtype=float)
+    y = np.asarray(data[1], dtype=float)
+    if a_mat.ndim != 2 or y.shape != (a_mat.shape[0],):
+        raise ProxlabError(f"A {a_mat.shape} vs y {y.shape}")
+    en_reg = params.en_reg if kind == "elastic_net" else 0.0
+    return _least_squares_l1_problem(a_mat, y, params.lam, en_reg, kind)
 
 
 def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
@@ -314,7 +311,7 @@ def load_libsvm(path) -> Dataset:
 
     Lines look like ``label idx:val idx:val ...`` with 1-based indices;
     missing indices are zero.  Raw labels must be -1, 0 or +1; 0 maps to -1
-    (the {0,1} convention), anything else raises ParseError with its line, as
+    (the {0,1} convention), anything else raises ProxlabError naming its line, as
     does a non-finite feature value.
     """
     rows: list[dict[int, float]] = []
@@ -329,9 +326,9 @@ def load_libsvm(path) -> Dataset:
             try:
                 raw = float(parts[0])
             except ValueError:
-                raise ParseError(f"bad label {parts[0]!r}", lineno) from None
+                raise ProxlabError(f"line {lineno}: bad label {parts[0]!r}") from None
             if raw not in (-1.0, 0.0, 1.0):
-                raise ParseError(f"label {parts[0]!r} not coercible to -1/+1", lineno)
+                raise ProxlabError(f"line {lineno}: label {parts[0]!r} not coercible to -1/+1")
             labels.append(1.0 if raw > 0 else -1.0)
             entries: dict[int, float] = {}
             for tok in parts[1:]:
@@ -340,16 +337,16 @@ def load_libsvm(path) -> Dataset:
                     idx = int(idx_s)
                     val = float(val_s)
                 except ValueError:
-                    raise ParseError(f"bad feature token {tok!r}", lineno) from None
+                    raise ProxlabError(f"line {lineno}: bad feature token {tok!r}") from None
                 if idx < 1:
-                    raise ParseError(f"feature index {idx} must be >= 1", lineno)
+                    raise ProxlabError(f"line {lineno}: feature index {idx} must be >= 1")
                 if not math.isfinite(val):
-                    raise ParseError(f"non-finite feature value {tok!r}", lineno)
+                    raise ProxlabError(f"line {lineno}: non-finite feature value {tok!r}")
                 entries[idx] = val
                 max_idx = max(max_idx, idx)
             rows.append(entries)
     if not rows:
-        raise ParseError("empty file", None)
+        raise ProxlabError("empty file")
     feats = np.zeros((len(rows), max_idx))
     for i, entries in enumerate(rows):
         for idx, val in entries.items():

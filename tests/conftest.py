@@ -68,7 +68,7 @@ def aniso_quad():
 @pytest.fixture(scope="session")
 def lasso_toy():
     # A = I_2, y = (3, 0), lam = 1: minimizer (2, 0), optimal value 2.5.
-    return make_ml_problem("lasso", (np.eye(2), np.array([3.0, 0.0])),
+    return make_ml_problem((np.eye(2), np.array([3.0, 0.0])),
                            MLProblemParams("lasso", lam=1.0))
 
 
@@ -80,7 +80,7 @@ def lasso_toy_ref(lasso_toy):
 @pytest.fixture(scope="session")
 def en_toy():
     # A = I_1, y = 4, lam = 1, quadratic weight 1: minimizer 1.5.
-    return make_ml_problem("elastic_net", (np.eye(1), np.array([4.0])),
+    return make_ml_problem((np.eye(1), np.array([4.0])),
                            MLProblemParams("elastic_net", lam=1.0, en_reg=1.0))
 
 
@@ -93,7 +93,7 @@ def en_toy_ref(en_toy):
 def svm_toy():
     data = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
                    np.array([1.0, -1.0, 1.0, -1.0]), source="toy")
-    return make_ml_problem("svm", data, MLProblemParams("svm", svm_reg=1.0))
+    return make_ml_problem(data, MLProblemParams("svm", svm_reg=1.0))
 
 
 @pytest.fixture(scope="session")
@@ -104,14 +104,14 @@ def svm_toy_ref(svm_toy):
 @pytest.fixture(scope="session")
 def lasso_f20(request):
     a_mat, y, xhat = generate_lasso_data(20, 50, 10, seed=7)
-    problem = make_ml_problem("lasso", (a_mat, y), MLProblemParams("lasso", lam=10.0))
+    problem = make_ml_problem((a_mat, y), MLProblemParams("lasso", lam=10.0))
     return reference_solution(problem, effort=600, c_ref=1.0)
 
 
 @pytest.fixture(scope="session")
 def en_f20():
     a_mat, y, _ = generate_lasso_data(20, 50, 10, seed=7)
-    problem = make_ml_problem("elastic_net", (a_mat, y),
+    problem = make_ml_problem((a_mat, y),
                               MLProblemParams("elastic_net", lam=10.0, en_reg=1.0))
     return reference_solution(problem, effort=600, c_ref=1.0)
 
@@ -119,5 +119,5 @@ def en_f20():
 @pytest.fixture(scope="session")
 def svm_blobs():
     data = make_blob_dataset(200, 10, seed=3, separation=1.0)
-    problem = make_ml_problem("svm", data, MLProblemParams("svm", svm_reg=1.0))
+    problem = make_ml_problem(data, MLProblemParams("svm", svm_reg=1.0))
     return reference_solution(problem, effort=400, c_ref=1.0)

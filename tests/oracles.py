@@ -208,14 +208,14 @@ def loop_stationary_points(p, bracket) -> list:
     ``find_suboptimal_stationary_points``; every call is the checked
     ``min_norm_subgradient`` wrapper.
     """
-    from proxlab.errors import NeedsReference
+    from proxlab.errors import ProxlabError
     from proxlab.problem import min_norm_subgradient
     from proxlab.regularity import STATIONARY_NORM, STATIONARY_SCAN, SUBOPTIMAL_GAP
 
     if p.dimension != 1:
         raise ValueError("stationary-point scan is one-dimensional")
     if p.f_star is None:
-        raise NeedsReference("needs f_star to classify stationary points")
+        raise ProxlabError("needs f_star to classify stationary points")
     lo, hi = float(bracket[0]), float(bracket[1])
 
     def signed(x: float) -> float:

@@ -290,6 +290,31 @@ def test_huge_step_gives_the_limit_of_the_distance_factor(tmp_path):
     assert summary["bounds"]["dist_factor"] == report["constants"]["mu_e"]["value"] / 1e300
 
 
+def test_step_at_the_top_of_the_float_range_meets_every_bound(tmp_path):
+    # 2 c overflowed in check_one_step, and inf times the exact step's zero gap
+    # and residual is NaN: one_step_improvement failed (exit 2), with seven
+    # overflow warnings from the checkers and the factors.
+    body = json.loads((EXPERIMENTS / "quad1d_audit.json").read_text())
+    body["schedule"] = {"constant": 1.5e308}
+    cfg = write_config(tmp_path, "huge.json", body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["bounds_ok"] and summary["asserted"] == 4
+    assert summary["bounds"] == {"cost_factor": 0.0, "dist_factor": 0.0}
+
+
+def test_run_gd_stops_at_a_tiny_gap(tmp_path):
+    # run_gd passed no stop rule to the loop: at this horizon it never ended.
+    body = json.loads((EXPERIMENTS / "gd_aniso.json").read_text())
+    cfg = write_config(tmp_path, "long.json", {**body, "max_iter": 10**12})
+    assert main(["run-gd", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["stop_reason"] == "gap" and summary["final_gap"] <= 1e-10
+    assert summary["bounds_ok"]
+
+
 def test_svm_libsvm_config_path(tmp_path):
     data = tmp_path / "toy.libsvm"
     data.write_text("+1 1:1 2:0.5\n-1 1:-1 2:-0.5\n+1 1:0.8\n-1 2:-1\n",
@@ -393,7 +418,7 @@ def test_convex_test_mode_asserts_the_envelopes(tmp_path, cmd, extra, names):
     # A data file that cannot be read.
     ("run-ppm", {"problem": {"ml": "svm", "data": {"libsvm": "no_such_dir/data.libsvm"}},
                  "schedule": {"constant": 1.0}}),
-    # A gd section without mu on a problem whose metadata has no gd_mu.
+    # A gd section without mu on a problem whose metadata has no mu_r.
     ("run-gd", {"problem": {"benchmark": "sine_quad"}, "gd": {}, "x0": [1.0]}),
 ])
 def test_rejected_config_values_exit_one(tmp_path, capsys, cmd, body):

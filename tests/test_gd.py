@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from proxlab import GDParams, NotSmooth, make_benchmark, run_gd, verify_gd_rates
+from proxlab import GDParams, ProxlabError, make_benchmark, run_gd, verify_gd_rates
 
 from oracles import central_difference
 
@@ -51,9 +52,20 @@ def test_stationary_start(aniso_quad):
     assert len(dist.indices) == len(cost.indices) == 0  # nothing to check
 
 
+def test_run_gd_stops_at_run_ppms_thresholds(aniso_quad):
+    # With no stop rule, a horizon of 10**12 steps never ended.
+    params = GDParams(lipschitz=9.0, mu=1.0, beta=1.0)
+    tr = run_gd(aniso_quad, [1.0, 1.0], params, iters=10**12)
+    assert tr.stop_reason == "gap" and tr.gaps[-1] <= 1e-10 < tr.gaps[-2]
+    # Without f_star, at a gradient norm ||x_{k+1} - x_k|| / t of at most 1e-10.
+    tr = run_gd(replace(aniso_quad, f_star=None), [1.0, 1.0], params, iters=10**12)
+    norms = np.linalg.norm(np.diff(tr.points, axis=0), axis=1) / params.step_size
+    assert tr.stop_reason == "residual" and norms[-1] <= 1e-10 < norms[-2]
+
+
 def test_not_smooth(wc_piecewise):
     params = GDParams(lipschitz=1.0, mu=0.5, beta=0.5)
-    with pytest.raises(NotSmooth):
+    with pytest.raises(ProxlabError):
         run_gd(wc_piecewise, [-0.7], params, iters=3)
 
 

@@ -398,7 +398,7 @@ def test_svm_free_set_finish_skips_large_and_singular_sets(monkeypatch, rows):
     data = make_blob_dataset(40, 3, seed=5)
     if rows == "twice":
         data = Dataset(np.vstack([data.features] * 2), np.tile(data.labels, 2), "twice")
-    p = make_ml_problem("svm", data, MLProblemParams("svm", svm_reg=1.0))
+    p = make_ml_problem(data, MLProblemParams("svm", svm_reg=1.0))
     sizes, singular = [], []
     solve = np.linalg.solve
 
@@ -425,7 +425,7 @@ def test_svm_free_set_finish_skips_large_and_singular_sets(monkeypatch, rows):
 @pytest.fixture(scope="module")
 def svm_blobs_40():
     # Small enough that some prox points have several hinge terms at their kink.
-    return make_ml_problem("svm", make_blob_dataset(40, 3, seed=5),
+    return make_ml_problem(make_blob_dataset(40, 3, seed=5),
                            MLProblemParams("svm", svm_reg=1.0))
 
 

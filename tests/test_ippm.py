@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import proxlab.checks as checks_module
-from proxlab import (CriterionUnverifiable, InexactCriterion, StepSchedule,
+from proxlab import (InexactCriterion, ProxlabError, StepSchedule,
                      check_inexact_one_step, check_ippm_linear, check_ippm_sublinear,
                      estimate_constants, plan_for, run_ippm, run_ppm)
 
@@ -22,7 +22,7 @@ def test_criterion_kinds_and_sequences():
 
 
 def test_unprimed_requires_test_mode(quad1d):
-    with pytest.raises(CriterionUnverifiable):
+    with pytest.raises(ProxlabError):
         run_ippm(quad1d, [1.0], StepSchedule.constant(1.0), InexactCriterion("A"))
     with pytest.raises(ValueError):
         run_ippm(quad1d, [1.0], StepSchedule.constant(1.0),

@@ -5,7 +5,8 @@ errors -> problem -> {prox, zoo, regularity} -> ppm -> {ippm, gd, traceio} -> ch
 A module may import only from modules on a lower layer, and only at module
 level; ``__init__`` re-exports everything and is exempt.  No module imports
 another's underscore names, and the bound checkers are defined in ``checks``
-alone: the loop modules only run.
+alone: the loop modules only run.  ``errors`` defines the three error types,
+and every ``raise`` in the package names one of them or ValueError.
 """
 
 import ast
@@ -78,3 +79,23 @@ def test_bound_checkers_are_defined_only_in_checks():
                           "check_linear_rates", "check_ippm_sublinear", "check_ippm_linear",
                           "check_inexact_one_step", "verify_gd_rates"}
     assert all(modules == ["checks"] for modules in homes.values()), homes
+
+
+# The error types some code tells apart: the CLI prints a ProxlabError as one
+# "error:" line, and the outer loop turns the other two into stop reasons.  A
+# refused value is a ValueError ("config error:").
+ERRORS = {"ProxlabError", "InnerBudgetExhausted", "ResolutionFloor"}
+
+
+def test_errors_defines_the_three_types():
+    classes = {node.name for node in parse("errors").body if isinstance(node, ast.ClassDef)}
+    assert classes == ERRORS
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_raise_names_a_package_error_or_value_error(module):
+    for node in ast.walk(parse(module)):
+        if isinstance(node, ast.Raise) and node.exc is not None:  # not a bare re-raise
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+            assert name in ERRORS | {"ValueError"}, f"{module}.py:{node.lineno} raises {name}"

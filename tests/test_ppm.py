@@ -9,9 +9,11 @@ from hypothesis.extra.numpy import arrays
 
 import proxlab.ippm as ippm_module
 import proxlab.ppm as ppm_module
-from proxlab import (InexactCriterion, IterationTrace, ProblemSpec, RateBounds, StepSchedule,
-                     StepTooLarge, check_linear_rates, check_one_step, check_sublinear_bound,
-                     make_benchmark, prox, reference_solution, run_ippm, run_ppm)
+from proxlab import (EstimationPlan, InexactCriterion, IterationTrace, ProblemSpec, ProxlabError,
+                     RateBounds, StepSchedule, check_inexact_one_step, check_linear_rates,
+                     check_one_step, check_sublinear_bound, distances_to_solution,
+                     estimate_constants, make_benchmark, prox, reference_solution, run_ippm,
+                     run_ppm)
 
 from conftest import with_solution_point
 from oracles import running_diameter
@@ -50,7 +52,7 @@ def test_weakly_convex_run_descends(wc_piecewise):
 def test_schedule_validation(wc_piecewise):
     # 1/c must exceed rho = 2: c = 0.5 is refused, a step just below it reaches
     # the minimizer.
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(ProxlabError):
         run_ppm(wc_piecewise, [-0.7], StepSchedule.constant(0.5), max_iter=3)
     assert run_ppm(wc_piecewise, [-0.7], StepSchedule.constant(0.499),
                    max_iter=3).stop_reason == "gap"
@@ -60,7 +62,7 @@ def test_schedule_validation(wc_piecewise):
 def test_one_step_check_refuses_before_any_step(monkeypatch, wc_piecewise, c):
     # A step that is not positive and finite, or one with 1/c <= rho = 2, gives
     # one error from prox and from both loops, and the loops take no step.
-    with pytest.raises((ValueError, StepTooLarge)) as direct:
+    with pytest.raises((ValueError, ProxlabError)) as direct:
         prox(wc_piecewise, [0.5], c)
 
     def no_step(*args, **kwargs):
@@ -123,6 +125,22 @@ def test_one_step_lasso_with_inner_slack(lasso_f20):
     tr = run_ppm(p, np.zeros(50), StepSchedule.constant(0.16), max_iter=40)
     assert check_one_step(tr).all_ok
     assert check_sublinear_bound(tr).all_ok
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, tr: check_sublinear_bound(tr),
+    lambda p, tr: check_one_step(tr),
+    lambda p, tr: check_inexact_one_step(tr),
+    lambda p, tr: distances_to_solution(p, tr.points),
+    lambda p, tr: estimate_constants(p, EstimationPlan(count=200)),
+], ids=["check_sublinear_bound", "check_one_step", "check_inexact_one_step",
+        "distances_to_solution", "estimate_constants"])
+def test_a_missing_reference_raises_one_type(lasso_toy, call):
+    # The lasso has no reference installed: no f_star and no solution oracle.
+    # The first three raised ValueError, the last two their own classes.
+    tr = run_ppm(lasso_toy, np.zeros(2), StepSchedule.constant(1.0), max_iter=3)
+    with pytest.raises(ProxlabError):
+        call(lasso_toy, tr)
 
 
 def test_linear_rates_quad(quad_run):

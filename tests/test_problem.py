@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from proxlab import (BENCHMARKS, DomainError, NotAvailable, ProblemSpec, ProxResult, SvmParts,
+from proxlab import (BENCHMARKS, ProblemSpec, ProxlabError, ProxResult, SvmParts,
                      distances_to_solution, make_benchmark, make_blob_dataset,
                      min_norm_subgradient, problem)
 from proxlab.problem import (SHORT_VECTOR, Piecewise1D, all_finite, as_point, batch_oracle,
@@ -99,7 +99,7 @@ def test_min_norm_domain_error():
                     value=lambda x: float(x[0] ** 2) if abs(x[0]) <= 1 else math.inf,
                     subgradient=lambda x: 2.0 * x,
                     min_norm_subgradient=lambda x, shift=0.0: 2.0 * x + shift)
-    with pytest.raises(DomainError):
+    with pytest.raises(ProxlabError):
         min_norm_subgradient(p, [2.0])
 
 
@@ -113,7 +113,7 @@ def test_distance_examples(quad1d, wc_piecewise, sine_quad):
 
 
 def test_distance_not_available(lasso_toy):
-    with pytest.raises(NotAvailable):
+    with pytest.raises(ProxlabError):
         distances_to_solution(lasso_toy, np.zeros((1, 2)))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxlab import (InnerBudgetExhausted, Piecewise1D, StepTooLarge, make_benchmark,
+from proxlab import (InnerBudgetExhausted, Piecewise1D, ProxlabError, make_benchmark,
                      min_norm_subgradient, prox)
 from proxlab.errors import ResolutionFloor
 from proxlab.problem import problem_from_1d
@@ -58,12 +58,12 @@ def test_residual_certificate_quad1d(quad1d):
 
 
 def test_residual_certificate_domain_error():
-    from proxlab import DomainError, ProblemSpec
+    from proxlab import ProblemSpec
     p = ProblemSpec(dimension=1,
                     value=lambda x: float(x[0] ** 2) if abs(x[0]) <= 1 else math.inf,
                     subgradient=lambda x: 2.0 * x,
                     min_norm_subgradient=lambda x, shift=0.0: 2.0 * x + shift)
-    with pytest.raises(DomainError):
+    with pytest.raises(ProxlabError):
         certificate(p, [2.0], [0.0], 1.0)
 
 
@@ -85,7 +85,7 @@ def test_prox_lasso_generated_sizes_terminate():
     from proxlab import MLProblemParams, generate_lasso_data, make_ml_problem
     for n, m, s in [(10, 40, 5), (20, 50, 10), (30, 60, 15)]:
         a_mat, y, _ = generate_lasso_data(n, m, s, seed=1)
-        p = make_ml_problem("lasso", (a_mat, y), MLProblemParams("lasso", lam=10.0))
+        p = make_ml_problem((a_mat, y), MLProblemParams("lasso", lam=10.0))
         res = prox(p, np.zeros(m), 0.16, 1e-8)
         assert res.residual_norm <= 1e-8
         assert res.inner_iterations <= 10_000
@@ -167,9 +167,9 @@ def test_bracket_walk_without_sign_change_ends():
 
 
 def test_step_too_large(wc_piecewise, sine_quad):
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(ProxlabError):
         prox(wc_piecewise, [-0.7], 0.6)  # 1/0.6 < rho = 2
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(ProxlabError):
         prox(sine_quad, [1.0], 0.2)  # 1/0.2 = 5 < rho = 10
     with pytest.raises(ValueError):
         prox(wc_piecewise, [-0.7], -1.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxlab import (EstimationPlan, NeedsReference, audit_implications,
+from proxlab import (EstimationPlan, ProxlabError, audit_implications,
                      estimate_constants, find_suboptimal_stationary_points,
                      make_benchmark, plan_for, regularity, zoo)
 from proxlab.problem import BATCH_ELEMENTS
@@ -56,7 +56,7 @@ def test_sine_quad_global_failure(sine_quad):
 
 
 def test_estimate_requires_reference(lasso_toy):
-    with pytest.raises(NeedsReference):
+    with pytest.raises(ProxlabError):
         estimate_constants(lasso_toy, EstimationPlan(count=200))
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from proxlab import (BENCHMARKS, BadShape, Dataset, MLProblemParams, ParseError,
+from proxlab import (BENCHMARKS, Dataset, MLProblemParams, ProxlabError,
                      generate_lasso_data, load_libsvm, make_benchmark,
                      make_blob_dataset, make_ml_problem)
 from proxlab.problem import as_point
@@ -63,13 +63,13 @@ def test_generate_lasso_data_reference_sizes():
 
 
 def test_generate_lasso_data_bad_shape():
-    with pytest.raises(BadShape):
+    with pytest.raises(ProxlabError):
         generate_lasso_data(2, 3, 3, seed=0)
 
 
 def test_lasso_value_upper_bound():
     a_mat, y, xhat = generate_lasso_data(10, 40, 5, seed=1)
-    p = make_ml_problem("lasso", (a_mat, y), MLProblemParams("lasso", lam=10.0))
+    p = make_ml_problem((a_mat, y), MLProblemParams("lasso", lam=10.0))
     # y = A xhat exactly, so the optimum is at most lam * ||xhat||_1.
     assert float(p.value(xhat)) == pytest.approx(10.0 * np.abs(xhat).sum())
 
@@ -99,19 +99,17 @@ def test_elastic_net_toy_minimizer(en_toy):
 
 
 def test_ml_problem_shape_errors():
-    with pytest.raises(BadShape):
-        make_ml_problem("lasso", (np.eye(2), np.zeros(3)), MLProblemParams("lasso"))
-    with pytest.raises(BadShape):
-        make_ml_problem("svm", (np.eye(2), np.zeros(2)), MLProblemParams("svm"))
-    with pytest.raises(BadShape):
-        make_ml_problem("lasso", (np.eye(2), np.zeros(2)), MLProblemParams("svm"))
+    with pytest.raises(ProxlabError):
+        make_ml_problem((np.eye(2), np.zeros(3)), MLProblemParams("lasso"))
+    with pytest.raises(ProxlabError):
+        make_ml_problem((np.eye(2), np.zeros(2)), MLProblemParams("svm"))
 
 
 def test_dataset_validation():
-    with pytest.raises(BadShape):
+    with pytest.raises(ProxlabError):
         Dataset(np.ones((2, 2)), np.array([1.0, 2.0]))  # labels not in {-1,+1}
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(BadShape):
+        with pytest.raises(ProxlabError):
             Dataset(np.array([[bad, 0.0]]), np.array([1.0]))
     ds = Dataset(np.ones((2, 2)), np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
@@ -138,26 +136,23 @@ def test_load_libsvm_zero_one_convention(tmp_path):
 def test_load_libsvm_rejects_other_labels(tmp_path):
     path = tmp_path / "bad.libsvm"
     path.write_text("+2 1:1\n", encoding="utf-8")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ProxlabError, match="^line 1: "):
         load_libsvm(path)
-    assert err.value.line == 1
 
 
 def test_load_libsvm_malformed_token(tmp_path):
     path = tmp_path / "tok.libsvm"
     path.write_text("+1 1:0.5\n-1 x:y\n", encoding="utf-8")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ProxlabError, match="^line 2: "):
         load_libsvm(path)
-    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_load_libsvm_rejects_non_finite_values(tmp_path, value):
     path = tmp_path / "inf.libsvm"
     path.write_text(f"+1 1:0.5\n-1 2:{value}\n", encoding="utf-8")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(ProxlabError, match="^line 2: "):
         load_libsvm(path)
-    assert err.value.line == 2
 
 
 def libsvm_text(dataset) -> str:
