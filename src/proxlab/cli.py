@@ -150,7 +150,7 @@ def build_problem(cfg: dict, seed: int) -> ProblemSpec:
                              f"{BENCHMARKS}")
         return make_benchmark(name)
     if "ml" not in prob:
-        raise ValueError("problem: problem needs either 'benchmark' or 'ml'")
+        raise ValueError("problem: needs either 'benchmark' or 'ml'")
     kind = prob["ml"]
     params = MLProblemParams(kind, **_fields(prob["params"], "problem.params", svm_reg=float,
                                              lam=float, en_reg=float))
@@ -190,7 +190,7 @@ def build_x0(cfg: dict, p: ProblemSpec) -> np.ndarray:
         raise ValueError(f"x0: unknown x0 preset {x0!r}")
     arr = np.array([_typed(v, float, "x0") for v in x0], dtype=float)
     if arr.shape != (p.dimension,):
-        raise ValueError(f"x0: x0 has shape {arr.shape}, problem dimension is {p.dimension}")
+        raise ValueError(f"x0: shape {arr.shape}, problem dimension is {p.dimension}")
     return arr
 
 
@@ -248,9 +248,9 @@ def _strict(value):
 
 def _write_json(path: Path, body: dict) -> None:
     """Write ``body`` as strict JSON: sorted keys, non-finite floats as strings."""
+    text = json.dumps(_strict(body), indent=2, sort_keys=True, allow_nan=False, default=str)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_strict(body), fh, indent=2, sort_keys=True, allow_nan=False, default=str)
-        fh.write("\n")
+        fh.write(text + "\n")  # one write: json.dump writes each token
 
 
 def _theorems(cmd: str, cfg: dict, p: ProblemSpec, trace: IterationTrace, report,

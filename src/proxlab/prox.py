@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import InnerBudgetExhausted, ProxlabError, ResolutionFloor
-from .problem import KINK_BAND, ProblemSpec, as_point, nearest_zero, vector_norm
+from .problem import KINK_BAND, ProblemSpec, as_point, vector_norm
 
 # accept(candidate, residual_norm) -> bool; lets the outer loop install
 # candidate-dependent acceptance (relative inexactness rules).
@@ -29,12 +28,22 @@ StopRule = Callable[[np.ndarray, float], bool]
 MAX_INNER = 100_000
 
 
-@dataclass(frozen=True)
-class ProxResult:
+class ProxResult(NamedTuple):
+    """A prox step's outcome: a named tuple, so read-only and cheap to build."""
+
     point: np.ndarray
     residual_element: np.ndarray  # explicit element of H(point)
     residual_norm: float
     inner_iterations: int
+
+
+def _array(v) -> np.ndarray:
+    """A 1-d solver's float as a 1-element array; an array as it is."""
+    return np.array([v]) if isinstance(v, float) else v
+
+
+def _result(x, e, rn: float, it: int) -> ProxResult:
+    return ProxResult(_array(x), _array(e), rn, it)
 
 
 def validate_step(p: ProblemSpec, c: float) -> None:
@@ -55,10 +64,13 @@ def prox(p: ProblemSpec, z, c: float, target: float = 1e-10,
     certified candidates (point, element of H(point), its norm), the start
     point first, and the first candidate ``stop_rule`` accepts (default:
     residual_norm <= target) is returned; its index in that sequence is its
-    ``inner_iterations``.  When MAX_INNER candidates after the start are
-    refused the solve raises InnerBudgetExhausted, and when the solver runs
-    out of candidates, ResolutionFloor; both carry the best candidate and the
-    iterations spent.
+    ``inner_iterations``.  A candidate with a NaN residual certifies nothing,
+    and nothing better follows it: the solve raises InnerBudgetExhausted
+    there, as it does when MAX_INNER candidates after the start are refused.
+    When the solver runs out of candidates it raises ResolutionFloor.  Both
+    carry the best candidate and the iterations spent.  The 1-d solver's
+    candidates are floats, made arrays only when returned or shown to
+    ``stop_rule``; the array shown is the one returned.
     """
     if not target > 0:
         raise ValueError(f"inner residual target must be positive, got {target}")
@@ -75,19 +87,23 @@ def prox(p: ProblemSpec, z, c: float, target: float = 1e-10,
         name, candidates = "1d", _regula_falsi(p, z, c)
     else:
         raise ProxlabError(f"no inner solver for problem {p.name!r}")
-    if stop_rule is None:
-        stop_rule = lambda w, rn: rn <= target
-    for it, candidate in enumerate(candidates):
-        if it == 0 or candidate[2] < best[2]:
-            best = candidate
-        if stop_rule(candidate[0], candidate[2]):
-            return ProxResult(*candidate, it)
+    for it, (x, e, rn) in enumerate(candidates):
+        if it == 0 or rn < best[2]:
+            best = x, e, rn
+        if rn != rn:
+            raise InnerBudgetExhausted(
+                f"{name} inner solver: NaN residual after {it} iterations",
+                best=_result(*best, it))
+        if stop_rule is not None:
+            x = _array(x)
+        if rn <= target if stop_rule is None else stop_rule(x, rn):
+            return _result(x, e, rn, it)
         if it == MAX_INNER:
             raise InnerBudgetExhausted(
                 f"{name} inner solver: residual {best[2]:.3e} after {it} iterations",
-                best=ProxResult(*best, it))
+                best=_result(*best, it))
     raise ResolutionFloor(f"{name} inner solver: residual {best[2]:.3e} at float resolution",
-                          best=ProxResult(*best, it))
+                          best=_result(*best, it))
 
 
 def _composite(p: ProblemSpec, z, c):
@@ -269,16 +285,18 @@ def _regula_falsi(p: ProblemSpec, z, c):
     exactly zero, where the secant root would divide 0 by 0.
     """
     z0 = float(z[0])
+    interval = p.interval_1d
 
     def element(x):
-        # Positive when the minimizer lies left of x, zero at the minimizer.
-        return nearest_zero(*p.interval_1d(x), (x - z0) / c)
-
-    def candidate(x, e):
-        return np.array([x]), np.array([e]), abs(e)
+        # Positive when the minimizer lies left of x, zero at the minimizer:
+        # problem.nearest_zero(*interval(x), (x - z0) / c), inlined.
+        lo, hi = interval(x)
+        shift = (x - z0) / c
+        lo, hi = lo + shift, hi + shift
+        return lo if lo > 0.0 else hi if hi < 0.0 else 0.0 if lo <= 0.0 <= hi else math.nan
 
     e_z = element(z0)
-    yield candidate(z0, e_z)
+    yield z0, e_z, abs(e_z)
 
     # Bracket the minimizer: walk from z in the descent direction, doubling
     # the stride, until the element changes sign.  ``behind`` is the last
@@ -301,7 +319,7 @@ def _regula_falsi(p: ProblemSpec, z, c):
     lo, hi = sorted((behind, far))
     for bp in p.breakpoints_1d:
         if lo <= bp <= hi and element(bp) == 0.0:
-            yield candidate(bp, 0.0)
+            yield bp, 0.0, 0.0
     # The ends' elements: e_a <= 0 <= e_b.  Both can be zero: the walk can end
     # past a point of zero element, and a trial can land on another one.
     (a, e_a), (b, e_b) = sorted([(near, e_near), (far, e_far)])
@@ -325,4 +343,4 @@ def _regula_falsi(p: ProblemSpec, z, c):
             if kept == "b":
                 e_b *= 0.5
             kept = "b"
-        yield candidate(x, e)
+        yield x, e, abs(e)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ppm import IterationTrace
 
 CSV_HEADER = "k,c_k,f,cost_gap,dist_S,residual_norm,eps_k,delta_k"
@@ -20,11 +22,19 @@ def _fmt(value: float) -> str:
 
 
 def emit_trace_csv(trace: IterationTrace, path) -> None:
-    """Write one row per iterate k = 0..K (transition fields live on row k)."""
-    columns = [col.tolist() for col in (trace.steps, trace.values, trace.gaps, trace.dists,
-                                        trace.residuals, trace.eps, trace.deltas)]
-    rows = (",".join([str(k), *map(_fmt, row)])
-            for k, row in enumerate(zip(*columns, strict=True)))
+    """Write one row per iterate k = 0..K (transition fields live on row k).
+
+    Each distinct value is formatted once.  The memo is keyed by the value's
+    bits, so -0.0 and 0.0, which compare equal but print differently, stay apart."""
+    text, columns = {}, []
+    for col in (trace.steps, trace.values, trace.gaps, trace.dists, trace.residuals,
+                trace.eps, trace.deltas):
+        bits = col.view(np.int64).tolist()
+        for key, value in zip(bits, col.tolist()):
+            if key not in text:
+                text[key] = _fmt(value)
+        columns.append(map(text.__getitem__, bits))
+    rows = (",".join([str(k), *row]) for k, row in enumerate(zip(*columns, strict=True)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([CSV_HEADER, *rows, ""]))
 

@@ -6,8 +6,9 @@ plain accelerated proximal gradient, the pairwise running diameter, the
 per-sample loop estimator of the regularity constants, the scalar
 stationary-point scan, the 1-d inner solver that tests every breakpoint first,
 the composite and SVM inner solvers that build every linear system afresh,
-the SVM min-norm element by enumeration of the kink weights' bound patterns and
-the per-step loop replays of the bound checkers.
+the SVM min-norm element by enumeration of the kink weights' bound patterns,
+the per-step loop replays of the bound checkers and the trace CSV writer that
+formats every cell on its own.
 Expected values asserted in the tests were computed with these and frozen.
 """
 
@@ -353,6 +354,22 @@ def loop_secant_rows(xs, fx, g, rows, tau_s):
             row_min.append(np.min((vals[far] - fx[i] - step[far] @ g[i]) / sq[far]))
             starts.append(i)
     return np.array(row_min), np.array(starts, dtype=rows.dtype)
+
+
+def per_cell_trace_csv(trace, path) -> None:
+    """The trace CSV with every cell formatted on its own, for reference:
+    ``traceio.emit_trace_csv`` formats each distinct value once."""
+    from proxlab.traceio import CSV_HEADER
+
+    def fmt(value: float) -> str:
+        return "" if math.isnan(value) else f"{value:.17e}"
+
+    columns = [col.tolist() for col in (trace.steps, trace.values, trace.gaps, trace.dists,
+                                        trace.residuals, trace.eps, trace.deltas)]
+    rows = (",".join([str(k), *map(fmt, row)])
+            for k, row in enumerate(zip(*columns, strict=True)))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([CSV_HEADER, *rows, ""]))
 
 
 def loop_regula_falsi(p, z, c):

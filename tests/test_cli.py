@@ -204,6 +204,17 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert main(["run-ippm", "--config", cfg2, "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("body,line", [
+    ({"problem": {}}, "config error: problem: needs either 'benchmark' or 'ml'\n"),
+    ({"problem": {"benchmark": "quad1d"}, "x0": [1.0, 2.0]},
+     "config error: x0: shape (2,), problem dimension is 1\n"),
+])
+def test_config_error_names_its_field_once(tmp_path, capsys, body, line):
+    cfg = write_config(tmp_path, "bad.json", body)
+    assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == line
+
+
 def test_estimate_and_audit_subcommands(tmp_path):
     cfg = write_config(tmp_path, "wc.json", {"problem": {"benchmark": "wc_piecewise"}})
     out = tmp_path / "audit"

@@ -30,9 +30,11 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import proxlab.cli as cli
+import proxlab.ippm as ippm_module
 import proxlab.ppm as ppm_module
-from proxlab import (Dataset, MLProblemParams, Piecewise1D, StepSchedule, make_benchmark,
-                     make_blob_dataset, make_ml_problem, min_norm_subgradient, prox, run_ppm)
+from proxlab import (Dataset, InexactCriterion, MLProblemParams, Piecewise1D, StepSchedule,
+                     make_benchmark, make_blob_dataset, make_ml_problem, min_norm_subgradient,
+                     prox, run_ippm, run_ppm)
 from proxlab.errors import ResolutionFloor
 from proxlab.problem import problem_from_1d
 
@@ -117,14 +119,45 @@ def test_1d_ppm_work_count(prox_work, name, c, x0, horizon, cap):
     assert calls["interval"] <= INTERVAL_CAPS[name]
 
 
+# interval_1d calls of test_1d_ppm_work_count's runs, which INTERVAL_CAPS caps.
+INTERVAL_CALLS = {"quad_quartic": 953, "sine_quad": 340}
+
+
+@pytest.mark.parametrize("name,c,x0,horizon", [
+    ("quad_quartic", 0.01, 1.2, 300), ("sine_quad", 0.05, 3.0, 60)])
+def test_loops_call_prox_and_the_interval_oracle_by_name(monkeypatch, name, c, x0, horizon):
+    # The benchmark's tracer counts the work of a run by wrapping ppm.prox,
+    # ippm.prox and the problem's oracles: a loop that bypassed those names
+    # would hide its work from it.
+    calls = Counter()
+
+    def tally(key, fn):
+        return lambda *args, **kwargs: calls.update([key]) or fn(*args, **kwargs)
+
+    for module in (ppm_module, ippm_module):
+        monkeypatch.setattr(module, "prox", tally(module.__name__, module.prox))
+    p = make_benchmark(name)
+    p = replace(p, interval_1d=tally("interval", p.interval_1d))
+    assert len(run_ppm(p, [x0], StepSchedule.constant(c), max_iter=horizon)) - 1 == horizon
+    assert calls == {"proxlab.ppm": horizon, "interval": INTERVAL_CALLS[name]}
+    calls.clear()
+    for crit, test_mode in ((InexactCriterion("A'"), False), (InexactCriterion("B"), True)):
+        trace = run_ippm(p, [x0], StepSchedule.constant(c), crit, max_iter=20,
+                         test_mode=test_mode)
+        assert calls.pop("proxlab.ippm") == len(trace) - 1 > 0
+        assert calls.pop("interval") > 0 and not calls
+
+
 def candidate_bytes(solver, p, z, c, limit=20_000, target=None):
     """The bytes of each candidate ``solver`` yields, in order (at most ``limit``,
     and up to the first whose residual is at most ``target`` when given), then
-    the name of the arithmetic error that ended the candidates, if one did."""
+    the name of the arithmetic error that ended the candidates, if one did.  The
+    1-d solver's float candidates have the bytes of their 1-element arrays."""
     out = []
+    as_bytes = lambda v: np.atleast_1d(np.float64(v)).tobytes()
     try:
         for x, e, norm in itertools.islice(solver(p, np.atleast_1d(z), c), limit):
-            out.append((x.tobytes(), e.tobytes(), float(norm).hex()))
+            out.append((as_bytes(x), as_bytes(e), float(norm).hex()))
             if target is not None and norm <= target:
                 break
     except ArithmeticError as exc:

@@ -11,7 +11,7 @@ from proxlab import (BENCHMARKS, ProblemSpec, ProxlabError, ProxResult, SvmParts
                      distances_to_solution, make_benchmark, make_blob_dataset,
                      min_norm_subgradient, problem)
 from proxlab.problem import (SHORT_VECTOR, Piecewise1D, all_finite, as_point, batch_oracle,
-                             problem_from_1d, row_dots, vector_norm)
+                             nearest_zero, problem_from_1d, row_dots, vector_norm)
 
 from oracles import box_least_squares, grid_argmin, svm_kink_terms
 from test_prox import certificate_is_subgradient
@@ -122,6 +122,18 @@ def test_point_coercion_rejects_nonfinite():
         as_point([1.0, math.nan])
     with pytest.raises(ValueError):
         as_point([math.inf])
+    with pytest.raises(ValueError):  # a float64 vector, which is returned as it is
+        as_point(np.array([0.0, -math.inf]))
+
+
+def test_point_coercion_returns_a_float64_vector_as_it_is():
+    v = np.array([1.0, -0.0])
+    assert as_point(v) is v
+    swapped = np.array([1.5, -2.0], dtype=">f8")
+    for x in (swapped, v[::-1], v.astype(np.float32), 2.0, [[1.0, 2.0]]):
+        w = as_point(x)
+        assert type(w) is np.ndarray and w.dtype == np.float64 and w.ndim >= 1
+        assert w.tolist() == np.atleast_1d(np.asarray(x, dtype=float)).tolist()
 
 
 # Entries whose squares overflow, whose squares underflow, subnormals, and the
@@ -161,6 +173,34 @@ def test_all_finite_is_np_isfinite_all(size, bad):
         assert all_finite(w) is False and not np.isfinite(w).all()
         assert all_finite(w[None]) is False  # the same entries as one row
     assert all_finite(v[None]) is True
+
+
+@pytest.mark.parametrize("lo,hi,want", [
+    (2.0, 3.0, 2.0), (-3.0, -2.0, -2.0), (-1.0, 1.0, 0.0), (-0.0, -0.0, 0.0),
+    (1.0, math.nan, 1.0), (math.nan, -1.0, -1.0),  # the NaN end is not the nearest
+    (math.nan, math.nan, math.nan), (math.nan, 1.0, math.nan), (-1.0, math.nan, math.nan),
+    (-math.inf, math.inf, 0.0), (math.inf, math.inf, math.inf)])
+def test_nearest_zero_is_nan_when_it_depends_on_a_nan_end(lo, hi, want):
+    assert np.float64(nearest_zero(lo, hi, 0.0)).tobytes() == np.float64(want).tobytes()
+
+
+def constant_slope(v):
+    """A piece with value 0 and slope v, on a float and on an array."""
+    return (lambda x: 0.0 * x, lambda x: np.full(np.shape(x), v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats() | EXTREME | st.just(-0.0), hi=st.floats() | EXTREME | st.just(-0.0))
+def test_1d_min_norm_batch_is_the_scalar_bitwise_nan_included(lo, hi):
+    # At the breakpoint 0 the subdifferential is the hull of the slopes lo and
+    # hi, on either side one of them; an interval with a NaN end is not swapped.
+    p = problem_from_1d(Piecewise1D([0.0], [constant_slope(lo), constant_slope(hi)]),
+                        name="slopes")
+    xs = np.array([[-1.0], [0.0], [1.0]])
+    want = np.array([p.min_norm_subgradient(x) for x in xs])
+    assert p.min_norm_subgradients(xs).tobytes() == want.tobytes()
+    assert math.isnan(want[1, 0]) == (math.isnan(lo) and not hi < 0.0
+                                      or math.isnan(hi) and not lo > 0.0)
 
 
 def test_projection_value_is_optimal():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxlab import (InnerBudgetExhausted, Piecewise1D, ProxlabError, make_benchmark,
-                     min_norm_subgradient, prox)
+from proxlab import (InnerBudgetExhausted, MLProblemParams, Piecewise1D, ProxlabError,
+                     StepSchedule, generate_lasso_data, make_benchmark, make_ml_problem,
+                     min_norm_subgradient, prox, run_ppm)
 from proxlab.errors import ResolutionFloor
 from proxlab.problem import problem_from_1d
 
@@ -163,6 +164,32 @@ def test_bracket_walk_without_sign_change_ends():
     pw = Piecewise1D([], [(lambda x: 0.0, lambda x: -math.inf)])
     with pytest.raises(ResolutionFloor) as err:
         prox(problem_from_1d(pw, name="no_root"), [0.0], 1.0)
+    assert err.value.best.inner_iterations == 0
+
+
+def test_nan_derivative_certifies_nothing():
+    # Every slope is NaN: the start point's element is NaN, not a false zero,
+    # and the solve ends there; the outer loop stops with inner_budget.
+    pw = Piecewise1D([], [(lambda x: 0.0 * x, lambda x: np.nan * x)])
+    p = problem_from_1d(pw, name="nan_slope")
+    assert math.isnan(min_norm_subgradient(p, [1.0])[1])
+    with pytest.raises(InnerBudgetExhausted, match="NaN residual after 0 iterations") as err:
+        prox(p, [1.0], 1.0)
+    assert not isinstance(err.value, ResolutionFloor)
+    assert err.value.best.inner_iterations == 0 and err.value.best.point.tolist() == [1.0]
+    assert math.isnan(err.value.best.residual_norm)
+    trace = run_ppm(p, [1.0], StepSchedule.constant(1.0), max_iter=5)
+    assert trace.stop_reason == "inner_budget" and len(trace) == 1
+
+
+def test_nan_certificate_ends_the_composite_solve_at_once():
+    # The Gram matrix of A * 1e150 overflows, so the start point's element is
+    # NaN; the solve spun MAX_INNER = 100,000 refused candidates (3.7 s) before.
+    a_mat, y, _ = generate_lasso_data(10, 20, 5, 0)
+    p = make_ml_problem((a_mat * 1e150, y), MLProblemParams("lasso", lam=1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InnerBudgetExhausted, match="composite inner solver: NaN") as err:
+            prox(p, 1e10 * np.ones(20), 1.0)
     assert err.value.best.inner_iterations == 0
 
 

@@ -9,8 +9,13 @@ relative.
 
 import json
 import math
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,10 +25,11 @@ from proxlab import (GDParams, InexactCriterion, RateBounds, StepSchedule,
                      check_linear_rates, check_one_step, check_sublinear_bound,
                      make_benchmark, run_gd, run_ippm, run_ppm, verify_gd_rates)
 from proxlab.checks import CHECK_ATOL, GD_ATOL
+from proxlab.traceio import emit_trace_csv
 
 from conftest import counted
 from oracles import (cells, loop_contraction, loop_envelope, loop_inexact_one_step,
-                     loop_one_step)
+                     loop_one_step, per_cell_trace_csv)
 
 # Step ranges inside 1/c > rho for each benchmark.
 STEPS = {"quad1d": (0.05, 2.0), "quad_quartic": (0.05, 2.0), "sine_quad": (0.01, 0.09),
@@ -136,3 +142,41 @@ def test_run_ppm_distance_work_count(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["iterations"] == 500 and summary["asserted"] == 2
     assert tally["project_solutions"] == (1, 501) and tally["project_solution"] == (1, 1)
+
+
+# Signed zeros, infinities, subnormals, the largest float and a NaN of either
+# sign, besides any float.
+CELLS = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                                       2.2250738585072009e-308, 1.7976931348623157e308,
+                                       math.nan, -math.nan])
+CSV_COLUMNS = ("steps", "values", "gaps", "dists", "residuals", "eps", "deltas")
+
+
+@st.composite
+def csv_columns(draw):
+    """The seven CSV columns of K + 1 rows: each free, all NaN, constant or a copy
+    of an earlier one."""
+    rows = draw(st.integers(1, 30))
+    columns = []
+    for _ in CSV_COLUMNS:
+        kind = draw(st.sampled_from(["free", "nan", "constant", "copy"]))
+        if kind == "copy" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        elif kind == "nan":
+            columns.append(np.full(rows, math.nan))
+        elif kind == "constant":
+            columns.append(np.full(rows, draw(CELLS)))
+        else:
+            columns.append(np.array(draw(st.lists(CELLS, min_size=rows, max_size=rows))))
+    return dict(zip(CSV_COLUMNS, columns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=csv_columns())
+def test_trace_csv_is_the_per_cell_writer_bytewise(columns):
+    trace = SimpleNamespace(**columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+        emit_trace_csv(trace, got)
+        per_cell_trace_csv(trace, want)
+        assert got.read_bytes() == want.read_bytes()
