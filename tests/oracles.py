@@ -177,9 +177,11 @@ def loop_one_step(trace, atol: float) -> LoopCheck:
     for k in range(len(trace) - 1):
         c, r = steps[k], residuals[k] or 0.0
         d_next = float(np.linalg.norm(trace.points[k + 1] - x_star))
-        check.add(k, 2.0 * c * (float(trace.values[k + 1]) - f_star_val),
+        # c multiplies in before the 2, as in the checker: the two orders differ
+        # where the products are subnormal.
+        check.add(k, 2.0 * (c * (float(trace.values[k + 1]) - f_star_val)),
                   float(np.linalg.norm(trace.points[k] - x_star)) ** 2
-                  - (1.0 - c * p.weak_convexity) * d_next ** 2 + 2.0 * c * r * d_next + atol)
+                  - (1.0 - c * p.weak_convexity) * d_next ** 2 + 2.0 * (c * r * d_next) + atol)
     return check
 
 

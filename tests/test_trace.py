@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import proxlab.cli as cli
 from proxlab import (GDParams, InexactCriterion, RateBounds, StepSchedule,
@@ -74,8 +74,14 @@ def assert_same(check, ref, exact: bool):
             assert all(a == b or math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, want))
 
 
+# A start whose values and gaps are subnormal, where 2 c g and 2 (c g) round apart.
+SUBNORMAL_RUN = run_ppm(PROBLEMS["aniso_quad"], [7.62762228e-162, 0.0],
+                        StepSchedule.constant(1.5), max_iter=1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(run=runs(), nu=st.sampled_from([0.1, 1.0, math.inf]))
+@example(run=(SUBNORMAL_RUN, None), nu=0.1)
 def test_checkers_match_loop_reference(run, nu):
     trace, rule = run
     p = trace.problem
