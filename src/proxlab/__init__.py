@@ -14,7 +14,7 @@ from .regularity import (ConstantEstimate, EstimationPlan, ImplicationCheck,
                          RegularityReport, audit_implications, estimate_constants,
                          find_suboptimal_stationary_points, plan_for)
 from .traceio import ParsedTrace, emit_trace_csv, read_trace_csv
-from .zoo import (BENCHMARKS, Dataset, MLProblemParams, generate_lasso_data,
-                  load_libsvm, make_benchmark, make_blob_dataset, make_ml_problem)
+from .zoo import (BENCHMARKS, MLProblemParams, generate_lasso_data, load_libsvm,
+                  make_benchmark, make_blob_dataset, make_ml_problem)
 
 __version__ = "0.1.0"

@@ -108,19 +108,19 @@ _references: dict = {}
 _solver: tuple = ()
 
 
-def _ml_problem(dataset, params: MLProblemParams) -> ProblemSpec:
-    """The ML problem on ``dataset`` with its reference installed.  The first build
-    of these data and params in this process solves it (``reference_solution``);
-    later builds install the solve's numbers on a freshly built problem."""
+def _ml_problem(data, params: MLProblemParams) -> ProblemSpec:
+    """The ML problem on ``data`` (features, targets, ...) with its reference
+    installed.  The first build of these data and params in this process solves it
+    (``reference_solution``); later builds install the solve's numbers on a freshly
+    built problem."""
     global _solver
-    p = make_ml_problem(dataset, params)
+    p = make_ml_problem(data, params)
     if _solver != (make_ml_problem, reference_solution):
         _references.clear()
         _solver = (make_ml_problem, reference_solution)
-    arrays = (dataset.features, dataset.labels) if params.kind == "svm" else dataset[:2]
     key = (params, *((a.shape, a.dtype.str,
                       blake2b(np.ascontiguousarray(a), digest_size=32).digest())
-                     for a in arrays))
+                     for a in data[:2]))
     if key in _references:
         return install_reference(p, *_references[key])
     ref = reference_solution(p)

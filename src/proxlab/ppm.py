@@ -9,7 +9,7 @@ that replay the bounds against a trace live in ``checks``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,22 +171,29 @@ def run_ppm(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int = 500,
     return iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
 
 
-def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
-                       inner_target: float = 1e-12) -> ProblemSpec:
+# The reference solve: at most REFERENCE_STEPS exact steps of size REFERENCE_STEP
+# (0.5 / rho if smaller, on a rho-weakly convex problem) from the origin, each
+# prox solved to the residual REFERENCE_TARGET.
+REFERENCE_STEPS = 400
+REFERENCE_STEP = 1.0
+REFERENCE_TARGET = 1e-12
+
+
+def reference_solution(p: ProblemSpec) -> ProblemSpec:
     """High-accuracy solve installing f_star (and, if unique, the minimizer).
 
-    Runs the exact method with a tight inner target for up to ``effort``
-    iterations.  Strong convexity certifies a unique minimizer, so the
-    solution oracle becomes "distance to the reference point"; otherwise only
-    f_star is installed and distances stay unavailable.  Raises
-    InnerBudgetExhausted when an inner solve gives up, since f_star would then
-    be uncertified.
+    Runs the exact method with the tight inner target REFERENCE_TARGET, read at
+    each call.  Strong convexity certifies a unique minimizer, so the solution
+    oracle becomes "distance to the reference point"; otherwise only f_star is
+    installed and distances stay unavailable.  Raises InnerBudgetExhausted when
+    an inner solve gives up, since f_star would then be uncertified.
     """
+    c_ref, target = REFERENCE_STEP, REFERENCE_TARGET
     if p.weak_convexity > 0:
         c_ref = min(c_ref, 0.5 / p.weak_convexity)
-    sched = StepSchedule.constant(c_ref)
-    trace = run_ppm(p, np.zeros(p.dimension), sched, max_iter=effort,
-                    inner_target=inner_target, stop_gap=0.0, stop_residual=inner_target * 10)
+    trace = run_ppm(p, np.zeros(p.dimension), StepSchedule.constant(c_ref),
+                    max_iter=REFERENCE_STEPS, inner_target=target, stop_gap=0.0,
+                    stop_residual=target * 10)
     if trace.stop_reason in ("resolution", "inner_budget"):
         raise InnerBudgetExhausted(
             f"reference solve stopped with {trace.stop_reason} after {len(trace) - 1} steps")
@@ -199,14 +206,15 @@ def reference_solution(p: ProblemSpec, effort: int = 400, c_ref: float = 1.0,
 def install_reference(p: ProblemSpec, f_ref: float, x_ref, residual: float,
                       iterations: int) -> ProblemSpec:
     """``p`` with a reference solve's outcome installed: f_star = f_ref, and x_ref
-    as the solution set when ``p`` is strongly convex (a unique minimizer).  The
-    point, its tail residual and the step count go into the metadata."""
+    as the solution set when ``p`` is strongly convex (a unique minimizer), with
+    its batch form.  The point, its tail residual and the step count go into the
+    metadata."""
     x_ref = np.array(x_ref, dtype=float)
     x_ref.flags.writeable = False
-    project = project_rows = None
+    solution = {}
     if p.strong_convexity > 0:
-        project = lambda x: x_ref
-        project_rows = lambda xs: np.broadcast_to(x_ref, xs.shape)
-    return p.with_reference(f_ref, project=project, project_rows=project_rows,
-                            reference_point=tuple(float(v) for v in x_ref),
-                            reference_residual=residual, reference_iterations=iterations)
+        solution = {"project_solution": lambda x: x_ref,
+                    "project_solutions": lambda xs: np.broadcast_to(x_ref, xs.shape)}
+    return replace(p, f_star=f_ref, **solution, metadata={
+        **p.metadata, "reference_point": tuple(float(v) for v in x_ref),
+        "reference_residual": residual, "reference_iterations": iterations})

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping
 
@@ -302,17 +302,6 @@ class ProblemSpec:
     values: Callable[[np.ndarray], np.ndarray] | None = None
     min_norm_subgradients: Callable[[np.ndarray], np.ndarray] | None = None
     project_solutions: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def with_reference(self, f_star: float, project=None, project_rows=None,
-                       **meta) -> "ProblemSpec":
-        """Copy of this problem with f_star installed, and with ``project`` (and
-        its batch form ``project_rows``) as the solution oracle when given."""
-        md = dict(self.metadata)
-        md.update(meta)
-        if project is None:
-            return replace(self, f_star=f_star, metadata=md)
-        return replace(self, f_star=f_star, project_solution=project,
-                       project_solutions=project_rows, metadata=md)
 
 
 def _row_oracle(p: ProblemSpec, name: str) -> Callable[[Vector], Any]:

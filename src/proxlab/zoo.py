@@ -131,40 +131,12 @@ BENCHMARKS = tuple(_BUILDERS)
 
 
 # ---------------------------------------------------------------------------
-# Datasets
+# Data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Dataset:
-    features: np.ndarray  # (n, d)
-    labels: np.ndarray  # (n,), entries in {-1, +1}
-    source: str = "unknown"
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=float)
-        labs = np.asarray(self.labels, dtype=float)
-        if feats.ndim != 2 or labs.shape != (feats.shape[0],):
-            raise ProxlabError(f"features {feats.shape} vs labels {labs.shape}")
-        if not (np.isfinite(feats).all() and np.isfinite(labs).all()):
-            raise ProxlabError("non-finite entries in dataset")
-        if not np.all(np.isin(labs, (-1.0, 1.0))):
-            raise ProxlabError("labels must be -1 or +1")
-        feats.setflags(write=False)
-        labs.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
-
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-
-def make_blob_dataset(n: int, d: int, seed: int, separation: float = 2.0) -> Dataset:
-    """Two Gaussian blobs at +/- separation/2 along the all-ones direction."""
+def make_blob_dataset(n: int, d: int, seed: int, separation: float = 2.0):
+    """(features, labels): two Gaussian blobs at +/- separation/2 along the all-ones
+    direction, the first n // 2 rows labelled +1 and the rest -1."""
     if min(n, d) < 1:
         raise ProxlabError(f"blobs need n >= 1 samples and d >= 1 features, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
@@ -172,9 +144,7 @@ def make_blob_dataset(n: int, d: int, seed: int, separation: float = 2.0) -> Dat
     n_pos = n // 2
     pos = center + rng.standard_normal((n_pos, d))
     neg = -center + rng.standard_normal((n - n_pos, d))
-    feats = np.vstack([pos, neg])
-    labels = np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
-    return Dataset(feats, labels, source=f"synthetic(seed={seed})")
+    return np.vstack([pos, neg]), np.concatenate([np.ones(n_pos), -np.ones(n - n_pos)])
 
 
 def generate_lasso_data(n: int, m: int, s: int, seed: int):
@@ -219,26 +189,30 @@ class MLProblemParams:
 def make_ml_problem(data, params: MLProblemParams) -> ProblemSpec:
     """Assemble the ``params.kind`` problem from data and parameters.
 
-    ``data`` is a Dataset for kind "svm", or an (A, y) pair / (A, y, xhat)
-    triple for the regression kinds.  All three problems are convex; the
-    reference value is installed later by a high-accuracy solve.
+    ``data`` is (features, targets), or the (A, y, xhat) triple of
+    ``generate_lasso_data``, for every kind.  Features that are not an (n, d)
+    array with one target per row, a non-finite entry and an SVM target other
+    than -1 or +1 raise ProxlabError.  The problem keeps read-only copies, so
+    later writes to the caller's arrays change nothing.  All three problems are
+    convex; the reference value is installed later by a high-accuracy solve.
     """
-    kind = params.kind
-    if kind == "svm":
-        if not isinstance(data, Dataset):
-            raise ProxlabError("svm expects a Dataset")
-        return _svm_problem(data, params.svm_reg)
-    a_mat = np.asarray(data[0], dtype=float)
-    y = np.asarray(data[1], dtype=float)
-    if a_mat.ndim != 2 or y.shape != (a_mat.shape[0],):
-        raise ProxlabError(f"A {a_mat.shape} vs y {y.shape}")
-    en_reg = params.en_reg if kind == "elastic_net" else 0.0
-    return _least_squares_l1_problem(a_mat, y, params.lam, en_reg, kind)
+    feats, targets = (np.array(a, dtype=float) for a in data[:2])
+    if feats.ndim != 2 or targets.shape != (feats.shape[0],):
+        raise ProxlabError(f"features {feats.shape} vs labels {targets.shape}")
+    if not (np.isfinite(feats).all() and np.isfinite(targets).all()):
+        raise ProxlabError("non-finite entries in dataset")
+    if params.kind == "svm" and not np.isin(targets, (-1.0, 1.0)).all():
+        raise ProxlabError("labels must be -1 or +1")
+    feats.flags.writeable = targets.flags.writeable = False
+    if params.kind == "svm":
+        return _svm_problem(feats, targets, params.svm_reg)
+    en_reg = params.en_reg if params.kind == "elastic_net" else 0.0
+    return _least_squares_l1_problem(feats, targets, params.lam, en_reg, params.kind)
 
 
-def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
-    n = data.n_samples
-    parts = SvmParts(features=data.features, labels=data.labels, reg=reg)
+def _svm_problem(feats, labels, reg: float) -> ProblemSpec:
+    n, d = feats.shape
+    parts = SvmParts(features=feats, labels=labels, reg=reg)
     ba = parts.signed_rows
     min_norm = parts.min_norm_element  # one bound method for both oracles
     overflow = np.flatnonzero(parts.squared_norms == math.inf)
@@ -251,19 +225,21 @@ def _svm_problem(data: Dataset, reg: float) -> ProblemSpec:
         return float(np.mean(np.maximum(margins, 0.0)) + 0.5 * reg * np.dot(x, x))
 
     return ProblemSpec(
-        dimension=data.n_features,
+        dimension=d,
         value=value,
         subgradient=min_norm,
         min_norm_subgradient=min_norm,
         strong_convexity=reg,
         svm=parts,
-        name=f"svm(n={n},d={data.n_features},reg={reg:g})",
-        metadata={"source": data.source},
+        name=f"svm(n={n},d={d},reg={reg:g})",
     )
 
 
 def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
-    hessian = a_mat.T @ a_mat + en_reg * np.eye(a_mat.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        hessian = a_mat.T @ a_mat + en_reg * np.eye(a_mat.shape[1])
+    if not np.isfinite(hessian).all():  # eigvalsh and the support solves would fail
+        raise ValueError("the Hessian A^T A of the data overflows; rescale the data")
     hessian.setflags(write=False)
 
     def grad_smooth(x):
@@ -306,8 +282,8 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
 # LIBSVM text format
 # ---------------------------------------------------------------------------
 
-def load_libsvm(path) -> Dataset:
-    """Read a LIBSVM sparse text file into a dense Dataset.
+def load_libsvm(path):
+    """Read a LIBSVM sparse text file into dense (features, labels) arrays.
 
     Lines look like ``label idx:val idx:val ...`` with 1-based indices;
     missing indices are zero.  Raw labels must be -1, 0 or +1; 0 maps to -1
@@ -351,4 +327,4 @@ def load_libsvm(path) -> Dataset:
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             feats[i, idx - 1] = val
-    return Dataset(feats, np.asarray(labels), source=f"file({path})")
+    return feats, np.asarray(labels)

@@ -8,8 +8,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from proxlab import (Dataset, MLProblemParams, generate_lasso_data, make_benchmark,
-                     make_blob_dataset, make_ml_problem, reference_solution)
+from proxlab import (MLProblemParams, generate_lasso_data, make_benchmark, make_blob_dataset,
+                     make_ml_problem, reference_solution)
 
 
 # The oracles the estimator and the trace read, with whether each is a batch form.
@@ -41,8 +41,8 @@ def with_solution_point(p, x_star):
     """Copy of p (f_star kept) whose solution oracle projects every point onto x_star,
     for replaying the bounds against one minimizer of a problem without a unique one."""
     x_star = np.array(x_star, dtype=float)
-    return p.with_reference(p.f_star, project=lambda x: x_star,
-                            project_rows=lambda xs: np.broadcast_to(x_star, xs.shape))
+    return replace(p, project_solution=lambda x: x_star,
+                   project_solutions=lambda xs: np.broadcast_to(x_star, xs.shape))
 
 
 @pytest.fixture(scope="session")
@@ -74,7 +74,7 @@ def lasso_toy():
 
 @pytest.fixture(scope="session")
 def lasso_toy_ref(lasso_toy):
-    return reference_solution(lasso_toy, effort=200)
+    return reference_solution(lasso_toy)
 
 
 @pytest.fixture(scope="session")
@@ -86,26 +86,26 @@ def en_toy():
 
 @pytest.fixture(scope="session")
 def en_toy_ref(en_toy):
-    return reference_solution(en_toy, effort=200)
+    return reference_solution(en_toy)
 
 
 @pytest.fixture(scope="session")
 def svm_toy():
-    data = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-                   np.array([1.0, -1.0, 1.0, -1.0]), source="toy")
+    data = (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+            np.array([1.0, -1.0, 1.0, -1.0]))
     return make_ml_problem(data, MLProblemParams("svm", svm_reg=1.0))
 
 
 @pytest.fixture(scope="session")
 def svm_toy_ref(svm_toy):
-    return reference_solution(svm_toy, effort=200)
+    return reference_solution(svm_toy)
 
 
 @pytest.fixture(scope="session")
 def lasso_f20(request):
     a_mat, y, xhat = generate_lasso_data(20, 50, 10, seed=7)
     problem = make_ml_problem((a_mat, y), MLProblemParams("lasso", lam=10.0))
-    return reference_solution(problem, effort=600, c_ref=1.0)
+    return reference_solution(problem)
 
 
 @pytest.fixture(scope="session")
@@ -113,11 +113,11 @@ def en_f20():
     a_mat, y, _ = generate_lasso_data(20, 50, 10, seed=7)
     problem = make_ml_problem((a_mat, y),
                               MLProblemParams("elastic_net", lam=10.0, en_reg=1.0))
-    return reference_solution(problem, effort=600, c_ref=1.0)
+    return reference_solution(problem)
 
 
 @pytest.fixture(scope="session")
 def svm_blobs():
     data = make_blob_dataset(200, 10, seed=3, separation=1.0)
     problem = make_ml_problem(data, MLProblemParams("svm", svm_reg=1.0))
-    return reference_solution(problem, effort=400, c_ref=1.0)
+    return reference_solution(problem)

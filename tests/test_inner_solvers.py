@@ -32,7 +32,7 @@ from hypothesis.extra.numpy import arrays
 import proxlab.cli as cli
 import proxlab.ippm as ippm_module
 import proxlab.ppm as ppm_module
-from proxlab import (Dataset, InexactCriterion, MLProblemParams, Piecewise1D, StepSchedule,
+from proxlab import (InexactCriterion, MLProblemParams, Piecewise1D, StepSchedule,
                      make_benchmark, make_blob_dataset, make_ml_problem, min_norm_subgradient,
                      prox, run_ippm, run_ppm)
 from proxlab.errors import ResolutionFloor
@@ -430,7 +430,7 @@ def test_svm_free_set_finish_skips_large_and_singular_sets(monkeypatch, rows):
     # twice, a free set holding both copies of a row has a singular system.
     data = make_blob_dataset(40, 3, seed=5)
     if rows == "twice":
-        data = Dataset(np.vstack([data.features] * 2), np.tile(data.labels, 2), "twice")
+        data = (np.vstack([data[0]] * 2), np.tile(data[1], 2))
     p = make_ml_problem(data, MLProblemParams("svm", svm_reg=1.0))
     sizes, singular = [], []
     solve = np.linalg.solve

@@ -172,9 +172,10 @@ def test_non_finite_value_at_x0_raises_naming_x0(quad1d, run):
             run_gd(quad1d, [1e300], GDParams(lipschitz=2.0, mu=2.0, beta=2.0), iters=5)
 
 
-def test_reference_solution_raises_on_exhausted_inner_solve():
+def test_reference_solution_raises_on_exhausted_inner_solve(monkeypatch):
     # The prox steps of (x - 1)^4 have irrational minimizers, so no float
     # meets a residual target of 1e-300.
+    monkeypatch.setattr(ppm_module, "REFERENCE_TARGET", 1e-300)
     pw = Piecewise1D([], [(lambda x: (x - 1.0) ** 4, lambda x: 4.0 * (x - 1.0) ** 3)])
     with pytest.raises(InnerBudgetExhausted):
-        reference_solution(problem_from_1d(pw, name="quartic"), inner_target=1e-300)
+        reference_solution(problem_from_1d(pw, name="quartic"))

@@ -258,7 +258,7 @@ def test_reference_solution_en_toy(en_toy_ref):
 
 
 def test_reference_solution_quad(quad1d):
-    ref = reference_solution(quad1d, effort=100)
+    ref = reference_solution(quad1d)
     assert abs(ref.f_star) <= 1e-12
 
 

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from proxlab import (BENCHMARKS, ProblemSpec, ProxlabError, ProxResult, SvmParts,
                      distances_to_solution, make_benchmark, make_blob_dataset,
                      min_norm_subgradient, problem)
+from proxlab.ppm import install_reference
 from proxlab.problem import (SHORT_VECTOR, Piecewise1D, all_finite, as_point, batch_oracle,
                              nearest_zero, problem_from_1d, row_dots, vector_norm)
 
@@ -69,7 +70,7 @@ def test_svm_min_norm_element_is_the_box_least_squares_minimum(n, d, kinks, seed
     # 1 and free.
     rng = np.random.default_rng(seed)
     data = make_blob_dataset(n, d, seed=seed)
-    parts = SvmParts(data.features, data.labels, reg=rng.uniform(0.1, 2.0))
+    parts = SvmParts(*data, reg=rng.uniform(0.1, 2.0))
     on = rng.choice(n, size=min(kinks, d), replace=False)
     x = rng.standard_normal(d)
     x += np.linalg.lstsq(parts.signed_rows[on], 1.0 - parts.signed_rows[on] @ x, rcond=None)[0]
@@ -256,11 +257,19 @@ def test_piecewise_requires_matching_pieces():
         Piecewise1D([0.0], [(lambda x: x, lambda x: 1.0)])
 
 
-def test_with_reference_copies():
-    p = make_benchmark("quad1d")
-    q = p.with_reference(0.0, note="x")
-    assert q is not p and q.metadata["note"] == "x"
-    assert p.metadata.get("note") is None
+def test_install_reference_copies(quad1d, quad_quartic):
+    q = install_reference(quad1d, 0.5, [2.0], 1e-13, 7)
+    assert q is not quad1d and (q.f_star, quad1d.f_star) == (0.5, 0.0)
+    assert q.metadata == {**quad1d.metadata, "reference_point": (2.0,),
+                          "reference_residual": 1e-13, "reference_iterations": 7}
+    assert "reference_point" not in quad1d.metadata
+    # Strongly convex: the point is the solution set, in both oracle forms.
+    assert q.project_solution(np.zeros(1)).tolist() == [2.0]
+    assert batch_oracle(q, "project_solutions", np.zeros((2, 1))).tolist() == [[2.0]] * 2
+    # Not strongly convex: the solution oracles stay as they were.
+    r = install_reference(quad_quartic, 0.0, [2.0], 0.0, 1)
+    assert (r.project_solution, r.project_solutions) == \
+        (quad_quartic.project_solution, quad_quartic.project_solutions)
 
 
 BATCH_FIELDS = ("values", "min_norm_subgradients", "project_solutions")
@@ -347,7 +356,7 @@ def test_batch_oracle_copies_a_read_only_projection(svm_blobs):
     assert out.flags.writeable and out.tobytes() == svm_blobs.project_solutions(xs).tobytes()
 
 
-def test_with_reference_replaces_a_stale_batch_projection(quad1d):
-    q = quad1d.with_reference(0.0, project=lambda x: np.ones(1))
-    assert q.project_solutions is None  # the old batch form would disagree
+def test_a_projection_without_its_batch_form_maps_the_rows(quad1d):
+    # A replaced solution oracle drops the batch form, which would disagree.
+    q = replace(quad1d, project_solution=lambda x: np.ones(1), project_solutions=None)
     assert batch_oracle(q, "project_solutions", np.zeros((3, 1))).tolist() == [[1.0]] * 3

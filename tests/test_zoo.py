@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from proxlab import (BENCHMARKS, Dataset, MLProblemParams, ProxlabError,
+from proxlab import (BENCHMARKS, MLProblemParams, ProxlabError,
                      generate_lasso_data, load_libsvm, make_benchmark,
                      make_blob_dataset, make_ml_problem)
 from proxlab.problem import as_point
@@ -99,38 +99,73 @@ def test_elastic_net_toy_minimizer(en_toy):
 
 
 def test_ml_problem_shape_errors():
-    with pytest.raises(ProxlabError):
-        make_ml_problem((np.eye(2), np.zeros(3)), MLProblemParams("lasso"))
-    with pytest.raises(ProxlabError):
-        make_ml_problem((np.eye(2), np.zeros(2)), MLProblemParams("svm"))
+    for kind in ("svm", "lasso", "elastic_net"):
+        for features, targets in ((np.eye(2), np.ones(3)), (np.ones(2), np.ones(2))):
+            with pytest.raises(ProxlabError, match="^features .* vs labels "):
+                make_ml_problem((features, targets), MLProblemParams(kind))
 
 
 def test_dataset_validation():
-    with pytest.raises(ProxlabError):
-        Dataset(np.ones((2, 2)), np.array([1.0, 2.0]))  # labels not in {-1,+1}
+    svm = MLProblemParams("svm")
+    with pytest.raises(ProxlabError, match="^labels must be -1 or \\+1$"):
+        make_ml_problem((np.ones((2, 2)), np.array([1.0, 2.0])), svm)
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ProxlabError):
-            Dataset(np.array([[bad, 0.0]]), np.array([1.0]))
-    ds = Dataset(np.ones((2, 2)), np.array([1.0, -1.0]))
+        with pytest.raises(ProxlabError, match="^non-finite entries"):
+            make_ml_problem((np.array([[bad, 0.0]]), np.array([1.0])), svm)
+    p = make_ml_problem((np.ones((2, 2)), np.array([1.0, -1.0])), svm)
     with pytest.raises(ValueError):
-        ds.features[0, 0] = 5.0  # frozen buffers
+        p.svm.features[0, 0] = 5.0  # frozen buffers
+
+
+@pytest.mark.parametrize("kind", ["lasso", "elastic_net"])
+@pytest.mark.parametrize("where", ["A", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_least_squares_data_must_be_finite(kind, where, bad):
+    # A NaN in A built a problem whose value was NaN and whose prox raised
+    # numpy's LinAlgError.
+    a_mat, y, _ = generate_lasso_data(4, 3, 1, seed=0)
+    (a_mat[0] if where == "A" else y)[1] = bad
+    with pytest.raises(ProxlabError, match="^non-finite entries"):
+        make_ml_problem((a_mat, y), MLProblemParams(kind))
+
+
+@pytest.mark.parametrize("kind", ["svm", "lasso", "elastic_net"])
+def test_writes_to_the_callers_data_change_nothing(kind):
+    # The problem keeps read-only copies: the caller's arrays stay writable,
+    # and a write moves neither the value nor the memoized Hessian out of step.
+    features, targets = (make_blob_dataset(6, 3, seed=1) if kind == "svm"
+                         else generate_lasso_data(6, 3, 1, seed=1)[:2])
+    p = make_ml_problem((features, targets), MLProblemParams(kind))
+    x = np.ones(3)
+    before = p.value(x), p.min_norm_subgradient(x).tolist()
+    features *= 2.0
+    targets *= -1.0
+    assert (p.value(x), p.min_norm_subgradient(x).tolist()) == before
+
+
+def test_least_squares_data_whose_hessian_overflows_are_refused():
+    # A^T A overflowed to inf, and the first prox raised numpy's LinAlgError.
+    a_mat, y, _ = generate_lasso_data(6, 3, 1, seed=1)
+    for kind in ("lasso", "elastic_net"):
+        with pytest.raises(ValueError, match="rescale the data$"):
+            make_ml_problem((a_mat * 1e160, y), MLProblemParams(kind))
 
 
 def test_load_libsvm_basic(tmp_path):
     path = tmp_path / "toy.libsvm"
     path.write_text("+1 1:0.5 3:2\n-1\n", encoding="utf-8")
-    ds = load_libsvm(path)
-    assert ds.features.shape == (2, 3)
-    assert np.allclose(ds.features[0], [0.5, 0.0, 2.0])
-    assert np.allclose(ds.features[1], [0.0, 0.0, 0.0])
-    assert list(ds.labels) == [1.0, -1.0]
+    features, labels = load_libsvm(path)
+    assert features.shape == (2, 3)
+    assert np.allclose(features[0], [0.5, 0.0, 2.0])
+    assert np.allclose(features[1], [0.0, 0.0, 0.0])
+    assert list(labels) == [1.0, -1.0]
 
 
 def test_load_libsvm_zero_one_convention(tmp_path):
     path = tmp_path / "zo.libsvm"
     path.write_text("0 1:1\n1 2:1\n", encoding="utf-8")
-    ds = load_libsvm(path)
-    assert list(ds.labels) == [-1.0, 1.0]
+    _, labels = load_libsvm(path)
+    assert list(labels) == [-1.0, 1.0]
 
 
 def test_load_libsvm_rejects_other_labels(tmp_path):
@@ -155,11 +190,12 @@ def test_load_libsvm_rejects_non_finite_values(tmp_path, value):
         load_libsvm(path)
 
 
-def libsvm_text(dataset) -> str:
-    """The data set in LIBSVM text, with each nonzero feature written exactly."""
+def libsvm_text(data) -> str:
+    """The (features, labels) data in LIBSVM text, with each nonzero feature written
+    exactly."""
+    features, labels = data
     return "".join(f"{label:+.0f} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row) if v)
-                   + "\n" for row, label in zip(dataset.features.tolist(),
-                                                 dataset.labels.tolist()))
+                   + "\n" for row, label in zip(features.tolist(), labels.tolist()))
 
 
 def test_libsvm_round_trip(tmp_path):
@@ -167,14 +203,14 @@ def test_libsvm_round_trip(tmp_path):
     path = tmp_path / "rt.libsvm"
     path.write_text(libsvm_text(ds), encoding="utf-8")
     back = load_libsvm(path)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
+    assert np.array_equal(back[0], ds[0])
+    assert np.array_equal(back[1], ds[1])
 
 
 def test_blob_dataset_shape_and_balance():
-    ds = make_blob_dataset(31, 4, seed=9)
-    assert ds.features.shape == (31, 4)
-    assert int(np.sum(ds.labels == 1.0)) == 15
+    features, labels = make_blob_dataset(31, 4, seed=9)
+    assert features.shape == (31, 4)
+    assert int(np.sum(labels == 1.0)) == 15
 
 
 def test_params_validation():
