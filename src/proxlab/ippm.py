@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ppm
 from .errors import ProxlabError
 from .ppm import IterationTrace, StepSchedule, iterate
 from .problem import ProblemSpec, min_norm_subgradient, vector_norm
@@ -23,9 +24,6 @@ from .prox import prox, validate_step
 
 PRIMED = ("A'", "B'")
 KINDS = ("A", "B") + PRIMED
-
-# Residual target of the reference prox that test-mode steps perturb.
-REFERENCE_TARGET = 1e-12
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,9 @@ def _primed_step(p, x, c, eps_k, delta_k):
 
 
 def _test_mode_step(p, x, c, eps_k, delta_k, rng):
-    """Perturb a tight reference prox inside every requested budget."""
-    ref = prox(p, x, c, REFERENCE_TARGET)
+    """Perturb a tight reference prox, solved to ppm.REFERENCE_TARGET, inside
+    every requested budget."""
+    ref = prox(p, x, c, ppm.REFERENCE_TARGET)
     p_k = ref.point
     radius = eps_k if eps_k is not None else math.inf
     if delta_k is not None:

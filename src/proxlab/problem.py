@@ -33,10 +33,12 @@ Vector = np.ndarray
 
 # Margin band inside which a hinge term counts as sitting at its kink.
 KINK_BAND = 1e-9
-# Elements (rows times dimension) per batch-oracle block, and per block of the
-# estimator's pair differences: a block's temporaries stay about 256 KB
-# whatever the dimension, and a 1-d or 2-d grid of up to 2^15 or 2^14 points
-# is one oracle call.
+# Elements (rows times dimension) per batch-oracle block, per block of the
+# estimator's pass (whose projections, offsets and min-norm elements shrink to
+# per-row numbers before the next block) and per block of its pair
+# differences: a block's temporaries stay about 256 KB whatever the dimension,
+# so the estimator's sample is its only (N, d) array, and a 1-d or 2-d grid
+# of up to 2^15 or 2^14 points is one oracle call.
 BATCH_ELEMENTS = 2 ** 15
 # Cap on the active-set passes over the kink weights of one SVM min-norm
 # element; an element at a kink still not optimal after them raises

@@ -67,7 +67,10 @@ def prox(p: ProblemSpec, z, c: float, target: float = 1e-10,
     ``inner_iterations``.  A candidate with a NaN residual certifies nothing,
     and nothing better follows it: the solve raises InnerBudgetExhausted
     there, as it does when MAX_INNER candidates after the start are refused.
-    When the solver runs out of candidates it raises ResolutionFloor.  Both
+    So does an infinite residual (an infinite element, or a norm that
+    overflows) after the start; one at the start, the centre z, which the
+    solver yields before any work, lets the solver look on.  When the solver
+    runs out of candidates it raises ResolutionFloor.  Both
     carry the best candidate and the iterations spent.  The 1-d solver's
     candidates are floats, made arrays only when returned or shown to
     ``stop_rule``; the array shown is the one returned.
@@ -90,10 +93,10 @@ def prox(p: ProblemSpec, z, c: float, target: float = 1e-10,
     for it, (x, e, rn) in enumerate(candidates):
         if it == 0 or rn < best[2]:
             best = x, e, rn
-        if rn != rn:
+        if rn != rn or (rn == math.inf and it):
             raise InnerBudgetExhausted(
-                f"{name} inner solver: NaN residual after {it} iterations",
-                best=_result(*best, it))
+                f"{name} inner solver: {'NaN' if rn != rn else 'infinite'} residual "
+                f"after {it} iterations", best=_result(*best, it))
         if stop_rule is not None:
             x = _array(x)
         if rn <= target if stop_rule is None else stop_rule(x, rn):

@@ -127,18 +127,20 @@ def _sample_points(p: ProblemSpec, plan: EstimationPlan) -> np.ndarray:
     return points
 
 
-def _secant_rows(xs, fx, g, rows, tau_s):
+def _secant_rows(p, xs, fx, rows, tau_s):
     """(least ratio of each row i, i) over the pairs (i, j) of a thinned subset
     of rows with ||x_j - x_i||^2 >= tau_s, in blocks of a (B, P, d) difference
-    of about BATCH_ELEMENTS elements.  Each row's <g_i, x_j - x_i> is one gemv
-    on its pairs alone: OpenBLAS rounds a row's dot by the row count of its
-    matrix."""
+    of about BATCH_ELEMENTS elements.  The subset's min-norm elements are one
+    batch_oracle call on its at most PAIR_THIN rows.  Each row's
+    <g_i, x_j - x_i> is one gemv on its pairs alone: OpenBLAS rounds a row's
+    dot by the row count of its matrix."""
     subset = rows[::max(1, rows.size // PAIR_THIN)][:PAIR_THIN]
     pts, vals, d = xs[subset], fx[subset], xs.shape[1]
+    g = batch_oracle(p, "min_norm_subgradients", pts)
     row_min, far_pairs = np.empty(subset.size), np.empty(subset.size, dtype=int)
     block = max(1, BATCH_ELEMENTS // (subset.size * d))
     for lo in range(0, subset.size, block):
-        at = subset[lo:lo + block]
+        at, g_at = subset[lo:lo + block], g[lo:lo + block]
         flat = (pts - xs[at, None]).reshape(-1, d)
         sq = row_dots(flat, flat).reshape(at.size, -1)
         far = sq >= tau_s
@@ -148,7 +150,7 @@ def _secant_rows(xs, fx, g, rows, tau_s):
             same = m == count
             pairs = far & same[:, None]
             gathered = flat.compress(pairs.ravel(), axis=0).reshape(same.sum(), count, d)
-            dots[pairs] = np.matmul(gathered, g[at[same], :, None]).ravel()
+            dots[pairs] = np.matmul(gathered, g_at[same, :, None]).ravel()
         row_min[lo:lo + block] = np.divide(vals - fx[at, None] - dots, sq, where=far,
                                            out=np.full(sq.shape, math.inf)).min(axis=1)
     return row_min[far_pairs > 0], subset[far_pairs > 0]
@@ -157,6 +159,13 @@ def _secant_rows(xs, fx, g, rows, tau_s):
 def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport:
     """Extremal empirical ratios over the sampled sublevel region.
 
+    One blockwise pass: f at every row, then the rows in the nu-sublevel set
+    in blocks of max(1, BATCH_ELEMENTS // d) rows, each block projected and,
+    at its rows that pass the tau_s filter, given its min-norm elements.  A
+    block leaves only per-row numbers (dist, <g, x - proj_S(x)>, ||g||), so
+    the sample is the pass's only (N, d) array.  mu_s takes the min-norm
+    elements of its at most PAIR_THIN thinned rows from one more batch_oracle
+    call.
     The witness of a constant is its first extremal sample in sample order.
     Raises ProxlabError when no sample enters the ratios.
     """
@@ -168,25 +177,33 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
         # dominance failure shows up as an exact zero ratio, not a near-zero.
         xs = np.vstack([xs, *find_suboptimal_stationary_points(p, plan.bracket)])
 
-    # One index of the rows that enter the ratios, narrowed before each costly
-    # batch oracle: a projection only for rows in the nu-sublevel set, the
-    # min-norm element only for rows that pass the tau_s filter as well.  A
-    # row reaching it has a finite value, so it needs no domain check.
+    # A block is a slice of xs when its rows are consecutive, else a gather.
+    # Rows are gathered with take and compress, which copy a row at a time
+    # where indexing by an array copies an element at a time (a tenth of the
+    # time at d = 2).  A row reaching its min-norm element has a finite value,
+    # so it needs no domain check.
     fx = batch_oracle(p, "values", xs)
     gap = fx - p.f_star
     rows = np.flatnonzero(~(gap > plan.nu) & (fx != math.inf))
-    offset = batch_oracle(p, "project_solutions", xs, rows)
-    np.subtract(xs, offset, out=offset)  # x - proj_S(x); only its rows are read
-    dist = np.sqrt(row_dots(offset, offset))
-    rows = rows[~(gap[rows] < plan.tau_s) & ~(dist[rows] < math.sqrt(plan.tau_s))]
+    dist, secant, gnorm = np.empty((3, rows.size))
+    enters = np.empty(rows.size, dtype=bool)
+    step = max(1, BATCH_ELEMENTS // xs.shape[1])
+    for lo in range(0, rows.size, step):
+        at = rows[lo:lo + step]
+        block = xs[at[0]:at[-1] + 1] if at[-1] - at[0] == at.size - 1 else xs.take(at, axis=0)
+        offset = batch_oracle(p, "project_solutions", block)
+        np.subtract(block, offset, out=offset)  # x - proj_S(x)
+        near = dist[lo:lo + step] = np.sqrt(row_dots(offset, offset))
+        keep = enters[lo:lo + step] = ~(gap[at] < plan.tau_s) & ~(near < math.sqrt(plan.tau_s))
+        g = batch_oracle(p, "min_norm_subgradients", block.compress(keep, axis=0))
+        secant[lo:lo + step][keep] = row_dots(g, offset.compress(keep, axis=0))
+        gnorm[lo:lo + step][keep] = np.sqrt(row_dots(g, g))
+    rows, dist, secant, gnorm = rows[enters], dist[enters], secant[enters], gnorm[enters]
     if not rows.size:
         raise ProxlabError(f"no sample point has gap in [tau_s, nu] and dist >= sqrt(tau_s) "
                            f"(nu = {plan.nu:g}, bracket = {plan.bracket}, "
                            f"tau_s = {plan.tau_s:g})")
-    g = batch_oracle(p, "min_norm_subgradients", xs, rows)
-    secant = row_dots(g, offset)[rows]  # <g, x - proj_S(x)>
-    gnorm = np.sqrt(row_dots(g, g))[rows]
-    gap, dist = gap[rows], dist[rows]
+    gap = gap[rows]
 
     def first(argpick, ratios, at):
         """(ratio, sample) at the first extremal ratio; (0.0, None) if there is none."""
@@ -211,7 +228,7 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     if mu_r[0] < 0.0:
         mu_r = (0.0, mu_r[1])  # a negative ratio refutes every positive constant
 
-    mu_s = first(np.argmin, *_secant_rows(xs, fx, g, rows, plan.tau_s))
+    mu_s = first(np.argmin, *_secant_rows(p, xs, fx, rows, plan.tau_s))
     mu_s = (max(mu_s[0], 0.0), mu_s[1])
 
     estimates = {name: ConstantEstimate(*pair, bound_direction="exact") for name, pair in

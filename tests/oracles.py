@@ -335,25 +335,28 @@ def loop_estimate(p, plan):
     return report, ratios
 
 
-def loop_secant_rows(xs, fx, g, rows, tau_s):
+def loop_secant_rows(p, xs, fx, rows, tau_s):
     """The estimator's mu_s pair step as one numpy row per thinned sample.
 
     Same arguments and result as ``regularity._secant_rows``: (the least
     ratio of each row with a pair at squared distance >= tau_s, its row).
-    Each product ``step[far] @ g[i]`` runs on the row's far pairs alone, the
+    Each row's min-norm element is a batch call on that row alone, and each
+    product ``step[far] @ g`` runs on the row's far pairs alone, the
     matrix-vector shape the blocked step must keep to match it bitwise.
     """
+    from proxlab.problem import batch_oracle
     from proxlab.regularity import PAIR_THIN
 
     subset = rows[::max(1, rows.size // PAIR_THIN)][:PAIR_THIN]
     pts, vals = xs[subset], fx[subset]
     row_min, starts = [], []
     for i in subset:
+        g = batch_oracle(p, "min_norm_subgradients", xs[i:i + 1])[0]
         step = pts - xs[i]
         sq = np.array([np.dot(v, v) for v in step])
         far = sq >= tau_s
         if far.any():
-            row_min.append(np.min((vals[far] - fx[i] - step[far] @ g[i]) / sq[far]))
+            row_min.append(np.min((vals[far] - fx[i] - step[far] @ g) / sq[far]))
             starts.append(i)
     return np.array(row_min), np.array(starts, dtype=rows.dtype)
 

@@ -174,8 +174,13 @@ def test_non_finite_value_at_x0_raises_naming_x0(quad1d, run):
 
 def test_reference_solution_raises_on_exhausted_inner_solve(monkeypatch):
     # The prox steps of (x - 1)^4 have irrational minimizers, so no float
-    # meets a residual target of 1e-300.
+    # meets a residual target of 1e-300.  The reference solve and iPPM's
+    # test-mode reference step read the one target.
     monkeypatch.setattr(ppm_module, "REFERENCE_TARGET", 1e-300)
     pw = Piecewise1D([], [(lambda x: (x - 1.0) ** 4, lambda x: 4.0 * (x - 1.0) ** 3)])
+    quartic = problem_from_1d(pw, name="quartic")
     with pytest.raises(InnerBudgetExhausted):
-        reference_solution(problem_from_1d(pw, name="quartic"))
+        reference_solution(quartic)
+    trace = run_ippm(quartic, [3.0], StepSchedule.constant(1.0),
+                     InexactCriterion("A", eps0=0.1, gamma=0.5), max_iter=5, test_mode=True)
+    assert trace.stop_reason == "resolution" and len(trace) == 1

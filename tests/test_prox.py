@@ -193,6 +193,21 @@ def test_nan_certificate_ends_the_composite_solve_at_once():
     assert err.value.best.inner_iterations == 0
 
 
+def test_infinite_certificate_ends_the_composite_solve():
+    # On A * 1e100 every certificate norm overflows: the start point's and
+    # the first iterate's.  The solve spun MAX_INNER = 100,000 refused
+    # candidates (about 4 s) to "residual inf" before.
+    a_mat, y, _ = generate_lasso_data(10, 20, 5, 0)
+    p = make_ml_problem((a_mat * 1e100, y), MLProblemParams("lasso", lam=1.0))
+    with np.errstate(over="ignore"):
+        with pytest.raises(InnerBudgetExhausted,
+                           match="composite inner solver: infinite residual") as err:
+            prox(p, 1e10 * np.ones(20), 1.0)
+    assert not isinstance(err.value, ResolutionFloor)
+    assert err.value.best.inner_iterations == 1
+    assert err.value.best.residual_norm == math.inf
+
+
 def test_step_too_large(wc_piecewise, sine_quad):
     with pytest.raises(ProxlabError):
         prox(wc_piecewise, [-0.7], 0.6)  # 1/0.6 < rho = 2

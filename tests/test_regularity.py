@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -296,7 +297,7 @@ def test_secant_rows_match_row_loop_bitwise(request, monkeypatch, fixture, dupli
 
     monkeypatch.setattr(regularity, "_secant_rows", spy)
     report = estimate_constants(p, plan)
-    xs, _, _, rows, tau_s = seen["args"]
+    _, xs, _, rows, tau_s = seen["args"]
     (row_min, starts), (want, want_starts) = seen["rows"], loop_secant_rows(*seen["args"])
     assert row_min.tobytes() == want.tobytes() and np.array_equal(starts, want_starts)
     k = int(np.argmin(want))
@@ -305,6 +306,21 @@ def test_secant_rows_match_row_loop_bitwise(request, monkeypatch, fixture, dupli
     if duplicated:  # below PAIR_THIN rows, every row starts pairs
         step = xs[rows][:, None] - xs[rows]
         assert len(set((np.einsum("ijk,ijk->ij", step, step) >= tau_s).sum(axis=1))) > 1
+
+
+def test_estimate_keeps_one_sample_sized_array(en_f20):
+    # At d = 50 the pass holds the (N, d) sample, per-row numbers and one
+    # block's temporaries of about BATCH_ELEMENTS floats each.  A second
+    # sample-sized array (the offsets or the min-norm elements of every row)
+    # would take the traced peak past twice the sample's bytes.
+    plan = plan_for(en_f20)
+    tracemalloc.start()
+    try:
+        estimate_constants(en_f20, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * plan.count * en_f20.dimension * 8
 
 
 def test_grid_estimate_imports_no_module():
@@ -324,19 +340,23 @@ def test_grid_estimate_imports_no_module():
 
 @pytest.mark.parametrize("fixture,nu,counts", [
     ("quad1d", None, {"values": (3, 14_098), "project_solutions": (1, 10_001),
-                      "min_norm_subgradients": (4, 14_098)}),
+                      "min_norm_subgradients": (5, 14_298)}),
     ("quad1d", 0.25, {"values": (3, 14_098), "project_solutions": (1, 5_001),
-                      "min_norm_subgradients": (4, 9_098)}),
+                      "min_norm_subgradients": (5, 9_298)}),
     ("en_f20", None, {"values": (16, 10_001), "project_solution": (1, 1),
-                      "project_solutions": (16, 10_001), "min_norm_subgradients": (16, 10_001)}),
+                      "project_solutions": (16, 10_001), "min_norm_subgradients": (17, 10_201)}),
+    ("en_f20", 800.0, {"values": (16, 10_001), "project_solution": (1, 1),
+                       "project_solutions": (9, 5_252), "min_norm_subgradients": (10, 5_452)}),
 ])
 def test_estimate_oracle_work_count(request, fixture, nu, counts):
     # (calls, rows) per oracle, a batch call per 2^15 elements: all of a 1-d
-    # grid, 655 rows at d = 50.  One value per sample
-    # (quad1d: plus the stationary scan's grid and its one root); a projection
-    # only inside the nu-sublevel set (en_f20: plus one scalar call for the
-    # Gaussian centre); a min-norm element only for samples that enter the
-    # ratios (quad1d: plus the scan's grid, its one halving and its root).
+    # grid, 655 rows at d = 50.  One value per sample (quad1d: plus the
+    # stationary scan's grid and its one root); a projection only inside the
+    # nu-sublevel set, in blocks of its rows (en_f20: plus one scalar call for
+    # the Gaussian centre; at nu = 800 the 5,252 scattered rows are 9
+    # gathered blocks); a min-norm element only for samples that enter the
+    # ratios (quad1d: plus the scan's grid, its one halving and its root),
+    # then once more for the PAIR_THIN = 200 rows the secant pairs thin to.
     p = request.getfixturevalue(fixture)
     tally = Counter()
     estimate_constants(counted(p, tally), plan_for(p, nu=nu))
@@ -350,5 +370,5 @@ def test_estimate_row_fallback_work_count(quad1d):
     tally = Counter()
     report = estimate_constants(counted(p, tally), plan_for(p))
     assert dict(tally) == {"value": (14_098, 14_098), "project_solution": (10_001, 10_001),
-                           "min_norm_subgradient": (14_098, 14_098)}
+                           "min_norm_subgradient": (14_298, 14_298)}
     assert report.to_json() == estimate_constants(quad1d, plan_for(quad1d)).to_json()

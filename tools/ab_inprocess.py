@@ -8,16 +8,21 @@ directory as ``proxlab_parent`` and ``proxlab_change`` and imported side by
 side.  Every job of WORKLOAD's benchmark deck (``perfbench/bench_workloads.py``
 at --seed, as ``tools/run_configs.py`` reads it) runs through each side's
 ``cli.main`` in turn, the side that goes first alternating from job to job, over
---passes timed passes after one warm-up pass.  Configs and outputs go to the
-temporary directory, which is removed at the end; nothing is written under
-``perfbench/``.
+--passes timed passes after one warm-up pass, then through one untimed pass per
+side under ``tracemalloc``.  Configs and outputs go to the temporary directory,
+which is removed at the end; nothing is written under ``perfbench/``.
 
 For each job kind, and for the whole pass, the report gives each side's median
 time per timed pass, their ratio (parent over change: above 1 when the change
 is faster) and the passes the change won.  A last row gives the warm-up pass
 the same way, kept out of the medians: it pays each side's first-call costs
 and the reference solve of each ML data set, which the benchmark's first timed
-pass pays too, for every instance but that of its warm-up job.
+pass pays too, for every instance but that of its warm-up job.  A second table
+gives, per job kind, each side's largest traced peak over its jobs (the most
+memory numpy and Python held during one job above what they held when it
+started) and their ratio, parent over change.  It follows the process's peak
+RSS, which the benchmark reports, without the interpreter's and the libraries'
+own pages.
 
 This is a development aid for a noisy shared host, where one process
 alternating the two versions sees both under the same machine state.  It
@@ -35,6 +40,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +84,36 @@ def run_passes(clis: dict, deck: list[dict], passes: int, work: Path) -> tuple[l
     return spent_per_pass, failed
 
 
+def traced_peaks(clis: dict, deck: list[dict], work: Path) -> dict:
+    """Each side's largest traced peak (bytes above the job's start) per job kind,
+    over one untimed pass."""
+    peaks = {side: dict.fromkeys((job["kind"] for job in deck), 0) for side in SIDES}
+    tracemalloc.start()
+    try:
+        for job in deck:
+            for side in SIDES:
+                out = work / "out" / side
+                shutil.rmtree(out, ignore_errors=True)
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                clis[side].main(job["argv"] + [str(out)])
+                peak = tracemalloc.get_traced_memory()[1] - start
+                peaks[side][job["kind"]] = max(peaks[side][job["kind"]], peak)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+def memory_report(peaks: dict) -> str:
+    width = max(map(len, peaks["parent"]))
+    lines = [f"{'kind':<{width}}  {'parent MB':>10}  {'change MB':>10}  {'ratio':>6}"]
+    for kind, parent in peaks["parent"].items():
+        change = peaks["change"][kind]
+        lines.append(f"{kind:<{width}}  {parent / 1e6:10.3f}  {change / 1e6:10.3f}"
+                     f"  {parent / change:6.3f}")
+    return "\n".join(lines)
+
+
 def report(spent_per_pass: list) -> str:
     warm_up, *timed = spent_per_pass
     kinds = list(warm_up["parent"])
@@ -111,7 +147,10 @@ def main(argv: list[str]) -> int:
         clis = {side: load_cli(src, work, side)
                 for side, src in zip(SIDES, (args.parent_src, args.change_src))}
         spent_per_pass, failed = run_passes(clis, deck, args.passes, work)
+        peaks = traced_peaks(clis, deck, work)
     print(report(spent_per_pass))
+    print()
+    print(memory_report(peaks))
     if any(failed.values()):
         print(f"nonzero exits: {failed}", file=sys.stderr)
         return 1
