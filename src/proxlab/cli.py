@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 # hashlib.blake2b is this function, but importing hashlib loads OpenSSL: 5 ms
-# and at times 30 ms, paid by the first ML run of a process.
+# and at times 30 ms.  numpy.random, which would load it too, is imported
+# through problem.default_rng without it, so no run loads OpenSSL.
 from _blake2 import blake2b
 
 import numpy as np

@@ -19,7 +19,7 @@ import numpy as np
 from . import ppm
 from .errors import ProxlabError
 from .ppm import IterationTrace, StepSchedule, iterate
-from .problem import ProblemSpec, min_norm_subgradient, vector_norm
+from .problem import ProblemSpec, default_rng, min_norm_subgradient, vector_norm
 from .prox import prox, validate_step
 
 PRIMED = ("A'", "B'")
@@ -71,8 +71,9 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
 
     Primed criteria drive the inner solver's stopping rule directly.  The
     unprimed ones require ``test_mode`` (they compare against the true prox);
-    the step is then a seeded perturbation of a tight reference prox, kept
-    inside every requested budget.
+    the step is then a perturbation of a tight reference prox, kept inside
+    every requested budget, drawn from ``default_rng(seed)``.  A primed run
+    draws nothing and ignores ``seed``.
     """
     crits = (crit,) if isinstance(crit, InexactCriterion) else tuple(crit)
     if not crits:
@@ -85,7 +86,7 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
     if unprimed and any(c.implementable for c in crits):
         raise ValueError("cannot mix primed and unprimed criteria in one run")
     validate_step(p, sched.c)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed) if unprimed else None
 
     def step(k, x, c):
         eps_k = min((cr.eps(k) for cr in crits if cr.absolute), default=None)

@@ -7,6 +7,7 @@ outside the effective domain (IEEE infinity is the tagged "infinite" value;
 finite sentinels are never used).  Three of the
 oracles may also come in a batch form on an (N, d) array of rows;
 ``batch_oracle`` calls it, or maps the scalar oracle over the rows.
+``default_rng`` is the package's one seeded generator.
 
 All oracles are pure and problems are immutable after construction, so they
 are safe to share across threads and concurrent runs.  The structure parts
@@ -21,6 +22,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import random
+import sys
+import types
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping
@@ -49,6 +53,36 @@ MIN_NORM_PASSES = 1000
 # 2.5 us at any length (2-vCPU Xeon VM, Python 3.11, numpy 2.4).
 SHORT_VECTOR = 32
 _FLOAT64 = np.dtype(float)
+
+
+def default_rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed): the one seeded generator of the package.
+
+    Importing numpy.random runs ``from secrets import randbits``, and
+    ``secrets`` imports ``hmac``, which loads OpenSSL: about 3.7 MB and 5 ms of
+    a fresh process, for a function that numpy calls once during that import,
+    to seed its legacy global state.  So when neither ``secrets`` nor
+    numpy.random is loaded yet, the first call imports numpy.random against a
+    stand-in ``secrets`` whose ``randbits`` is
+    ``random.SystemRandom().getrandbits``, which is what ``secrets.randbits``
+    is.  The stand-in is in ``sys.modules`` for the length of that one import
+    only, so a later ``import secrets`` loads the real module.  A numpy that
+    wants more from ``secrets`` raises ImportError there and gets numpy.random
+    imported again, normally, by ``np.random``.  Generators, seeds and streams
+    are numpy's own.
+    """
+    if "numpy.random" not in sys.modules and "secrets" not in sys.modules:
+        stand_in = types.ModuleType("secrets")
+        stand_in.randbits = random.SystemRandom().getrandbits
+        sys.modules["secrets"] = stand_in
+        try:
+            import numpy.random
+        except ImportError:
+            pass
+        finally:
+            if sys.modules.get("secrets") is stand_in:
+                del sys.modules["secrets"]
+    return np.random.default_rng(seed)
 
 
 def all_finite(v: Vector) -> bool:
@@ -315,36 +349,28 @@ def _row_oracle(p: ProblemSpec, name: str) -> Callable[[Vector], Any]:
     return lambda x: as_point(p.project_solution(x))
 
 
-def batch_oracle(p: ProblemSpec, name: str, xs: np.ndarray, rows=None) -> np.ndarray:
-    """The batch oracle ``name`` at the rows ``rows`` of xs (default: every row).
+def batch_oracle(p: ProblemSpec, name: str, xs: np.ndarray) -> np.ndarray:
+    """The batch oracle ``name`` at every row of xs.
 
     ``name`` is "values", "min_norm_subgradients" or "project_solutions".  The
     result is a fresh writable array with one entry (values) or one row per
-    row of xs, zero outside ``rows``.  The oracle is called on blocks of
-    max(1, BATCH_ELEMENTS // d) rows and each block is written straight into
-    its rows, so no temporary is larger than a block; every batch oracle is
-    row-wise, so the blocks do not change a bit of the result.  A block is a
-    slice of xs when ``rows`` is None or one run of consecutive indices, and
-    a gather of its rows otherwise.  A problem without the batch form gets its
-    scalar oracle mapped over the rows instead (min-norm elements at shift 0,
-    with no domain check).
+    row of xs.  The oracle is called on slices of max(1, BATCH_ELEMENTS // d)
+    rows and each is written straight into its rows, so no temporary is larger
+    than a block; every batch oracle is row-wise, so the blocks do not change
+    a bit of the result.  A problem without the batch form gets its scalar
+    oracle mapped over the rows instead (min-norm elements at shift 0, with no
+    domain check).
     """
-    out = np.zeros(len(xs)) if name == "values" else np.zeros_like(xs)
+    out = np.empty(len(xs)) if name == "values" else np.empty_like(xs)
     batch = getattr(p, name)
     if batch is None:
         row = _row_oracle(p, name)
-        for i in range(len(xs)) if rows is None else rows:
+        for i in range(len(xs)):
             out[i] = row(xs[i])
         return out
     step = max(1, BATCH_ELEMENTS // xs.shape[1])
-    if rows is not None and not (rows.size and (np.diff(rows) == 1).all()):
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
-            out[block] = batch(xs[block])
-        return out
-    lo, hi = (0, len(xs)) if rows is None else (int(rows[0]), int(rows[-1]) + 1)
-    for start in range(lo, hi, step):
-        block = slice(start, min(start + step, hi))
+    for start in range(0, len(xs), step):
+        block = slice(start, start + step)
         out[block] = batch(xs[block])
     return out
 

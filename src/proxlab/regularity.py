@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProxlabError
-from .problem import BATCH_ELEMENTS, ProblemSpec, as_point, batch_oracle, row_dots
+from .problem import (BATCH_ELEMENTS, ProblemSpec, as_point, batch_oracle, default_rng,
+                      row_dots)
 
 EB_CAP = 1e12
 STATIONARY_NORM = 1e-8
@@ -121,7 +122,7 @@ def _sample_points(p: ProblemSpec, plan: EstimationPlan) -> np.ndarray:
             axis = np.linspace(lo, hi, max(int(math.isqrt(plan.count)), 10))
             return np.stack([a.ravel() for a in np.meshgrid(axis, axis, indexing="ij")], axis=1)
         raise ValueError("grid sampling supports dimension <= 2")
-    rng = np.random.default_rng(SAMPLE_SEED)
+    rng = default_rng(SAMPLE_SEED)
     points = rng.standard_normal((plan.count, p.dimension))
     points += as_point(p.project_solution(np.zeros(p.dimension)))
     return points

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProxlabError
-from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SvmParts,
+from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SvmParts, default_rng,
                       problem_from_1d, row_dots, row_matvecs)
 
 
@@ -139,7 +139,7 @@ def make_blob_dataset(n: int, d: int, seed: int, separation: float = 2.0):
     direction, the first n // 2 rows labelled +1 and the rest -1."""
     if min(n, d) < 1:
         raise ProxlabError(f"blobs need n >= 1 samples and d >= 1 features, got n={n}, d={d}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     center = np.full(d, separation / 2.0 / math.sqrt(d))
     n_pos = n // 2
     pos = center + rng.standard_normal((n_pos, d))
@@ -157,7 +157,7 @@ def generate_lasso_data(n: int, m: int, s: int, seed: int):
         raise ProxlabError(f"lasso data need n >= 1 samples and m >= 1 features, got n={n}, m={m}")
     if s >= m:
         raise ProxlabError(f"need s < m, got s={s}, m={m}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     a_mat = rng.standard_normal((n, m))
     xhat = rng.standard_normal(m)
     zero_idx = rng.choice(m, size=s, replace=False)

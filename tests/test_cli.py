@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxlab import (InnerBudgetExhausted, StepSchedule, cli, make_blob_dataset,
-                     read_trace_csv, run_ppm)
+from proxlab import (InnerBudgetExhausted, StepSchedule, cli, generate_lasso_data,
+                     make_blob_dataset, read_trace_csv, run_ppm)
 from proxlab.cli import main
 from proxlab.traceio import CSV_HEADER, emit_trace_csv
 
@@ -177,6 +177,13 @@ GD_FALSE_CONSTANTS = {"problem": {"benchmark": "aniso_quad"}, "gd": {"mu": 8.0, 
                       "x0": [1.0, 1.0], "max_iter": 30, "test_mode": True}
 
 
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """A child interpreter on ``argv`` that imports proxlab from src."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
 @pytest.mark.parametrize("cmd,body,code,err", [
     ("run-gd", None, 0, ""),  # the shipped experiments/gd_aniso.json
     ("run-ppm", {"problem": {"benchmark": "cubic"}}, 1, "config error: problem.benchmark"),
@@ -185,14 +192,99 @@ GD_FALSE_CONSTANTS = {"problem": {"benchmark": "aniso_quad"}, "gd": {"mu": 8.0, 
 def test_module_entry_point_exit_codes(tmp_path, cmd, body, code, err):
     # ``python -m proxlab.cli`` in a child process: its exit code and stderr.
     cfg = EXPERIMENTS / "gd_aniso.json" if body is None else write_config(tmp_path, "c.json", body)
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "proxlab.cli", cmd, "--config", str(cfg),
-                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    done = run_python("-m", "proxlab.cli", cmd, "--config", cfg, "--out", tmp_path / "out")
     assert done.returncode == code
     assert done.stderr.startswith(err) and done.stderr.count("\n") == (code != 0)
     assert (tmp_path / "out" / "summary.json").exists() == (code != 1)
 
+
+
+def run_fresh(script: str, *args) -> None:
+    """Run ``script`` with ``args`` in a fresh interpreter, and fail with its
+    stderr unless it exits 0."""
+    done = run_python("-c", script, *args)
+    assert done.returncode == 0, done.stderr
+
+
+OPENSSL = ("_hashlib", "hmac", "secrets")
+LASSO_BYTES = """
+import sys
+from pathlib import Path
+from proxlab.zoo import generate_lasso_data
+Path(sys.argv[-1]).write_bytes(b"".join(a.tobytes() for a in generate_lasso_data(30, 60, 15, 11)))
+"""
+
+
+def lasso_bytes_match(path) -> bool:
+    """Whether ``path`` holds the bytes of generate_lasso_data(30, 60, 15, 11) in this process."""
+    want = b"".join(a.tobytes() for a in generate_lasso_data(30, 60, 15, 11))
+    return Path(path).read_bytes() == want
+
+
+def test_drawing_runs_load_no_openssl(tmp_path):
+    # A primed iPPM run draws nothing; the lasso data, the test-mode iPPM steps
+    # and the estimator's Gaussian sample draw through problem.default_rng,
+    # which imports numpy.random without secrets, hmac and OpenSSL.  Then a
+    # later ``import secrets`` is the real one, a seedless generator works, and
+    # the data are those of a process that imported numpy.random normally.
+    test_mode = write_config(tmp_path, "a.json", {
+        "problem": {"benchmark": "quad1d"}, "criterion": {"kind": "A", "gamma": 0.5},
+        "schedule": {"constant": 1.0}, "x0": [1.0], "max_iter": 20, "test_mode": True})
+    script = f"""
+import sys
+from pathlib import Path
+from proxlab.cli import main
+out, exp = Path(sys.argv[1]), Path(sys.argv[2])
+def run(cmd, config, name):
+    assert main([cmd, "--config", str(config), "--out", str(out / name)]) == 0, name
+run("run-ippm", exp / "ippm_quad1d_aprime.json", "primed")
+assert "numpy.random" not in sys.modules
+run("run-ppm", exp / "lasso_small.json", "lasso")
+run("run-ippm", sys.argv[3], "test_mode")
+run("estimate", exp / "elastic_net_medium.json", "estimate")
+assert "numpy.random" in sys.modules
+loaded = [name for name in {OPENSSL!r} if name in sys.modules]
+assert not loaded, loaded
+import secrets
+assert len(secrets.token_hex(4)) == 8
+import numpy as np
+assert 0.0 <= np.random.default_rng().random() < 1.0
+""" + LASSO_BYTES
+    run_fresh(script, tmp_path, EXPERIMENTS, test_mode, tmp_path / "lasso.bin")
+    summary = json.loads((tmp_path / "test_mode" / "summary.json").read_text())
+    assert summary["bounds_ok"]
+    assert lasso_bytes_match(tmp_path / "lasso.bin")
+
+
+def test_default_rng_leaves_an_imported_secrets_alone(tmp_path):
+    script = """
+import sys
+import secrets
+from proxlab.problem import default_rng
+default_rng(0)
+assert sys.modules["secrets"] is secrets and "numpy.random" in sys.modules
+""" + LASSO_BYTES
+    run_fresh(script, tmp_path / "lasso.bin")
+    assert lasso_bytes_match(tmp_path / "lasso.bin")
+
+
+def test_default_rng_imports_numpy_random_normally_past_a_short_stand_in(tmp_path):
+    # A numpy that wants more from secrets than randbits: the stand-in here
+    # keeps no attribute, so numpy.random's import fails against it and is
+    # made again with the real secrets, and the streams stay numpy's own.
+    script = """
+import sys
+import types
+class Bare(types.ModuleType):
+    def __setattr__(self, name, value):
+        pass
+types.ModuleType = Bare
+from proxlab.problem import default_rng
+default_rng(0)
+assert type(sys.modules["secrets"]) is not Bare and "_hashlib" in sys.modules
+""" + LASSO_BYTES
+    run_fresh(script, tmp_path / "lasso.bin")
+    assert lasso_bytes_match(tmp_path / "lasso.bin")
 
 def test_config_errors_exit_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {"problem": {"benchmark": "cubic"}})

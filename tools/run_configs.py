@@ -18,14 +18,16 @@ are identical.
 Stdout gives one line per theorem row that a run's ``summary.json`` names:
 how many runs asserted it, then how many skipped it for each reason, as in
 ``linear_cost: 5 asserted | 20 test_mode is off | 15 estimate is off``.  The
-summary line comes last and ends with the total wall time of the runs and its
-share per group (``experiments``, then each workload's decks), which nothing in
-OUT records.
+summary line comes last.  It ends with the total wall time of the runs and its
+share per group (``experiments``, then each workload's decks), the process's
+peak RSS and whether OpenSSL (``_hashlib``) was loaded, none of which OUT
+records.
 """
 
 from __future__ import annotations
 
 import json
+import resource
 import sys
 import time
 from collections import Counter
@@ -113,8 +115,11 @@ def main(argv: list[str]) -> int:
     for line in coverage(out, codes):
         print(line)
     failed = sum(code != 0 for _, code in codes)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KB on Linux
+    openssl = "loaded" if "_hashlib" in sys.modules else "not loaded"
     print(f"{len(codes)} runs, {failed} nonzero exit codes, "
-          f"{wall:.2f} s ({', '.join(f'{group} {t:.2f} s' for group, t in group_s.items())})")
+          f"{wall:.2f} s ({', '.join(f'{group} {t:.2f} s' for group, t in group_s.items())}), "
+          f"peak RSS {peak_mb:.1f} MB, _hashlib {openssl}")
     return 1 if failed else 0
 
 
