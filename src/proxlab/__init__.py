@@ -10,9 +10,9 @@ from .ppm import IterationTrace, StepSchedule, reference_solution, run_ppm
 from .problem import (CompositeParts, Piecewise1D, ProblemSpec, SvmParts,
                       distances_to_solution, min_norm_subgradient, problem_from_1d)
 from .prox import ProxResult, prox
-from .regularity import (ConstantEstimate, EstimationPlan, ImplicationCheck,
-                         RegularityReport, audit_implications, estimate_constants,
-                         find_suboptimal_stationary_points, plan_for)
+from .regularity import (ConstantEstimate, ImplicationCheck, RegularityReport,
+                         audit_implications, estimate_constants,
+                         find_suboptimal_stationary_points)
 from .traceio import ParsedTrace, emit_trace_csv, read_trace_csv
 from .zoo import (BENCHMARKS, MLProblemParams, generate_lasso_data, load_libsvm,
                   make_benchmark, make_blob_dataset, make_ml_problem)

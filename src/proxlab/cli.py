@@ -29,7 +29,7 @@ from .gd import GDParams, run_gd
 from .ippm import InexactCriterion, run_ippm
 from .ppm import IterationTrace, StepSchedule, install_reference, reference_solution, run_ppm
 from .problem import ProblemSpec
-from .regularity import EstimationPlan, audit_implications, estimate_constants, plan_for
+from .regularity import audit_implications, estimate_constants
 from .traceio import emit_trace_csv
 from .zoo import (BENCHMARKS, MLProblemParams, generate_lasso_data, load_libsvm,
                   make_benchmark, make_blob_dataset, make_ml_problem)
@@ -225,10 +225,10 @@ def _missing_reference(p: ProblemSpec) -> str | None:
     return None
 
 
-def _estimate(plan: EstimationPlan, p: ProblemSpec, out: Path, audit: bool):
-    """Estimate the constants under ``plan`` and write report.json, with the audit
-    when asked."""
-    report = estimate_constants(p, plan)
+def _estimate(p: ProblemSpec, nu: float | None, out: Path, audit: bool):
+    """Estimate the constants on the ``nu``-sublevel set and write report.json, with the
+    audit when asked."""
+    report = estimate_constants(p, nu)
     body = report.to_json()
     if audit:
         body["audit"] = [{"relation": c.relation, "expected": c.expected,
@@ -298,7 +298,8 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     p = build_problem(cfg, seed)
     x0 = build_x0(cfg, p)
     why = _missing_reference(p) if cfg["estimate"] or cfg["audit"] else "estimate is off"
-    plan = None if why else plan_for(p, nu=cfg.get("nu"))  # a NaN nu is refused before the run
+    if not why and math.isnan(cfg.get("nu", 0.0)):  # refused before the run, not after it
+        raise ValueError("nu = nan is not a sublevel bound; give a number or inf")
     limit = [_size(cfg, "max_iter")] if "max_iter" in cfg else []  # else each loop's own horizon
     params = crits = None
     bounds = {}
@@ -323,7 +324,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     if why:
         skipped["estimate"] = why
     else:
-        report = _estimate(plan, p, out, cfg["audit"])
+        report = _estimate(p, cfg.get("nu"), out, cfg["audit"])
     checks = []
     for names, reason, checker in _theorems(cmd, cfg, p, trace, report, params, crits):
         if reason:
@@ -358,7 +359,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
 def cmd_estimate(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     """estimate, audit: write report.json; exit 1 when the problem has no reference."""
     p = build_problem(cfg, seed)
-    report = _estimate(plan_for(p, nu=cfg.get("nu")), p, out, cmd == "audit" or cfg["audit"])
+    report = _estimate(p, cfg.get("nu"), out, cmd == "audit" or cfg["audit"])
     _write_json(out / "summary.json", {"problem": p.name, "report": "report.json",
                                        "flags": report.to_json()["flags"]})
     return 0

@@ -45,8 +45,10 @@ class InexactCriterion:
                              f"pick one of {', '.join(KINDS)}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1) for summability")
-        if self.eps0 < 0 or self.delta0 < 0:
-            raise ValueError("tolerance scales must be nonnegative")
+        for name in ("eps0", "delta0"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} = {value} is not a nonnegative tolerance scale")
 
     @property
     def implementable(self) -> bool:

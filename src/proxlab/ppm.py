@@ -187,7 +187,8 @@ def reference_solution(p: ProblemSpec) -> ProblemSpec:
     each call.  Strong convexity certifies a unique minimizer, so the solution
     oracle becomes "distance to the reference point"; otherwise only f_star is
     installed and distances stay unavailable.  Raises InnerBudgetExhausted when
-    an inner solve gives up, since f_star would then be uncertified.
+    an inner solve gives up or the solve reaches its REFERENCE_STEPS cap short of
+    its residual target, since f_star would then be uncertified.
     """
     c_ref, target = REFERENCE_STEP, REFERENCE_TARGET
     if p.weak_convexity > 0:
@@ -195,7 +196,7 @@ def reference_solution(p: ProblemSpec) -> ProblemSpec:
     trace = run_ppm(p, np.zeros(p.dimension), StepSchedule.constant(c_ref),
                     max_iter=REFERENCE_STEPS, inner_target=target, stop_gap=0.0,
                     stop_residual=target * 10)
-    if trace.stop_reason in ("resolution", "inner_budget"):
+    if trace.stop_reason in ("resolution", "inner_budget", "max_iter"):
         raise InnerBudgetExhausted(
             f"reference solve stopped with {trace.stop_reason} after {len(trace) - 1} steps")
     tail = vector_norm(trace.points[-1] - trace.points[-2]) / c_ref \

@@ -29,44 +29,14 @@ PAIR_THIN = 200
 STATIONARY_SCAN = 4096
 # Multiplicative sampling tolerance of every audited constant relation.
 AUDIT_TOL = 0.10
-# Seed of the standard Gaussian sample drawn around a solution point.
+# Size and seed of the sample: a grid over the problem's metadata bracket
+# (dimension <= 2; a 2-d grid has isqrt(SAMPLE_COUNT) points a side), else
+# standard Gaussians around a solution point.
+SAMPLE_COUNT = 10_001
 SAMPLE_SEED = 0
-
-
-@dataclass(frozen=True)
-class EstimationPlan:
-    """Where and how densely to sample.
-
-    With a bracket the plan samples a grid (dimension <= 2); without one it
-    draws standard Gaussians, seeded by SAMPLE_SEED, around a solution point.
-    Points with gap < tau_s or dist < sqrt(tau_s) are excluded from ratio
-    denominators (estimator bias of order sqrt(tau_s)); tau_s > 0 keeps them nonzero.
-    """
-
-    nu: float = math.inf
-    bracket: tuple[float, float] | None = None
-    count: int = 10_001
-    tau_s: float = 1e-9
-
-    def __post_init__(self):
-        if self.count < 100:
-            raise ValueError("need at least 100 samples")
-        if not self.tau_s > 0:
-            raise ValueError(f"tau_s = {self.tau_s:g} is not positive")
-        if math.isnan(self.nu):  # every gap > nan is false, so nothing would be cut
-            raise ValueError("nu = nan is not a sublevel bound; give a number or inf")
-        if self.bracket is not None:
-            lo, hi = self.bracket  # a finite width needs finite ends
-            if not (math.isfinite(hi - lo) and lo < hi):
-                raise ValueError(f"bracket [{lo:g}, {hi:g}] is not a finite [lo, hi] with lo < hi")
-
-
-def plan_for(p: ProblemSpec, count: int = 10_001, nu: float | None = None) -> EstimationPlan:
-    """Default plan from benchmark metadata (bracket and sublevel radius)."""
-    md = p.metadata
-    bracket = md.get("bracket")
-    return EstimationPlan(nu=nu if nu is not None else md.get("nu", math.inf),
-                          bracket=None if bracket is None else tuple(bracket), count=count)
+# Points with gap < TAU_S or dist < sqrt(TAU_S) are excluded from ratio
+# denominators (estimator bias of order sqrt(TAU_S)); TAU_S > 0 keeps them nonzero.
+TAU_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -112,18 +82,22 @@ class RegularityReport:
         }
 
 
-def _sample_points(p: ProblemSpec, plan: EstimationPlan) -> np.ndarray:
-    """The sample as one (N, d) array: a grid with a bracket, else seeded Gaussians."""
-    if plan.bracket is not None:
-        lo, hi = plan.bracket
+def _sample_points(p: ProblemSpec) -> np.ndarray:
+    """The sample as one (N, d) array: a grid over ``p.metadata["bracket"]`` when
+    there is one, else seeded Gaussians."""
+    bracket = p.metadata.get("bracket")
+    if bracket is not None:
+        lo, hi = bracket  # a finite width needs finite ends
+        if not (math.isfinite(hi - lo) and lo < hi):
+            raise ValueError(f"bracket [{lo:g}, {hi:g}] is not a finite [lo, hi] with lo < hi")
         if p.dimension == 1:
-            return np.linspace(lo, hi, plan.count)[:, None]
+            return np.linspace(lo, hi, SAMPLE_COUNT)[:, None]
         if p.dimension == 2:
-            axis = np.linspace(lo, hi, max(int(math.isqrt(plan.count)), 10))
+            axis = np.linspace(lo, hi, max(int(math.isqrt(SAMPLE_COUNT)), 10))
             return np.stack([a.ravel() for a in np.meshgrid(axis, axis, indexing="ij")], axis=1)
         raise ValueError("grid sampling supports dimension <= 2")
     rng = default_rng(SAMPLE_SEED)
-    points = rng.standard_normal((plan.count, p.dimension))
+    points = rng.standard_normal((SAMPLE_COUNT, p.dimension))
     points += as_point(p.project_solution(np.zeros(p.dimension)))
     return points
 
@@ -157,12 +131,13 @@ def _secant_rows(p, xs, fx, rows, tau_s):
     return row_min[far_pairs > 0], subset[far_pairs > 0]
 
 
-def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport:
-    """Extremal empirical ratios over the sampled sublevel region.
+def estimate_constants(p: ProblemSpec, nu: float | None = None) -> RegularityReport:
+    """Extremal empirical ratios over the sampled nu-sublevel region; ``nu``
+    defaults to ``p.metadata["nu"]``, else inf, and a NaN raises ValueError.
 
     One blockwise pass: f at every row, then the rows in the nu-sublevel set
     in blocks of max(1, BATCH_ELEMENTS // d) rows, each block projected and,
-    at its rows that pass the tau_s filter, given its min-norm elements.  A
+    at its rows that pass the TAU_S filter, given its min-norm elements.  A
     block leaves only per-row numbers (dist, <g, x - proj_S(x)>, ||g||), so
     the sample is the pass's only (N, d) array.  mu_s takes the min-norm
     elements of its at most PAIR_THIN thinned rows from one more batch_oracle
@@ -170,13 +145,17 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     The witness of a constant is its first extremal sample in sample order.
     Raises ProxlabError when no sample enters the ratios.
     """
+    nu = p.metadata.get("nu", math.inf) if nu is None else nu
+    if math.isnan(nu):  # every gap > nan is false, so nothing would be cut
+        raise ValueError("nu = nan is not a sublevel bound; give a number or inf")
     if p.f_star is None or p.project_solution is None:
         raise ProxlabError("estimation needs f_star and a solution oracle")
-    xs = _sample_points(p, plan)
-    if p.dimension == 1 and plan.bracket is not None:
+    xs = _sample_points(p)
+    bracket = p.metadata.get("bracket")
+    if p.dimension == 1 and bracket is not None:
         # Sharpen the sample with bisection-refined stationary points so a
         # dominance failure shows up as an exact zero ratio, not a near-zero.
-        xs = np.vstack([xs, *find_suboptimal_stationary_points(p, plan.bracket)])
+        xs = np.vstack([xs, *find_suboptimal_stationary_points(p, bracket)])
 
     # A block is a slice of xs when its rows are consecutive, else a gather.
     # Rows are gathered with take and compress, which copy a row at a time
@@ -185,7 +164,7 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     # so it needs no domain check.
     fx = batch_oracle(p, "values", xs)
     gap = fx - p.f_star
-    rows = np.flatnonzero(~(gap > plan.nu) & (fx != math.inf))
+    rows = np.flatnonzero(~(gap > nu) & (fx != math.inf))
     dist, secant, gnorm = np.empty((3, rows.size))
     enters = np.empty(rows.size, dtype=bool)
     step = max(1, BATCH_ELEMENTS // xs.shape[1])
@@ -195,15 +174,14 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
         offset = batch_oracle(p, "project_solutions", block)
         np.subtract(block, offset, out=offset)  # x - proj_S(x)
         near = dist[lo:lo + step] = np.sqrt(row_dots(offset, offset))
-        keep = enters[lo:lo + step] = ~(gap[at] < plan.tau_s) & ~(near < math.sqrt(plan.tau_s))
+        keep = enters[lo:lo + step] = ~(gap[at] < TAU_S) & ~(near < math.sqrt(TAU_S))
         g = batch_oracle(p, "min_norm_subgradients", block.compress(keep, axis=0))
         secant[lo:lo + step][keep] = row_dots(g, offset.compress(keep, axis=0))
         gnorm[lo:lo + step][keep] = np.sqrt(row_dots(g, g))
     rows, dist, secant, gnorm = rows[enters], dist[enters], secant[enters], gnorm[enters]
     if not rows.size:
         raise ProxlabError(f"no sample point has gap in [tau_s, nu] and dist >= sqrt(tau_s) "
-                           f"(nu = {plan.nu:g}, bracket = {plan.bracket}, "
-                           f"tau_s = {plan.tau_s:g})")
+                           f"(nu = {nu:g}, bracket = {bracket}, tau_s = {TAU_S:g})")
     gap = gap[rows]
 
     def first(argpick, ratios, at):
@@ -229,13 +207,13 @@ def estimate_constants(p: ProblemSpec, plan: EstimationPlan) -> RegularityReport
     if mu_r[0] < 0.0:
         mu_r = (0.0, mu_r[1])  # a negative ratio refutes every positive constant
 
-    mu_s = first(np.argmin, *_secant_rows(p, xs, fx, rows, plan.tau_s))
+    mu_s = first(np.argmin, *_secant_rows(p, xs, fx, rows, TAU_S))
     mu_s = (max(mu_s[0], 0.0), mu_s[1])
 
     estimates = {name: ConstantEstimate(*pair, bound_direction="exact") for name, pair in
                  (("mu_s", mu_s), ("mu_r", mu_r), ("mu_e", mu_e), ("mu_p", mu_p), ("mu_q", mu_q))}
     return RegularityReport(estimates=estimates, pl_fails_globally=pl_fail,
-                            eb_fails_globally=eb_fail, nu=plan.nu, n_samples=int(rows.size))
+                            eb_fails_globally=eb_fail, nu=nu, n_samples=int(rows.size))
 
 
 @dataclass(frozen=True)

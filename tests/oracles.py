@@ -262,35 +262,39 @@ def loop_stationary_points(p, bracket) -> list:
     return out
 
 
-def loop_estimate(p, plan):
+def loop_estimate(p, nu):
     """The regularity estimator as a loop over per-sample records, for reference.
 
-    Same sample, filters and extremal ratios as ``estimate_constants``.
+    Same sample, filters and extremal ratios as ``estimate_constants(p, nu)``;
+    the sample size, seed and TAU_S are the estimator's, read at each call.
     Returns ``(report, ratios)``: ``ratios[name]`` maps each candidate sample,
     as a tuple, to its raw ratio (for mu_s, the least ratio of the pairs the
     sample starts), in sample order.
     """
-    from proxlab.regularity import (EB_CAP, PAIR_THIN, SAMPLE_SEED, STATIONARY_NORM,
-                                    SUBOPTIMAL_GAP, ConstantEstimate, RegularityReport)
+    from proxlab.regularity import (EB_CAP, PAIR_THIN, SAMPLE_COUNT, SAMPLE_SEED,
+                                    STATIONARY_NORM, SUBOPTIMAL_GAP, TAU_S, ConstantEstimate,
+                                    RegularityReport)
 
-    if plan.bracket is None:
+    nu = p.metadata.get("nu", math.inf) if nu is None else nu
+    bracket = p.metadata.get("bracket")
+    if bracket is None:
         rng = np.random.default_rng(SAMPLE_SEED)
         center = np.atleast_1d(p.project_solution(np.zeros(p.dimension)))
-        points = [center + rng.standard_normal(p.dimension) for _ in range(plan.count)]
+        points = [center + rng.standard_normal(p.dimension) for _ in range(SAMPLE_COUNT)]
     elif p.dimension == 1:
-        points = [np.array([t]) for t in np.linspace(*plan.bracket, plan.count)]
-        points += loop_stationary_points(p, plan.bracket)
+        points = [np.array([t]) for t in np.linspace(*bracket, SAMPLE_COUNT)]
+        points += loop_stationary_points(p, bracket)
     else:
-        axis = np.linspace(*plan.bracket, max(math.isqrt(plan.count), 10))
+        axis = np.linspace(*bracket, max(math.isqrt(SAMPLE_COUNT), 10))
         points = [np.array([a, b]) for a in axis for b in axis]
     kept = []  # (x, fx, g, gnorm, gap, dist, secant)
     for x in points:
         fx = float(p.value(x))
-        if fx - p.f_star > plan.nu or fx == math.inf:
+        if fx - p.f_star > nu or fx == math.inf:
             continue
         offset = x - np.atleast_1d(p.project_solution(x))
         dist = float(np.linalg.norm(offset))
-        if fx - p.f_star < plan.tau_s or dist < math.sqrt(plan.tau_s):
+        if fx - p.f_star < TAU_S or dist < math.sqrt(TAU_S):
             continue
         g = np.asarray(p.min_norm_subgradient(x), dtype=float)
         kept.append((x, fx, g, float(np.linalg.norm(g)), fx - p.f_star, dist,
@@ -311,7 +315,7 @@ def loop_estimate(p, plan):
         for xj, fj, *_ in subset:
             step = xj - xi
             sq = float(np.dot(step, step))
-            if sq >= plan.tau_s:
+            if sq >= TAU_S:
                 row.append((fj - fi - float(np.dot(gi, step))) / sq)
         if row:
             ratios["mu_s"][key(xi)] = min(row)
@@ -331,7 +335,7 @@ def loop_estimate(p, plan):
     values["mu_s"] = max(values["mu_s"], 0.0)
     report = RegularityReport(
         {name: ConstantEstimate(values[name], picked[name][0], "") for name in ratios},
-        pl_fail, eb_fail, plan.nu, len(kept))
+        pl_fail, eb_fail, nu, len(kept))
     return report, ratios
 
 

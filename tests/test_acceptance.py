@@ -11,7 +11,7 @@ import numpy as np
 from proxlab import (GDParams, InexactCriterion, StepSchedule,
                      audit_implications, check_ippm_linear, check_ippm_sublinear,
                      check_one_step, check_sublinear_bound, estimate_constants,
-                     find_suboptimal_stationary_points, plan_for, prox, run_gd,
+                     find_suboptimal_stationary_points, prox, run_gd,
                      run_ippm, run_ppm, verify_gd_rates)
 
 from conftest import with_solution_point
@@ -41,11 +41,11 @@ def test_criterion_01_quadratic_ppm_closed_form(quad1d):
 
 
 def test_criterion_02_constant_recovery(quad1d, wc_piecewise):
-    rep_q = estimate_constants(quad1d, plan_for(quad1d))
+    rep_q = estimate_constants(quad1d)
     targets_q = {"mu_s": 1.0, "mu_r": 2.0, "mu_e": 0.5, "mu_p": 4.0, "mu_q": 1.0}
     ok_q = all(abs(rep_q.estimates[k].value - v) <= 0.05 * v
                for k, v in targets_q.items())
-    rep_w = estimate_constants(wc_piecewise, plan_for(wc_piecewise))
+    rep_w = estimate_constants(wc_piecewise)
     targets_w = {"mu_q": 3.0, "mu_e": 0.5, "mu_p": 4.0 / 3.0}
     ok_w = all(abs(rep_w.estimates[k].value - v) <= 0.05 * v
                for k, v in targets_w.items())
@@ -55,10 +55,10 @@ def test_criterion_02_constant_recovery(quad1d, wc_piecewise):
 def test_criterion_03_implication_chain(quad1d, quad_quartic, wc_piecewise):
     ok = True
     for p in (quad1d, quad_quartic):
-        checks = audit_implications(estimate_constants(p, plan_for(p)),
+        checks = audit_implications(estimate_constants(p),
                                     p.weak_convexity)
         ok = ok and len(checks) == 6 and all(c.status == "pass" for c in checks)
-    checks_w = audit_implications(estimate_constants(wc_piecewise, plan_for(wc_piecewise)),
+    checks_w = audit_implications(estimate_constants(wc_piecewise),
                                   rho=2.0)
     growth = {c.relation: c for c in checks_w}["mu_r >= mu_q - rho/2"]
     ok = ok and growth.status == "pass"
@@ -66,7 +66,7 @@ def test_criterion_03_implication_chain(quad1d, quad_quartic, wc_piecewise):
 
 
 def test_criterion_04_global_failure_detection(sine_quad):
-    rep = estimate_constants(sine_quad, plan_for(sine_quad))
+    rep = estimate_constants(sine_quad)
     pts = find_suboptimal_stationary_points(sine_quad, (-10.0, 10.0))
     ok = (rep.mu_q >= 0.99 and rep.pl_fails_globally
           and len(pts) >= 1
@@ -122,7 +122,7 @@ def test_criterion_08_ippm_linear(en_toy_ref, quad1d):
              InexactCriterion("B", delta0=0.5, gamma=0.7))
     tr = run_ippm(en_toy_ref, [4.0], StepSchedule.constant(1.0), crits,
                   max_iter=40, test_mode=True, seed=3)
-    rep = estimate_constants(en_toy_ref, plan_for(en_toy_ref, nu=math.inf))
+    rep = estimate_constants(en_toy_ref, math.inf)
     contraction = check_ippm_linear(tr, rep, nu=math.inf)
     # Degenerate budgets reproduce the exact trace bitwise on closed forms.
     zero = run_ippm(quad1d, [1.0], StepSchedule.constant(1.0),
@@ -176,7 +176,7 @@ def test_criterion_11_weakly_convex_ppm(wc_piecewise):
                  inner_target=TIGHT)
     vals = tr.values
     monotone = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-    rep = estimate_constants(wc_piecewise, plan_for(wc_piecewise))
+    rep = estimate_constants(wc_piecewise)
     beta = rep.mu_q - 0.5 * wc_piecewise.weak_convexity
     bound = 1.0 / math.sqrt(2.0 * 0.4 * beta + 1.0)
     dists = tr.dists

@@ -1,3 +1,4 @@
+import ast
 import copy
 import importlib
 import json
@@ -548,6 +549,36 @@ def test_nan_nu_exits_one_naming_it(tmp_path, capsys, cmd, body):
     assert not list((tmp_path / "o").iterdir())  # refused before the run
 
 
+@pytest.mark.parametrize("field,criterion", [
+    ("eps0", {"kind": "A'", "eps0": math.nan}), ("delta0", {"kind": "B'", "delta0": math.nan})])
+def test_nan_tolerance_scale_exits_one_naming_it(tmp_path, capsys, field, criterion):
+    # A NaN eps0 ran all 30 steps and then blamed the trace for logging no
+    # A-type budget; a NaN delta0 stopped with "resolution" and exited 0.
+    cfg = write_config(tmp_path, "bad.json", {
+        "problem": {"benchmark": "quad_quartic"}, "x0": [1.0], "max_iter": 30,
+        "test_mode": True, "criterion": criterion})
+    assert main(["run-ippm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} = nan") and err.count("\n") == 1
+    assert not list((tmp_path / "o").iterdir())  # refused before step 0
+
+
+def test_reference_solve_at_its_step_cap_exits_one(tmp_path, capsys, monkeypatch):
+    # The elastic net 20x50 scaled as in test_ppm: its reference solve runs
+    # out of steps, and the run used to go on with a wrong f_star.
+    a_mat, y, _ = generate_lasso_data(20, 50, 10, seed=7)
+    monkeypatch.setattr(cli, "generate_lasso_data",
+                        lambda *args: (a_mat * 2.0 ** -10, y * 2.0 ** -10))
+    cfg = write_config(tmp_path, "scaled.json", {
+        "problem": {"ml": "elastic_net", "data": {"lasso": {"n": 20, "m": 50, "s": 10}},
+                    "params": {"lam": 10.0 * 4.0 ** -10, "en_reg": 4.0 ** -10}},
+        "schedule": {"constant": 4.0 ** 10}, "max_iter": 60, "test_mode": True})
+    assert main(["run-ppm", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: reference solve stopped with max_iter after 400 steps\n"
+    assert not list((tmp_path / "o").iterdir())
+
+
 # The subcommand that reads a section, where run-ppm does not.
 READERS = {"criterion": "run-ippm", "gd": "run-gd"}
 
@@ -1041,3 +1072,17 @@ def test_readme_command_line_names_every_subcommand():
     block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     named = [line.split()[1] for line in block.splitlines() if line.startswith("proxlab ")]
     assert sorted(named) == sorted(cli._COMMANDS)
+
+
+def test_readme_quick_tour_runs():
+    # The README's one Python block, a statement at a time: each bare
+    # expression in it (a check's all_ok, the audit) comes out true.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = [part.split("```", 1)[0] for part in readme.split("```python")[1:]]
+    namespace = {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            assert eval(code, namespace), ast.unparse(node)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)

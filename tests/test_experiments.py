@@ -82,3 +82,16 @@ def test_run_configs_prints_theorem_row_coverage(tmp_path, monkeypatch, capsys):
         "linear_cost: 0 asserted | 1 estimate is off | 1 test_mode is off",
         "linear_dist: 0 asserted | 1 estimate is off | 1 test_mode is off"]
     assert lines[-1].startswith("3 runs, 0 nonzero exit codes")
+
+
+def test_run_configs_refuses_an_out_that_holds_files(tmp_path, monkeypatch, capsys):
+    # A file of an earlier run would survive where a change no longer writes
+    # it, and two trees would compare identical.
+    stale = tmp_path / "experiments" / "old" / "report.json"
+    stale.parent.mkdir(parents=True)
+    stale.write_text("{}", encoding="utf-8")
+    monkeypatch.setattr(run_configs, "runs", lambda: pytest.fail("a run started"))
+    assert run_configs.main([str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and str(tmp_path) in captured.err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [stale]

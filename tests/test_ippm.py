@@ -7,7 +7,7 @@ import pytest
 import proxlab.checks as checks_module
 from proxlab import (InexactCriterion, ProxlabError, StepSchedule,
                      check_inexact_one_step, check_ippm_linear, check_ippm_sublinear,
-                     estimate_constants, plan_for, run_ippm, run_ppm)
+                     estimate_constants, run_ippm, run_ppm)
 
 
 def test_criterion_kinds_and_sequences():
@@ -84,7 +84,7 @@ def test_inexact_linear_contraction(en_toy_ref):
              InexactCriterion("B", delta0=0.5, gamma=0.7))
     tr = run_ippm(en_toy_ref, [4.0], StepSchedule.constant(1.0), crits,
                   max_iter=40, test_mode=True, seed=3)
-    report = estimate_constants(en_toy_ref, plan_for(en_toy_ref, nu=math.inf))
+    report = estimate_constants(en_toy_ref, math.inf)
     chk = check_ippm_linear(tr, report, nu=math.inf)
     assert chk.all_ok and len(chk.indices) >= 5
     eq20 = check_inexact_one_step(tr)
@@ -94,7 +94,7 @@ def test_inexact_linear_contraction(en_toy_ref):
 def test_bprime_production_contraction(en_toy_ref):
     crit = InexactCriterion("B'", delta0=0.5, gamma=0.7)
     tr = run_ippm(en_toy_ref, [4.0], StepSchedule.constant(1.0), crit, max_iter=40)
-    report = estimate_constants(en_toy_ref, plan_for(en_toy_ref, nu=math.inf))
+    report = estimate_constants(en_toy_ref, math.inf)
     chk = check_ippm_linear(tr, report, nu=math.inf)
     assert chk.all_ok
 
@@ -102,7 +102,7 @@ def test_bprime_production_contraction(en_toy_ref):
 def test_wc_piecewise_beta_adjusted_contraction(wc_piecewise):
     crit = InexactCriterion("B'", delta0=0.3, gamma=0.7)
     tr = run_ippm(wc_piecewise, [0.5], StepSchedule.constant(0.4), crit, max_iter=30)
-    report = estimate_constants(wc_piecewise, plan_for(wc_piecewise))
+    report = estimate_constants(wc_piecewise)
     chk = check_ippm_linear(tr, report, nu=1.0)
     assert chk.all_ok  # theta built from beta = mu_q - rho/2 ~ 2
 

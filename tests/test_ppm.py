@@ -9,11 +9,12 @@ from hypothesis.extra.numpy import arrays
 
 import proxlab.ippm as ippm_module
 import proxlab.ppm as ppm_module
-from proxlab import (EstimationPlan, InexactCriterion, IterationTrace, ProblemSpec, ProxlabError,
-                     RateBounds, StepSchedule, check_inexact_one_step, check_linear_rates,
-                     check_one_step, check_sublinear_bound, distances_to_solution,
-                     estimate_constants, make_benchmark, prox, reference_solution, run_ippm,
-                     run_ppm)
+from proxlab import (InexactCriterion, InnerBudgetExhausted, IterationTrace, MLProblemParams,
+                     ProblemSpec, ProxlabError, RateBounds, StepSchedule,
+                     check_inexact_one_step, check_linear_rates, check_one_step,
+                     check_sublinear_bound, distances_to_solution, estimate_constants,
+                     generate_lasso_data, make_benchmark, make_ml_problem, prox,
+                     reference_solution, run_ippm, run_ppm)
 
 from conftest import with_solution_point
 from oracles import running_diameter
@@ -132,7 +133,7 @@ def test_one_step_lasso_with_inner_slack(lasso_f20):
     lambda p, tr: check_one_step(tr),
     lambda p, tr: check_inexact_one_step(tr),
     lambda p, tr: distances_to_solution(p, tr.points),
-    lambda p, tr: estimate_constants(p, EstimationPlan(count=200)),
+    lambda p, tr: estimate_constants(p),
 ], ids=["check_sublinear_bound", "check_one_step", "check_inexact_one_step",
         "distances_to_solution", "estimate_constants"])
 def test_a_missing_reference_raises_one_type(lasso_toy, call):
@@ -267,6 +268,18 @@ def test_reference_solution_lasso_policy(lasso_toy_ref):
     assert lasso_toy_ref.f_star == pytest.approx(2.5, abs=1e-10)
     assert lasso_toy_ref.project_solution is None
     assert lasso_toy_ref.metadata["reference_residual"] <= 1e-10
+
+
+def test_reference_solve_at_its_step_cap_raises():
+    # The elastic net 20x50 with A and y scaled by 2^-10 and its weights by
+    # 4^-10, so f scales by 4^-10: step 1 is short at this scale, and the solve
+    # runs out of its 400 steps.  It installed f_star = 458.79 * 4^-10 against
+    # the true 168.06 * 4^-10.
+    a_mat, y, _ = generate_lasso_data(20, 50, 10, seed=7)
+    p = make_ml_problem((a_mat * 2.0 ** -10, y * 2.0 ** -10),
+                        MLProblemParams("elastic_net", lam=10.0 * 4.0 ** -10, en_reg=4.0 ** -10))
+    with pytest.raises(InnerBudgetExhausted, match="with max_iter after 400 steps"):
+        reference_solution(p)
 
 
 def test_schedule_is_one_step(quad_run):

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proxlab import (EstimationPlan, ProxlabError, audit_implications,
-                     estimate_constants, find_suboptimal_stationary_points,
-                     make_benchmark, plan_for, regularity, zoo)
+from proxlab import (ProxlabError, audit_implications, estimate_constants,
+                     find_suboptimal_stationary_points, make_benchmark, regularity, zoo)
 from proxlab.problem import BATCH_ELEMENTS
 
 from conftest import counted
@@ -29,7 +28,7 @@ def rel_close(value, target, tol=0.05):
 
 
 def test_quad1d_recovers_documented_constants(quad1d):
-    report = estimate_constants(quad1d, plan_for(quad1d))
+    report = estimate_constants(quad1d)
     assert rel_close(report.mu_s, 1.0)
     assert rel_close(report.mu_r, 2.0)
     assert rel_close(report.mu_e, 0.5)
@@ -40,7 +39,7 @@ def test_quad1d_recovers_documented_constants(quad1d):
 
 
 def test_wc_piecewise_recovers_constants(wc_piecewise):
-    report = estimate_constants(wc_piecewise, plan_for(wc_piecewise))
+    report = estimate_constants(wc_piecewise)
     assert rel_close(report.mu_q, 3.0)
     assert rel_close(report.mu_e, 0.5)
     assert rel_close(report.mu_p, 4.0 / 3.0)
@@ -49,7 +48,7 @@ def test_wc_piecewise_recovers_constants(wc_piecewise):
 
 
 def test_sine_quad_global_failure(sine_quad):
-    report = estimate_constants(sine_quad, plan_for(sine_quad))
+    report = estimate_constants(sine_quad)
     assert report.mu_q >= 1.0 - 1e-3
     assert report.mu_p == 0.0
     assert report.pl_fails_globally and report.eb_fails_globally
@@ -58,20 +57,21 @@ def test_sine_quad_global_failure(sine_quad):
 
 def test_estimate_requires_reference(lasso_toy):
     with pytest.raises(ProxlabError):
-        estimate_constants(lasso_toy, EstimationPlan(count=200))
+        estimate_constants(lasso_toy)
 
 
-def test_svm_estimates_tagged_exact(svm_toy_ref):
+def test_svm_estimates_tagged_exact(monkeypatch, svm_toy_ref):
     # The SVM min-norm element is exact, so its constants carry the same tag as
     # every other problem's.
-    report = estimate_constants(svm_toy_ref, EstimationPlan(count=400, nu=math.inf))
+    monkeypatch.setattr(regularity, "SAMPLE_COUNT", 400)
+    report = estimate_constants(svm_toy_ref, math.inf)
     assert {est.bound_direction for est in report.estimates.values()} == {"exact"}
     assert report.mu_q > 0.0
 
 
 def test_nu_monotonicity(quad1d):
-    wide = estimate_constants(quad1d, plan_for(quad1d, nu=1.0))
-    narrow = estimate_constants(quad1d, plan_for(quad1d, nu=0.25))
+    wide = estimate_constants(quad1d, 1.0)
+    narrow = estimate_constants(quad1d, 0.25)
     assert narrow.mu_q >= wide.mu_q - 1e-12
     assert narrow.mu_p >= wide.mu_p - 1e-12
     assert narrow.mu_r >= wide.mu_r - 1e-12
@@ -81,8 +81,10 @@ def test_nu_monotonicity(quad1d):
 def test_grid_refinement_stability():
     for name in ("quad1d", "wc_piecewise", "quad_quartic"):
         p = make_benchmark(name)
-        a = estimate_constants(p, plan_for(p, count=10_001))
-        b = estimate_constants(p, plan_for(p, count=20_001))
+        a = estimate_constants(p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regularity, "SAMPLE_COUNT", 20_001)
+            b = estimate_constants(p)
         for key in ("mu_r", "mu_e", "mu_p", "mu_q"):
             va, vb = a.estimates[key].value, b.estimates[key].value
             if va > 0 and math.isfinite(va):
@@ -92,14 +94,14 @@ def test_grid_refinement_stability():
 def test_audit_passes_on_convex_benchmarks():
     for name in ("quad1d", "quad_quartic"):
         p = make_benchmark(name)
-        report = estimate_constants(p, plan_for(p))
+        report = estimate_constants(p)
         checks = audit_implications(report, p.weak_convexity)
         assert len(checks) == 6
         assert all(c.status == "pass" for c in checks), name
 
 
 def test_audit_weakly_convex_growth_branch(wc_piecewise):
-    report = estimate_constants(wc_piecewise, plan_for(wc_piecewise))
+    report = estimate_constants(wc_piecewise)
     checks = audit_implications(report, rho=2.0)
     by_name = {c.relation: c for c in checks}
     growth = by_name["mu_r >= mu_q - rho/2"]
@@ -108,7 +110,7 @@ def test_audit_weakly_convex_growth_branch(wc_piecewise):
 
 
 def test_audit_degenerate_on_sine(sine_quad):
-    report = estimate_constants(sine_quad, plan_for(sine_quad))
+    report = estimate_constants(sine_quad)
     checks = audit_implications(report, rho=10.0)
     by_name = {c.relation: c.status for c in checks}
     assert by_name["mu_e <= 1/mu_r"] == "degenerate"
@@ -119,7 +121,7 @@ def test_audit_degenerate_on_sine(sine_quad):
 
 
 def test_quarter_relation_arithmetic(quad1d):
-    report = estimate_constants(quad1d, plan_for(quad1d))
+    report = estimate_constants(quad1d)
     # mu_q = 1 >= 1/(4 mu_e) = 0.5 with mu_e = 0.5.
     assert report.mu_q >= 1.0 / (4.0 * report.mu_e) * 0.9
 
@@ -182,32 +184,27 @@ def test_stationary_scan_matches_loop_reference_on_any_bracket(name, lo, width):
 
 
 def test_report_json_shape(quad1d):
-    report = estimate_constants(quad1d, plan_for(quad1d))
+    report = estimate_constants(quad1d)
     body = report.to_json()
     assert set(body["constants"]) == {"mu_s", "mu_r", "mu_e", "mu_p", "mu_q"}
     for entry in body["constants"].values():
         assert {"value", "witness", "bound_direction"} <= set(entry)
     json.dumps(body)  # serializable end to end
-    inf_report = estimate_constants(make_benchmark("sine_quad"),
-                                    plan_for(make_benchmark("sine_quad")))
+    inf_report = estimate_constants(make_benchmark("sine_quad"))
     assert inf_report.to_json()["constants"]["mu_e"]["value"] == "inf"
 
 
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        EstimationPlan(count=10)
-    for tau_s in (0.0, -1e-9, math.nan):  # a zero denominator, or no filter at all
-        with pytest.raises(ValueError):
-            EstimationPlan(tau_s=tau_s)
+def test_estimate_refuses_nan_nu_and_bad_brackets(quad1d):
     with pytest.raises(ValueError, match="nu = nan"):  # no sublevel cut at all
-        EstimationPlan(nu=math.nan)
+        estimate_constants(quad1d, math.nan)
     for bracket in ((0.5, 0.5), (1.0, -1.0), (-1e308, 1e308), (0.0, math.inf),
                     (math.nan, 1.0), (-math.inf, math.inf)):
         with pytest.raises(ValueError, match="bracket"):
-            EstimationPlan(bracket=bracket)
-    for name in zoo.BENCHMARKS:  # every documented bracket makes a plan
+            estimate_constants(replace(quad1d, metadata={**quad1d.metadata, "bracket": bracket}))
+    for name in zoo.BENCHMARKS:  # every documented bracket spans its grid
         p = make_benchmark(name)
-        assert plan_for(p).bracket == p.metadata.get("bracket")
+        grid = regularity._sample_points(p)
+        assert (grid.min(), grid.max()) == p.metadata["bracket"]
 
 
 @pytest.mark.parametrize("name,count,seed", [
@@ -218,12 +215,12 @@ def test_estimate_is_invariant_under_sample_order(monkeypatch, name, count, seed
     # every constant is an extremum over the same set in any order; only the
     # witness (the first extremal sample) may move.
     p = make_benchmark(name)
-    plan = EstimationPlan(nu=p.metadata["nu"], bracket=p.metadata["bracket"], count=count)
-    grid = regularity._sample_points(p, plan)
+    monkeypatch.setattr(regularity, "SAMPLE_COUNT", count)
+    grid = regularity._sample_points(p)
     order = np.random.default_rng(seed).permutation(len(grid))
-    forward = estimate_constants(p, plan)
-    monkeypatch.setattr(regularity, "_sample_points", lambda p, plan: grid[order])
-    shuffled = estimate_constants(p, plan)
+    forward = estimate_constants(p)
+    monkeypatch.setattr(regularity, "_sample_points", lambda p: grid[order])
+    shuffled = estimate_constants(p)
     assert ({k: e.value for k, e in forward.estimates.items()}
             == {k: e.value for k, e in shuffled.estimates.items()})
     assert (forward.pl_fails_globally, forward.eb_fails_globally, forward.n_samples) \
@@ -235,8 +232,8 @@ def test_witness_is_the_first_extremal_sample(monkeypatch, quad1d, lead):
     # f = x^2 is even, so x and -x give bitwise equal ratios: every constant
     # ties between them, and its witness is the sample that comes first.
     sample = np.array([[lead], [-lead]] * 50)
-    monkeypatch.setattr(regularity, "_sample_points", lambda p, plan: sample)
-    report = estimate_constants(quad1d, plan_for(quad1d))
+    monkeypatch.setattr(regularity, "_sample_points", lambda p: sample)
+    report = estimate_constants(quad1d)
     assert report.n_samples == 100
     assert {e.witness for e in report.estimates.values()} == {(lead,)}
 
@@ -246,9 +243,9 @@ def _close(value, target, rel=1e-12):
     return value == target or (math.isfinite(target) and abs(value - target) <= rel * abs(target))
 
 
-def _matches_loop_reference(p, plan):
-    report = estimate_constants(p, plan)
-    ref, ratios = loop_estimate(p, plan)
+def _matches_loop_reference(p):
+    report = estimate_constants(p)
+    ref, ratios = loop_estimate(p, None)
     assert (report.pl_fails_globally, report.eb_fails_globally, report.n_samples) \
         == (ref.pl_fails_globally, ref.eb_fails_globally, ref.n_samples)
     for key, est in report.estimates.items():
@@ -263,8 +260,10 @@ def _matches_loop_reference(p, plan):
 @given(name=st.sampled_from(BENCHMARKS), count=st.integers(100, 2000),
        tau_s=st.sampled_from((1e-9, 1e-2)))
 def test_estimate_matches_loop_reference(name, count, tau_s):
-    p = make_benchmark(name)
-    _matches_loop_reference(p, replace(plan_for(p, count=count), tau_s=tau_s))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "SAMPLE_COUNT", count)
+        mp.setattr(regularity, "TAU_S", tau_s)
+        _matches_loop_reference(make_benchmark(name))
 
 
 @settings(max_examples=6, deadline=None)
@@ -275,7 +274,9 @@ def test_estimate_matches_loop_reference_on_gaussians(en_f20, count, seed, tau_s
     # their products in blocks of a few rows.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regularity, "SAMPLE_SEED", seed)
-        _matches_loop_reference(en_f20, replace(plan_for(en_f20, count=count), tau_s=tau_s))
+        mp.setattr(regularity, "SAMPLE_COUNT", count)
+        mp.setattr(regularity, "TAU_S", tau_s)
+        _matches_loop_reference(en_f20)
 
 
 @pytest.mark.parametrize("fixture,duplicated", [
@@ -284,11 +285,12 @@ def test_estimate_matches_loop_reference_on_gaussians(en_f20, count, seed, tau_s
     ("quad1d", True)])
 def test_secant_rows_match_row_loop_bitwise(request, monkeypatch, fixture, duplicated):
     p = request.getfixturevalue(fixture)
-    plan = plan_for(p)
     if duplicated:
-        grid = regularity._sample_points(p, replace(plan, count=150))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regularity, "SAMPLE_COUNT", 150)
+            grid = regularity._sample_points(p)
         sample = np.vstack([grid, grid[::10]])
-        monkeypatch.setattr(regularity, "_sample_points", lambda p, plan: sample)
+        monkeypatch.setattr(regularity, "_sample_points", lambda p: sample)
     blocked, seen = regularity._secant_rows, {}
 
     def spy(*args):
@@ -296,7 +298,7 @@ def test_secant_rows_match_row_loop_bitwise(request, monkeypatch, fixture, dupli
         return seen["rows"]
 
     monkeypatch.setattr(regularity, "_secant_rows", spy)
-    report = estimate_constants(p, plan)
+    report = estimate_constants(p)
     _, xs, _, rows, tau_s = seen["args"]
     (row_min, starts), (want, want_starts) = seen["rows"], loop_secant_rows(*seen["args"])
     assert row_min.tobytes() == want.tobytes() and np.array_equal(starts, want_starts)
@@ -313,23 +315,22 @@ def test_estimate_keeps_one_sample_sized_array(en_f20):
     # block's temporaries of about BATCH_ELEMENTS floats each.  A second
     # sample-sized array (the offsets or the min-norm elements of every row)
     # would take the traced peak past twice the sample's bytes.
-    plan = plan_for(en_f20)
     tracemalloc.start()
     try:
-        estimate_constants(en_f20, plan)
+        estimate_constants(en_f20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * plan.count * en_f20.dimension * 8
+    assert peak < 2 * regularity.SAMPLE_COUNT * en_f20.dimension * 8
 
 
 def test_grid_estimate_imports_no_module():
     # A lazily imported module (np.unique loads numpy.ma, 1.6 MB) would grow
     # every estimating process; a fresh interpreter shows what one run loads.
-    script = ("import sys; from proxlab import estimate_constants, make_benchmark, plan_for\n"
+    script = ("import sys; from proxlab import estimate_constants, make_benchmark\n"
               "before = set(sys.modules)\n"
               "for name in ('quad1d', 'aniso_quad'):\n"
-              "    p = make_benchmark(name); estimate_constants(p, plan_for(p))\n"
+              "    estimate_constants(make_benchmark(name))\n"
               "print(sorted(set(sys.modules) - before))")
     src = str(Path(regularity.__file__).parents[1])  # the package under test
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -359,7 +360,7 @@ def test_estimate_oracle_work_count(request, fixture, nu, counts):
     # then once more for the PAIR_THIN = 200 rows the secant pairs thin to.
     p = request.getfixturevalue(fixture)
     tally = Counter()
-    estimate_constants(counted(p, tally), plan_for(p, nu=nu))
+    estimate_constants(counted(p, tally), nu)
     assert dict(tally) == counts
 
 
@@ -368,7 +369,7 @@ def test_estimate_row_fallback_work_count(quad1d):
     # are the rows of the batched quad1d case above.
     p = replace(quad1d, values=None, min_norm_subgradients=None, project_solutions=None)
     tally = Counter()
-    report = estimate_constants(counted(p, tally), plan_for(p))
+    report = estimate_constants(counted(p, tally))
     assert dict(tally) == {"value": (14_098, 14_098), "project_solution": (10_001, 10_001),
                            "min_norm_subgradient": (14_298, 14_298)}
-    assert report.to_json() == estimate_constants(quad1d, plan_for(quad1d)).to_json()
+    assert report.to_json() == estimate_constants(quad1d).to_json()

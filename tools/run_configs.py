@@ -5,11 +5,12 @@
 Each config under ``experiments/`` runs through the subcommands its keys
 describe (the run, then ``estimate`` / ``audit`` when those flags are set), and
 each job of the ``perfbench`` decks at seeds 1-3 runs as its one subcommand,
-all through ``proxlab.cli.main`` in this process.  Every run writes into its
-own directory under OUT (the job's config beside its outputs), and
-``OUT/exit_codes.txt`` lists each run's directory and exit code, and the script
-exits 1 when any run exits nonzero.  Two trees
-made from two versions of the code compare with one ``diff -r``, or with
+all through ``proxlab.cli.main`` in this process.  OUT must be new or empty,
+so no file of an earlier run survives into the tree; an OUT that holds files
+exits 2.  Every run writes into its own directory under OUT (the job's config
+beside its outputs), ``OUT/exit_codes.txt`` lists each run's directory and
+exit code, and the script exits 1 when any run exits nonzero.  Two trees made
+from two versions of the code compare with one ``diff -r``, or with
 ``python3 tools/compare_runs.py A B``, which prints each differing file with
 the largest relative change of its numeric CSV or JSON fields, then how many
 files differ and the largest change of all, and exits 0 only when the trees
@@ -97,6 +98,9 @@ def main(argv: list[str]) -> int:
     from proxlab.cli import main as proxlab_main
 
     out = Path(argv[0])
+    if out.is_dir() and any(out.iterdir()):
+        print(f"OUT {out} already holds files; give a new or empty directory", file=sys.stderr)
+        return 2
     codes, group_s = [], {}
     start = time.perf_counter()
     for name, cmd, cfg in runs():
