@@ -128,10 +128,13 @@ def _composite(p: ProblemSpec, z, c):
     of s (the active-set step of Hintermueller, Ito & Kunisch, 2002).  A
     solution with signs s is the next candidate; if its element is also zero
     off E, it is the minimizer of F up to rounding, and when it is refused the
-    candidates end.  In PPM the center usually has the minimizer's signs, so
-    the candidate after the start is the support solve on sign(z), unless z
-    is zero.  After it, once the iterates' sign pattern has held for three
-    iterations, it is solved unless it was tried already.
+    candidates end.  A solution whose signs flip on part of E is no candidate:
+    that part is dropped from s and the system solved again, while the
+    pattern left is nonzero and untried (a singular system drops nothing).
+    In PPM the center usually has the minimizer's signs, so the candidate
+    after the start is the support solve on sign(z), unless z is zero.  After
+    it, once the iterates' sign pattern has held for three iterations, it is
+    solved unless it was tried already.
     """
     parts = p.composite
     lip = parts.lipschitz_smooth + 1.0 / c
@@ -147,9 +150,14 @@ def _composite(p: ProblemSpec, z, c):
     def finish(s):
         # The support solve on s as a candidate; True once it is the minimizer.
         tried.add(s.tobytes())
-        w = _support_solve(parts, v, c, s)
-        if w is None:
-            return False
+        w, flipped = _support_solve(parts, v, c, s)
+        while w is None:
+            s = np.where(flipped, 0.0, s)  # +0.0: patterns are keyed by their bytes
+            key = s.tobytes()
+            if not s.any() or key in tried:  # nothing flipped leaves s tried
+                return False
+            tried.add(key)
+            w, flipped = _support_solve(parts, v, c, s)
         candidate = certified(w, parts.grad_smooth(w))
         yield candidate
         return not candidate[1][s == 0.0].any()
@@ -180,15 +188,20 @@ def _composite(p: ProblemSpec, z, c):
 
 
 def _support_solve(parts, v, c, signs):
-    """Minimizer of x^T H x / 2 - v^T x + l1_weight s^T x over the support of s,
-    zero elsewhere, or None when its signs are not s."""
+    """(x, flipped): x minimizes x^T H x / 2 - v^T x + l1_weight s^T x over the
+    support of s, zero elsewhere, when its signs are s; otherwise x is None and
+    flipped masks where they are not (nothing, for a singular system)."""
     on, h_on, l1_signs = parts.support_system(c, signs)
-    x_on = np.linalg.solve(h_on, v[on] - l1_signs)
-    if np.sign(x_on).tobytes() != signs[on].tobytes():
-        return None
+    try:
+        x_on = np.linalg.solve(h_on, v[on] - l1_signs)
+    except np.linalg.LinAlgError:  # singular: repeated or dependent columns
+        return None, False
     x = np.zeros_like(v)
     x[on] = x_on
-    return x
+    x_signs = np.sign(x)  # like s, +0.0 off the support
+    if x_signs.tobytes() != signs.tobytes():
+        return None, x_signs != signs
+    return x, False
 
 
 def _svm_dual(p: ProblemSpec, z, c):

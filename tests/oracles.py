@@ -439,14 +439,18 @@ def loop_regula_falsi(p, z, c):
         yield candidate(x, e)
 
 
-def unmemoized_composite(p, z, c):
+def unmemoized_composite(p, z, c, prune=True):
     """The composite inner solver's candidates with every support system built
     afresh, for reference.
 
     Same candidates, in the same order, as ``prox._composite``, which takes
-    each system from ``CompositeParts.support_system`` and compares sign
-    patterns as bytes; here each support solve slices H_EE + I/c out of the
-    Hessian itself and patterns are compared with ``np.array_equal``.
+    each system from ``CompositeParts.support_system``, compares sign patterns
+    as bytes and drops a refused solve's flipped coordinates through a mask;
+    here each support solve slices H_EE + I/c out of the Hessian itself, a
+    refused one returns the flipped indices, which are zeroed in a copy, and
+    patterns are compared with ``np.array_equal``.  With ``prune`` false a
+    refused support solve is not followed by another: FISTA goes on, and its
+    held sign pattern is solved later.
     """
     from proxlab.problem import vector_norm
 
@@ -462,21 +466,36 @@ def unmemoized_composite(p, z, c):
         return x, element, vector_norm(element)
 
     def support_solve(s):
+        # The solution on the support of s, or None and the support's
+        # coordinates whose signs flipped (none for a singular system).
         on = np.flatnonzero(s)
         h_on = parts.hessian[np.ix_(on, on)]
         h_on.flat[::on.size + 1] += 1.0 / c
-        x_on = np.linalg.solve(h_on, v[on] - parts.l1_weight * s[on])
+        try:
+            x_on = np.linalg.solve(h_on, v[on] - parts.l1_weight * s[on])
+        except np.linalg.LinAlgError:
+            return None, []
         if not np.array_equal(np.sign(x_on), s[on]):
-            return None
+            return None, on[np.sign(x_on) != s[on]]
         x = np.zeros_like(v)
         x[on] = x_on
-        return x
+        return x, []
+
+    def untried(s):
+        return not any(np.array_equal(s, t) for t in tried)
 
     def finish(s):
-        tried.add(s.tobytes())
-        w = support_solve(s)
-        if w is None:
-            return False
+        # Each refused solve is followed by the solve with its flipped
+        # coordinates zero, while that pattern is nonzero and untried.
+        tried.append(s)
+        w, flipped = support_solve(s)
+        while w is None:
+            s = s.copy()
+            s[flipped] = 0.0
+            if not prune or not s.any() or not untried(s):
+                return False
+            tried.append(s)
+            w, flipped = support_solve(s)
         candidate = certified(w, parts.grad_smooth(w))
         yield candidate
         return not candidate[1][s == 0.0].any()
@@ -485,7 +504,7 @@ def unmemoized_composite(p, z, c):
     grad_x = parts.grad_smooth(x)
     yield certified(x, grad_x)
     v = parts.hessian @ z - grad_x + z / c
-    tried = set()
+    tried = []
     if np.any(z) and (yield from finish(np.sign(z))):
         return
     y, grad_y = x, grad_x
@@ -500,7 +519,7 @@ def unmemoized_composite(p, z, c):
         s = np.sign(w)
         held = held + 1 if np.array_equal(s, signs) else 1
         signs = s
-        if held >= 3 and s.tobytes() not in tried and (yield from finish(s)):
+        if held >= 3 and untried(s) and (yield from finish(s)):
             return
 
 

@@ -1,18 +1,19 @@
 """Work counts and certificates of the structured inner solvers.
 
-The work-count gates pin the deterministic cost of the shipped lasso_medium
-run (inner iterations summed over the outer steps, and smooth-gradient
-evaluations: one per prox call plus one per inner iteration), of the shipped
-svm_synthetic run and of two 1-d PPM runs (inner iterations summed over the
-outer steps, and interval-oracle calls).  The property tests draw prox
-centers and steps at realistic sizes and check that every returned
-certificate is a true element of the subproblem subdifferential at the
-returned point, that the 1-d solver's point is as close to the subproblem
-root as its certificate promises, and that its candidates are those of the
-solver that tests every breakpoint before the bracket walk.  The composite
-and SVM solvers' candidates, with their memoized linear systems, are bitwise
-those of the solvers that build every system afresh, also when the memo is
-shared by threads, and a memo holds the systems of one step size at a time.
+The work-count gates pin the deterministic cost of the shipped lasso_medium,
+elastic_net_medium and lasso_large runs (inner iterations summed over the
+outer steps, and smooth-gradient evaluations: one per prox call plus one per
+inner iteration), of the shipped svm_synthetic run and of two 1-d PPM runs
+(inner iterations summed over the outer steps, and interval-oracle calls).
+The property tests draw prox centers and steps at realistic sizes and check
+that every returned certificate is a true element of the subproblem
+subdifferential at the returned point, that the 1-d solver's point is as
+close to the subproblem root as its certificate promises, and that its
+candidates are those of the solver that tests every breakpoint before the
+bracket walk.  The composite and SVM solvers' candidates, with their
+memoized linear systems, are bitwise those of the solvers that build every
+system afresh, also when the memo is shared by threads, and a memo holds the
+systems of one step size at a time.
 """
 
 import importlib
@@ -33,8 +34,8 @@ import proxlab.cli as cli
 import proxlab.ippm as ippm_module
 import proxlab.ppm as ppm_module
 from proxlab import (InexactCriterion, MLProblemParams, Piecewise1D, StepSchedule,
-                     make_benchmark, make_blob_dataset, make_ml_problem, min_norm_subgradient,
-                     prox, run_ippm, run_ppm)
+                     generate_lasso_data, make_benchmark, make_blob_dataset, make_ml_problem,
+                     min_norm_subgradient, prox, run_ippm, run_ppm)
 from proxlab.errors import ResolutionFloor
 from proxlab.problem import problem_from_1d
 
@@ -84,7 +85,9 @@ def test_lasso_medium_work_count(monkeypatch, prox_work):
                         lambda *args: prox_work.update(support=1) or support_solve(*args))
     trace = run_config("lasso_medium", prox_work, grad_calls)
     assert trace.stop_reason == "gap"
-    assert prox_work["inner"] <= 100  # 100 with the support solve at sign(z), 195 before
+    # 59 re-solving a refused support solve on the support less its flipped
+    # coordinates, 100 without, 195 without the support solve at sign(z).
+    assert prox_work["inner"] <= 59
     # One gradient at the prox center per call, then one per inner iteration.
     assert grad_calls["grad"] == prox_work["inner"] + prox_work["calls"]
     # The run's parts are fresh (run_config replaced them), and its step is
@@ -92,6 +95,32 @@ def test_lasso_medium_work_count(monkeypatch, prox_work):
     systems = trace.problem.composite._support_systems
     assert list(systems) == [0.16]
     assert len(systems[0.16]) <= 10 < prox_work["support"]
+
+
+@pytest.mark.parametrize("name,cap", [
+    ("elastic_net_medium", 54),  # 95 without re-solving a refused support solve
+    ("lasso_large", 83),  # 117 without
+])
+def test_composite_work_count(prox_work, name, cap):
+    grad_calls = Counter()
+    assert run_config(name, prox_work, grad_calls).stop_reason == "gap"
+    assert prox_work["inner"] <= cap
+    assert grad_calls["grad"] == prox_work["inner"] + prox_work["calls"]
+
+
+def test_lasso_medium_shrinking_step_is_one_pruned_support_solve():
+    # Step 10 of the shipped lasso_medium run drops 2 of its center's 15
+    # coordinates.  The support solve on sign(z) is refused, and the solve with
+    # its flipped coordinates dropped is the prox point.  Without the re-solve,
+    # FISTA reached the same system as its held pattern, at inner iteration 12.
+    cfg = cli.load_config(EXPERIMENTS / "lasso_medium.json")
+    p, c = cli.build_problem(cfg, cfg["seed"]), cfg["schedule"]["constant"]
+    z = run_ppm(p, cli.build_x0(cfg, p), StepSchedule.constant(c), max_iter=10).points[10]
+    res = prox(p, z, c, TOL)
+    assert (res.inner_iterations, np.count_nonzero(z), np.count_nonzero(res.point)) == (1, 15, 13)
+    unpruned = itertools.islice(unmemoized_composite(p, z, c, prune=False), 100)
+    it, (x, _, _) = next((i, cand) for i, cand in enumerate(unpruned) if cand[2] <= TOL)
+    assert it == 12 and x.tobytes() == res.point.tobytes()
 
 
 def test_svm_synthetic_work_count(prox_work):
@@ -453,6 +482,32 @@ def test_svm_free_set_finish_skips_large_and_singular_sets(monkeypatch, rows):
         assert certificate_is_subgradient(p, res, z, c, rng)
     assert sizes and max(sizes) <= 3
     assert bool(singular) == (rows == "twice")
+
+
+def test_composite_singular_support_system_is_a_refused_solve(monkeypatch):
+    # With a duplicated column and c = 1e20, where I/c is lost to rounding, the
+    # support system on sign(x0) is singular.  The solve is refused with
+    # nothing to drop and FISTA goes on, as for a singular SVM free set; the
+    # LinAlgError used to escape the run, losing its trace.
+    features, y, xhat = generate_lasso_data(30, 60, 15, 11)
+    p = make_ml_problem((np.hstack([features[:, :5], features[:, :1]]), y, xhat),
+                        MLProblemParams("lasso", lam=1.0))
+    singular = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(b.size)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    monkeypatch.setattr(prox_module, "MAX_INNER", 100)
+    trace = run_ppm(p, np.ones(6), StepSchedule.constant(1e20), max_iter=5)
+    assert singular[:1] == [6]  # the first, on sign(x0)
+    assert trace.stop_reason in ("max_iter", "resolution", "inner_budget")
+    assert np.array_equal(trace.points[0], np.ones(6))
 
 
 @pytest.fixture(scope="module")

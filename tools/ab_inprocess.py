@@ -22,7 +22,12 @@ gives, per job kind, each side's largest traced peak over its jobs (the most
 memory numpy and Python held during one job above what they held when it
 started) and their ratio, parent over change.  It follows the process's peak
 RSS, which the benchmark reports, without the interpreter's and the libraries'
-own pages.
+own pages.  A third table gives, per job kind, each side's prox inner
+iterations summed over one more untimed pass, counted by wrapping the
+``prox`` names the outer loops call (``ppm.prox`` and ``ippm.prox``), and
+their ratio.  It shows the work a change saves as a count, which does not
+vary from run to run as the times do.  That pass follows the warm-up, so the
+reference solves the warm-up paid are not in it.
 
 This is a development aid for a noisy shared host, where one process
 alternating the two versions sees both under the same machine state.  It
@@ -104,6 +109,44 @@ def traced_peaks(clis: dict, deck: list[dict], work: Path) -> dict:
     return peaks
 
 
+def inner_iterations(cli, deck: list[dict], out: Path) -> dict:
+    """The prox inner iterations of one untimed pass of ``cli``'s side per job kind,
+    counted through the outer loops' ``prox`` names."""
+    package = cli.__name__.rpartition(".")[0]
+    prox = importlib.import_module(f"{package}.prox").prox
+    loops = [importlib.import_module(f"{package}.{name}") for name in ("ppm", "ippm")]
+    counts = dict.fromkeys((job["kind"] for job in deck), 0)
+    kind = None
+
+    def counting(*args, **kwargs):
+        result = prox(*args, **kwargs)
+        counts[kind] += result.inner_iterations
+        return result
+
+    for loop in loops:
+        loop.prox = counting
+    try:
+        for job in deck:
+            kind = job["kind"]
+            shutil.rmtree(out, ignore_errors=True)
+            cli.main(job["argv"] + [str(out)])
+    finally:
+        for loop in loops:
+            loop.prox = prox
+    return counts
+
+
+def work_report(counts: dict) -> str:
+    rows = [(kind, *(counts[side][kind] for side in SIDES)) for kind in counts["parent"]]
+    rows.append(("pass", *(sum(counts[side].values()) for side in SIDES)))
+    width = max(len(kind) for kind, *_ in rows)
+    lines = [f"{'kind':<{width}}  {'parent inner':>12}  {'change inner':>12}  {'ratio':>6}"]
+    for kind, parent, change in rows:
+        ratio = f"{parent / change:6.3f}" if change else f"{'-':>6}"
+        lines.append(f"{kind:<{width}}  {parent:12d}  {change:12d}  {ratio}")
+    return "\n".join(lines)
+
+
 def memory_report(peaks: dict) -> str:
     width = max(map(len, peaks["parent"]))
     lines = [f"{'kind':<{width}}  {'parent MB':>10}  {'change MB':>10}  {'ratio':>6}"]
@@ -148,9 +191,13 @@ def main(argv: list[str]) -> int:
                 for side, src in zip(SIDES, (args.parent_src, args.change_src))}
         spent_per_pass, failed = run_passes(clis, deck, args.passes, work)
         peaks = traced_peaks(clis, deck, work)
+        counts = {side: inner_iterations(clis[side], deck, work / "out" / side)
+                  for side in SIDES}
     print(report(spent_per_pass))
     print()
     print(memory_report(peaks))
+    print()
+    print(work_report(counts))
     if any(failed.values()):
         print(f"nonzero exits: {failed}", file=sys.stderr)
         return 1
