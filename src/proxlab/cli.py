@@ -315,7 +315,7 @@ def cmd_run(cmd: str, cfg: dict, out: Path, seed: int) -> int:
     elif cmd == "run-ippm":
         sched = build_schedule(cfg)
         crits = build_criteria(cfg)
-        trace = run_ippm(p, x0, sched, crits, *limit, test_mode=cfg["test_mode"], seed=seed)
+        trace = run_ippm(p, x0, sched, crits, *limit, test_mode=cfg["test_mode"])
     else:
         sched = build_schedule(cfg)
         trace = run_ppm(p, x0, sched, *limit)

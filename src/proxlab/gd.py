@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProxlabError
-from .ppm import IterationTrace, StepSchedule, iterate
+from .ppm import IterationTrace, iterate
 from .problem import ProblemSpec
 
 _REL = 1e-12
@@ -77,4 +77,4 @@ def run_gd(p: ProblemSpec, x0, params: GDParams, iters: int = 50) -> IterationTr
     def step(k, x, t):
         return x - t * np.asarray(p.subgradient(x), dtype=float), None, None, None, None
 
-    return iterate(p, x0, StepSchedule.constant(params.step_size), iters, step, 1e-10, 1e-10)
+    return iterate(p, x0, params.step_size, iters, step, 1e-10, 1e-10)

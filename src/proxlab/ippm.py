@@ -2,10 +2,11 @@
 
 The primed rules bound the certificate residual and are what production runs
 use.  The unprimed rules reference the unknown exact prox, so they exist only
-in test mode: each step computes a tight reference prox and moves it along a
-seeded Gaussian direction to the safe radius of the requested budgets, halving
-the move until every budget holds.  The step is admissible and random, not
-the worst admissible one.
+in test mode: each step computes a tight reference prox p_k and falls short of
+it, back along the step toward x_k, by the largest radius every requested
+budget admits.  The step draws nothing, so a test-mode run is a function of its
+inputs; in 1-d it moves away from the solution set, in d > 1 it is not yet the
+worst admissible step.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import ppm
 from .errors import ProxlabError
 from .ppm import IterationTrace, StepSchedule, iterate
-from .problem import ProblemSpec, default_rng, min_norm_subgradient, vector_norm
+from .problem import ProblemSpec, min_norm_subgradient, vector_norm
 from .prox import prox, validate_step
 
 PRIMED = ("A'", "B'")
@@ -67,15 +66,14 @@ class InexactCriterion:
 
 def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
              crit: InexactCriterion | Sequence[InexactCriterion],
-             max_iter: int = 500, test_mode: bool = False, seed: int = 0,
+             max_iter: int = 500, test_mode: bool = False,
              stop_gap: float = 1e-10, stop_residual: float = 1e-10) -> IterationTrace:
     """Inexact proximal point run under one or several criteria.
 
     Primed criteria drive the inner solver's stopping rule directly.  The
     unprimed ones require ``test_mode`` (they compare against the true prox);
-    the step is then a perturbation of a tight reference prox, kept inside
-    every requested budget, drawn from ``default_rng(seed)``.  A primed run
-    draws nothing and ignores ``seed``.
+    the step then falls short of a tight reference prox by the largest radius
+    every requested budget admits.  Neither draws random numbers.
     """
     crits = (crit,) if isinstance(crit, InexactCriterion) else tuple(crit)
     if not crits:
@@ -88,19 +86,18 @@ def run_ippm(p: ProblemSpec, x0, sched: StepSchedule,
     if unprimed and any(c.implementable for c in crits):
         raise ValueError("cannot mix primed and unprimed criteria in one run")
     validate_step(p, sched.c)
-    rng = default_rng(seed) if unprimed else None
 
     def step(k, x, c):
         eps_k = min((cr.eps(k) for cr in crits if cr.absolute), default=None)
         delta_k = min((cr.delta(k) for cr in crits if not cr.absolute), default=None)
         if unprimed:
-            x_next, resid, ref_point = _test_mode_step(p, x, c, eps_k, delta_k, rng)
+            x_next, resid, ref_point = _test_mode_step(p, x, c, eps_k, delta_k)
         else:
             x_next, resid = _primed_step(p, x, c, eps_k, delta_k)
             ref_point = None
         return x_next, resid, eps_k, delta_k, ref_point
 
-    return iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
+    return iterate(p, x0, sched.c, max_iter, step, stop_gap, stop_residual)
 
 
 def _primed_step(p, x, c, eps_k, delta_k):
@@ -120,32 +117,26 @@ def _primed_step(p, x, c, eps_k, delta_k):
     return result.point, result.residual_norm
 
 
-def _test_mode_step(p, x, c, eps_k, delta_k, rng):
-    """Perturb a tight reference prox, solved to ppm.REFERENCE_TARGET, inside
-    every requested budget."""
-    ref = prox(p, x, c, ppm.REFERENCE_TARGET)
-    p_k = ref.point
+def _test_mode_step(p, x, c, eps_k, delta_k):
+    """Fall short of a tight reference prox p_k, solved to ppm.REFERENCE_TARGET,
+    back toward x_k by the largest radius every requested budget admits."""
+    p_k = prox(p, x, c, ppm.REFERENCE_TARGET).point
+    back = x - p_k
+    length = vector_norm(back)
     radius = eps_k if eps_k is not None else math.inf
     if delta_k is not None:
-        # Safe radius: r <= delta ||p_k + r u - x|| holds whenever
-        # r <= delta ||p_k - x|| / (1 + delta).
-        radius = min(radius, delta_k * vector_norm(p_k - x) / (1.0 + delta_k))
-    if not 0.0 < radius < math.inf:  # no budget to spend, or no finite one
-        x_next = p_k
-    else:
-        direction = rng.standard_normal(p.dimension)
-        norm = vector_norm(direction)
-        direction = direction / norm if norm > 0 else np.zeros(p.dimension)
-        x_next = p_k + radius * direction
-        for _ in range(60):  # recheck the coupled budgets on the realized point
+        # On this segment ||x_{k+1} - x_k|| = ||p_k - x_k|| - r, so the B rule
+        # r <= delta ||x_{k+1} - x_k|| holds exactly up to this radius.
+        radius = min(radius, delta_k * length / (1.0 + delta_k))
+    x_next = p_k
+    if 0.0 < radius < math.inf and 0.0 < length < math.inf:
+        unit = back / length
+        for t in range(54):  # recheck the budgets on the rounded point
+            x_next = p_k + radius * unit
             gap = vector_norm(x_next - p_k)
-            ok = (eps_k is None or gap <= eps_k) and (
-                delta_k is None or gap <= delta_k * vector_norm(x_next - x))
-            if ok:
+            if (eps_k is None or gap <= eps_k) and (
+                    delta_k is None or gap <= delta_k * vector_norm(x_next - x)):
                 break
-            radius *= 0.5
-            x_next = p_k + radius * direction
-        else:
-            x_next = p_k
+            radius *= 1.0 - 2.0 ** (t - 52)  # an ulp first; try 53 lands on p_k
     _, resid = min_norm_subgradient(p, x_next, shift=(x_next - x) / c)
     return x_next, resid, p_k

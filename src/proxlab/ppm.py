@@ -107,46 +107,47 @@ class IterationTrace:
         return int(hits[0]) if hits.size else None
 
 
-def iterate(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int, step,
-             stop_gap: float, stop_residual: float):
-    """The outer loop of PPM, iPPM and GD: ``step(k, x, c)`` gives the move
-    (x_next, residual, eps, delta, ref), None where a field does not apply.
+def iterate(p: ProblemSpec, x0, c: float, max_iter: int, step,
+            stop_gap: float, stop_residual: float):
+    """The outer loop of PPM, iPPM and GD at step c: ``step(k, x, c)`` gives the
+    move (x_next, residual, eps, delta, ref), None where a field does not apply.
 
     Stops with ``gap`` (f - f_star <= stop_gap), ``residual`` (||x_{k+1} -
-    x_k||/c_k + residual <= stop_residual, a None residual read as 0),
+    x_k||/c + residual <= stop_residual, a None residual read as 0),
     ``max_iter``, ``resolution`` / ``inner_budget`` when a step's inner solver
     gives up, or ``non_finite`` when a step returns a point with a non-finite
     coordinate or a value of NaN or +inf, which is not recorded; the trace is
     kept.  An x0 with such a value raises ValueError, as ``as_point`` does for
-    a non-finite coordinate.
+    a non-finite coordinate.  An overflow is what these stops see, not a warning.
     """
     x = as_point(x0)
-    value = float(p.value(x))
-    if not value < math.inf:
-        raise ValueError(f"x0: f(x0) = {value}, not finite")
-    points, values, steps, moves = [x], [value], [], []
-    stop_reason, c = "max_iter", sched.c
-    for k in range(max_iter):
-        try:
-            x_next, *move = step(k, x, c)
-        except InnerBudgetExhausted as exc:
-            stop_reason = "resolution" if isinstance(exc, ResolutionFloor) else "inner_budget"
-            break
-        value = float(p.value(x_next)) if all_finite(x_next) else math.nan
-        if not value < math.inf:  # a non-finite point, or a value of NaN or +inf
-            stop_reason = "non_finite"
-            break
-        points.append(x_next)
-        values.append(value)
-        steps.append(c)
-        moves.append(move)
-        if p.f_star is not None and values[-1] - p.f_star <= stop_gap:
-            stop_reason = "gap"
-            break
-        if vector_norm(x_next - x) / c + (move[0] or 0.0) <= stop_residual:
-            stop_reason = "residual"
-            break
-        x = x_next
+    with np.errstate(over="ignore"):
+        value = float(p.value(x))
+        if not value < math.inf:
+            raise ValueError(f"x0: f(x0) = {value}, not finite")
+        points, values, steps, moves = [x], [value], [], []
+        stop_reason = "max_iter"
+        for k in range(max_iter):
+            try:
+                x_next, *move = step(k, x, c)
+            except InnerBudgetExhausted as exc:
+                stop_reason = "resolution" if isinstance(exc, ResolutionFloor) else "inner_budget"
+                break
+            value = float(p.value(x_next)) if all_finite(x_next) else math.nan
+            if not value < math.inf:  # a non-finite point, or a value of NaN or +inf
+                stop_reason = "non_finite"
+                break
+            points.append(x_next)
+            values.append(value)
+            steps.append(c)
+            moves.append(move)
+            if p.f_star is not None and values[-1] - p.f_star <= stop_gap:
+                stop_reason = "gap"
+                break
+            if vector_norm(x_next - x) / c + (move[0] or 0.0) <= stop_residual:
+                stop_reason = "residual"
+                break
+            x = x_next
     steps.append(c)
     # The final row's move is empty: one more None per transition column.
     residuals, eps, deltas, refs = zip(*moves, (None,) * 4)
@@ -168,7 +169,7 @@ def run_ppm(p: ProblemSpec, x0, sched: StepSchedule, max_iter: int = 500,
         result = prox(p, x, c, inner_target)
         return result.point, result.residual_norm, None, None, None
 
-    return iterate(p, x0, sched, max_iter, step, stop_gap, stop_residual)
+    return iterate(p, x0, sched.c, max_iter, step, stop_gap, stop_residual)
 
 
 # The reference solve: at most REFERENCE_STEPS exact steps of size REFERENCE_STEP

@@ -76,8 +76,7 @@ def _sine_quad() -> ProblemSpec:
         project_solution=lambda x: np.zeros(1),
         project_solutions=np.zeros_like,
         name="sine_quad",
-        metadata={"mu_q": 1.0, "pl_holds_globally": False, "eb_holds_globally": False,
-                  "bracket": (-10.0, 10.0), "nu": math.inf},
+        metadata={"mu_q": 1.0, "bracket": (-10.0, 10.0), "nu": math.inf},
     )
 
 

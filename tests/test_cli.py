@@ -150,6 +150,19 @@ def test_seed_override_changes_data(tmp_path):
     assert (out1 / "trace.csv").read_bytes() != (out2 / "trace.csv").read_bytes()
 
 
+def test_test_mode_run_ignores_the_seed(tmp_path):
+    # The seed reaches only generated data; a test-mode iPPM step draws nothing.
+    cfg = write_config(tmp_path, "a.json", {
+        "problem": {"benchmark": "quad_quartic"}, "schedule": {"constant": 1.0},
+        "criterion": {"kind": "A", "gamma": 0.7}, "x0": [1.5], "max_iter": 30,
+        "test_mode": True})
+    outs = [tmp_path / f"s{seed}" for seed in (1, 2)]
+    for seed, out in zip((1, 2), outs):
+        assert main(["run-ippm", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
+    for name in ("trace.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_gd_exit_code_two_on_false_constants(tmp_path):
     cfg = write_config(tmp_path, "gd.json", {
         "problem": {"benchmark": "aniso_quad"},
@@ -223,9 +236,9 @@ def lasso_bytes_match(path) -> bool:
 
 
 def test_drawing_runs_load_no_openssl(tmp_path):
-    # A primed iPPM run draws nothing; the lasso data, the test-mode iPPM steps
-    # and the estimator's Gaussian sample draw through problem.default_rng,
-    # which imports numpy.random without secrets, hmac and OpenSSL.  Then a
+    # An iPPM run draws nothing, primed or in test mode; the lasso data and the
+    # estimator's Gaussian sample draw through problem.default_rng, which
+    # imports numpy.random without secrets, hmac and OpenSSL.  Then a
     # later ``import secrets`` is the real one, a seedless generator works, and
     # the data are those of a process that imported numpy.random normally.
     test_mode = write_config(tmp_path, "a.json", {
@@ -239,9 +252,9 @@ out, exp = Path(sys.argv[1]), Path(sys.argv[2])
 def run(cmd, config, name):
     assert main([cmd, "--config", str(config), "--out", str(out / name)]) == 0, name
 run("run-ippm", exp / "ippm_quad1d_aprime.json", "primed")
+run("run-ippm", sys.argv[3], "test_mode")
 assert "numpy.random" not in sys.modules
 run("run-ppm", exp / "lasso_small.json", "lasso")
-run("run-ippm", sys.argv[3], "test_mode")
 run("estimate", exp / "elastic_net_medium.json", "estimate")
 assert "numpy.random" in sys.modules
 loaded = [name for name in {OPENSSL!r} if name in sys.modules]
@@ -719,7 +732,8 @@ def test_non_finite_iterates_write_partial_run(tmp_path, monkeypatch, aniso_quad
         "problem": {"benchmark": "aniso_quad"}, "gd": {"mu": 0.25, "beta": 0.25},
         "x0": [1.0, 1.0], "max_iter": 400})
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["run-gd", "--config", cfg, "--out", str(out)]) == 0
 
     def reject(constant):
@@ -728,6 +742,22 @@ def test_non_finite_iterates_write_partial_run(tmp_path, monkeypatch, aniso_quad
     summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
     assert summary["stop_reason"] == "non_finite" and summary["iterations"] < 400
     assert len(read_trace_csv(out / "trace.csv")) == summary["iterations"] + 1
+
+
+@pytest.mark.parametrize("cmd,body,code", [
+    # f(x0) overflowed in zoo's square, then the config error: two stderr lines.
+    ("run-ppm", {"x0": [1e200, 1e200]}, 1),
+    # The test-mode recheck's vector_norm overflowed in dot on an A budget of 1e200.
+    ("run-ippm", {"criterion": {"kind": "A", "eps0": 1e200}, "x0": [1.0, 1.0]}, 0),
+])
+def test_overflow_in_a_run_raises_no_warning(tmp_path, capsys, cmd, body, code):
+    cfg = write_config(tmp_path, "big.json", {"problem": {"benchmark": "aniso_quad"},
+                                              "max_iter": 5, "test_mode": True, **body})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == code and err.startswith("config error: x0: " if code else "")
 
 
 def test_non_finite_value_writes_partial_run(tmp_path, monkeypatch):

@@ -71,7 +71,7 @@ def test_ab_test_mode_criteria_hold_exactly(en_toy_ref):
     crits = (InexactCriterion("A", eps0=0.1, gamma=0.7),
              InexactCriterion("B", delta0=0.5, gamma=0.7))
     tr = run_ippm(en_toy_ref, [4.0], StepSchedule.constant(1.0), crits,
-                  max_iter=40, test_mode=True, seed=3)
+                  max_iter=40, test_mode=True)
     for k in range(len(tr) - 1):
         ref = tr.ref_prox_points[k]
         gap = float(np.linalg.norm(tr.points[k + 1] - ref))
@@ -79,11 +79,38 @@ def test_ab_test_mode_criteria_hold_exactly(en_toy_ref):
         assert gap <= tr.deltas[k] * float(np.linalg.norm(tr.points[k + 1] - tr.points[k])) + 1e-15
 
 
+@pytest.mark.parametrize("name,x0", [("quad1d", [1.0]), ("aniso_quad", [1.0, 1.0])])
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_test_mode_steps_spend_their_budget(request, name, x0, kind):
+    # The step falls short of p_k by the largest radius its budget admits, and
+    # the rounding recheck shrinks that radius by an ulp before it halves.
+    tr = run_ippm(request.getfixturevalue(name), x0, StepSchedule.constant(1.0),
+                  InexactCriterion(kind, gamma=0.7), max_iter=40, test_mode=True)
+    spent = []
+    for k in range(len(tr) - 1):
+        x, ref, x_next = tr.points[k], tr.ref_prox_points[k], tr.points[k + 1]
+        if np.array_equal(ref, x):
+            continue
+        budget = tr.eps[k] if kind == "A" else tr.deltas[k] * np.linalg.norm(x_next - x)
+        spent.append(np.linalg.norm(x_next - ref) / budget)
+    assert len(spent) >= 10 and min(spent) >= 0.9
+    assert sum(share >= 1.0 - 1e-12 for share in spent) > len(spent) / 2
+
+
+@pytest.mark.parametrize("name,x0", [("quad1d", [0.0]), ("aniso_quad", [0.0, 0.0])])
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_test_mode_step_from_the_solution_does_not_move(request, name, x0, kind):
+    tr = run_ippm(request.getfixturevalue(name), x0, StepSchedule.constant(1.0),
+                  InexactCriterion(kind), max_iter=3, test_mode=True,
+                  stop_gap=-1.0, stop_residual=-1.0)
+    assert len(tr) == 4 and (tr.points == np.array(x0)).all()
+
+
 def test_inexact_linear_contraction(en_toy_ref):
     crits = (InexactCriterion("A", eps0=0.1, gamma=0.7),
              InexactCriterion("B", delta0=0.5, gamma=0.7))
     tr = run_ippm(en_toy_ref, [4.0], StepSchedule.constant(1.0), crits,
-                  max_iter=40, test_mode=True, seed=3)
+                  max_iter=40, test_mode=True)
     report = estimate_constants(en_toy_ref, math.inf)
     chk = check_ippm_linear(tr, report, nu=math.inf)
     assert chk.all_ok and len(chk.indices) >= 5
@@ -110,7 +137,7 @@ def test_wc_piecewise_beta_adjusted_contraction(wc_piecewise):
 def test_eq20_detector(en_toy_ref):
     crits = (InexactCriterion("B", delta0=0.4, gamma=0.7),)
     tr = run_ippm(en_toy_ref, [4.0], StepSchedule.constant(1.0), crits,
-                  max_iter=15, test_mode=True, seed=1)
+                  max_iter=15, test_mode=True)
     points, values = tr.points.copy(), tr.values.copy()
     k = 3
     points[k + 1] = points[k + 1] + 10.0  # breaches criterion B at step k
@@ -132,7 +159,7 @@ def test_theta_hat_monotone_for_constant_theta(quad1d, monkeypatch):
     monkeypatch.setattr(checks_module, "_contraction", capture)
     tr = run_ippm(quad1d, [1.0], StepSchedule.constant(1.0),
                   InexactCriterion("B", delta0=0.5, gamma=0.7), max_iter=30,
-                  test_mode=True, seed=2, stop_gap=-1.0, stop_residual=-1.0)
+                  test_mode=True, stop_gap=-1.0, stop_residual=-1.0)
     assert check_ippm_linear(tr, quad1d.metadata, nu=math.inf).all_ok
     (hats,) = factors
     assert len(hats) == 30

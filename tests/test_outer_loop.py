@@ -9,6 +9,7 @@ rows recorded so far.
 
 import importlib
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +47,9 @@ def _ippm_primed(fixture):
 
 
 def _ippm_test_mode(fixture):
+    # Each step spends its whole B budget, so the gap needs 13 steps to reach 1e-10.
     return run_ippm(fixture("quad1d"), [1.0], StepSchedule.constant(1.0),
-                    InexactCriterion("B", gamma=0.7), max_iter=10, test_mode=True, seed=3)
+                    InexactCriterion("B", gamma=0.7), max_iter=20, test_mode=True)
 
 
 def _gd(fixture):
@@ -77,8 +79,9 @@ def _inner_budget(fixture):
 
 def _non_finite(fixture):
     # An understated L = 0.25 gives t = mu / L^2 = 4 > 2/9: x_2 grows 35-fold per
-    # step until the iterates overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # step until the iterates overflow, which the loop stops without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         return run_gd(fixture("aniso_quad"), [1.0, 1.0], GDParams(0.25, 0.25, 0.25),
                       iters=400)
 

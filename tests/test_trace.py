@@ -56,8 +56,7 @@ def runs(draw):
     if kind == "ppm":
         return run_ppm(p, x0, sched, max_iter=horizon), None
     crit = InexactCriterion(kind, gamma=draw(st.floats(0.5, 0.8)))
-    return run_ippm(p, x0, sched, crit, max_iter=horizon, test_mode=kind in ("A", "B"),
-                    seed=draw(st.integers(0, 99))), crit
+    return run_ippm(p, x0, sched, crit, max_iter=horizon, test_mode=kind in ("A", "B")), crit
 
 
 def assert_same(check, ref, exact: bool):
