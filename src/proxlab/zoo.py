@@ -246,9 +246,9 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
 
     parts = CompositeParts(grad_smooth=grad_smooth, hessian=hessian, l1_weight=lam)
 
-    # The oracles are written for rows, one matrix-vector product and one dot
-    # per row; the scalar oracles are their one-row case.  grad_smooth keeps
-    # its own one-point form: the inner solver calls it once per iteration.
+    # The batch oracles make one matrix-vector product and one dot per row, as
+    # the scalar oracles make them for their one point, so the two agree
+    # bitwise; the scalar forms skip the batch calls' per-call overhead.
     def values(xs):
         r = row_matvecs(a_mat, xs) - y
         return (0.5 * row_dots(r, r) + 0.5 * en_reg * row_dots(xs, xs)
@@ -259,10 +259,14 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
         return base + parts.min_norm_h(base, xs)
 
     def value(x):
-        return float(values(np.asarray(x, dtype=float)[None])[0])
+        x = np.asarray(x, dtype=float)
+        r = a_mat @ x - y
+        return float(0.5 * r.dot(r) + 0.5 * en_reg * x.dot(x) + lam * np.abs(x).sum())
 
     def min_norm(x, shift=0.0):
-        return min_norms(np.asarray(x, dtype=float)[None], shift)[0]
+        x = np.asarray(x, dtype=float)
+        base = grad_smooth(x) + shift
+        return base + parts.min_norm_h(base, x)
 
     return ProblemSpec(
         dimension=a_mat.shape[1],

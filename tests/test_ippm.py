@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import proxlab.checks as checks_module
+import proxlab.cli as cli
 from proxlab import (InexactCriterion, ProxlabError, StepSchedule,
                      check_inexact_one_step, check_ippm_linear, check_ippm_sublinear,
                      estimate_constants, run_ippm, run_ppm)
@@ -175,3 +177,17 @@ def test_diameter_stabilizes_on_convergent_run(quad1d):
     tail = diam[int(0.8 * len(diam)):]
     assert max(tail) - min(tail) < 1e-6
 
+
+@pytest.mark.parametrize("c", [30.0, 100.0])
+def test_ippm_linear_dist_holds_on_a_large_step_run(tmp_path, c):
+    # At a large step the exact factor theta is small beside the 2 delta_k of
+    # theta_hat.  The row reads a max ratio of 0.291 at c = 30 and 0.316 at
+    # c = 100; with the 2 delta_k dropped it reads 1.378 and 2.423 and fails.
+    cfg = tmp_path / "b.json"
+    cfg.write_text(json.dumps({"problem": {"benchmark": "quad1d"}, "schedule": {"constant": c},
+                               "x0": [1.0], "max_iter": 30, "test_mode": True, "estimate": True,
+                               "criterion": {"kind": "B", "delta0": 0.5, "gamma": 0.7}}))
+    assert cli.main(["run-ippm", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    row, = (chk for chk in summary["checks"] if chk["name"] == "ippm_linear_dist")
+    assert row["ok"] and row["checked"] > 0

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import proxlab.cli as cli
 import proxlab.ippm as ippm_module
 import proxlab.ppm as ppm_module
 from proxlab import (InexactCriterion, InnerBudgetExhausted, IterationTrace, MLProblemParams,
@@ -20,6 +22,9 @@ from conftest import with_solution_point
 from oracles import running_diameter
 
 TIGHT = 1e-12
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
+ML_CONFIGS = ("elastic_net_medium", "lasso_large", "lasso_medium", "lasso_small",
+              "svm_synthetic")
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +277,7 @@ def test_reference_solution_lasso_policy(lasso_toy_ref):
 
 def test_reference_solve_at_its_step_cap_raises():
     # The elastic net 20x50 with A and y scaled by 2^-10 and its weights by
-    # 4^-10, so f scales by 4^-10: step 1 is short at this scale, and the solve
+    # 4^-10, so f scales by 4^-10: step 10 is short at this scale, and the solve
     # runs out of its 400 steps.  It installed f_star = 458.79 * 4^-10 against
     # the true 168.06 * 4^-10.
     a_mat, y, _ = generate_lasso_data(20, 50, 10, seed=7)
@@ -280,6 +285,36 @@ def test_reference_solve_at_its_step_cap_raises():
                         MLProblemParams("elastic_net", lam=10.0 * 4.0 ** -10, en_reg=4.0 ** -10))
     with pytest.raises(InnerBudgetExhausted, match="with max_iter after 400 steps"):
         reference_solution(p)
+
+
+def shipped_ml_problem(monkeypatch, name):
+    """The problem of a shipped ML config with no reference installed: the CLI
+    builds it with make_ml_problem in place of its memoized reference solve."""
+    cfg = cli.load_config(EXPERIMENTS / f"{name}.json")
+    monkeypatch.setattr(cli, "_ml_problem", make_ml_problem)
+    return cli.build_problem(cfg, cfg["seed"])
+
+
+@pytest.mark.parametrize("name", ML_CONFIGS)
+def test_reference_does_not_depend_on_its_step(monkeypatch, name):
+    # Both solves stop at a residual of 10 REFERENCE_TARGET, which on a
+    # mu-strongly convex problem puts each point within 10 REFERENCE_TARGET / mu
+    # of the minimizer.  Measured: f_star within 2 ulps, points within 4e-12.
+    p = shipped_ml_problem(monkeypatch, name)
+    ref = reference_solution(p)
+    monkeypatch.setattr(ppm_module, "REFERENCE_STEP", 1.0)
+    at_1 = reference_solution(p)
+    assert abs(ref.f_star - at_1.f_star) <= 4 * math.ulp(max(abs(ref.f_star), abs(at_1.f_star)))
+    if p.strong_convexity > 0:  # elastic_net_medium and svm_synthetic, mu = 1
+        gap = np.subtract(ref.metadata["reference_point"], at_1.metadata["reference_point"])
+        assert np.linalg.norm(gap) <= 2 * 10 * ppm_module.REFERENCE_TARGET / p.strong_convexity
+
+
+@pytest.mark.parametrize("name", ML_CONFIGS)
+def test_reference_solve_work_count(monkeypatch, name):
+    # 8 to 10 exact steps at step 10, 20 to 34 at step 1.
+    p = shipped_ml_problem(monkeypatch, name)
+    assert reference_solution(p).metadata["reference_iterations"] <= 10
 
 
 def test_schedule_is_one_step(quad_run):
