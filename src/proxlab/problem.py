@@ -10,12 +10,12 @@ oracles may also come in a batch form on an (N, d) array of rows;
 ``default_rng`` is the package's one seeded generator.
 
 All oracles are pure and problems are immutable after construction, so they
-are safe to share across threads and concurrent runs.  The structure parts
-keep caches: ``CompositeParts`` and ``SvmParts`` memoize the linear systems
-of their inner solvers' exact solves, for one step size at a time.  An entry
-is a pure function of its key and its arrays are read-only, so a problem
-shared by two runs, even on two threads, only ever sees the systems it would
-have built itself; a run that meets another step size empties the memo.
+are safe to share across threads and concurrent runs.  ``CompositeParts``
+keeps one cache: it memoizes the support systems of the composite solver's
+exact solves, for one step size at a time.  An entry is a pure function of
+its key and its arrays are read-only, so a problem shared by two runs, even
+on two threads, only ever sees the systems it would have built itself; a run
+that meets another step size empties the memo.
 """
 
 from __future__ import annotations
@@ -115,24 +115,6 @@ def nearest_zero(lo: float, hi: float, shift: float) -> float:
     return lo if lo > 0.0 else hi if hi < 0.0 else 0.0 if lo <= 0.0 <= hi else math.nan
 
 
-def _systems_at(memo: dict, c: float) -> dict:
-    """The systems that ``memo`` holds for step size c: a memo keeps one step
-    size's systems only, so a c it does not hold empties it first, and a
-    changing step size cannot make it grow."""
-    systems = memo.get(c)
-    if systems is None:
-        memo.clear()
-        systems = memo[c] = {}
-    return systems
-
-
-def _read_only(*arrays: np.ndarray) -> tuple:
-    """The arrays, each made read-only, as a tuple: a memoized system."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.dot(a[n], b[n]) for each row n, summed as np.dot sums one pair
     (for d = 1 it is 0 + a*b, so a -0.0 product is +0.0).
@@ -184,15 +166,23 @@ class CompositeParts:
 
     def support_system(self, c: float, signs: Vector) -> tuple:
         """(E, H_EE + I/c, l1_weight * s_E) for the support E of the sign pattern
-        s, with H_EE the Hessian's block on E: the system of the support solve."""
-        systems = _systems_at(self._support_systems, c)
+        s, with H_EE the Hessian's block on E: the system of the support solve.
+        The memo keeps one step size's systems only, so a c it does not hold
+        empties it first, and a changing step size cannot make it grow."""
+        memo = self._support_systems
+        systems = memo.get(c)
+        if systems is None:
+            memo.clear()
+            systems = memo[c] = {}
         key = signs.tobytes()
         system = systems.get(key)
         if system is None:
             on = np.flatnonzero(signs)
             h_on = self.hessian[np.ix_(on, on)]
             h_on.flat[::on.size + 1] += 1.0 / c
-            system = systems[key] = _read_only(on, h_on, self.l1_weight * signs[on])
+            system = systems[key] = (on, h_on, self.l1_weight * signs[on])
+            for a in system:
+                a.flags.writeable = False
         return system
 
     def prox_h(self, v: Vector, t: float) -> Vector:
@@ -210,10 +200,6 @@ class SvmParts:
     """Hinge-loss structure (1/n) sum max(0, 1 - b_i a_i^T x) + (reg/2)||x||^2.
 
     The signed rows and their squared norms are computed once.
-    ``free_set_system(c, free)`` memoizes the dual solver's free-set system
-    per free set, for the last step size c only, as ``CompositeParts`` does
-    its support systems: each entry is read-only and is what the solver would
-    build, so parts shared by two runs stay safe.
     """
 
     features: np.ndarray  # (n, d)
@@ -231,21 +217,6 @@ class SvmParts:
         squares = np.einsum("ij,ij->i", self.signed_rows, self.signed_rows)
         squares.flags.writeable = False
         return squares
-
-    @cached_property
-    def _free_set_systems(self) -> dict:
-        return {}
-
-    def free_set_system(self, c: float, free: np.ndarray) -> tuple:
-        """(B_F, B_F B_F^T / sigma), sigma = reg + 1/c, for the rows F that the
-        boolean mask ``free`` selects: the system of the free-set solve."""
-        systems = _systems_at(self._free_set_systems, c)
-        key = free.tobytes()
-        system = systems.get(key)
-        if system is None:
-            rows = self.signed_rows[free]
-            system = systems[key] = _read_only(rows, rows @ rows.T / (self.reg + 1.0 / c))
-        return system
 
     def min_norm_element(self, x: Vector, shift=0.0) -> Vector:
         """The element of the objective's subdifferential at x, plus ``shift``,

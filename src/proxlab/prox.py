@@ -246,10 +246,10 @@ def _svm_dual(p: ProblemSpec, z, c):
         if not 0 < np.count_nonzero(free) <= d or key in tried:
             return None
         tried.add(key)
-        rows, gram = parts.free_set_system(c, free)
+        rows = ba[free]
         base = x - (rows.T @ alpha[free]) / sigma
         try:
-            alpha_free = np.linalg.solve(gram, 1.0 - rows @ base)
+            alpha_free = np.linalg.solve(rows @ rows.T / sigma, 1.0 - rows @ base)
         except np.linalg.LinAlgError:  # singular: repeated or dependent rows
             return None
         if not np.all((alpha_free >= 0.0) & (alpha_free <= cap)):

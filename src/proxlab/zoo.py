@@ -107,7 +107,7 @@ def _aniso_quad() -> ProblemSpec:
 
     return ProblemSpec(
         dimension=2,
-        value=lambda x: float(values(np.asarray(x, dtype=float)[None])[0]),
+        value=lambda x: float(0.5 * diag.dot(np.asarray(x, dtype=float) ** 2)),
         subgradient=gradient,
         min_norm_subgradient=gradient,
         smoothness=9.0,

@@ -524,12 +524,11 @@ def unmemoized_composite(p, z, c, prune=True):
 
 
 def unmemoized_svm_dual(p, z, c):
-    """The SVM dual inner solver's candidates with every free-set system and row
-    norm computed afresh, for reference.
+    """The SVM dual inner solver's candidates with the row norms computed afresh,
+    for reference.
 
     Same candidates, in the same order, as ``prox._svm_dual``, which takes the
-    row norms from ``SvmParts.squared_norms`` and each free set's rows and
-    B_F B_F^T / sigma from ``SvmParts.free_set_system``.
+    row norms from ``SvmParts.squared_norms``.
     """
     from proxlab.problem import KINK_BAND, vector_norm
 

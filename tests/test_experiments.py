@@ -9,7 +9,8 @@ from run_configs import subcommands
 
 from proxlab.cli import main
 
-CONFIGS = sorted((Path(__file__).parent.parent / "experiments").glob("*.json"))
+EXPERIMENTS = Path(__file__).parent.parent / "experiments"
+CONFIGS = sorted(EXPERIMENTS.glob("*.json"))
 
 # Every bound a run subcommand can assert; each is either checked or skipped.
 ROWS = {
@@ -51,6 +52,23 @@ def test_shipped_config(tmp_path, path):
             assert sorted(names) == sorted(ROWS[cmd]), cmd
         else:
             assert (out / "report.json").is_file()
+
+
+@pytest.mark.parametrize("override,vacuous", [
+    ({"max_iter": 0}, ROWS["run-ppm"]),  # no step: nothing to replay
+    # One step that never enters the nu-sublevel set: no linear inequality.
+    ({"x0": [10.0], "schedule": {"constant": 0.1}, "max_iter": 1},
+     ("linear_cost", "linear_dist")),
+], ids=["no_step", "outside_sublevel_set"])
+def test_a_row_with_no_inequality_is_skipped_not_asserted(tmp_path, override, vacuous):
+    cfg = {**json.loads((EXPERIMENTS / "quad1d_audit.json").read_text()), **override}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run-ppm", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = load_strict(tmp_path / "out" / "summary.json")
+    assert all(c["checked"] > 0 for c in summary["checks"])
+    assert summary["asserted"] == len(ROWS["run-ppm"]) - len(vacuous)
+    assert summary["skipped"] == dict.fromkeys(vacuous, "no inequality to replay")
 
 
 QUAD1D, CUBIC = {"problem": {"benchmark": "quad1d"}}, {"problem": {"benchmark": "cubic"}}
