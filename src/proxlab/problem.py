@@ -9,13 +9,13 @@ oracles may also come in a batch form on an (N, d) array of rows;
 ``batch_oracle`` calls it, or maps the scalar oracle over the rows.
 ``default_rng`` is the package's one seeded generator.
 
-All oracles are pure and problems are immutable after construction, so they
-are safe to share across threads and concurrent runs.  ``CompositeParts``
-keeps one cache: it memoizes the support systems of the composite solver's
-exact solves, for one step size at a time.  An entry is a pure function of
-its key and its arrays are read-only, so a problem shared by two runs, even
-on two threads, only ever sees the systems it would have built itself; a run
-that meets another step size empties the memo.
+All oracles are pure and problems are immutable after construction (frozen
+dataclasses; the ``zoo`` builders' arrays are read-only), so they are safe to
+share across threads and concurrent runs.  ``CompositeParts`` keeps one
+cache: it memoizes the support systems of the composite solver's exact
+solves, for one step size at a time.  An entry is a pure function of its key
+and its arrays are read-only, so a problem shared by two runs, even on two
+threads, only ever sees the systems it would have built itself.
 """
 
 from __future__ import annotations
@@ -199,17 +199,13 @@ class CompositeParts:
 class SvmParts:
     """Hinge-loss structure (1/n) sum max(0, 1 - b_i a_i^T x) + (reg/2)||x||^2.
 
-    The signed rows and their squared norms are computed once.
+    The one array held is ``signed_rows`` (read-only as ``zoo`` builds it), row i
+    being b_i a_i: the margins are 1 - signed_rows @ x.  Their squared norms are
+    cached, read-only.
     """
 
-    features: np.ndarray  # (n, d)
-    labels: np.ndarray  # (n,) in {-1, +1}
+    signed_rows: np.ndarray  # (n, d)
     reg: float
-
-    @cached_property
-    def signed_rows(self) -> np.ndarray:
-        """Row i is b_i a_i, so the margins are 1 - signed_rows @ x."""
-        return self.labels[:, None] * self.features
 
     @cached_property
     def squared_norms(self) -> np.ndarray:
@@ -233,7 +229,7 @@ class SvmParts:
         optimality condition, so the element is exact up to rounding.  At a
         kink, raises InnerBudgetExhausted after MIN_NORM_PASSES passes.
         """
-        ba, n = self.signed_rows, self.labels.size
+        ba, n = self.signed_rows, len(self.signed_rows)
         margins = 1.0 - ba @ x
         base = -ba[margins > KINK_BAND].sum(axis=0) / n + self.reg * x + shift
         rows = ba[np.abs(margins) <= KINK_BAND] / n
@@ -392,9 +388,10 @@ class Piecewise1D:
         # piece than breakpoints, ordered left to right.
         if len(pieces) != len(breakpoints) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
-        self.breakpoints = [float(b) for b in breakpoints]
+        self.breakpoints = tuple(float(b) for b in breakpoints)
         self.pieces = pieces
         self._breaks = np.array(self.breakpoints)
+        self._breaks.flags.writeable = False
 
     # ``value`` and ``interval`` locate x inline: i is the first breakpoint >= x,
     # x lies in piece i unless it is breakpoint i (x may be +-inf, not NaN).
@@ -472,6 +469,6 @@ def problem_from_1d(pw: Piecewise1D, **kwargs) -> ProblemSpec:
 
     return ProblemSpec(dimension=1, value=value, subgradient=min_norm,
                        min_norm_subgradient=min_norm, interval_1d=pw.interval,
-                       breakpoints_1d=tuple(pw.breakpoints),
+                       breakpoints_1d=pw.breakpoints,
                        values=lambda xs: pw.values(xs[:, 0]),
                        min_norm_subgradients=min_norms, **kwargs)

@@ -225,8 +225,8 @@ def _svm_dual(p: ProblemSpec, z, c):
     the system is singular.
     """
     parts = p.svm
-    n, d = parts.features.shape
     ba, q = parts.signed_rows, parts.squared_norms
+    n, d = ba.shape
     sigma = parts.reg + 1.0 / c
     w0 = z / (sigma * c)
     cap = 1.0 / n

@@ -210,9 +210,10 @@ def make_ml_problem(data, params: MLProblemParams) -> ProblemSpec:
 
 
 def _svm_problem(feats, labels, reg: float) -> ProblemSpec:
-    n, d = feats.shape
-    parts = SvmParts(features=feats, labels=labels, reg=reg)
-    ba = parts.signed_rows
+    ba = labels[:, None] * feats  # row i is b_i a_i, the only array the problem keeps
+    ba.flags.writeable = False
+    n, d = ba.shape
+    parts = SvmParts(signed_rows=ba, reg=reg)
     min_norm = parts.min_norm_element  # one bound method for both oracles
     overflow = np.flatnonzero(parts.squared_norms == math.inf)
     if overflow.size:  # the dual solver divides by them and would spin to no end
@@ -254,8 +255,8 @@ def _least_squares_l1_problem(a_mat, y, lam, en_reg, kind) -> ProblemSpec:
         return (0.5 * row_dots(r, r) + 0.5 * en_reg * row_dots(xs, xs)
                 + lam * np.abs(xs).sum(axis=1))
 
-    def min_norms(xs, shift=0.0):
-        base = row_matvecs(a_mat.T, row_matvecs(a_mat, xs) - y) + en_reg * xs + shift
+    def min_norms(xs):
+        base = row_matvecs(a_mat.T, row_matvecs(a_mat, xs) - y) + en_reg * xs
         return base + parts.min_norm_h(base, xs)
 
     def value(x):

@@ -5,7 +5,7 @@ dense / refined grid minimization, sign bisection, central differences,
 plain accelerated proximal gradient, the pairwise running diameter, the
 per-sample loop estimator of the regularity constants, the scalar
 stationary-point scan, the 1-d inner solver that tests every breakpoint first,
-the composite and SVM inner solvers that build every linear system afresh,
+the composite inner solver that builds every support system afresh,
 the SVM min-norm element by enumeration of the kink weights' bound patterns,
 the per-step loop replays of the bound checkers and the trace CSV writer that
 formats every cell on its own.
@@ -523,75 +523,13 @@ def unmemoized_composite(p, z, c, prune=True):
             return
 
 
-def unmemoized_svm_dual(p, z, c):
-    """The SVM dual inner solver's candidates with the row norms computed afresh,
-    for reference.
-
-    Same candidates, in the same order, as ``prox._svm_dual``, which takes the
-    row norms from ``SvmParts.squared_norms``.
-    """
-    from proxlab.problem import KINK_BAND, vector_norm
-
-    parts = p.svm
-    n, d = parts.features.shape
-    ba = parts.signed_rows
-    q = np.einsum("ij,ij->i", ba, ba)
-    sigma = parts.reg + 1.0 / c
-    w0 = z / (sigma * c)
-    cap = 1.0 / n
-
-    def certified(x, alpha):
-        margins = 1.0 - ba @ x
-        t = np.where(margins > KINK_BAND, 1.0,
-                     np.where(margins < -KINK_BAND, 0.0, np.clip(n * alpha, 0.0, 1.0)))
-        element = -(t @ ba) / n + parts.reg * x + (x - z) / c
-        return (x, element, vector_norm(element)), margins
-
-    def free_set_solve(x, alpha):
-        free = (alpha > 0.0) & (alpha < cap)
-        key = free.tobytes()
-        if not 0 < np.count_nonzero(free) <= d or key in tried:
-            return None
-        tried.add(key)
-        rows = ba[free]
-        base = x - (rows.T @ alpha[free]) / sigma
-        try:
-            alpha_free = np.linalg.solve(rows @ rows.T / sigma, 1.0 - rows @ base)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all((alpha_free >= 0.0) & (alpha_free <= cap)):
-            return None
-        alpha = alpha.copy()
-        alpha[free] = alpha_free
-        return w0 + (ba.T @ alpha) / sigma, alpha
-
-    alpha = np.where(1.0 - ba @ z > 0.0, cap, 0.0)
-    alpha[q == 0.0] = cap
-    x = w0 + (ba.T @ alpha) / sigma
-    tried = set()
-    while True:
-        candidate, margins = certified(x, alpha)
-        yield candidate
-        finished = free_set_solve(x, alpha)
-        if finished is not None:
-            yield certified(*finished)[0]
-        pinned = ((alpha == 0.0) & (margins < 0.0)) | ((alpha == cap) & (margins > 0.0))
-        for i in np.flatnonzero(~pinned & (q > 0.0)):
-            margin = 1.0 - float(np.dot(ba[i], x))
-            new = min(max(alpha[i] + sigma * margin / q[i], 0.0), cap)
-            if new != alpha[i]:
-                x = x + ((new - alpha[i]) / sigma) * ba[i]
-                alpha[i] = new
-        x = w0 + (ba.T @ alpha) / sigma
-
-
 def svm_kink_terms(parts, x):
     """(base, rows) of the SVM subdifferential at x: every element is
     base - sum_j t_j rows[j] with t in [0, 1]^k, one row per hinge term at its
     kink (margin within KINK_BAND of zero)."""
     from proxlab.problem import KINK_BAND
 
-    ba, n = parts.signed_rows, parts.labels.size
+    ba, n = parts.signed_rows, len(parts.signed_rows)
     margins = 1.0 - ba @ x
     base = -ba[margins > KINK_BAND].sum(axis=0) / n + parts.reg * x
     return base, ba[np.abs(margins) <= KINK_BAND] / n

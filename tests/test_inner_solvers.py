@@ -10,10 +10,12 @@ that every returned certificate is a true element of the subproblem
 subdifferential at the returned point, that the 1-d solver's point is as
 close to the subproblem root as its certificate promises, and that its
 candidates are those of the solver that tests every breakpoint before the
-bracket walk.  The composite and SVM solvers' candidates, with their
-memoized linear systems, are bitwise those of the solvers that build every
-system afresh, also when the memo is shared by threads, and a memo holds the
-systems of one step size at a time.
+bracket walk.  The composite solver's candidates, with its memoized support
+systems, are bitwise those of the solver that builds every system afresh,
+also when the memo is shared by threads, and the memo holds the systems of
+one step size at a time.  The SVM's cached row norms are those of its rows,
+both read-only, and threads sharing one SVM problem get the candidates of
+the same jobs run one after another.
 """
 
 import importlib
@@ -39,8 +41,7 @@ from proxlab import (InexactCriterion, MLProblemParams, Piecewise1D, StepSchedul
 from proxlab.errors import ResolutionFloor
 from proxlab.problem import problem_from_1d
 
-from oracles import (bisect_root, fista_l1, loop_regula_falsi, unmemoized_composite,
-                     unmemoized_svm_dual)
+from oracles import bisect_root, fista_l1, loop_regula_falsi, unmemoized_composite
 from test_prox import certificate, certificate_is_subgradient, convex_piecewise
 
 prox_module = importlib.import_module("proxlab.prox")  # not proxlab.prox, the function
@@ -325,24 +326,16 @@ def fresh_parts(p):
     return replace(p, composite=replace(p.composite))
 
 
-def solver_and_reference(p):
-    """p's structured inner solver and the reference that builds every system afresh."""
-    if p.composite:
-        return prox_module._composite, unmemoized_composite
-    return prox_module._svm_dual, unmemoized_svm_dual
-
-
 def assert_ppm_steps_match_unmemoized(p, z, c, count=3):
-    """From z, ``count`` PPM steps at the one step c: at each, the solver's candidates
-    up to the first prox accepts at TOL are bitwise the unmemoized reference's.
-    The later steps meet the sign patterns or free sets of the earlier ones."""
-    solver, reference = solver_and_reference(p)
+    """From z, ``count`` PPM steps at the one step c: at each, the composite
+    solver's candidates up to the first prox accepts at TOL are bitwise the
+    unmemoized reference's.  The later steps meet the sign patterns of the
+    earlier ones."""
     for _ in range(count):
-        ours = candidate_bytes(solver, p, z, c, target=TOL)
-        assert ours == candidate_bytes(reference, p, z, c, target=TOL)
+        ours = candidate_bytes(prox_module._composite, p, z, c, target=TOL)
+        assert ours == candidate_bytes(unmemoized_composite, p, z, c, target=TOL)
         z = np.frombuffer(ours[-1][0])
-        if p.composite:
-            assert len(memo(p)) <= 1
+        assert len(memo(p)) <= 1
 
 
 # Few step sizes, so that consecutive draws often share one and the memo of the
@@ -357,12 +350,14 @@ def test_composite_candidates_match_unmemoized(lasso_f20, en_f20, z, c):
         assert_ppm_steps_match_unmemoized(p, z, c)
 
 
-@settings(max_examples=25, deadline=None)
-@given(z=arrays(float, 10, elements=centers), small=arrays(float, 3, elements=centers),
-       c=memo_steps)
-def test_svm_candidates_match_unmemoized(svm_blobs, svm_blobs_40, z, small, c):
-    assert_ppm_steps_match_unmemoized(svm_blobs, z, c)
-    assert_ppm_steps_match_unmemoized(svm_blobs_40, small, c)
+@pytest.mark.parametrize("name", ["svm_blobs", "svm_blobs_40"])
+def test_svm_squared_norms_are_those_of_the_read_only_rows(request, name):
+    # The row norms are the SVM's one derived array: the dual sweeps divide
+    # by them, so they must be the norms of the rows, and neither may change.
+    parts = request.getfixturevalue(name).svm
+    rows, norms = parts.signed_rows, parts.squared_norms
+    assert norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
+    assert not rows.flags.writeable and not norms.flags.writeable
 
 
 @pytest.mark.parametrize("name", ["lasso_f20"])
@@ -381,9 +376,13 @@ def test_memo_holds_one_step_size_under_a_geometric_schedule(request, name):
 def test_memo_shared_by_threads_gives_the_unmemoized_candidates(request, name):
     # Four threads solve the same jobs in rotated orders on one problem, so the
     # composite memo is emptied for one step size while another thread reads it.
+    # The SVM holds no memo: its threads must give the candidates that the same
+    # jobs gave run one after another before the threads started.
     p = request.getfixturevalue(name)
-    p = fresh_parts(p) if p.composite else p
-    solver, reference = solver_and_reference(p)
+    if p.composite:
+        p, solver, reference = fresh_parts(p), prox_module._composite, unmemoized_composite
+    else:
+        solver = reference = prox_module._svm_dual
     rng = np.random.default_rng(3)
     jobs = [(2.0 * rng.standard_normal(p.dimension), c) for _ in range(4)
             for c in (0.16, 0.5, 2.0)]

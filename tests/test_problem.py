@@ -69,8 +69,8 @@ def test_svm_min_norm_element_is_the_box_least_squares_minimum(n, d, kinks, seed
     # at weights drawn from [-0.5, 1.5], so its optimum mixes weights at 0, at
     # 1 and free.
     rng = np.random.default_rng(seed)
-    data = make_blob_dataset(n, d, seed=seed)
-    parts = SvmParts(*data, reg=rng.uniform(0.1, 2.0))
+    features, labels = make_blob_dataset(n, d, seed=seed)
+    parts = SvmParts(labels[:, None] * features, reg=rng.uniform(0.1, 2.0))
     on = rng.choice(n, size=min(kinks, d), replace=False)
     x = rng.standard_normal(d)
     x += np.linalg.lstsq(parts.signed_rows[on], 1.0 - parts.signed_rows[on] @ x, rcond=None)[0]

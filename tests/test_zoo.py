@@ -113,8 +113,10 @@ def test_dataset_validation():
         with pytest.raises(ProxlabError, match="^non-finite entries"):
             make_ml_problem((np.array([[bad, 0.0]]), np.array([1.0])), svm)
     p = make_ml_problem((np.ones((2, 2)), np.array([1.0, -1.0])), svm)
+    with pytest.raises(ValueError):  # frozen buffers
+        p.svm.signed_rows[0, 0] = 5.0
     with pytest.raises(ValueError):
-        p.svm.features[0, 0] = 5.0  # frozen buffers
+        p.svm.squared_norms[0] = 5.0
 
 
 @pytest.mark.parametrize("kind", ["lasso", "elastic_net"])
