@@ -1,6 +1,7 @@
 """Every shipped config runs through its subcommands and meets its bounds."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,13 @@ def test_run_configs_refuses_an_out_that_holds_files(tmp_path, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1 and str(tmp_path) in captured.err
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [stale]
+
+
+def test_bench_decks_leaves_the_import_state_as_it_was(monkeypatch):
+    # The decks are imported without writing bytecode under perfbench/, and
+    # neither that setting nor perfbench/ on the path outlives the import.
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    path = sys.path[:]
+    decks = run_configs.bench_decks()
+    assert len(decks.build_deck("scalar_steps", 1)) > 2
+    assert sys.path == path and sys.dont_write_bytecode is False

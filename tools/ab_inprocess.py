@@ -5,29 +5,31 @@
 PARENT_SRC and CHANGE_SRC are directories holding a ``proxlab`` package (the
 ``src`` directory of a checkout).  Both packages are copied into a temporary
 directory as ``proxlab_parent`` and ``proxlab_change`` and imported side by
-side.  Every job of WORKLOAD's benchmark deck (``perfbench/bench_workloads.py``
-at --seed, as ``tools/run_configs.py`` reads it) runs through each side's
-``cli.main`` in turn, the side that goes first alternating from job to job, over
---passes timed passes after one warm-up pass, then through one untimed pass per
-side under ``tracemalloc``.  Configs and outputs go to the temporary directory,
-which is removed at the end; nothing is written under ``perfbench/``.
+side.  One loop runs WORKLOAD's benchmark deck at --seed, loaded as
+``tools/run_configs.py`` loads it: each job through each side's ``cli.main``
+in turn, the side that goes first alternating with the pass number and the job
+id, so that in every pass each side goes first on half the jobs.  It makes one
+warm-up pass, --passes timed passes and one untimed pass.  Configs and outputs
+go to the temporary directory, which is removed at the end; nothing is written
+under ``perfbench/``.
 
-For each job kind, and for the whole pass, the report gives each side's median
-time per timed pass, their ratio (parent over change: above 1 when the change
-is faster) and the passes the change won.  A last row gives the warm-up pass
-the same way, kept out of the medians: it pays each side's first-call costs
-and the reference solve of each ML data set, which the benchmark's first timed
-pass pays too, for every instance but that of its warm-up job.  A second table
-gives, per job kind, each side's largest traced peak over its jobs (the most
-memory numpy and Python held during one job above what they held when it
-started) and their ratio, parent over change.  It follows the process's peak
+The report has three tables, one row per job kind.  The time table gives each
+side's median time per timed pass, their ratio (parent over change: above 1
+when the change is faster) and the passes the change won, then a ``pass`` row
+and a ``warm-up pass`` row, kept out of the medians: the warm-up pays each
+side's first-call costs and the reference solve of each ML data set, which the
+benchmark's first timed pass pays too, for every instance but that of its
+warm-up job.  The memory table gives each side's largest traced peak in the
+untimed pass (the most memory numpy and Python held during one job above what
+they held when it started) and their ratio.  It follows the process's peak
 RSS, which the benchmark reports, without the interpreter's and the libraries'
-own pages.  A third table gives, per job kind, each side's prox inner
-iterations summed over one more untimed pass, counted by wrapping the
-``prox`` names the outer loops call (``ppm.prox`` and ``ippm.prox``), and
-their ratio.  It shows the work a change saves as a count, which does not
-vary from run to run as the times do.  That pass follows the warm-up, so the
-reference solves the warm-up paid are not in it.
+own pages.  Each traced job starts after ``gc.collect()``, so that its peak
+does not depend on when the collector frees what earlier jobs left: two copies
+of one tree read ratios within 0.98-1.02.  The work table gives each side's
+prox inner iterations in the untimed pass, counted by wrapping ``ppm.prox``
+and ``ippm.prox``, their ratio and a ``pass`` row: the work a change saves, as
+a count that does not vary from run to run as times do.  The untimed pass
+follows the warm-up, so the reference solves the warm-up paid are not in it.
 
 This is a development aid for a noisy shared host, where one process
 alternating the two versions sees both under the same machine state.  It
@@ -38,6 +40,8 @@ decides a performance claim.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import importlib
 import json
 import shutil
@@ -48,7 +52,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from run_configs import bench_decks
+
 SIDES = ("parent", "change")
 
 
@@ -59,101 +64,89 @@ def load_cli(src: Path, into: Path, side: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def build_deck(workload: str, seed: int) -> list[dict]:
-    sys.dont_write_bytecode = True  # import the benchmark's decks without writing there
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import bench_workloads
+def job_runs(clis: dict, deck: list[dict], number: int, work: Path):
+    """(side, kind, run) for each job of pass ``number`` on both sides in turn, the
+    side that goes first alternating with the pass number and the job id.  Each
+    ``run()`` runs the job into its side's emptied out directory and gives the
+    exit code."""
+    for job in deck:
+        for side in SIDES if (number + job["id"]) % 2 == 0 else SIDES[::-1]:
+            out = work / "out" / side
+            shutil.rmtree(out, ignore_errors=True)
+            yield side, job["kind"], functools.partial(clis[side].main, job["argv"] + [str(out)])
 
-    return bench_workloads.build_deck(workload, seed)
+
+def per_side(deck: list[dict], value) -> dict:
+    """``value`` for each side and job kind."""
+    return {side: dict.fromkeys((job["kind"] for job in deck), value) for side in SIDES}
 
 
-def run_passes(clis: dict, deck: list[dict], passes: int, work: Path) -> tuple[list, dict]:
+def timed_passes(clis: dict, deck: list[dict], passes: int, work: Path) -> tuple[list, dict]:
     """Per pass, the warm-up first, each side's seconds per job kind; and each side's
     nonzero exits."""
-    for job in deck:
-        config = work / f"cfg{job['id']}.json"
-        config.write_text(json.dumps(job["cfg"]), encoding="utf-8")
-        job["argv"] = [job["cmd"], "--config", str(config), "--out"]
     spent_per_pass, failed = [], dict.fromkeys(SIDES, 0)
-    for done in range(passes + 1):  # pass 0 warms up
-        spent = {side: dict.fromkeys((job["kind"] for job in deck), 0.0) for side in SIDES}
-        for job in deck:
-            for side in SIDES if (done + job["id"]) % 2 == 0 else SIDES[::-1]:
-                out = work / "out" / side
-                shutil.rmtree(out, ignore_errors=True)
-                start = time.perf_counter()
-                code = clis[side].main(job["argv"] + [str(out)])
-                spent[side][job["kind"]] += time.perf_counter() - start
-                failed[side] += code != 0
+    for number in range(passes + 1):  # pass 0 warms up
+        spent = per_side(deck, 0.0)
+        for side, kind, run in job_runs(clis, deck, number, work):
+            start = time.perf_counter()
+            code = run()
+            spent[side][kind] += time.perf_counter() - start
+            failed[side] += code != 0
         spent_per_pass.append(spent)
     return spent_per_pass, failed
 
 
-def traced_peaks(clis: dict, deck: list[dict], work: Path) -> dict:
-    """Each side's largest traced peak (bytes above the job's start) per job kind,
-    over one untimed pass."""
-    peaks = {side: dict.fromkeys((job["kind"] for job in deck), 0) for side in SIDES}
+def untimed_pass(clis: dict, deck: list[dict], number: int, work: Path) -> tuple[dict, dict]:
+    """Each side's largest traced peak (bytes above the job's start) and its prox
+    inner iterations, per job kind, over pass ``number``, untimed.  Each job
+    starts after a garbage collection."""
+    peaks, counts, inner = per_side(deck, 0), per_side(deck, 0), 0
+    proxes = {side: importlib.import_module(f"proxlab_{side}.prox").prox for side in SIDES}
+    loops = {side: [importlib.import_module(f"proxlab_{side}.{name}") for name in ("ppm", "ippm")]
+             for side in SIDES}
+
+    def counting(prox):
+        def call(*args, **kwargs):
+            nonlocal inner
+            result = prox(*args, **kwargs)
+            inner += result.inner_iterations
+            return result
+        return call
+
+    for side in SIDES:
+        for loop in loops[side]:
+            loop.prox = counting(proxes[side])
     tracemalloc.start()
     try:
-        for job in deck:
-            for side in SIDES:
-                out = work / "out" / side
-                shutil.rmtree(out, ignore_errors=True)
-                start = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                clis[side].main(job["argv"] + [str(out)])
-                peak = tracemalloc.get_traced_memory()[1] - start
-                peaks[side][job["kind"]] = max(peaks[side][job["kind"]], peak)
+        for side, kind, run in job_runs(clis, deck, number, work):
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            inner = 0
+            run()
+            peaks[side][kind] = max(peaks[side][kind], tracemalloc.get_traced_memory()[1] - start)
+            counts[side][kind] += inner
     finally:
         tracemalloc.stop()
-    return peaks
+        for side in SIDES:
+            for loop in loops[side]:
+                loop.prox = proxes[side]
+    return peaks, counts
 
 
-def inner_iterations(cli, deck: list[dict], out: Path) -> dict:
-    """The prox inner iterations of one untimed pass of ``cli``'s side per job kind,
-    counted through the outer loops' ``prox`` names."""
-    package = cli.__name__.rpartition(".")[0]
-    prox = importlib.import_module(f"{package}.prox").prox
-    loops = [importlib.import_module(f"{package}.{name}") for name in ("ppm", "ippm")]
-    counts = dict.fromkeys((job["kind"] for job in deck), 0)
-    kind = None
-
-    def counting(*args, **kwargs):
-        result = prox(*args, **kwargs)
-        counts[kind] += result.inner_iterations
-        return result
-
-    for loop in loops:
-        loop.prox = counting
-    try:
-        for job in deck:
-            kind = job["kind"]
-            shutil.rmtree(out, ignore_errors=True)
-            cli.main(job["argv"] + [str(out)])
-    finally:
-        for loop in loops:
-            loop.prox = prox
-    return counts
-
-
-def work_report(counts: dict) -> str:
-    rows = [(kind, *(counts[side][kind] for side in SIDES)) for kind in counts["parent"]]
-    rows.append(("pass", *(sum(counts[side].values()) for side in SIDES)))
+def side_table(values: dict, unit: str, show, total: bool) -> str:
+    """Each side's value per job kind (and their sum, with ``total``), shown by
+    ``show`` under the unit ``unit``, and their ratio, parent over change."""
+    rows = [(kind, *(values[side][kind] for side in SIDES)) for kind in values["parent"]]
+    if total:
+        rows.append(("pass", *(sum(values[side].values()) for side in SIDES)))
     width = max(len(kind) for kind, *_ in rows)
-    lines = [f"{'kind':<{width}}  {'parent inner':>12}  {'change inner':>12}  {'ratio':>6}"]
+    cell = max(len(f"parent {unit}"), 10)
+    lines = [f"{'kind':<{width}}  {'parent ' + unit:>{cell}}  {'change ' + unit:>{cell}}"
+             f"  {'ratio':>6}"]
     for kind, parent, change in rows:
         ratio = f"{parent / change:6.3f}" if change else f"{'-':>6}"
-        lines.append(f"{kind:<{width}}  {parent:12d}  {change:12d}  {ratio}")
-    return "\n".join(lines)
-
-
-def memory_report(peaks: dict) -> str:
-    width = max(map(len, peaks["parent"]))
-    lines = [f"{'kind':<{width}}  {'parent MB':>10}  {'change MB':>10}  {'ratio':>6}"]
-    for kind, parent in peaks["parent"].items():
-        change = peaks["change"][kind]
-        lines.append(f"{kind:<{width}}  {parent / 1e6:10.3f}  {change / 1e6:10.3f}"
-                     f"  {parent / change:6.3f}")
+        lines.append(f"{kind:<{width}}  {show(parent):>{cell}}  {show(change):>{cell}}  {ratio}")
     return "\n".join(lines)
 
 
@@ -183,21 +176,23 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be at least 1")
-    deck = build_deck(args.workload, args.seed)
+    deck = bench_decks().build_deck(args.workload, args.seed)
     with tempfile.TemporaryDirectory(prefix="ab_inprocess-") as tmp:
         work = Path(tmp)
         sys.path.insert(0, str(work))
         clis = {side: load_cli(src, work, side)
                 for side, src in zip(SIDES, (args.parent_src, args.change_src))}
-        spent_per_pass, failed = run_passes(clis, deck, args.passes, work)
-        peaks = traced_peaks(clis, deck, work)
-        counts = {side: inner_iterations(clis[side], deck, work / "out" / side)
-                  for side in SIDES}
+        for job in deck:
+            config = work / f"cfg{job['id']}.json"
+            config.write_text(json.dumps(job["cfg"]), encoding="utf-8")
+            job["argv"] = [job["cmd"], "--config", str(config), "--out"]
+        spent_per_pass, failed = timed_passes(clis, deck, args.passes, work)
+        peaks, counts = untimed_pass(clis, deck, args.passes + 1, work)
     print(report(spent_per_pass))
     print()
-    print(memory_report(peaks))
+    print(side_table(peaks, "MB", lambda peak: f"{peak / 1e6:.3f}", total=False))
     print()
-    print(work_report(counts))
+    print(side_table(counts, "inner", str, total=True))
     if any(failed.values()):
         print(f"nonzero exits: {failed}", file=sys.stderr)
         return 1

@@ -5,7 +5,8 @@
 Each config under ``experiments/`` runs through the subcommands its keys
 describe (the run, then ``estimate`` / ``audit`` when those flags are set), and
 each job of the ``perfbench`` decks at seeds 1-3 runs as its one subcommand,
-all through ``proxlab.cli.main`` in this process.  OUT must be new or empty,
+all through ``proxlab.cli.main`` in this process.  ``bench_decks`` loads the
+decks, for ``tools/ab_inprocess.py`` too.  OUT must be new or empty,
 so no file of an earlier run survives into the tree; an OUT that holds files
 exits 2.  Every run writes into its own directory under OUT (the job's config
 beside its outputs), ``OUT/exit_codes.txt`` lists each run's directory and
@@ -51,19 +52,30 @@ def subcommands(cfg: dict) -> list[str]:
     return cmds + [flag for flag in ("estimate", "audit") if cfg.get(flag) and flag not in cmds]
 
 
+def bench_decks():
+    """The benchmark's deck module, ``perfbench/bench_workloads.py``, imported
+    without writing bytecode there; ``sys.dont_write_bytecode`` and ``sys.path``
+    are restored afterwards."""
+    bytecode, path = sys.dont_write_bytecode, sys.path[:]
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import bench_workloads
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = bytecode, path
+    return bench_workloads
+
+
 def runs():
     """(directory under OUT, subcommand, config) for every run, in a fixed order."""
     for path in sorted((ROOT / "experiments").glob("*.json")):
         cfg = json.loads(path.read_text(encoding="utf-8"))
         for cmd in subcommands(cfg):
             yield f"experiments/{path.stem}/{cmd}", cmd, cfg
-    sys.dont_write_bytecode = True  # import the benchmark's decks without writing there
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import bench_workloads
-
-    for workload in bench_workloads.WORKLOADS:
+    decks = bench_decks()
+    for workload in decks.WORKLOADS:
         for seed in SEEDS:
-            for job in bench_workloads.build_deck(workload, seed):
+            for job in decks.build_deck(workload, seed):
                 yield (f"decks/{workload}/seed{seed}/{job['id']:02d}-{job['kind']}",
                        job["cmd"], job["cfg"])
 
